@@ -851,19 +851,26 @@ func BenchmarkEngineShardedBatch(b *testing.B) {
 // consulting the policy, not of dropping.
 func BenchmarkEnginePolicy(b *testing.B) {
 	cases := []struct {
-		name string
-		adm  AdmissionConfig
+		name     string
+		adm      AdmissionConfig
+		segments int
+		overload bool // two enqueues per dequeue into a pool the load outruns
 	}{
-		{"none", AdmissionConfig{}},
-		{"tail", TailDrop(64)},
-		{"lqd", LQD()},
-		{"red", RED(0.25, 0.75, 0.1, 0.002)},
+		{"none", AdmissionConfig{}, 1 << 17, false},
+		{"tail", TailDrop(64), 1 << 17, false},
+		{"lqd", LQD(), 1 << 17, false},
+		{"red", RED(0.25, 0.75, 0.1, 0.002), 1 << 17, false},
+		// The push-out path: the pool fills within the first few thousand
+		// iterations and from then on every other arrival elects a victim
+		// and evicts. Allocations are reported because the overload path
+		// is pinned at zero (internal/engine TestLQDOverloadNoAllocs).
+		{"lqd-overload", LQD(), 1 << 12, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			cm, err := NewConcurrentEngine(ConcurrentConfig{
 				Flows:     DefaultFlows,
-				Segments:  1 << 17,
+				Segments:  tc.segments,
 				Shards:    16,
 				Admission: tc.adm,
 			})
@@ -872,11 +879,30 @@ func BenchmarkEnginePolicy(b *testing.B) {
 			}
 			pkt := make([]byte, 320)
 			b.SetBytes(int64(len(pkt)))
+			if tc.overload {
+				b.ReportAllocs()
+			}
 			var gid atomic.Uint32
 			b.RunParallel(func(pb *testing.PB) {
 				fd := benchFlowDist(b, uint64(gid.Add(1)))
 				for pb.Next() {
 					f := fd.Next()
+					if tc.overload {
+						// A lost race for the freed space is a counted drop
+						// or refusal, not a benchmark failure; any other
+						// error is.
+						for _, flow := range [2]uint32{f, fd.Next()} {
+							if _, err := cm.EnqueuePacket(flow, pkt); err != nil &&
+								!errors.Is(err, ErrAdmissionDrop) && !errors.Is(err, ErrNoFreeSegments) {
+								b.Error(err)
+								return
+							}
+						}
+						if d, ok := cm.DequeueNext(); ok {
+							cm.ReleaseBuffer(d.Data)
+						}
+						continue
+					}
 					if _, err := cm.EnqueuePacket(f, pkt); err != nil {
 						b.Error(err)
 						return

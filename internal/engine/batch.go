@@ -76,11 +76,11 @@ func (b *buckets) errSlots(n int) []error {
 // pooled scratch that is recycled when it comes back clean and handed to
 // the caller (replaced lazily) when it does not.
 //
-// When an LQD arrival needs push-out eviction the batch degrades to the
-// per-packet path for the rest of that shard's bucket: eviction must run
-// outside the shard's critical section (the victim may live on another
-// shard), and processing later same-flow packets inline would break
-// per-flow FIFO.
+// On the ring datapath an LQD arrival that needs push-out eviction degrades
+// the batch to the per-packet path for the rest of that shard's bucket: the
+// worker cannot visit the victim's shard, and processing later same-flow
+// packets inline would break per-flow FIFO. The synchronous bucket walk
+// settles every arrival where it stands (see arrive).
 func (e *Engine) EnqueueBatch(batch []EnqueueReq) (segments int, errs []error) {
 	if len(batch) == 0 {
 		return 0, nil
@@ -124,24 +124,18 @@ func (e *Engine) enqueueBatchSync(batch []EnqueueReq, errs []error, b *buckets) 
 		}
 		s := e.shards[si]
 		slow := 0 // count of leading indices handled inside the bucket
-		if e.lockSync(s) {
+		if held := e.lockSync(s); held {
 			for _, i := range idxs {
-				n, err := s.enqueueLocked(batch[i].Flow, batch[i].Data)
-				if err == errWantPushOut || //nolint:errorlint // internal sentinel, never wrapped
-					(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() > 0) {
-					// Push-out eviction or a stranded-cache flush must run
-					// outside the critical section; hand the rest of the
-					// bucket to the per-packet path.
-					break
+				var n int
+				if n, held, errs[i] = e.arrive(s, batch[i].Flow, batch[i].Data, len(batch[i].Data), nil); !held {
+					break // left the sync datapath mid-arrival: s.mu is released
 				}
 				slow++
-				if err != nil {
-					errs[i] = err
-					continue
-				}
 				segments += n
 			}
-			s.mu.Unlock()
+			if held {
+				s.mu.Unlock()
+			}
 		}
 		// Everything the bucket walk did not finish — including the whole
 		// bucket when the datapath switched under us — replays in order

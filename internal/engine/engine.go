@@ -71,15 +71,14 @@ var ErrClosed = errors.New("engine: closed")
 var ErrUnknownFlow = errors.New("engine: unknown flow")
 
 // errWantPushOut is an internal sentinel: the admission policy admitted the
-// arrival contingent on push-out eviction, which must run outside the
-// arrival shard's critical section (the globally longest queue may live on
-// another shard, and shards are never entered nested). The enqueue entry
-// points catch it, evict, and retry.
+// arrival contingent on push-out eviction. The arrival routines (arrive on
+// the synchronous datapath, arriveRing for blocking ring calls) catch it,
+// evict from the elected victim, and retry.
 var errWantPushOut = errors.New("engine: admission wants push-out eviction")
 
-// maxEvictAttempts bounds the evict-and-retry loop of an LQD arrival: under
-// heavy contention another shard can consume the freed space between the
-// eviction and the retry; after this many rounds the arrival is dropped.
+// maxEvictAttempts scales the retry budget of an LQD arrival (see relief):
+// under heavy contention another shard can consume the freed space between
+// the eviction and the retry; with the budget spent the arrival is dropped.
 const maxEvictAttempts = 8
 
 // maxPooledBufBytes caps the capacity of reassembly buffers kept in the
@@ -437,16 +436,21 @@ func (e *Engine) lockSync(s *shard) bool {
 }
 
 // run executes fn inside shard s's critical section, in whatever way the
-// current datapath makes safe: under the shard mutex on the synchronous
-// datapath, as a command executed by the shard's worker on the ring
-// datapath, and under the (now uncontended) mutex after Close. It is the
-// single implementation used by every control-plane and slow-path
-// operation; fn captures its own results. fn always runs exactly once.
-func (e *Engine) run(s *shard, fn func()) {
+// current datapath makes safe. It is the single implementation used by every
+// control-plane and slow-path operation; fn captures its own results. fn
+// always runs exactly once.
+func (e *Engine) run(s *shard, fn func()) { e.runCmd(s, command{kind: opCall, fn: fn}) }
+
+// runCmd executes cmd inside shard s's critical section exactly once: under
+// the shard mutex on the synchronous datapath, posted to the shard's worker
+// on the ring datapath, and under the (now uncontended) mutex after Close.
+// Off the ring it allocates nothing, which is what lets an LQD arrival
+// visit a remote victim (opRelieve) allocation-free.
+func (e *Engine) runCmd(s *shard, cmd command) {
 	for {
 		m := e.mode.Load()
 		if m == modeRing {
-			if e.postFnWait(s, fn) {
+			if e.postWait(s, cmd) {
 				return
 			}
 			// The ring closed under us. The mode flips to modeClosed only
@@ -460,7 +464,7 @@ func (e *Engine) run(s *shard, fn func()) {
 			s.mu.Unlock()
 			continue
 		}
-		fn()
+		e.exec(s, &cmd)
 		s.mu.Unlock()
 		return
 	}
@@ -529,66 +533,154 @@ func (e *Engine) shardOf(flow uint32) *shard {
 // executed the command (use EnqueueAsync to fire and forget).
 func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 	s := e.shardOf(flow)
-	need := (len(data) + queue.SegmentBytes - 1) / queue.SegmentBytes
-	for attempt := 0; ; attempt++ {
-		var n int
-		var err error
+	for {
 		switch e.mode.Load() {
 		case modeClosed:
 			return 0, ErrClosed
 		case modeRing:
-			n, err = e.enqueueRingWait(s, flow, data)
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			n, err = s.enqueueLocked(flow, data)
-			s.mu.Unlock()
+			return e.arriveRing(s, flow, data, len(data), nil)
 		}
-		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-			if attempt >= maxEvictAttempts || !e.evictForSpace(need) {
-				// Nothing left to evict (or the freed space kept being
-				// stolen): the arrival is dropped after all.
-				e.run(s, func() {
-					s.dropPackets++
-					s.dropSegments += uint64(need)
-				})
-				return 0, ErrAdmissionDrop
-			}
-		case attempt < maxEvictAttempts && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() >= need:
-			// The pool holds enough free segments, but they are stranded in
-			// other shards' magazine caches. Flush every cache to the depot
-			// and retry (bounded — concurrent shards can re-strand frees
-			// while we flush); the refused attempts stay counted in
-			// Rejected.
-			e.flushCaches()
-		default:
+		if !e.lockSync(s) {
+			continue
+		}
+		if n, held, err := e.arrive(s, flow, data, len(data), nil); held {
+			s.mu.Unlock()
 			return n, err
 		}
 	}
 }
 
-// flushCaches returns every shard's cached free segments to the depot so
-// any shard can allocate them. Slow path only: shards are entered one at a
-// time, never nested.
-func (e *Engine) flushCaches() {
-	for _, s := range e.shards {
-		s := s
-		e.run(s, func() { s.m.FlushFree() })
+// segsFor is the segment count of an n-byte packet.
+func segsFor(n int) int { return (n + queue.SegmentBytes - 1) / queue.SegmentBytes }
+
+// arrive is the synchronous-datapath arrival — admission, push-out and the
+// manager call in (normally) one critical section — shared by
+// EnqueuePacket, EnqueueAsync, the EnqueueBatch bucket walk and, with
+// w != nil, ReservePacket (open a size-byte reservation in *w instead of
+// copying data). The caller holds s.mu.
+//
+// A refusal that relief can cure is retried here. An elected victim on s is
+// pushed out in place: the freed segments land in the cache the arrival
+// allocates from, with no flush and no unlock. Any other shard — a remote
+// victim, or one whose cache strands free segments — is visited with s
+// released, because shards are never entered nested, and admission re-runs
+// on return. held is false when the engine left the synchronous datapath in
+// between: s.mu is not held, nothing was enqueued, and the caller resolves
+// the arrival through the current mode. A retried attempt is not a
+// rejection, so Stats.Rejected counts only refusals the caller sees.
+func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter) (n int, held bool, err error) {
+	need := segsFor(size)
+	for round := 0; ; round++ {
+		if w != nil {
+			*w, err = s.reserveLocked(flow, size)
+		} else {
+			n, err = s.enqueueLocked(flow, data)
+		}
+		if err == nil {
+			return n, true, nil
+		}
+		wantPushOut := err == errWantPushOut //nolint:errorlint // internal sentinel, never wrapped
+		v := e.relief(s, need, err, round)
+		if v == nil {
+			if wantPushOut {
+				err = s.noteDrop(need)
+			}
+			return 0, true, err
+		}
+		if !wantPushOut {
+			s.rejected-- // the manager's refusal is being retried: the final attempt settles the count
+		}
+		if v == s {
+			e.pushOutElected(s, need)
+			continue
+		}
+		s.mu.Unlock()
+		e.runCmd(v, command{kind: opRelieve, arg: need})
+		if !e.lockSync(s) {
+			return 0, false, nil
+		}
 	}
+}
+
+// relief names the shard a refused arrival of need segments must visit
+// before a retry can succeed. The manager ran dry although the pool holds
+// need: a shard whose cache strands free segments. The pool is short — by
+// the admission verdict, or because a concurrent arrival took the space
+// between the verdict and the manager call — the elected LQD victim, which
+// exists only while LQD is configured. nil means cause is final, or the
+// retry budget — one round per evicted packet and per flushed cache, times
+// maxEvictAttempts for lost races — is spent.
+func (e *Engine) relief(s *shard, need int, cause error, round int) *shard {
+	switch dry := errors.Is(cause, queue.ErrNoFreeSegments); {
+	case round >= maxEvictAttempts*(need+len(e.shards)):
+	case dry && e.store.Free() >= need:
+		for _, t := range e.shards {
+			if t != s && t.m.CachedFree() > 0 {
+				return t
+			}
+		}
+	case dry || cause == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
+		return e.electVictim()
+	}
+	return nil
+}
+
+// electVictim returns the shard holding the globally longest queue, or nil
+// when every queue is empty: the first shard in index order whose published
+// longest-queue length (queue.Manager.LongestLen, one padded atomic word
+// per shard) is strictly greatest; inside the shard the heap breaks ties by
+// lowest flow ID. No shard is entered. The mirrors are exact on one
+// goroutine and a hint under concurrency, where peek-then-evict is racy
+// whatever the peek costs; pushOutElected re-elects inside the victim.
+func (e *Engine) electVictim() *shard {
+	var victim *shard
+	best := 0
+	for _, s := range e.shards {
+		if l := s.m.LongestLen(); l > best {
+			best, victim = l, s
+		}
+	}
+	return victim
+}
+
+// pushOutElected is the eviction half of LQD, inside v's critical section:
+// push out head packets of v's longest queue while the shared pool holds
+// fewer than need free segments and v is still the elected victim.
+func (e *Engine) pushOutElected(v *shard, need int) {
+	for e.store.Free() < need && e.electVictim() == v {
+		q, segs, err := v.m.PushOutLongest()
+		if err != nil {
+			return
+		}
+		v.notePushOut(uint32(q), segs)
+	}
+}
+
+// notePushOut settles the books for a packet of segs segments pushed out of
+// flow, inside the shard's critical section.
+func (s *shard) notePushOut(flow uint32, segs int) {
+	s.poPackets++
+	s.poSegments += uint64(segs)
+	s.syncActive(flow)
+	s.noteRemoveRes(flow, false)
+}
+
+// noteDrop counts an arrival of need segments refused by admission, inside
+// the shard's critical section.
+func (s *shard) noteDrop(need int) error {
+	s.dropPackets++
+	s.dropSegments += uint64(need)
+	return ErrAdmissionDrop
 }
 
 // enqueueLocked runs admission then the manager enqueue, inside s's
 // critical section (the mutex on the sync datapath, the worker on the ring
 // datapath). Drops return the bare ErrAdmissionDrop sentinel: overloaded
 // callers see millions of drops, so the error must not allocate.
-// errWantPushOut asks the caller to leave the critical section, evict
-// globally, and retry.
+// errWantPushOut asks the caller to evict globally and retry.
 func (s *shard) enqueueLocked(flow uint32, data []byte) (int, error) {
 	if s.adm != nil && len(data) > 0 {
-		need := (len(data) + queue.SegmentBytes - 1) / queue.SegmentBytes
-		if err := s.admitNeedLocked(flow, need); err != nil {
+		if err := s.admitNeedLocked(flow, segsFor(len(data))); err != nil {
 			return 0, err
 		}
 	}
@@ -606,7 +698,7 @@ func (s *shard) enqueueLocked(flow uint32, data []byte) (int, error) {
 // arriving on flow, inside s's critical section, counting drops. It is the
 // policy half shared by enqueueLocked and reserveLocked: nil admits,
 // ErrAdmissionDrop refuses (counted), and errWantPushOut asks the caller to
-// evict globally outside the critical section and retry.
+// evict globally and retry.
 func (s *shard) admitNeedLocked(flow uint32, need int) error {
 	if s.admKind == policy.KindTailDrop {
 		// Inline fast path: one pool-wide free-count read (an atomic
@@ -615,17 +707,13 @@ func (s *shard) admitNeedLocked(flow uint32, need int) error {
 		segs, err := s.m.Len(queue.QueueID(flow))
 		if err == nil && (need > s.m.FreeSegments() ||
 			(s.admLimit > 0 && segs+need > s.admLimit)) {
-			s.dropPackets++
-			s.dropSegments += uint64(need)
-			return ErrAdmissionDrop
+			return s.noteDrop(need)
 		}
 		return nil
 	}
 	switch s.admitLocked(flow, need) {
 	case admitDrop:
-		s.dropPackets++
-		s.dropSegments += uint64(need)
-		return ErrAdmissionDrop
+		return s.noteDrop(need)
 	case admitPushOut:
 		return errWantPushOut
 	}
@@ -655,9 +743,8 @@ const (
 // admitLocked consults the admission policy for a packet of need segments
 // arriving on this shard, inside s's critical section (s.adm != nil). The
 // policy sees pool-wide occupancy. A PushOut verdict is not executed here:
-// the globally longest queue may live on another shard, and shards are
-// never entered nested, so the caller evicts after leaving this critical
-// section.
+// the globally longest queue may live on another shard, so the caller
+// elects the victim and evicts (see arrive).
 func (s *shard) admitLocked(flow uint32, need int) admitResult {
 	occ, err := s.m.Occupancy(queue.QueueID(flow))
 	if err != nil {
@@ -685,60 +772,6 @@ func (s *shard) admitLocked(flow uint32, need int) admitResult {
 		return admitPushOut
 	}
 	return admitOK
-}
-
-// evictForSpace implements the global half of LQD: push out head packets of
-// the globally longest queue — wherever it lives — until the shared pool
-// holds need free segments. Shards are entered one at a time (peek, then
-// evict), never nested, so concurrent evictions from different shards
-// cannot deadlock. The victim's magazine cache is flushed so the freed
-// segments are reachable from the arrival's shard. Returns false when no
-// victim remains.
-func (e *Engine) evictForSpace(need int) bool {
-	for rounds := 0; e.store.Free() < need; rounds++ {
-		if rounds > e.cfg.NumSegments {
-			return false // livelock guard; cannot trigger without contention
-		}
-		victim := e.longestShard()
-		if victim == nil {
-			return false
-		}
-		var err error
-		e.run(victim, func() {
-			var q queue.QueueID
-			var segs int
-			q, segs, err = victim.m.PushOutLongest()
-			if err == nil {
-				victim.poPackets++
-				victim.poSegments += uint64(segs)
-				victim.syncActive(uint32(q))
-				victim.noteRemoveRes(uint32(q), false)
-				victim.m.FlushFree()
-			}
-		})
-		if err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// longestShard returns the shard holding the longest queue right now, or
-// nil when every queue is empty. Each shard is peeked inside its own
-// critical section; with LQD configured the per-shard lookup is O(1) via
-// the longest-queue heap.
-func (e *Engine) longestShard() *shard {
-	var victim *shard
-	best := 0
-	for _, s := range e.shards {
-		s := s
-		e.run(s, func() {
-			if _, l, ok := s.m.LongestQueue(); ok && l > best {
-				best, victim = l, s
-			}
-		})
-	}
-	return victim
 }
 
 // DequeuePacket removes and reassembles the head packet of flow. The

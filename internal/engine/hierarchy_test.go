@@ -616,11 +616,15 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 	}
 	// Feed every port past its burst (4 flows × 4 × 128B = 2KB against a
 	// 1KB bucket) so the wheel actually parks ports; the enqueue loop
-	// rides the pool as the pacers drain it.
+	// rides the pool as the pacers drain it. Port by port, so a port's 2KB
+	// lands back to back: spread over the whole feed, a slow feeder (the
+	// race detector's) lets the bucket refill between a port's packets and
+	// nothing ever parks.
 	var want int64
 	pkt := make([]byte, 128)
-	for i := 0; i < 4; i++ {
-		for f := uint32(0); f < usedFlw; f++ {
+	for p := uint32(0); p < ports; p++ {
+		for i := uint32(0); i < 4*usedFlw/ports; i++ {
+			f := p + ports*(i/4) // the port's flows: p, p+ports, ...
 			for {
 				_, err := e.EnqueuePacket(f, pkt)
 				if err == nil {

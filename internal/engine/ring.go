@@ -58,6 +58,7 @@ const (
 	opDequeueNextView               // egress-picked zero-copy dequeue of up to arg packets
 	opReserve                       // open an arg-byte write-in-place reservation
 	opCommit                        // splice a filled reservation onto its queue
+	opRelieve                       // relief for an arrival homed elsewhere: evict while elected, flush the cache
 	opCall                          // run fn inside the shard's critical section
 	opBarrier                       // completion only: drain marker
 )
@@ -583,6 +584,11 @@ func (e *Engine) exec(s *shard, c *command) {
 			}
 			*dst = append(*dst, d)
 		}
+	case opRelieve:
+		// The arrival allocates on another shard, so whatever is free here
+		// — just evicted or merely cached — goes to the depot it can reach.
+		e.pushOutElected(s, c.arg)
+		s.m.FlushFree()
 	case opCall:
 		c.fn()
 	case opBarrier:
@@ -599,16 +605,12 @@ func (e *Engine) exec(s *shard, c *command) {
 // longest queue until the arrival fits, else drop. Blocking enqueues get
 // the exact global eviction, orchestrated by the calling goroutine.
 func (e *Engine) enqueueEvictLocal(s *shard, flow uint32, data []byte) (int, error) {
-	need := (len(data) + queue.SegmentBytes - 1) / queue.SegmentBytes
 	for round := 0; round < maxEvictAttempts; round++ {
 		q, segs, err := s.m.PushOutLongest()
 		if err != nil {
 			break
 		}
-		s.poPackets++
-		s.poSegments += uint64(segs)
-		s.syncActive(uint32(q))
-		s.noteRemoveRes(uint32(q), false)
+		s.notePushOut(uint32(q), segs)
 		n, err := s.enqueueLocked(flow, data)
 		switch {
 		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
@@ -622,9 +624,7 @@ func (e *Engine) enqueueEvictLocal(s *shard, flow uint32, data []byte) (int, err
 			return n, err
 		}
 	}
-	s.dropPackets++
-	s.dropSegments += uint64(need)
-	return 0, ErrAdmissionDrop
+	return 0, s.noteDrop(segsFor(len(data)))
 }
 
 // post pushes cmd onto s's ring, blocking for backpressure; a closed ring
@@ -636,12 +636,13 @@ func (e *Engine) post(s *shard, cmd command) error {
 	return nil
 }
 
-// postFnWait runs fn on s's worker and waits. ok is false when the ring
+// postWait runs cmd on s's worker and waits. ok is false when the ring
 // refused the command (engine closing) — the caller re-resolves the mode.
-func (e *Engine) postFnWait(s *shard, fn func()) bool {
+func (e *Engine) postWait(s *shard, cmd command) bool {
 	c := e.getCall()
 	c.pending.Store(1)
-	if e.post(s, command{kind: opCall, fn: fn, co: c}) != nil {
+	cmd.co = c
+	if e.post(s, cmd) != nil {
 		e.putCall(c)
 		return false
 	}
@@ -676,26 +677,44 @@ func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
 			if !e.lockSync(s) {
 				continue
 			}
-			n, err := s.enqueueLocked(flow, data)
-			s.mu.Unlock()
-			if err == errWantPushOut { //nolint:errorlint // internal sentinel, never wrapped
-				// Fall back to the blocking path for the eviction dance.
-				// Every outcome it can produce is counted — except a Close
-				// landing mid-eviction, which must surface here or the
-				// packet would vanish with no trace in the counters.
-				if _, err := e.EnqueuePacket(flow, data); errors.Is(err, ErrClosed) {
-					return ErrClosed
-				}
+			// Every outcome arrive can produce is counted; a mode switch
+			// mid-arrival (not held) enqueued nothing and resolves above, so
+			// a Close landing there surfaces instead of losing the packet.
+			if _, held, _ := e.arrive(s, flow, data, len(data), nil); held {
+				s.mu.Unlock()
+				return nil
 			}
-			_ = n
-			return nil
 		}
 	}
 }
 
+// arriveRing is a blocking ring-datapath arrival (EnqueuePacket, or with
+// w != nil ReservePacket): the shard's worker runs admission and the manager
+// call, and the calling goroutine orchestrates whatever relief a refusal
+// needs — workers never enter other shards — as one posted opRelieve per
+// visit, the victim named by the same lock-free election arrive uses.
+func (e *Engine) arriveRing(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter) (n int, err error) {
+	need := segsFor(size)
+	for round := 0; ; round++ {
+		if w != nil {
+			*w, err = e.reserveRingWait(s, flow, size)
+		} else {
+			n, err = e.enqueueRingWait(s, flow, data)
+		}
+		v := e.relief(s, need, err, round)
+		if v == nil {
+			if err == errWantPushOut { //nolint:errorlint // internal sentinel, never wrapped
+				e.run(s, func() { _ = s.noteDrop(need) }) // the sentinel, below
+				err = ErrAdmissionDrop
+			}
+			return n, err
+		}
+		e.runCmd(v, command{kind: opRelieve, arg: need})
+	}
+}
+
 // enqueueRingWait posts a blocking enqueue and returns the worker's
-// verdict. errWantPushOut surfaces to EnqueuePacket, which orchestrates
-// the global eviction from the calling goroutine.
+// verdict; errWantPushOut surfaces to arriveRing.
 func (e *Engine) enqueueRingWait(s *shard, flow uint32, data []byte) (int, error) {
 	c := e.getCall()
 	c.pending.Store(1)

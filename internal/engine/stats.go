@@ -18,7 +18,10 @@ type Stats struct {
 	EnqueuedSegments uint64
 	DequeuedPackets  uint64
 	DequeuedSegments uint64
-	Rejected         uint64 // enqueues refused (pool exhausted or flow capped)
+	// Rejected counts enqueues refused for want of room (pool exhausted or
+	// flow capped) — calls that returned the error, not the passes an LQD
+	// arrival retries internally after a push-out or a stranded-cache fetch.
+	Rejected uint64
 
 	// Policy counters. Dropped arrivals were refused by the admission
 	// policy and never buffered; pushed-out packets were buffered and then

@@ -159,7 +159,9 @@ func TestWorkStealReducesMaxBusyShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
 	}
-	const attempts = 3
+	// Five, not three: on a 2-core host with other test binaries running
+	// beside this one a single comparison loses about four times in ten.
+	const attempts = 5
 	for i := 1; ; i++ {
 		off, _ := runSkewed(t, false)
 		on, stolen := runSkewed(t, true)

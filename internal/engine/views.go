@@ -36,7 +36,6 @@ package engine
 // enqueued at Commit. None of these paths touch Stats.CopiedBytes.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -506,40 +505,28 @@ func (r *Reservation) Range(fn func(seg []byte) bool) { r.w.Range(fn) }
 // Stats.CopiedBytes does not move.
 func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 	s := e.shardOf(flow)
-	need := (n + queue.SegmentBytes - 1) / queue.SegmentBytes
-	for attempt := 0; ; attempt++ {
-		var w queue.PacketWriter
+	r := Reservation{e: e, s: s, flow: flow}
+	for {
 		var err error
 		switch e.mode.Load() {
 		case modeClosed:
 			return Reservation{}, ErrClosed
 		case modeRing:
-			w, err = e.reserveRingWait(s, flow, n)
+			_, err = e.arriveRing(s, flow, nil, n, &r.w)
 		default:
 			if !e.lockSync(s) {
 				continue
 			}
-			w, err = s.reserveLocked(flow, n)
+			var held bool
+			if _, held, err = e.arrive(s, flow, nil, n, &r.w); !held {
+				continue
+			}
 			s.mu.Unlock()
 		}
-		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-			if attempt >= maxEvictAttempts || !e.evictForSpace(need) {
-				e.run(s, func() {
-					s.dropPackets++
-					s.dropSegments += uint64(need)
-				})
-				return Reservation{}, ErrAdmissionDrop
-			}
-		case attempt < maxEvictAttempts && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() >= need:
-			// Free segments stranded in other shards' caches; flush and
-			// retry, exactly as EnqueuePacket does.
-			e.flushCaches()
-		case err != nil:
+		if err != nil {
 			return Reservation{}, err
-		default:
-			return Reservation{e: e, s: s, flow: flow, w: w}, nil
 		}
+		return r, nil
 	}
 }
 
@@ -550,8 +537,7 @@ func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 // like a refused enqueue.
 func (s *shard) reserveLocked(flow uint32, n int) (queue.PacketWriter, error) {
 	if s.adm != nil && n > 0 {
-		need := (n + queue.SegmentBytes - 1) / queue.SegmentBytes
-		if err := s.admitNeedLocked(flow, need); err != nil {
+		if err := s.admitNeedLocked(flow, segsFor(n)); err != nil {
 			return queue.PacketWriter{}, err
 		}
 	}
@@ -632,8 +618,7 @@ func (r *Reservation) Abort() error {
 // --- ingest: ring-datapath posters ---
 
 // reserveRingWait posts a blocking reservation and returns the worker's
-// verdict. errWantPushOut surfaces to ReservePacket, which orchestrates
-// the global eviction from the calling goroutine.
+// verdict; errWantPushOut surfaces to arriveRing.
 func (e *Engine) reserveRingWait(s *shard, flow uint32, n int) (queue.PacketWriter, error) {
 	c := e.getCall()
 	c.pending.Store(1)

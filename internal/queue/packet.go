@@ -27,9 +27,10 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	// Check what this manager can actually allocate (its cache plus the
 	// shared depot), not the pool-wide count: segments cached by other
 	// owners are free but unreachable.
-	if avail := m.src.Avail(); needed > avail {
-		return 0, fmt.Errorf("%w: need %d segments, have %d",
-			ErrNoFreeSegments, needed, avail)
+	// Pool-dry refusals return the bare sentinel: an overloaded caller sees
+	// millions of them, so the error must not allocate.
+	if needed > m.src.Avail() {
+		return 0, ErrNoFreeSegments
 	}
 	run := m.runBuf(needed)
 	if got := m.src.AllocN(run); got < needed {
@@ -38,8 +39,7 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 		// unwind — relink the partial run and hand it back in one FreeN.
 		m.returnRun(run[:got])
 		m.publish()
-		return 0, fmt.Errorf("%w: need %d segments, got %d",
-			ErrNoFreeSegments, needed, got)
+		return 0, ErrNoFreeSegments
 	}
 	last := needed - 1
 	off := 0
@@ -273,8 +273,16 @@ func (m *Manager) CheckInvariants() error {
 	}
 
 	// Longest-queue heap discipline (when tracking is enabled): the heap
-	// holds exactly the non-empty queues, positions match, and every parent
-	// sorts no later than its children.
+	// holds exactly the non-empty queues, positions match, every parent
+	// sorts no later than its children, and the published mirror equals the
+	// top's length (0 with tracking off or every queue empty).
+	top := 0
+	if m.heapPos != nil {
+		_, top, _ = m.LongestQueue()
+	}
+	if got := m.LongestLen(); got != top {
+		return fmt.Errorf("queue: longest-length mirror says %d, longest queue holds %d", got, top)
+	}
 	if m.heapPos != nil {
 		nonEmpty := 0
 		for q := 0; q < m.cfg.NumQueues; q++ {

@@ -21,6 +21,7 @@ func (m *Manager) SetLongestTracking(on bool) {
 	}
 	if !on {
 		m.heap, m.heapPos = nil, nil
+		m.longest.Store(0)
 		return
 	}
 	m.heapPos = make([]int32, m.cfg.NumQueues)
@@ -37,6 +38,26 @@ func (m *Manager) SetLongestTracking(on bool) {
 	// Bottom-up heapify.
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(int32(i))
+	}
+	m.publishLongest()
+}
+
+// LongestLen returns the segment count of the longest queue as last
+// published by the owner, 0 when every queue is empty or tracking is off.
+// Lock-free and safe from any goroutine: exact when read by the owner (or
+// on one goroutine), a hint under concurrency.
+func (m *Manager) LongestLen() int { return int(m.longest.Load()) }
+
+// publishLongest refreshes the LongestLen mirror from the heap top, storing
+// only when the value moved so a steady longest queue costs readers no
+// invalidation.
+func (m *Manager) publishLongest() {
+	top := int32(0)
+	if len(m.heap) > 0 {
+		top = m.qsegs[m.heap[0]]
+	}
+	if m.longest.Load() != top {
+		m.longest.Store(top)
 	}
 }
 
@@ -114,20 +135,20 @@ func (m *Manager) fixLongest(q QueueID) {
 		return
 	}
 	pos := m.heapPos[q]
-	if m.qsegs[q] == 0 {
+	switch {
+	case m.qsegs[q] == 0:
 		if pos >= 0 {
 			m.heapRemove(pos)
 		}
-		return
-	}
-	if pos < 0 {
+	case pos < 0:
 		m.heapPos[q] = int32(len(m.heap))
 		m.heap = append(m.heap, int32(q))
 		m.siftUp(int32(len(m.heap) - 1))
-		return
+	default:
+		m.siftUp(pos)
+		m.siftDown(m.heapPos[q])
 	}
-	m.siftUp(pos)
-	m.siftDown(m.heapPos[q])
+	m.publishLongest()
 }
 
 // heapRemove deletes the element at heap index pos.

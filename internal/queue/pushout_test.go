@@ -54,6 +54,9 @@ func TestLongestQueueTracking(t *testing.T) {
 			t.Fatalf("op %d: LongestQueue = (%d, %d, %v), brute force says len %d ok %v",
 				op, gotQ, gotLen, gotOK, wantLen, wantOK)
 		}
+		if mirror := m.LongestLen(); mirror != wantLen {
+			t.Fatalf("op %d: LongestLen mirror = %d, brute force says %d", op, mirror, wantLen)
+		}
 		if gotOK {
 			if n, _ := m.Len(gotQ); n != gotLen {
 				t.Fatalf("op %d: reported queue %d has %d segments, reported %d", op, gotQ, n, gotLen)
@@ -83,18 +86,24 @@ func TestLongestTrackingMidstreamAndOff(t *testing.T) {
 	if !ok || q != 3 || n != 4 {
 		t.Fatalf("untracked LongestQueue = (%d, %d, %v), want (3, 4, true)", q, n, ok)
 	}
+	if got := m.LongestLen(); got != 0 {
+		t.Fatalf("LongestLen = %d with tracking off, want 0 (the mirror is only kept while tracking)", got)
+	}
 	// Enabling mid-stream builds the heap from live state.
 	m.SetLongestTracking(true)
 	q, n, ok = m.LongestQueue()
 	if !ok || q != 3 || n != 4 {
 		t.Fatalf("tracked LongestQueue = (%d, %d, %v), want (3, 4, true)", q, n, ok)
 	}
+	if got := m.LongestLen(); got != 4 {
+		t.Fatalf("LongestLen = %d after enabling tracking mid-stream, want 4", got)
+	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	m.SetLongestTracking(false)
-	if m.TracksLongest() {
-		t.Fatal("tracking still on")
+	if m.TracksLongest() || m.LongestLen() != 0 {
+		t.Fatalf("tracking still on (%v) or mirror not cleared (%d)", m.TracksLongest(), m.LongestLen())
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

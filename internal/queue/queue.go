@@ -25,6 +25,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"npqm/internal/segstore"
 )
@@ -141,7 +142,24 @@ type Manager struct {
 
 	// Data memory (aliases the store's payload slab; nil when disabled).
 	data []byte
+
+	_ [mirrorPad]byte // owner-hot words above; cross-thread mirror below
+
+	// longest mirrors the segment count of the longest-queue heap's top for
+	// lock-free readers (LongestLen): other owners on a shared slab elect a
+	// push-out victim from these words without entering this manager. The
+	// owner stores it from fixLongest/SetLongestTracking, only when the
+	// value changes and only while tracking is on; 0 otherwise.
+	longest atomic.Int32
+
+	_ [mirrorPad]byte // keep the next heap neighbour off the mirror's line
 }
+
+// mirrorPad separates the owner-hot manager words from the cross-thread
+// longest-length mirror, as segstore's cachePad does for the free-count
+// mirror: 128 bytes covers the adjacent-line prefetcher pair.
+// layout_test.go pins the distances.
+const mirrorPad = 128
 
 // New returns a Manager over a private segment pool with all segments on a
 // FIFO free list — the seed behavior, kept for the timed models whose DDR
@@ -227,6 +245,17 @@ func (m *Manager) SharedStore() bool { return m.src.Shared() }
 // FlushFree hands this manager's cached free segments back to the shared
 // pool so other managers can allocate them (no-op for a private pool).
 func (m *Manager) FlushFree() { m.src.Flush() }
+
+// CachedFree returns the free segments parked in this manager's own cache,
+// as last published: the part of FreeSegments other managers on the slab
+// cannot allocate until FlushFree. Lock-free and safe from any goroutine; 0
+// on a private pool.
+func (m *Manager) CachedFree() int {
+	if c, ok := m.src.(*segstore.Cache); ok {
+		return c.Cached()
+	}
+	return 0
+}
 
 // SetDeferPublish switches off (or back on) the per-operation publish of
 // the shared store's free-count mirror. Only a single-writer owner may

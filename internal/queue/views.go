@@ -304,16 +304,14 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 	if !m.admissible(q, needed) {
 		return PacketWriter{}, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, needed)
 	}
-	if avail := m.src.Avail(); needed > avail {
-		return PacketWriter{}, fmt.Errorf("%w: need %d segments, have %d",
-			ErrNoFreeSegments, needed, avail)
+	if needed > m.src.Avail() {
+		return PacketWriter{}, ErrNoFreeSegments // bare, as in EnqueuePacket
 	}
 	run := m.runBuf(needed)
 	if got := m.src.AllocN(run); got < needed {
 		m.returnRun(run[:got])
 		m.publish()
-		return PacketWriter{}, fmt.Errorf("%w: need %d segments, got %d",
-			ErrNoFreeSegments, needed, got)
+		return PacketWriter{}, ErrNoFreeSegments
 	}
 	last := needed - 1
 	left := n

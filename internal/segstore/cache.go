@@ -75,6 +75,10 @@ func (c *Cache) Avail() int {
 	return int(c.mag[0].n+c.mag[1].n) + int(c.st.depotFree.Load())
 }
 
+// Cached returns this cache's published population — the free segments
+// other owners cannot reach until Flush. Lock-free, safe from any goroutine.
+func (c *Cache) Cached() int { return int(c.count.Load()) }
+
 // Shared reports that other caches draw from the same pool.
 func (c *Cache) Shared() bool { return true }
 
