@@ -121,7 +121,7 @@ func (cm *ConcurrentQueueManager) EnqueuePacket(q uint32, data []byte) (int, err
 }
 
 // DequeuePacket removes and reassembles the packet at the head of flow q.
-// The returned buffer is pooled; hand it back with Release when done.
+// The returned buffer is pooled; hand it back with ReleaseBuffer when done.
 func (cm *ConcurrentQueueManager) DequeuePacket(q uint32) ([]byte, error) {
 	return cm.e.DequeuePacket(q)
 }
@@ -129,12 +129,6 @@ func (cm *ConcurrentQueueManager) DequeuePacket(q uint32) ([]byte, error) {
 // ReleaseBuffer recycles a buffer returned by DequeuePacket, DequeueBatch,
 // DequeueNext or DequeueNextBatch.
 func (cm *ConcurrentQueueManager) ReleaseBuffer(buf []byte) { cm.e.ReleaseBuffer(buf) }
-
-// Release recycles a buffer returned by DequeuePacket or DequeueBatch.
-//
-// Deprecated: use ReleaseBuffer, which names the copy-path buffer
-// explicitly now that zero-copy PacketViews have their own Release.
-func (cm *ConcurrentQueueManager) Release(buf []byte) { cm.e.ReleaseBuffer(buf) }
 
 // DequeuePacketView removes the packet at the head of flow q as a
 // zero-copy view over its segment chain — no reassembly buffer, no copy.

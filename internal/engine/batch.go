@@ -134,7 +134,7 @@ func (e *Engine) enqueueBatchSync(batch []EnqueueReq, errs []error, b *buckets) 
 				segments += n
 			}
 			if held {
-				s.mu.Unlock()
+				s.unlock()
 			}
 		}
 		// Everything the bucket walk did not finish — including the whole
@@ -177,7 +177,7 @@ func (e *Engine) enqueueBatchRing(batch []EnqueueReq, errs []error, b *buckets) 
 			for k, i := range idxs {
 				n, err := s.enqueueLocked(batch[i].Flow, batch[i].Data)
 				if err == errWantPushOut || //nolint:errorlint // internal sentinel, never wrapped
-					(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() > 0) {
+					(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && s.m.FreeSegments() > 0) {
 					for _, j := range idxs[k:] {
 						errs[j] = errRingRetry
 					}
@@ -261,20 +261,9 @@ func (e *Engine) dequeueBatchSync(flows []uint32, pkts [][]byte, errs []error, b
 			continue
 		}
 		for _, i := range idxs {
-			buf := e.getBuf()
-			out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flows[i]), buf)
-			s.noteDequeue(n, err)
-			if err != nil {
-				e.putBuf(buf)
-				errs[i] = err
-				continue
-			}
-			s.noteCopied(len(out))
-			s.syncActive(flows[i])
-			s.noteRemoveRes(flows[i], true)
-			pkts[i] = out
+			pkts[i], errs[i] = e.dequeueLocked(s, flows[i])
 		}
-		s.mu.Unlock()
+		s.unlock()
 	}
 }
 
@@ -298,18 +287,7 @@ func (e *Engine) dequeueBatchRing(flows []uint32, pkts [][]byte, errs []error, b
 		idxs := idxs
 		cmd := command{kind: opCall, co: c, fn: func() {
 			for _, i := range idxs {
-				buf := e.getBuf()
-				out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flows[i]), buf)
-				s.noteDequeue(n, err)
-				if err != nil {
-					e.putBuf(buf)
-					errs[i] = err
-					continue
-				}
-				s.noteCopied(len(out))
-				s.syncActive(flows[i])
-				s.noteRemoveRes(flows[i], true)
-				pkts[i] = out
+				pkts[i], errs[i] = e.dequeueLocked(s, flows[i])
 			}
 		}}
 		if e.post(s, cmd) != nil {

@@ -546,7 +546,7 @@ func (e *Engine) DequeueNext() (Dequeued, bool) {
 					continue
 				}
 				d, ok := e.dequeuePicked(s, anyPort)
-				s.mu.Unlock()
+				s.unlock()
 				if ok {
 					return d, true
 				}
@@ -561,8 +561,9 @@ func (e *Engine) DequeueNext() (Dequeued, bool) {
 // configured egress discipline across all ports. The starting shard
 // rotates per call so shards share the egress bandwidth; within a shard,
 // units and flows are picked by the level-stack discipline against the
-// active lists. Buffers come from the engine pool — Release each
-// packet's Data when done.
+// active lists. Buffers come from the engine pool — ReleaseBuffer each
+// packet's Data when done. The result slice is allocated once, when the
+// first packet is served (see newBatch); an empty poll allocates nothing.
 func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 	if max <= 0 {
 		return nil
@@ -604,12 +605,32 @@ func (e *Engine) drainShard(s *shard, port int, out []Dequeued, max int) []Deque
 				if !ok {
 					break
 				}
+				if out == nil {
+					out = newBatch[Dequeued](1, max)
+				}
 				out = append(out, d)
 			}
-			s.mu.Unlock()
+			s.unlock()
 			return out
 		}
 	}
+}
+
+// batchAlloc bounds the capacity a batch result slice starts with, so a
+// caller's "as many as there are" max does not size an allocation.
+const batchAlloc = 64
+
+// newBatch allocates a batch call's result slice — once per call, when the
+// first packets are served: room for the served packets in hand and, up to
+// batchAlloc, for the rest of the max the call may still serve.
+func newBatch[T any](served, max int) []T {
+	if max > batchAlloc {
+		max = batchAlloc
+	}
+	if max < served {
+		max = served
+	}
+	return make([]T, 0, max)
 }
 
 // chargeLevels debits the bytes actually served on flow against every
@@ -633,8 +654,7 @@ func (e *Engine) dequeuePicked(s *shard, port int) (Dequeued, bool) {
 		if !ok {
 			return Dequeued{}, false
 		}
-		buf := e.getBuf()
-		data, segs, err := s.m.DequeuePacketAppend(queue.QueueID(flow), buf)
+		data, segs, err := s.m.DequeuePacketInto(queue.QueueID(flow), e.allocBuf)
 		s.noteDequeue(segs, err)
 		if err != nil {
 			// The list said active but no complete packet is available
@@ -642,7 +662,6 @@ func (e *Engine) dequeuePicked(s *shard, port int) (Dequeued, bool) {
 			// cannot spin on it. The DRR debit is not charged — nothing
 			// was served — and any banked deficit is forfeited by
 			// clearActive.
-			e.putBuf(buf)
 			s.clearActive(flow)
 			continue
 		}

@@ -81,10 +81,24 @@ var errWantPushOut = errors.New("engine: admission wants push-out eviction")
 // the eviction and the retry; with the budget spent the arrival is dropped.
 const maxEvictAttempts = 8
 
-// maxPooledBufBytes caps the capacity of reassembly buffers kept in the
-// engine's pool. A buffer that grew past this (one giant reassembled
-// packet) is dropped on Release instead of pinning its memory forever.
-const maxPooledBufBytes = 64 * queue.SegmentBytes
+// Reassembly buffers are pooled in three size classes, each as a pointer to
+// a fixed array: a pointer fills an interface word without boxing, so a
+// delivered packet costs one pool Get and one pool Put and no allocation.
+// The smallest class holds minimum-size packets, the middle one a 1500-byte
+// Ethernet frame; a packet past maxPooledBufBytes (one giant reassembly)
+// gets an exact buffer that ReleaseBuffer drops instead of pinning forever.
+const (
+	smallBufSegs      = 4
+	mtuBufSegs        = 24
+	maxPooledBufSegs  = 64
+	maxPooledBufBytes = maxPooledBufSegs * queue.SegmentBytes
+)
+
+type (
+	smallBuf [smallBufSegs * queue.SegmentBytes]byte
+	mtuBuf   [mtuBufSegs * queue.SegmentBytes]byte
+	maxBuf   [maxPooledBufBytes]byte
+)
 
 // Datapath modes. The engine starts synchronous, may switch to the ring
 // datapath once (Start), and ends closed (Close). Transitions are one-way.
@@ -176,6 +190,10 @@ const hotPad = 128
 type shard struct {
 	mu sync.Mutex
 	m  *queue.Manager
+
+	// cache is m's segment source: the shard publishes its free-count
+	// mirror (see publish) and relief reads it from other shards.
+	cache *segstore.Cache
 
 	// ring is the shard's command ring, created by Start (nil before).
 	ring *cmdRing
@@ -269,17 +287,12 @@ type Engine struct {
 
 	egCursor atomic.Uint32 // rotating start shard for DequeueNextBatch
 
-	bufs       sync.Pool // reassembly buffers in *bufBox wrappers, see Release
-	boxes      sync.Pool // empty *bufBox wrappers awaiting a buffer
-	bucketPool sync.Pool // per-shard index buckets for the batch paths
-	callPool   sync.Pool // pooled completions for the ring datapath
-	histPool   sync.Pool // residence merge targets for Stats snapshots
+	bufs       [3]sync.Pool          // reassembly buffers: *smallBuf, *mtuBuf, *maxBuf
+	allocBuf   func(segs int) []byte // getBuf, bound once so the dequeue paths allocate no closure
+	bucketPool sync.Pool             // per-shard index buckets for the batch paths
+	callPool   sync.Pool             // pooled completions for the ring datapath
+	histPool   sync.Pool             // residence merge targets for Stats snapshots
 }
-
-// bufBox carries a reassembly buffer through the pool. Pooling the raw
-// []byte would box its slice header into an interface on every Put — one
-// heap allocation per dequeued packet on the delivery hot path.
-type bufBox struct{ b []byte }
 
 // New builds an Engine: one shared segment store, one queue manager per
 // shard drawing from it through a magazine cache. The engine starts on the
@@ -379,9 +392,10 @@ func New(cfg Config) (*Engine, error) {
 			pc: e.pacers[i&(cfg.Shards-1)],
 		}
 	}
-	e.bufs.New = func() any { return &bufBox{b: make([]byte, 0, 4*queue.SegmentBytes)} }
+	e.allocBuf = e.getBuf
 	for i := range e.shards {
-		m, err := queue.NewWithStore(queue.Config{NumQueues: cfg.NumFlows}, store.NewCache())
+		cache := store.NewCache()
+		m, err := queue.NewWithStore(queue.Config{NumQueues: cfg.NumFlows}, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -396,6 +410,7 @@ func New(cfg Config) (*Engine, error) {
 		// (see portSched), so a wide port space costs nothing up front.
 		s := &shard{
 			m:         m,
+			cache:     cache,
 			storeData: cfg.StoreData,
 			ps:        make([]portSched, cfg.NumPorts),
 			flows:     e.flows,
@@ -435,6 +450,23 @@ func (e *Engine) lockSync(s *shard) bool {
 	return true
 }
 
+// publish refreshes the shard's free-count mirror — the only place the
+// engine does. Invariant: the mirror is exact whenever the shard is outside
+// a critical section. Every section therefore ends here (unlock on the
+// mutex, execBatch on a worker), once per section however many packets it
+// moved; and a section publishes before it reads pool-wide occupancy itself
+// (relief, pushOutElected; the manager's FreeSegments does its own), so on
+// one goroutine every decision sees exact counts. Other shards see a
+// section's effect when it ends: a drain's frees late, which is the
+// conservative direction, and what holding the shard already implied.
+func (s *shard) publish() { s.cache.Publish() }
+
+// unlock ends a critical section entered through s.mu.
+func (s *shard) unlock() {
+	s.publish()
+	s.mu.Unlock()
+}
+
 // run executes fn inside shard s's critical section, in whatever way the
 // current datapath makes safe. It is the single implementation used by every
 // control-plane and slow-path operation; fn captures its own results. fn
@@ -465,7 +497,7 @@ func (e *Engine) runCmd(s *shard, cmd command) {
 			continue
 		}
 		e.exec(s, &cmd)
-		s.mu.Unlock()
+		s.unlock()
 		return
 	}
 }
@@ -474,8 +506,7 @@ func (e *Engine) runCmd(s *shard, cmd command) {
 // gets a private instance (RED seeds are derived per shard) swapped in
 // inside the shard's critical section, so reconfiguration is safe while
 // traffic flows. Counters are not reset. Longest-queue tracking is enabled
-// exactly when the policy can return a push-out verdict; the single-writer
-// publish deferral is enabled exactly when no policy reads pool occupancy.
+// exactly when the policy can return a push-out verdict.
 func (e *Engine) SetAdmission(cfg policy.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -497,9 +528,6 @@ func (e *Engine) SetAdmission(cfg policy.Config) error {
 			s.admKind = cfg.Kind
 			s.admLimit = cfg.Limit
 			s.m.SetLongestTracking(track)
-			// Only a ring worker is a single writer, and only a policy-free
-			// shard has nobody reading pool occupancy between operations.
-			s.m.SetDeferPublish(e.mode.Load() == modeRing && cfg.Kind == policy.KindNone)
 		})
 	}
 	return nil
@@ -544,7 +572,7 @@ func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 			continue
 		}
 		if n, held, err := e.arrive(s, flow, data, len(data), nil); held {
-			s.mu.Unlock()
+			s.unlock()
 			return n, err
 		}
 	}
@@ -580,6 +608,8 @@ func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.P
 			return n, true, nil
 		}
 		wantPushOut := err == errWantPushOut //nolint:errorlint // internal sentinel, never wrapped
+		// relief reads the pool-wide count from inside s.
+		s.publish()
 		v := e.relief(s, need, err, round)
 		if v == nil {
 			if wantPushOut {
@@ -594,7 +624,7 @@ func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.P
 			e.pushOutElected(s, need)
 			continue
 		}
-		s.mu.Unlock()
+		s.unlock()
 		e.runCmd(v, command{kind: opRelieve, arg: need})
 		if !e.lockSync(s) {
 			return 0, false, nil
@@ -615,7 +645,7 @@ func (e *Engine) relief(s *shard, need int, cause error, round int) *shard {
 	case round >= maxEvictAttempts*(need+len(e.shards)):
 	case dry && e.store.Free() >= need:
 		for _, t := range e.shards {
-			if t != s && t.m.CachedFree() > 0 {
+			if t != s && t.cache.Cached() > 0 {
 				return t
 			}
 		}
@@ -647,7 +677,11 @@ func (e *Engine) electVictim() *shard {
 // push out head packets of v's longest queue while the shared pool holds
 // fewer than need free segments and v is still the elected victim.
 func (e *Engine) pushOutElected(v *shard, need int) {
-	for e.store.Free() < need && e.electVictim() == v {
+	for {
+		v.publish() // count what this section has freed so far
+		if e.store.Free() >= need || e.electVictim() != v {
+			return
+		}
 		q, segs, err := v.m.PushOutLongest()
 		if err != nil {
 			return
@@ -775,8 +809,9 @@ func (s *shard) admitLocked(flow uint32, need int) admitResult {
 }
 
 // DequeuePacket removes and reassembles the head packet of flow. The
-// returned buffer comes from an internal pool; pass it to Release when done
-// to recycle it (keeping it, or not releasing, is safe but allocates more).
+// returned buffer comes from an internal pool; pass it to ReleaseBuffer when
+// done to recycle it (keeping it, or not releasing, is safe but allocates
+// more).
 func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
 	s := e.shardOf(flow)
 	for {
@@ -789,62 +824,67 @@ func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
 		if !e.lockSync(s) {
 			continue
 		}
-		buf := e.getBuf()
-		out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flow), buf)
-		s.noteDequeue(n, err)
-		if err == nil {
-			s.noteCopied(len(out))
-			s.syncActive(flow)
-			s.noteRemoveRes(flow, true)
-		}
-		s.mu.Unlock()
-		if err != nil {
-			e.putBuf(buf)
-			return nil, err
-		}
-		return out, nil
+		out, err := e.dequeueLocked(s, flow)
+		s.unlock()
+		return out, err
 	}
+}
+
+// dequeueLocked is the per-flow copying dequeue inside s's critical
+// section: manager dequeue into a pooled buffer sized to the packet,
+// traffic counters, active-list and residence maintenance — the buffer
+// counterpart of dequeueViewLocked. No buffer is taken when there is no
+// packet.
+func (e *Engine) dequeueLocked(s *shard, flow uint32) ([]byte, error) {
+	out, n, err := s.m.DequeuePacketInto(queue.QueueID(flow), e.allocBuf)
+	s.noteDequeue(n, err)
+	if err == nil {
+		s.noteCopied(len(out))
+		s.syncActive(flow)
+		s.noteRemoveRes(flow, true)
+	}
+	return out, err
 }
 
 // ReleaseBuffer returns a reassembly buffer obtained from DequeuePacket,
-// DequeueBatch or the copy-mode egress paths to the engine's pool. The
-// caller must not use buf afterwards. Packet views have their own release
-// surface (PacketView.Release), which returns segments rather than buffers.
-func (e *Engine) ReleaseBuffer(buf []byte) { e.putBuf(buf) }
-
-// Release returns a reassembly buffer to the engine's pool.
-//
-// Deprecated: use ReleaseBuffer. "Release" now names two different
-// operations — recycling a copied buffer versus returning a zero-copy
-// view's segment chain (PacketView.Release) — and this alias keeps old
-// callers building while the names disambiguate.
-func (e *Engine) Release(buf []byte) { e.putBuf(buf) }
-
-// getBuf takes a reassembly buffer from the pool; the emptied wrapper goes
-// back to the box pool for the next putBuf.
-func (e *Engine) getBuf() []byte {
-	box := e.bufs.Get().(*bufBox)
-	b := box.b
-	box.b = nil
-	e.boxes.Put(box)
-	return b[:0]
+// DequeueBatch or the copy-mode egress paths to the engine's pool, by its
+// capacity: a buffer that is not one of the pooled classes — made by the
+// caller, resliced, or the exact buffer of a packet past maxPooledBufBytes
+// — is left to the garbage collector. The caller must not use buf
+// afterwards. Packet views have their own release surface
+// (PacketView.Release), which returns segments rather than buffers.
+func (e *Engine) ReleaseBuffer(buf []byte) {
+	switch buf = buf[:cap(buf)]; len(buf) {
+	case len(smallBuf{}):
+		e.bufs[0].Put((*smallBuf)(buf))
+	case len(mtuBuf{}):
+		e.bufs[1].Put((*mtuBuf)(buf))
+	case len(maxBuf{}):
+		e.bufs[2].Put((*maxBuf)(buf))
+	}
 }
 
-// putBuf recycles a reassembly buffer, unless it grew past
-// maxPooledBufBytes: pooling one giant reassembled packet would pin its
-// memory for the engine's lifetime.
-func (e *Engine) putBuf(buf []byte) {
-	if c := cap(buf); c == 0 || c > maxPooledBufBytes {
-		return
+// getBuf returns an empty reassembly buffer for a packet of segs segments
+// from the smallest class that holds it, so the copy-out never regrows it.
+func (e *Engine) getBuf(segs int) []byte {
+	switch {
+	case segs <= smallBufSegs:
+		if v := e.bufs[0].Get(); v != nil {
+			return v.(*smallBuf)[:0]
+		}
+		return new(smallBuf)[:0]
+	case segs <= mtuBufSegs:
+		if v := e.bufs[1].Get(); v != nil {
+			return v.(*mtuBuf)[:0]
+		}
+		return new(mtuBuf)[:0]
+	case segs <= maxPooledBufSegs:
+		if v := e.bufs[2].Get(); v != nil {
+			return v.(*maxBuf)[:0]
+		}
+		return new(maxBuf)[:0]
 	}
-	var box *bufBox
-	if v := e.boxes.Get(); v != nil {
-		box = v.(*bufBox)
-	} else {
-		box = new(bufBox)
-	}
-	box.b = buf[:0]
-	e.bufs.Put(box)
+	return make([]byte, 0, segs*queue.SegmentBytes)
 }
 
 // MovePacket relinks the head packet of from onto to — pure pointer surgery
@@ -989,9 +1029,9 @@ func (e *Engine) SetFlowLimit(flow uint32, limit int) error {
 }
 
 // FreeSegments returns the shared pool's free population (depot plus every
-// shard's magazine cache). Lock-free; on the ring datapath with no
-// admission policy the per-shard mirrors refresh at batch rather than
-// per-operation granularity, so the value may lag by a few operations.
+// shard's magazine cache). Lock-free; a shard's share is refreshed when its
+// critical section ends (see shard.publish), so against a shard in the
+// middle of a batch the value lags by that batch.
 func (e *Engine) FreeSegments() int { return e.store.Free() }
 
 // noteEnqueue records an enqueue outcome inside the shard's critical

@@ -737,10 +737,9 @@ func TestReleaseBoundsPool(t *testing.T) {
 		t.Fatalf("reassembled %d bytes, want %d", len(data), len(big))
 	}
 	e.ReleaseBuffer(data) // must not be pooled
-	if buf := e.getBuf(); cap(buf) > maxPooledBufBytes {
-		t.Fatalf("pool returned a %d-byte buffer, cap is %d", cap(buf), maxPooledBufBytes)
+	for _, segs := range []int{1, mtuBufSegs, maxPooledBufSegs} {
+		if buf := e.getBuf(segs); cap(buf) > maxPooledBufBytes {
+			t.Fatalf("pool returned a %d-byte buffer, cap is %d", cap(buf), maxPooledBufBytes)
+		}
 	}
-	// Small buffers do recycle.
-	small := make([]byte, 0, 2*queue.SegmentBytes)
-	e.putBuf(small)
 }

@@ -456,7 +456,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 				// but not transmitted, like frames lost on a failing
 				// link. The port stops being served (Serve re-arms it).
 				for j := i + 1; j < len(pc.out); j++ {
-					e.putBuf(pc.out[j].Data)
+					e.ReleaseBuffer(pc.out[j].Data)
 					pc.out[j] = Dequeued{}
 				}
 				p.serving.Store(false)

@@ -361,10 +361,9 @@ func (e *Engine) execBatch(s *shard, cmds []command, w *workerScratch) {
 		}
 		cmds[i] = command{} // drop payload/closure references promptly
 	}
-	// Republish the free-count mirror before the flush: the per-operation
-	// publish is deferred on the single-writer path, but pool-wide Free()
-	// must be fresh by the time a woken producer can observe the batch.
-	s.m.PublishFree()
+	// The batch is this section's extent: publish before the flush, so the
+	// mirror is exact by the time a woken producer can observe the batch.
+	s.publish()
 	for i := range cos {
 		cos[i].finishN(cnt[i])
 		cos[i] = nil // don't pin pooled completions through the scratch
@@ -388,10 +387,6 @@ func (e *Engine) worker(si int) {
 		e.workerSteal(si, w)
 		return
 	}
-	// Single-writer fast path: with no admission policy, nothing reads
-	// pool-wide occupancy between operations, so the per-op publish of the
-	// free-count mirror is deferred while this worker owns the shard.
-	s.m.SetDeferPublish(s.admKind == policy.KindNone)
 	for {
 		var n int
 		var closed bool
@@ -408,9 +403,6 @@ func (e *Engine) worker(si int) {
 			s.wBusyNs.Add(time.Since(t1).Nanoseconds())
 		}
 		if closed {
-			// Republish so the closed-mode observation surface sees exact
-			// pool occupancy.
-			s.m.SetDeferPublish(false)
 			return
 		}
 	}
@@ -426,9 +418,6 @@ func (e *Engine) worker(si int) {
 // at most one shard mutex at a time (exec never enters another shard).
 func (e *Engine) workerSteal(si int, w *workerScratch) {
 	s := e.shards[si]
-	s.mu.Lock()
-	s.m.SetDeferPublish(s.admKind == policy.KindNone)
-	s.mu.Unlock()
 	for {
 		s.mu.Lock()
 		n := s.ring.PopBatch(w.buf)
@@ -447,11 +436,6 @@ func (e *Engine) workerSteal(si int, w *workerScratch) {
 		s.mu.Unlock()
 		if s.ring.Closed() {
 			if s.ring.Drained() {
-				// Under the mutex: a thief may still be executing commands
-				// it popped from our ring.
-				s.mu.Lock()
-				s.m.SetDeferPublish(false)
-				s.mu.Unlock()
 				return
 			}
 			// Sealed but a claimed command is still publishing, or a thief
@@ -536,19 +520,7 @@ func (e *Engine) exec(s *shard, c *command) {
 	case opEnqueueWait:
 		c.co.n, c.co.err = s.enqueueLocked(c.flow, c.data)
 	case opDequeueWait:
-		buf := e.getBuf()
-		out, n, err := s.m.DequeuePacketAppend(queue.QueueID(c.flow), buf)
-		s.noteDequeue(n, err)
-		if err != nil {
-			e.putBuf(buf)
-			c.co.err = err
-		} else {
-			s.noteCopied(len(out))
-			s.syncActive(c.flow)
-			s.noteRemoveRes(c.flow, true)
-			c.co.data = out
-			c.co.n = n
-		}
+		c.co.data, c.co.err = e.dequeueLocked(s, c.flow)
 	case opDequeueViewWait:
 		v, err := s.dequeueViewLocked(c.flow)
 		if err != nil {
@@ -681,7 +653,7 @@ func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
 			// mid-arrival (not held) enqueued nothing and resolves above, so
 			// a Close landing there surfaces instead of losing the packet.
 			if _, held, _ := e.arrive(s, flow, data, len(data), nil); held {
-				s.mu.Unlock()
+				s.unlock()
 				return nil
 			}
 		}
@@ -753,6 +725,9 @@ func (e *Engine) dequeueNextRing(s *shard, port int, out []Dequeued, max int) []
 		return out
 	}
 	c.wait()
+	if out == nil && len(c.deq) > 0 {
+		out = newBatch[Dequeued](len(c.deq), max)
+	}
 	out = append(out, c.deq...)
 	e.putCall(c)
 	return out
@@ -792,25 +767,27 @@ func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
 		}
 	}
 	c.release(int32(n) - posted + 1)
+	served := 0
+	for i := 0; i < n; i++ {
+		served += len(c.deqs[i])
+	}
 	var out []Dequeued
-	var more []int
+	if served > 0 {
+		out = newBatch[Dequeued](served, max)
+	}
 	for i := 0; i < n; i++ {
 		out = append(out, c.deqs[i]...)
-		// Candidates for the serial top-up pass: shards that filled their
-		// split (they may hold more) and shards the split gave nothing to
-		// (with max < shards, the whole backlog may live on one of them —
-		// skipping them could report an idle engine that isn't).
+	}
+	// Serial top-up pass: shards that filled their split (they may hold
+	// more) and shards the split gave nothing to (with max < shards, the
+	// whole backlog may live on one of them — skipping them could report an
+	// idle engine that isn't).
+	for i := 0; i < n && len(out) < max; i++ {
 		if b := budget(i); b == 0 || len(c.deqs[i]) == b {
-			more = append(more, i)
+			out = e.dequeueNextRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
 		}
 	}
 	e.putCall(c)
-	for _, i := range more {
-		if len(out) >= max {
-			break
-		}
-		out = e.dequeueNextRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
-	}
 	return out
 }
 

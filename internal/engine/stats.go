@@ -126,7 +126,6 @@ func (e *Engine) Stats() Stats {
 	for _, s := range e.shards {
 		s := s
 		e.run(s, func() {
-			s.m.PublishFree() // exact pool occupancy even under deferral
 			st.EnqueuedPackets += s.enqPackets
 			st.EnqueuedSegments += s.enqSegments
 			st.DequeuedPackets += s.deqPackets
@@ -320,7 +319,6 @@ func (e *Engine) CheckInvariants() error {
 		i, s := i, s
 		var err error
 		e.run(s, func() {
-			s.m.PublishFree()
 			err = s.m.CheckInvariants()
 			if err == nil {
 				err = e.checkActiveLocked(s, i)

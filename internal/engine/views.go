@@ -95,7 +95,7 @@ func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
 			continue
 		}
 		v, err := s.dequeueViewLocked(flow)
-		s.mu.Unlock()
+		s.unlock()
 		return v, err
 	}
 }
@@ -136,7 +136,7 @@ func (e *Engine) DequeueNextView() (DequeuedView, bool) {
 					continue
 				}
 				d, ok := e.dequeuePickedView(s, anyPort)
-				s.mu.Unlock()
+				s.unlock()
 				if ok {
 					return d, true
 				}
@@ -190,9 +190,12 @@ func (e *Engine) drainShardViews(s *shard, port int, out []DequeuedView, max int
 				if !ok {
 					break
 				}
+				if out == nil {
+					out = newBatch[DequeuedView](1, max)
+				}
 				out = append(out, d)
 			}
-			s.mu.Unlock()
+			s.unlock()
 			return out
 		}
 	}
@@ -295,7 +298,7 @@ func (e *Engine) dequeueViewBatchSync(flows []uint32, views []PacketView, errs [
 		for _, i := range idxs {
 			views[i], errs[i] = s.dequeueViewLocked(flows[i])
 		}
-		s.mu.Unlock()
+		s.unlock()
 	}
 }
 
@@ -361,6 +364,9 @@ func (e *Engine) dequeueNextViewRing(s *shard, port int, out []DequeuedView, max
 		return out
 	}
 	c.wait()
+	if out == nil && len(c.deqv) > 0 {
+		out = newBatch[DequeuedView](len(c.deqv), max)
+	}
 	out = append(out, c.deqv...)
 	e.putCall(c)
 	return out
@@ -396,23 +402,27 @@ func (e *Engine) dequeueNextViewRingAll(start, max int) []DequeuedView {
 		}
 	}
 	c.release(int32(n) - posted + 1)
+	served := 0
+	for i := 0; i < n; i++ {
+		served += len(c.deqvs[i])
+	}
 	var out []DequeuedView
-	var more []int
+	if served > 0 {
+		out = newBatch[DequeuedView](served, max)
+	}
 	for i := 0; i < n; i++ {
 		out = append(out, c.deqvs[i]...)
-		// Top-up candidates: shards that filled their split (they may hold
-		// more) and shards the split gave nothing to.
+	}
+	// Serial top-up pass: shards that filled their split (they may hold
+	// more) and shards the split gave nothing to (with max < shards, the
+	// whole backlog may live on one of them — skipping them could report an
+	// idle engine that isn't).
+	for i := 0; i < n && len(out) < max; i++ {
 		if b := budget(i); b == 0 || len(c.deqvs[i]) == b {
-			more = append(more, i)
+			out = e.dequeueNextViewRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
 		}
 	}
 	e.putCall(c)
-	for _, i := range more {
-		if len(out) >= max {
-			break
-		}
-		out = e.dequeueNextViewRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
-	}
 	return out
 }
 
@@ -521,7 +531,7 @@ func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 			if _, held, err = e.arrive(s, flow, nil, n, &r.w); !held {
 				continue
 			}
-			s.mu.Unlock()
+			s.unlock()
 		}
 		if err != nil {
 			return Reservation{}, err
@@ -593,7 +603,7 @@ func (r *Reservation) Commit() error {
 				continue
 			}
 			err := s.commitLocked(r.flow, &r.w)
-			s.mu.Unlock()
+			s.unlock()
 			if err == nil {
 				*r = Reservation{}
 			}

@@ -38,7 +38,6 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 		// the grab. Nothing touched the queue yet, so there is no chain to
 		// unwind — relink the partial run and hand it back in one FreeN.
 		m.returnRun(run[:got])
-		m.publish()
 		return 0, ErrNoFreeSegments
 	}
 	last := needed - 1
@@ -73,7 +72,6 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	m.linkChainAccounting(q, PacketChain{
 		Head: Seg(head), Tail: Seg(run[last]), Segs: needed, Bytes: len(data),
 	})
-	m.publish()
 	return needed, nil
 }
 
@@ -111,16 +109,27 @@ func (m *Manager) DequeuePacket(q QueueID) ([]byte, int, error) {
 // nil or recycled) instead of allocating, for callers that pool reassembly
 // buffers. It returns the extended buffer and the segment count.
 func (m *Manager) DequeuePacketAppend(q QueueID, buf []byte) ([]byte, int, error) {
-	if err := m.checkQueue(q); err != nil {
-		return buf, 0, err
-	}
-	end, n, err := m.findPacketEnd(q)
+	out, n, err := m.DequeuePacketInto(q, func(int) []byte { return buf })
 	if err != nil {
 		return buf, 0, err
 	}
-	buf = m.consumeHeadChain(q, int32(end), n, buf, true)
-	m.publish()
-	return buf, n, nil
+	return out, n, nil
+}
+
+// DequeuePacketInto is DequeuePacketAppend for callers that pool buffers by
+// size: alloc is handed the packet's segment count — known from the one
+// walk that finds the packet's end — and returns the buffer to append into,
+// so a pooled buffer can be picked to fit and is never regrown. alloc is not
+// called when there is no packet to dequeue.
+func (m *Manager) DequeuePacketInto(q QueueID, alloc func(segs int) []byte) ([]byte, int, error) {
+	if err := m.checkQueue(q); err != nil {
+		return nil, 0, err
+	}
+	end, n, err := m.findPacketEnd(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m.consumeHeadChain(q, int32(end), n, alloc(n), true), n, nil
 }
 
 // consumeHeadChain is the vectorized inverse of EnqueuePacket: it unlinks

@@ -135,11 +135,6 @@ type Manager struct {
 	droppedPackets  uint64
 	droppedSegments uint64
 
-	// deferPub suppresses the per-operation free-count publish (see
-	// SetDeferPublish): the single-writer fast path for owners whose
-	// pool-wide occupancy nobody reads between operations.
-	deferPub bool
-
 	// Data memory (aliases the store's payload slab; nil when disabled).
 	data []byte
 
@@ -223,7 +218,9 @@ func (m *Manager) NumSegments() int { return m.cfg.NumSegments }
 
 // FreeSegments returns the pool-wide free population. On a shared store
 // this spans the depot and every owner's magazine cache — the occupancy
-// signal shared-buffer admission policies consult.
+// signal shared-buffer admission policies consult. Queue operations do not
+// refresh this manager's share of it: the cache's owner does when it leaves
+// its critical section (segstore.Cache.Publish), and this call does first.
 func (m *Manager) FreeSegments() int { return m.src.FreeSegments() }
 
 // AvailSegments returns the number of segments this manager could allocate
@@ -245,52 +242,6 @@ func (m *Manager) SharedStore() bool { return m.src.Shared() }
 // FlushFree hands this manager's cached free segments back to the shared
 // pool so other managers can allocate them (no-op for a private pool).
 func (m *Manager) FlushFree() { m.src.Flush() }
-
-// CachedFree returns the free segments parked in this manager's own cache,
-// as last published: the part of FreeSegments other managers on the slab
-// cannot allocate until FlushFree. Lock-free and safe from any goroutine; 0
-// on a private pool.
-func (m *Manager) CachedFree() int {
-	if c, ok := m.src.(*segstore.Cache); ok {
-		return c.Cached()
-	}
-	return 0
-}
-
-// SetDeferPublish switches off (or back on) the per-operation publish of
-// the shared store's free-count mirror. Only a single-writer owner may
-// defer, and only while nothing consults pool-wide occupancy between its
-// operations — the engine's ring-datapath workers do so when no admission
-// policy is configured, removing the one atomic store per queue op from the
-// hot path. Turning deferral off republishes immediately. No-op semantics
-// on a private pool (whose Publish is already a no-op).
-func (m *Manager) SetDeferPublish(on bool) {
-	m.deferPub = on
-	if !on {
-		m.src.Publish()
-	}
-	if c, ok := m.src.(*segstore.Cache); ok {
-		c.SetDeferred(on)
-	}
-}
-
-// PublishFree force-publishes the free-count mirror regardless of deferral,
-// for observation paths (stats, invariant checks) that need an exact
-// pool-wide count from a deferring owner.
-func (m *Manager) PublishFree() {
-	if c, ok := m.src.(*segstore.Cache); ok {
-		c.ForcePublish()
-		return
-	}
-	m.src.Publish()
-}
-
-// publish is the per-operation mirror refresh, skipped while deferred.
-func (m *Manager) publish() {
-	if !m.deferPub {
-		m.src.Publish()
-	}
-}
 
 // Len returns the number of segments queued on q.
 func (m *Manager) Len(q QueueID) (int, error) {
@@ -324,14 +275,6 @@ func (m *Manager) checkSeg(s Seg) error {
 // operation breakdown). The segment is in the floating state until linked
 // into a queue or freed.
 func (m *Manager) Alloc() (Seg, error) {
-	s, err := m.allocSeg()
-	m.publish()
-	return s, err
-}
-
-// allocSeg is Alloc without the free-count publish; multi-segment
-// operations use it and publish once at the end.
-func (m *Manager) allocSeg() (Seg, error) {
 	s, ok := m.src.Alloc()
 	if !ok {
 		return Seg(nilSeg), ErrNoFreeSegments
@@ -344,13 +287,6 @@ func (m *Manager) allocSeg() (Seg, error) {
 
 // Free returns a floating segment to the store ("Enqueue Free List").
 func (m *Manager) Free(s Seg) error {
-	err := m.freeSeg(s)
-	m.publish()
-	return err
-}
-
-// freeSeg is Free without the free-count publish.
-func (m *Manager) freeSeg(s Seg) error {
 	if err := m.checkSeg(s); err != nil {
 		return err
 	}
@@ -403,25 +339,18 @@ func (m *Manager) payload(s Seg) []byte {
 // Enqueue allocates a segment, fills it with payload and links it at the
 // tail of queue q. This is the MMS "Enqueue one segment" command.
 func (m *Manager) Enqueue(q QueueID, payload []byte, eop bool) (Seg, error) {
-	s, err := m.enqueueSeg(q, payload, eop)
-	m.publish()
-	return s, err
-}
-
-// enqueueSeg is Enqueue without the free-count publish.
-func (m *Manager) enqueueSeg(q QueueID, payload []byte, eop bool) (Seg, error) {
 	if err := m.checkQueue(q); err != nil {
 		return Seg(nilSeg), err
 	}
 	if !m.admissible(q, 1) {
 		return Seg(nilSeg), fmt.Errorf("%w: queue %d at %d segments", ErrQueueLimit, q, m.qsegs[q])
 	}
-	s, err := m.allocSeg()
+	s, err := m.Alloc()
 	if err != nil {
 		return s, err
 	}
 	if err := m.setPayload(s, payload, eop); err != nil {
-		m.freeSeg(s) // payload invalid; segment returns to the pool
+		m.Free(s) // payload invalid; segment returns to the pool
 		return Seg(nilSeg), err
 	}
 	m.linkTail(q, s)
@@ -438,18 +367,15 @@ func (m *Manager) AppendHead(q QueueID, payload []byte, eop bool) (Seg, error) {
 	if !m.admissible(q, 1) {
 		return Seg(nilSeg), fmt.Errorf("%w: queue %d at %d segments", ErrQueueLimit, q, m.qsegs[q])
 	}
-	s, err := m.allocSeg()
+	s, err := m.Alloc()
 	if err != nil {
-		m.publish()
 		return s, err
 	}
 	if err := m.setPayload(s, payload, eop); err != nil {
-		m.freeSeg(s)
-		m.publish()
+		m.Free(s)
 		return Seg(nilSeg), err
 	}
 	m.linkHead(q, s)
-	m.publish()
 	return s, nil
 }
 
@@ -498,13 +424,6 @@ func (m *Manager) unlinkHead(q QueueID) Seg {
 // Dequeue unlinks the head segment of q, frees it, and returns its
 // description and payload. This is the MMS "Dequeue" command.
 func (m *Manager) Dequeue(q QueueID) (SegInfo, []byte, error) {
-	info, payload, err := m.dequeueSeg(q)
-	m.publish()
-	return info, payload, err
-}
-
-// dequeueSeg is Dequeue without the free-count publish.
-func (m *Manager) dequeueSeg(q QueueID) (SegInfo, []byte, error) {
 	if err := m.checkQueue(q); err != nil {
 		return SegInfo{}, nil, err
 	}
@@ -514,7 +433,7 @@ func (m *Manager) dequeueSeg(q QueueID) (SegInfo, []byte, error) {
 	info := SegInfo{Seg: Seg(m.qhead[q]), Len: int(m.segLen[m.qhead[q]]), EOP: m.eop[m.qhead[q]]}
 	payload := m.payload(info.Seg)
 	s := m.unlinkHead(q)
-	m.freeSeg(s)
+	m.Free(s)
 	return info, payload, nil
 }
 
@@ -541,10 +460,7 @@ func (m *Manager) DeleteSegment(q QueueID) error {
 	if m.qhead[q] == nilSeg {
 		return fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	s := m.unlinkHead(q)
-	err := m.freeSeg(s)
-	m.publish()
-	return err
+	return m.Free(m.unlinkHead(q))
 }
 
 // DeletePacket unlinks and frees the whole packet at the head of q (all
@@ -560,7 +476,6 @@ func (m *Manager) DeletePacket(q QueueID) (int, error) {
 		return 0, err
 	}
 	m.consumeHeadChain(q, int32(end), n, nil, false)
-	m.publish()
 	return n, nil
 }
 

@@ -238,7 +238,6 @@ func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 	m.fixLongest(q)
 	m.src.Lend(n)
 	atomic.StoreInt32(&m.refs[head], 1)
-	m.publish()
 	return PacketView{m: m, head: head, end: end, segs: n, bytes: chainBytes}, nil
 }
 
@@ -310,7 +309,6 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 	run := m.runBuf(needed)
 	if got := m.src.AllocN(run); got < needed {
 		m.returnRun(run[:got])
-		m.publish()
 		return PacketWriter{}, ErrNoFreeSegments
 	}
 	last := needed - 1
@@ -331,7 +329,6 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 		}
 	}
 	m.src.Lend(int32(needed))
-	m.publish()
 	return PacketWriter{m: m, q: q, head: run[0], tail: run[last], segs: int32(needed), bytes: int32(n)}, nil
 }
 
@@ -361,7 +358,6 @@ func (w *PacketWriter) Commit() error {
 		Head: Seg(w.head), Tail: Seg(w.tail), Segs: int(w.segs), Bytes: int(w.bytes),
 	})
 	m.src.Lend(-w.segs)
-	m.publish()
 	*w = PacketWriter{}
 	return nil
 }

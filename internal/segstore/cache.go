@@ -18,22 +18,16 @@ type Cache struct {
 	st  *Store
 	mag [2]magazine // [0] is the active magazine
 
-	// deferred suppresses the per-operation Publish entirely — the
-	// single-writer fast path. An owner that is the only goroutine touching
-	// its shard (the engine's ring-datapath worker) and whose pool-wide
-	// occupancy nobody reads per-operation (no admission policy configured)
-	// sets it, dropping the one atomic store per queue op; observation paths
-	// call ForcePublish before reading. Owner-only plain field.
-	deferred bool
-
 	_ [cachePad]byte // owner-hot words above; cross-thread mirror below
 
-	// count mirrors mag[0].n + mag[1].n for lock-free readers. The owner
-	// refreshes it with Publish — once per queue operation, not per
-	// segment, keeping the per-segment path free of atomics — and at
+	// count mirrors mag[0].n + mag[1].n for lock-free readers. Invariant:
+	// it is exact whenever the owner is outside a critical section. The
+	// owner refreshes it with Publish — once at the end of each critical
+	// section, not per queue operation or per segment — before any
+	// pool-wide read it makes itself inside one (FreeSegments), and at
 	// magazine transfers to the depot (so a segment is never counted in a
-	// cache and the depot at once). Between publishes the mirror can lag
-	// low, which keeps concurrent policy reads conservative.
+	// cache and the depot at once). Inside a section other owners see the
+	// value the section started with, give or take whole magazines.
 	count atomic.Int32
 
 	_ [cachePad]byte // keep the next heap neighbour off the mirror's line
@@ -65,14 +59,19 @@ func (c *Cache) View() View { return c.st.view }
 func (c *Cache) NumSegments() int { return c.st.nseg }
 
 // FreeSegments returns the pool-wide free population (depot plus every
-// cache) — the occupancy signal shared-buffer policies consult.
-func (c *Cache) FreeSegments() int { return c.st.Free() }
+// cache) — the occupancy signal shared-buffer policies consult. Owner
+// context: the owner's own mirror is refreshed first, so what it allocated
+// or freed earlier in the same critical section is counted.
+func (c *Cache) FreeSegments() int {
+	c.Publish()
+	return c.st.Free()
+}
 
 // Avail returns the segments this owner can actually allocate right now:
 // its own magazines plus the depot. Segments cached by other owners are
 // free pool-wide but unreachable until those owners flush.
 func (c *Cache) Avail() int {
-	return int(c.mag[0].n+c.mag[1].n) + int(c.st.depotFree.Load())
+	return int(c.mag[0].n+c.mag[1].n) + c.st.depotCount()
 }
 
 // Cached returns this cache's published population — the free segments
@@ -203,35 +202,16 @@ func (c *Cache) FreeN(head, tail, n int32) {
 	}
 }
 
-// Publish refreshes the cache's lock-free population mirror. Owners call
-// it once per queue operation (after the operation's allocations and
-// frees), so pool-wide occupancy reads are exact at operation granularity
-// while the per-segment hot path stays free of atomics. A no-op while the
-// owner has deferred publication (SetDeferred).
+// Publish refreshes the cache's lock-free population mirror. The owner
+// calls it when it leaves a critical section (see count), so pool-wide
+// occupancy reads by other owners are exact at section granularity while
+// queue operations and the per-segment path stay free of atomics. A mirror
+// that is already exact is left alone: the store is a full barrier, and a
+// section that allocated and freed nothing pays one load instead.
 func (c *Cache) Publish() {
-	if c.deferred {
-		return
+	if n := c.mag[0].n + c.mag[1].n; c.count.Load() != n {
+		c.count.Store(n)
 	}
-	c.count.Store(c.mag[0].n + c.mag[1].n)
-}
-
-// SetDeferred switches the per-operation mirror publish off (or back on).
-// Only a single-writer owner may defer, and only when nothing reads
-// pool-wide occupancy between its operations — the mirror goes stale in
-// either direction while deferred. Turning deferral off republishes
-// immediately.
-func (c *Cache) SetDeferred(on bool) {
-	c.deferred = on
-	if !on {
-		c.count.Store(c.mag[0].n + c.mag[1].n)
-	}
-}
-
-// ForcePublish refreshes the mirror regardless of deferral, for observation
-// paths (stats snapshots, invariant checks) that need an exact pool-wide
-// count from a deferring owner. Owner-context only, like Publish.
-func (c *Cache) ForcePublish() {
-	c.count.Store(c.mag[0].n + c.mag[1].n)
 }
 
 // Flush pushes both magazines (full or partial) back to the depot so other

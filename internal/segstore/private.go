@@ -134,9 +134,6 @@ func (p *Private) Lent() int { return int(p.lent) }
 // Flush is a no-op: there is no shared pool to hand segments back to.
 func (p *Private) Flush() {}
 
-// Publish is a no-op: a private pool has no concurrent readers.
-func (p *Private) Publish() {}
-
 // CheckInvariants walks the free list, verifying it is acyclic, correctly
 // counted, every member is in StateFree, and the tail pointer matches the
 // last element.

@@ -76,7 +76,8 @@ type Source interface {
 	// NumSegments is the total pool size behind this source.
 	NumSegments() int
 	// FreeSegments is the pool-wide free population — the number policies
-	// consult. For a shared store it spans the depot and every cache.
+	// consult. For a shared store it spans the depot and every cache, and
+	// counts everything this owner has allocated or freed so far.
 	FreeSegments() int
 	// Avail is the number of segments this owner could allocate right now
 	// (its own cache plus the depot); segments stranded in other owners'
@@ -98,10 +99,6 @@ type Source interface {
 	// Flush hands cached segments back to the shared pool so other owners
 	// can allocate them (no-op for a private source).
 	Flush()
-	// Publish refreshes the lock-free free-count mirror other owners read;
-	// callers invoke it once per queue operation (no-op for a private
-	// source).
-	Publish()
 	// Lend moves segments between the owner's books and the lent
 	// population: a positive delta marks segments as checked out to a
 	// zero-copy view or reservation, a negative delta takes them back onto
@@ -184,7 +181,13 @@ type Store struct {
 	// nil head and segment 0 cannot collide; the tag advances on every
 	// successful push or pop, making the CAS ABA-safe.
 	depotHead atomic.Uint64
-	depotFree atomic.Int64 // segments currently in depot magazines
+	// depotFree packs the depot's segment count (low 32 bits) under a
+	// change sequence (high 32): every count change bumps the sequence, so
+	// Free can tell that no magazine moved while it summed the cache
+	// mirrors. A push counts its magazine before the publishing CAS and a
+	// pop discounts it after the claiming CAS, so the count never runs below
+	// the depot's true population (and a subtraction never borrows).
+	depotFree atomic.Uint64
 	lentSegs  atomic.Int64 // segments checked out as views or reservations
 
 	// dnext[h] links magazine head h to the next magazine head below it.
@@ -245,16 +248,31 @@ func (st *Store) NumSegments() int { return st.nseg }
 func (st *Store) View() View { return st.view }
 
 // Free returns the pool-wide free population: depot magazines plus every
-// registered cache. Concurrent magazine movement can make the sum lag a
-// transfer by one magazine; the error is transient and conservative (the
-// in-flight magazine is uncounted, never double-counted).
+// registered cache's mirror, each exact while its owner is outside a
+// critical section (see Cache.count). The sum is retried if the depot's
+// count changed while the mirrors were read — a reader descheduled between
+// two loads would otherwise count a magazine in the depot and again in the
+// cache that popped it meanwhile — so no segment is ever counted twice and
+// the result stays in [0, NumSegments]. What it can miss is transient and
+// conservative: a magazine in flight to the depot, a section's frees.
 func (st *Store) Free() int {
-	total := st.depotFree.Load()
-	for _, c := range *st.caches.Load() {
-		total += int64(c.count.Load())
+	for {
+		d := st.depotFree.Load()
+		total := int(uint32(d))
+		for _, c := range *st.caches.Load() {
+			total += int(c.count.Load())
+		}
+		if st.depotFree.Load() == d {
+			return total
+		}
 	}
-	return int(total)
 }
+
+// depotCount is the depot's segment count (see depotFree).
+func (st *Store) depotCount() int { return int(uint32(st.depotFree.Load())) }
+
+// depotAdd moves the depot's segment count by delta and bumps its sequence.
+func (st *Store) depotAdd(delta int32) { st.depotFree.Add(1<<32 + uint64(int64(delta))) }
 
 // Lent returns the pool-wide lent population (segments checked out as
 // zero-copy views or in-flight write reservations).
@@ -284,12 +302,12 @@ func (st *Store) ReturnLent(head, tail, n int32) {
 // through View.Next) onto the depot. One CAS on success.
 func (st *Store) pushMagazine(head, count int32) {
 	st.dcount[head] = count
+	st.depotAdd(count)
 	for {
 		old := st.depotHead.Load()
 		atomic.StoreInt32(&st.dnext[head], int32(old>>32)-1)
 		nw := uint64(uint32(head+1))<<32 | uint64(uint32(old)+1)
 		if st.depotHead.CompareAndSwap(old, nw) {
-			st.depotFree.Add(int64(count))
 			return
 		}
 	}
@@ -308,7 +326,7 @@ func (st *Store) popMagazine() (head, count int32, ok bool) {
 		nw := uint64(uint32(next+1))<<32 | uint64(uint32(old)+1)
 		if st.depotHead.CompareAndSwap(old, nw) {
 			count = st.dcount[head]
-			st.depotFree.Add(-int64(count))
+			st.depotAdd(-count)
 			return head, count, true
 		}
 	}
@@ -353,7 +371,7 @@ func (st *Store) CheckInvariants() error {
 		}
 		depotTotal += int64(st.dcount[h])
 	}
-	if got := st.depotFree.Load(); got != depotTotal {
+	if got := int64(st.depotCount()); got != depotTotal {
 		return fmt.Errorf("segstore: depot holds %d segments, counter says %d", depotTotal, got)
 	}
 	free := depotTotal
