@@ -4,7 +4,7 @@
 //
 // IMIX traffic over many 5-tuple flows is classified onto the 32K flow
 // queues by hashing, NAT rewrites the source (with the translation table
-// keyed by flow), and a deficit-round-robin scheduler shares the egress
+// keyed by flow), and the engine's deficit-round-robin egress shares the
 // link fairly by bytes across the active flows despite their different
 // packet sizes.
 package main
@@ -13,9 +13,8 @@ import (
 	"fmt"
 	"log"
 
+	"npqm"
 	"npqm/internal/packet"
-	"npqm/internal/queue"
-	"npqm/internal/sched"
 	"npqm/internal/traffic"
 )
 
@@ -25,7 +24,12 @@ const (
 )
 
 func main() {
-	qm, err := queue.New(queue.Config{NumQueues: flowQueues, NumSegments: 1 << 14, StoreData: false})
+	// One shard: the router models a single egress link, and deficit
+	// round-robin (quantum = one max-size packet) arbitrates among its flows.
+	qm, err := npqm.NewConcurrentEngine(npqm.ConcurrentConfig{
+		Flows: flowQueues, Segments: 1 << 14, Shards: 1,
+		Egress: npqm.DRREgress(1518),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,10 +45,8 @@ func main() {
 	nat := make(map[packet.FlowKey]uint32)
 	nextNATPort := uint32(1 << 20)
 
-	// Per-queue packet-length FIFOs (the router keeps packet descriptors;
-	// the queue engine keeps the segments).
-	headLens := make([][]int, flowQueues)
 	enqueued := make([]int, flowQueues)
+	payload := make([]byte, 1518)
 
 	for i := 0; i < packets; i++ {
 		a := gen.Next()
@@ -62,50 +64,23 @@ func main() {
 			nextNATPort++
 		}
 		q := key.Hash(flowQueues)
-		segs := packet.SegmentCount(a.Bytes)
-		ok := true
-		for s := 0; s < segs; s++ {
-			last := s == segs-1
-			n := packet.SegmentBytes
-			if last && a.Bytes%packet.SegmentBytes != 0 {
-				n = a.Bytes % packet.SegmentBytes
-			}
-			if _, err := qm.Enqueue(queue.QueueID(q), make([]byte, n), last); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			headLens[q] = append(headLens[q], a.Bytes)
+		// A full buffer refuses the packet whole; the router drops it.
+		if _, err := qm.EnqueuePacket(uint32(q), payload[:a.Bytes]); err == nil {
 			enqueued[q]++
 		}
 	}
 
-	// Drain the egress link with DRR (quantum = one max-size packet).
-	quanta := make([]int, flowQueues)
-	for i := range quanta {
-		quanta[i] = 1518
-	}
-	drr, err := sched.NewDeficitRoundRobin(quanta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	backlog := func(q int) int { return len(headLens[q]) }
-	head := func(q int) int { return headLens[q][0] }
-
+	// Drain the egress link in the order the engine's DRR serves it.
 	sentBytes := make([]int, flowQueues)
 	var sentPackets int
 	for {
-		q, ok := drr.NextPacket(backlog, head)
+		d, ok := qm.DequeueNext()
 		if !ok {
 			break
 		}
-		if _, _, err := qm.DequeuePacket(queue.QueueID(q)); err != nil {
-			log.Fatalf("queue %d: %v", q, err)
-		}
-		sentBytes[q] += headLens[q][0]
-		headLens[q] = headLens[q][1:]
+		sentBytes[d.Flow] += d.Bytes
 		sentPackets++
+		qm.ReleaseBuffer(d.Data)
 	}
 
 	var minB, maxB, total int

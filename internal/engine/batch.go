@@ -224,80 +224,79 @@ func (e *Engine) DequeueBatch(flows []uint32) (pkts [][]byte, errs []error) {
 		return nil, nil
 	}
 	pkts = make([][]byte, len(flows))
-	errs = make([]error, len(flows))
-	if e.mode.Load() == modeClosed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return pkts, errs
-	}
+	return pkts, e.dequeueBatch(flows, pkts, nil)
+}
+
+// dequeueBatch is DequeueBatch (pkts) and DequeueViewBatch (views): exactly
+// one of the two result slices is non-nil, and which one is the delivery
+// form. Each touched shard is entered once, the way the datapath current at
+// that moment allows — under its mutex, or as one posted command, all of a
+// call's commands sharing one completion so the caller wakes once — and the
+// bucket's takes fill their result slots directly.
+func (e *Engine) dequeueBatch(flows []uint32, pkts [][]byte, views []PacketView) []error {
+	errs := make([]error, len(flows))
 	b := e.getBuckets()
 	for i, flow := range flows {
 		si := e.ShardOf(flow)
 		b.byShard[si] = append(b.byShard[si], int32(i))
 	}
-	if e.mode.Load() == modeRing {
-		e.dequeueBatchRing(flows, pkts, errs, b)
-	} else {
-		e.dequeueBatchSync(flows, pkts, errs, b)
+	var c *call // the completion every posted bucket shares, taken on the first post
+	for si, idxs := range b.byShard {
+		if len(idxs) == 0 {
+			continue
+		}
+		s := e.shards[si]
+		for {
+			switch e.mode.Load() {
+			case modeSync:
+				if !e.lockSync(s) {
+					continue // datapath switched under us: re-resolve the mode
+				}
+				s.takeEach(idxs, flows, pkts, views, errs)
+				s.unlock()
+			case modeRing:
+				if c == nil {
+					c = e.getCall()
+					c.pending.Store(1) // the poster's hold, released below
+				}
+				c.pending.Add(1)
+				if e.post(s, s.takeEachCmd(c, idxs, flows, pkts, views, errs)) == nil {
+					break
+				}
+				c.pending.Add(-1)
+				fallthrough
+			default:
+				for _, i := range idxs {
+					errs[i] = ErrClosed
+				}
+			}
+			break
+		}
+	}
+	if c != nil {
+		c.release(1)
+		e.putCall(c)
 	}
 	e.putBuckets(b)
-	return pkts, errs
+	return errs
 }
 
-// dequeueBatchSync is the mutex-datapath bucket walk.
-func (e *Engine) dequeueBatchSync(flows []uint32, pkts [][]byte, errs []error, b *buckets) {
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		if !e.lockSync(s) {
-			// Datapath switched under us: replay this bucket per-packet.
-			for _, i := range idxs {
-				data, err := e.DequeuePacket(flows[i])
-				pkts[i], errs[i] = data, err
-			}
-			continue
-		}
-		for _, i := range idxs {
-			pkts[i], errs[i] = e.dequeueLocked(s, flows[i])
-		}
-		s.unlock()
-	}
+// takeEachCmd is takeEach as a ring command under completion c. Its own
+// function so that only a bucket that is posted pays for the closure.
+func (s *shard) takeEachCmd(c *call, idxs []int32, flows []uint32, pkts [][]byte, views []PacketView, errs []error) command {
+	return command{kind: opCall, co: c, fn: func() { s.takeEach(idxs, flows, pkts, views, errs) }}
 }
 
-// dequeueBatchRing posts one command per touched shard under a shared
-// completion; each worker fills its bucket's result slots directly.
-func (e *Engine) dequeueBatchRing(flows []uint32, pkts [][]byte, errs []error, b *buckets) {
-	c := e.getCall()
-	var want int32
-	for _, idxs := range b.byShard {
-		if len(idxs) > 0 {
-			want++
+// takeEach is one shard's bucket of a dequeueBatch, inside s's critical
+// section: a take per listed index, filling its result slots.
+func (s *shard) takeEach(idxs []int32, flows []uint32, pkts [][]byte, views []PacketView, errs []error) {
+	var d Dequeued
+	for _, i := range idxs {
+		errs[i] = s.take(&d, flows[i], views != nil, unpicked)
+		if views != nil {
+			views[i] = d.View
+		} else {
+			pkts[i] = d.Data
 		}
 	}
-	c.pending.Store(want + 1)
-	posted := int32(0)
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		idxs := idxs
-		cmd := command{kind: opCall, co: c, fn: func() {
-			for _, i := range idxs {
-				pkts[i], errs[i] = e.dequeueLocked(s, flows[i])
-			}
-		}}
-		if e.post(s, cmd) != nil {
-			for _, i := range idxs {
-				errs[i] = ErrClosed
-			}
-			continue
-		}
-		posted++
-	}
-	c.release(want - posted + 1)
-	e.putCall(c)
 }

@@ -61,16 +61,23 @@ func tierName(tier int) string {
 	return policy.TierClass
 }
 
-// Dequeued is one packet returned by the egress paths: the flow it was
-// queued on, its reassembled payload (from the engine's buffer pool —
-// Release it when done; empty when data storage is off), and its payload
-// byte count (derived from the segment count when data storage is off,
-// so shapers can charge transmissions either way).
+// Dequeued is one served packet: the flow it was queued on, its payload
+// byte count, and the payload in the form the caller asked for — exactly
+// one of Data and View is set. Copy delivery fills Data with the
+// reassembled payload (from the engine's buffer pool — ReleaseBuffer it
+// when done; empty when data storage is off, where Bytes is derived from
+// the segment count so shapers can charge transmissions either way). View
+// delivery fills View with the packet's segment chain, read in place;
+// Bytes then comes from the queue accounting and is exact either way.
 type Dequeued struct {
 	Flow  uint32
-	Data  []byte
 	Bytes int
+	Data  []byte
+	View  PacketView
 }
+
+// DequeuedView is Dequeued under the name the view entry points use.
+type DequeuedView = Dequeued
 
 // flowState is one flow's dense scheduler state: the intrusive links of
 // its innermost active list, its home port, tenant and class, its
@@ -528,7 +535,11 @@ func (e *Engine) FlowTenant(flow uint32) (int, error) {
 // packets. Release the data when done. On the synchronous datapath it
 // allocates nothing beyond the pooled payload buffer, so per-packet
 // drain loops stay allocation-free.
-func (e *Engine) DequeueNext() (Dequeued, bool) {
+func (e *Engine) DequeueNext() (Dequeued, bool) { return e.dequeueNext(false) }
+
+// dequeueNext is DequeueNext and DequeueNextView: the shards are tried in
+// turn from a rotating start, each for one picked packet.
+func (e *Engine) dequeueNext(view bool) (Dequeued, bool) {
 	n := len(e.shards)
 	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
 	for i := 0; i < n; i++ {
@@ -538,14 +549,15 @@ func (e *Engine) DequeueNext() (Dequeued, bool) {
 			case modeClosed:
 				return Dequeued{}, false
 			case modeRing:
-				if out := e.dequeueNextRing(s, anyPort, nil, 1); len(out) == 1 {
+				if out := e.dequeueNextRing(s, anyPort, view, nil, 1); len(out) == 1 {
 					return out[0], true
 				}
 			default:
 				if !e.lockSync(s) {
 					continue
 				}
-				d, ok := e.dequeuePicked(s, anyPort)
+				var d Dequeued
+				ok := s.dequeuePicked(&d, anyPort, view)
 				s.unlock()
 				if ok {
 					return d, true
@@ -564,7 +576,10 @@ func (e *Engine) DequeueNext() (Dequeued, bool) {
 // active lists. Buffers come from the engine pool — ReleaseBuffer each
 // packet's Data when done. The result slice is allocated once, when the
 // first packet is served (see newBatch); an empty poll allocates nothing.
-func (e *Engine) DequeueNextBatch(max int) []Dequeued {
+func (e *Engine) DequeueNextBatch(max int) []Dequeued { return e.dequeueNextBatch(max, false) }
+
+// dequeueNextBatch is DequeueNextBatch and DequeueNextViewBatch.
+func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 	if max <= 0 {
 		return nil
 	}
@@ -575,11 +590,11 @@ func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 	if e.mode.Load() == modeRing {
 		// One fan-out command per shard under a single completion; see
 		// dequeueNextRingAll.
-		return e.dequeueNextRingAll(start, max)
+		return e.dequeueNextRingAll(start, max, view)
 	}
 	var out []Dequeued
 	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], anyPort, out, max)
+		out = e.drainShard(e.shards[(start+i)%n], anyPort, view, out, max)
 	}
 	return out
 }
@@ -587,26 +602,23 @@ func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 // drainShard serves discipline-picked packets from one shard on one port
 // (anyPort = all) until out reaches max or the shard has nothing
 // servable, resolving the current datapath mode per attempt. Shared by
-// the pull API (DequeueNextBatch) and the pacers (dequeuePort) so the
+// the pull API (dequeueNextBatch) and the pacers (dequeuePort) so the
 // mode-switch handling cannot diverge between them.
-func (e *Engine) drainShard(s *shard, port int, out []Dequeued, max int) []Dequeued {
+func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max int) []Dequeued {
 	for {
 		switch e.mode.Load() {
 		case modeClosed:
 			return out
 		case modeRing:
-			return e.dequeueNextRing(s, port, out, max-len(out))
+			return e.dequeueNextRing(s, port, view, out, max-len(out))
 		default:
 			if !e.lockSync(s) {
 				continue // datapath switched under us: re-resolve the mode
 			}
-			for len(out) < max {
-				d, ok := e.dequeuePicked(s, port)
-				if !ok {
-					break
-				}
+			var d Dequeued
+			for len(out) < max && s.dequeuePicked(&d, port, view) {
 				if out == nil {
-					out = newBatch[Dequeued](1, max)
+					out = newBatch(1, max)
 				}
 				out = append(out, d)
 			}
@@ -623,14 +635,14 @@ const batchAlloc = 64
 // newBatch allocates a batch call's result slice — once per call, when the
 // first packets are served: room for the served packets in hand and, up to
 // batchAlloc, for the rest of the max the call may still serve.
-func newBatch[T any](served, max int) []T {
+func newBatch(served, max int) []Dequeued {
 	if max > batchAlloc {
 		max = batchAlloc
 	}
 	if max < served {
 		max = served
 	}
-	return make([]T, 0, max)
+	return make([]Dequeued, 0, max)
 }
 
 // chargeLevels debits the bytes actually served on flow against every
@@ -645,47 +657,23 @@ func (s *shard) chargeLevels(flow uint32, bytes int) {
 }
 
 // dequeuePicked serves one packet picked by the level-stack discipline
-// from shard s, inside s's critical section (mutex or worker). port
-// selects the scheduling unit (anyPort rotates over all of them). ok is
-// false when the shard has nothing servable on that port.
-func (e *Engine) dequeuePicked(s *shard, port int) (Dequeued, bool) {
+// from shard s into *d, inside s's critical section (mutex or worker).
+// port selects the scheduling unit (anyPort rotates over all of them). It
+// reports false when the shard has nothing servable on that port.
+func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
 	for {
 		flow, debit, ok := s.pickLocked(port)
 		if !ok {
-			return Dequeued{}, false
+			return false
 		}
-		data, segs, err := s.m.DequeuePacketInto(queue.QueueID(flow), e.allocBuf)
-		s.noteDequeue(segs, err)
-		if err != nil {
-			// The list said active but no complete packet is available
-			// (raw-segment misuse): deactivate the flow so the pick loop
-			// cannot spin on it. The DRR debit is not charged — nothing
-			// was served — and any banked deficit is forfeited by
-			// clearActive.
-			s.clearActive(flow)
-			continue
+		if s.take(d, flow, view, debit) == nil {
+			return true
 		}
-		s.noteCopied(len(data))
-		bytes := len(data)
-		if !e.cfg.StoreData {
-			bytes = segs * queue.SegmentBytes
-		}
-		if debit != 0 {
-			// Flow-level DRR: charge the served packet against the flow's
-			// deficit. The picker returns the debit rather than
-			// pre-deducting so the charge lands if and only if the packet
-			// was actually served — and so the bound-exhaustion fallback
-			// pays for its packet too, driving the deficit negative
-			// instead of transmitting for free (the debt delays the
-			// flow's next service until its quanta cover it).
-			s.SetDeficit(int32(flow), s.Deficit(int32(flow))-debit)
-		}
-		if s.eg.hasLevelDRR {
-			s.chargeLevels(flow, bytes)
-		}
-		s.syncActive(flow)
-		s.noteRemoveRes(flow, true)
-		return Dequeued{Flow: flow, Data: data, Bytes: bytes}, true
+		// The list said active but no complete packet is available
+		// (raw-segment misuse): deactivate the flow so the pick loop
+		// cannot spin on it. Nothing was served, so take charged nothing,
+		// and any banked deficit is forfeited by clearActive.
+		s.clearActive(flow)
 	}
 }
 

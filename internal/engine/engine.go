@@ -242,6 +242,10 @@ type shard struct {
 	// res samples packet residence times (nil when disabled).
 	res *residence
 
+	// allocBuf is the engine's getBuf, bound once so that take hands the
+	// manager its buffer source without allocating a closure per dequeue.
+	allocBuf func(segs int) []byte
+
 	// Worker accounting, written by the ring datapath and read by
 	// ShardStats/Stats from any goroutine. Atomics, not plain counters: in
 	// work-stealing mode a thief updates this shard's stolen/coalesced
@@ -287,11 +291,10 @@ type Engine struct {
 
 	egCursor atomic.Uint32 // rotating start shard for DequeueNextBatch
 
-	bufs       [3]sync.Pool          // reassembly buffers: *smallBuf, *mtuBuf, *maxBuf
-	allocBuf   func(segs int) []byte // getBuf, bound once so the dequeue paths allocate no closure
-	bucketPool sync.Pool             // per-shard index buckets for the batch paths
-	callPool   sync.Pool             // pooled completions for the ring datapath
-	histPool   sync.Pool             // residence merge targets for Stats snapshots
+	bufs       [3]sync.Pool // reassembly buffers: *smallBuf, *mtuBuf, *maxBuf
+	bucketPool sync.Pool    // per-shard index buckets for the batch paths
+	callPool   sync.Pool    // pooled completions for the ring datapath
+	histPool   sync.Pool    // residence merge targets for Stats snapshots
 }
 
 // New builds an Engine: one shared segment store, one queue manager per
@@ -392,7 +395,7 @@ func New(cfg Config) (*Engine, error) {
 			pc: e.pacers[i&(cfg.Shards-1)],
 		}
 	}
-	e.allocBuf = e.getBuf
+	allocBuf := e.getBuf
 	for i := range e.shards {
 		cache := store.NewCache()
 		m, err := queue.NewWithStore(queue.Config{NumQueues: cfg.NumFlows}, cache)
@@ -412,6 +415,7 @@ func New(cfg Config) (*Engine, error) {
 			m:         m,
 			cache:     cache,
 			storeData: cfg.StoreData,
+			allocBuf:  allocBuf,
 			ps:        make([]portSched, cfg.NumPorts),
 			flows:     e.flows,
 			ports:     e.ports,
@@ -482,7 +486,8 @@ func (e *Engine) runCmd(s *shard, cmd command) {
 	for {
 		m := e.mode.Load()
 		if m == modeRing {
-			if e.postWait(s, cmd) {
+			if c := e.postWait(s, cmd); c != nil {
+				e.putCall(c)
 				return
 			}
 			// The ring closed under us. The mode flips to modeClosed only
@@ -813,37 +818,90 @@ func (s *shard) admitLocked(flow uint32, need int) admitResult {
 // done to recycle it (keeping it, or not releasing, is safe but allocates
 // more).
 func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
+	d, err := e.dequeue(flow, false)
+	return d.Data, err
+}
+
+// dequeue is the per-flow dequeue behind DequeuePacket and
+// DequeuePacketView: one take inside the owning shard's critical section,
+// entered the way the current datapath allows.
+func (e *Engine) dequeue(flow uint32, view bool) (d Dequeued, err error) {
 	s := e.shardOf(flow)
 	for {
 		switch e.mode.Load() {
 		case modeClosed:
-			return nil, ErrClosed
+			return d, ErrClosed
 		case modeRing:
-			return e.dequeueRingWait(s, flow)
+			c := e.postWait(s, command{kind: opDequeue, flow: flow, view: view})
+			if c == nil {
+				return d, ErrClosed
+			}
+			d, err = c.pkt, c.err
+			e.putCall(c)
+			return d, err
 		}
 		if !e.lockSync(s) {
 			continue
 		}
-		out, err := e.dequeueLocked(s, flow)
+		err = s.take(&d, flow, view, unpicked)
 		s.unlock()
-		return out, err
+		return d, err
 	}
 }
 
-// dequeueLocked is the per-flow copying dequeue inside s's critical
-// section: manager dequeue into a pooled buffer sized to the packet,
-// traffic counters, active-list and residence maintenance — the buffer
-// counterpart of dequeueViewLocked. No buffer is taken when there is no
-// packet.
-func (e *Engine) dequeueLocked(s *shard, flow uint32) ([]byte, error) {
-	out, n, err := s.m.DequeuePacketInto(queue.QueueID(flow), e.allocBuf)
-	s.noteDequeue(n, err)
-	if err == nil {
-		s.noteCopied(len(out))
-		s.syncActive(flow)
-		s.noteRemoveRes(flow, true)
+// unpicked is take's debit for a per-flow dequeue: the caller named the
+// flow, the egress discipline did not choose it, so no level is charged.
+const unpicked int64 = -1
+
+// take removes flow's head packet into *d (left zero on error), inside s's
+// critical section. It is the one place delivery chooses its form — view
+// checks the segment chain out of the pool in the lent state (d.View,
+// nothing copied), otherwise the payload is reassembled into a pooled
+// buffer sized to the packet (d.Data; no buffer is taken when there is no
+// packet) — and the one place the books are settled: traffic and copy
+// counters, the discipline charges of a picked packet, active-list
+// membership, residence sample. It fills the caller's record in place: the
+// record is 64 bytes, and returning it through take, dequeuePicked and the
+// drain loop cost the 64-byte batch workload about 5%.
+//
+// debit is pickLocked's flow-level DRR charge (0 for the packet-granular
+// disciplines), or unpicked. The picker returns the debit rather than
+// pre-deducting so the charge lands if and only if the packet was served —
+// and so the bound-exhaustion fallback pays for its packet too, driving
+// the deficit negative instead of transmitting for free. The intermediate
+// levels are charged the bytes actually served. Both charges precede the
+// active-list sync: a flow that drains forfeits only what it did not spend.
+//
+// A view's byte count comes from the queue accounting, so it is exact
+// even when data storage is off, where the copy can only estimate from
+// the segment count.
+func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err error) {
+	var segs int
+	*d = Dequeued{Flow: flow}
+	if view {
+		d.View, err = s.m.DequeuePacketView(queue.QueueID(flow))
+		segs, d.Bytes = d.View.Segments(), d.View.Len()
+	} else {
+		d.Data, segs, err = s.m.DequeuePacketInto(queue.QueueID(flow), s.allocBuf)
+		s.noteCopied(len(d.Data))
+		if d.Bytes = len(d.Data); !s.storeData {
+			d.Bytes = segs * queue.SegmentBytes
+		}
 	}
-	return out, err
+	s.noteDequeue(segs, err)
+	if err != nil {
+		*d = Dequeued{}
+		return err
+	}
+	if debit > 0 {
+		s.SetDeficit(int32(flow), s.Deficit(int32(flow))-debit)
+	}
+	if debit != unpicked && s.eg.hasLevelDRR {
+		s.chargeLevels(flow, d.Bytes)
+	}
+	s.syncActive(flow)
+	s.noteRemoveRes(flow, true)
+	return nil
 }
 
 // ReleaseBuffer returns a reassembly buffer obtained from DequeuePacket,

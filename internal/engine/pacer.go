@@ -15,7 +15,8 @@ package engine
 // contract the per-port workers provided). The pacer is not a ring
 // worker: it consumes the same drainShard path as the pull API, posting
 // commands on the ring datapath and locking shard mutexes on the
-// synchronous one.
+// synchronous one, and like the pull API it carries the delivery form
+// (copy for Serve, view for ServeViews) down that path as a value.
 //
 // Wheel geometry: level 0 holds one slot per tick (1ms) for the next
 // 256ms; level 1 holds 256ms-wide slots for the next ~65s and cascades
@@ -101,7 +102,6 @@ type pacer struct {
 	nextRun  []int32
 	pendBuf  []int32
 	out      []Dequeued
-	outv     []DequeuedView
 	timer    *time.Timer
 }
 
@@ -388,7 +388,10 @@ func (pc *pacer) tickAfter(wait time.Duration) int64 {
 
 // servePortOnce gives port pi one service round: up to a burst of
 // packets (bounded by the shaper's byte budget for the coming tick),
-// then decides where the port goes next — runnable, wheel, or idle.
+// then decides where the port goes next — runnable, wheel, or idle. A
+// port registered through ServeViews is served views, one registered
+// through Serve reassembled buffers; the loop differs only in the call
+// that hands a packet to the sink.
 func (pc *pacer) servePortOnce(pi int32) {
 	e := pc.e
 	p := e.ports[pi]
@@ -401,10 +404,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 	if box == nil {
 		return
 	}
-	if box.sinkV != nil {
-		pc.servePortViews(pi, p, box)
-		return
-	}
+	view := box.sinkV != nil
 	shaped := p.sh.enabled()
 	budget := int64(1) << 62
 	if shaped {
@@ -418,6 +418,11 @@ func (pc *pacer) servePortOnce(pi int32) {
 	}
 	sent := int64(0)
 	pkts := 0
+	// One pool transaction per burst: the engine's references to served
+	// views are dropped per packet as SendView returns, but the chains ride
+	// the accumulator back to the store in bulk.
+	var rel queue.ViewReleaser
+	defer rel.Flush()
 	for pkts < unshapedBatch {
 		max := unshapedBatch - pkts
 		if shaped {
@@ -427,7 +432,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// rate exact).
 			max = 1
 		}
-		pc.out = e.dequeuePort(p, pc.out[:0], max)
+		pc.out = e.dequeuePort(p, view, pc.out[:0], max)
 		if len(pc.out) == 0 {
 			// Nothing servable: declare intent to park, then scan once
 			// more. The scan enters every shard's critical section, so a
@@ -436,7 +441,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// idle=true (the store below happens-before our lock
 			// acquisitions) and re-queues us via notify.
 			p.idle.Store(true)
-			pc.out = e.dequeuePort(p, pc.out[:0], max)
+			pc.out = e.dequeuePort(p, view, pc.out[:0], max)
 			if len(pc.out) == 0 {
 				// Idle spells are not pacing jitter: the next departure
 				// starts a fresh gap sequence.
@@ -448,17 +453,24 @@ func (pc *pacer) servePortOnce(pi int32) {
 		for i := range pc.out {
 			d := pc.out[i]
 			pc.out[i] = Dequeued{}
-			if err := box.sink.Transmit(d); err != nil {
-				// The link died mid-burst: the erroring packet belongs to
-				// the sink (Transmit owns its buffer either way); the rest
-				// of the batch — already dequeued — is released so the
-				// buffers are not leaked. Those packets count as dequeued
-				// but not transmitted, like frames lost on a failing
-				// link. The port stops being served (Serve re-arms it).
-				for j := i + 1; j < len(pc.out); j++ {
-					e.ReleaseBuffer(pc.out[j].Data)
-					pc.out[j] = Dequeued{}
-				}
+			var err error
+			if view {
+				err = box.sinkV.SendView(p.idx, d)
+			} else {
+				err = box.sink.Transmit(d)
+			}
+			// Drop the engine's reference to a view whether the sink
+			// succeeded or not — an erroring sink that kept the view
+			// retained it first. A copy has no view, and its buffer belongs
+			// to the sink either way.
+			rel.Add(d.View)
+			if err != nil {
+				// The link died mid-burst: the rest of the batch — already
+				// dequeued — is released so buffers and lent segments are
+				// not leaked. Those packets count as dequeued but not
+				// transmitted, like frames lost on a failing link. The port
+				// stops being served (Serve re-arms it).
+				e.discard(pc.out[i+1:], &rel)
 				p.serving.Store(false)
 				return
 			}
@@ -487,92 +499,12 @@ func (pc *pacer) servePortOnce(pi int32) {
 	pc.makeRunnable(pi)
 }
 
-// servePortViews is servePortOnce's burst loop for a port served through
-// ServeViews: packets cross as zero-copy views instead of reassembled
-// buffers. Pacing, idle parking and error handling mirror the copy loop
-// exactly; the only delivery difference is the reference discipline — the
-// engine's reference is dropped as soon as SendView returns (success or
-// error), so a sink that completes transmission asynchronously must
-// Retain the view before returning.
-func (pc *pacer) servePortViews(pi int32, p *port, box *sinkBox) {
-	e := pc.e
-	shaped := p.sh.enabled()
-	budget := int64(1) << 62
-	if shaped {
-		b, wait := p.sh.budget(time.Now(), pacerTick)
-		if b <= 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
-			return
-		}
-		budget = b
+// discard settles packets that were dequeued for a sink that will not take
+// them: buffers go back to the pool, views into rel.
+func (e *Engine) discard(ds []Dequeued, rel *queue.ViewReleaser) {
+	for i := range ds {
+		e.ReleaseBuffer(ds[i].Data)
+		rel.Add(ds[i].View)
+		ds[i] = Dequeued{}
 	}
-	sent := int64(0)
-	pkts := 0
-	// One pool transaction per burst: the engine's references are dropped
-	// per packet as SendView returns, but the chains ride the accumulator
-	// back to the store in bulk.
-	var rel queue.ViewReleaser
-	defer rel.Flush()
-	for pkts < unshapedBatch {
-		max := unshapedBatch - pkts
-		if shaped {
-			// Packet-at-a-time under shaping, exactly as the copy loop:
-			// the bucket overdraws by at most one packet.
-			max = 1
-		}
-		pc.outv = e.dequeuePortViews(p, pc.outv[:0], max)
-		if len(pc.outv) == 0 {
-			// Park intent plus one more scan — the same idle handshake as
-			// the copy loop; see servePortOnce for why the double scan
-			// cannot strand a producer's notify.
-			p.idle.Store(true)
-			pc.outv = e.dequeuePortViews(p, pc.outv[:0], max)
-			if len(pc.outv) == 0 {
-				// Idle spells are not pacing jitter (see the copy loop).
-				p.txLastNs.Store(0)
-				return // parked; notify will bring the port back
-			}
-			p.idle.Store(false)
-		}
-		for i := range pc.outv {
-			d := pc.outv[i]
-			pc.outv[i] = DequeuedView{}
-			err := box.sinkV.SendView(p.idx, d)
-			// Drop the engine's reference whether the sink succeeded or
-			// not; an erroring sink that kept the view retained it first.
-			rel.Add(d.View)
-			if err != nil {
-				// The link died mid-burst: the rest of the batch — already
-				// dequeued — is released so the lent segments return to the
-				// pool. Those packets count as dequeued but not
-				// transmitted, like frames lost on a failing link.
-				for j := i + 1; j < len(pc.outv); j++ {
-					rel.Add(pc.outv[j].View)
-					pc.outv[j] = DequeuedView{}
-				}
-				p.serving.Store(false)
-				return
-			}
-			p.txPackets.Add(1)
-			p.txBytes.Add(uint64(d.Bytes))
-			if shaped {
-				p.sh.charge(d.Bytes)
-				p.noteDeparture(time.Now().UnixNano())
-			}
-			sent += int64(d.Bytes)
-			pkts++
-		}
-		if shaped && sent >= budget {
-			break
-		}
-	}
-	if shaped {
-		if _, wait := p.sh.budget(time.Now(), pacerTick); wait > 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
-			return
-		}
-	}
-	pc.makeRunnable(pi)
 }

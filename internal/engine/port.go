@@ -9,9 +9,10 @@ package engine
 // egress.go), and a port served through Serve is driven by its home
 // shard's pacer goroutine (see pacer.go): it picks via the configured
 // class and flow disciplines, paces against the port's token-bucket
-// shaper (see shaper.go), and pushes reassembled packets into the
-// registered Sink — push-mode delivery with backpressure, where the old
-// DequeueNextBatch pull loop survives as the unported path.
+// shaper (see shaper.go), and pushes packets into the registered sink —
+// reassembled for a Sink, as views for a SinkV (ServeViews, views.go) —
+// push-mode delivery with backpressure, where the old DequeueNextBatch
+// pull loop survives as the unported path.
 //
 // Pause/Resume model link-level flow control (a paused port holds its
 // backlog and transmits nothing); SetPortRate reshapes at runtime. An
@@ -53,7 +54,8 @@ func (f SinkFunc) Transmit(d Dequeued) error { return f(d) }
 // sinkBox wraps a port's consumer for atomic publication (atomic.Pointer
 // needs a concrete pointed-to type; the interfaces themselves are two
 // words). Exactly one of the two fields is set — sink by Serve, sinkV by
-// ServeViews — and the pacer's service loop branches on which.
+// ServeViews — and which one decides the form the pacer dequeues the
+// port's packets in and the call it hands them to.
 type sinkBox struct {
 	sink  Sink
 	sinkV SinkV
@@ -278,11 +280,16 @@ func (e *Engine) Paused(port int) (bool, error) {
 // service per port; a second Serve on a live port fails. Serving any
 // number of ports costs one goroutine per shard, not one per port.
 func (e *Engine) Serve(port int, sink Sink) error {
+	return e.serve(port, &sinkBox{sink: sink})
+}
+
+// serve is the registration behind Serve and ServeViews.
+func (e *Engine) serve(port int, box *sinkBox) error {
 	p, err := e.portAt(port)
 	if err != nil {
 		return err
 	}
-	if sink == nil {
+	if box.sink == nil && box.sinkV == nil {
 		return fmt.Errorf("engine: nil sink for port %d", port)
 	}
 	e.lifeMu.Lock()
@@ -293,8 +300,8 @@ func (e *Engine) Serve(port int, sink Sink) error {
 	if !p.serving.CompareAndSwap(false, true) {
 		return fmt.Errorf("engine: port %d is already being served", port)
 	}
-	p.sink.Store(&sinkBox{sink: sink})
-	p.txLastNs.Store(0) // a re-Serve must not count downtime as a gap
+	p.sink.Store(box)
+	p.txLastNs.Store(0) // a re-arm must not count downtime as a gap
 	p.pc.start()
 	p.kick()
 	return nil
@@ -307,15 +314,15 @@ const unshapedBatch = 64
 
 // dequeuePort serves up to max packets from p's scheduling units,
 // rotating the starting shard per call, appending to out. It is
-// DequeueNextBatch with the pick restricted to one port, sharing the
+// dequeueNextBatch with the pick restricted to one port, sharing the
 // same per-shard drain (drainShard) so the datapath handling cannot
-// diverge.
-func (e *Engine) dequeuePort(p *port, out []Dequeued, max int) []Dequeued {
+// diverge. Only p's home pacer calls it (shardCursor is pacer-local).
+func (e *Engine) dequeuePort(p *port, view bool, out []Dequeued, max int) []Dequeued {
 	n := len(e.shards)
 	p.shardCursor++
 	start := int(p.shardCursor) % n
 	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], p.idx, out, max)
+		out = e.drainShard(e.shards[(start+i)%n], p.idx, view, out, max)
 	}
 	return out
 }

@@ -50,25 +50,24 @@ type cmdRing = ring.Ring[command]
 type opKind uint8
 
 const (
-	opEnqueue         opKind = iota // fire-and-forget enqueue
-	opEnqueueWait                   // enqueue with completion + result
-	opDequeueWait                   // dequeue with completion + result
-	opDequeueNext                   // egress-picked dequeue of up to arg packets
-	opDequeueViewWait               // zero-copy dequeue with completion + view result
-	opDequeueNextView               // egress-picked zero-copy dequeue of up to arg packets
-	opReserve                       // open an arg-byte write-in-place reservation
-	opCommit                        // splice a filled reservation onto its queue
-	opRelieve                       // relief for an arrival homed elsewhere: evict while elected, flush the cache
-	opCall                          // run fn inside the shard's critical section
-	opBarrier                       // completion only: drain marker
+	opEnqueue     opKind = iota // fire-and-forget enqueue
+	opEnqueueWait               // enqueue with completion + result
+	opDequeue                   // dequeue of flow's head packet, as a copy or (view) a view
+	opDequeueNext               // egress-picked dequeue of up to arg packets, likewise
+	opReserve                   // open an arg-byte write-in-place reservation
+	opCommit                    // splice a filled reservation onto its queue
+	opRelieve                   // relief for an arrival homed elsewhere: evict while elected, flush the cache
+	opCall                      // run fn inside the shard's critical section
+	opBarrier                   // completion only: drain marker
 )
 
 // command is one ring entry.
 type command struct {
 	kind opKind
+	view bool // opDequeue, opDequeueNext: deliver views, not copies (see shard.take)
 	flow uint32
 	arg  int
-	port int32 // opDequeueNext[View]: scheduling unit to pick from (anyPort = all)
+	port int32 // opDequeueNext: scheduling unit to pick from (anyPort = all)
 	slot int32 // result slot in the completion's per-shard slices
 	data []byte
 	w    queue.PacketWriter // opCommit: the filled reservation to splice
@@ -89,16 +88,13 @@ type call struct {
 	done    chan struct{}
 
 	// Result slots for dedicated command kinds (single-writer per slot).
-	n     int
-	err   error
-	data  []byte
-	view  PacketView         // opDequeueViewWait result
-	w     queue.PacketWriter // opReserve result
-	deq   []Dequeued         // single-shard opDequeueNext results
-	deqs  [][]Dequeued       // fan-out opDequeueNext results, one slice per shard
-	deqv  []DequeuedView     // single-shard opDequeueNextView results
-	deqvs [][]DequeuedView   // fan-out opDequeueNextView results, one slice per shard
-	segs  atomic.Int64       // batch enqueue: total segments linked
+	n    int
+	err  error
+	pkt  Dequeued           // opDequeue result
+	w    queue.PacketWriter // opReserve result
+	deq  []Dequeued         // single-shard opDequeueNext results
+	deqs [][]Dequeued       // fan-out opDequeueNext results, one slice per shard
+	segs atomic.Int64       // batch enqueue: total segments linked
 }
 
 // finishN retires n of c's commands in one countdown decrement. Workers
@@ -142,8 +138,7 @@ func (c *call) release(n int32) {
 func (e *Engine) getCall() *call {
 	if v := e.callPool.Get(); v != nil {
 		c := v.(*call)
-		c.n, c.err, c.data = 0, nil, nil
-		c.view = PacketView{}
+		c.n, c.err = 0, nil
 		c.w = queue.PacketWriter{}
 		c.segs.Store(0)
 		return c
@@ -163,18 +158,7 @@ func (e *Engine) putCall(c *call) {
 		c.deqs[i] = c.deqs[i][:0]
 	}
 	c.deqs = c.deqs[:0]
-	for i := range c.deqv {
-		c.deqv[i] = DequeuedView{}
-	}
-	c.deqv = c.deqv[:0]
-	for i := range c.deqvs {
-		for j := range c.deqvs[i] {
-			c.deqvs[i][j] = DequeuedView{}
-		}
-		c.deqvs[i] = c.deqvs[i][:0]
-	}
-	c.deqvs = c.deqvs[:0]
-	c.data = nil
+	c.pkt = Dequeued{}
 	e.callPool.Put(c)
 }
 
@@ -519,27 +503,8 @@ func (e *Engine) exec(s *shard, c *command) {
 		_, _ = n, err // fire-and-forget: outcomes live in the shard counters
 	case opEnqueueWait:
 		c.co.n, c.co.err = s.enqueueLocked(c.flow, c.data)
-	case opDequeueWait:
-		c.co.data, c.co.err = e.dequeueLocked(s, c.flow)
-	case opDequeueViewWait:
-		v, err := s.dequeueViewLocked(c.flow)
-		if err != nil {
-			c.co.err = err
-		} else {
-			c.co.view = v
-		}
-	case opDequeueNextView:
-		dst := &c.co.deqv
-		if len(c.co.deqvs) > 0 {
-			dst = &c.co.deqvs[c.slot]
-		}
-		for len(*dst) < c.arg {
-			d, ok := e.dequeuePickedView(s, int(c.port))
-			if !ok {
-				break
-			}
-			*dst = append(*dst, d)
-		}
+	case opDequeue:
+		c.co.err = s.take(&c.co.pkt, c.flow, c.view, unpicked)
 	case opReserve:
 		c.co.w, c.co.err = s.reserveLocked(c.flow, c.arg)
 	case opCommit:
@@ -549,11 +514,8 @@ func (e *Engine) exec(s *shard, c *command) {
 		if len(c.co.deqs) > 0 {
 			dst = &c.co.deqs[c.slot]
 		}
-		for len(*dst) < c.arg {
-			d, ok := e.dequeuePicked(s, int(c.port))
-			if !ok {
-				break
-			}
+		var d Dequeued
+		for len(*dst) < c.arg && s.dequeuePicked(&d, int(c.port), c.view) {
 			*dst = append(*dst, d)
 		}
 	case opRelieve:
@@ -608,19 +570,20 @@ func (e *Engine) post(s *shard, cmd command) error {
 	return nil
 }
 
-// postWait runs cmd on s's worker and waits. ok is false when the ring
-// refused the command (engine closing) — the caller re-resolves the mode.
-func (e *Engine) postWait(s *shard, cmd command) bool {
+// postWait runs cmd on s's worker under a completion of its own, waits,
+// and returns the completion for the caller to read its result slots and
+// recycle (putCall). nil means the ring refused the command (engine
+// closing) — the caller re-resolves the mode.
+func (e *Engine) postWait(s *shard, cmd command) *call {
 	c := e.getCall()
 	c.pending.Store(1)
 	cmd.co = c
 	if e.post(s, cmd) != nil {
 		e.putCall(c)
-		return false
+		return nil
 	}
 	c.wait()
-	e.putCall(c)
-	return true
+	return c
 }
 
 // EnqueueAsync posts a fire-and-forget enqueue of data onto flow: the call
@@ -667,12 +630,20 @@ func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
 // visit, the victim named by the same lock-free election arrive uses.
 func (e *Engine) arriveRing(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter) (n int, err error) {
 	need := segsFor(size)
+	cmd := command{kind: opEnqueueWait, flow: flow, data: data}
+	if w != nil {
+		cmd = command{kind: opReserve, flow: flow, arg: size}
+	}
 	for round := 0; ; round++ {
-		if w != nil {
-			*w, err = e.reserveRingWait(s, flow, size)
-		} else {
-			n, err = e.enqueueRingWait(s, flow, data)
+		c := e.postWait(s, cmd)
+		if c == nil {
+			return 0, ErrClosed
 		}
+		n, err = c.n, c.err
+		if w != nil {
+			*w = c.w
+		}
+		e.putCall(c)
 		v := e.relief(s, need, err, round)
 		if v == nil {
 			if err == errWantPushOut { //nolint:errorlint // internal sentinel, never wrapped
@@ -685,48 +656,15 @@ func (e *Engine) arriveRing(s *shard, flow uint32, data []byte, size int, w *que
 	}
 }
 
-// enqueueRingWait posts a blocking enqueue and returns the worker's
-// verdict; errWantPushOut surfaces to arriveRing.
-func (e *Engine) enqueueRingWait(s *shard, flow uint32, data []byte) (int, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opEnqueueWait, flow: flow, data: data, co: c}) != nil {
-		e.putCall(c)
-		return 0, ErrClosed
-	}
-	c.wait()
-	n, err := c.n, c.err
-	e.putCall(c)
-	return n, err
-}
-
-// dequeueRingWait posts a blocking dequeue and returns the reassembled
-// packet.
-func (e *Engine) dequeueRingWait(s *shard, flow uint32) ([]byte, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueWait, flow: flow, co: c}) != nil {
-		e.putCall(c)
-		return nil, ErrClosed
-	}
-	c.wait()
-	data, err := c.data, c.err
-	e.putCall(c)
-	return data, err
-}
-
 // dequeueNextRing asks s's worker for up to max egress-picked packets on
 // port (anyPort = all scheduling units) and appends them to out.
-func (e *Engine) dequeueNextRing(s *shard, port int, out []Dequeued, max int) []Dequeued {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueNext, arg: max, port: int32(port), co: c}) != nil {
-		e.putCall(c)
+func (e *Engine) dequeueNextRing(s *shard, port int, view bool, out []Dequeued, max int) []Dequeued {
+	c := e.postWait(s, command{kind: opDequeueNext, arg: max, port: int32(port), view: view})
+	if c == nil {
 		return out
 	}
-	c.wait()
 	if out == nil && len(c.deq) > 0 {
-		out = newBatch[Dequeued](len(c.deq), max)
+		out = newBatch(len(c.deq), max)
 	}
 	out = append(out, c.deq...)
 	e.putCall(c)
@@ -740,7 +678,7 @@ func (e *Engine) dequeueNextRing(s *shard, port int, out []Dequeued, max int) []
 // serial pass hands leftover budget to shards that filled their split —
 // they may hold more — so a backlog concentrated on one shard still drains
 // at full batch size.
-func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
+func (e *Engine) dequeueNextRingAll(start, max int, view bool) []Dequeued {
 	n := len(e.shards)
 	c := e.getCall()
 	if cap(c.deqs) < n {
@@ -762,7 +700,7 @@ func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
 			continue
 		}
 		s := e.shards[(start+i)%n]
-		if e.post(s, command{kind: opDequeueNext, arg: budget(i), port: anyPort, slot: int32(i), co: c}) == nil {
+		if e.post(s, command{kind: opDequeueNext, arg: budget(i), port: anyPort, slot: int32(i), view: view, co: c}) == nil {
 			posted++
 		}
 	}
@@ -773,7 +711,7 @@ func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
 	}
 	var out []Dequeued
 	if served > 0 {
-		out = newBatch[Dequeued](served, max)
+		out = newBatch(served, max)
 	}
 	for i := 0; i < n; i++ {
 		out = append(out, c.deqs[i]...)
@@ -784,7 +722,7 @@ func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
 	// idle engine that isn't).
 	for i := 0; i < n && len(out) < max; i++ {
 		if b := budget(i); b == 0 || len(c.deqs[i]) == b {
-			out = e.dequeueNextRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
+			out = e.dequeueNextRing(e.shards[(start+i)%n], anyPort, view, out, max-len(out))
 		}
 	}
 	e.putCall(c)

@@ -1,15 +1,18 @@
-package sched
-
-// The hierarchical discipline engine. The legacy Scheduler interface in
-// sched.go polls backlog(q) over a dense queue index — fine for an
-// 8-class example, hopeless for a (shard, port, class, flow) hierarchy
-// with a million flows. Level is the index-based reformulation the
-// engine's two-level scheduler runs at both hierarchy levels: members
-// live on an intrusive circular doubly-linked list whose link words the
-// caller stores wherever its dense state lives (a flow table, a class
-// array), so activating, deactivating and picking are O(1) with no
-// per-member allocation and no maps. One implementation serves the
-// class level and the flow level — the disciplines cannot drift apart.
+// Package sched is the engine's egress discipline: Level, one scheduling
+// level's rotation state, and Stack, which composes Levels into a
+// tenant → class → flow hierarchy. These are the "selective transmission"
+// policies the paper's Section 2 motivates ("queues ... should provide the
+// means to access certain parts of their structures").
+//
+// A (shard, port, class, flow) hierarchy with a million flows cannot poll
+// a backlog callback over a dense queue index, so Level is index-based:
+// members live on an intrusive circular doubly-linked list whose link
+// words the caller stores wherever its dense state lives (a flow table, a
+// class array), so activating, deactivating and picking are O(1) with no
+// per-member allocation and no maps. One implementation serves every
+// level and all four disciplines (round-robin, strict priority, weighted
+// round-robin, and deficit round-robin for variable-length packets) — the
+// levels cannot drift apart.
 //
 // A Level is pure rotation state (cursor, visit credit, priority-min
 // cache); everything per-member — links, weight, DRR deficit, the head
@@ -23,6 +26,7 @@ package sched
 // visit packets for WRR — with forfeited credit subtracted back out, so
 // a conservation property can hold every level to
 // served == granted − outstanding, exactly.
+package sched
 
 import "npqm/internal/policy"
 

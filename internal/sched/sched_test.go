@@ -4,36 +4,62 @@ import (
 	"testing"
 )
 
-// sliceBacklog adapts a slice of queue depths to the backlog callback.
-func sliceBacklog(depths []int) func(int) int {
-	return func(q int) int { return depths[q] }
+// queues drives one Level the way the engine drives it: queue q is a member
+// exactly while it has backlog, a served packet's debit is charged to the
+// member's deficit, and a queue that drains is deactivated. The discipline
+// tests below state their expectations in queue depths and service order.
+type queues struct {
+	e     *testEnt
+	l     Level
+	p     Params
+	depth []int
 }
 
-func drain(t *testing.T, s Scheduler, depths []int) []int {
+// newQueues activates, in index order, every queue with backlog.
+func newQueues(p Params, depths []int) *queues {
+	qs := &queues{e: newEnt(len(depths)), p: p, depth: depths}
+	for q, d := range depths {
+		if d > 0 {
+			qs.l.Activate(qs.e, int32(q))
+		}
+	}
+	return qs
+}
+
+// serve transmits one packet from the queue the discipline picks; ok is
+// false when every queue is empty.
+func (qs *queues) serve(t *testing.T) (int, bool) {
+	t.Helper()
+	id, debit, ok := qs.l.Pick(qs.p, qs.e)
+	if !ok {
+		return 0, false
+	}
+	if qs.depth[id] <= 0 {
+		t.Fatalf("discipline served empty queue %d (%v)", id, qs.depth)
+	}
+	qs.e.SetDeficit(id, qs.e.Deficit(id)-debit)
+	if qs.depth[id]--; qs.depth[id] == 0 {
+		qs.l.Deactivate(qs.p, qs.e, id)
+	}
+	return int(id), true
+}
+
+func (qs *queues) drain(t *testing.T) []int {
 	t.Helper()
 	var order []int
 	for i := 0; i < 10000; i++ {
-		q, ok := s.Next(sliceBacklog(depths))
+		q, ok := qs.serve(t)
 		if !ok {
 			return order
 		}
-		if depths[q] <= 0 {
-			t.Fatalf("scheduler served empty queue %d", q)
-		}
-		depths[q]--
-		s.Served(q, 64)
 		order = append(order, q)
 	}
-	t.Fatal("scheduler did not drain")
+	t.Fatal("discipline did not drain")
 	return nil
 }
 
 func TestRoundRobinFairness(t *testing.T) {
-	rr, err := NewRoundRobin(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := drain(t, rr, []int{3, 3, 3})
+	order := newQueues(rrParams(), []int{3, 3, 3}).drain(t)
 	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
 	for i := range want {
 		if order[i] != want[i] {
@@ -43,8 +69,10 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestRoundRobinSkipsEmpty(t *testing.T) {
-	rr, _ := NewRoundRobin(4)
-	order := drain(t, rr, []int{0, 2, 0, 2})
+	order := newQueues(rrParams(), []int{0, 2, 0, 2}).drain(t)
+	if len(order) != 4 {
+		t.Fatalf("drained %d packets, want 4: %v", len(order), order)
+	}
 	for _, q := range order {
 		if q == 0 || q == 2 {
 			t.Fatalf("served empty queue: %v", order)
@@ -53,11 +81,7 @@ func TestRoundRobinSkipsEmpty(t *testing.T) {
 }
 
 func TestStrictPriorityOrder(t *testing.T) {
-	sp, err := NewStrictPriority(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := drain(t, sp, []int{2, 2, 2})
+	order := newQueues(prioParams(), []int{2, 2, 2}).drain(t)
 	want := []int{0, 0, 1, 1, 2, 2}
 	for i := range want {
 		if order[i] != want[i] {
@@ -69,34 +93,26 @@ func TestStrictPriorityOrder(t *testing.T) {
 func TestStrictPriorityStarvation(t *testing.T) {
 	// Strict priority intentionally starves low classes while the high
 	// class is backlogged.
-	sp, _ := NewStrictPriority(2)
-	depths := []int{1000, 1}
+	qs := newQueues(prioParams(), []int{1000, 1})
 	for i := 0; i < 1000; i++ {
-		q, ok := sp.Next(sliceBacklog(depths))
-		if !ok || q != 0 {
+		if q, ok := qs.serve(t); !ok || q != 0 {
 			t.Fatalf("iteration %d: served %d", i, q)
 		}
-		depths[0]--
 	}
-	q, ok := sp.Next(sliceBacklog(depths))
-	if !ok || q != 1 {
+	if q, ok := qs.serve(t); !ok || q != 1 {
 		t.Fatal("low class never served after drain")
 	}
 }
 
 func TestWRRProportions(t *testing.T) {
-	w, err := NewWeightedRoundRobin([]int{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := newQueues(wrrParams(), []int{100000, 100000})
+	qs.e.weight[0] = 3
 	counts := [2]int{}
-	depths := []int{100000, 100000}
 	for i := 0; i < 4000; i++ {
-		q, ok := w.Next(sliceBacklog(depths))
+		q, ok := qs.serve(t)
 		if !ok {
 			t.Fatal("backlogged WRR returned empty")
 		}
-		depths[q]--
 		counts[q]++
 	}
 	ratio := float64(counts[0]) / float64(counts[1])
@@ -106,21 +122,15 @@ func TestWRRProportions(t *testing.T) {
 }
 
 func TestWRRSkipsEmptyAndRecovers(t *testing.T) {
-	w, _ := NewWeightedRoundRobin([]int{2, 2})
-	order := drain(t, w, []int{1, 4})
-	total := 0
-	for _, q := range order {
-		total++
-		_ = q
-	}
-	if total != 5 {
+	qs := newQueues(wrrParams(), []int{1, 4})
+	qs.e.weight[0], qs.e.weight[1] = 2, 2
+	if total := len(qs.drain(t)); total != 5 {
 		t.Fatalf("drained %d packets, want 5", total)
 	}
 }
 
 func TestWRRAllEmpty(t *testing.T) {
-	w, _ := NewWeightedRoundRobin([]int{1, 1})
-	if _, ok := w.Next(sliceBacklog([]int{0, 0})); ok {
+	if _, ok := newQueues(wrrParams(), []int{0, 0}).serve(t); ok {
 		t.Fatal("empty WRR returned a queue")
 	}
 }
@@ -129,20 +139,15 @@ func TestDRRByteFairness(t *testing.T) {
 	// Queue 0 sends 1500-byte packets, queue 1 sends 64-byte packets.
 	// With equal quanta DRR should give both roughly equal BYTE shares,
 	// i.e. queue 1 sends ~23x more packets.
-	d, err := NewDeficitRoundRobin([]int{1500, 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	depths := []int{1 << 20, 1 << 20}
-	sizes := []int{1500, 64}
-	bytes := [2]int{}
+	qs := newQueues(drrParams(1500), []int{1 << 20, 1 << 20})
+	qs.e.head[0], qs.e.head[1] = 1500, 64
+	bytes := [2]int64{}
 	for i := 0; i < 20000; i++ {
-		q, ok := d.NextPacket(sliceBacklog(depths), func(q int) int { return sizes[q] })
+		q, ok := qs.serve(t)
 		if !ok {
 			t.Fatal("backlogged DRR returned empty")
 		}
-		depths[q]--
-		bytes[q] += sizes[q]
+		bytes[q] += qs.e.head[q]
 	}
 	ratio := float64(bytes[0]) / float64(bytes[1])
 	if ratio < 0.85 || ratio > 1.18 {
@@ -151,68 +156,9 @@ func TestDRRByteFairness(t *testing.T) {
 }
 
 func TestDRRDrains(t *testing.T) {
-	d, _ := NewDeficitRoundRobin([]int{100, 100})
-	depths := []int{3, 2}
-	served := 0
-	for {
-		q, ok := d.NextPacket(sliceBacklog(depths), func(int) int { return 64 })
-		if !ok {
-			break
-		}
-		depths[q]--
-		served++
-		if served > 10 {
-			t.Fatal("DRR over-served")
-		}
-	}
-	if served != 5 {
+	qs := newQueues(drrParams(100), []int{3, 2})
+	qs.e.head[0], qs.e.head[1] = 64, 64
+	if served := len(qs.drain(t)); served != 5 {
 		t.Fatalf("served %d, want 5", served)
-	}
-}
-
-func TestDRRDefaultNext(t *testing.T) {
-	d, _ := NewDeficitRoundRobin([]int{64})
-	depths := []int{2}
-	q, ok := d.Next(sliceBacklog(depths))
-	if !ok || q != 0 {
-		t.Fatal("default Next broken")
-	}
-}
-
-func TestConstructorsValidate(t *testing.T) {
-	if _, err := NewRoundRobin(0); err == nil {
-		t.Fatal("RR accepted 0 queues")
-	}
-	if _, err := NewStrictPriority(-1); err == nil {
-		t.Fatal("SP accepted negative queues")
-	}
-	if _, err := NewWeightedRoundRobin(nil); err == nil {
-		t.Fatal("WRR accepted no queues")
-	}
-	if _, err := NewWeightedRoundRobin([]int{1, 0}); err == nil {
-		t.Fatal("WRR accepted zero weight")
-	}
-	if _, err := NewDeficitRoundRobin([]int{0}); err == nil {
-		t.Fatal("DRR accepted zero quantum")
-	}
-}
-
-func TestQueuesAccessors(t *testing.T) {
-	rr, _ := NewRoundRobin(3)
-	sp, _ := NewStrictPriority(2)
-	w, _ := NewWeightedRoundRobin([]int{1, 2, 3, 4})
-	d, _ := NewDeficitRoundRobin([]int{5})
-	if rr.Queues() != 3 || sp.Queues() != 2 || w.Queues() != 4 || d.Queues() != 1 {
-		t.Fatal("Queues() accessors broken")
-	}
-}
-
-func BenchmarkWRR(b *testing.B) {
-	w, _ := NewWeightedRoundRobin([]int{4, 2, 1, 1})
-	depths := []int{1 << 30, 1 << 30, 1 << 30, 1 << 30}
-	bl := sliceBacklog(depths)
-	for i := 0; i < b.N; i++ {
-		q, _ := w.Next(bl)
-		depths[q]--
 	}
 }

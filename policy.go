@@ -54,11 +54,13 @@ const (
 	EgressDRR  = policy.EgressDRR
 )
 
-// DequeuedPacket is one packet served by the integrated egress scheduler.
+// DequeuedPacket is one served packet: its flow, its byte count, and its
+// payload in the form the entry point delivers — Data (a pooled buffer to
+// ReleaseBuffer) from the copy entry points, View (a PacketView to Release)
+// from the view ones. Exactly one of the two is set.
 type DequeuedPacket = engine.Dequeued
 
-// DequeuedView is one packet served by the zero-copy egress paths: flow,
-// exact byte count, and a PacketView over the segment chain.
+// DequeuedView is DequeuedPacket under the name the view entry points use.
 type DequeuedView = engine.DequeuedView
 
 // Reservation is an open write-in-place ingest: fill the reserved segment
@@ -267,5 +269,5 @@ func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &ConcurrentQueueManager{e: e}, nil
+	return &ConcurrentQueueManager{e}, nil
 }
