@@ -155,7 +155,7 @@ func (p *port) gapStats() (samples, meanNs, p99Ns uint64) {
 // idle. Called from setActive inside shard critical sections, so the
 // not-serving and port-busy cases must stay one atomic load.
 func (p *port) notify() {
-	if p.idle.CompareAndSwap(true, false) {
+	if p.idle.Load() && p.idle.CompareAndSwap(true, false) {
 		p.pc.enqueue(int32(p.idx))
 	}
 }

@@ -16,6 +16,11 @@ type Stats struct {
 	// Traffic counters.
 	EnqueuedPackets  uint64
 	EnqueuedSegments uint64
+	// EnqueuedRuns counts the address-contiguous runs those segments were
+	// chained as when their packets were built (queue.Manager.FillRuns):
+	// EnqueuedSegments/EnqueuedRuns is the mean run length, the measure of
+	// how fragmented the free store hands out chains.
+	EnqueuedRuns     uint64
 	DequeuedPackets  uint64
 	DequeuedSegments uint64
 	// Rejected counts enqueues refused for want of room (pool exhausted or
@@ -79,6 +84,8 @@ type Stats struct {
 type ShardStat struct {
 	Shard            int
 	EnqueuedPackets  uint64
+	EnqueuedSegments uint64
+	EnqueuedRuns     uint64 // runs those segments were chained as (see Stats)
 	DequeuedPackets  uint64
 	Rejected         uint64
 	DroppedPackets   uint64
@@ -128,6 +135,7 @@ func (e *Engine) Stats() Stats {
 		e.run(s, func() {
 			st.EnqueuedPackets += s.enqPackets
 			st.EnqueuedSegments += s.enqSegments
+			st.EnqueuedRuns += s.m.FillRuns()
 			st.DequeuedPackets += s.deqPackets
 			st.DequeuedSegments += s.deqSegments
 			st.Rejected += s.rejected
@@ -177,6 +185,8 @@ func (e *Engine) ShardStats() []ShardStat {
 			out[i] = ShardStat{
 				Shard:            i,
 				EnqueuedPackets:  s.enqPackets,
+				EnqueuedSegments: s.enqSegments,
+				EnqueuedRuns:     s.m.FillRuns(),
 				DequeuedPackets:  s.deqPackets,
 				Rejected:         s.rejected,
 				DroppedPackets:   s.dropPackets,

@@ -15,8 +15,8 @@ package engine
 //     view set, and shard.take is where the flag is acted on.
 //   - Ingest: ReservePacket opens a write-in-place Reservation — the
 //     segment run is allocated and linked up front, the producer fills the
-//     per-segment slices (the iovecs a socket reader hands to readv), and
-//     Commit splices the chain onto the flow's queue in O(1). Abort hands
+//     slices Range yields — one per contiguous run, at most one per
+//     segment: the iovecs a socket reader hands to readv — and Commit splices the chain onto the flow's queue in O(1). Abort hands
 //     the untouched run back in one bulk return.
 //
 // Reference discipline: every view starts with one reference owned by
@@ -159,9 +159,11 @@ func (r *Reservation) Len() int { return r.w.Len() }
 // Segments returns the number of reserved segments.
 func (r *Reservation) Segments() int { return r.w.Segments() }
 
-// Range calls fn with each reserved segment's writable payload slice in
-// packet order, stopping early if fn returns false — the iovecs a socket
-// reader hands to readv. See queue.PacketWriter.Range.
+// Range calls fn with the reserved payload memory in packet order — one
+// writable slice per contiguous run of the reservation, at most one per
+// segment, together exactly Len bytes — stopping early if fn returns
+// false: the iovecs a socket reader hands to readv. See
+// queue.PacketWriter.Range.
 func (r *Reservation) Range(fn func(seg []byte) bool) { r.w.Range(fn) }
 
 // ReservePacket opens an n-byte write-in-place reservation on flow: the

@@ -80,10 +80,11 @@ func (m *Manager) TotalBuffered() int { return int(m.totalBytes) }
 
 // noteLink updates accounting when segment s joins queue q.
 func (m *Manager) noteLink(q QueueID, s Seg) {
-	m.qbytes[q] += int32(m.segLen[s])
-	m.totalBytes += int64(m.segLen[s])
+	w := m.seg[s]
+	m.qbytes[q] += int32(w & wordLen)
+	m.totalBytes += int64(w & wordLen)
 	m.queuedSegs++
-	if m.eop[s] {
+	if w&wordEOP != 0 {
 		m.qpkts[q]++
 	}
 	m.fixLongest(q)
@@ -91,26 +92,20 @@ func (m *Manager) noteLink(q QueueID, s Seg) {
 
 // noteUnlink updates accounting when segment s leaves queue q.
 func (m *Manager) noteUnlink(q QueueID, s Seg) {
-	m.qbytes[q] -= int32(m.segLen[s])
-	m.totalBytes -= int64(m.segLen[s])
+	w := m.seg[s]
+	m.qbytes[q] -= int32(w & wordLen)
+	m.totalBytes -= int64(w & wordLen)
 	m.queuedSegs--
-	if m.eop[s] {
+	if w&wordEOP != 0 {
 		m.qpkts[q]--
 	}
 	m.fixLongest(q)
 }
 
-// noteRewrite updates accounting when a queued segment's length or EOP
-// marker changes in place.
-func (m *Manager) noteRewrite(q QueueID, oldLen int, oldEOP bool, newLen int, newEOP bool) {
+// noteRewrite updates accounting when a queued segment's length changes in
+// place (its EOP marker never does).
+func (m *Manager) noteRewrite(q QueueID, oldLen, newLen int) {
 	d := int32(newLen - oldLen)
 	m.qbytes[q] += d
 	m.totalBytes += int64(d)
-	if oldEOP != newEOP {
-		if newEOP {
-			m.qpkts[q]++
-		} else {
-			m.qpkts[q]--
-		}
-	}
 }

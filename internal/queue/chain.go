@@ -28,30 +28,13 @@ func (m *Manager) UnlinkHeadPacket(q QueueID) (PacketChain, error) {
 	if err := m.checkQueue(q); err != nil {
 		return PacketChain{}, err
 	}
-	end, n, err := m.findPacketEnd(q)
+	ch, err := m.findPacketEnd(q)
 	if err != nil {
 		return PacketChain{}, err
 	}
-	first := m.qhead[q]
-	var chainBytes int32
-	for s := first; ; s = m.next[s] {
-		chainBytes += int32(m.segLen[s])
-		if s == int32(end) {
-			break
-		}
-	}
-	m.qhead[q] = m.next[end]
-	if m.qhead[q] == nilSeg {
-		m.qtail[q] = nilSeg
-	}
-	m.next[end] = nilSeg
-	m.qsegs[q] -= int32(n)
-	m.qbytes[q] -= chainBytes
-	m.qpkts[q]--
-	m.queuedSegs -= int32(n)
-	m.totalBytes -= int64(chainBytes)
-	m.fixLongest(q)
-	return PacketChain{Head: Seg(first), Tail: end, Segs: n, Bytes: int(chainBytes)}, nil
+	m.unspliceHead(q, ch)
+	m.next[ch.Tail] = nilSeg
+	return ch, nil
 }
 
 // LinkPacketTail links a chain (from UnlinkHeadPacket on a manager sharing
@@ -65,14 +48,45 @@ func (m *Manager) LinkPacketTail(q QueueID, ch PacketChain) error {
 	if !m.admissible(q, ch.Segs) {
 		return fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, ch.Segs)
 	}
-	if m.qtail[q] == nilSeg {
-		m.qhead[q] = int32(ch.Head)
-	} else {
-		m.next[m.qtail[q]] = int32(ch.Head)
-	}
-	m.qtail[q] = int32(ch.Tail)
-	m.linkChainAccounting(q, ch)
+	m.splice(q, ch, false)
 	return nil
+}
+
+// splice links a nil-terminated chain into q, at the tail or (atHead) in
+// front of the head: one queue-table and accounting update whatever the
+// chain's length.
+func (m *Manager) splice(q QueueID, ch PacketChain, atHead bool) {
+	switch {
+	case m.qtail[q] == nilSeg:
+		m.qhead[q], m.qtail[q] = int32(ch.Head), int32(ch.Tail)
+	case atHead:
+		m.next[ch.Tail] = m.qhead[q]
+		m.qhead[q] = int32(ch.Head)
+	default:
+		m.next[m.qtail[q]] = int32(ch.Head)
+		m.qtail[q] = int32(ch.Tail)
+	}
+	m.qsegs[q] += int32(ch.Segs)
+	m.qbytes[q] += int32(ch.Bytes)
+	m.qpkts[q]++
+	m.queuedSegs += int32(ch.Segs)
+	m.totalBytes += int64(ch.Bytes)
+	m.fixLongest(q)
+}
+
+// unspliceHead takes the head packet ch (as findPacketEnd described it) out
+// of q's table and accounting. The chain's own links are left alone.
+func (m *Manager) unspliceHead(q QueueID, ch PacketChain) {
+	m.qhead[q] = m.next[ch.Tail]
+	if m.qhead[q] == nilSeg {
+		m.qtail[q] = nilSeg
+	}
+	m.qsegs[q] -= int32(ch.Segs)
+	m.qbytes[q] -= int32(ch.Bytes)
+	m.qpkts[q]--
+	m.queuedSegs -= int32(ch.Segs)
+	m.totalBytes -= int64(ch.Bytes)
+	m.fixLongest(q)
 }
 
 // LinkPacketHead links a chain back at the head of q — the rollback path
@@ -83,21 +97,6 @@ func (m *Manager) LinkPacketHead(q QueueID, ch PacketChain) error {
 	if err := m.checkQueue(q); err != nil {
 		return err
 	}
-	m.next[ch.Tail] = m.qhead[q]
-	m.qhead[q] = int32(ch.Head)
-	if m.qtail[q] == nilSeg {
-		m.qtail[q] = int32(ch.Tail)
-	}
-	m.linkChainAccounting(q, ch)
+	m.splice(q, ch, true)
 	return nil
-}
-
-// linkChainAccounting counts a linked chain into q's accounting.
-func (m *Manager) linkChainAccounting(q QueueID, ch PacketChain) {
-	m.qsegs[q] += int32(ch.Segs)
-	m.qbytes[q] += int32(ch.Bytes)
-	m.qpkts[q]++
-	m.queuedSegs += int32(ch.Segs)
-	m.totalBytes += int64(ch.Bytes)
-	m.fixLongest(q)
 }

@@ -6,13 +6,13 @@ import "fmt"
 // q, marking the last chunk EOP. It returns the number of segments used.
 //
 // This is the vectorized enqueue: the whole segment run is grabbed from the
-// store in one AllocN, the chain is built off-queue (payload copies and link
-// words written in a single pass, no per-segment accounting), and spliced
-// onto the queue tail with one queue-table and accounting update — the same
-// O(1) splice LinkPacketTail performs for cross-manager moves. Admission is
-// charged for the full run up front, so the queue never holds a truncated
-// packet: on a short allocation the partial run goes straight back to the
-// store and the queue is untouched.
+// store in one AllocN, the chain is built off-queue (buildChain: one pass,
+// one payload copy per address-contiguous run, no per-segment accounting),
+// and spliced onto the queue tail with one queue-table and accounting update
+// — the same O(1) splice LinkPacketTail performs for cross-manager moves.
+// Admission is charged for the full run up front, so the queue never holds a
+// truncated packet: on a short allocation the partial run goes straight back
+// to the store and the queue is untouched.
 func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	if err := m.checkQueue(q); err != nil {
 		return 0, err
@@ -40,39 +40,60 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 		m.returnRun(run[:got])
 		return 0, ErrNoFreeSegments
 	}
-	last := needed - 1
-	off := 0
-	for i, s := range run {
-		end := off + SegmentBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		m.segLen[s] = uint16(end - off)
-		m.eop[s] = i == last
-		m.state[s] = stateQueued
-		if m.data != nil {
-			base := int(s) * SegmentBytes
-			copied := copy(m.data[base:base+SegmentBytes], data[off:end])
-			clear(m.data[base+copied : base+SegmentBytes])
-		}
-		if i < last {
-			m.next[s] = run[i+1]
-		} else {
-			m.next[s] = nilSeg
-		}
-		off = end
-	}
-	head := run[0]
-	if m.qtail[q] == nilSeg {
-		m.qhead[q] = head
-	} else {
-		m.next[m.qtail[q]] = head
-	}
-	m.qtail[q] = run[last]
-	m.linkChainAccounting(q, PacketChain{
-		Head: Seg(head), Tail: Seg(run[last]), Segs: needed, Bytes: len(data),
-	})
+	m.fillRuns += uint64(m.buildChain(run, len(data), stateQueued, data))
+	m.splice(q, PacketChain{
+		Head: Seg(run[0]), Tail: Seg(run[needed-1]), Segs: needed, Bytes: len(data),
+	}, false)
 	return needed, nil
+}
+
+// buildChain turns the freshly allocated segments in run into the chain of
+// an n-byte packet in state st and returns how many address-contiguous runs
+// it recorded. AllocN carves ascending magazines, so neighbours in run are
+// usually neighbours in the slab: each maximal stretch (capped at maxRun)
+// becomes one run. Everything a segment needs — word, state, link — is
+// written in this one pass; the segment that closes a stretch also marks the
+// stretch's first word and copies the stretch's payload (when given, and
+// when payloads are stored at all) in one piece rather than segment by
+// segment.
+func (m *Manager) buildChain(run []int32, n int, st uint8, payload []byte) (runs int) {
+	if m.data == nil {
+		payload = nil // pointer traffic only
+	}
+	end := len(run) - 1
+	start := 0 // index in run of the open stretch's first segment
+	for i, s := range run {
+		w, next := uint16(fullWord), nilSeg
+		if i < end {
+			next = run[i+1]
+		} else {
+			w = uint16(n-i*SegmentBytes) | wordEOP
+		}
+		m.state[s] = st
+		m.next[s] = next
+		if next == s+1 && i-start < maxRun-1 {
+			m.seg[s] = fullWord
+			continue // s is inside a stretch: full, linked to its neighbour
+		}
+		first := run[start]
+		if mark := uint16(i-start+1) << wordRun; first == s {
+			m.seg[s] = w | mark
+		} else {
+			m.seg[s] = w
+			m.seg[first] = fullWord | mark
+		}
+		if payload != nil {
+			base, off := int(first)*SegmentBytes, start*SegmentBytes
+			copy(m.data[base:], payload[off:min(n, off+(i-start+1)*SegmentBytes)])
+		}
+		start = i + 1
+		runs++
+	}
+	if payload != nil {
+		tail := int(run[end]) * SegmentBytes
+		clear(m.data[tail+n-end*SegmentBytes : tail+SegmentBytes])
+	}
+	return runs
 }
 
 // runBuf returns the manager's scratch run buffer, grown to hold n segment
@@ -125,49 +146,37 @@ func (m *Manager) DequeuePacketInto(q QueueID, alloc func(segs int) []byte) ([]b
 	if err := m.checkQueue(q); err != nil {
 		return nil, 0, err
 	}
-	end, n, err := m.findPacketEnd(q)
+	ch, err := m.findPacketEnd(q)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m.consumeHeadChain(q, int32(end), n, alloc(n), true), n, nil
+	return m.consumeHeadChain(q, ch, alloc(ch.Segs), true), ch.Segs, nil
 }
 
 // consumeHeadChain is the vectorized inverse of EnqueuePacket: it unlinks
-// the chain [qhead..end] (n segments, guaranteed by the caller's
-// findPacketEnd) from q and returns it to the store whole. One pass over the
-// chain copies payloads (when copyData and data storage is on) and scrubs
-// per-segment metadata with the links still intact; then the queue table and
-// accounting update once — mirroring UnlinkHeadPacket — and the chain goes
-// back via a single FreeN instead of one Free per segment.
-func (m *Manager) consumeHeadChain(q QueueID, end int32, n int, buf []byte, copyData bool) []byte {
-	head := m.qhead[q]
+// the head packet ch (from the caller's findPacketEnd) from q and returns it
+// to the store whole. One pass over the chain's runs copies each run's
+// payload (when copyData and data storage is on) and marks it free with
+// the links still intact; then the queue table and accounting update
+// once and the chain goes back via a single FreeN instead of one Free per
+// segment.
+func (m *Manager) consumeHeadChain(q QueueID, ch PacketChain, buf []byte, copyData bool) []byte {
+	head, end := int32(ch.Head), int32(ch.Tail)
 	copyData = copyData && m.data != nil
-	var chainBytes int32
-	for s := head; ; s = m.next[s] {
-		ln := m.segLen[s]
-		chainBytes += int32(ln)
+	for s := head; ; {
+		last, w, next := m.hop(s)
 		if copyData {
 			base := int(s) * SegmentBytes
-			buf = append(buf, m.data[base:base+int(ln)]...)
+			buf = append(buf, m.data[base:base+int(runBytes(s, last, w))]...)
 		}
-		m.segLen[s] = 0
-		m.eop[s] = false
-		m.state[s] = stateFree
-		if s == end {
+		m.setState(s, last, stateFree)
+		if last == end {
 			break
 		}
+		s = next
 	}
-	m.qhead[q] = m.next[end]
-	if m.qhead[q] == nilSeg {
-		m.qtail[q] = nilSeg
-	}
-	m.qsegs[q] -= int32(n)
-	m.qbytes[q] -= chainBytes
-	m.qpkts[q]--
-	m.queuedSegs -= int32(n)
-	m.totalBytes -= int64(chainBytes)
-	m.fixLongest(q)
-	m.src.FreeN(head, end, int32(n))
+	m.unspliceHead(q, ch)
+	m.src.FreeN(head, end, int32(ch.Segs))
 	return buf
 }
 
@@ -177,18 +186,8 @@ func (m *Manager) PacketLen(q QueueID) (bytes, segments int, err error) {
 	if err := m.checkQueue(q); err != nil {
 		return 0, 0, err
 	}
-	h := m.qhead[q]
-	if h == nilSeg {
-		return 0, 0, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
-	}
-	for s := h; s != nilSeg; s = m.next[s] {
-		bytes += int(m.segLen[s])
-		segments++
-		if m.eop[s] {
-			return bytes, segments, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
+	ch, err := m.findPacketEnd(q)
+	return ch.Bytes, ch.Segs, err
 }
 
 // CheckInvariants validates the pointer discipline this manager is
@@ -197,6 +196,9 @@ func (m *Manager) PacketLen(q QueueID) (bytes, segments int, err error) {
 //   - every queue's list is acyclic, its length matches the queue table,
 //     its tail pointer matches the last element, and every member is in
 //     the queued state;
+//   - every run a chain claims is real: the run stays inside the pool, and
+//     every segment before the run's last is full, non-EOP and linked to
+//     its address successor;
 //   - the per-queue byte/packet counters and the manager totals match the
 //     walked lists;
 //   - on a private pool it additionally walks the free list (via the
@@ -216,6 +218,7 @@ func (m *Manager) CheckInvariants() error {
 		bytes := int32(0)
 		pkts := int32(0)
 		last := nilSeg
+		left := int32(0) // segments of the current run still to come
 		for s := m.qhead[q]; s != nilSeg; s = m.next[s] {
 			if seen[s] {
 				return fmt.Errorf("queue: segment %d linked twice (queue %d)", s, q)
@@ -224,9 +227,20 @@ func (m *Manager) CheckInvariants() error {
 			if m.state[s] != stateQueued {
 				return fmt.Errorf("queue: queued segment %d has state %d", s, m.state[s])
 			}
+			w := m.seg[s]
+			if left == 0 {
+				left = int32(w >> wordRun)
+				if left < 1 || int(s+left) > m.cfg.NumSegments {
+					return fmt.Errorf("queue: segment %d starts a run of %d (queue %d)", s, left, q)
+				}
+			}
+			if left--; left > 0 && (m.next[s] != s+1 || w&(wordLen|wordEOP) != fullWord) {
+				return fmt.Errorf("queue: segment %d inside a run is not full and linked to %d (queue %d): word %#x, next %d",
+					s, s+1, q, w, m.next[s])
+			}
 			n++
-			bytes += int32(m.segLen[s])
-			if m.eop[s] {
+			bytes += int32(w & wordLen)
+			if w&wordEOP != 0 {
 				pkts++
 			}
 			last = s

@@ -129,11 +129,16 @@ func (m *Manager) Drops() (packets, segments uint64) {
 }
 
 // fixLongest restores the heap after qsegs[q] changed. It is a no-op when
-// tracking is disabled.
+// tracking is disabled, and small enough to inline so that case costs the
+// datapath one load and no call.
 func (m *Manager) fixLongest(q QueueID) {
-	if m.heapPos == nil {
-		return
+	if m.heapPos != nil {
+		m.reheap(q)
 	}
+}
+
+// reheap is fixLongest with tracking on.
+func (m *Manager) reheap(q QueueID) {
 	pos := m.heapPos[q]
 	switch {
 	case m.qsegs[q] == 0:

@@ -20,6 +20,10 @@
 //
 // Packet boundaries are marked with an end-of-packet (EOP) flag on the last
 // segment, as in ATM AAL5 and the paper's segmentation scheme.
+//
+// Length, EOP flag and a run length share one 16-bit word per segment (see
+// the word* constants): every chain is a list of address-contiguous runs, so
+// the packet operations step run by run (hop) instead of segment by segment.
 package queue
 
 import (
@@ -39,6 +43,23 @@ const DefaultNumQueues = 32 * 1024
 
 // nilSeg is the null segment pointer.
 const nilSeg = int32(-1)
+
+// Segment word layout (segstore.View.Seg). Every chain is a list of
+// address-contiguous runs: the word of a run's first segment carries the
+// run's length r (a lone segment is a run of one), and the r-1 segments
+// before the run's last are full, non-EOP and linked s -> s+1 — they are
+// written as fullWord and never read by a packet walk. Only the run's last
+// segment has a length, an EOP flag and a link of its own. Runs are recorded
+// when a packet's chain is built (buildChain) and only ever split
+// (splitHead), never merged.
+const (
+	wordLen  = 0x007f // payload length, 0..SegmentBytes
+	wordEOP  = 0x0080 // end-of-packet marker
+	wordRun  = 8      // shift of the run length, meaningful at a run start
+	maxRun   = 255    // longest run one word can record
+	loneWord = 1 << wordRun
+	fullWord = SegmentBytes // a run's interior segment: full, no EOP, no mark
+)
 
 // Seg is a segment handle (index into the segment pool).
 type Seg int32
@@ -99,11 +120,10 @@ type Manager struct {
 	// Per-segment pointer memory (the ZBT SRAM contents). With a shared
 	// store these arrays are shared with every other manager on the slab;
 	// each manager touches only segments it currently owns.
-	next   []int32
-	segLen []uint16
-	eop    []bool
-	state  []uint8
-	refs   []int32 // per-chain-head view refcounts (atomic access only)
+	next  []int32
+	seg   []uint16 // segment words: length, EOP, run length (see wordLen)
+	state []uint8
+	refs  []int32 // per-chain-head view refcounts (atomic access only)
 
 	// Queue table.
 	qhead []int32
@@ -134,6 +154,10 @@ type Manager struct {
 	// Drop accounting: packets removed by push-out or DropHeadPacket.
 	droppedPackets  uint64
 	droppedSegments uint64
+
+	// fillRuns counts the runs buildChain recorded for packets that joined a
+	// queue; against the segments enqueued it is the pool's fragmentation.
+	fillRuns uint64
 
 	// Data memory (aliases the store's payload slab; nil when disabled).
 	data []byte
@@ -192,8 +216,7 @@ func NewWithStore(cfg Config, src segstore.Source) (*Manager, error) {
 		cfg:    cfg,
 		src:    src,
 		next:   view.Next,
-		segLen: view.Len,
-		eop:    view.EOP,
+		seg:    view.Seg,
 		state:  view.State,
 		refs:   view.Refs,
 		data:   view.Data,
@@ -280,6 +303,7 @@ func (m *Manager) Alloc() (Seg, error) {
 		return Seg(nilSeg), ErrNoFreeSegments
 	}
 	m.next[s] = nilSeg
+	m.seg[s] = loneWord
 	m.state[s] = stateFloating
 	m.floating++
 	return Seg(s), nil
@@ -295,8 +319,6 @@ func (m *Manager) Free(s Seg) error {
 	}
 	m.state[s] = stateFree
 	m.floating--
-	m.segLen[s] = 0
-	m.eop[s] = false
 	m.src.Free(int32(s))
 	return nil
 }
@@ -308,14 +330,60 @@ type SegInfo struct {
 	EOP bool // end-of-packet marker
 }
 
-// setPayload validates and stores payload into segment s.
+// info decodes segment s's word.
+func (m *Manager) info(s int32) SegInfo {
+	w := m.seg[s]
+	return SegInfo{Seg: Seg(s), Len: int(w & wordLen), EOP: w&wordEOP != 0}
+}
+
+// hop steps over the run that starts at s: it returns the run's last
+// segment, that segment's word and its link. The branch is deliberate. A
+// lone segment is its own last, and on that arm the word and the link both
+// load from s alone, so a fragmented chain is chased exactly like a plain
+// linked list; only a real run pays the dependent load behind s + r - 1.
+func (m *Manager) hop(s int32) (last int32, w uint16, next int32) {
+	w = m.seg[s]
+	if r := int32(w >> wordRun); r > 1 {
+		last = s + r - 1
+		return last, m.seg[last], m.next[last]
+	}
+	return s, w, m.next[s]
+}
+
+// runBytes is the payload of the run [s..last] whose last word is w.
+func runBytes(s, last int32, w uint16) int32 {
+	return (last-s)*SegmentBytes + int32(w&wordLen)
+}
+
+// setState moves the run [s..last] to state st.
+func (m *Manager) setState(s, last int32, st uint8) {
+	for ; s <= last; s++ {
+		m.state[s] = st
+	}
+}
+
+// splitHead makes h a run of one before it is unlinked or rewritten; the
+// rest of its run starts at h+1 and inherits the remaining length. The one
+// way a run changes after buildChain recorded it.
+func (m *Manager) splitHead(h int32) {
+	if r := m.seg[h] >> wordRun; r > 1 {
+		m.seg[h] = m.seg[h]&(wordLen|wordEOP) | loneWord
+		m.seg[h+1] = m.seg[h+1]&(wordLen|wordEOP) | (r-1)<<wordRun
+	}
+}
+
+// setPayload validates and stores payload into segment s, keeping its run
+// mark.
 func (m *Manager) setPayload(s Seg, payload []byte, eop bool) error {
 	n := len(payload)
 	if n < 1 || n > SegmentBytes {
 		return fmt.Errorf("%w: %d bytes", ErrBadLength, n)
 	}
-	m.segLen[s] = uint16(n)
-	m.eop[s] = eop
+	w := m.seg[s]&^(wordLen|wordEOP) | uint16(n)
+	if eop {
+		w |= wordEOP
+	}
+	m.seg[s] = w
 	if m.data != nil {
 		base := int(s) * SegmentBytes
 		copied := copy(m.data[base:base+SegmentBytes], payload)
@@ -331,7 +399,7 @@ func (m *Manager) payload(s Seg) []byte {
 		return nil
 	}
 	base := int(s) * SegmentBytes
-	out := make([]byte, m.segLen[s])
+	out := make([]byte, m.seg[s]&wordLen)
 	copy(out, m.data[base:])
 	return out
 }
@@ -409,6 +477,7 @@ func (m *Manager) linkHead(q QueueID, s Seg) {
 // non-empty). The segment becomes floating.
 func (m *Manager) unlinkHead(q QueueID) Seg {
 	s := m.qhead[q]
+	m.splitHead(s)
 	m.qhead[q] = m.next[s]
 	if m.qhead[q] == nilSeg {
 		m.qtail[q] = nilSeg
@@ -430,7 +499,7 @@ func (m *Manager) Dequeue(q QueueID) (SegInfo, []byte, error) {
 	if m.qhead[q] == nilSeg {
 		return SegInfo{}, nil, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	info := SegInfo{Seg: Seg(m.qhead[q]), Len: int(m.segLen[m.qhead[q]]), EOP: m.eop[m.qhead[q]]}
+	info := m.info(m.qhead[q])
 	payload := m.payload(info.Seg)
 	s := m.unlinkHead(q)
 	m.Free(s)
@@ -447,8 +516,7 @@ func (m *Manager) ReadHead(q QueueID) (SegInfo, []byte, error) {
 	if h == nilSeg {
 		return SegInfo{}, nil, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	info := SegInfo{Seg: Seg(h), Len: int(m.segLen[h]), EOP: m.eop[h]}
-	return info, m.payload(Seg(h)), nil
+	return m.info(h), m.payload(Seg(h)), nil
 }
 
 // DeleteSegment unlinks and frees the head segment of q without returning
@@ -471,29 +539,33 @@ func (m *Manager) DeletePacket(q QueueID) (int, error) {
 	if err := m.checkQueue(q); err != nil {
 		return 0, err
 	}
-	end, n, err := m.findPacketEnd(q)
+	ch, err := m.findPacketEnd(q)
 	if err != nil {
 		return 0, err
 	}
-	m.consumeHeadChain(q, int32(end), n, nil, false)
-	return n, nil
+	m.consumeHeadChain(q, ch, nil, false)
+	return ch.Segs, nil
 }
 
-// findPacketEnd walks from the head of q to the first EOP segment, returning
-// its index and the number of segments in the packet.
-func (m *Manager) findPacketEnd(q QueueID) (Seg, int, error) {
+// findPacketEnd hops from the head of q to the first EOP segment and
+// describes the packet it closes: head, end, segment and byte counts. The
+// chain stays linked into q.
+func (m *Manager) findPacketEnd(q QueueID) (PacketChain, error) {
 	h := m.qhead[q]
 	if h == nilSeg {
-		return Seg(nilSeg), 0, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
+		return PacketChain{}, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	n := 1
-	for s := h; s != nilSeg; s = m.next[s] {
-		if m.eop[s] {
-			return Seg(s), n, nil
+	var n, bytes int32
+	for s := h; s != nilSeg; {
+		last, w, next := m.hop(s)
+		n += last - s + 1
+		bytes += runBytes(s, last, w)
+		if w&wordEOP != 0 {
+			return PacketChain{Head: Seg(h), Tail: Seg(last), Segs: int(n), Bytes: int(bytes)}, nil
 		}
-		n++
+		s = next
 	}
-	return Seg(nilSeg), 0, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
+	return PacketChain{}, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
 }
 
 // Overwrite replaces the payload of the head segment of q in place — the MMS
@@ -507,11 +579,12 @@ func (m *Manager) Overwrite(q QueueID, payload []byte) error {
 	if h == nilSeg {
 		return fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	oldLen, oldEOP := int(m.segLen[h]), m.eop[h]
-	if err := m.setPayload(Seg(h), payload, m.eop[h]); err != nil {
+	old := m.info(h)
+	if err := m.setPayload(Seg(h), payload, old.EOP); err != nil {
 		return err
 	}
-	m.noteRewrite(q, oldLen, oldEOP, int(m.segLen[h]), m.eop[h])
+	m.splitHead(h)
+	m.noteRewrite(q, old.Len, len(payload))
 	return nil
 }
 
@@ -529,8 +602,9 @@ func (m *Manager) OverwriteLength(q QueueID, n int) error {
 	if n < 1 || n > SegmentBytes {
 		return fmt.Errorf("%w: %d bytes", ErrBadLength, n)
 	}
-	m.noteRewrite(q, int(m.segLen[h]), m.eop[h], n, m.eop[h])
-	m.segLen[h] = uint16(n)
+	m.noteRewrite(q, int(m.seg[h]&wordLen), n)
+	m.seg[h] = m.seg[h]&^wordLen | uint16(n)
+	m.splitHead(h)
 	return nil
 }
 
@@ -544,10 +618,11 @@ func (m *Manager) MovePacket(from, to QueueID) (int, error) {
 	if err := m.checkQueue(to); err != nil {
 		return 0, err
 	}
-	end, n, err := m.findPacketEnd(from)
+	ch, err := m.findPacketEnd(from)
 	if err != nil {
 		return 0, err
 	}
+	n := ch.Segs
 	if from == to {
 		// Moving a packet to its own queue rotates it to the tail.
 		if int(m.qsegs[from]) == n {
@@ -556,36 +631,9 @@ func (m *Manager) MovePacket(from, to QueueID) (int, error) {
 	} else if !m.admissible(to, n) {
 		return 0, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, to, n)
 	}
-	first := m.qhead[from]
-	// Transfer the chain's byte/packet accounting.
-	var chainBytes int32
-	for s := first; ; s = m.next[s] {
-		chainBytes += int32(m.segLen[s])
-		if s == int32(end) {
-			break
-		}
-	}
-	m.qbytes[from] -= chainBytes
-	m.qpkts[from]--
-	m.qbytes[to] += chainBytes
-	m.qpkts[to]++
-	// Unlink the chain [first..end] from the source queue.
-	m.qhead[from] = m.next[end]
-	if m.qhead[from] == nilSeg {
-		m.qtail[from] = nilSeg
-	}
-	m.qsegs[from] -= int32(n)
-	// Link the chain onto the destination tail.
-	m.next[end] = nilSeg
-	if m.qtail[to] == nilSeg {
-		m.qhead[to] = first
-	} else {
-		m.next[m.qtail[to]] = first
-	}
-	m.qtail[to] = int32(end)
-	m.qsegs[to] += int32(n)
-	m.fixLongest(from)
-	m.fixLongest(to)
+	m.unspliceHead(from, ch)
+	m.next[ch.Tail] = nilSeg
+	m.splice(to, ch, false)
 	return n, nil
 }
 
@@ -615,7 +663,7 @@ func (m *Manager) Walk(q QueueID, fn func(info SegInfo) bool) error {
 		return err
 	}
 	for s := m.qhead[q]; s != nilSeg; s = m.next[s] {
-		if !fn(SegInfo{Seg: Seg(s), Len: int(m.segLen[s]), EOP: m.eop[s]}) {
+		if !fn(m.info(s)) {
 			return nil
 		}
 	}

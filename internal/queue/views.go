@@ -8,8 +8,9 @@ package queue
 //   - DequeuePacketView unlinks the head packet exactly like
 //     consumeHeadChain but defers the scrub and the FreeN: the chain leaves
 //     the queue table and is handed to the consumer as a PacketView whose
-//     iterator yields per-segment slices aliasing the slab. Releasing the
-//     view scrubs and returns the chain in one FreeN-equivalent operation.
+//     iterator yields slices aliasing the slab, one per address-contiguous
+//     run of the chain. Releasing the view scrubs and returns the chain in
+//     one FreeN-equivalent operation.
 //   - ReservePacket is the write-in-place inverse: the segment run is
 //     allocated and pre-linked up front, the producer fills the slices a
 //     PacketWriter exposes (a readv target), then Commit splices the chain
@@ -64,21 +65,46 @@ func (v PacketView) Head() Seg { return Seg(v.head) }
 // End returns the last (EOP) segment of the chain.
 func (v PacketView) End() Seg { return Seg(v.end) }
 
-// Range calls fn with each segment's payload slice in packet order,
-// stopping early if fn returns false. The slices alias the slab: they are
-// valid only until the view's final Release and must not be retained past
-// it. With data storage disabled the view has no payload and Range returns
-// immediately.
+// Range calls fn with the packet's payload in packet order, one slice per
+// contiguous run of the chain — at most one per segment, and a single slice
+// for a packet whose segments are neighbours in the slab — stopping early if
+// fn returns false. The slices alias the slab: they are valid only until the
+// view's final Release and must not be retained past it. With data storage
+// disabled the view has no payload and Range returns immediately.
 func (v PacketView) Range(fn func(seg []byte) bool) {
-	m := v.m
-	if m == nil || m.data == nil {
+	if v.m != nil {
+		v.m.rangeChain(v.head, fn)
+	}
+}
+
+// rangeChain yields the payload of the nil-terminated chain at head, one
+// slice per run.
+func (m *Manager) rangeChain(head int32, fn func(seg []byte) bool) {
+	if m.data == nil {
 		return
 	}
-	for s := v.head; s != nilSeg; s = m.next[s] {
+	for s := head; s != nilSeg; {
+		last, w, next := m.hop(s)
 		base := int(s) * SegmentBytes
-		if !fn(m.data[base : base+int(m.segLen[s])]) {
+		if !fn(m.data[base : base+int(runBytes(s, last, w))]) {
 			return
 		}
+		s = next
+	}
+}
+
+// setChainState moves the checked-out chain [head..end] to state st, run by
+// run, links intact. To stateFree it is the scrub before a bulk return: only
+// the state marks a segment free; its word, like its link, is rewritten on
+// reuse.
+func (m *Manager) setChainState(head, end int32, st uint8) {
+	for s := head; ; {
+		last, _, next := m.hop(s)
+		m.setState(s, last, st)
+		if last == end {
+			return
+		}
+		s = next
 	}
 }
 
@@ -116,14 +142,7 @@ func (v PacketView) Release() {
 	if n < 0 {
 		panic("queue: PacketView released more times than retained")
 	}
-	for s := v.head; ; s = m.next[s] {
-		m.segLen[s] = 0
-		m.eop[s] = false
-		m.state[s] = stateFree
-		if s == v.end {
-			break
-		}
-	}
+	m.setChainState(v.head, v.end, stateFree)
 	m.src.ReturnLent(v.head, v.end, v.segs)
 }
 
@@ -131,7 +150,7 @@ func (v PacketView) Release() {
 // store in one bulk transaction per manager instead of one per packet. A
 // consumer that drains views in batches (the engine's DequeueNextViewBatch
 // loop) releases each packet into the accumulator and flushes once: the
-// scrub still happens per segment, but the depot push — the one CAS the
+// scrub still happens per packet, but the depot push — the one CAS the
 // cross-goroutine return path costs — and the lent-counter update are paid
 // once per batch. The zero value is ready to use. Like a single Release,
 // an accumulator is one goroutine's tool; the flush itself is safe from
@@ -158,14 +177,7 @@ func (r *ViewReleaser) Add(v PacketView) {
 	if c < 0 {
 		panic("queue: PacketView released more times than retained")
 	}
-	for s := v.head; ; s = m.next[s] {
-		m.segLen[s] = 0
-		m.eop[s] = false
-		m.state[s] = stateFree
-		if s == v.end {
-			break
-		}
-	}
+	m.setChainState(v.head, v.end, stateFree)
 	if r.m != m {
 		r.Flush()
 		r.m = m
@@ -192,8 +204,8 @@ func (r *ViewReleaser) Flush() {
 // a zero-copy view instead of reassembling it. The queue table and
 // accounting update exactly as DequeuePacket's would; the segments move to
 // the lent state and stay in the slab until the view's final Release. One
-// pass over the chain does the EOP walk, the byte accumulation, and the
-// lent marking together — one chain traversal where the copy path needs
+// pass over the chain's runs does the EOP walk, the byte accumulation, and
+// the lent marking together — one chain traversal where the copy path needs
 // two.
 func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 	if err := m.checkQueue(q); err != nil {
@@ -203,39 +215,30 @@ func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 	if head == nilSeg {
 		return PacketView{}, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
-	var chainBytes int32
-	n := int32(0)
+	var n, chainBytes int32
 	end := nilSeg
-	for s := head; s != nilSeg; s = m.next[s] {
-		chainBytes += int32(m.segLen[s])
-		m.state[s] = stateLent
-		n++
-		if m.eop[s] {
-			end = s
+	for s := head; s != nilSeg; {
+		last, w, next := m.hop(s)
+		m.setState(s, last, stateLent)
+		n += last - s + 1
+		chainBytes += runBytes(s, last, w)
+		if w&wordEOP != 0 {
+			end = last
 			break
 		}
+		s = next
 	}
 	if end == nilSeg {
 		// No complete packet: restore the marked states (the whole queue is
-		// stateQueued again; re-marking untouched members is harmless) and
-		// leave the queue untouched. Rare path — only partially assembled
-		// ingress can hit it.
+		// stateQueued again) and leave the queue untouched. Rare path — only
+		// partially assembled ingress can hit it.
 		for s := head; s != nilSeg; s = m.next[s] {
 			m.state[s] = stateQueued
 		}
 		return PacketView{}, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
 	}
-	m.qhead[q] = m.next[end]
-	if m.qhead[q] == nilSeg {
-		m.qtail[q] = nilSeg
-	}
+	m.unspliceHead(q, PacketChain{Head: Seg(head), Tail: Seg(end), Segs: int(n), Bytes: int(chainBytes)})
 	m.next[end] = nilSeg
-	m.qsegs[q] -= n
-	m.qbytes[q] -= chainBytes
-	m.qpkts[q]--
-	m.queuedSegs -= n
-	m.totalBytes -= int64(chainBytes)
-	m.fixLongest(q)
 	m.src.Lend(n)
 	atomic.StoreInt32(&m.refs[head], 1)
 	return PacketView{m: m, head: head, end: end, segs: n, bytes: chainBytes}, nil
@@ -253,6 +256,7 @@ type PacketWriter struct {
 	tail  int32
 	segs  int32
 	bytes int32
+	runs  int32 // runs buildChain recorded, counted into fillRuns at Commit
 }
 
 // Valid reports whether the writer holds a live reservation.
@@ -267,21 +271,14 @@ func (w *PacketWriter) Segments() int { return int(w.segs) }
 // Queue returns the destination queue.
 func (w *PacketWriter) Queue() QueueID { return w.q }
 
-// Range calls fn with each reserved segment's payload slice in packet
-// order — writable, sized to the segment's share of the reservation (full
-// segments, then the remainder) — stopping early if fn returns false.
+// Range calls fn with the reserved payload memory in packet order, one
+// writable slice per contiguous run of the reservation — at most one per
+// segment, together exactly Len bytes — stopping early if fn returns false.
 // These are the iovecs a socket reader hands to readv. With data storage
 // disabled the writer has no payload memory and Range returns immediately.
 func (w *PacketWriter) Range(fn func(seg []byte) bool) {
-	m := w.m
-	if m == nil || m.data == nil {
-		return
-	}
-	for s := w.head; s != nilSeg; s = m.next[s] {
-		base := int(s) * SegmentBytes
-		if !fn(m.data[base : base+int(m.segLen[s])]) {
-			return
-		}
+	if w.m != nil {
+		w.m.rangeChain(w.head, fn)
 	}
 }
 
@@ -311,25 +308,10 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 		m.returnRun(run[:got])
 		return PacketWriter{}, ErrNoFreeSegments
 	}
-	last := needed - 1
-	left := n
-	for i, s := range run {
-		ln := left
-		if ln > SegmentBytes {
-			ln = SegmentBytes
-		}
-		left -= ln
-		m.segLen[s] = uint16(ln)
-		m.eop[s] = i == last
-		m.state[s] = stateLent
-		if i < last {
-			m.next[s] = run[i+1]
-		} else {
-			m.next[s] = nilSeg
-		}
-	}
+	runs := m.buildChain(run, n, stateLent, nil)
 	m.src.Lend(int32(needed))
-	return PacketWriter{m: m, q: q, head: run[0], tail: run[last], segs: int32(needed), bytes: int32(n)}, nil
+	return PacketWriter{m: m, q: q, head: run[0], tail: run[needed-1],
+		segs: int32(needed), bytes: int32(n), runs: int32(runs)}, nil
 }
 
 // Commit splices the filled run onto the queue tail — one queue-table and
@@ -341,22 +323,11 @@ func (w *PacketWriter) Commit() error {
 	if m == nil {
 		return ErrWriterDone
 	}
-	for s := w.head; ; s = m.next[s] {
-		m.state[s] = stateQueued
-		if s == w.tail {
-			break
-		}
-	}
-	q := w.q
-	if m.qtail[q] == nilSeg {
-		m.qhead[q] = w.head
-	} else {
-		m.next[m.qtail[q]] = w.head
-	}
-	m.qtail[q] = w.tail
-	m.linkChainAccounting(q, PacketChain{
+	m.setChainState(w.head, w.tail, stateQueued)
+	m.fillRuns += uint64(w.runs)
+	m.splice(w.q, PacketChain{
 		Head: Seg(w.head), Tail: Seg(w.tail), Segs: int(w.segs), Bytes: int(w.bytes),
-	})
+	}, false)
 	m.src.Lend(-w.segs)
 	*w = PacketWriter{}
 	return nil
@@ -371,14 +342,7 @@ func (w *PacketWriter) Abort() error {
 	if m == nil {
 		return ErrWriterDone
 	}
-	for s := w.head; ; s = m.next[s] {
-		m.segLen[s] = 0
-		m.eop[s] = false
-		m.state[s] = stateFree
-		if s == w.tail {
-			break
-		}
-	}
+	m.setChainState(w.head, w.tail, stateFree)
 	m.src.ReturnLent(w.head, w.tail, w.segs)
 	*w = PacketWriter{}
 	return nil
@@ -387,3 +351,9 @@ func (w *PacketWriter) Abort() error {
 // LentSegments returns the pool-wide lent population: segments checked out
 // in views or open reservations.
 func (m *Manager) LentSegments() int { return m.src.Lent() }
+
+// FillRuns returns how many address-contiguous runs the packets enqueued so
+// far were recorded as (EnqueuePacket, and ReservePacket at Commit): divided
+// by the segments enqueued it is how fragmented the free store hands out
+// chains, 1/segments-per-packet at best and 1 at worst.
+func (m *Manager) FillRuns() uint64 { return m.fillRuns }

@@ -10,8 +10,8 @@
 // gives the sharded software engine that same single buffer without a
 // global lock:
 //
-//   - Store: the slab (next/len/eop/state arrays plus the payload memory)
-//     and the depot, a Treiber stack of segment magazines. The depot head
+//   - Store: the slab (link, segment-word and state arrays plus the payload
+//     memory) and the depot, a Treiber stack of segment magazines. The depot head
 //     packs a 32-bit version tag beside the top-magazine index so a
 //     compare-and-swap cannot succeed across an ABA reuse of the same
 //     magazine head.
@@ -60,12 +60,16 @@ const nilSeg = int32(-1)
 // operates on these same slices; owners touch only the segments they hold,
 // so the arrays need no locking of their own.
 type View struct {
-	Next  []int32  // link words (queue chains, free chains)
-	Len   []uint16 // payload length per segment
-	EOP   []bool   // end-of-packet marker per segment
-	State []uint8  // lifecycle state per segment
-	Refs  []int32  // view refcount per lent chain head (atomic access only)
-	Data  []byte   // payload slab (nil when storage is disabled)
+	Next []int32 // link words (queue chains, free chains)
+	// Seg holds one word per segment: payload length in bits 0-6, the
+	// end-of-packet marker in bit 7 and, on the first segment of an
+	// address-contiguous run of a chain, the run's length in bits 8-15
+	// (see the queue package, which owns the encoding). Like the link, a
+	// free segment's word is unspecified: whoever allocates it writes it.
+	Seg   []uint16
+	State []uint8 // lifecycle state per segment
+	Refs  []int32 // view refcount per lent chain head (atomic access only)
+	Data  []byte  // payload slab (nil when storage is disabled)
 }
 
 // Source is the allocation facade a queue Manager draws segments from:
@@ -112,8 +116,8 @@ type Source interface {
 	// call from any goroutine for a shared source — view releases happen
 	// wherever the consumer finishes, not in the owning shard — so shared
 	// sources route the chain straight to the global depot. Private
-	// sources remain single-owner. Segments must be scrubbed (StateFree,
-	// zero length) by the caller before the chain is handed back.
+	// sources remain single-owner. Segments must be scrubbed (StateFree)
+	// by the caller before the chain is handed back.
 	ReturnLent(head, tail, n int32)
 	// Lent is the pool-wide lent population.
 	Lent() int
@@ -158,8 +162,7 @@ func (c Config) validate() error {
 func newView(cfg Config) View {
 	v := View{
 		Next:  make([]int32, cfg.NumSegments),
-		Len:   make([]uint16, cfg.NumSegments),
-		EOP:   make([]bool, cfg.NumSegments),
+		Seg:   make([]uint16, cfg.NumSegments),
 		State: make([]uint8, cfg.NumSegments),
 		Refs:  make([]int32, cfg.NumSegments),
 	}

@@ -46,16 +46,18 @@ var (
 )
 
 // PacketView is a dequeued packet exposed as a zero-copy view over its
-// 64-byte segment chain: iterate the payload in place with Range or
-// Segments, then Release to return the whole chain to the pool in one
+// 64-byte segment chain: iterate the payload in place with Range (one
+// slice per contiguous run of the chain, at most one per segment), then
+// Release to return the whole chain to the pool in one
 // bulk operation. Views are reference counted (Retain/Release) and safe
 // to release from any goroutine. See DESIGN.md's zero-copy section for
 // the lifetime rules.
 type PacketView = queue.PacketView
 
 // PacketWriter is an open write-in-place reservation on the functional
-// queue engine: fill the reserved per-segment slices through Range (the
-// iovecs a readv-style receiver scatters into), then Commit to splice the
+// queue engine: fill the reserved memory through Range (one slice per
+// contiguous run, at most one per segment — the iovecs a readv-style
+// receiver scatters into), then Commit to splice the
 // packet onto its queue or Abort to return the segments.
 type PacketWriter = queue.PacketWriter
 
