@@ -41,7 +41,7 @@ func benchFlowDist(b *testing.B, seed uint64) *traffic.FlowDist {
 
 // benchZipfSkew is the Zipf exponent of the skewed benchmark dimension:
 // heavy enough that a handful of flows (and so a handful of shards)
-// carry most of the traffic — the load shape work stealing exists for.
+// carry most of the traffic and one shard's lock and ring most of the load.
 const benchZipfSkew = 1.3
 
 // benchFlowDistKind builds the picker for a named benchmark dimension:
@@ -305,26 +305,21 @@ func BenchmarkAblationBanks(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSharded sweeps both datapaths over the shard counts with
-// GOMAXPROCS producer goroutines, so the speedup of sharding — and of the
-// asynchronous command rings over lock-per-operation calls — is measured
-// rather than asserted. The sync variant is the seed's per-packet round
-// trip: every call takes the shard mutex, so producers serialize on lock
-// handoff as cores contend. The ring variant is the paper's structure:
-// producers post fire-and-forget enqueue commands and collect the packets
-// with one batched dequeue (one completion wakeup per burst); per-flow
-// FIFO through the ring guarantees every dequeue finds its packet.
-// Throughput compares via MB/s (the ring variant moves a 64-packet burst
-// per iteration).
+// BenchmarkEngineSharded sweeps the two ways to enqueue over the shard
+// counts with GOMAXPROCS producer goroutines, so the speedup of sharding —
+// and of posting enqueues over waiting for each one — is measured rather
+// than asserted. The sync variant is the seed's per-packet round trip:
+// every call takes the shard mutex, so producers serialize on lock handoff
+// as cores contend. The ring variant is the paper's structure: producers
+// post fire-and-forget enqueue commands and collect the packets with one
+// batched dequeue, which executes the posts on its way into each shard;
+// per-flow FIFO through the ring guarantees every dequeue finds its
+// packet. Throughput compares via MB/s (the ring variant moves a 64-packet
+// burst per iteration).
 func BenchmarkEngineSharded(b *testing.B) {
 	const burst = 64
 	for _, dist := range []string{"uniform", "zipf"} {
-		for _, datapath := range []string{"sync", "ring", "ring-steal"} {
-			if datapath == "ring-steal" && dist != "zipf" {
-				// Stealing exists for skewed load; the uniform matrix stays
-				// the BENCH_6-comparable baseline.
-				continue
-			}
+		for _, datapath := range []string{"sync", "ring"} {
 			for _, shards := range []int{1, 4, 16, 64} {
 				b.Run(benchName(fmt.Sprintf("datapath=%s/shards=%d", datapath, shards), dist), func(b *testing.B) {
 					// Size the pool so the ring variant's worst-case in-flight
@@ -337,10 +332,9 @@ func BenchmarkEngineSharded(b *testing.B) {
 						pool = need
 					}
 					cm, err := NewConcurrentEngine(ConcurrentConfig{
-						Flows:     DefaultFlows,
-						Segments:  pool,
-						Shards:    shards,
-						WorkSteal: datapath == "ring-steal",
+						Flows:    DefaultFlows,
+						Segments: pool,
+						Shards:   shards,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -404,30 +398,26 @@ func BenchmarkEngineSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineShardedPipeline measures the two datapaths in the shape
-// the paper's architecture is actually built for: an ingress/egress
+// BenchmarkEngineShardedPipeline measures the two ways to enqueue in the
+// shape the paper's architecture is actually built for: an ingress/egress
 // pipeline, with producer goroutines offering packets while separate
-// consumers drain through the integrated egress scheduler. On the sync
-// datapath producers and consumers contend on the shard mutexes; on the
-// ring datapath producers post fire-and-forget commands and the per-shard
-// workers execute them run-to-completion. The headline metric is
+// consumers drain through the integrated egress scheduler. In the sync
+// variant producers and consumers contend on the shard mutexes; in the
+// ring variant producers post fire-and-forget commands and whoever takes a
+// shard's mutex next — usually a consumer — executes them. The headline metric is
 // Mdeliv/s — packets actually delivered per second (drops under pool
 // pressure are excluded, so a datapath cannot look fast by shedding
 // load); deliv/op reports the delivered fraction of offered packets.
 func BenchmarkEngineShardedPipeline(b *testing.B) {
 	const drainBatch = 64
 	for _, dist := range []string{"uniform", "zipf"} {
-		for _, datapath := range []string{"sync", "ring", "ring-steal"} {
-			if datapath == "ring-steal" && dist != "zipf" {
-				continue // stealing is the skewed-load variant
-			}
+		for _, datapath := range []string{"sync", "ring"} {
 			for _, shards := range []int{1, 4, 16, 64} {
 				b.Run(benchName(fmt.Sprintf("datapath=%s/shards=%d", datapath, shards), dist), func(b *testing.B) {
 					cm, err := NewConcurrentEngine(ConcurrentConfig{
-						Flows:     DefaultFlows,
-						Segments:  1 << 17,
-						Shards:    shards,
-						WorkSteal: datapath == "ring-steal",
+						Flows:    DefaultFlows,
+						Segments: 1 << 17,
+						Shards:   shards,
 					})
 					if err != nil {
 						b.Fatal(err)

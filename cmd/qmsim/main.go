@@ -55,12 +55,12 @@
 // LQD eviction are pool-wide, and a skewed workload (-zipf > 1 concentrates
 // traffic on few flows) can push one flow to nearly the whole pool.
 //
-// -datapath selects how producers reach the engine: "sync" locks the
-// owning shard per call; "ring" posts commands into per-shard rings
-// drained by worker goroutines (the paper's command-FIFO structure), with
-// producers firing asynchronously. The CSV reports the command-ring peak
-// occupancy and the blocking-enqueue completion latency either way (both
-// are trivially small on the sync path).
+// -datapath selects how producers enqueue: "sync" locks the owning shard
+// per call; "ring" starts the engine and posts enqueues into per-shard
+// command rings (the paper's command-FIFO structure) that whoever takes
+// the shard's lock next — usually a consumer — executes. The CSV reports
+// the command-ring peak occupancy and the blocking-enqueue latency either
+// way (the occupancy is zero on the sync path).
 package main
 
 import (
@@ -119,7 +119,7 @@ func main() {
 		quantum   = flag.Int("quantum", 512, "engine: DRR byte quantum per weight unit")
 		burst     = flag.Int("burst", 1, "engine: packets per flow burst (bursty arrivals)")
 		zipf      = flag.Float64("zipf", 0, "engine: Zipf skew exponent for flow selection (0 = uniform stride, >1 = skewed)")
-		datapath  = flag.String("datapath", "sync", "engine: datapath (sync = lock per call, ring = async command rings)")
+		datapath  = flag.String("datapath", "sync", "engine: datapath (sync = lock per call, ring = posted enqueues through command rings)")
 		delivery  = flag.String("delivery", "copy", "engine: delivery mode (copy = reassembled pooled buffers, view = zero-copy segment views with write-in-place ingest)")
 		ringCap   = flag.Int("ringcap", 0, "engine: per-shard command-ring capacity (0 = default 1024)")
 		residence = flag.Int("residence", 0, "engine: sample every Nth packet's enqueue→dequeue residence time (0 = off)")
@@ -537,8 +537,8 @@ func runEngine(a engineArgs) error {
 				// identically and the mpps columns stay comparable.
 				switch sample := n%compLatEvery == 0; {
 				case viewMode && sample:
-					// Reserve+commit is always blocking; on the ring
-					// datapath the sample times both command round trips.
+					// Reserve+commit is always blocking: the sample times
+					// both critical sections.
 					t0 := time.Now()
 					err = reserve(f, pkt)
 					compLat[p].Add(float64(time.Since(t0).Nanoseconds()))
@@ -548,10 +548,8 @@ func runEngine(a engineArgs) error {
 					// Fire and forget; outcomes land in the counters.
 					err = e.EnqueueAsync(f, pkt)
 				case sample:
-					// Blocking enqueue — on the ring datapath this is the
-					// post-to-completion round trip, sampled as completion
-					// latency; on the sync datapath it times the locked
-					// call, for comparison.
+					// Blocking enqueue: the locked call, which on the ring
+					// datapath first executes what the shard's ring holds.
 					t0 := time.Now()
 					_, err = e.EnqueuePacket(f, pkt)
 					compLat[p].Add(float64(time.Since(t0).Nanoseconds()))

@@ -12,14 +12,13 @@ import "npqm/internal/engine"
 // whole buffer and admission policies see true pool-wide occupancy.
 // Per-flow FIFO order is preserved — a flow always maps to the same shard.
 //
-// Two datapaths are available. The default is synchronous: every call
-// locks the owning shard, operates, returns. Start switches to the
-// asynchronous command-ring datapath — the software rendering of the
-// paper's command FIFOs: callers post commands into a bounded ring per
-// shard and a per-shard worker goroutine drains them run-to-completion as
-// the shard's single writer, so producers pipeline instead of serializing
-// on lock handoff. The synchronous API keeps working after Start as a thin
-// blocking wrapper over the rings; EnqueueAsync posts fire-and-forget.
+// Every call locks the owning shard, operates, returns. Start adds the
+// software rendering of the paper's command FIFOs for the one call that
+// need not wait its turn: EnqueueAsync then posts its packet into a
+// bounded ring per shard and returns, and whoever locks the shard next
+// executes the posted enqueues before its own work, so a goroutine's
+// blocking calls always see its own earlier posts. Outcomes of posted
+// enqueues are reported through Stats counters.
 //
 // # Error contract
 //

@@ -1,9 +1,9 @@
 package engine
 
 // Tests of the one delivery path: every way of taking a packet out of the
-// engine — copy or view, on either datapath, through any entry point — must
-// hand over the same packets, and the two port registrations must behave
-// alike.
+// engine — copy or view, before or after Start, through any entry point —
+// must hand over the same packets, and the two port registrations must
+// behave alike.
 
 import (
 	"bytes"
@@ -183,6 +183,11 @@ type eqRun struct {
 	e     *Engine
 	view  bool
 	entry eqEntry
+	// posts makes every other arrival of a flow an EnqueueAsync (the engine
+	// is started), so what reaches the flow's queue in script order got
+	// there through drain-on-entry.
+	posts  bool
+	posted [eqFlows + 1]bool // per flow (bad flows share the last slot): was the last arrival posted?
 
 	mu      sync.Mutex
 	queued  [eqFlows][][]byte // admitted, not yet delivered, per flow in arrival order
@@ -397,12 +402,27 @@ func (r *eqRun) replay(script []scriptStep) {
 				r.backlog++
 				r.mu.Unlock()
 			}
-			if _, err := e.EnqueuePacket(a.flow, a.payload); (err == nil) != good {
-				t.Fatalf("enqueue on flow %d: %v", a.flow, err)
+			if was := &r.posted[min(a.flow, eqFlows)]; r.posts && !*was {
+				*was = true
+				if err := e.EnqueueAsync(a.flow, a.payload); err != nil {
+					t.Fatalf("post on flow %d: %v", a.flow, err)
+				}
+			} else {
+				*was = false
+				if _, err := e.EnqueuePacket(a.flow, a.payload); (err == nil) != good {
+					t.Fatalf("enqueue on flow %d: %v", a.flow, err)
+				}
 			}
 		}
 		if r.entry != entryServe {
 			r.drain(min(st.drain, r.backlog))
+		}
+		if r.posts {
+			// settle checks the books, which are quiet only once the last
+			// flows' trailing posts have been executed.
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r.settle()
 	}
@@ -413,10 +433,13 @@ func (r *eqRun) replay(script []scriptStep) {
 }
 
 // TestDeliveryEquivalence replays one seeded arrival script on a fresh
-// engine per cell of {copy, view} × {sync, ring, ring+WorkSteal} × entry
-// point. Every cell must deliver, per flow, exactly the script's admitted
-// payloads in arrival order, finish with the same traffic counters, hold
-// the engine invariants after every step, and give every segment back.
+// engine per cell of {copy, view} × {sync: before Start, ring: after Start}
+// × entry point. After Start the arrivals of each flow alternate between
+// EnqueueAsync and EnqueuePacket, so the order the cell checks is the one
+// drain-on-entry keeps. Every cell must deliver, per flow, exactly the
+// script's admitted payloads in arrival order, finish with the same traffic
+// counters, hold the engine invariants after every step, and give every
+// segment back.
 // The egress runs DRR at the flow and the class level, so the picked entry
 // points exercise every charge take makes and the per-flow ones none.
 func TestDeliveryEquivalence(t *testing.T) {
@@ -436,9 +459,9 @@ func TestDeliveryEquivalence(t *testing.T) {
 		}
 	}
 	datapaths := []struct {
-		name        string
-		ring, steal bool
-	}{{"sync", false, false}, {"ring", true, false}, {"ring+steal", true, true}}
+		name    string
+		started bool
+	}{{"sync", false}, {"ring", true}}
 	for _, dp := range datapaths {
 		for _, view := range []bool{false, true} {
 			for entry := eqEntry(0); entry < numEntries; entry++ {
@@ -446,7 +469,7 @@ func TestDeliveryEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					e, err := New(Config{
 						Shards: 4, NumFlows: eqNumFlows, NumSegments: eqPool, StoreData: true,
-						NumPorts: eqPorts, WorkSteal: dp.steal,
+						NumPorts: eqPorts,
 						Egress: policy.EgressConfig{
 							Kind: policy.EgressDRR, QuantumBytes: 700,
 							Levels: []policy.LevelSpec{{Tier: policy.TierClass, Kind: policy.EgressDRR, Units: 2, QuantumBytes: 900}},
@@ -464,12 +487,12 @@ func TestDeliveryEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if dp.ring {
+					if dp.started {
 						if err := e.Start(); err != nil {
 							t.Fatal(err)
 						}
 					}
-					r := &eqRun{t: t, e: e, view: view, entry: entry}
+					r := &eqRun{t: t, e: e, view: view, entry: entry, posts: dp.started}
 					r.replay(script)
 
 					if r.backlog != 0 {

@@ -35,11 +35,6 @@ import (
 	"npqm/internal/sched"
 )
 
-// On the ring datapath the egress pick itself runs inside the shard's
-// worker: DequeueNext, DequeueNextBatch and the pacers post a
-// pick-and-dequeue command per shard (see ring.go), so the discipline
-// state is only ever touched by the single writer.
-
 // anyPort is the pick-target meaning "serve whichever port has traffic"
 // — the legacy pull API (DequeueNext[Batch]) serves all ports, rotating.
 const anyPort = -1
@@ -532,9 +527,8 @@ func (e *Engine) FlowTenant(flow uint32) (int, error) {
 
 // DequeueNext serves one packet chosen by the egress discipline,
 // whichever port it belongs to. ok is false when the engine holds no
-// packets. Release the data when done. On the synchronous datapath it
-// allocates nothing beyond the pooled payload buffer, so per-packet
-// drain loops stay allocation-free.
+// packets. Release the data when done. It allocates nothing beyond the
+// pooled payload buffer, so per-packet drain loops stay allocation-free.
 func (e *Engine) DequeueNext() (Dequeued, bool) { return e.dequeueNext(false) }
 
 // dequeueNext is DequeueNext and DequeueNextView: the shards are tried in
@@ -544,26 +538,14 @@ func (e *Engine) dequeueNext(view bool) (Dequeued, bool) {
 	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
 	for i := 0; i < n; i++ {
 		s := e.shards[(start+i)%n]
-		for {
-			switch e.mode.Load() {
-			case modeClosed:
-				return Dequeued{}, false
-			case modeRing:
-				if out := e.dequeueNextRing(s, anyPort, view, nil, 1); len(out) == 1 {
-					return out[0], true
-				}
-			default:
-				if !e.lockSync(s) {
-					continue
-				}
-				var d Dequeued
-				ok := s.dequeuePicked(&d, anyPort, view)
-				s.unlock()
-				if ok {
-					return d, true
-				}
-			}
+		if !e.enter(s) {
 			break
+		}
+		var d Dequeued
+		ok := s.dequeuePicked(&d, anyPort, view)
+		s.unlock()
+		if ok {
+			return d, true
 		}
 	}
 	return Dequeued{}, false
@@ -587,11 +569,6 @@ func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 	// n is a power of two; mask before the int conversion so the uint32
 	// cursor wrapping past 2^31 cannot go negative on 32-bit platforms.
 	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	if e.mode.Load() == modeRing {
-		// One fan-out command per shard under a single completion; see
-		// dequeueNextRingAll.
-		return e.dequeueNextRingAll(start, max, view)
-	}
 	var out []Dequeued
 	for i := 0; i < n && len(out) < max; i++ {
 		out = e.drainShard(e.shards[(start+i)%n], anyPort, view, out, max)
@@ -601,31 +578,21 @@ func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 
 // drainShard serves discipline-picked packets from one shard on one port
 // (anyPort = all) until out reaches max or the shard has nothing
-// servable, resolving the current datapath mode per attempt. Shared by
-// the pull API (dequeueNextBatch) and the pacers (dequeuePort) so the
-// mode-switch handling cannot diverge between them.
+// servable; a closed engine serves nothing. Shared by the pull API
+// (dequeueNextBatch) and the pacers (dequeuePort).
 func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max int) []Dequeued {
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return out
-		case modeRing:
-			return e.dequeueNextRing(s, port, view, out, max-len(out))
-		default:
-			if !e.lockSync(s) {
-				continue // datapath switched under us: re-resolve the mode
-			}
-			var d Dequeued
-			for len(out) < max && s.dequeuePicked(&d, port, view) {
-				if out == nil {
-					out = newBatch(1, max)
-				}
-				out = append(out, d)
-			}
-			s.unlock()
-			return out
-		}
+	if !e.enter(s) {
+		return out
 	}
+	var d Dequeued
+	for len(out) < max && s.dequeuePicked(&d, port, view) {
+		if out == nil {
+			out = newBatch(1, max)
+		}
+		out = append(out, d)
+	}
+	s.unlock()
+	return out
 }
 
 // batchAlloc bounds the capacity a batch result slice starts with, so a
@@ -657,7 +624,7 @@ func (s *shard) chargeLevels(flow uint32, bytes int) {
 }
 
 // dequeuePicked serves one packet picked by the level-stack discipline
-// from shard s into *d, inside s's critical section (mutex or worker).
+// from shard s into *d, inside s's critical section.
 // port selects the scheduling unit (anyPort rotates over all of them). It
 // reports false when the shard has nothing servable on that port.
 func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {

@@ -1,6 +1,6 @@
 // Package engine is the concurrent, sharded queue-manager subsystem: N
 // queue.Manager shards drawing from one shared segment store, behind a
-// goroutine-safe API with two interchangeable datapaths.
+// goroutine-safe API.
 //
 // The paper's MMS reaches its 6.1 Gbps by exploiting the independence of
 // per-flow state: every command touches one queue's pointers and the shared
@@ -11,20 +11,17 @@
 // FIFO order is preserved because a flow always maps to the same shard and
 // each shard is internally sequential.
 //
-// Two datapaths realize that sequencing:
+// One thing realizes that sequencing: the shard's mutex. Every call locks
+// the owning shard, operates, and unlocks; whoever holds the mutex is the
+// shard's manager for that long. After Start each shard also has a bounded
+// MPSC command ring, for the one operation that need not wait its turn:
+// EnqueueAsync posts {flow, data} — exactly as the paper's processing
+// elements post into the MMS command FIFOs — and returns, and the next
+// goroutine to take the shard's mutex executes what was posted before its
+// own work. Outcomes of posted enqueues are reported through Stats counters.
+// See ring.go.
 //
-//   - Synchronous (the default): every call locks the owning shard's mutex,
-//     operates, and unlocks. Simple, lowest latency when producers are few.
-//   - Ring (after Start): the paper's own structure. Producers never touch
-//     shard state — they post commands into a bounded MPSC ring per shard,
-//     exactly as the paper's processing elements post into the MMS command
-//     FIFOs, and a per-shard worker goroutine drains its ring in batches,
-//     run to completion. The worker is the single writer, so the hot path
-//     takes no mutex at all; calls that need results block on per-producer
-//     completion batches, while EnqueueAsync is fire-and-forget with
-//     outcomes reported through Stats counters. See ring.go.
-//
-// Segment memory, in both datapaths, is not partitioned — exactly as in the
+// Segment memory is not partitioned — exactly as in the
 // paper, where all per-flow queues allocate 64-byte segments from one data
 // memory. Every shard allocates from a single segstore.Store through a
 // per-shard magazine cache, so shared-buffer admission policies are honest:
@@ -38,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +49,7 @@ import (
 const DefaultShards = 8
 
 // DefaultRingCapacity is the per-shard command-ring capacity used when
-// Config.RingCapacity is zero and the ring datapath is started.
+// Config.RingCapacity is zero.
 const DefaultRingCapacity = 1024
 
 // ErrAdmissionDrop is returned by the enqueue paths when the configured
@@ -71,9 +67,8 @@ var ErrClosed = errors.New("engine: closed")
 var ErrUnknownFlow = errors.New("engine: unknown flow")
 
 // errWantPushOut is an internal sentinel: the admission policy admitted the
-// arrival contingent on push-out eviction. The arrival routines (arrive on
-// the synchronous datapath, arriveRing for blocking ring calls) catch it,
-// evict from the elected victim, and retry.
+// arrival contingent on push-out eviction. The arrival routines (arrive for
+// blocking calls, enqueuePosted for posted ones) catch it, evict, and retry.
 var errWantPushOut = errors.New("engine: admission wants push-out eviction")
 
 // maxEvictAttempts scales the retry budget of an LQD arrival (see relief):
@@ -100,12 +95,13 @@ type (
 	maxBuf   [maxPooledBufBytes]byte
 )
 
-// Datapath modes. The engine starts synchronous, may switch to the ring
-// datapath once (Start), and ends closed (Close). Transitions are one-way.
+// Lifecycle states. The word says only whether the command rings exist and
+// whether the engine is closed — never how to enter a shard, which is the
+// mutex in every state. Transitions are one-way, serialized by lifeMu.
 const (
-	modeSync int32 = iota
-	modeRing
-	modeClosed
+	stateNew     int32 = iota // no rings yet: EnqueueAsync enqueues on the spot
+	stateStarted              // rings exist: EnqueueAsync posts
+	stateClosed
 )
 
 // Config sizes an Engine.
@@ -152,28 +148,15 @@ type Config struct {
 	// construction (the zero value is unshaped). Individual ports can be
 	// reshaped at runtime with SetPortRate.
 	PortRate policy.ShaperConfig
-	// RingCapacity is the per-shard command-ring depth for the ring
-	// datapath (0 means DefaultRingCapacity; rounded up to a power of
-	// two). A full ring applies backpressure to producers.
+	// RingCapacity is the per-shard command-ring depth (0 means
+	// DefaultRingCapacity; rounded up to a power of two). A full ring
+	// applies backpressure to EnqueueAsync.
 	RingCapacity int
 	// ResidenceSample enables residence-time sampling: every Nth packet
 	// enqueued on a shard is stamped, and its enqueue→dequeue time lands
 	// in the Stats residence histogram. 0 disables sampling (no memory or
 	// hot-path cost).
 	ResidenceSample int
-	// BusyPoll makes ring workers spin (yielding between polls, bounded by
-	// busyPollSpins) before parking when their ring runs empty, trading CPU
-	// for wakeup latency on latency-critical deployments. Workers still
-	// park once the spin budget is exhausted, so an idle engine does not
-	// burn cores.
-	BusyPoll bool
-	// WorkSteal lets ring workers execute commands from a backlogged
-	// sibling shard's ring when their own is empty. Shard execution is then
-	// serialized by the shard mutex (the owner pays roughly one uncontended
-	// lock per drained batch), per-flow FIFO is preserved — pops stay in
-	// ring order and are never concurrent — and a zipf-skewed load cannot
-	// pin one worker at 100% while the rest idle.
-	WorkSteal bool
 }
 
 // hotPad separates cross-thread hot words inside engine structs (and from
@@ -183,10 +166,10 @@ type Config struct {
 const hotPad = 128
 
 // shard pairs one single-threaded Manager with its synchronization and
-// local counters. On the sync datapath mu guards everything below it; on
-// the ring datapath the shard's worker goroutine is the single writer and
-// mu is untouched on the hot path. Shards are allocated individually (the
-// Engine holds pointers), so their hot state lives on distinct cache lines.
+// local counters. mu guards everything below it down to the accounting
+// block, in every lifecycle state (see lock). Shards are allocated
+// individually (the Engine holds pointers), so their hot state lives on
+// distinct cache lines.
 type shard struct {
 	mu sync.Mutex
 	m  *queue.Manager
@@ -195,8 +178,11 @@ type shard struct {
 	// mirror (see publish) and relief reads it from other shards.
 	cache *segstore.Cache
 
-	// ring is the shard's command ring, created by Start (nil before).
+	// ring is the shard's command ring and cmds the buffer drains pop it
+	// into, both installed once by Start (nil before). Producers push to
+	// the ring without mu; only mu's holder pops.
 	ring *cmdRing
+	cmds []command
 
 	// Cumulative traffic counters.
 	enqPackets  uint64
@@ -246,20 +232,15 @@ type shard struct {
 	// manager its buffer source without allocating a closure per dequeue.
 	allocBuf func(segs int) []byte
 
-	// Worker accounting, written by the ring datapath and read by
-	// ShardStats/Stats from any goroutine. Atomics, not plain counters: in
-	// work-stealing mode a thief updates this shard's stolen/coalesced
-	// words while the shard's own worker accounts a steal of its own
-	// elsewhere. Padded so the accounting stores cannot bounce the lines
-	// holding the mutex or the plain counters above, and so the trailing
-	// word does not share with whatever follows the shard allocation.
-	_              [hotPad]byte
-	wBusyNs        atomic.Int64  // ns this shard's worker spent executing (own and stolen batches)
-	wIdleNs        atomic.Int64  // ns this shard's worker spent waiting for work
-	wStealBatches  atomic.Uint64 // batches this shard's worker executed from siblings' rings
-	wStolenCmds    atomic.Uint64 // commands siblings executed from this shard's ring
-	coalescedWakes atomic.Uint64 // completion decrements merged into one per-drain flush
-	_              [hotPad]byte
+	// Worker accounting, written by the shard's worker outside the
+	// critical section and read by ShardStats from any goroutine. Padded so
+	// the accounting stores cannot bounce the lines holding the mutex or
+	// the plain counters above, and so the trailing word does not share
+	// with whatever follows the shard allocation.
+	_       [hotPad]byte
+	wBusyNs atomic.Int64 // ns the worker spent in its passes through the lock
+	wIdleNs atomic.Int64 // ns the worker spent waiting for the ring to hold something
+	_       [hotPad]byte
 }
 
 // Engine is the concurrent sharded queue manager. All methods are safe for
@@ -283,9 +264,9 @@ type Engine struct {
 	portStop  chan struct{}
 	portWG    sync.WaitGroup
 
-	// mode is the current datapath (modeSync → modeRing → modeClosed);
-	// lifeMu serializes the transitions, workers tracks ring workers.
-	mode    atomic.Int32
+	// state is the lifecycle word (stateNew → stateStarted → stateClosed);
+	// lifeMu serializes the transitions, workers tracks the shard workers.
+	state   atomic.Int32
 	lifeMu  sync.Mutex
 	workers sync.WaitGroup
 
@@ -293,13 +274,12 @@ type Engine struct {
 
 	bufs       [3]sync.Pool // reassembly buffers: *smallBuf, *mtuBuf, *maxBuf
 	bucketPool sync.Pool    // per-shard index buckets for the batch paths
-	callPool   sync.Pool    // pooled completions for the ring datapath
 	histPool   sync.Pool    // residence merge targets for Stats snapshots
 }
 
 // New builds an Engine: one shared segment store, one queue manager per
-// shard drawing from it through a magazine cache. The engine starts on the
-// synchronous datapath; call Start to switch to the ring datapath.
+// shard drawing from it through a magazine cache. Call Start to give
+// EnqueueAsync its command rings.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
@@ -441,70 +421,33 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// lockSync acquires s.mu for a synchronous-datapath critical section. It
-// returns false — with the mutex released — when the engine is no longer on
-// the synchronous datapath: after Start's barrier the ring workers own the
-// shards, so the caller must retry its operation through the current mode.
-func (e *Engine) lockSync(s *shard) bool {
-	s.mu.Lock()
-	if e.mode.Load() != modeSync {
-		s.mu.Unlock()
-		return false
-	}
-	return true
-}
+// closed reports whether Close has begun.
+func (e *Engine) closed() bool { return e.state.Load() == stateClosed }
 
 // publish refreshes the shard's free-count mirror — the only place the
 // engine does. Invariant: the mirror is exact whenever the shard is outside
-// a critical section. Every section therefore ends here (unlock on the
-// mutex, execBatch on a worker), once per section however many packets it
-// moved; and a section publishes before it reads pool-wide occupancy itself
-// (relief, pushOutElected; the manager's FreeSegments does its own), so on
-// one goroutine every decision sees exact counts. Other shards see a
-// section's effect when it ends: a drain's frees late, which is the
-// conservative direction, and what holding the shard already implied.
+// a critical section. Every section therefore ends here (unlock), once per
+// section however many packets it moved; and a section publishes before it
+// reads pool-wide occupancy itself (relief, pushOutElected; the manager's
+// FreeSegments does its own), so on one goroutine every decision sees exact
+// counts. Other shards see a section's effect when it ends: a drain's frees
+// late, which is the conservative direction, and what holding the shard
+// already implied.
 func (s *shard) publish() { s.cache.Publish() }
 
-// unlock ends a critical section entered through s.mu.
+// unlock ends a critical section (see lock, in ring.go).
 func (s *shard) unlock() {
 	s.publish()
 	s.mu.Unlock()
 }
 
-// run executes fn inside shard s's critical section, in whatever way the
-// current datapath makes safe. It is the single implementation used by every
-// control-plane and slow-path operation; fn captures its own results. fn
-// always runs exactly once.
-func (e *Engine) run(s *shard, fn func()) { e.runCmd(s, command{kind: opCall, fn: fn}) }
-
-// runCmd executes cmd inside shard s's critical section exactly once: under
-// the shard mutex on the synchronous datapath, posted to the shard's worker
-// on the ring datapath, and under the (now uncontended) mutex after Close.
-// Off the ring it allocates nothing, which is what lets an LQD arrival
-// visit a remote victim (opRelieve) allocation-free.
-func (e *Engine) runCmd(s *shard, cmd command) {
-	for {
-		m := e.mode.Load()
-		if m == modeRing {
-			if c := e.postWait(s, cmd); c != nil {
-				e.putCall(c)
-				return
-			}
-			// The ring closed under us. The mode flips to modeClosed only
-			// after every worker has exited (see Close), so yield until the
-			// flip and then take the now-safe mutex path.
-			runtime.Gosched()
-			continue
-		}
-		s.mu.Lock()
-		if e.mode.Load() != m {
-			s.mu.Unlock()
-			continue
-		}
-		e.exec(s, &cmd)
-		s.unlock()
-		return
-	}
+// run executes fn inside shard s's critical section, exactly once, in every
+// lifecycle state — it is how the control plane and the observation surface
+// (which outlives Close) enter a shard; fn captures its own results.
+func (e *Engine) run(s *shard, fn func()) {
+	e.lock(s)
+	fn()
+	s.unlock()
 }
 
 // SetAdmission replaces the admission policy on every shard. Each shard
@@ -562,45 +505,37 @@ func (e *Engine) shardOf(flow uint32) *shard {
 // an admission policy is configured it is consulted first; a refusal
 // returns ErrAdmissionDrop, and under LQD the arrival may instead evict
 // packets from the globally longest queue — on any shard — to make room.
-// On the ring datapath the call blocks until the shard's worker has
-// executed the command (use EnqueueAsync to fire and forget).
+// The call returns once the packet's fate is settled (use EnqueueAsync to
+// fire and forget).
 func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 	s := e.shardOf(flow)
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return 0, ErrClosed
-		case modeRing:
-			return e.arriveRing(s, flow, data, len(data), nil)
-		}
-		if !e.lockSync(s) {
-			continue
-		}
-		if n, held, err := e.arrive(s, flow, data, len(data), nil); held {
-			s.unlock()
-			return n, err
-		}
+	if !e.enter(s) {
+		return 0, ErrClosed
 	}
+	n, held, err := e.arrive(s, flow, data, len(data), nil)
+	if held {
+		s.unlock()
+	}
+	return n, err
 }
 
 // segsFor is the segment count of an n-byte packet.
 func segsFor(n int) int { return (n + queue.SegmentBytes - 1) / queue.SegmentBytes }
 
-// arrive is the synchronous-datapath arrival — admission, push-out and the
-// manager call in (normally) one critical section — shared by
-// EnqueuePacket, EnqueueAsync, the EnqueueBatch bucket walk and, with
-// w != nil, ReservePacket (open a size-byte reservation in *w instead of
-// copying data). The caller holds s.mu.
+// arrive is a blocking arrival — admission, push-out and the manager call
+// in (normally) one critical section — shared by EnqueuePacket, EnqueueAsync
+// before Start, the EnqueueBatch bucket walk and, with w != nil,
+// ReservePacket (open a size-byte reservation in *w instead of copying
+// data). The caller has entered s.
 //
 // A refusal that relief can cure is retried here. An elected victim on s is
 // pushed out in place: the freed segments land in the cache the arrival
 // allocates from, with no flush and no unlock. Any other shard — a remote
 // victim, or one whose cache strands free segments — is visited with s
 // released, because shards are never entered nested, and admission re-runs
-// on return. held is false when the engine left the synchronous datapath in
-// between: s.mu is not held, nothing was enqueued, and the caller resolves
-// the arrival through the current mode. A retried attempt is not a
-// rejection, so Stats.Rejected counts only refusals the caller sees.
+// on return. held is false when the engine closed in between: s is not
+// held, nothing was enqueued, and err is ErrClosed. A retried attempt is not
+// a rejection, so Stats.Rejected counts only refusals the caller sees.
 func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter) (n int, held bool, err error) {
 	need := segsFor(size)
 	for round := 0; ; round++ {
@@ -630,11 +565,25 @@ func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.P
 			continue
 		}
 		s.unlock()
-		e.runCmd(v, command{kind: opRelieve, arg: need})
-		if !e.lockSync(s) {
-			return 0, false, nil
+		e.relieve(v, need)
+		if !e.enter(s) {
+			return 0, false, ErrClosed
 		}
 	}
+}
+
+// relieve visits v on behalf of an arrival of need segments homed on
+// another shard: evict while v is the elected victim, and hand whatever is
+// free here — just evicted or merely cached — to the depot the arrival can
+// reach. A closed engine is left as it is; the arrival finds out on its way
+// back into its own shard.
+func (e *Engine) relieve(v *shard, need int) {
+	if !e.enter(v) {
+		return
+	}
+	e.pushOutElected(v, need)
+	v.m.FlushFree()
+	v.unlock()
 }
 
 // relief names the shard a refused arrival of need segments must visit
@@ -713,10 +662,9 @@ func (s *shard) noteDrop(need int) error {
 }
 
 // enqueueLocked runs admission then the manager enqueue, inside s's
-// critical section (the mutex on the sync datapath, the worker on the ring
-// datapath). Drops return the bare ErrAdmissionDrop sentinel: overloaded
-// callers see millions of drops, so the error must not allocate.
-// errWantPushOut asks the caller to evict globally and retry.
+// critical section. Drops return the bare ErrAdmissionDrop sentinel:
+// overloaded callers see millions of drops, so the error must not allocate.
+// errWantPushOut asks the caller to evict and retry.
 func (s *shard) enqueueLocked(flow uint32, data []byte) (int, error) {
 	if s.adm != nil && len(data) > 0 {
 		if err := s.admitNeedLocked(flow, segsFor(len(data))); err != nil {
@@ -823,30 +771,15 @@ func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
 }
 
 // dequeue is the per-flow dequeue behind DequeuePacket and
-// DequeuePacketView: one take inside the owning shard's critical section,
-// entered the way the current datapath allows.
+// DequeuePacketView: one take inside the owning shard's critical section.
 func (e *Engine) dequeue(flow uint32, view bool) (d Dequeued, err error) {
 	s := e.shardOf(flow)
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return d, ErrClosed
-		case modeRing:
-			c := e.postWait(s, command{kind: opDequeue, flow: flow, view: view})
-			if c == nil {
-				return d, ErrClosed
-			}
-			d, err = c.pkt, c.err
-			e.putCall(c)
-			return d, err
-		}
-		if !e.lockSync(s) {
-			continue
-		}
-		err = s.take(&d, flow, view, unpicked)
-		s.unlock()
-		return d, err
+	if !e.enter(s) {
+		return d, ErrClosed
 	}
+	err = s.take(&d, flow, view, unpicked)
+	s.unlock()
+	return d, err
 }
 
 // unpicked is take's debit for a per-flow dequeue: the caller named the
@@ -954,7 +887,7 @@ func (e *Engine) getBuf(segs int) []byte {
 // (ErrAdmissionDrop) and the per-flow segment cap (ErrQueueLimit); a
 // refused move leaves the packet on its source queue.
 func (e *Engine) MovePacket(from, to uint32) (int, error) {
-	if e.mode.Load() == modeClosed {
+	if e.closed() {
 		return 0, ErrClosed
 	}
 	si, di := e.ShardOf(from), e.ShardOf(to)
@@ -979,9 +912,9 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 		return 0, err
 	}
 	// The chain is in transit, owned by this goroutine; neither shard can
-	// see a half-moved packet. From here the move must complete — even if
-	// the engine closes underneath us, run falls back to the quiescent
-	// mutex path, so the chain is always relinked somewhere.
+	// see a half-moved packet. From here the move must complete — run enters
+	// a shard even if the engine closes underneath us, so the chain is
+	// always relinked somewhere.
 	e.run(dst, func() {
 		if dst.adm != nil && dst.admKind == policy.KindTailDrop && dst.admLimit > 0 {
 			if dstSegs, derr := dst.m.Len(queue.QueueID(to)); derr == nil && dstSegs+ch.Segs > dst.admLimit {
@@ -1039,7 +972,7 @@ func (s *shard) moveLocal(from, to uint32) (int, error) {
 
 // DeletePacket drops the head packet of flow, returning its segment count.
 func (e *Engine) DeletePacket(flow uint32) (int, error) {
-	if e.mode.Load() == modeClosed {
+	if e.closed() {
 		return 0, ErrClosed
 	}
 	s := e.shardOf(flow)

@@ -17,14 +17,14 @@ func TestHotPadCoversPrefetchPair(t *testing.T) {
 	}
 }
 
-// TestShardLayout: the worker-accounting atomics are written by workers
-// (and thieves) on every drain, while the mutex and the plain counters
-// above them are the owner's hot state.
+// TestShardLayout: the worker-accounting atomics are written by the worker
+// outside the critical section, while the mutex and the plain counters
+// above them are the lock holder's hot state.
 func TestShardLayout(t *testing.T) {
 	var s shard
 	offRes := unsafe.Offsetof(s.res) // last plain field before the block
 	offAcct := unsafe.Offsetof(s.wBusyNs)
-	offLast := unsafe.Offsetof(s.coalescedWakes)
+	offLast := unsafe.Offsetof(s.wIdleNs)
 
 	if d := offAcct - offRes; d < hotPad {
 		t.Errorf("layout: shard accounting block only %d bytes past owner state, want >= %d", d, hotPad)

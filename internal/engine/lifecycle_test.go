@@ -1,12 +1,14 @@
 package engine
 
-// Lifecycle and ring-datapath tests: Start/Drain/Close semantics, the
-// blocking wrappers over the command rings, conservation across a Close
-// with commands still in flight, and the post-Close error contract. The
-// concurrent tests are meaningful under -race (CI runs them so).
+// Lifecycle and command-ring tests: Start/Drain/Close semantics, blocking
+// calls on a started engine, program order between posted and blocking
+// calls, conservation across a Close with commands still in flight, and the
+// post-Close error contract. The concurrent tests are meaningful under
+// -race (CI runs them so).
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,9 +65,8 @@ func TestRingBlockingWrappers(t *testing.T) {
 func TestRingPerFlowFIFO(t *testing.T) {
 	e := newRingEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 4096, StoreData: true})
 	defer e.Close()
-	// Async enqueues and a blocking dequeue on the same flow travel the
-	// same ring, so the dequeue must observe every packet posted before it,
-	// in order.
+	// A blocking dequeue executes what its shard's ring holds before its own
+	// work, so it must observe every packet posted before it, in order.
 	for i := 0; i < 32; i++ {
 		pkt := []byte(fmt.Sprintf("flow5-packet-%02d", i))
 		if err := e.EnqueueAsync(5, pkt); err != nil {
@@ -81,6 +82,55 @@ func TestRingPerFlowFIFO(t *testing.T) {
 			t.Fatalf("packet %d = %q, want %q", i, got, want)
 		}
 		e.ReleaseBuffer(got)
+	}
+}
+
+// TestPostedThenBlockingKeepsProgramOrder: a goroutine's blocking call must
+// see its own earlier EnqueueAsync. Eight goroutines share one shard's small
+// ring, so a goroutine's published post regularly sits behind another's
+// claimed-but-unpublished slot: a drain that returned there instead of
+// waiting for the slot would run the blocking call first, and the flow would
+// deliver seq+1 before seq (or find its queue empty).
+func TestPostedThenBlockingKeepsProgramOrder(t *testing.T) {
+	e := newRingEngine(t, Config{Shards: 1, NumFlows: 16, NumSegments: 1024, StoreData: true, RingCapacity: 64})
+	defer e.Close()
+	const goroutines, rounds = 8, 4000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(f uint32) {
+			defer wg.Done()
+			for seq := uint32(0); seq < 2*rounds; seq += 2 {
+				if err := e.EnqueueAsync(f, seqPayload(seq)); err != nil {
+					t.Errorf("flow %d: post %d: %v", f, seq, err)
+					return
+				}
+				if _, err := e.EnqueuePacket(f, seqPayload(seq+1)); err != nil {
+					t.Errorf("flow %d: enqueue %d: %v", f, seq+1, err)
+					return
+				}
+				for want := seq; want < seq+2; want++ {
+					data, err := e.DequeuePacket(f)
+					if err != nil {
+						t.Errorf("flow %d: dequeue %d: %v", f, want, err)
+						return
+					}
+					if got := binary.LittleEndian.Uint32(data); got != want {
+						t.Errorf("flow %d: dequeued seq %d, want %d — a blocking call overtook the goroutine's own post", f, got, want)
+						return
+					}
+					e.ReleaseBuffer(data)
+				}
+			}
+		}(uint32(g))
+	}
+	wg.Wait()
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.QueuedSegments != 0 || st.EnqueuedPackets != goroutines*2*rounds {
+		t.Fatalf("after the run: %d segments queued, %d packets enqueued, want 0 and %d",
+			st.QueuedSegments, st.EnqueuedPackets, goroutines*2*rounds)
 	}
 }
 
@@ -223,8 +273,8 @@ func TestStartWhileTrafficFlows(t *testing.T) {
 			}
 		}(w)
 	}
-	// Flip the datapath mid-traffic: the sync calls in flight must finish
-	// on the mutexes before the workers take the shards over.
+	// Start mid-traffic: the calls in flight hold shard mutexes while the
+	// rings are installed under them.
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

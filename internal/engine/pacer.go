@@ -12,11 +12,10 @@ package engine
 //
 // A port's entire service — every shard's scheduling unit — runs on its
 // home pacer, so a Sink's Transmit is never concurrent with itself (the
-// contract the per-port workers provided). The pacer is not a ring
-// worker: it consumes the same drainShard path as the pull API, posting
-// commands on the ring datapath and locking shard mutexes on the
-// synchronous one, and like the pull API it carries the delivery form
-// (copy for Serve, view for ServeViews) down that path as a value.
+// contract the per-port workers provided). The pacer enters shards the
+// way the pull API does, through drainShard, and like the pull API it
+// carries the delivery form (copy for Serve, view for ServeViews) down
+// that path as a value.
 //
 // Wheel geometry: level 0 holds one slot per tick (1ms) for the next
 // 256ms; level 1 holds 256ms-wide slots for the next ~65s and cascades

@@ -294,7 +294,7 @@ func (e *Engine) serve(port int, box *sinkBox) error {
 	}
 	e.lifeMu.Lock()
 	defer e.lifeMu.Unlock()
-	if e.mode.Load() == modeClosed {
+	if e.closed() {
 		return ErrClosed
 	}
 	if !p.serving.CompareAndSwap(false, true) {
@@ -315,8 +315,8 @@ const unshapedBatch = 64
 // dequeuePort serves up to max packets from p's scheduling units,
 // rotating the starting shard per call, appending to out. It is
 // dequeueNextBatch with the pick restricted to one port, sharing the
-// same per-shard drain (drainShard) so the datapath handling cannot
-// diverge. Only p's home pacer calls it (shardCursor is pacer-local).
+// same per-shard drain (drainShard). Only p's home pacer calls it
+// (shardCursor is pacer-local).
 func (e *Engine) dequeuePort(p *port, view bool, out []Dequeued, max int) []Dequeued {
 	n := len(e.shards)
 	p.shardCursor++

@@ -9,8 +9,8 @@ package engine
 // the k-th packet enqueued on a flow exactly the k-th packet removed from
 // it.
 //
-// The bookkeeping is owned by whoever owns the shard (the lock on the sync
-// datapath, the worker on the ring datapath), so it needs no atomics. The
+// The bookkeeping is owned by whoever holds the shard's lock, so it needs
+// no atomics. The
 // non-sampled fast path costs two array increments and a map-emptiness
 // check per packet; the map holds only in-flight sampled packets.
 //

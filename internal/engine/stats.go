@@ -53,11 +53,9 @@ type Stats struct {
 	// while traffic flows. Always zero when data storage is off.
 	CopiedBytes uint64
 
-	// CoalescedWakes counts wakeups merged away instead of delivered: ring
-	// completion decrements folded into one per-drain flush (see
-	// execBatch) plus pacer notifies absorbed by an already-pending wake.
-	// High values mean the signaling fabric is doing its job — producers
-	// and pacers are being spared cross-core channel operations.
+	// CoalescedWakes counts pacer notifies absorbed by an already-pending
+	// wake instead of delivered. High values mean the enqueue path is
+	// being spared cross-core channel operations.
 	CoalescedWakes uint64
 
 	// Occupancy.
@@ -94,23 +92,21 @@ type ShardStat struct {
 	BufferedBytes    int64
 	ActiveFlows      int
 
-	// Ring-datapath worker accounting (zero on the synchronous datapath).
-	// Busy and idle nanoseconds are the shard's *worker's* time — in
-	// work-stealing mode busy includes batches it executed from siblings'
-	// rings, while StolenCommands counts what siblings took from this
-	// shard's ring. max(WorkerBusyNs) / sum(WorkerBusyNs) is the busy
-	// share a skewed load concentrates on one worker; stealing exists to
-	// push that toward 1/shards.
-	WorkerBusyNs   int64
-	WorkerIdleNs   int64
-	StealBatches   uint64 // batches this worker executed from sibling rings
-	StolenCommands uint64 // commands siblings executed from this shard's ring
-	CoalescedWakes uint64 // completion decrements merged per-drain on this shard
+	// Worker accounting (zero before Start): the time the shard's worker
+	// goroutine spent in its own passes through the shard lock (busy) and
+	// waiting for the ring to hold something (idle). Posted enqueues are
+	// executed by whoever enters the shard, so busy is not the cost of the
+	// shard's posted traffic — only the share nobody else got to first.
+	WorkerBusyNs int64
+	WorkerIdleNs int64
+	// StealBatches is always zero: work stealing is gone. The field stays
+	// only because bench/replay.go, which a non-benchmark PR may not edit,
+	// reads it; it goes with ROADMAP item 4's benchmark-only PR.
+	StealBatches uint64
 }
 
 // Stats aggregates counters and occupancy across shards. Each shard is
-// snapshotted inside its own critical section (the mutex on the sync
-// datapath, the worker on the ring datapath); the result is consistent per
+// snapshotted inside its own critical section; the result is consistent per
 // shard but not a global atomic cut (concurrent traffic may move between
 // shards' snapshots), which is the standard trade for not stopping the
 // world.
@@ -157,9 +153,6 @@ func (e *Engine) Stats() Stats {
 		st.TransmittedBytes += p.txBytes.Load()
 		st.Throttled += p.throttled.Load()
 	}
-	for _, s := range e.shards {
-		st.CoalescedWakes += s.coalescedWakes.Load()
-	}
 	for _, pc := range e.pacers {
 		st.CoalescedWakes += pc.coalesced.Load()
 	}
@@ -196,14 +189,8 @@ func (e *Engine) ShardStats() []ShardStat {
 				ActiveFlows:      s.activeFlows,
 			}
 		})
-		// Worker accounting is atomic — snapshot outside the critical
-		// section (reading it from inside a worker-executed closure would
-		// self-deadlock on busy time anyway).
 		out[i].WorkerBusyNs = s.wBusyNs.Load()
 		out[i].WorkerIdleNs = s.wIdleNs.Load()
-		out[i].StealBatches = s.wStealBatches.Load()
-		out[i].StolenCommands = s.wStolenCmds.Load()
-		out[i].CoalescedWakes = s.coalescedWakes.Load()
 	}
 	return out
 }
@@ -319,9 +306,9 @@ func (e *Engine) TenantStats() []TenantStat {
 // dequeued from the moment the view is produced, and a reservation's count
 // as enqueued only at Commit). Shards are checked one critical section at
 // a time, so it is only a consistent global check when the engine is
-// quiescent (drained rings included — call Drain first on the ring
-// datapath; views released on other goroutines included — their release
-// must happen-before the check).
+// quiescent (no EnqueueAsync in flight — entering a shard drains only what
+// was posted by then; views released on other goroutines included — their
+// release must happen-before the check).
 func (e *Engine) CheckInvariants() error {
 	var enq, deq, pushed uint64
 	queued, floating := 0, 0

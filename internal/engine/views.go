@@ -37,11 +37,7 @@ package engine
 // when some other goroutine releases — and a reservation's count as
 // enqueued at Commit. None of these paths touch Stats.CopiedBytes.
 
-import (
-	"runtime"
-
-	"npqm/internal/queue"
-)
+import "npqm/internal/queue"
 
 // PacketView is a zero-copy dequeued packet; see queue.PacketView for the
 // iterator and reference-counting surface. Re-exported so engine callers
@@ -69,9 +65,7 @@ func (f SinkVFunc) SendView(port int, d DequeuedView) error { return f(port, d) 
 
 // DequeuePacketView removes the head packet of flow as a zero-copy view.
 // The caller owns the returned view and must Release it exactly once; the
-// segments stay checked out of the pool (lent) until then. On the ring
-// datapath the call blocks until the shard's worker has executed the
-// command, like DequeuePacket.
+// segments stay checked out of the pool (lent) until then.
 func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
 	d, err := e.dequeue(flow, true)
 	return d.View, err
@@ -80,8 +74,8 @@ func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
 // DequeueNextView serves one packet chosen by the egress discipline as a
 // zero-copy view, whichever port it belongs to. ok is false when the
 // engine holds no packets. The caller owns the view — Release it when
-// done. On the synchronous datapath the call allocates nothing at all:
-// the view is a value and there is no reassembly buffer.
+// done. The call allocates nothing at all: the view is a value and there
+// is no reassembly buffer.
 func (e *Engine) DequeueNextView() (DequeuedView, bool) { return e.dequeueNext(true) }
 
 // DequeueNextViewBatch serves up to max packets as zero-copy views,
@@ -177,28 +171,17 @@ func (r *Reservation) Range(fn func(seg []byte) bool) { r.w.Range(fn) }
 func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 	s := e.shardOf(flow)
 	r := Reservation{e: e, s: s, flow: flow}
-	for {
-		var err error
-		switch e.mode.Load() {
-		case modeClosed:
-			return Reservation{}, ErrClosed
-		case modeRing:
-			_, err = e.arriveRing(s, flow, nil, n, &r.w)
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			var held bool
-			if _, held, err = e.arrive(s, flow, nil, n, &r.w); !held {
-				continue
-			}
-			s.unlock()
-		}
-		if err != nil {
-			return Reservation{}, err
-		}
-		return r, nil
+	if !e.enter(s) {
+		return Reservation{}, ErrClosed
 	}
+	_, held, err := e.arrive(s, flow, nil, n, &r.w)
+	if held {
+		s.unlock()
+	}
+	if err != nil {
+		return Reservation{}, err
+	}
+	return r, nil
 }
 
 // reserveLocked runs admission then the manager reservation, inside s's
@@ -237,49 +220,26 @@ func (s *shard) commitLocked(flow uint32, w *queue.PacketWriter) error {
 // becomes visible to dequeues and counts as enqueued from here. After a
 // successful Commit the reservation is terminal. Committing on a closed
 // engine returns ErrClosed with the reservation still open; Abort (which
-// needs no datapath) then returns the segments.
+// enters no shard) then returns the segments.
 func (r *Reservation) Commit() error {
 	if r.e == nil {
 		return queue.ErrWriterDone
 	}
-	e, s := r.e, r.s
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return ErrClosed
-		case modeRing:
-			c := e.postWait(s, command{kind: opCommit, flow: r.flow, w: r.w})
-			if c == nil {
-				// The ring refused (engine closing): the reservation is
-				// untouched; yield until the mode flips and report ErrClosed
-				// above.
-				runtime.Gosched()
-				continue
-			}
-			err := c.err
-			e.putCall(c)
-			if err == nil {
-				*r = Reservation{}
-			}
-			return err
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			err := s.commitLocked(r.flow, &r.w)
-			s.unlock()
-			if err == nil {
-				*r = Reservation{}
-			}
-			return err
-		}
+	if !r.e.enter(r.s) {
+		return ErrClosed
 	}
+	err := r.s.commitLocked(r.flow, &r.w)
+	r.s.unlock()
+	if err == nil {
+		*r = Reservation{}
+	}
+	return err
 }
 
 // Abort scrubs the reserved run and returns it to the pool without ever
-// touching the queue — safe from any goroutine and on any datapath,
-// including after Close. The reservation becomes terminal. Nothing is
-// counted: the packet never entered the books.
+// touching the queue — safe from any goroutine, including after Close. The
+// reservation becomes terminal. Nothing is counted: the packet never
+// entered the books.
 func (r *Reservation) Abort() error {
 	if r.e == nil {
 		return queue.ErrWriterDone

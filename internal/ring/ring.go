@@ -1,14 +1,14 @@
 // Package ring provides the bounded multi-producer single-consumer command
-// ring the asynchronous engine datapath is built on.
+// ring the engine's posted enqueues travel through.
 //
 // The paper's queue manager is fed exactly this way: processing elements
 // never touch queue state directly — they post commands into per-port FIFO
 // command queues and the MMS drains them, pipelining execution (Section 6.1,
-// the internal scheduler's command FIFOs). The software analogue replaces
-// the lock-per-operation datapath, where every producer serializes on a
-// mutex handoff, with a ring per shard: producers publish commands with one
-// atomic claim each, and the shard's worker goroutine — the single consumer —
-// drains them in batches, run to completion, owning the shard state outright.
+// the internal scheduler's command FIFOs). The software analogue is a ring
+// per shard: producers publish commands with one atomic claim each, and
+// whoever holds the shard's mutex — the one consumer at a time — pops them
+// in batches and executes them. The ring itself never serializes consumers;
+// it only lets one wait for work (WaitReady) without popping.
 //
 // The layout is the classic bounded MPMC sequence ring (Vyukov), specialized
 // to one consumer: every slot carries a sequence word that encodes whether
@@ -67,8 +67,8 @@ const closedBit = uint64(1) << 63
 const padBytes = 128
 
 // Ring is a bounded MPSC queue. Any number of goroutines may push; exactly
-// one goroutine may pop (at a time — consumers may hand off, serialized
-// externally, as the engine's work stealing does). The zero value is not
+// one goroutine may pop at a time — consumers hand off, serialized
+// externally, as the engine's shard mutex does. The zero value is not
 // usable; call New.
 type Ring[T any] struct {
 	slots []slot[T]
@@ -172,19 +172,10 @@ func (r *Ring[T]) Push(v T) error {
 	}
 }
 
-// Pop removes the oldest command. ok is false when the ring is empty. Must
-// be called only by the single consumer.
-func (r *Ring[T]) Pop() (T, bool) {
-	var buf [1]T
-	if r.PopBatch(buf[:]) == 0 {
-		var zero T
-		return zero, false
-	}
-	return buf[0], true
-}
-
 // PopBatch moves up to len(buf) commands into buf and returns how many. It
-// never blocks. Must be called only by the single consumer.
+// never blocks, and it stops at a slot whose producer has claimed it but not
+// yet published: a short count does not mean the ring is empty (compare Len,
+// which counts claims). Must be called only by the current consumer.
 func (r *Ring[T]) PopBatch(buf []T) int {
 	head := r.head.Load()
 	n := 0
@@ -206,94 +197,31 @@ func (r *Ring[T]) PopBatch(buf []T) int {
 	return n
 }
 
-// PopWait moves up to len(buf) commands into buf, blocking while the ring
-// is empty. closed reports that the ring was closed AND fully drained: once
-// PopWait returns (0, true) no further commands will ever arrive. Must be
-// called only by the single consumer.
-func (r *Ring[T]) PopWait(buf []T) (n int, closed bool) {
+// WaitReady blocks until a command is ready at the head or the ring is
+// closed, without popping anything: consumption is serialized outside the
+// ring, so the waiter must not touch the head. At most one goroutine may
+// wait at a time. closed=true means the tail is sealed, NOT that the ring is
+// drained — commands already claimed may still be publishing; poll Drained
+// for the exit condition. A false return is only a hint: another consumer
+// may have popped the command meanwhile, and the caller re-checks.
+func (r *Ring[T]) WaitReady() (closed bool) {
 	for {
-		if n = r.PopBatch(buf); n > 0 {
-			return n, false
-		}
-		if tail := r.tail.Load(); tail&closedBit != 0 {
-			// The tail is sealed: no further claim can succeed. A producer
-			// that claimed just before the seal may still be publishing its
-			// slot; every claim is always followed by a publish, so the ring
-			// is truly drained exactly when the consumer has caught up with
-			// the sealed tail — until then, yield and re-drain so no
-			// accepted command is ever lost across Close.
-			if n = r.PopBatch(buf); n > 0 {
-				return n, false
-			}
-			if r.head.Load() == tail&^closedBit {
-				return 0, true
-			}
-			runtime.Gosched()
-			continue
-		}
-		// Announce intent to sleep, then re-check: a producer that published
-		// after the last PopBatch but before the announcement would otherwise
-		// never wake us (the classic sleeper/waker race, closed by the
-		// sequentially consistent flag).
-		r.sleeping.Store(true)
-		if r.peek() || r.tail.Load()&closedBit != 0 {
-			r.sleeping.Store(false)
-			continue
-		}
-		<-r.wake
-	}
-}
-
-// PopWaitSpin is PopWait with a busy-poll prologue: before parking on the
-// wake channel the consumer makes up to spins empty polls, yielding the
-// processor between them, so a command posted within the spin window is
-// picked up without a park/unpark round trip. The spin budget is bounded —
-// once it is exhausted the call parks exactly like PopWait, so a consumer
-// whose traffic stops cannot burn a core forever. Must be called only by
-// the single consumer.
-func (r *Ring[T]) PopWaitSpin(buf []T, spins int) (n int, closed bool) {
-	for i := 0; i < spins; i++ {
-		if n = r.PopBatch(buf); n > 0 {
-			return n, false
-		}
-		if r.tail.Load()&closedBit != 0 {
-			// Closed: fall through to PopWait's drain-then-report logic.
-			return r.PopWait(buf)
-		}
-		runtime.Gosched()
-	}
-	return r.PopWait(buf)
-}
-
-// WaitReady blocks until a command is ready at the head, the ring is
-// closed, or a Poke arrives — without popping anything. Callers that
-// serialize consumption externally (the engine's work-stealing workers,
-// which pop only under the shard mutex) wait here so the ring is never
-// popped outside that serialization. Up to spins empty polls run before
-// parking. closed=true means the tail is sealed, NOT that the ring is
-// drained — commands already claimed may still be publishing; poll
-// Drained for the exit condition. A false return is only a hint (data, or
-// a Poke with none): the caller re-checks.
-func (r *Ring[T]) WaitReady(spins int) (closed bool) {
-	for i := 0; ; i++ {
 		if r.peek() {
 			return false
 		}
 		if r.tail.Load()&closedBit != 0 {
 			return true
 		}
-		if i < spins {
-			runtime.Gosched()
-			continue
-		}
-		// Same sleeper/waker protocol as PopWait: announce, re-check, park.
+		// Announce intent to sleep, then re-check: a producer that published
+		// after the peek but before the announcement would otherwise never
+		// wake us (the classic sleeper/waker race, closed by the sequentially
+		// consistent flag).
 		r.sleeping.Store(true)
 		if r.peek() || r.tail.Load()&closedBit != 0 {
 			r.sleeping.Store(false)
 			continue
 		}
 		<-r.wake
-		return false
 	}
 }
 
@@ -304,35 +232,15 @@ func (r *Ring[T]) Drained() bool {
 	return tail&closedBit != 0 && r.head.Load() == tail&^closedBit
 }
 
-// Parked reports whether the consumer has announced it is (about to be)
-// parked on the wake channel. Telemetry/test hook: momentarily stale by
-// construction.
-func (r *Ring[T]) Parked() bool { return r.sleeping.Load() }
-
-// Poke wakes a parked consumer without publishing a command, and reports
-// whether a consumer was actually parked. Work stealing uses it to recruit
-// an idle sibling worker: the woken consumer finds its own ring empty and
-// runs its steal scan. A no-op (false) when the consumer is running.
-func (r *Ring[T]) Poke() bool {
-	if r.sleeping.CompareAndSwap(true, false) {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-		return true
-	}
-	return false
-}
-
 // peek reports whether a published command is ready at the head.
 func (r *Ring[T]) peek() bool {
 	head := r.head.Load()
 	return r.slots[head&r.mask].seq.Load() == head+1
 }
 
-// wakeConsumer signals a sleeping consumer. The flag keeps the channel
+// wakeConsumer signals a parked waiter. The flag keeps the channel
 // operation off the push fast path: producers pay one atomic load unless
-// the consumer is actually parked.
+// the waiter is actually parked.
 func (r *Ring[T]) wakeConsumer() {
 	if r.sleeping.Load() && r.sleeping.CompareAndSwap(true, false) {
 		select {
@@ -342,14 +250,15 @@ func (r *Ring[T]) wakeConsumer() {
 	}
 }
 
-// Close seals the ring and wakes the consumer. Pushes after Close return
+// Close seals the ring and wakes the waiter. Pushes after Close return
 // ErrClosed — the seal lives in the tail word producers CAS, so a push
 // cannot slip past it — while commands already claimed remain poppable:
-// the consumer drains everything up to the sealed tail before observing
-// (0, true) from PopWait. Safe to call more than once.
+// every claim is always followed by a publish, so the ring is truly drained
+// exactly when the consumer has caught up with the sealed tail (Drained).
+// Safe to call more than once.
 func (r *Ring[T]) Close() {
 	r.tail.Or(closedBit)
-	// Unconditional wake: Close must not race-lose against a consumer that
+	// Unconditional wake: Close must not race-lose against a waiter that
 	// just announced sleeping.
 	r.sleeping.Store(false)
 	select {
@@ -357,6 +266,3 @@ func (r *Ring[T]) Close() {
 	default:
 	}
 }
-
-// Closed reports whether Close has been called.
-func (r *Ring[T]) Closed() bool { return r.tail.Load()&closedBit != 0 }

@@ -2,10 +2,29 @@ package ring
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// popWait is the consumer loop the engine's shard worker runs, as one call:
+// wait for work, pop a batch, and report closed once the ring is sealed and
+// every accepted command has been popped.
+func popWait[T any](r *Ring[T], buf []T) (n int, closed bool) {
+	for {
+		sealed := r.WaitReady()
+		if n = r.PopBatch(buf); n > 0 {
+			return n, false
+		}
+		if sealed {
+			if r.Drained() {
+				return 0, true
+			}
+			runtime.Gosched() // a claimed slot is still publishing
+		}
+	}
+}
 
 func TestFIFOSingleProducer(t *testing.T) {
 	r, err := New[int](8)
@@ -23,14 +42,14 @@ func TestFIFOSingleProducer(t *testing.T) {
 	if got := r.Len(); got != 5 {
 		t.Fatalf("Len = %d, want 5", got)
 	}
+	var buf [1]int
 	for i := 0; i < 5; i++ {
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = (%d, %v), want (%d, true)", v, ok, i)
+		if n := r.PopBatch(buf[:]); n != 1 || buf[0] != i {
+			t.Fatalf("PopBatch = %d, value %d, want 1, %d", n, buf[0], i)
 		}
 	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("Pop on empty ring returned ok")
+	if n := r.PopBatch(buf[:]); n != 0 {
+		t.Fatalf("PopBatch on empty ring returned %d", n)
 	}
 }
 
@@ -115,7 +134,7 @@ func TestMPSCConservationAndOrder(t *testing.T) {
 	total := 0
 	buf := make([][2]int, 64)
 	for {
-		n, closed := r.PopWait(buf)
+		n, closed := popWait(r, buf)
 		for _, v := range buf[:n] {
 			p, seq := v[0], v[1]
 			if seq != lastSeq[p]+1 {
@@ -142,9 +161,9 @@ func TestCloseUnblocksAndRefuses(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		buf := make([]int, 4)
-		n, closed := r.PopWait(buf)
+		n, closed := popWait(r, buf)
 		if n != 0 || !closed {
-			t.Errorf("PopWait after Close = (%d, %v), want (0, true)", n, closed)
+			t.Errorf("consumer after Close = (%d, %v), want (0, true)", n, closed)
 		}
 		close(done)
 	}()
@@ -156,8 +175,8 @@ func TestCloseUnblocksAndRefuses(t *testing.T) {
 	if err := r.Push(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Push after Close: %v, want ErrClosed", err)
 	}
-	if !r.Closed() {
-		t.Fatal("Closed() = false after Close")
+	if !r.Drained() {
+		t.Fatal("Drained() = false after Close on an empty ring")
 	}
 	r.Close() // double close is safe
 }
@@ -176,7 +195,7 @@ func TestCloseDrainsPending(t *testing.T) {
 	buf := make([]int, 4)
 	got := 0
 	for {
-		n, closed := r.PopWait(buf)
+		n, closed := popWait(r, buf)
 		got += n
 		if closed {
 			break
@@ -197,7 +216,7 @@ func TestPushBackpressure(t *testing.T) {
 	go func() {
 		buf := make([]int, 4)
 		for {
-			n, closed := r.PopWait(buf)
+			n, closed := popWait(r, buf)
 			consumed.Add(int64(n))
 			if closed {
 				close(done)

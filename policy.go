@@ -227,24 +227,14 @@ type ConcurrentConfig struct {
 	// PortRate is the token-bucket shaper installed on every port (zero
 	// value: unshaped); reshape individual ports with SetPortRate.
 	PortRate ShaperConfig
-	// RingCapacity is the per-shard command-ring depth for the
-	// asynchronous datapath entered with Start (0 means 1024; rounded up
-	// to a power of two). A full ring applies backpressure to producers.
+	// RingCapacity is the depth of the per-shard command ring EnqueueAsync
+	// posts into after Start (0 means 1024; rounded up to a power of two).
+	// A full ring applies backpressure to the poster.
 	RingCapacity int
 	// ResidenceSample enables residence-time sampling: every Nth packet
 	// enqueued on a shard is stamped and its enqueue→dequeue time feeds
 	// the EngineStats residence histogram (p50/p99/max). 0 disables.
 	ResidenceSample int
-	// BusyPoll makes the asynchronous datapath's shard workers spin
-	// briefly (bounded budget, yielding between polls) before parking when
-	// their command ring runs empty — lower wakeup latency at the price of
-	// CPU while traffic pauses. Workers still park once the budget drains.
-	BusyPoll bool
-	// WorkSteal lets idle shard workers execute commands from a
-	// backlogged sibling's ring, serialized by the shard mutex, so a
-	// skewed flow distribution cannot pin one worker at 100% while the
-	// rest sleep. Per-flow FIFO and conservation are preserved.
-	WorkSteal bool
 }
 
 // NewConcurrentEngine allocates a sharded queue manager with admission and
@@ -263,8 +253,6 @@ func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) 
 		PortRate:        cfg.PortRate,
 		RingCapacity:    cfg.RingCapacity,
 		ResidenceSample: cfg.ResidenceSample,
-		BusyPoll:        cfg.BusyPoll,
-		WorkSteal:       cfg.WorkSteal,
 	})
 	if err != nil {
 		return nil, err
