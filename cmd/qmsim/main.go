@@ -16,6 +16,9 @@
 //	qmsim -classes 8 -class-egress wrr -class-weights 4,4,2,2,1,1,1,1
 //	qmsim -tenants 4 -tenant-egress wrr -tenant-weights 3,1,1,1 -classes 8
 //
+// Any engine flag (usage "engine: ...") implies -model engine, so the
+// engine invocations can leave -model out.
+//
 // -ports and -rate select the push-mode transmit path: flows are spread
 // across N output ports (flow % N), each port is served push-mode
 // (engine.Serve, paced by the per-shard timing-wheel pacer) and — with
@@ -23,7 +26,7 @@
 // overrides the bucket depth), modeling shaped uplinks instead of an
 // unbounded consumer loop. The CSV then grows a per-port block:
 // transmissions, throttle waits, shaper credit, and achieved Gbps per
-// port. Setting -ports or -rate implies -model engine.
+// port.
 //
 // -classes layers a class scheduling level over the flow level: flows are
 // spread across N classes (flow % N), -class-egress picks the discipline
@@ -33,15 +36,14 @@
 // the per-port one: deliveries, bytes, and the achieved share per class
 // — full-run (which converges to the admission mix once the end-of-run
 // drain completes) and at the end-of-offer cutoff, where the level
-// discipline's weighted shares are visible. Any class flag implies
-// -model engine.
+// discipline's weighted shares are visible.
 //
 // -tenants layers a tenant level outside the class level, completing the
 // three-deep tenant → class → flow hierarchy: flows are spread across N
 // tenants ((flow / classes) % N, so tenants cut across classes),
 // -tenant-egress picks the tenant-level discipline and -tenant-weights
 // the per-tenant WRR/DRR weights. The CSV grows a per-tenant block
-// mirroring the per-class one. Any tenant flag implies -model engine.
+// mirroring the per-class one.
 //
 // -delivery selects how packets cross the engine boundary: "copy"
 // reassembles each packet into a pooled buffer on dequeue and copies the
@@ -49,7 +51,7 @@
 // reserve segment runs and fill them in place (ReservePacket), consumers
 // and port sinks read segment-chain views released back to the pool in
 // bulk. The copied_bytes CSV column prices the difference: it is exactly
-// 0 in a pure view run. Setting -delivery implies -model engine.
+// 0 in a pure view run.
 //
 // The engine's segment pool is one shared buffer: -limit, -minth/-maxth and
 // LQD eviction are pool-wide, and a skewed workload (-zipf > 1 concentrates
@@ -67,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -87,77 +90,84 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "qmsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the selected model and writes its CSV to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("qmsim", flag.ExitOnError)
 	var (
-		model     = flag.String("model", "mms", "model to run: ddr, mms, ixp, npu, engine")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		banks     = flag.Int("banks", 8, "ddr: bank count")
-		schedName = flag.String("sched", "reorder", "ddr: scheduler (fcfs, reorder)")
-		rw        = flag.Bool("rw", false, "ddr: enable write-after-read turnaround")
-		lookahead = flag.Int("lookahead", 1, "ddr: reorder lookahead depth")
-		decisions = flag.Int("decisions", 400_000, "ddr: scheduling decisions")
-		load      = flag.Float64("load", 4.8, "mms: offered load in Gbps")
-		segments  = flag.Int("segments", 5, "mms: segments per packet burst")
-		depth     = flag.Int("depth", 2, "mms: per-port FIFO depth")
-		queues    = flag.Int("queues", 128, "ixp: queue count")
-		engines   = flag.Int("engines", 6, "ixp: microengine count")
-		copyEng   = flag.String("copy", "word", "npu: copy engine (word, line, dma)")
-		clock     = flag.Float64("clock", 100, "npu: CPU clock in MHz")
-		shards    = flag.Int("shards", 16, "engine: shard count (rounded to power of two)")
-		parallel  = flag.Int("parallel", 4, "engine: producer goroutines (consumers match)")
-		flows     = flag.Int("flows", 32768, "engine: flow-ID space")
-		pool      = flag.Int("pool", 1<<17, "engine: total segment pool")
-		pktBytes  = flag.Int("pkt", 320, "engine: packet size in bytes (fixed mix)")
-		pktMix    = flag.String("pktmix", "fixed", "engine: packet-size mix (fixed = every packet -pkt bytes, imix = 64/576/1500 weighted 7:4:1)")
-		ops       = flag.Int("ops", 1_000_000, "engine: packets to push through")
-		polName   = flag.String("policy", "none", "engine: admission policy (none, tail, lqd, red)")
-		limit     = flag.Int("limit", 0, "engine: tail-drop per-flow segment cap (0 = pool only)")
-		minth     = flag.Float64("minth", 0.25, "engine: RED min threshold (fraction of pool)")
-		maxth     = flag.Float64("maxth", 0.75, "engine: RED max threshold (fraction of pool)")
-		maxp      = flag.Float64("maxp", 0.1, "engine: RED max drop probability")
-		wq        = flag.Float64("wq", 0.002, "engine: RED EWMA weight")
-		egName    = flag.String("egress", "rr", "engine: egress discipline (rr, prio, wrr, drr)")
-		quantum   = flag.Int("quantum", 512, "engine: DRR byte quantum per weight unit")
-		burst     = flag.Int("burst", 1, "engine: packets per flow burst (bursty arrivals)")
-		zipf      = flag.Float64("zipf", 0, "engine: Zipf skew exponent for flow selection (0 = uniform stride, >1 = skewed)")
-		datapath  = flag.String("datapath", "sync", "engine: datapath (sync = lock per call, ring = posted enqueues through command rings)")
-		delivery  = flag.String("delivery", "copy", "engine: delivery mode (copy = reassembled pooled buffers, view = zero-copy segment views with write-in-place ingest)")
-		ringCap   = flag.Int("ringcap", 0, "engine: per-shard command-ring capacity (0 = default 1024)")
-		residence = flag.Int("residence", 0, "engine: sample every Nth packet's enqueue→dequeue residence time (0 = off)")
-		ports     = flag.Int("ports", 1, "engine: output ports (flows spread flow %% N; >1 or -rate switches egress to push-mode port workers)")
-		rate      = flag.Int64("rate", 0, "engine: per-port shaper rate in bytes/sec (0 = unshaped)")
-		burstB    = flag.Int64("burst-bytes", 0, "engine: per-port shaper bucket depth in bytes (0 = 10ms of rate)")
-		classes   = flag.Int("classes", 0, "engine: scheduling classes layered over the flow level (0/1 = flat; flows spread flow %% N)")
-		classEg   = flag.String("class-egress", "rr", "engine: class-level discipline (rr, prio, wrr, drr)")
-		classW    = flag.String("class-weights", "", "engine: comma-separated per-class WRR/DRR weights (missing entries = 1)")
-		tenants   = flag.Int("tenants", 0, "engine: scheduling tenants layered outside the class level (0/1 = flat; flows spread (flow / classes) %% N)")
-		tenantEg  = flag.String("tenant-egress", "rr", "engine: tenant-level discipline (rr, prio, wrr, drr)")
-		tenantW   = flag.String("tenant-weights", "", "engine: comma-separated per-tenant WRR/DRR weights (missing entries = 1)")
+		model     = fs.String("model", "mms", "model to run: ddr, mms, ixp, npu, engine")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		banks     = fs.Int("banks", 8, "ddr: bank count")
+		schedName = fs.String("sched", "reorder", "ddr: scheduler (fcfs, reorder)")
+		rw        = fs.Bool("rw", false, "ddr: enable write-after-read turnaround")
+		lookahead = fs.Int("lookahead", 1, "ddr: reorder lookahead depth")
+		decisions = fs.Int("decisions", 400_000, "ddr: scheduling decisions")
+		load      = fs.Float64("load", 4.8, "mms: offered load in Gbps")
+		segments  = fs.Int("segments", 5, "mms: segments per packet burst")
+		depth     = fs.Int("depth", 2, "mms: per-port FIFO depth")
+		queues    = fs.Int("queues", 128, "ixp: queue count")
+		engines   = fs.Int("engines", 6, "ixp: microengine count")
+		copyEng   = fs.String("copy", "word", "npu: copy engine (word, line, dma)")
+		clock     = fs.Float64("clock", 100, "npu: CPU clock in MHz")
+		shards    = fs.Int("shards", 16, "engine: shard count (rounded to power of two)")
+		parallel  = fs.Int("parallel", 4, "engine: producer goroutines (consumers match)")
+		flows     = fs.Int("flows", 32768, "engine: flow-ID space")
+		pool      = fs.Int("pool", 1<<17, "engine: total segment pool")
+		pktBytes  = fs.Int("pkt", 320, "engine: packet size in bytes (fixed mix)")
+		pktMix    = fs.String("pktmix", "fixed", "engine: packet-size mix (fixed = every packet -pkt bytes, imix = 64/576/1500 weighted 7:4:1)")
+		ops       = fs.Int("ops", 1_000_000, "engine: packets to push through")
+		polName   = fs.String("policy", "none", "engine: admission policy (none, tail, lqd, red)")
+		limit     = fs.Int("limit", 0, "engine: tail-drop per-flow segment cap (0 = pool only)")
+		minth     = fs.Float64("minth", 0.25, "engine: RED min threshold (fraction of pool)")
+		maxth     = fs.Float64("maxth", 0.75, "engine: RED max threshold (fraction of pool)")
+		maxp      = fs.Float64("maxp", 0.1, "engine: RED max drop probability")
+		wq        = fs.Float64("wq", 0.002, "engine: RED EWMA weight")
+		egName    = fs.String("egress", "rr", "engine: egress discipline (rr, prio, wrr, drr)")
+		quantum   = fs.Int("quantum", 512, "engine: DRR byte quantum per weight unit")
+		burst     = fs.Int("burst", 1, "engine: packets per flow burst (bursty arrivals)")
+		zipf      = fs.Float64("zipf", 0, "engine: Zipf skew exponent for flow selection (0 = uniform stride, >1 = skewed)")
+		datapath  = fs.String("datapath", "sync", "engine: datapath (sync = lock per call, ring = posted enqueues through command rings)")
+		delivery  = fs.String("delivery", "copy", "engine: delivery mode (copy = reassembled pooled buffers, view = zero-copy segment views with write-in-place ingest)")
+		ringCap   = fs.Int("ringcap", 0, "engine: per-shard command-ring capacity (0 = default 1024)")
+		residence = fs.Int("residence", 0, "engine: sample every Nth packet's enqueue→dequeue residence time (0 = off)")
+		ports     = fs.Int("ports", 1, "engine: output ports (flows spread flow %% N; >1 or -rate switches egress to push-mode port workers)")
+		rate      = fs.Int64("rate", 0, "engine: per-port shaper rate in bytes/sec (0 = unshaped)")
+		burstB    = fs.Int64("burst-bytes", 0, "engine: per-port shaper bucket depth in bytes (0 = 10ms of rate)")
+		classes   = fs.Int("classes", 0, "engine: scheduling classes layered over the flow level (0/1 = flat; flows spread flow %% N)")
+		classEg   = fs.String("class-egress", "rr", "engine: class-level discipline (rr, prio, wrr, drr)")
+		classW    = fs.String("class-weights", "", "engine: comma-separated per-class WRR/DRR weights (missing entries = 1)")
+		tenants   = fs.Int("tenants", 0, "engine: scheduling tenants layered outside the class level (0/1 = flat; flows spread (flow / classes) %% N)")
+		tenantEg  = fs.String("tenant-egress", "rr", "engine: tenant-level discipline (rr, prio, wrr, drr)")
+		tenantW   = fs.String("tenant-weights", "", "engine: comma-separated per-tenant WRR/DRR weights (missing entries = 1)")
 	)
-	flag.Parse()
-	// -ports / -rate / the class layer only make sense on the engine model;
-	// let those invocations stay short (qmsim -ports 4 -rate 125000000,
-	// qmsim -classes 8 -class-egress prio).
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !explicit["model"] && (explicit["ports"] || explicit["rate"] ||
-		explicit["classes"] || explicit["class-egress"] || explicit["class-weights"] ||
-		explicit["tenants"] || explicit["tenant-egress"] || explicit["tenant-weights"] ||
-		explicit["delivery"]) {
+	fs.Parse(args) // ExitOnError: a bad flag does not return
+	// An engine-only flag implies -model engine. The usage strings say
+	// which flags those are, so there is no second list to keep in step.
+	var modelSet, engineFlag bool
+	fs.Visit(func(f *flag.Flag) {
+		modelSet = modelSet || f.Name == "model"
+		engineFlag = engineFlag || strings.HasPrefix(f.Usage, "engine:")
+	})
+	if engineFlag && !modelSet {
 		*model = "engine"
 	}
 
-	var err error
 	switch *model {
 	case "ddr":
-		err = runDDR(*banks, *schedName, *rw, *lookahead, *seed, *decisions)
+		return runDDR(w, *banks, *schedName, *rw, *lookahead, *seed, *decisions)
 	case "mms":
-		err = runMMS(*load, *segments, *depth, *seed)
+		return runMMS(w, *load, *segments, *depth, *seed)
 	case "ixp":
-		err = runIXP(*queues, *engines)
+		return runIXP(w, *queues, *engines)
 	case "npu":
-		err = runNPU(*copyEng, *clock)
+		return runNPU(w, *copyEng, *clock)
 	case "engine":
-		err = runEngine(engineArgs{
+		return runEngine(w, engineArgs{
 			shards: *shards, parallel: *parallel, flows: *flows, pool: *pool,
 			pktBytes: *pktBytes, pktMix: *pktMix, ops: *ops, seed: *seed,
 			policy: *polName, limit: *limit,
@@ -169,16 +179,11 @@ func main() {
 			classes: *classes, classEgress: *classEg, classWeights: *classW,
 			tenants: *tenants, tenantEgress: *tenantEg, tenantWeights: *tenantW,
 		})
-	default:
-		err = fmt.Errorf("unknown model %q (want ddr, mms, ixp, npu, engine)", *model)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qmsim: %v\n", err)
-		os.Exit(1)
-	}
+	return fmt.Errorf("unknown model %q (want ddr, mms, ixp, npu, engine)", *model)
 }
 
-func runDDR(banks int, schedName string, rw bool, lookahead int, seed uint64, decisions int) error {
+func runDDR(w io.Writer, banks int, schedName string, rw bool, lookahead int, seed uint64, decisions int) error {
 	var sched ddr.SchedulerKind
 	switch schedName {
 	case "fcfs":
@@ -194,14 +199,14 @@ func runDDR(banks int, schedName string, rw bool, lookahead int, seed uint64, de
 	if err != nil {
 		return err
 	}
-	fmt.Println("banks,scheduler,rw,lookahead,loss,utilization,goodput_gbps,conflict_halfslots,turnaround_halfslots")
-	fmt.Printf("%d,%s,%v,%d,%.4f,%.4f,%.3f,%d,%d\n",
+	fmt.Fprintln(w, "banks,scheduler,rw,lookahead,loss,utilization,goodput_gbps,conflict_halfslots,turnaround_halfslots")
+	fmt.Fprintf(w, "%d,%s,%v,%d,%.4f,%.4f,%.3f,%d,%d\n",
 		banks, sched, rw, lookahead, res.Loss, res.Utilization, res.GoodputGbps(),
 		res.ConflictStalls, res.TurnaroundStalls)
 	return nil
 }
 
-func runMMS(load float64, segments, depth int, seed uint64) error {
+func runMMS(w io.Writer, load float64, segments, depth int, seed uint64) error {
 	p, err := core.RunLoad(core.LoadConfig{
 		LoadGbps:       load,
 		PacketSegments: segments,
@@ -211,13 +216,13 @@ func runMMS(load float64, segments, depth int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("load_gbps,fifo_cycles,exec_cycles,data_cycles,total_cycles,achieved_gbps,bank_conflict_rate")
-	fmt.Printf("%.2f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
+	fmt.Fprintln(w, "load_gbps,fifo_cycles,exec_cycles,data_cycles,total_cycles,achieved_gbps,bank_conflict_rate")
+	fmt.Fprintf(w, "%.2f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
 		p.LoadGbps, p.FIFODelay, p.ExecDelay, p.DataDelay, p.TotalDelay, p.AchievedGbps, p.BankConflict)
 	return nil
 }
 
-func runIXP(queues, engines int) error {
+func runIXP(w io.Writer, queues, engines int) error {
 	p, err := ixp.ProfileForQueues(queues)
 	if err != nil {
 		return err
@@ -226,8 +231,8 @@ func runIXP(queues, engines int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("queues,engines,kpps,mbps_at_64B,scratch_busy,sram_busy,sdram_busy")
-	fmt.Printf("%d,%d,%.1f,%.1f,%.3f,%.3f,%.3f\n",
+	fmt.Fprintln(w, "queues,engines,kpps,mbps_at_64B,scratch_busy,sram_busy,sdram_busy")
+	fmt.Fprintf(w, "%d,%d,%.1f,%.1f,%.3f,%.3f,%.3f\n",
 		queues, engines, res.Kpps, res.MbpsAt64B(),
 		res.UnitBusy[ixp.Scratch], res.UnitBusy[ixp.SRAM], res.UnitBusy[ixp.SDRAM])
 	return nil
@@ -290,7 +295,7 @@ const compLatEvery = 512
 // (peak command-ring occupancy, completion latency), and the residence
 // quantiles when -residence is set — shrink -pool to put the admission
 // policy under stress.
-func runEngine(a engineArgs) error {
+func runEngine(w io.Writer, a engineArgs) error {
 	if a.parallel < 1 {
 		return fmt.Errorf("parallel must be >= 1, got %d", a.parallel)
 	}
@@ -466,7 +471,9 @@ func runEngine(a engineArgs) error {
 			return err
 		}
 	}
-	perProducer := a.ops / a.parallel
+	// The first ops % parallel producers offer one packet more, so the
+	// offered total is -ops whatever it divides by.
+	perProducer, extra := a.ops/a.parallel, a.ops%a.parallel
 	// One zeroed max-size payload shared by every producer; each packet is a
 	// per-draw prefix slice of it. The engine copies payloads on enqueue and
 	// nobody mutates the buffer, so sharing it read-only is safe on both
@@ -527,7 +534,11 @@ func runEngine(a engineArgs) error {
 				})
 				return r.Commit()
 			}
-			for n := 0; n < perProducer; n++ {
+			quota := perProducer
+			if p < extra {
+				quota++
+			}
+			for n := 0; n < quota; n++ {
 				f := fd.Next()
 				pkt := payload[:mix.Next()]
 				var err error
@@ -754,10 +765,10 @@ func runEngine(a engineArgs) error {
 	if viewMode {
 		delivMode = "view"
 	}
-	fmt.Println("shards,parallel,flows,policy,egress,datapath,delivery,pktmix,pkt_bytes,offered,delivered,dropped,pushed_out,rejected,resident,peak_occupancy_pct,ring_occ_peak,comp_p50_us,comp_p99_us,res_p50_us,res_p99_us,copied_bytes,elapsed_s,mpps,gbps")
-	fmt.Printf("%d,%d,%d,%s,%s,%s,%s,%s,%.0f,%d,%d,%d,%d,%d,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f,%d,%.3f,%.3f,%.3f\n",
+	fmt.Fprintln(w, "shards,parallel,flows,policy,egress,datapath,delivery,pktmix,pkt_bytes,offered,delivered,dropped,pushed_out,rejected,resident,peak_occupancy_pct,ring_occ_peak,comp_p50_us,comp_p99_us,res_p50_us,res_p99_us,copied_bytes,elapsed_s,mpps,gbps")
+	fmt.Fprintf(w, "%d,%d,%d,%s,%s,%s,%s,%s,%.0f,%d,%d,%d,%d,%d,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f,%d,%.3f,%.3f,%.3f\n",
 		e.Shards(), a.parallel, a.flows, kind, egKind, a.datapath, delivMode, mixKind, meanPkt,
-		uint64(a.parallel)*uint64(perProducer), st.DequeuedPackets,
+		a.ops, st.DequeuedPackets,
 		st.DroppedPackets, st.PushedOutPackets, st.Rejected,
 		residentAtCutoff, occPct, peakRing.Load(),
 		lat.Quantile(0.50)/1e3, lat.Quantile(0.99)/1e3,
@@ -767,9 +778,9 @@ func runEngine(a engineArgs) error {
 		// Per-port block: what each shaped output port actually carried,
 		// and (for shaped ports) how tightly the pacer tracked the rate —
 		// mean and p99 inter-departure gap in µs, zeros when unshaped.
-		fmt.Println("port,rate_bps,tx_packets,tx_bytes,throttled,shaper_tokens,gap_samples,mean_gap_us,p99_gap_us,port_gbps")
+		fmt.Fprintln(w, "port,rate_bps,tx_packets,tx_bytes,throttled,shaper_tokens,gap_samples,mean_gap_us,p99_gap_us,port_gbps")
 		for _, p := range portStats {
-			fmt.Printf("%d,%d,%d,%d,%d,%d,%d,%.1f,%.1f,%.3f\n",
+			fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%.1f,%.1f,%.3f\n",
 				p.Port, p.RateBytesPerSec*8, p.TransmittedPackets, p.TransmittedBytes,
 				p.Throttled, p.ShaperTokens,
 				p.GapSamples, float64(p.MeanGapNs)/1e3, float64(p.P99GapNs)/1e3,
@@ -784,7 +795,7 @@ func runEngine(a engineArgs) error {
 			total += classPkts[c].Load()
 			cutTotal += cutClass[c]
 		}
-		fmt.Println("class,class_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
+		fmt.Fprintln(w, "class,class_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
 		for c := 0; c < a.classes; c++ {
 			n := classPkts[c].Load()
 			share := 0.0
@@ -799,7 +810,7 @@ func runEngine(a engineArgs) error {
 			if c < len(classStats) {
 				weight = classStats[c].Weight
 			}
-			fmt.Printf("%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
+			fmt.Fprintf(w, "%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
 				c, classKind, weight, n, uint64(float64(n)*meanPkt), share, cutClass[c], cutShare)
 		}
 	}
@@ -811,7 +822,7 @@ func runEngine(a engineArgs) error {
 			total += tenantPkts[t].Load()
 			cutTotal += cutTenant[t]
 		}
-		fmt.Println("tenant,tenant_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
+		fmt.Fprintln(w, "tenant,tenant_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
 		for t := 0; t < a.tenants; t++ {
 			n := tenantPkts[t].Load()
 			share := 0.0
@@ -826,14 +837,14 @@ func runEngine(a engineArgs) error {
 			if t < len(tenantStats) {
 				weight = tenantStats[t].Weight
 			}
-			fmt.Printf("%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
+			fmt.Fprintf(w, "%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
 				t, tenantKind, weight, n, uint64(float64(n)*meanPkt), share, cutTenant[t], cutShare)
 		}
 	}
 	return nil
 }
 
-func runNPU(copyEng string, clock float64) error {
+func runNPU(w io.Writer, copyEng string, clock float64) error {
 	var e npu.CopyEngine
 	switch copyEng {
 	case "word":
@@ -847,8 +858,8 @@ func runNPU(copyEng string, clock float64) error {
 	}
 	enq := npu.EnqueueCost(true, e)
 	deq := npu.DequeueCost(e)
-	fmt.Println("copy_engine,clock_mhz,enqueue_cycles,dequeue_cycles,transit_mbps,scaled_transit_mbps")
-	fmt.Printf("%s,%.0f,%d,%d,%.1f,%.1f\n",
+	fmt.Fprintln(w, "copy_engine,clock_mhz,enqueue_cycles,dequeue_cycles,transit_mbps,scaled_transit_mbps")
+	fmt.Fprintf(w, "%s,%.0f,%d,%d,%.1f,%.1f\n",
 		e, clock, enq.CPUCycles(), deq.CPUCycles(),
 		npu.TransitMbps(e, clock), npu.ScaledTransitMbps(e, clock))
 	return nil

@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"encoding/csv"
+	"strings"
+	"testing"
+)
+
+// firstRow runs qmsim with args and returns the first CSV row keyed by the
+// header's column names. Every engine run ends in CheckInvariants and
+// Close, so a nil error is also a conservation check.
+func firstRow(t *testing.T, args string) map[string]string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(strings.Fields(args), &out); err != nil {
+		t.Fatalf("qmsim %s: %v", args, err)
+	}
+	r := csv.NewReader(&out)
+	r.FieldsPerRecord = -1 // the per-port/class/tenant blocks have their own widths
+	recs, err := r.ReadAll()
+	if err != nil || len(recs) < 2 || len(recs[0]) != len(recs[1]) {
+		t.Fatalf("qmsim %s: no header and row (%v):\n%s", args, err, out.String())
+	}
+	row := make(map[string]string, len(recs[0]))
+	for i, col := range recs[0] {
+		row[col] = recs[1][i]
+	}
+	return row
+}
+
+func TestModels(t *testing.T) {
+	for args, col := range map[string]string{
+		"-model ddr -banks 4 -sched fcfs -rw -decisions 20000": "loss",
+		"-model mms -load 5.5 -depth 4":                        "total_cycles",
+		"-model ixp -queues 16 -engines 2":                     "kpps",
+		"-model npu -copy dma -clock 200":                      "transit_mbps",
+		"":                                                     "load_gbps", // no flags: the default model, mms
+	} {
+		if row := firstRow(t, args); row[col] == "" {
+			t.Errorf("qmsim %s: no %s column in %v", args, col, row)
+		}
+	}
+}
+
+func TestEngine(t *testing.T) {
+	type engineCase struct{ args, offered string }
+	cases := []engineCase{
+		{"-model engine -ops 10000 -policy lqd -pool 2048 -zipf 1.2 -pktmix imix -shards 4", "10000"},
+		{"-model engine -ops 10000 -egress drr -classes 4 -class-egress wrr -class-weights 4,2,1,1 -tenants 2 -tenant-egress wrr -residence 64", "10000"},
+		// An engine flag alone selects the engine (the parent ran mms here).
+		{"-datapath ring -ops 20000", "20000"},
+		// Fewer packets than producers: the remainder is still offered (the
+		// parent offered 4 × (3/4) = 0).
+		{"-ops 3 -parallel 4", "3"},
+	}
+	for _, datapath := range []string{"sync", "ring"} {
+		for _, delivery := range []string{"copy", "view"} {
+			for _, egress := range []string{"", " -ports 4 -rate 1000000000"} {
+				cases = append(cases, engineCase{
+					"-model engine -ops 20000 -flows 4096 -shards 4 -datapath " + datapath + " -delivery " + delivery + egress, "20000"})
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.args, func(t *testing.T) {
+			if got := firstRow(t, tc.args)["offered"]; got != tc.offered {
+				t.Errorf("offered = %q, want %s", got, tc.offered)
+			}
+		})
+	}
+}

@@ -270,44 +270,17 @@ func buildLevels(units [numTiers]int32, tw *[numTiers][]int32) []levelCfg {
 	return levels
 }
 
-// resolveTierUnits derives the fixed tier unit counts from the egress
-// configuration plus the engine-level NumTenants: each tier's unit
-// count comes from its LevelSpec (tenant Units 0 defers to NumTenants;
-// class Units 0 means flat), and NumTenants without a tenant spec
-// synthesizes a round-robin tenant level. The returned config is the
-// normalized one — every active tier has an explicit spec with its
-// resolved unit count — so SetEgress's level matching is uniform.
-func resolveTierUnits(cfg policy.EgressConfig, numTenants int) (policy.EgressConfig, [numTiers]int32, error) {
+// resolveTierUnits reads the fixed tier unit counts off the egress
+// configuration: a tier has its LevelSpec's Units (absent, 0 or 1 =
+// flat, no scheduling level).
+func resolveTierUnits(cfg policy.EgressConfig) [numTiers]int32 {
 	units := [numTiers]int32{1, 1}
-	if numTenants < 0 || numTenants > policy.MaxLevelUnits {
-		return cfg, units, fmt.Errorf("engine: NumTenants %d out of range [0, %d]", numTenants, policy.MaxLevelUnits)
-	}
-	if ls := cfg.Level(policy.TierClass); ls != nil && ls.Units > 1 {
-		units[tierClass] = int32(ls.Units)
-	}
-	tu := numTenants
-	if ls := cfg.Level(policy.TierTenant); ls != nil {
-		if ls.Units > 0 {
-			if numTenants > 0 && ls.Units != numTenants {
-				return cfg, units, fmt.Errorf("engine: tenant level Units %d does not match NumTenants %d", ls.Units, numTenants)
-			}
-			tu = ls.Units
+	for t := range units {
+		if ls := cfg.Level(tierName(t)); ls != nil && ls.Units > 1 {
+			units[t] = int32(ls.Units)
 		}
-		if tu <= 0 {
-			tu = 1
-		}
-		if tu > 1 {
-			units[tierTenant] = int32(tu)
-		}
-		// Normalize: the spec carries its resolved unit count.
-		spec := *ls
-		spec.Units = tu
-		cfg = cfg.WithLevel(spec)
-	} else if tu > 1 {
-		units[tierTenant] = int32(tu)
-		cfg = cfg.WithLevel(policy.LevelSpec{Tier: policy.TierTenant, Kind: policy.EgressRR, Units: tu})
 	}
-	return cfg, units, nil
+	return units
 }
 
 // SetEgress replaces the egress discipline on every shard, resetting
@@ -454,30 +427,24 @@ func (e *Engine) NumClasses() int { return int(e.tierUnits[tierClass]) }
 // NumTenants returns the tenant count (1 = no tenant level).
 func (e *Engine) NumTenants() int { return int(e.tierUnits[tierTenant]) }
 
-// setFlowTier moves flow into a tier unit. A backlogged flow moves with
-// its queue: it leaves its old unit's active list — ending any open
-// visit and forfeiting banked DRR deficit exactly as if it had drained,
-// at every hierarchy level — and joins the new unit's rotation at the
-// tail. Safe while traffic flows; per-flow FIFO is unaffected (the
-// flow's shard does not change).
-func (e *Engine) setFlowTier(flow uint32, tier, unit int) error {
-	if unit < 0 || unit >= int(e.tierUnits[tier]) {
-		return fmt.Errorf("engine: %s %d out of range [0, %d)", tierName(tier), unit, e.tierUnits[tier])
-	}
+// rehome moves flow to unit of the home the selector names — its
+// tenant, class or port. A backlogged flow moves with its queue: it
+// leaves its old unit's active list — ending any open visit and
+// forfeiting banked DRR deficit exactly as if it had drained, at every
+// hierarchy level — and joins the new unit's rotation at the tail. Safe
+// while traffic flows; per-flow FIFO is unaffected (the flow's shard
+// does not change).
+func (e *Engine) rehome(flow uint32, home func(*flowState) *int32, unit int) error {
 	if int64(flow) >= int64(e.cfg.NumFlows) {
 		return ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
 	e.run(s, func() {
-		fs := &s.flows[flow]
-		cur := &fs.class
-		if tier == tierTenant {
-			cur = &fs.tenant
-		}
+		cur := home(&s.flows[flow])
 		if int(*cur) == unit {
 			return
 		}
-		active := fs.next != sched.None
+		active := s.isActive(flow)
 		if active {
 			s.clearActive(flow)
 		}
@@ -489,14 +456,28 @@ func (e *Engine) setFlowTier(flow uint32, tier, unit int) error {
 	return nil
 }
 
-// SetFlowClass moves flow into class (all flows start in class 0). See
-// setFlowTier for the re-homing semantics.
+// setFlowTier moves flow into a tier unit (see rehome).
+func (e *Engine) setFlowTier(flow uint32, tier, unit int) error {
+	if unit < 0 || unit >= int(e.tierUnits[tier]) {
+		return fmt.Errorf("engine: %s %d out of range [0, %d)", tierName(tier), unit, e.tierUnits[tier])
+	}
+	return e.rehome(flow, func(fs *flowState) *int32 {
+		if tier == tierTenant {
+			return &fs.tenant
+		}
+		return &fs.class
+	}, unit)
+}
+
+// SetFlowClass moves flow into class (all flows start in class 0). A
+// backlogged flow moves with its queue, as if it had drained and
+// re-activated (see rehome). Safe while traffic flows.
 func (e *Engine) SetFlowClass(flow uint32, class int) error {
 	return e.setFlowTier(flow, tierClass, class)
 }
 
-// SetFlowTenant moves flow into tenant (all flows start in tenant 0).
-// See setFlowTier for the re-homing semantics.
+// SetFlowTenant moves flow into tenant (all flows start in tenant 0),
+// with SetFlowClass's re-homing semantics.
 func (e *Engine) SetFlowTenant(flow uint32, tenant int) error {
 	return e.setFlowTier(flow, tierTenant, tenant)
 }

@@ -119,8 +119,6 @@ type Config struct {
 	NumSegments int
 	// StoreData controls whether payloads are stored (as in queue.Config).
 	StoreData bool
-	// PerFlowLimit caps every flow at this many segments (0 = uncapped).
-	PerFlowLimit int
 	// Admission selects the shared-buffer admission policy. The zero value
 	// (policy.KindNone) admits everything the pool can hold. Each shard
 	// gets a private policy instance consulted inside the shard's critical
@@ -132,12 +130,6 @@ type Config struct {
 	// DequeueNextBatch. The zero value is round-robin over active flows;
 	// EgressConfig.Levels adds tenant/class scheduling levels above them.
 	Egress policy.EgressConfig
-	// NumTenants is the tenant count for the outermost scheduling tier
-	// (0 or 1 = no tenant level). Shorthand for a round-robin tenant
-	// LevelSpec in Egress.Levels; when both are given the unit counts
-	// must agree. Flows start in tenant 0, reassignable at runtime with
-	// SetFlowTenant.
-	NumTenants int
 	// NumPorts is the output-port count (0 means 1; at most MaxPorts).
 	// Every flow maps to exactly one port — all flows start on port 0,
 	// reassignable at runtime with SetFlowPort — and each port is an
@@ -296,9 +288,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.NumSegments <= 0 {
 		return nil, fmt.Errorf("engine: NumSegments must be positive, got %d", cfg.NumSegments)
 	}
-	if cfg.PerFlowLimit < 0 {
-		return nil, fmt.Errorf("engine: negative PerFlowLimit %d", cfg.PerFlowLimit)
-	}
 	if cfg.RingCapacity < 0 {
 		return nil, fmt.Errorf("engine: negative RingCapacity %d", cfg.RingCapacity)
 	}
@@ -341,11 +330,8 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Egress.Validate(); err != nil {
 		return nil, err
 	}
-	egCfg, tierUnits, err := resolveTierUnits(cfg.Egress.WithDefaults(), cfg.NumTenants)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Egress = egCfg
+	cfg.Egress = cfg.Egress.WithDefaults()
+	tierUnits := resolveTierUnits(cfg.Egress)
 	e := &Engine{
 		cfg:       cfg,
 		shift:     uint(32 - bits.TrailingZeros(uint(cfg.Shards))),
@@ -381,13 +367,6 @@ func New(cfg Config) (*Engine, error) {
 		m, err := queue.NewWithStore(queue.Config{NumQueues: cfg.NumFlows}, cache)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.PerFlowLimit > 0 {
-			for q := 0; q < cfg.NumFlows; q++ {
-				if err := m.SetSegmentLimit(queue.QueueID(q), cfg.PerFlowLimit); err != nil {
-					return nil, err
-				}
-			}
 		}
 		// Per-port level stacks are allocated lazily on first activity
 		// (see portSched), so a wide port space costs nothing up front.

@@ -32,9 +32,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 8, NumSegments: 4}); err != nil {
 		t.Errorf("NumSegments < Shards rejected on a shared pool: %v", err)
 	}
-	if _, err := New(Config{Shards: 4, NumSegments: 16, PerFlowLimit: -2}); err == nil {
-		t.Error("negative PerFlowLimit accepted")
-	}
 	// Non-power-of-two shard counts round up.
 	e, err := New(Config{Shards: 5, NumFlows: 16, NumSegments: 64})
 	if err != nil {
@@ -209,8 +206,8 @@ func TestMovePacketCrossShardNoData(t *testing.T) {
 }
 
 func TestPerFlowLimit(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 64, NumSegments: 256, StoreData: true, PerFlowLimit: 2})
-	if err != nil {
+	e := newTest(t, 2, 64, 256)
+	if err := e.SetFlowLimit(3, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.EnqueuePacket(3, make([]byte, 128)); err != nil {

@@ -373,7 +373,6 @@ func TestTenantClassFlowComposition(t *testing.T) {
 func TestTenantStatsReflectBacklog(t *testing.T) {
 	e, err := New(Config{
 		Shards: 4, NumFlows: 64, NumSegments: 4096, StoreData: true,
-		NumTenants: 4,
 		Egress: policy.EgressConfig{
 			Levels: []policy.LevelSpec{
 				{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},

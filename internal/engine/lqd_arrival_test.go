@@ -202,7 +202,7 @@ func TestLQDMatchesReferenceModel(t *testing.T) {
 func TestRejectedCountsCallerVisibleRefusals(t *testing.T) {
 	const flows, pool, flowCap = 64, 256, 48
 	e, err := New(Config{
-		Shards: 4, NumFlows: flows, NumSegments: pool, PerFlowLimit: flowCap,
+		Shards: 4, NumFlows: flows, NumSegments: pool,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {
@@ -212,8 +212,10 @@ func TestRejectedCountsCallerVisibleRefusals(t *testing.T) {
 	// One uncapped flow takes the arrivals larger than the whole pool: on a
 	// capped flow the cap, not the policy, would refuse them.
 	const jumbo = flows - 1
-	if err := e.SetFlowLimit(jumbo, 0); err != nil {
-		t.Fatal(err)
+	for f := uint32(0); f < jumbo; f++ {
+		if err := e.SetFlowLimit(f, flowCap); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rng := xrand.New(3)
 	pkt := make([]byte, (pool+1)*queue.SegmentBytes)

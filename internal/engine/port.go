@@ -5,10 +5,10 @@ package engine
 // rate, with the scheduler deciding which flow each port serves next.
 // This file is that interface in software. Every flow belongs to exactly
 // one port (Config.NumPorts, SetFlowPort; all flows start on port 0),
-// each (shard, port) pair owns a two-level scheduling unit (see
+// each (shard, port) pair owns an N-level scheduling unit (see
 // egress.go), and a port served through Serve is driven by its home
 // shard's pacer goroutine (see pacer.go): it picks via the configured
-// class and flow disciplines, paces against the port's token-bucket
+// tenant, class and flow disciplines, paces against the port's token-bucket
 // shaper (see shaper.go), and pushes packets into the registered sink —
 // reassembled for a Sink, as views for a SinkV (ServeViews, views.go) —
 // push-mode delivery with backpressure, where the old DequeueNextBatch
@@ -178,34 +178,18 @@ func (e *Engine) portAt(port int) (*port, error) {
 // NumPorts returns the configured output-port count.
 func (e *Engine) NumPorts() int { return len(e.ports) }
 
-// SetFlowPort moves flow onto port (all flows start on port 0). A
-// backlogged flow moves with its queue: its scheduling membership
-// transfers to the new port's unit under its current class, any open
-// visit on the old port ends, and banked DRR deficit is forfeited
-// exactly as if the flow had drained. Safe while traffic flows; per-flow
-// FIFO is unaffected (the flow's shard does not change).
+// SetFlowPort moves flow onto port (all flows start on port 0), under
+// its current tenant and class. A backlogged flow moves with its queue,
+// ending any open visit and forfeiting banked DRR deficit as if it had
+// drained (see rehome). Safe while traffic flows.
 func (e *Engine) SetFlowPort(flow uint32, port int) error {
 	p, err := e.portAt(port)
 	if err != nil {
 		return err
 	}
-	if int64(flow) >= int64(e.cfg.NumFlows) {
-		return ErrUnknownFlow
+	if err := e.rehome(flow, func(fs *flowState) *int32 { return &fs.port }, port); err != nil {
+		return err
 	}
-	s := e.shardOf(flow)
-	e.run(s, func() {
-		if s.portOf(flow) == port {
-			return
-		}
-		active := s.isActive(flow)
-		if active {
-			s.clearActive(flow)
-		}
-		s.flows[flow].port = int32(port)
-		if active {
-			s.setActive(flow)
-		}
-	})
 	p.kick()
 	return nil
 }

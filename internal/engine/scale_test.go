@@ -32,8 +32,7 @@ func TestScaleThreeLevelHierarchySmoke(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	e, err := New(Config{
 		Shards: 8, NumFlows: flows, NumSegments: 1 << 16, StoreData: true,
-		NumPorts:   ports,
-		NumTenants: tenants,
+		NumPorts: ports,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressDRR, QuantumBytes: 512,
 			Levels: []policy.LevelSpec{

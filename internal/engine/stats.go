@@ -297,7 +297,7 @@ func (e *Engine) TenantStats() []TenantStat {
 }
 
 // CheckInvariants validates every shard's queue discipline, the
-// two-level active lists, the shared store's free structures, and the engine-wide
+// N-level active lists, the shared store's free structures, and the engine-wide
 // conservation laws: free + queued + floating + lent equals the configured
 // pool (lent counts segments checked out in packet views and open
 // write-in-place reservations), and every enqueued segment was either

@@ -15,9 +15,10 @@ package engine
 //     view set, and shard.take is where the flag is acted on.
 //   - Ingest: ReservePacket opens a write-in-place Reservation — the
 //     segment run is allocated and linked up front, the producer fills the
-//     slices Range yields — one per contiguous run, at most one per
-//     segment: the iovecs a socket reader hands to readv — and Commit splices the chain onto the flow's queue in O(1). Abort hands
-//     the untouched run back in one bulk return.
+//     slices Range yields (one per contiguous run, at most one per
+//     segment: the iovecs a socket reader hands to readv), and Commit
+//     splices the chain onto the flow's queue in O(1). Abort hands the
+//     untouched run back in one bulk return.
 //
 // Reference discipline: every view starts with one reference owned by
 // whoever the engine handed it to. Pull-API callers (DequeuePacketView,

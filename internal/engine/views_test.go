@@ -182,12 +182,11 @@ func TestReserveCommitBothDatapaths(t *testing.T) {
 }
 
 func TestReserveAdmission(t *testing.T) {
-	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 64, StoreData: true,
-		PerFlowLimit: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	e := newTest(t, 1, 8, 64)
+	for f := uint32(0); f < 2; f++ {
+		if err := e.SetFlowLimit(f, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := e.ReservePacket(0, 2*queue.SegmentBytes)
 	if err != nil {

@@ -96,8 +96,7 @@ type LevelSpec struct {
 	Kind EgressKind
 	// Units is the tier's unit count — tenants per engine, classes per
 	// port (at most MaxLevelUnits). 0 or 1 means the tier is flat: it
-	// adds no scheduling level. For the tenant tier, 0 defers to the
-	// engine's Config.NumTenants.
+	// adds no scheduling level.
 	Units int
 	// Weights are the per-unit weights for level WRR (packets per
 	// visit) and DRR (quantum multiplier); entries beyond the slice,

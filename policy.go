@@ -215,11 +215,6 @@ type ConcurrentConfig struct {
 	Admission AdmissionConfig
 	// Egress is the integrated scheduler discipline (zero value: RR).
 	Egress EgressConfig
-	// Tenants is the tenant count for the optional tenant scheduling
-	// level — shorthand for a round-robin TenantLayer on Egress (0 or 1
-	// means no tenant level; when Egress already carries a tenant
-	// LevelSpec the two counts must agree).
-	Tenants int
 	// Ports is the output-port count (0 means 1). Flows start on port 0;
 	// SetFlowPort re-homes them, and Serve attaches a push-mode Sink per
 	// port.
@@ -248,7 +243,6 @@ func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) 
 		StoreData:       true,
 		Admission:       cfg.Admission,
 		Egress:          cfg.Egress,
-		NumTenants:      cfg.Tenants,
 		NumPorts:        cfg.Ports,
 		PortRate:        cfg.PortRate,
 		RingCapacity:    cfg.RingCapacity,
