@@ -484,14 +484,12 @@ func runEngine(w io.Writer, a engineArgs) error {
 	var errOnce sync.Once
 	var peakResident atomic.Int64
 	var peakRing atomic.Int64
-	// Per-producer completion-latency histograms (1µs buckets to 4ms),
-	// merged after the run.
-	compLat := make([]*stats.Histogram, a.parallel)
+	// Per-producer completion-latency histograms, merged after the run.
+	compLat := make([]stats.Histogram, a.parallel)
 	done := make(chan struct{})
 	start := time.Now()
 
 	for p := 0; p < a.parallel; p++ {
-		compLat[p] = stats.NewHistogram(4096, 1000)
 		prodWG.Add(1)
 		go func(p int) {
 			defer prodWG.Done()
@@ -552,7 +550,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 					// both critical sections.
 					t0 := time.Now()
 					err = reserve(f, pkt)
-					compLat[p].Add(float64(time.Since(t0).Nanoseconds()))
+					compLat[p].Add(time.Since(t0).Nanoseconds())
 				case viewMode:
 					err = reserve(f, pkt)
 				case ringMode && !sample:
@@ -563,7 +561,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 					// datapath first executes what the shard's ring holds.
 					t0 := time.Now()
 					_, err = e.EnqueuePacket(f, pkt)
-					compLat[p].Add(float64(time.Since(t0).Nanoseconds()))
+					compLat[p].Add(time.Since(t0).Nanoseconds())
 				default:
 					_, err = e.EnqueuePacket(f, pkt)
 				}
@@ -746,9 +744,9 @@ func runEngine(w io.Writer, a engineArgs) error {
 	if err := e.Close(); err != nil {
 		return err
 	}
-	lat := compLat[0]
-	for _, h := range compLat[1:] {
-		lat.Merge(h)
+	var lat stats.Histogram
+	for i := range compLat {
+		lat.Merge(&compLat[i])
 	}
 	// Delivered bytes are priced at the mix's mean packet size (exact for
 	// the fixed mix; the IMIX blend converges on its 7:4:1 mean).

@@ -39,13 +39,10 @@ func serveAs(e *Engine, port int, view bool, fn func(d Dequeued) error) error {
 func TestReServeDoesNotBookOutageAsGap(t *testing.T) {
 	for _, view := range []bool{false, true} {
 		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
-			e, err := New(Config{
+			e := newStepped(t, Config{
 				Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
 				PortRate: policy.ShaperConfig{RateBytesPerSec: 1 << 20, BurstBytes: 1024}, // ~1ms per packet
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			defer e.Close()
 			pkt := make([]byte, 1024)
 			enqueue := func(n int) {
@@ -56,14 +53,12 @@ func TestReServeDoesNotBookOutageAsGap(t *testing.T) {
 					}
 				}
 			}
-			// Three departures stamp the port, the fourth packet kills the link.
-			enqueue(6)
-			var mu sync.Mutex
+			// Five departures stamp the port (three in the opening burst, then
+			// one a tick), the sixth packet kills the link.
+			enqueue(8)
 			sent := 0
-			if err := serveAs(e, 0, view, func(Dequeued) error {
-				mu.Lock()
-				defer mu.Unlock()
-				if sent == 3 {
+			if err := serveAs(e.Engine, 0, view, func(Dequeued) error {
+				if sent == 5 {
 					return errors.New("link down")
 				}
 				sent++
@@ -71,26 +66,27 @@ func TestReServeDoesNotBookOutageAsGap(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			waitUntil(t, 10*time.Second, "sink error stop", func() bool { return !e.PortStats()[0].Serving })
-			if got := e.PortStats()[0].GapSamples; got == 0 {
-				t.Fatal("no gap recorded before the failure: the re-arm has nothing to reset")
+			e.settle()
+			e.tick(5)
+			if pst := e.PortStats()[0]; pst.Serving || pst.GapSamples != 4 {
+				t.Fatalf("before the outage: serving=%v with %d gaps, want a stopped port and 4 gaps for the re-arm to protect", pst.Serving, pst.GapSamples)
 			}
-			down := time.Now()
-			time.Sleep(140 * time.Millisecond)
+			const outage = 140
+			e.tick(outage)
 			enqueue(4)
-			outage := time.Since(down)
-			if err := serveAs(e, 0, view, func(Dequeued) error { return nil }); err != nil {
+			if err := serveAs(e.Engine, 0, view, func(Dequeued) error { return nil }); err != nil {
 				t.Fatalf("re-arm after sink stop: %v", err)
 			}
-			waitUntil(t, 10*time.Second, "remaining backlog", func() bool {
-				st := e.Stats()
-				return st.QueuedSegments == 0 && st.LentSegments == 0
-			})
-			// Fewer than 100 samples, so the reported p99 is the bucket of the
-			// longest gap (an upper bound: at most twice the gap itself).
-			if pst := e.PortStats()[0]; pst.P99GapNs >= uint64(outage) {
-				t.Fatalf("p99 inter-departure gap %v over %d samples reaches the %v outage: downtime was booked as pacing jitter",
-					time.Duration(pst.P99GapNs), pst.GapSamples, outage)
+			e.settle()
+			e.tick(10)
+			if st := e.Stats(); st.QueuedSegments != 0 || st.LentSegments != 0 {
+				t.Fatalf("%d segments queued, %d lent after the re-armed drain", st.QueuedSegments, st.LentSegments)
+			}
+			// Every gap on either side of the outage is at most a tick; the
+			// p99 of so few samples is the longest of them.
+			if pst := e.PortStats()[0]; pst.GapSamples <= 4 || pst.P99GapNs >= 2*uint64(pacerTick) {
+				t.Fatalf("p99 inter-departure gap %dns over %d samples with a %dms outage between them: downtime was booked as pacing jitter",
+					pst.P99GapNs, pst.GapSamples, outage)
 			}
 		})
 	}

@@ -37,7 +37,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
@@ -242,7 +241,7 @@ type Engine struct {
 	shift  uint // 32 - log2(shards): top hash bits select the shard
 	store  *segstore.Store
 	shards []*shard
-	epoch  time.Time
+	clk    clock // the one time base; see clock.go
 
 	// Transmit side: one port object per output port, one pacer slot per
 	// shard (the goroutine starts lazily on the first Serve homed
@@ -266,13 +265,15 @@ type Engine struct {
 
 	bufs       [3]sync.Pool // reassembly buffers: *smallBuf, *mtuBuf, *maxBuf
 	bucketPool sync.Pool    // per-shard index buckets for the batch paths
-	histPool   sync.Pool    // residence merge targets for Stats snapshots
 }
 
 // New builds an Engine: one shared segment store, one queue manager per
 // shard drawing from it through a magazine cache. Call Start to give
 // EnqueueAsync its command rings.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return newWithClock(cfg, newWallClock()) }
+
+// newWithClock is New on a given time base; tests pass one they step.
+func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -337,7 +338,7 @@ func New(cfg Config) (*Engine, error) {
 		shift:     uint(32 - bits.TrailingZeros(uint(cfg.Shards))),
 		store:     store,
 		shards:    make([]*shard, cfg.Shards),
-		epoch:     time.Now(),
+		clk:       clk,
 		ports:     make([]*port, cfg.NumPorts),
 		pacers:    make([]*pacer, cfg.Shards),
 		flows:     make([]flowState, cfg.NumFlows),
@@ -354,12 +355,13 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.ports {
 		e.ports[i] = &port{
 			idx: i,
-			sh:  newShaper(cfg.PortRate, e.epoch),
+			sh:  newShaper(cfg.PortRate, clk.now()),
 			// A port homes to one pacer: all its service — every shard's
 			// scheduling unit — runs on that pacer's goroutine, so a
 			// Sink's Transmit is never concurrent with itself.
 			pc: e.pacers[i&(cfg.Shards-1)],
 		}
+		e.ports[i].txLastNs.Store(noDeparture)
 	}
 	allocBuf := e.getBuf
 	for i := range e.shards {
@@ -388,7 +390,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.shards[i] = s
 		if cfg.ResidenceSample > 0 {
-			s.res = newResidence(cfg.ResidenceSample, cfg.NumFlows, e.epoch)
+			s.res = newResidence(cfg.ResidenceSample, cfg.NumFlows, clk)
 		}
 	}
 	if err := e.SetAdmission(cfg.Admission); err != nil {

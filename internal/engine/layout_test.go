@@ -35,8 +35,10 @@ func TestShardLayout(t *testing.T) {
 }
 
 // TestPortLayout: the enqueue path CASes idle per notify; the pacer writes
-// tx counters per packet. Neither may share a line with the other or with
-// the read-only header.
+// tx counters and, on shaped ports, the departure stamp and the gap
+// histogram per packet. Neither may share a line with the other or with the
+// read-only header, and the histogram — the struct's last and largest
+// member — must not run into the next heap object.
 func TestPortLayout(t *testing.T) {
 	var p port
 	offHdr := unsafe.Offsetof(p.shardCursor)
@@ -49,14 +51,14 @@ func TestPortLayout(t *testing.T) {
 	if d := offTx - unsafe.Offsetof(p.sink); d < hotPad {
 		t.Errorf("layout: port tx counters only %d bytes past control words, want >= %d", d, hotPad)
 	}
-	if d := unsafe.Sizeof(p) - offTx; d < hotPad {
-		t.Errorf("layout: port tx counters only %d bytes from struct end, want >= %d", d, hotPad)
+	if d := unsafe.Sizeof(p) - unsafe.Offsetof(p.gaps) - unsafe.Sizeof(p.gaps); d < hotPad {
+		t.Errorf("layout: port gap histogram ends %d bytes from struct end, want >= %d", d, hotPad)
 	}
 }
 
 // TestPacerLayout: the mailbox (mu/pending/wake/coalesced) takes stores
-// from every producer's notify; the wheel state below it belongs to the
-// pacer goroutine alone.
+// from every producer's notify; the wheel state below it (state is its
+// first word) belongs to the pacer goroutine alone.
 func TestPacerLayout(t *testing.T) {
 	var pc pacer
 	offHdr := unsafe.Offsetof(pc.home)

@@ -5,10 +5,10 @@ package engine
 // timers as the runtime tolerates"; instead, every port now homes to
 // exactly one pacer (port index mod shard count) and a single goroutine
 // per shard services all of its ports: runnable ports are served
-// round-robin, shaped ports park on a hierarchical timing wheel until
-// their token bucket recovers, and idle ports cost nothing until the
-// enqueue path's notify re-queues them. 10k shaped ports cost one
-// timer, not 10k goroutines.
+// round-robin, shaped ports park on a timing wheel until their token
+// bucket recovers, and idle ports cost nothing until the enqueue path's
+// notify re-queues them. 10k shaped ports cost one timer, not 10k
+// goroutines.
 //
 // A port's entire service — every shard's scheduling unit — runs on its
 // home pacer, so a Sink's Transmit is never concurrent with itself (the
@@ -17,11 +17,14 @@ package engine
 // carries the delivery form (copy for Serve, view for ServeViews) down
 // that path as a value.
 //
-// Wheel geometry: level 0 holds one slot per tick (1ms) for the next
-// 256ms; level 1 holds 256ms-wide slots for the next ~65s and cascades
-// into level 0 as the cursor wraps; later deadlines clamp to the wheel
-// horizon and re-schedule on expiry. Shaper waits are almost always a
-// few ticks, so scheduling is O(1) and the cascade is rare.
+// Wheel geometry: one slot per tick (1ms) for the next 256ms. Shaper waits
+// are a few ticks at every rate the tests, bench/ and qmsim use; a deadline
+// past the horizon parks at the horizon, finds its bucket still short when
+// that slot expires, and parks again (each park counts in Throttled).
+//
+// Time comes in through step(now): the goroutine (pacerLoop) passes the
+// engine clock's reading and sleeps for what step returns; a test on a
+// stepped clock calls step itself, tick by tick, with no goroutine at all.
 //
 // Cross-thread handoff is one mutex-guarded pending list plus a
 // capacity-1 wake channel: producers (notify), the control plane
@@ -30,9 +33,9 @@ package engine
 // wheel, runnable queue, per-port bookkeeping — is goroutine-local.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"npqm/internal/queue"
 )
@@ -42,14 +45,9 @@ import (
 // (charge-after-send debt carries the remainder), so the long-run rate
 // converges to the configured one for any packet mix while sub-tick
 // gaps never put the pacer to sleep.
-const pacerTick = time.Millisecond
+const pacerTick = second / 1000
 
-const (
-	wheelL0Bits   = 8
-	wheelL0Slots  = 1 << wheelL0Bits // 256 ticks of 1ms
-	wheelL1Slots  = 256              // 256 slots of 256ms ≈ 65s
-	wheelMaxTicks = wheelL0Slots * wheelL1Slots
-)
+const wheelSlots = 256 // ticks; a power of two
 
 // Pacer-local port states.
 const (
@@ -89,19 +87,16 @@ type pacer struct {
 
 	// Everything below is touched only by the pacer goroutine.
 	state    []uint8
-	deadline []int64 // due tick while state == psWaiting
-	wslot    []int32 // wheel slot: [0,256) = L0, 256+ = L1
+	deadline []int64 // due tick while state == psWaiting; its low bits are the slot
 	wnext    []int32 // intrusive wheel-slot list links
 	wprev    []int32
-	l0       []int32 // slot heads (port index or -1)
-	l1       []int32
+	wheel    []int32 // slot heads (port index or -1)
 	curTick  int64
 	waiting  int // ports parked on the wheel
 	runnable []int32
 	nextRun  []int32
 	pendBuf  []int32
 	out      []Dequeued
-	timer    *time.Timer
 }
 
 func newPacer(e *Engine, home int) *pacer {
@@ -136,13 +131,8 @@ func (pc *pacer) start() {
 	go pc.e.pacerLoop(pc)
 }
 
-func (pc *pacer) nowTick() int64 {
-	return int64(time.Since(pc.e.epoch) / pacerTick)
-}
-
-// pacerLoop is the per-shard service loop: absorb kicks, advance the
-// wheel, serve a round of runnable ports, sleep until the next deadline
-// or wake.
+// pacerLoop is the per-shard service goroutine: step, then sleep until
+// the next deadline or wake.
 func (e *Engine) pacerLoop(pc *pacer) {
 	defer func() {
 		// Parity with the per-port workers' exit: ports homed here stop
@@ -154,55 +144,50 @@ func (e *Engine) pacerLoop(pc *pacer) {
 		}
 		e.portWG.Done()
 	}()
-	n := len(e.ports)
-	pc.state = make([]uint8, n)
-	pc.deadline = make([]int64, n)
-	pc.wslot = make([]int32, n)
-	pc.wnext = make([]int32, n)
-	pc.wprev = make([]int32, n)
-	pc.l0 = make([]int32, wheelL0Slots)
-	pc.l1 = make([]int32, wheelL1Slots)
-	for i := range pc.l0 {
-		pc.l0[i] = -1
-	}
-	for i := range pc.l1 {
-		pc.l1[i] = -1
-	}
-	pc.curTick = pc.nowTick()
-	pc.timer = time.NewTimer(time.Hour)
-	if !pc.timer.Stop() {
-		<-pc.timer.C
-	}
-	timerLive := false
+	pc.init(e.clk.now())
+	timer := newParkTimer()
 	for {
-		pc.absorb()
-		pc.advance(pc.nowTick())
-		if len(pc.runnable) > 0 {
-			pc.serveRound()
-			select {
-			case <-e.portStop:
+		if d := pc.step(e.clk.now()); d != 0 {
+			if !timer.park(d, pc.wake, e.portStop) {
 				return
-			default:
 			}
 			continue
 		}
-		d, any := pc.nextDelay()
-		if any {
-			pc.timer.Reset(d)
-			timerLive = true
-		}
 		select {
-		case <-pc.timer.C:
-			timerLive = false
-		case <-pc.wake:
-			if timerLive && !pc.timer.Stop() {
-				<-pc.timer.C
-			}
-			timerLive = false
 		case <-e.portStop:
 			return
+		default:
 		}
 	}
+}
+
+// init builds the goroutine-local state, with the wheel cursor at now.
+func (pc *pacer) init(now int64) {
+	n := len(pc.e.ports)
+	pc.state = make([]uint8, n)
+	pc.deadline = make([]int64, n)
+	pc.wnext = make([]int32, n)
+	pc.wprev = make([]int32, n)
+	pc.wheel = make([]int32, wheelSlots)
+	for i := range pc.wheel {
+		pc.wheel[i] = -1
+	}
+	pc.curTick = now / pacerTick
+}
+
+// step is one turn of the service loop at engine time now: absorb kicks,
+// advance the wheel, and serve a round of runnable ports. It returns how
+// long the pacer may sleep before the next turn, in ns: 0 when a round was
+// served (more may be runnable), negative when nothing waits on the wheel
+// and only a kick can bring work.
+func (pc *pacer) step(now int64) int64 {
+	pc.absorb()
+	pc.advance(now / pacerTick)
+	if len(pc.runnable) == 0 {
+		return pc.nextDelay()
+	}
+	pc.serveRound()
+	return 0
 }
 
 // absorb drains the cross-thread mailbox into the goroutine-local
@@ -233,26 +218,17 @@ func (pc *pacer) makeRunnable(pi int32) {
 	pc.runnable = append(pc.runnable, pi)
 }
 
-// schedule parks port pi on the wheel until tick t (clamped to the
-// wheel horizon; a clamped port re-schedules when its slot expires).
+// schedule parks port pi on the wheel until tick t, or until the horizon
+// if t lies beyond it.
 func (pc *pacer) schedule(pi int32, t int64) {
 	if t <= pc.curTick {
 		pc.makeRunnable(pi)
 		return
 	}
-	if t-pc.curTick >= wheelMaxTicks {
-		t = pc.curTick + wheelMaxTicks - 1
-	}
+	t = min(t, pc.curTick+wheelSlots-1)
 	pc.state[pi] = psWaiting
 	pc.deadline[pi] = t
-	var slot int32
-	if t-pc.curTick < wheelL0Slots {
-		slot = int32(t & (wheelL0Slots - 1))
-	} else {
-		slot = wheelL0Slots + int32((t>>wheelL0Bits)%wheelL1Slots)
-	}
-	pc.wslot[pi] = slot
-	head := pc.slotHead(slot)
+	head := &pc.wheel[t&(wheelSlots-1)]
 	pc.wnext[pi] = *head
 	pc.wprev[pi] = -1
 	if *head >= 0 {
@@ -262,20 +238,13 @@ func (pc *pacer) schedule(pi int32, t int64) {
 	pc.waiting++
 }
 
-func (pc *pacer) slotHead(slot int32) *int32 {
-	if slot < wheelL0Slots {
-		return &pc.l0[slot]
-	}
-	return &pc.l1[slot-wheelL0Slots]
-}
-
 // unschedule removes a waiting port from its wheel slot.
 func (pc *pacer) unschedule(pi int32) {
 	next, prev := pc.wnext[pi], pc.wprev[pi]
 	if prev >= 0 {
 		pc.wnext[prev] = next
 	} else {
-		*pc.slotHead(pc.wslot[pi]) = next
+		pc.wheel[pc.deadline[pi]&(wheelSlots-1)] = next
 	}
 	if next >= 0 {
 		pc.wprev[next] = prev
@@ -283,83 +252,39 @@ func (pc *pacer) unschedule(pi int32) {
 	pc.waiting--
 }
 
-// advance moves the wheel cursor to now, making due ports runnable and
-// cascading level-1 slots into level 0 as the cursor wraps.
+// advance moves the wheel cursor to tick now, making due ports runnable.
 func (pc *pacer) advance(now int64) {
-	if pc.waiting == 0 {
-		// Empty wheel: jump, so a long-idle pacer does not replay every
-		// tick it slept through.
-		if now > pc.curTick {
-			pc.curTick = now
-		}
-		return
-	}
 	for pc.curTick < now {
-		pc.curTick++
-		if pc.curTick&(wheelL0Slots-1) == 0 {
-			pc.cascade(int32((pc.curTick >> wheelL0Bits) % wheelL1Slots))
+		if pc.waiting == 0 {
+			// Empty wheel: jump, so a long-idle pacer does not replay every
+			// tick it slept through.
+			pc.curTick = now
+			return
 		}
-		slot := pc.curTick & (wheelL0Slots - 1)
-		for pi := pc.l0[slot]; pi >= 0; {
-			next := pc.wnext[pi]
+		pc.curTick++
+		slot := pc.curTick & (wheelSlots - 1)
+		for pi := pc.wheel[slot]; pi >= 0; pi = pc.wnext[pi] {
 			pc.waiting--
 			pc.makeRunnable(pi)
-			pi = next
 		}
-		pc.l0[slot] = -1
-	}
-}
-
-// cascade re-distributes a level-1 slot's ports by their exact
-// deadlines — into level 0, the runnable queue, or (for clamped
-// far-future deadlines that wrapped) back into level 1.
-func (pc *pacer) cascade(slot int32) {
-	pi := pc.l1[slot]
-	pc.l1[slot] = -1
-	for pi >= 0 {
-		next := pc.wnext[pi]
-		pc.waiting--
-		pc.schedule(pi, pc.deadline[pi])
-		pi = next
+		pc.wheel[slot] = -1
 	}
 }
 
 // nextDelay returns how long the pacer may sleep before the earliest
-// waiting port is due; any is false when no port waits on the wheel.
-func (pc *pacer) nextDelay() (time.Duration, bool) {
+// waiting port is due, negative when no port waits on the wheel.
+func (pc *pacer) nextDelay() int64 {
 	if pc.waiting == 0 {
-		return 0, false
+		return -1
 	}
-	best := int64(-1)
-	for t := pc.curTick + 1; t < pc.curTick+wheelL0Slots; t++ {
-		if pc.l0[t&(wheelL0Slots-1)] >= 0 {
-			best = t
-			break
-		}
+	// Every waiting port's slot is one of the wheelSlots-1 after the cursor.
+	t := pc.curTick + 1
+	for pc.wheel[t&(wheelSlots-1)] < 0 {
+		t++
 	}
-	if best < 0 {
-		// Sleep to the next non-empty level-1 slot's cascade time; the
-		// wake cascades it and computes the exact remainder.
-		cur := pc.curTick >> wheelL0Bits
-		for j := int64(1); j <= wheelL1Slots; j++ {
-			if pc.l1[(cur+j)%wheelL1Slots] >= 0 {
-				best = (cur + j) << wheelL0Bits
-				break
-			}
-		}
-	}
-	if best < 0 {
-		// waiting > 0 guarantees a slot above; defensive fallback.
-		best = pc.curTick + 1
-	}
-	d := time.Duration(best)*pacerTick - time.Since(pc.e.epoch)
-	// Overshoot slightly so the firing timer lands past the tick
-	// boundary instead of a hair before it.
-	d += pacerTick / 4
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d, true
+	// Overshoot slightly so the firing timer lands past the tick boundary
+	// instead of a hair before it.
+	return max(t*pacerTick-pc.e.clk.now()+pacerTick/4, pacerTick)
 }
 
 // serveRound serves every runnable port once, round-robin. Ports that
@@ -375,14 +300,11 @@ func (pc *pacer) serveRound() {
 	pc.nextRun = run[:0]
 }
 
-// tickAfter converts a shaper wait into an absolute due tick, rounding
-// up so the port never wakes before its bucket recovers.
-func (pc *pacer) tickAfter(wait time.Duration) int64 {
-	t := int64((time.Since(pc.e.epoch) + wait + pacerTick - 1) / pacerTick)
-	if t <= pc.curTick {
-		t = pc.curTick + 1
-	}
-	return t
+// throttle parks port p until the tick at or after now+wait, rounding up
+// so the port never wakes before its bucket recovers.
+func (pc *pacer) throttle(p *port, now, wait int64) {
+	p.throttled.Add(1)
+	pc.schedule(int32(p.idx), max((now+wait+pacerTick-1)/pacerTick, pc.curTick+1))
 }
 
 // servePortOnce gives port pi one service round: up to a burst of
@@ -406,11 +328,12 @@ func (pc *pacer) servePortOnce(pi int32) {
 	view := box.sinkV != nil
 	shaped := p.sh.enabled()
 	budget := int64(1) << 62
+	var now int64 // read for shaped ports only: an unshaped one is served off the clock
 	if shaped {
-		b, wait := p.sh.budget(time.Now(), pacerTick)
+		now = e.clk.now()
+		b, wait := p.sh.budget(now, pacerTick)
 		if b <= 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
+			pc.throttle(p, now, wait)
 			return
 		}
 		budget = b
@@ -444,7 +367,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			if len(pc.out) == 0 {
 				// Idle spells are not pacing jitter: the next departure
 				// starts a fresh gap sequence.
-				p.txLastNs.Store(0)
+				p.txLastNs.Store(noDeparture)
 				return // parked; notify will bring the port back
 			}
 			p.idle.Store(false)
@@ -452,23 +375,19 @@ func (pc *pacer) servePortOnce(pi int32) {
 		for i := range pc.out {
 			d := pc.out[i]
 			pc.out[i] = Dequeued{}
-			var err error
-			if view {
-				err = box.sinkV.SendView(p.idx, d)
-			} else {
-				err = box.sink.Transmit(d)
-			}
+			err := p.send(box, d)
 			// Drop the engine's reference to a view whether the sink
 			// succeeded or not — an erroring sink that kept the view
 			// retained it first. A copy has no view, and its buffer belongs
 			// to the sink either way.
 			rel.Add(d.View)
 			if err != nil {
-				// The link died mid-burst: the rest of the batch — already
-				// dequeued — is released so buffers and lent segments are
-				// not leaked. Those packets count as dequeued but not
-				// transmitted, like frames lost on a failing link. The port
-				// stops being served (Serve re-arms it).
+				// The link died mid-burst (a panicking sink is a dead link
+				// too): the rest of the batch — already dequeued — is
+				// released so buffers and lent segments are not leaked.
+				// Those packets count as dequeued but not transmitted, like
+				// frames lost on a failing link. The port stops being served
+				// (Serve re-arms it).
 				e.discard(pc.out[i+1:], &rel)
 				p.serving.Store(false)
 				return
@@ -477,7 +396,8 @@ func (pc *pacer) servePortOnce(pi int32) {
 			p.txBytes.Add(uint64(d.Bytes))
 			if shaped {
 				p.sh.charge(d.Bytes)
-				p.noteDeparture(time.Now().UnixNano())
+				now = e.clk.now()
+				p.noteDeparture(now)
 			}
 			sent += int64(d.Bytes)
 			pkts++
@@ -487,15 +407,32 @@ func (pc *pacer) servePortOnce(pi int32) {
 		}
 	}
 	if shaped {
-		if _, wait := p.sh.budget(time.Now(), pacerTick); wait > 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
+		if _, wait := p.sh.budget(now, pacerTick); wait > 0 {
+			pc.throttle(p, now, wait)
 			return
 		}
 	}
 	// The burst filled (or the bucket still has credit): more backlog is
 	// likely — stay runnable and let the next empty scan park the port.
 	pc.makeRunnable(pi)
+}
+
+var errSinkPanic = errors.New("engine: sink panicked")
+
+// send hands d to the port's sink. A panic in there is the sink's failure,
+// not the engine's: it is counted and comes back as the error a failing
+// Transmit would have returned, so the pacer and its other ports go on.
+func (p *port) send(box *sinkBox, d Dequeued) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.sinkPanics.Add(1)
+			err = errSinkPanic
+		}
+	}()
+	if box.sinkV != nil {
+		return box.sinkV.SendView(p.idx, d)
+	}
+	return box.sink.Transmit(d)
 }
 
 // discard settles packets that were dequeued for a sink that will not take

@@ -22,11 +22,11 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"sync/atomic"
-	"time"
 
 	"npqm/internal/policy"
+	"npqm/internal/stats"
 )
 
 // MaxPorts bounds Config.NumPorts: per-port scheduling state is allocated
@@ -37,10 +37,11 @@ const MaxPorts = 4096
 // Sink consumes the packets a served port transmits. Transmit may block —
 // that is the backpressure path; the pacer will not pick another packet
 // for this port until it returns. Returning a non-nil error stops the
-// port's service (the port can be Served again). Transmit always runs on
-// the port's home pacer goroutine, never concurrently with itself; note
-// that a Transmit that blocks indefinitely also stalls the other ports
-// homed to the same pacer.
+// port's service (the port can be Served again), and so does a panic,
+// which the pacer recovers and counts in PortStat.SinkPanics. Transmit
+// always runs on the port's home pacer goroutine, never concurrently with
+// itself; note that a Transmit that blocks indefinitely also stalls the
+// other ports homed to the same pacer.
 type Sink interface {
 	Transmit(d Dequeued) error
 }
@@ -83,72 +84,33 @@ type port struct {
 	// Transmit counters: written per packet by the home pacer, read by
 	// PortStats/Stats. Separated from the producer-CASed control words
 	// above and from the next heap neighbour below.
-	_         [hotPad]byte
-	txPackets atomic.Uint64
-	txBytes   atomic.Uint64
-	throttled atomic.Uint64 // times the port parked on the shaper wheel
+	_          [hotPad]byte
+	txPackets  atomic.Uint64
+	txBytes    atomic.Uint64
+	throttled  atomic.Uint64 // times the port parked on the shaper wheel
+	sinkPanics atomic.Uint64
 
 	// Inter-departure jitter, tracked for shaped ports only: the pacer
-	// stamps every transmit and the gap to the previous one feeds a sum
-	// (for the mean) and a log2 histogram (for the p99), so PortStats
-	// can report how tightly the wheel tracks the configured rate.
-	// txLastNs == 0 means no previous departure — reset on idle park and
-	// on Serve, so idle spells don't count as pacing jitter.
+	// stamps every transmit and the gap to the previous one lands in gaps,
+	// so PortStats can report how tightly the wheel tracks the configured
+	// rate. txLastNs == noDeparture means no previous departure — set by
+	// New, on idle park and on Serve, so idle spells don't count as pacing
+	// jitter.
 	txLastNs atomic.Int64
-	gapCount atomic.Uint64
-	gapSumNs atomic.Uint64
-	gapHist  [gapBuckets]atomic.Uint64
+	gaps     stats.Histogram
 	_        [hotPad]byte
 }
 
-// gapBuckets sizes the log2 inter-departure histogram: bucket b counts
-// gaps whose bit length is b (gap ∈ [2^(b-1), 2^b) ns), so the top
-// bucket absorbs everything from ~9 minutes up.
-const gapBuckets = 40
+// noDeparture is a stamp no clock produces: engine time starts at 0.
+const noDeparture = math.MinInt64
 
-// noteDeparture records one shaped transmit at now (UnixNano). Called
-// only from the port's home pacer; the fields are atomics because
-// PortStats reads them cross-goroutine.
+// noteDeparture records one shaped transmit at engine time now. Called
+// only from the port's home pacer; the fields are atomics because Serve
+// and PortStats touch them cross-goroutine.
 func (p *port) noteDeparture(now int64) {
-	last := p.txLastNs.Load()
-	p.txLastNs.Store(now)
-	if last == 0 {
-		return
+	if last := p.txLastNs.Swap(now); last != noDeparture {
+		p.gaps.Add(now - last)
 	}
-	gap := now - last
-	if gap < 0 {
-		gap = 0
-	}
-	p.gapCount.Add(1)
-	p.gapSumNs.Add(uint64(gap))
-	b := bits.Len64(uint64(gap))
-	if b >= gapBuckets {
-		b = gapBuckets - 1
-	}
-	p.gapHist[b].Add(1)
-}
-
-// gapStats summarizes the recorded inter-departure gaps: sample count,
-// mean, and the p99 read off the log2 histogram (reported as the upper
-// bound of the bucket the 99th percentile lands in, so it is exact to a
-// factor of two).
-func (p *port) gapStats() (samples, meanNs, p99Ns uint64) {
-	samples = p.gapCount.Load()
-	if samples == 0 {
-		return
-	}
-	meanNs = p.gapSumNs.Load() / samples
-	target := (samples*99 + 99) / 100
-	var cum uint64
-	for b := 0; b < gapBuckets; b++ {
-		cum += p.gapHist[b].Load()
-		if cum >= target {
-			p99Ns = (uint64(1) << b) - 1
-			return
-		}
-	}
-	p99Ns = (uint64(1) << (gapBuckets - 1)) - 1
-	return
 }
 
 // notify re-queues the port on its home pacer if (and only if) it went
@@ -216,7 +178,7 @@ func (e *Engine) SetPortRate(port int, cfg policy.ShaperConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	p.sh.configure(cfg, time.Now())
+	p.sh.configure(cfg, e.clk.now())
 	p.kick()
 	return nil
 }
@@ -258,7 +220,7 @@ func (e *Engine) Paused(port int) (bool, error) {
 // home shard's pacer (starting that pacer's goroutine on first use): the
 // pacer picks packets via the configured disciplines, paces them against
 // the port's shaper on its timing wheel, and pushes them into sink until
-// the engine closes or sink returns an error. On a sink error, packets
+// the engine closes or sink returns an error or panics. Either way, packets
 // already picked for the current burst are released — counted as
 // dequeued but not transmitted, like frames lost on a failing link. One
 // service per port; a second Serve on a live port fails. Serving any
@@ -285,7 +247,7 @@ func (e *Engine) serve(port int, box *sinkBox) error {
 		return fmt.Errorf("engine: port %d is already being served", port)
 	}
 	p.sink.Store(box)
-	p.txLastNs.Store(0) // a re-arm must not count downtime as a gap
+	p.txLastNs.Store(noDeparture) // a re-arm must not count downtime as a gap
 	p.pc.start()
 	p.kick()
 	return nil
@@ -319,15 +281,16 @@ type PortStat struct {
 	Throttled          uint64 // shaper waits (wheel parks awaiting tokens)
 	Paused             bool
 	Serving            bool
-	ActiveFlows        int   // flows with backlog mapped to this port
-	RateBytesPerSec    int64 // 0 = unshaped
+	SinkPanics         uint64 // sink calls that panicked; each stopped the port like an error
+	ActiveFlows        int    // flows with backlog mapped to this port
+	RateBytesPerSec    int64  // 0 = unshaped
 	BurstBytes         int64
 	ShaperTokens       int64 // current bucket credit; negative = in debt
 
 	// Inter-departure jitter, measured for shaped ports only (idle
 	// spells excluded): how tightly the timing wheel tracks the
-	// configured rate. P99 is read off a log2 histogram, so it is exact
-	// to a factor of two.
+	// configured rate. The mean is exact; P99 is a bucket upper bound of
+	// a stats.Histogram, at most 25% above the exact order statistic.
 	GapSamples uint64
 	MeanGapNs  uint64
 	P99GapNs   uint64
@@ -338,10 +301,9 @@ type PortStat struct {
 // shard, not a global cut).
 func (e *Engine) PortStats() []PortStat {
 	out := make([]PortStat, len(e.ports))
-	now := time.Now()
+	now := e.clk.now()
 	for i, p := range e.ports {
 		rate, burst, tokens := p.sh.occupancy(now)
-		samples, mean, p99 := p.gapStats()
 		out[i] = PortStat{
 			Port:               i,
 			TransmittedPackets: p.txPackets.Load(),
@@ -349,12 +311,13 @@ func (e *Engine) PortStats() []PortStat {
 			Throttled:          p.throttled.Load(),
 			Paused:             p.paused.Load(),
 			Serving:            p.serving.Load(),
+			SinkPanics:         p.sinkPanics.Load(),
 			RateBytesPerSec:    rate,
 			BurstBytes:         burst,
 			ShaperTokens:       tokens,
-			GapSamples:         samples,
-			MeanGapNs:          mean,
-			P99GapNs:           p99,
+			GapSamples:         p.gaps.N(),
+			MeanGapNs:          uint64(p.gaps.Mean()),
+			P99GapNs:           uint64(p.gaps.Quantile(0.99)),
 		}
 	}
 	for _, s := range e.shards {

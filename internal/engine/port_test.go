@@ -6,6 +6,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,60 +188,242 @@ func TestMultiPortPartition(t *testing.T) {
 	}
 }
 
+// shapedCredit is the bytes a port shaped to rate B/s with a burst-byte
+// bucket has been granted by the time the pacer has served engine tick k:
+// the initial bucket plus the rate's earnings through the end of the tick
+// being served (the pacer transmits a tick's worth per wake). A backlogged
+// port has sent at least this much and less than a packet more — the
+// charge-after-send overdraw — at every tick. The bucket refills in whole
+// bytes, so up to a byte per elapsed tick may be missing.
+func shapedCredit(rate, burst int64, k int) (lo, hi int64) {
+	hi = burst + rate*int64(k+1)*pacerTick/second
+	return hi - int64(k), hi
+}
+
+// TestShapedPortPacesDelivery steps a shaped port through its whole
+// schedule: every tick's departures are the shaper's, to the byte.
 func TestShapedPortPacesDelivery(t *testing.T) {
-	e, err := New(Config{
+	const rate, burst = 1 << 20, 1024 // 1 MiB/s, 1 KiB burst
+	const pktBytes, packets = 1024, 60
+	e := newStepped(t, Config{
 		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
-		PortRate: policy.ShaperConfig{RateBytesPerSec: 1 << 20, BurstBytes: 1024}, // 1 MiB/s, 1 KiB burst
+		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pktBytes = 1024
-	const packets = 60 // ~60 KiB − 1 KiB burst → ≥ ~57ms at 1 MiB/s
 	pkt := make([]byte, pktBytes)
 	for i := 0; i < packets; i++ {
 		if _, err := e.EnqueuePacket(uint32(i%4), pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sink := newCountingSink(e)
-	start := time.Now()
+	sink := newCountingSink(e.Engine)
 	if err := e.Serve(0, sink); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 30*time.Second, "shaped drain", func() bool { return sink.count() == packets })
-	elapsed := time.Since(start)
-	// The schedule says ~57ms; demand only half to stay robust on loaded
-	// CI machines (which can only make it slower, never faster).
-	if min := 28 * time.Millisecond; elapsed < min {
-		t.Fatalf("shaped port drained %d KiB in %v, want ≥ %v at 1 MiB/s", packets*pktBytes/1024, elapsed, min)
+	// The 60th packet leaves on the first tick whose credit exceeds the 59
+	// before it: 1024 + 1048·(k+1) > 59·1024 ⇔ k = 56.
+	const lastTick = 56
+	for e.settle(); sink.count() < packets; e.tick(1) {
+		if e.nowTick() > lastTick {
+			t.Fatalf("%d of %d packets sent by tick %d, schedule ends at tick %d", sink.count(), packets, e.nowTick(), lastTick)
+		}
+		lo, hi := shapedCredit(rate, burst, e.nowTick())
+		if sent := int64(sink.count()) * pktBytes; sent < lo || sent >= hi+pktBytes {
+			t.Fatalf("tick %d: %d bytes sent, want within [%d, %d)", e.nowTick(), sent, lo, hi+pktBytes)
+		}
 	}
-	st := e.Stats()
-	if st.Throttled == 0 {
-		t.Fatal("shaped drain recorded no throttled waits")
+	if e.nowTick() != lastTick {
+		t.Fatalf("backlog drained at tick %d, want %d", e.nowTick(), lastTick)
 	}
 	pst := e.PortStats()[0]
-	if pst.RateBytesPerSec != 1<<20 || pst.BurstBytes != 1024 {
+	if pst.RateBytesPerSec != rate || pst.BurstBytes != burst {
 		t.Fatalf("shaper config in PortStats = %d/%d", pst.RateBytesPerSec, pst.BurstBytes)
 	}
 	if pst.ShaperTokens > pst.BurstBytes {
 		t.Fatalf("shaper tokens %d above burst %d", pst.ShaperTokens, pst.BurstBytes)
 	}
-	// The pacing left an inter-departure jitter trace: most of the ~59
-	// gaps run on the ~1ms/packet schedule, so the mean sits well above
-	// 100µs (a loaded CI machine stretches gaps, never shrinks them) and
-	// within the run's own wall clock.
-	if pst.GapSamples == 0 || pst.GapSamples >= packets {
-		t.Fatalf("shaped drain recorded %d gap samples, want within (0, %d)", pst.GapSamples, packets)
+	// One park per tick served, and one gap per departure after the first:
+	// the mean gap is the drain time over those, and the longest gap is one
+	// tick, which the p99 may overstate by a sub-bucket.
+	if pst.Throttled != lastTick+1 {
+		t.Fatalf("throttled %d times, want %d", pst.Throttled, lastTick+1)
 	}
-	if pst.MeanGapNs < 100_000 || pst.MeanGapNs > uint64(elapsed.Nanoseconds()) {
-		t.Fatalf("mean inter-departure gap %dns, want within [100µs, %v]", pst.MeanGapNs, elapsed)
+	if pst.GapSamples != packets-1 || pst.MeanGapNs != lastTick*uint64(pacerTick)/(packets-1) {
+		t.Fatalf("%d gaps of mean %dns, want %d of %dns", pst.GapSamples, pst.MeanGapNs, packets-1, lastTick*uint64(pacerTick)/(packets-1))
 	}
-	if pst.P99GapNs == 0 {
-		t.Fatal("paced drain reported a zero p99 inter-departure gap")
+	if pst.P99GapNs < uint64(pacerTick) || pst.P99GapNs >= uint64(pacerTick)*5/4 {
+		t.Fatalf("p99 inter-departure gap %dns, want one tick (+25%%)", pst.P99GapNs)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPacerHorizonRepark: a wait longer than the wheel is served by parking
+// at the horizon and parking again. 1500-byte packets at 1 KB/s leave 1.5 s
+// apart — six parks each — and still on the exact tick, through more than
+// ten seconds of engine time.
+func TestPacerHorizonRepark(t *testing.T) {
+	const pktBytes, packets = 1500, 9
+	e := newStepped(t, Config{
+		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: pktBytes},
+	})
+	pkt := make([]byte, pktBytes)
+	for i := 0; i < packets; i++ {
+		if _, err := e.EnqueuePacket(0, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var departed []int // tick of each departure
+	if err := e.Serve(0, SinkFunc(func(d Dequeued) error {
+		departed = append(departed, e.nowTick())
+		e.ReleaseBuffer(d.Data)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	// The full bucket and the first tick's byte let two packets out at once;
+	// each later one waits for the 1500 bytes its predecessor overdrew.
+	want := []int{0, 0}
+	for k := 1; len(want) < packets; k++ {
+		want = append(want, 1500*k)
+	}
+	e.settle()
+	e.tick(want[packets-1])
+	if len(departed) != packets {
+		t.Fatalf("%d of %d packets departed in %d ticks", len(departed), packets, e.nowTick())
+	}
+	for i := range want {
+		if departed[i] != want[i] {
+			t.Fatalf("departure ticks %v, want %v", departed, want)
+		}
+	}
+	// Parks: one per 255-tick horizon inside each 1500-tick wait (five), plus
+	// the one that lands on the due tick, per packet after the burst; then
+	// the park after the last departure.
+	if got, want := e.PortStats()[0].Throttled, uint64(6*(packets-2)+1); got != want {
+		t.Fatalf("throttled %d times, want %d", got, want)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPacerSixteenShapedPorts is the benchmark's ports16-shaped-push on one
+// pacer, stepped: 16 ports at 2 MB/s of 64-byte packets each hold their own
+// schedule to within a packet at every tick, whatever their neighbours do.
+func TestPacerSixteenShapedPorts(t *testing.T) {
+	const ports, rate, burst, pktBytes, ticks = 16, 2_000_000, 4096, 64, 50
+	e := newStepped(t, Config{
+		Shards: 1, NumFlows: 64, NumSegments: 1 << 16, StoreData: true, NumPorts: ports,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
+	})
+	sent := make([]int64, ports)
+	pkt := make([]byte, pktBytes)
+	for p := 0; p < ports; p++ {
+		if err := e.SetFlowPort(uint32(p), p); err != nil {
+			t.Fatal(err)
+		}
+		_, hi := shapedCredit(rate, burst, ticks)
+		for n := int64(0); n <= hi; n += pktBytes { // backlog past the last tick's credit
+			if _, err := e.EnqueuePacket(uint32(p), pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Serve(p, SinkFunc(func(d Dequeued) error {
+			sent[p] += int64(d.Bytes)
+			e.ReleaseBuffer(d.Data)
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e.settle(); e.nowTick() <= ticks; e.tick(1) {
+		lo, hi := shapedCredit(rate, burst, e.nowTick())
+		for p, n := range sent {
+			if n < lo || n >= hi+pktBytes {
+				t.Fatalf("tick %d: port %d sent %d bytes, want within [%d, %d)", e.nowTick(), p, n, lo, hi+pktBytes)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSinkPanicStopsOnlyItsPort: a sink that panics is a sink that failed.
+// Its port stops and can be re-armed, the burst it was handed is settled,
+// nothing stays lent, and the pacer goes on serving its other ports.
+func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
+	for _, view := range []bool{false, true} {
+		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
+			e := newStepped(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512, StoreData: true, NumPorts: 2})
+			if err := e.SetFlowPort(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			pkt := make([]byte, 3*queue.SegmentBytes)
+			enqueue := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					for f := uint32(0); f < 2; f++ {
+						if _, err := e.EnqueuePacket(f, pkt); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			enqueue(10)
+			var got [2]int
+			if err := serveAs(e.Engine, 0, view, func(Dequeued) error {
+				if got[0]++; got[0] == 3 {
+					panic("sink bug")
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := serveAs(e.Engine, 1, view, func(Dequeued) error { got[1]++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			e.settle()
+			pst := e.PortStats()
+			if pst[0].SinkPanics != 1 || pst[0].Serving || pst[0].TransmittedPackets != 2 {
+				t.Fatalf("panicked port: %+v, want 1 panic, stopped after 2 transmissions", pst[0])
+			}
+			if pst[1].SinkPanics != 0 || !pst[1].Serving || got[1] != 10 {
+				t.Fatalf("sibling port delivered %d of 10: %+v", got[1], pst[1])
+			}
+			// The whole picked burst is gone from the queues: two sent, one
+			// lost in the panic, seven discarded.
+			if st := e.Stats(); st.DequeuedPackets != 20 || st.LentSegments != 0 {
+				t.Fatalf("after the panic: %d dequeued, %d segments lent, want 20 and 0", st.DequeuedPackets, st.LentSegments)
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// Both ports take traffic again, the stopped one once re-armed.
+			enqueue(4)
+			e.settle()
+			if got != [2]int{3, 14} {
+				t.Fatalf("deliveries %v before the re-arm, want [3 14]", got)
+			}
+			if err := serveAs(e.Engine, 0, view, func(Dequeued) error { got[0]++; return nil }); err != nil {
+				t.Fatalf("re-arm after the panic: %v", err)
+			}
+			e.settle()
+			if got != [2]int{7, 14} {
+				t.Fatalf("deliveries %v after the re-arm, want [7 14]", got)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.LentSegments(); n != 0 || e.FreeSegments() != 512 {
+				t.Fatalf("%d segments lent, %d free of 512 after the drain", n, e.FreeSegments())
+			}
+		})
 	}
 }
 
@@ -272,11 +455,8 @@ func TestUnshapedPortRecordsNoJitter(t *testing.T) {
 }
 
 func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newCountingSink(e)
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true})
+	sink := newCountingSink(e.Engine)
 	if err := e.Serve(0, sink); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +472,7 @@ func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(30 * time.Millisecond)
+	e.tick(30)
 	if n := sink.count(); n != 0 {
 		t.Fatalf("paused port transmitted %d packets", n)
 	}
@@ -302,7 +482,9 @@ func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 	if err := e.Resume(0); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "post-resume drain", func() bool { return sink.count() == 8 })
+	if e.settle(); sink.count() != 8 {
+		t.Fatalf("resumed port transmitted %d of 8 packets", sink.count())
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +494,7 @@ func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 }
 
 func TestSetFlowPortMovesBacklog(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true, NumPorts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true, NumPorts: 2})
 	pkt := make([]byte, queue.SegmentBytes)
 	for i := 0; i < 4; i++ {
 		if _, err := e.EnqueuePacket(5, pkt); err != nil {
@@ -326,18 +505,20 @@ func TestSetFlowPortMovesBacklog(t *testing.T) {
 		t.Fatalf("FlowPort(5) = (%d, %v), want (0, nil)", p, err)
 	}
 	// Only port 1 is served: nothing moves while the flow sits on port 0.
-	sink := newCountingSink(e)
+	sink := newCountingSink(e.Engine)
 	if err := e.Serve(1, sink); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	e.tick(30)
 	if n := sink.count(); n != 0 {
 		t.Fatalf("port 1 transmitted %d packets of a port-0 flow", n)
 	}
 	if err := e.SetFlowPort(5, 1); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "re-homed backlog", func() bool { return sink.count() == 4 })
+	if e.settle(); sink.count() != 4 {
+		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", sink.count())
+	}
 	if p, _ := e.FlowPort(5); p != 1 {
 		t.Fatalf("FlowPort(5) = %d after move, want 1", p)
 	}

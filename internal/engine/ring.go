@@ -25,7 +25,6 @@ package engine
 import (
 	"errors"
 	"runtime"
-	"time"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
@@ -179,14 +178,15 @@ func (e *Engine) Close() error {
 // exits once the ring is sealed and drained. It carries no state of its own.
 func (e *Engine) worker(s *shard) {
 	defer e.workers.Done()
+	idleFrom := e.clk.now()
 	for {
-		t0 := time.Now()
 		sealed := s.ring.WaitReady()
-		t1 := time.Now()
-		s.wIdleNs.Add(t1.Sub(t0).Nanoseconds())
+		busyFrom := e.clk.now()
+		s.wIdleNs.Add(busyFrom - idleFrom)
 		e.lock(s)
 		s.unlock()
-		s.wBusyNs.Add(time.Since(t1).Nanoseconds())
+		idleFrom = e.clk.now() // the end of this pass is the start of the next wait
+		s.wBusyNs.Add(idleFrom - busyFrom)
 		if sealed && s.ring.Drained() {
 			return
 		}

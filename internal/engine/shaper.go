@@ -1,23 +1,22 @@
 package engine
 
 // The per-port token-bucket shaper. Time is a first-class resource here:
-// a port earns rate bytes of credit per second of wall clock (Go's
-// time.Time carries the monotonic reading, so wall-clock steps cannot
-// inflate or starve the bucket), banks at most burst bytes while idle,
-// and transmits a packet only when the bucket is non-negative. The send
-// itself may overdraw the bucket by up to one packet — the byte-accurate
-// formulation that needs no packet-size foreknowledge: the debt delays
-// the next send by exactly the overdrawn bytes' serialization time, so
-// the long-run rate converges to the configured one for any packet mix.
+// a port earns rate bytes of credit per second of engine time (every now
+// below is ns on the engine's clock, clock.go; the bucket reads no clock
+// itself), banks at most burst bytes while idle, and transmits a packet
+// only when the bucket is non-negative. The send itself may overdraw the
+// bucket by up to one packet — the byte-accurate formulation that needs
+// no packet-size foreknowledge: the debt delays the next send by exactly
+// the overdrawn bytes' serialization time, so the long-run rate converges
+// to the configured one for any packet mix.
 //
-// The bucket is shared between its port's worker (the hot reader) and
+// The bucket is shared between its port's pacer (the hot reader) and
 // the control plane (SetPortRate, PortStats), so it carries its own
-// mutex; the worker takes it once per packet, far off the per-segment
+// mutex; the pacer takes it once per packet, far off the per-segment
 // paths.
 
 import (
 	"sync"
-	"time"
 
 	"npqm/internal/policy"
 )
@@ -27,10 +26,10 @@ type shaper struct {
 	rate   int64 // bytes per second; 0 = unshaped
 	burst  int64 // bucket depth in bytes
 	tokens int64 // current credit; negative = in debt from the last send
-	last   time.Time
+	last   int64 // when tokens was last brought up to date
 }
 
-func newShaper(cfg policy.ShaperConfig, now time.Time) *shaper {
+func newShaper(cfg policy.ShaperConfig, now int64) *shaper {
 	sh := &shaper{}
 	sh.configure(cfg, now)
 	return sh
@@ -39,7 +38,7 @@ func newShaper(cfg policy.ShaperConfig, now time.Time) *shaper {
 // configure swaps the rate/burst at runtime. The bucket starts full so a
 // freshly shaped port may emit one burst immediately — the conventional
 // token-bucket initial condition.
-func (sh *shaper) configure(cfg policy.ShaperConfig, now time.Time) {
+func (sh *shaper) configure(cfg policy.ShaperConfig, now int64) {
 	cfg = cfg.WithDefaults()
 	sh.mu.Lock()
 	sh.rate = cfg.RateBytesPerSec
@@ -57,26 +56,26 @@ func (sh *shaper) enabled() bool {
 	return on
 }
 
-// tokensFor converts an elapsed interval to earned bytes. Exact integer
+// tokensFor converts an elapsed interval (ns) to earned bytes. Exact integer
 // arithmetic is used whenever ns × rate provably fits int64 (sub-second
 // window × rate below 2^33 ≈ 8.6 GB/s: the product stays under
 // 10^9 × 2^33 < 2^63); beyond that — long idle stretches or >8 GB/s
 // line rates, where a byte of float rounding is invisible against the
 // magnitudes involved — the conversion goes through float64 instead of
 // wrapping negative.
-func tokensFor(el time.Duration, rate int64) int64 {
+func tokensFor(el, rate int64) int64 {
 	if el <= 0 {
 		return 0
 	}
-	if el <= time.Second && rate < 1<<33 {
-		return int64(el) * rate / int64(time.Second)
+	if el <= second && rate < 1<<33 {
+		return el * rate / second
 	}
-	return int64(float64(el) / float64(time.Second) * float64(rate))
+	return int64(float64(el) / float64(second) * float64(rate))
 }
 
 // refillLocked advances the bucket to now; caller holds sh.mu.
-func (sh *shaper) refillLocked(now time.Time) {
-	el := now.Sub(sh.last)
+func (sh *shaper) refillLocked(now int64) {
+	el := now - sh.last
 	if el <= 0 {
 		return
 	}
@@ -87,34 +86,13 @@ func (sh *shaper) refillLocked(now time.Time) {
 	}
 }
 
-// ready refills the bucket and returns 0 when the port may transmit now,
-// or the duration until the bucket climbs back to zero. Unshaped buckets
-// are always ready.
-func (sh *shaper) ready(now time.Time) time.Duration {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.rate <= 0 {
-		return 0
-	}
-	sh.refillLocked(now)
-	if sh.tokens >= 0 {
-		return 0
-	}
-	need := -sh.tokens
-	wait := time.Duration(need * int64(time.Second) / sh.rate)
-	if wait <= 0 {
-		wait = time.Nanosecond
-	}
-	return wait
-}
-
 // budget refills the bucket and returns how many bytes the port may
 // transmit between now and now+horizon (current credit plus the credit
 // the coming horizon will earn). When the answer is not positive, wait
-// is the duration until it becomes so — the pacer parks the port on its
+// is the ns until it becomes so — the pacer parks the port on its
 // wheel for that long. Unshaped buckets report an effectively unlimited
 // budget.
-func (sh *shaper) budget(now time.Time, horizon time.Duration) (bytes int64, wait time.Duration) {
+func (sh *shaper) budget(now, horizon int64) (bytes, wait int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.rate <= 0 {
@@ -125,12 +103,7 @@ func (sh *shaper) budget(now time.Time, horizon time.Duration) (bytes int64, wai
 	if b > 0 {
 		return b, 0
 	}
-	need := -b + 1
-	wait = time.Duration(need * int64(time.Second) / sh.rate)
-	if wait <= 0 {
-		wait = time.Nanosecond
-	}
-	return b, wait
+	return b, max((-b+1)*second/sh.rate, 1)
 }
 
 // charge debits a transmitted packet's bytes (the bucket may go
@@ -147,7 +120,7 @@ func (sh *shaper) charge(n int) {
 }
 
 // occupancy snapshots the bucket for PortStats, refreshed to now.
-func (sh *shaper) occupancy(now time.Time) (rate, burst, tokens int64) {
+func (sh *shaper) occupancy(now int64) (rate, burst, tokens int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.rate > 0 {

@@ -67,9 +67,10 @@ type Stats struct {
 
 	// Residence-time sampling (zero unless Config.ResidenceSample > 0):
 	// enqueue→dequeue times of sampled packets, in nanoseconds, merged
-	// across shards. Quantiles are bucket upper bounds (25µs buckets
-	// spanning ~205ms — see residence.go); samples beyond the span report
-	// the exact observed maximum.
+	// across shards. Quantiles are bucket upper bounds of a log-scale
+	// histogram with four buckets per octave (stats.Histogram): at or above
+	// the exact order statistic, by less than 25%, from 1 ns to 18 minutes.
+	// The maximum is exact.
 	ResidenceSamples uint64
 	ResidenceP50Ns   float64
 	ResidenceP99Ns   float64
@@ -112,20 +113,7 @@ type ShardStat struct {
 // world.
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: len(e.shards)}
-	// One pooled merge target per snapshot: Histogram.Merge reads its
-	// argument without mutating it, so each shard's histogram is folded in
-	// directly inside that shard's critical section — no per-shard clone,
-	// and no 64KB allocation per Stats call for high-frequency samplers.
-	var merged *stats.Histogram
-	if e.cfg.ResidenceSample > 0 {
-		if v := e.histPool.Get(); v != nil {
-			merged = v.(*stats.Histogram)
-			merged.Reset()
-		} else {
-			merged = stats.NewHistogram(resHistBuckets, resHistWidthNs)
-		}
-		defer e.histPool.Put(merged)
-	}
+	var res stats.Histogram
 	for _, s := range e.shards {
 		s := s
 		e.run(s, func() {
@@ -143,10 +131,10 @@ func (e *Engine) Stats() Stats {
 			st.QueuedSegments += s.m.QueuedSegments()
 			st.BufferedBytes += int64(s.m.TotalBuffered())
 			st.ActiveFlows += s.activeFlows
-			if s.res != nil {
-				merged.Merge(s.res.hist)
-			}
 		})
+		if s.res != nil {
+			res.Merge(&s.res.hist) // lock-free: no reason to hold the shard for it
+		}
 	}
 	for _, p := range e.ports {
 		st.TransmittedPackets += p.txPackets.Load()
@@ -156,13 +144,11 @@ func (e *Engine) Stats() Stats {
 	for _, pc := range e.pacers {
 		st.CoalescedWakes += pc.coalesced.Load()
 	}
-	if merged != nil {
-		st.ResidenceSamples = merged.N()
-		if st.ResidenceSamples > 0 {
-			st.ResidenceP50Ns = merged.Quantile(0.50)
-			st.ResidenceP99Ns = merged.Quantile(0.99)
-			st.ResidenceMaxNs = merged.Max()
-		}
+	if e.cfg.ResidenceSample > 0 {
+		st.ResidenceSamples = res.N()
+		st.ResidenceP50Ns = res.Quantile(0.50)
+		st.ResidenceP99Ns = res.Quantile(0.99)
+		st.ResidenceMaxNs = res.Max()
 	}
 	st.FreeSegments = e.store.Free()
 	st.LentSegments = e.store.Lent()

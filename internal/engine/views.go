@@ -48,10 +48,11 @@ type PacketView = queue.PacketView
 // SinkV consumes the packet views a port served through ServeViews
 // transmits — the zero-copy counterpart of Sink. SendView may block (that
 // is the backpressure path) and always runs on the port's home pacer
-// goroutine, never concurrently with itself. Returning a non-nil error
-// stops the port's service, exactly as Sink.Transmit does. The engine
-// releases its reference to d.View when SendView returns, success or
-// error: a sink that needs the view afterwards must Retain it first.
+// goroutine, never concurrently with itself. Returning a non-nil error or
+// panicking stops the port's service, exactly as with Sink.Transmit. The
+// engine releases its reference to d.View when SendView returns, success,
+// error or panic: a sink that needs the view afterwards must Retain it
+// first.
 type SinkV interface {
 	SendView(port int, d DequeuedView) error
 }

@@ -1,13 +1,16 @@
 // Package stats provides the small statistical toolkit used by the
-// simulation harnesses: streaming mean/variance, histograms, percentiles and
-// utilization counters. Everything is allocation-light and deterministic.
+// simulation harnesses and the engine: streaming mean/variance, a log-scale
+// histogram, percentiles and utilization counters. Everything is
+// allocation-light and deterministic.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Welford accumulates streaming mean and variance using Welford's algorithm,
@@ -90,99 +93,118 @@ func (w *Welford) String() string {
 		w.n, w.Mean(), w.Std(), w.min, w.max)
 }
 
-// Histogram is a fixed-width bucket histogram over [0, width*buckets), with
-// an overflow bucket. It also records exact streaming moments.
+// Histogram is a lock-free log-scale histogram of non-negative integer
+// samples (nanoseconds, to its users). Values below 2<<histSubBits have a
+// bucket each; above that every octave [2^e, 2^(e+1)) is cut into
+// 1<<histSubBits equal buckets, so a bucket is never wider than a quarter
+// of its lower bound, and a quantile, reported as the largest value of the
+// bucket it falls in, overstates the exact order statistic by less than
+// 25%. Samples of 2^histMaxExp (18 minutes of nanoseconds) and more share
+// the top bucket, where quantiles report the exact maximum. Sum and
+// maximum are exact.
+//
+// The zero value is empty and ready. Add, Merge and the readers may run
+// concurrently: a reader sees every sample whose Add returned before it
+// started, not an atomic cut. One instance is 158 words.
 type Histogram struct {
-	Width    float64
-	counts   []uint64
-	overflow uint64
-	w        Welford
+	counts [histBuckets]atomic.Uint64
+	sum    atomic.Uint64
+	max    atomic.Uint64
 }
 
-// NewHistogram returns a histogram with the given bucket count and width.
-func NewHistogram(buckets int, width float64) *Histogram {
-	if buckets <= 0 || width <= 0 {
-		panic("stats: NewHistogram needs positive buckets and width")
-	}
-	return &Histogram{Width: width, counts: make([]uint64, buckets)}
+const (
+	histSubBits = 2
+	histMaxExp  = 40
+	histBuckets = (histMaxExp - histSubBits + 1) << histSubBits
+)
+
+// histBucket is the bucket of v: its top histSubBits+1 bits, offset by
+// how far they were shifted down.
+func histBucket(v uint64) int {
+	shift := max(bits.Len64(v)-1-histSubBits, 0)
+	return min(shift<<histSubBits+int(v>>shift), histBuckets-1)
 }
 
-// Add incorporates x (negative values clamp to bucket 0).
-func (h *Histogram) Add(x float64) {
-	h.w.Add(x)
-	if x < 0 {
-		x = 0
-	}
-	i := int(x / h.Width)
-	if i >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[i]++
+// histUpper is the largest value bucket i holds (the top bucket has none).
+func histUpper(i int) uint64 {
+	shift := max(i>>histSubBits-1, 0)
+	return uint64(i-shift<<histSubBits+1)<<shift - 1
 }
 
-// Merge folds the buckets and moments of o into h. Both histograms must
-// share the same bucket count and width (it panics otherwise): merging is
-// meant for combining per-shard histograms built from one configuration,
-// e.g. the engine's per-shard residence-time samples.
+// Add incorporates v (negative values count as 0).
+func (h *Histogram) Add(v int64) {
+	u := uint64(max(v, 0))
+	h.counts[histBucket(u)].Add(1)
+	h.sum.Add(u)
+	h.raiseMax(u)
+}
+
+func (h *Histogram) raiseMax(u uint64) {
+	for m := h.max.Load(); u > m && !h.max.CompareAndSwap(m, u); m = h.max.Load() {
+	}
+}
+
+// Merge folds the samples of o into h, as if each had been Added to h. o
+// is unchanged.
 func (h *Histogram) Merge(o *Histogram) {
-	if len(h.counts) != len(o.counts) || h.Width != o.Width {
-		panic("stats: Merge of histograms with different geometry")
+	for i := range o.counts {
+		if n := o.counts[i].Load(); n != 0 {
+			h.counts[i].Add(n)
+		}
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.overflow += o.overflow
-	h.w.Merge(&o.w)
-}
-
-// Clone returns an independent copy of h.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	c.counts = append([]uint64(nil), h.counts...)
-	return &c
-}
-
-// Reset empties the histogram (buckets, overflow, and moments), keeping
-// its geometry — for callers that pool merge targets instead of
-// allocating one per snapshot.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.overflow = 0
-	h.w = Welford{}
+	h.sum.Add(o.sum.Load())
+	h.raiseMax(o.max.Load())
 }
 
 // N returns the total number of samples.
-func (h *Histogram) N() uint64 { return h.w.N() }
+func (h *Histogram) N() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
-// Mean returns the exact sample mean.
-func (h *Histogram) Mean() float64 { return h.w.Mean() }
+// Mean returns the exact sample mean (0 for no samples).
+func (h *Histogram) Mean() float64 {
+	n := h.N()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.sum.Load()) / float64(n)
+}
 
-// Max returns the exact maximum sample.
-func (h *Histogram) Max() float64 { return h.w.Max() }
+// Max returns the exact maximum sample (0 for no samples).
+func (h *Histogram) Max() float64 { return float64(h.max.Load()) }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using the
-// bucket boundaries; overflow samples report the exact observed maximum.
+// Quantile returns an upper bound for the q-quantile (0 <= q <= 1), less
+// than 25% above the exact order statistic and never above Max; 0 for no
+// samples.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic("stats: Quantile out of range")
 	}
-	total := h.w.N()
+	// Rank against one reading of the buckets, so concurrent Adds cannot
+	// move the target between the count and the walk.
+	var counts [histBuckets]uint64
+	var total uint64
+	for i := range counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
 	if total == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(q*float64(total))), 1)
+	top := h.max.Load()
 	var cum uint64
-	for i, c := range h.counts {
+	for i, c := range counts[:histBuckets-1] {
 		cum += c
 		if cum >= target {
-			return float64(i+1) * h.Width
+			return float64(min(histUpper(i), top))
 		}
 	}
-	return h.w.Max()
+	return float64(top)
 }
 
 // Counter is a named monotonic event counter.

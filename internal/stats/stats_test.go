@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestWelfordBasics(t *testing.T) {
@@ -68,40 +71,61 @@ func TestWelfordMatchesNaive(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
+	var h Histogram
 	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
+		h.Add(int64(i%10) * 1000)
 	}
 	if h.N() != 100 {
 		t.Fatalf("n = %d", h.N())
 	}
-	if q := h.Quantile(0.5); q < 4 || q > 6 {
+	if m := h.Mean(); m != 4500 {
+		t.Fatalf("mean = %v, want the exact 4500", m)
+	}
+	// The 50th of 100 samples is a 4000: its bucket's upper bound is at
+	// most a quarter above it.
+	if q := h.Quantile(0.5); q < 4000 || q > 5000 {
 		t.Fatalf("median = %v", q)
 	}
-	if q := h.Quantile(1.0); q != 10 {
-		t.Fatalf("q100 = %v", q)
+	if q := h.Quantile(1.0); q != 9000 {
+		t.Fatalf("q100 = %v, want the maximum", q)
+	}
+	// Values below 8 have a bucket each.
+	var small Histogram
+	for v := int64(0); v < 8; v++ {
+		small.Add(v)
+	}
+	for k := 1; k <= 8; k++ {
+		if q := small.Quantile(float64(k) / 8); q != float64(k-1) {
+			t.Fatalf("small q%d/8 = %v, want %d", k, q, k-1)
+		}
+	}
+	if unsafe.Sizeof(h) > 2048 {
+		t.Fatalf("a Histogram is %d bytes, want <= 2 KiB", unsafe.Sizeof(h))
 	}
 }
 
 func TestHistogramOverflow(t *testing.T) {
-	h := NewHistogram(4, 1.0)
-	h.Add(100)
-	h.Add(-5) // clamps to bucket 0
+	var h Histogram
+	h.Add(5 << histMaxExp) // past the top bucket's lower bound
+	h.Add(-5)              // counts as 0
 	if h.N() != 2 {
 		t.Fatalf("n = %d", h.N())
 	}
-	if h.Quantile(1.0) != 100 {
-		t.Fatalf("overflow quantile = %v", h.Quantile(1.0))
+	if h.Quantile(0.5) != 0 {
+		t.Fatalf("negative sample landed at %v, want 0", h.Quantile(0.5))
 	}
-	if h.Max() != 100 {
+	if h.Quantile(1.0) != 5<<histMaxExp {
+		t.Fatalf("overflow quantile = %v, want the exact maximum", h.Quantile(1.0))
+	}
+	if h.Max() != 5<<histMaxExp {
 		t.Fatalf("max = %v", h.Max())
 	}
 }
 
 func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(4, 1.0)
-	if h.Quantile(0.9) != 0 {
-		t.Fatal("empty histogram quantile not 0")
+	var h Histogram
+	if h.Quantile(0.9) != 0 || h.Mean() != 0 || h.Max() != 0 {
+		t.Fatal("empty histogram does not read 0")
 	}
 }
 
@@ -111,7 +135,36 @@ func TestHistogramPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewHistogram(0, 1)
+	new(Histogram).Quantile(1.5)
+}
+
+// TestHistogramQuantileError: over samples spread log-uniformly across
+// eight decades, every quantile is at or above the exact order statistic
+// and less than one sub-bucket (25%) beyond it, and the extremes are exact.
+func TestHistogramQuantileError(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 100_000
+	xs := make([]int64, n)
+	var h Histogram
+	var sum float64
+	for i := range xs {
+		xs[i] = int64(100 * math.Pow(1e8, rng.Float64())) // 100ns … 10s
+		h.Add(xs[i])
+		sum += float64(xs[i])
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	for _, q := range []float64{0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 1} {
+		exact := float64(xs[max(int(math.Ceil(q*n)), 1)-1])
+		if got := h.Quantile(q); got < exact || got >= 1.25*exact {
+			t.Errorf("q%v = %v, exact order statistic %v: off by %+.1f%%", q, got, exact, 100*(got/exact-1))
+		}
+	}
+	if got := h.Max(); got != float64(xs[n-1]) {
+		t.Errorf("max = %v, want %v", got, xs[n-1])
+	}
+	if got := h.Mean(); got != sum/n {
+		t.Errorf("mean = %v, want %v", got, sum/n)
+	}
 }
 
 func TestCounter(t *testing.T) {
@@ -228,11 +281,10 @@ func TestWelfordMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndClone(t *testing.T) {
-	all := NewHistogram(16, 1)
-	a, b := NewHistogram(16, 1), NewHistogram(16, 1)
+func TestHistogramMerge(t *testing.T) {
+	var all, a, b Histogram
 	for i := 0; i < 400; i++ {
-		x := float64(i % 20) // some land in overflow (>= 16)
+		x := int64(i%20) << (2 * (i % 21)) // some land in the top bucket
 		all.Add(x)
 		if i%2 == 0 {
 			a.Add(x)
@@ -240,27 +292,16 @@ func TestHistogramMergeAndClone(t *testing.T) {
 			b.Add(x)
 		}
 	}
-	clone := a.Clone()
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
+	a.Merge(&b)
+	if a.N() != all.N() || b.N() != 200 {
+		t.Fatalf("merged N = %d (source %d), want %d (200)", a.N(), b.N(), all.N())
 	}
-	for _, q := range []float64{0.25, 0.5, 0.9, 0.99} {
+	for _, q := range []float64{0.25, 0.5, 0.9, 0.99, 1} {
 		if got, want := a.Quantile(q), all.Quantile(q); got != want {
 			t.Fatalf("merged q%.2f = %v, want %v", q, got, want)
 		}
 	}
-	if a.Max() != all.Max() {
-		t.Fatalf("merged max %v, want %v", a.Max(), all.Max())
+	if a.Max() != all.Max() || a.Mean() != all.Mean() {
+		t.Fatalf("merged max/mean %v/%v, want %v/%v", a.Max(), a.Mean(), all.Max(), all.Mean())
 	}
-	// The clone must be unaffected by the merge into its source.
-	if clone.N() != 200 {
-		t.Fatalf("clone N = %d, want 200", clone.N())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched geometries did not panic")
-		}
-	}()
-	a.Merge(NewHistogram(8, 1))
 }
