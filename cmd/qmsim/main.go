@@ -21,7 +21,7 @@
 //
 // -ports and -rate select the push-mode transmit path: flows are spread
 // across N output ports (flow % N), each port is served push-mode
-// (engine.Serve, paced by the per-shard timing-wheel pacer) and — with
+// (engine.ServeViews, paced by the per-shard timing-wheel pacer) and — with
 // -rate — a token-bucket shaper of that many bytes per second (-burst
 // overrides the bucket depth), modeling shaped uplinks instead of an
 // unbounded consumer loop. The CSV then grows a per-port block:
@@ -51,7 +51,8 @@
 // reserve segment runs and fill them in place (ReservePacket), consumers
 // and port sinks read segment-chain views released back to the pool in
 // bulk. The copied_bytes CSV column prices the difference: it is exactly
-// 0 in a pure view run.
+// 0 in a pure view run. Push-mode delivery is views either way; under
+// "copy" the port sinks copy each payload out of its view themselves.
 //
 // The engine's segment pool is one shared buffer: -limit, -minth/-maxth and
 // LQD eviction are pool-wide, and a skewed workload (-zipf > 1 concentrates
@@ -176,8 +177,10 @@ func run(args []string, w io.Writer) error {
 			zipf:     *zipf,
 			datapath: *datapath, delivery: *delivery, ringCap: *ringCap, residence: *residence,
 			ports: *ports, rate: *rate, burstBytes: *burstB,
-			classes: *classes, classEgress: *classEg, classWeights: *classW,
-			tenants: *tenants, tenantEgress: *tenantEg, tenantWeights: *tenantW,
+			tiers: [policy.NumTiers]tierArgs{
+				policy.TierTenant: {*tenants, *tenantEg, *tenantW},
+				policy.TierClass:  {*classes, *classEg, *classW},
+			},
 		})
 	}
 	return fmt.Errorf("unknown model %q (want ddr, mms, ixp, npu, engine)", *model)
@@ -255,22 +258,26 @@ type engineArgs struct {
 	residence                                    int
 	ports                                        int
 	rate, burstBytes                             int64
-	classes                                      int
-	classEgress, classWeights                    string
-	tenants                                      int
-	tenantEgress, tenantWeights                  string
+	tiers                                        [policy.NumTiers]tierArgs
+}
+
+// tierArgs are one scheduling tier's flags: -classes/-class-egress/
+// -class-weights, or the tenant three.
+type tierArgs struct {
+	units           int
+	egress, weights string
 }
 
 // parseLevelWeights turns "-class-weights 4,4,2,2" (or the tenant
 // equivalent) into the per-unit weight slice the egress config takes
 // (unit index order).
-func parseLevelWeights(s, tier string, units int) ([]int, error) {
+func parseLevelWeights(s string, tier policy.Tier, units int) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
 	if len(parts) > units {
-		return nil, fmt.Errorf("%d %s weights for %d %ss", len(parts), tier, units, tier)
+		return nil, fmt.Errorf("%d %s weights for %d units", len(parts), tier, units)
 	}
 	out := make([]int, len(parts))
 	for i, p := range parts {
@@ -363,40 +370,23 @@ func runEngine(w io.Writer, a engineArgs) error {
 	if err != nil {
 		return err
 	}
-	classKind, err := policy.ParseEgressKind(a.classEgress)
-	if err != nil {
-		return err
-	}
-	if a.classes < 0 {
-		return fmt.Errorf("classes must be >= 0, got %d", a.classes)
-	}
-	classWeights, err := parseLevelWeights(a.classWeights, "class", a.classes)
-	if err != nil {
-		return err
-	}
-	tenantKind, err := policy.ParseEgressKind(a.tenantEgress)
-	if err != nil {
-		return err
-	}
-	if a.tenants < 0 {
-		return fmt.Errorf("tenants must be >= 0, got %d", a.tenants)
-	}
-	tenantWeights, err := parseLevelWeights(a.tenantWeights, "tenant", a.tenants)
-	if err != nil {
-		return err
-	}
 	egCfg := policy.EgressConfig{Kind: egKind, QuantumBytes: a.quantum}
-	if a.classes > 1 {
-		egCfg = egCfg.WithLevel(policy.LevelSpec{
-			Tier: policy.TierClass, Kind: classKind,
-			Units: a.classes, Weights: classWeights,
-		})
-	}
-	if a.tenants > 1 {
-		egCfg = egCfg.WithLevel(policy.LevelSpec{
-			Tier: policy.TierTenant, Kind: tenantKind,
-			Units: a.tenants, Weights: tenantWeights,
-		})
+	var tierKinds [policy.NumTiers]policy.EgressKind
+	for t := range policy.NumTiers {
+		ta := a.tiers[t]
+		if tierKinds[t], err = policy.ParseEgressKind(ta.egress); err != nil {
+			return err
+		}
+		if ta.units < 0 {
+			return fmt.Errorf("%s count must be >= 0, got %d", t, ta.units)
+		}
+		weights, err := parseLevelWeights(ta.weights, t, ta.units)
+		if err != nil {
+			return err
+		}
+		if ta.units > 1 {
+			egCfg = egCfg.WithLevel(policy.LevelSpec{Tier: t, Kind: tierKinds[t], Units: ta.units, Weights: weights})
+		}
 	}
 	e, err := engine.New(engine.Config{
 		Shards:      a.shards,
@@ -424,46 +414,38 @@ func runEngine(w io.Writer, a engineArgs) error {
 			}
 		}
 	}
-	if a.classes > 1 {
+	// Flows spread flow % classes; tenants cut across classes, (flow /
+	// classes) % tenants, so every tenant holds flows of every class and
+	// the two levels arbitrate independently.
+	unitOf := func(t policy.Tier, f uint32) int {
+		if t == policy.TierTenant {
+			return int(f) / max(a.tiers[policy.TierClass].units, 1) % a.tiers[t].units
+		}
+		return int(f) % a.tiers[t].units
+	}
+	setUnit := [policy.NumTiers]func(uint32, int) error{
+		policy.TierTenant: e.SetFlowTenant,
+		policy.TierClass:  e.SetFlowClass,
+	}
+	// Per-unit delivery tallies for the CSV blocks; the flow→unit maps are
+	// the static spreads above, so the tallies index directly.
+	var tierPkts [policy.NumTiers][]atomic.Uint64
+	for t := range policy.NumTiers {
+		if a.tiers[t].units <= 1 {
+			continue
+		}
+		tierPkts[t] = make([]atomic.Uint64, a.tiers[t].units)
 		for f := 0; f < a.flows; f++ {
-			if err := e.SetFlowClass(uint32(f), f%a.classes); err != nil {
+			if err := setUnit[t](uint32(f), unitOf(t, uint32(f))); err != nil {
 				return err
 			}
 		}
 	}
-	// Tenants cut across classes: (flow / classes) % tenants, so every
-	// tenant holds flows of every class and the two levels arbitrate
-	// independently.
-	tenantOf := func(f uint32) int {
-		cdiv := a.classes
-		if cdiv < 1 {
-			cdiv = 1
-		}
-		return (int(f) / cdiv) % a.tenants
-	}
-	if a.tenants > 1 {
-		for f := 0; f < a.flows; f++ {
-			if err := e.SetFlowTenant(uint32(f), tenantOf(uint32(f))); err != nil {
-				return err
+	countUnits := func(f uint32) {
+		for t := range policy.NumTiers {
+			if tierPkts[t] != nil {
+				tierPkts[t][unitOf(t, f)].Add(1)
 			}
-		}
-	}
-	// Per-class and per-tenant delivery tallies for the CSV blocks; the
-	// flow→unit maps are the static spreads above, so the tallies index
-	// directly.
-	var classPkts, tenantPkts []atomic.Uint64
-	if a.classes > 1 {
-		classPkts = make([]atomic.Uint64, a.classes)
-	}
-	if a.tenants > 1 {
-		tenantPkts = make([]atomic.Uint64, a.tenants)
-	}
-	countClass := func(f uint32) {
-		if classPkts != nil {
-			classPkts[int(f)%a.classes].Add(1)
-		}
-		if tenantPkts != nil {
-			tenantPkts[tenantOf(f)].Add(1)
 		}
 	}
 	if ringMode {
@@ -586,19 +568,22 @@ func runEngine(w io.Writer, a engineArgs) error {
 		// view per packet; the engine releases it when SendView returns.
 		for p := 0; p < a.ports; p++ {
 			if err := e.ServeViews(p, engine.SinkVFunc(func(_ int, d engine.DequeuedView) error {
-				countClass(d.Flow)
+				countUnits(d.Flow)
 				return nil
 			})); err != nil {
 				return err
 			}
 		}
 	case pushMode:
-		// Push-mode egress: one engine-owned worker per port delivers into
-		// a releasing sink, paced by the per-port shaper.
+		// Push-mode egress into a sink that wants contiguous bytes: it
+		// copies each payload out of its view, outside every shard lock,
+		// into a buffer of its own (a port's sink never runs concurrently
+		// with itself).
 		for p := 0; p < a.ports; p++ {
-			if err := e.Serve(p, engine.SinkFunc(func(d engine.Dequeued) error {
-				countClass(d.Flow)
-				e.ReleaseBuffer(d.Data)
+			var buf []byte
+			if err := e.ServeViews(p, engine.SinkVFunc(func(_ int, d engine.DequeuedView) error {
+				countUnits(d.Flow)
+				buf = d.View.AppendTo(buf[:0])
 				return nil
 			})); err != nil {
 				return err
@@ -614,14 +599,14 @@ func runEngine(w io.Writer, a engineArgs) error {
 					if viewMode {
 						batch := e.DequeueNextViewBatch(64)
 						for _, d := range batch {
-							countClass(d.Flow)
+							countUnits(d.Flow)
 						}
 						e.ReleaseViews(batch)
 						served = len(batch)
 					} else {
 						batch := e.DequeueNextBatch(64)
 						for _, d := range batch {
-							countClass(d.Flow)
+							countUnits(d.Flow)
 							e.ReleaseBuffer(d.Data)
 						}
 						served = len(batch)
@@ -688,13 +673,12 @@ func runEngine(w io.Writer, a engineArgs) error {
 	// served, so the cutoff shares show the scheduler. The full-run
 	// totals converge to the admission mix once the drain below delivers
 	// everything that was ever admitted.
-	cutClass := make([]uint64, len(classPkts))
-	for c := range classPkts {
-		cutClass[c] = classPkts[c].Load()
-	}
-	cutTenant := make([]uint64, len(tenantPkts))
-	for t := range tenantPkts {
-		cutTenant[t] = tenantPkts[t].Load()
+	var cutPkts [policy.NumTiers][]uint64
+	for t := range policy.NumTiers {
+		cutPkts[t] = make([]uint64, len(tierPkts[t]))
+		for u := range tierPkts[t] {
+			cutPkts[t][u] = tierPkts[t][u].Load()
+		}
 	}
 	close(done)
 	consWG.Wait()
@@ -719,7 +703,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 				break
 			}
 			for _, d := range batch {
-				countClass(d.Flow)
+				countUnits(d.Flow)
 			}
 			e.ReleaseViews(batch)
 			continue
@@ -729,15 +713,20 @@ func runEngine(w io.Writer, a engineArgs) error {
 			break
 		}
 		for _, d := range batch {
-			countClass(d.Flow)
+			countUnits(d.Flow)
 			e.ReleaseBuffer(d.Data)
 		}
 	}
 	elapsed := time.Since(start)
 	st := e.Stats()
 	portStats := e.PortStats()
-	classStats := e.ClassStats()
-	tenantStats := e.TenantStats()
+	var tierWeights [policy.NumTiers][]int
+	for _, ts := range e.TenantStats() {
+		tierWeights[policy.TierTenant] = append(tierWeights[policy.TierTenant], ts.Weight)
+	}
+	for _, cs := range e.ClassStats() {
+		tierWeights[policy.TierClass] = append(tierWeights[policy.TierClass], cs.Weight)
+	}
 	if err := e.CheckInvariants(); err != nil {
 		return err
 	}
@@ -765,7 +754,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 	}
 	fmt.Fprintln(w, "shards,parallel,flows,policy,egress,datapath,delivery,pktmix,pkt_bytes,offered,delivered,dropped,pushed_out,rejected,resident,peak_occupancy_pct,ring_occ_peak,comp_p50_us,comp_p99_us,res_p50_us,res_p99_us,copied_bytes,elapsed_s,mpps,gbps")
 	fmt.Fprintf(w, "%d,%d,%d,%s,%s,%s,%s,%s,%.0f,%d,%d,%d,%d,%d,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f,%d,%.3f,%.3f,%.3f\n",
-		e.Shards(), a.parallel, a.flows, kind, egKind, a.datapath, delivMode, mixKind, meanPkt,
+		e.Config().Shards, a.parallel, a.flows, kind, egKind, a.datapath, delivMode, mixKind, meanPkt,
 		a.ops, st.DequeuedPackets,
 		st.DroppedPackets, st.PushedOutPackets, st.Rejected,
 		residentAtCutoff, occPct, peakRing.Load(),
@@ -785,58 +774,28 @@ func runEngine(w io.Writer, a engineArgs) error {
 				float64(p.TransmittedBytes)*8/elapsed.Seconds()/1e9)
 		}
 	}
-	if a.classes > 1 {
-		// Per-class block, mirroring the per-port one: what each scheduling
-		// class was actually granted under the class-level discipline.
+	// Per-class then per-tenant block, mirroring the per-port one: what each
+	// unit was actually granted under its level's discipline.
+	for _, t := range []policy.Tier{policy.TierClass, policy.TierTenant} {
+		if tierPkts[t] == nil {
+			continue
+		}
 		var total, cutTotal uint64
-		for c := range classPkts {
-			total += classPkts[c].Load()
-			cutTotal += cutClass[c]
+		for u := range tierPkts[t] {
+			total += tierPkts[t][u].Load()
+			cutTotal += cutPkts[t][u]
 		}
-		fmt.Fprintln(w, "class,class_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
-		for c := 0; c < a.classes; c++ {
-			n := classPkts[c].Load()
-			share := 0.0
-			if total > 0 {
-				share = 100 * float64(n) / float64(total)
+		share := func(n, of uint64) float64 {
+			if of == 0 {
+				return 0
 			}
-			cutShare := 0.0
-			if cutTotal > 0 {
-				cutShare = 100 * float64(cutClass[c]) / float64(cutTotal)
-			}
-			weight := 1
-			if c < len(classStats) {
-				weight = classStats[c].Weight
-			}
+			return 100 * float64(n) / float64(of)
+		}
+		fmt.Fprintf(w, "%s,%s_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct\n", t, t)
+		for u := range tierPkts[t] {
+			n, cut := tierPkts[t][u].Load(), cutPkts[t][u]
 			fmt.Fprintf(w, "%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
-				c, classKind, weight, n, uint64(float64(n)*meanPkt), share, cutClass[c], cutShare)
-		}
-	}
-	if a.tenants > 1 {
-		// Per-tenant block: what each tenant was granted under the
-		// outermost level of the hierarchy.
-		var total, cutTotal uint64
-		for t := range tenantPkts {
-			total += tenantPkts[t].Load()
-			cutTotal += cutTenant[t]
-		}
-		fmt.Fprintln(w, "tenant,tenant_kind,weight,delivered,delivered_bytes,share_pct,cutoff_delivered,cutoff_share_pct")
-		for t := 0; t < a.tenants; t++ {
-			n := tenantPkts[t].Load()
-			share := 0.0
-			if total > 0 {
-				share = 100 * float64(n) / float64(total)
-			}
-			cutShare := 0.0
-			if cutTotal > 0 {
-				cutShare = 100 * float64(cutTenant[t]) / float64(cutTotal)
-			}
-			weight := 1
-			if t < len(tenantStats) {
-				weight = tenantStats[t].Weight
-			}
-			fmt.Fprintf(w, "%d,%s,%d,%d,%d,%.1f,%d,%.1f\n",
-				t, tenantKind, weight, n, uint64(float64(n)*meanPkt), share, cutTenant[t], cutShare)
+				u, tierKinds[t], tierWeights[t][u], n, uint64(float64(n)*meanPkt), share(n, total), cut, share(cut, cutTotal))
 		}
 	}
 	return nil

@@ -30,6 +30,18 @@ import "npqm/internal/engine"
 // (SetFlowLimit, SetWeight) return ErrUnknownFlow for flows outside the
 // configured flow space.
 //
+// # One of each
+//
+// The surface has one way to do each thing. Push delivery is view-only
+// (ServeViews; a sink that wants contiguous bytes calls d.View.AppendTo).
+// One reader per subject: Flow(flow) returns a flow's port, tenant, class,
+// weight, segment cap and occupancy together; Config() returns the engine's
+// shape (shards, flows, segments, ports, tier units); Stats and its
+// per-shard, -port, -class and -tenant slices return everything that moves
+// (Stats().ActiveFlows, PortStats()[p].Paused, ...). The pull entry points
+// come in copy and view forms because each wins its own benchmark cell; see
+// DESIGN.md, "Entry points".
+//
 // The method set is the embedded engine's, documented there;
 // testdata/api.golden pins it.
 type ConcurrentQueueManager struct{ *engine.Engine }

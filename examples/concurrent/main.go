@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("sharded engine: %d shards, %d flows, %d segments (%d KB buffer), LQD admission\n",
-		cm.Shards(), flows, segments, segments*npqm.SegmentBytes/1024)
+		cm.Config().Shards, flows, segments, segments*npqm.SegmentBytes/1024)
 	fmt.Printf("%d producers x %d packets, %d consumers on the integrated scheduler\n\n",
 		producers, perProd, consumers)
 
@@ -167,7 +167,7 @@ func main() {
 	fmt.Printf("LQD pushed out %d packets (%d segments) under overload; %d arrivals dropped in eviction races\n",
 		st.PushedOutPackets, st.PushedOutSegments, st.DroppedPackets)
 	fmt.Printf("pool restored: %d/%d segments free, %d flows active\n\n",
-		cm.FreeSegments(), segments, cm.ActiveFlows())
+		cm.FreeSegments(), segments, cm.Stats().ActiveFlows)
 	fmt.Printf("paper context: the MMS sustains %.2f Gbps in hardware at 125 MHz;\n",
 		npqm.HeadlineThroughputGbps())
 	fmt.Println("sharding is how software chases that number on multi-core.")

@@ -103,7 +103,7 @@ func main() {
 		sentPackets, active, len(nat))
 	fmt.Printf("  DRR byte shares: min %d, max %d, mean %d (per active flow)\n",
 		minB, maxB, total/active)
-	fmt.Printf("  pool free after drain: %d/%d segments\n", qm.FreeSegments(), qm.NumSegments())
+	fmt.Printf("  pool free after drain: %d/%d segments\n", qm.FreeSegments(), qm.Config().NumSegments)
 	if err := qm.CheckInvariants(); err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package engine
 
 // Tests of the one delivery path: every way of taking a packet out of the
 // engine — copy or view, before or after Start, through any entry point —
-// must hand over the same packets, and the two port registrations must
-// behave alike.
+// must hand over the same packets, whether a port's sink reads the view in
+// place or copies it out.
 
 import (
 	"bytes"
@@ -17,22 +17,21 @@ import (
 	"npqm/internal/xrand"
 )
 
-// serveAs registers fn as port's consumer through Serve (view false) or
-// ServeViews, settling what the sink owes the engine either way: a copy's
-// buffer is released after fn returns; a view is the engine's to release.
+// serveAs registers fn as port's consumer. With view false fn is the sink
+// that wants contiguous bytes: it gets the packet as Data, copied out of the
+// view with AppendTo, which is how a copy-form consumer attaches to push
+// delivery.
 func serveAs(e *Engine, port int, view bool, fn func(d Dequeued) error) error {
-	if view {
-		return e.ServeViews(port, SinkVFunc(func(_ int, d DequeuedView) error { return fn(d) }))
-	}
-	return e.Serve(port, SinkFunc(func(d Dequeued) error {
-		err := fn(d)
-		e.ReleaseBuffer(d.Data)
-		return err
+	return e.ServeViews(port, SinkVFunc(func(_ int, d DequeuedView) error {
+		if !view {
+			d.Data, d.View = d.View.AppendTo(nil), PacketView{}
+		}
+		return fn(d)
 	}))
 }
 
 // TestReServeDoesNotBookOutageAsGap: a port re-armed after a sink error
-// starts a fresh inter-departure sequence, whichever registration re-arms
+// starts a fresh inter-departure sequence, whichever kind of sink re-arms
 // it. The departure before the failure must not pair with the first one
 // after the re-arm, or the whole outage lands in the pacing-jitter
 // statistics as one gap.
@@ -156,7 +155,7 @@ const (
 	entryBatch                    // DequeueBatch / DequeueViewBatch
 	entryNext                     // DequeueNext / DequeueNextView
 	entryNextBatch                // DequeueNextBatch / DequeueNextViewBatch
-	entryServe                    // Serve / ServeViews
+	entryServe                    // ServeViews, the sink copying out (AppendTo) or reading in place
 	numEntries
 )
 
@@ -444,8 +443,7 @@ func TestDeliveryEquivalence(t *testing.T) {
 	for _, st := range script {
 		for _, a := range st.arrivals {
 			if a.flow >= eqFlows {
-				wantTraffic.rejected++
-				continue
+				continue // refused as a bad call, which no counter books
 			}
 			segs := uint64(segsFor(len(a.payload)))
 			wantTraffic.enqP++

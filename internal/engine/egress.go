@@ -39,22 +39,11 @@ import (
 // — the legacy pull API (DequeueNext[Batch]) serves all ports, rotating.
 const anyPort = -1
 
-// The intermediate tiers, outermost first. A tier with one unit is
-// flat — it contributes no scheduling level — so the active levels of
-// an engine are the tiers whose unit count exceeds one.
-const (
-	tierTenant = iota
-	tierClass
-	numTiers
-)
-
-// tierName returns the tier's policy-layer spelling for error messages.
-func tierName(tier int) string {
-	if tier == tierTenant {
-		return policy.TierTenant
-	}
-	return policy.TierClass
-}
+// numTiers sizes the per-tier arrays, indexed by policy.Tier (outermost
+// first). A tier with one unit is flat — it contributes no scheduling
+// level — so the active levels of an engine are the tiers whose unit count
+// exceeds one.
+const numTiers = policy.NumTiers
 
 // Dequeued is one served packet: the flow it was queued on, its payload
 // byte count, and the payload in the form the caller asked for — exactly
@@ -75,15 +64,14 @@ type Dequeued struct {
 type DequeuedView = Dequeued
 
 // flowState is one flow's dense scheduler state: the intrusive links of
-// its innermost active list, its home port, tenant and class, its
-// WRR/DRR weight, and its DRR deficit. One entry per flow, engine-wide,
-// touched only inside the owning shard's critical section. next ==
-// sched.None means the flow is not active (no backlog).
+// its innermost active list, its home port and its unit in every tier
+// (tenant, class), its WRR/DRR weight, and its DRR deficit. One entry per
+// flow, engine-wide, touched only inside the owning shard's critical
+// section. next == sched.None means the flow is not active (no backlog).
 type flowState struct {
 	next, prev int32
 	port       int32
-	tenant     int32
-	class      int32
+	unit       [numTiers]int32
 	weight     int32  // 0 = discipline default
 	defEpoch   uint32 // deficit is valid only when this matches eg.epoch
 	deficit    int64
@@ -108,7 +96,7 @@ type portSched struct {
 // unit counts through it — a node at the class level under 8 tenants ×
 // 8 classes is tenant*8+class, one of 64).
 type levelCfg struct {
-	tier    int8
+	tier    policy.Tier
 	kind    policy.EgressKind
 	quantum int64
 	mod     int32
@@ -236,11 +224,7 @@ func (s *shard) pathOf(flow uint32, buf []int32) []int32 {
 	idx := int32(0)
 	for k := range s.eg.levels {
 		lv := &s.eg.levels[k]
-		u := fs.class
-		if lv.tier == tierTenant {
-			u = fs.tenant
-		}
-		idx = idx*lv.mod + u
+		idx = idx*lv.mod + fs.unit[lv.tier]
 		buf = append(buf, idx)
 	}
 	return buf
@@ -255,13 +239,13 @@ func (s *shard) pathOf(flow uint32, buf []int32) []int32 {
 func buildLevels(units [numTiers]int32, tw *[numTiers][]int32) []levelCfg {
 	var levels []levelCfg
 	count := int32(1)
-	for t := 0; t < numTiers; t++ {
+	for t := range numTiers {
 		if units[t] <= 1 {
 			continue
 		}
 		count *= units[t]
 		levels = append(levels, levelCfg{
-			tier:    int8(t),
+			tier:    t,
 			mod:     units[t],
 			count:   count,
 			weights: tw[t],
@@ -271,14 +255,10 @@ func buildLevels(units [numTiers]int32, tw *[numTiers][]int32) []levelCfg {
 }
 
 // resolveTierUnits reads the fixed tier unit counts off the egress
-// configuration: a tier has its LevelSpec's Units (absent, 0 or 1 =
-// flat, no scheduling level).
-func resolveTierUnits(cfg policy.EgressConfig) [numTiers]int32 {
-	units := [numTiers]int32{1, 1}
-	for t := range units {
-		if ls := cfg.Level(tierName(t)); ls != nil && ls.Units > 1 {
-			units[t] = int32(ls.Units)
-		}
+// configuration (see policy.EgressConfig.Units).
+func resolveTierUnits(cfg policy.EgressConfig) (units [numTiers]int32) {
+	for t := range numTiers {
+		units[t] = int32(cfg.Units(t))
 	}
 	return units
 }
@@ -300,63 +280,41 @@ func (e *Engine) SetEgress(cfg policy.EgressConfig) error {
 	if cfg.Levels != nil {
 		var seen [numTiers]bool
 		for _, ls := range cfg.Levels {
-			t := tierClass
-			if ls.Tier == policy.TierTenant {
-				t = tierTenant
-			}
-			units := ls.Units
-			if units == 0 {
-				units = int(e.tierUnits[t])
-			}
-			if units != int(e.tierUnits[t]) && !(units == 1 && e.tierUnits[t] <= 1) {
+			have := int(e.tierUnits[ls.Tier])
+			if ls.Units != 0 && ls.Units != have {
 				return fmt.Errorf("engine: %s Units %d does not match the configured %d (the unit space is fixed at construction)",
-					ls.Tier, ls.Units, e.tierUnits[t])
+					ls.Tier, ls.Units, have)
 			}
-			if len(ls.Weights) > int(e.tierUnits[t]) {
-				return fmt.Errorf("engine: %d %s weights for %d units", len(ls.Weights), ls.Tier, e.tierUnits[t])
+			if len(ls.Weights) > have {
+				return fmt.Errorf("engine: %d %s weights for %d units", len(ls.Weights), ls.Tier, have)
 			}
-			seen[t] = true
+			seen[ls.Tier] = true
 		}
-		for t := 0; t < numTiers; t++ {
+		for t := range numTiers {
 			if e.tierUnits[t] > 1 && !seen[t] {
-				return fmt.Errorf("engine: egress Levels must list the active %s tier (%d units)", tierName(t), e.tierUnits[t])
+				return fmt.Errorf("engine: egress Levels must list the active %s tier (%d units)", t, e.tierUnits[t])
 			}
 		}
 	}
 	for _, s := range e.shards {
-		s := s
 		e.run(s, func() {
 			s.eg.kind = cfg.Kind
 			s.eg.defaultWeight = cfg.DefaultWeight
 			s.eg.quantum = cfg.QuantumBytes
-			if cfg.Levels != nil {
-				for _, ls := range cfg.Levels {
-					t := int8(tierClass)
-					if ls.Tier == policy.TierTenant {
-						t = tierTenant
-					}
-					for k := range s.eg.levels {
-						lv := &s.eg.levels[k]
-						if lv.tier != t {
-							continue
-						}
-						lv.kind = ls.Kind
-						lv.quantum = int64(ls.QuantumBytes)
-						if ls.Weights != nil {
-							w := s.eg.tierWeights[t]
-							for i := range w {
-								w[i] = 0
-							}
-							for i, x := range ls.Weights {
-								w[i] = int32(x)
-							}
+			s.eg.hasLevelDRR = false
+			for k := range s.eg.levels {
+				lv := &s.eg.levels[k]
+				if ls := cfg.Level(lv.tier); ls != nil {
+					lv.kind = ls.Kind
+					lv.quantum = int64(ls.QuantumBytes)
+					if ls.Weights != nil {
+						clear(lv.weights)
+						for i, x := range ls.Weights {
+							lv.weights[i] = int32(x)
 						}
 					}
 				}
-			}
-			s.eg.hasLevelDRR = false
-			for k := range s.eg.levels {
-				if s.eg.levels[k].kind == policy.EgressDRR {
+				if lv.kind == policy.EgressDRR {
 					s.eg.hasLevelDRR = true
 				}
 			}
@@ -378,8 +336,8 @@ func (e *Engine) SetEgress(cfg policy.EgressConfig) error {
 // configured DefaultWeight. Unknown flows (outside the configured flow
 // space) report ErrUnknownFlow. Safe while traffic flows.
 func (e *Engine) SetWeight(flow uint32, weight int) error {
-	if weight <= 0 {
-		return fmt.Errorf("engine: non-positive weight %d for flow %d", weight, flow)
+	if weight <= 0 || weight > policy.MaxWeight {
+		return fmt.Errorf("engine: weight %d for flow %d out of range [1, %d]", weight, flow, policy.MaxWeight)
 	}
 	if int64(flow) >= int64(e.cfg.NumFlows) {
 		return ErrUnknownFlow
@@ -391,15 +349,14 @@ func (e *Engine) SetWeight(flow uint32, weight int) error {
 
 // setTierWeight sets a tier unit's weight for that level's WRR (packets
 // per visit) and DRR (quantum multiplier) on every shard.
-func (e *Engine) setTierWeight(tier, unit, weight int) error {
-	if weight <= 0 {
-		return fmt.Errorf("engine: non-positive weight %d for %s %d", weight, tierName(tier), unit)
+func (e *Engine) setTierWeight(tier policy.Tier, unit, weight int) error {
+	if weight <= 0 || weight > policy.MaxWeight {
+		return fmt.Errorf("engine: weight %d for %s %d out of range [1, %d]", weight, tier, unit, policy.MaxWeight)
 	}
 	if unit < 0 || unit >= int(e.tierUnits[tier]) {
-		return fmt.Errorf("engine: %s %d out of range [0, %d)", tierName(tier), unit, e.tierUnits[tier])
+		return fmt.Errorf("engine: %s %d out of range [0, %d)", tier, unit, e.tierUnits[tier])
 	}
 	for _, s := range e.shards {
-		s := s
 		e.run(s, func() { s.eg.tierWeights[tier][unit] = int32(weight) })
 	}
 	return nil
@@ -410,7 +367,7 @@ func (e *Engine) setTierWeight(tier, unit, weight int) error {
 // positive; classes default to weight 1 (or the class LevelSpec's
 // Weights). Safe while traffic flows.
 func (e *Engine) SetClassWeight(class, weight int) error {
-	return e.setTierWeight(tierClass, class, weight)
+	return e.setTierWeight(policy.TierClass, class, weight)
 }
 
 // SetTenantWeight sets tenant's weight for tenant-level WRR (packets
@@ -418,14 +375,8 @@ func (e *Engine) SetClassWeight(class, weight int) error {
 // be positive; tenants default to weight 1 (or the tenant LevelSpec's
 // Weights). Safe while traffic flows.
 func (e *Engine) SetTenantWeight(tenant, weight int) error {
-	return e.setTierWeight(tierTenant, tenant, weight)
+	return e.setTierWeight(policy.TierTenant, tenant, weight)
 }
-
-// NumClasses returns the per-port class count (1 = flat).
-func (e *Engine) NumClasses() int { return int(e.tierUnits[tierClass]) }
-
-// NumTenants returns the tenant count (1 = no tenant level).
-func (e *Engine) NumTenants() int { return int(e.tierUnits[tierTenant]) }
 
 // rehome moves flow to unit of the home the selector names — its
 // tenant, class or port. A backlogged flow moves with its queue: it
@@ -457,51 +408,61 @@ func (e *Engine) rehome(flow uint32, home func(*flowState) *int32, unit int) err
 }
 
 // setFlowTier moves flow into a tier unit (see rehome).
-func (e *Engine) setFlowTier(flow uint32, tier, unit int) error {
+func (e *Engine) setFlowTier(flow uint32, tier policy.Tier, unit int) error {
 	if unit < 0 || unit >= int(e.tierUnits[tier]) {
-		return fmt.Errorf("engine: %s %d out of range [0, %d)", tierName(tier), unit, e.tierUnits[tier])
+		return fmt.Errorf("engine: %s %d out of range [0, %d)", tier, unit, e.tierUnits[tier])
 	}
-	return e.rehome(flow, func(fs *flowState) *int32 {
-		if tier == tierTenant {
-			return &fs.tenant
-		}
-		return &fs.class
-	}, unit)
+	return e.rehome(flow, func(fs *flowState) *int32 { return &fs.unit[tier] }, unit)
 }
 
 // SetFlowClass moves flow into class (all flows start in class 0). A
 // backlogged flow moves with its queue, as if it had drained and
 // re-activated (see rehome). Safe while traffic flows.
 func (e *Engine) SetFlowClass(flow uint32, class int) error {
-	return e.setFlowTier(flow, tierClass, class)
+	return e.setFlowTier(flow, policy.TierClass, class)
 }
 
 // SetFlowTenant moves flow into tenant (all flows start in tenant 0),
 // with SetFlowClass's re-homing semantics.
 func (e *Engine) SetFlowTenant(flow uint32, tenant int) error {
-	return e.setFlowTier(flow, tierTenant, tenant)
+	return e.setFlowTier(flow, policy.TierTenant, tenant)
 }
 
-// FlowClass returns the class flow is currently mapped to.
-func (e *Engine) FlowClass(flow uint32) (int, error) {
-	if int64(flow) >= int64(e.cfg.NumFlows) {
-		return 0, ErrUnknownFlow
-	}
-	s := e.shardOf(flow)
-	var class int
-	e.run(s, func() { class = int(s.flows[flow].class) })
-	return class, nil
+// FlowInfo is one flow's configuration and live occupancy (see Flow).
+type FlowInfo struct {
+	Port, Tenant, Class int
+	// Weight is the WRR/DRR weight the scheduler uses for the flow: the
+	// one SetWeight installed, else the discipline's default.
+	Weight int
+	// Limit is the per-flow segment cap (SetFlowLimit); 0 means none.
+	Limit int
+	// Occupancy is what the flow's queue holds right now.
+	queue.Occupancy
 }
 
-// FlowTenant returns the tenant flow is currently mapped to.
-func (e *Engine) FlowTenant(flow uint32) (int, error) {
+// Flow reads flow's homes (port, tenant, class), weight, segment cap and
+// occupancy in one critical section of the owning shard. Like the rest of
+// the observation surface it keeps working after Close. Unknown flows
+// (outside the configured flow space) report ErrUnknownFlow.
+func (e *Engine) Flow(flow uint32) (FlowInfo, error) {
 	if int64(flow) >= int64(e.cfg.NumFlows) {
-		return 0, ErrUnknownFlow
+		return FlowInfo{}, ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
-	var tenant int
-	e.run(s, func() { tenant = int(s.flows[flow].tenant) })
-	return tenant, nil
+	var fi FlowInfo
+	e.run(s, func() {
+		fs := &s.flows[flow]
+		fi = FlowInfo{
+			Port:   int(fs.port),
+			Tenant: int(fs.unit[policy.TierTenant]),
+			Class:  int(fs.unit[policy.TierClass]),
+			Weight: int(s.Weight(int32(flow))),
+		}
+		// flow is in range: neither read can fail.
+		fi.Limit, _ = s.m.SegmentLimit(queue.QueueID(flow))
+		fi.Occupancy, _ = s.m.Occupancy(queue.QueueID(flow))
+	})
+	return fi, nil
 }
 
 // --- dequeue paths ---
@@ -625,22 +586,7 @@ func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
 	}
 }
 
-// ActiveFlows returns the number of flows with queued segments.
-func (e *Engine) ActiveFlows() int {
-	total := 0
-	for _, s := range e.shards {
-		s := s
-		e.run(s, func() { total += s.activeFlows })
-	}
-	return total
-}
-
 // --- active-list maintenance (caller holds the shard's critical section) ---
-
-// portOf returns the scheduling unit owning flow. The flows table is
-// engine-wide but each entry is only touched inside the owning shard's
-// critical section.
-func (s *shard) portOf(flow uint32) int { return int(s.flows[flow].port) }
 
 func (s *shard) isActive(flow uint32) bool { return s.flows[flow].next != sched.None }
 
@@ -722,7 +668,9 @@ func (s *shard) pickLocked(port int) (uint32, int64, bool) {
 	if port == anyPort {
 		n := len(s.ps)
 		for i := 0; i < n; i++ {
-			p := int(s.portCursor) % n
+			// Unsigned, so the cursor wrapping past 2^31 cannot index
+			// negatively where int is 32 bits.
+			p := int(s.portCursor % uint32(n))
 			s.portCursor++
 			if s.ps[p].activeFlows > 0 {
 				return s.pickPort(p)

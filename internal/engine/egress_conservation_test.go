@@ -30,7 +30,6 @@ import (
 // their audit slices retrofitted).
 func enableEgressAudit(e *Engine) {
 	for _, s := range e.shards {
-		s := s
 		e.run(s, func() {
 			s.eg.audit = make([]int64, e.cfg.NumFlows)
 			s.eg.auditLevels = true
@@ -267,7 +266,7 @@ func TestEgressConservationProperty(t *testing.T) {
 				t.Helper()
 				for f := uint32(0); f < flows; f++ {
 					s := e.shardOf(f)
-					ps := &s.ps[s.portOf(f)]
+					ps := &s.ps[s.flows[f].port]
 					switch s.eg.kind {
 					case policy.EgressDRR:
 						deficit := s.Deficit(int32(f))
@@ -301,7 +300,7 @@ func TestEgressConservationProperty(t *testing.T) {
 								deficit := ps.st.NodeDeficit(k, idx)
 								if got, want := levelBytes[si][k][idx], ps.audits[k][idx]-deficit; got != want {
 									t.Fatalf("%s: shard %d level %d (%s) node %d served %d bytes, granted−outstanding = %d−%d = %d",
-										stage, si, k, tierName(int(lv.tier)), idx, got, ps.audits[k][idx], deficit, want)
+										stage, si, k, lv.tier, idx, got, ps.audits[k][idx], deficit, want)
 								}
 							case policy.EgressWRR:
 								parent := ps.st.Root()
@@ -314,7 +313,7 @@ func TestEgressConservationProperty(t *testing.T) {
 								}
 								if got, want := levelPkts[si][k][idx], ps.audits[k][idx]-credit; got != want {
 									t.Fatalf("%s: shard %d level %d (%s) node %d served %d packets, granted−outstanding = %d−%d = %d",
-										stage, si, k, tierName(int(lv.tier)), idx, got, ps.audits[k][idx], credit, want)
+										stage, si, k, lv.tier, idx, got, ps.audits[k][idx], credit, want)
 								}
 							}
 						}

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,7 +134,7 @@ type Config struct {
 	// Every flow maps to exactly one port — all flows start on port 0,
 	// reassignable at runtime with SetFlowPort — and each port is an
 	// independent transmit resource: its own scheduling unit per shard,
-	// its own shaper, and (via Serve) its own egress worker.
+	// its own shaper, and (via ServeViews) its own push-mode service.
 	NumPorts int
 	// PortRate is the token-bucket shaper installed on every port at
 	// construction (the zero value is unshaped). Individual ports can be
@@ -180,7 +181,7 @@ type shard struct {
 	enqSegments uint64
 	deqPackets  uint64
 	deqSegments uint64
-	rejected    uint64 // enqueues refused (pool exhausted or flow capped)
+	rejected    uint64 // enqueues refused for want of room (see noteEnqueue)
 	copiedBytes uint64 // payload bytes that crossed a copying enqueue or dequeue
 
 	// storeData mirrors Config.StoreData so the copy accounting can run
@@ -195,10 +196,12 @@ type shard struct {
 	poPackets    uint64 // resident packets evicted by push-out
 	poSegments   uint64
 
-	// Admission policy instance (nil = accept all). admKind/admLimit
-	// mirror the config so the tail-drop decision — two integer compares —
-	// runs inline without the interface dispatch, which keeps the hot
-	// enqueue path within the no-policy budget.
+	// Admission policy: admKind says which (KindNone = accept all), adm is
+	// its instance — nil for tail-drop, whose decision is two integer
+	// compares, against the pool and against admLimit, run inline
+	// (admitNeedLocked), which keeps the hot enqueue path within the
+	// no-policy budget. admLimit is the tail-drop per-queue cap and 0
+	// whenever there is none: another policy, or tail-drop uncapped.
 	adm      policy.Admission
 	admKind  policy.Kind
 	admLimit int
@@ -244,7 +247,7 @@ type Engine struct {
 	clk    clock // the one time base; see clock.go
 
 	// Transmit side: one port object per output port, one pacer slot per
-	// shard (the goroutine starts lazily on the first Serve homed
+	// shard (the goroutine starts lazily on the first ServeViews homed
 	// there), a stop channel closed exactly once on Close to halt the
 	// pacers, and their WaitGroup. flows is the engine-wide dense
 	// scheduler state, one entry per flow, owned by the flow's shard.
@@ -358,7 +361,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 			sh:  newShaper(cfg.PortRate, clk.now()),
 			// A port homes to one pacer: all its service — every shard's
 			// scheduling unit — runs on that pacer's goroutine, so a
-			// Sink's Transmit is never concurrent with itself.
+			// sink's SendView is never concurrent with itself.
 			pc: e.pacers[i&(cfg.Shards-1)],
 		}
 		e.ports[i].txLastNs.Store(noDeparture)
@@ -381,7 +384,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 			flows:     e.flows,
 			ports:     e.ports,
 		}
-		for t := 0; t < numTiers; t++ {
+		for t := range numTiers {
 			s.eg.tierWeights[t] = make([]int32, tierUnits[t])
 		}
 		s.eg.levels = buildLevels(tierUnits, &s.eg.tierWeights)
@@ -424,11 +427,13 @@ func (s *shard) unlock() {
 
 // run executes fn inside shard s's critical section, exactly once, in every
 // lifecycle state — it is how the control plane and the observation surface
-// (which outlives Close) enter a shard; fn captures its own results.
+// (which outlives Close) enter a shard; fn captures its own results. The
+// section ends by defer: a panic in fn unwinds with the shard released, so
+// one bad call does not wedge every flow that hashes there.
 func (e *Engine) run(s *shard, fn func()) {
 	e.lock(s)
+	defer s.unlock()
 	fn()
-	s.unlock()
 }
 
 // SetAdmission replaces the admission policy on every shard. Each shard
@@ -451,25 +456,31 @@ func (e *Engine) SetAdmission(cfg policy.Config) error {
 		if err != nil {
 			return err
 		}
-		s := s
 		e.run(s, func() {
 			s.adm = adm
 			s.admKind = cfg.Kind
-			s.admLimit = cfg.Limit
+			s.admLimit = 0
+			if cfg.Kind == policy.KindTailDrop {
+				s.admLimit = cfg.Limit
+			}
 			s.m.SetLongestTracking(track)
 		})
 	}
 	return nil
 }
 
-// Shards returns the (power-of-two) shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
-// NumFlows returns the flow-ID space.
-func (e *Engine) NumFlows() int { return e.cfg.NumFlows }
-
-// NumSegments returns the total segment pool across all shards.
-func (e *Engine) NumSegments() int { return e.cfg.NumSegments }
+// Config returns the configuration the engine was built from, as New
+// normalized it: Shards rounded up to a power of two, every zero default
+// filled in (NumFlows, NumPorts, RingCapacity, the egress weights and
+// quanta), and each tier's unit count readable as Egress.Units(tier). It is
+// the shape of the engine, fixed for its lifetime; what the runtime setters
+// change (SetAdmission, SetEgress, SetPortRate, weights) shows in the Stats
+// family, not here.
+func (e *Engine) Config() Config {
+	cfg := e.cfg
+	cfg.Egress.Levels = slices.Clone(cfg.Egress.Levels)
+	return cfg
+}
 
 // ShardOf returns the shard index owning flow — Fibonacci hashing on the
 // flow ID, taking the top bits of the product, which mixes well even for
@@ -647,7 +658,7 @@ func (s *shard) noteDrop(need int) error {
 // overloaded callers see millions of drops, so the error must not allocate.
 // errWantPushOut asks the caller to evict and retry.
 func (s *shard) enqueueLocked(flow uint32, data []byte) (int, error) {
-	if s.adm != nil && len(data) > 0 {
+	if s.admKind != policy.KindNone && len(data) > 0 {
 		if err := s.admitNeedLocked(flow, segsFor(len(data))); err != nil {
 			return 0, err
 		}
@@ -672,9 +683,7 @@ func (s *shard) admitNeedLocked(flow uint32, need int) error {
 		// Inline fast path: one pool-wide free-count read (an atomic
 		// load per cache) and a per-queue cap compare, with no
 		// interface dispatch.
-		segs, err := s.m.Len(queue.QueueID(flow))
-		if err == nil && (need > s.m.FreeSegments() ||
-			(s.admLimit > 0 && segs+need > s.admLimit)) {
+		if need > s.m.FreeSegments() || s.overTailLimit(flow, need) {
 			return s.noteDrop(need)
 		}
 		return nil
@@ -686,6 +695,19 @@ func (s *shard) admitNeedLocked(flow uint32, need int) error {
 		return errWantPushOut
 	}
 	return nil
+}
+
+// overTailLimit is the tail-drop per-queue rule, the one place it is
+// written: need more segments would take flow past the cap. Admission
+// applies it to arrivals and MovePacket to the destination of a move. False
+// when there is no cap (see admLimit) and for a flow outside the flow space
+// (the manager reports that one).
+func (s *shard) overTailLimit(flow uint32, need int) bool {
+	if s.admLimit <= 0 {
+		return false
+	}
+	segs, err := s.m.Len(queue.QueueID(flow))
+	return err == nil && segs+need > s.admLimit
 }
 
 // noteCopied charges n payload bytes to the shard's copy counter, inside
@@ -709,7 +731,8 @@ const (
 )
 
 // admitLocked consults the admission policy for a packet of need segments
-// arriving on this shard, inside s's critical section (s.adm != nil). The
+// arriving on this shard, inside s's critical section (s.adm != nil: LQD or
+// RED). The
 // policy sees pool-wide occupancy. A PushOut verdict is not executed here:
 // the globally longest queue may live on another shard, so the caller
 // elects the victim and evicts (see arrive).
@@ -897,17 +920,13 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 	// a shard even if the engine closes underneath us, so the chain is
 	// always relinked somewhere.
 	e.run(dst, func() {
-		if dst.adm != nil && dst.admKind == policy.KindTailDrop && dst.admLimit > 0 {
-			if dstSegs, derr := dst.m.Len(queue.QueueID(to)); derr == nil && dstSegs+ch.Segs > dst.admLimit {
-				err = ErrAdmissionDrop
-			}
+		if dst.overTailLimit(to, ch.Segs) {
+			err = ErrAdmissionDrop
+			return
 		}
-		if err == nil {
-			err = dst.m.LinkPacketTail(queue.QueueID(to), ch)
-			if err == nil {
-				dst.setActive(to)
-				dst.noteTransferRes(to)
-			}
+		if err = dst.m.LinkPacketTail(queue.QueueID(to), ch); err == nil {
+			dst.setActive(to)
+			dst.noteTransferRes(to)
 		}
 	})
 	if err != nil {
@@ -928,11 +947,9 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 
 // moveLocal is the same-shard MovePacket body, inside s's critical section.
 func (s *shard) moveLocal(from, to uint32) (int, error) {
-	if from != to && s.adm != nil && s.admKind == policy.KindTailDrop && s.admLimit > 0 {
-		if _, need, err := s.m.PacketLen(queue.QueueID(from)); err == nil {
-			if dstSegs, derr := s.m.Len(queue.QueueID(to)); derr == nil && dstSegs+need > s.admLimit {
-				return 0, ErrAdmissionDrop
-			}
+	if from != to && s.admLimit > 0 { // price the packet only where a cap can refuse it
+		if _, need, err := s.m.PacketLen(queue.QueueID(from)); err == nil && s.overTailLimit(to, need) {
+			return 0, ErrAdmissionDrop
 		}
 	}
 	n, err := s.m.MovePacket(queue.QueueID(from), queue.QueueID(to))
@@ -979,15 +996,6 @@ func (e *Engine) Len(flow uint32) (int, error) {
 	return n, err
 }
 
-// Occupancy returns the live buffer usage of flow.
-func (e *Engine) Occupancy(flow uint32) (queue.Occupancy, error) {
-	s := e.shardOf(flow)
-	var occ queue.Occupancy
-	var err error
-	e.run(s, func() { occ, err = s.m.Occupancy(queue.QueueID(flow)) })
-	return occ, err
-}
-
 // SetFlowLimit caps flow at limit segments (0 removes the cap). Unknown
 // flows (outside the configured flow space) report ErrUnknownFlow.
 func (e *Engine) SetFlowLimit(flow uint32, limit int) error {
@@ -1010,11 +1018,21 @@ func (e *Engine) FreeSegments() int { return e.store.Free() }
 // section.
 func (s *shard) noteEnqueue(segments int, err error) {
 	if err != nil {
-		s.rejected++
+		s.noteRefused(err)
 		return
 	}
 	s.enqPackets++
 	s.enqSegments += uint64(segments)
+}
+
+// noteRefused counts a manager refusal as rejected when it was for want of
+// room — the pool ran dry or the flow is at its cap. A malformed call (an
+// empty packet, a flow outside the flow space) is the caller's error, not
+// buffer pressure, and is not counted.
+func (s *shard) noteRefused(err error) {
+	if errors.Is(err, queue.ErrNoFreeSegments) || errors.Is(err, queue.ErrQueueLimit) {
+		s.rejected++
+	}
 }
 
 // noteDequeue records a dequeue/delete outcome inside the shard's critical

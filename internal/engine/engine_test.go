@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"npqm/internal/policy"
 	"npqm/internal/queue"
 )
 
@@ -37,16 +39,22 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Shards(); got != 8 {
-		t.Errorf("Shards() = %d, want 8", got)
+	if got := e.Config().Shards; got != 8 {
+		t.Errorf("Config().Shards = %d, want 8", got)
 	}
 	// Defaults.
 	e, err = New(Config{NumSegments: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Shards() != DefaultShards || e.NumFlows() != queue.DefaultNumQueues {
-		t.Errorf("defaults: shards=%d flows=%d", e.Shards(), e.NumFlows())
+	// Config is the normalized configuration: every zero default filled.
+	want := Config{
+		Shards: DefaultShards, NumFlows: queue.DefaultNumQueues, NumSegments: 1024,
+		NumPorts: 1, RingCapacity: DefaultRingCapacity,
+		Egress: policy.EgressConfig{DefaultWeight: 1, QuantumBytes: 512},
+	}
+	if got := e.Config(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Config() = %+v, want %+v", got, want)
 	}
 }
 
@@ -57,7 +65,7 @@ func TestShardOfStable(t *testing.T) {
 		if a != b {
 			t.Fatalf("ShardOf(%d) unstable: %d vs %d", flow, a, b)
 		}
-		if a < 0 || a >= e.Shards() {
+		if a < 0 || a >= len(e.shards) {
 			t.Fatalf("ShardOf(%d) = %d out of range", flow, a)
 		}
 	}
@@ -67,11 +75,11 @@ func TestShardBalance(t *testing.T) {
 	// Sequential flow IDs (the common traffic-generator pattern) must
 	// spread across shards, not pile onto one.
 	e := newTest(t, 16, 32768, 65536)
-	counts := make([]int, e.Shards())
+	counts := make([]int, len(e.shards))
 	for flow := uint32(0); flow < 32768; flow++ {
 		counts[e.ShardOf(flow)]++
 	}
-	want := 32768 / e.Shards()
+	want := 32768 / len(e.shards)
 	for i, c := range counts {
 		if c < want/2 || c > want*2 {
 			t.Errorf("shard %d owns %d of 32768 flows (ideal %d)", i, c, want)
@@ -92,12 +100,12 @@ func TestRoundTrip(t *testing.T) {
 	if l, _ := e.Len(7); l != 4 {
 		t.Errorf("Len = %d, want 4", l)
 	}
-	occ, err := e.Occupancy(7)
+	fi, err := e.Flow(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if occ.Bytes != 200 || occ.Packets != 1 {
-		t.Errorf("Occupancy = %+v", occ)
+	if fi.Bytes != 200 || fi.Packets != 1 || fi.Segments != 4 {
+		t.Errorf("Flow(7).Occupancy = %+v", fi.Occupancy)
 	}
 	got, err := e.DequeuePacket(7)
 	if err != nil {

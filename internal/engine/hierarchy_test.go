@@ -57,10 +57,11 @@ func TestClassPrioServesLowestClassFirst(t *testing.T) {
 		if !ok {
 			break
 		}
-		c, err := e.FlowClass(d.Flow)
+		fi, err := e.Flow(d.Flow)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := fi.Class
 		if c < lastClass {
 			t.Fatalf("served class %d after class %d (strict priority violated)", c, lastClass)
 		}
@@ -107,8 +108,8 @@ func TestClassWRRVisitPattern(t *testing.T) {
 		if !ok {
 			t.Fatal("scheduler idle with backlog")
 		}
-		c, _ := e.FlowClass(d.Flow)
-		counts[c]++
+		fi, _ := e.Flow(d.Flow)
+		counts[fi.Class]++
 		e.ReleaseBuffer(d.Data)
 		// At every cycle boundary the ratio is exact.
 		if (i+1)%4 == 0 {
@@ -317,8 +318,8 @@ func TestTenantClassFlowComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumTenants() != 2 || e.NumClasses() != 4 {
-		t.Fatalf("hierarchy %d tenants × %d classes, want 2 × 4", e.NumTenants(), e.NumClasses())
+	if eg := e.Config().Egress; eg.Units(policy.TierTenant) != 2 || eg.Units(policy.TierClass) != 4 {
+		t.Fatalf("hierarchy %d tenants × %d classes, want 2 × 4", eg.Units(policy.TierTenant), eg.Units(policy.TierClass))
 	}
 	// Flow f: tenant f%2, class (f/2)%4 — both tenants hold flows of
 	// every class.
@@ -344,11 +345,11 @@ func TestTenantClassFlowComposition(t *testing.T) {
 		if !ok {
 			t.Fatal("scheduler idle with backlog")
 		}
-		tn, err := e.FlowTenant(d.Flow)
+		fi, err := e.Flow(d.Flow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := e.FlowClass(d.Flow)
+		tn, c := fi.Tenant, fi.Class
 		// Strict class priority holds within each tenant's own service
 		// sequence (the backlog drains class by class, so a tenant's
 		// served class never decreases).
@@ -599,13 +600,12 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var delivered atomic.Int64
-	sink := SinkFunc(func(d Dequeued) error {
+	sink := SinkVFunc(func(_ int, d Dequeued) error {
 		delivered.Add(1)
-		e.ReleaseBuffer(d.Data)
 		return nil
 	})
 	for p := 0; p < ports; p++ {
-		if err := e.Serve(p, sink); err != nil {
+		if err := e.ServeViews(p, sink); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -195,8 +195,8 @@ func TestLQDMatchesReferenceModel(t *testing.T) {
 }
 
 // TestRejectedCountsCallerVisibleRefusals: Stats.Rejected is the number of
-// calls that returned a non-admission error, not the number of internal
-// attempts. An overloaded LQD engine retries inside one arrival — after a
+// calls refused for want of room (pool dry, flow at its cap), not the number
+// of internal attempts and not the caller's own malformed calls. An overloaded LQD engine retries inside one arrival — after a
 // push-out, after fetching free segments stranded in another shard's cache
 // — and none of those passes is a refusal the caller saw.
 func TestRejectedCountsCallerVisibleRefusals(t *testing.T) {
@@ -256,6 +256,23 @@ func TestRejectedCountsCallerVisibleRefusals(t *testing.T) {
 	}
 	if st.DroppedPackets != dropped {
 		t.Errorf("DroppedPackets = %d, callers saw %d ErrAdmissionDrop", st.DroppedPackets, dropped)
+	}
+	// A malformed call is refused too, but not for want of room: it is the
+	// caller's error and Rejected, which measures buffer pressure, stays.
+	for _, bad := range []struct {
+		name string
+		call func() error
+	}{
+		{"EnqueuePacket(f, nil)", func() error { _, err := e.EnqueuePacket(1, nil); return err }},
+		{"EnqueuePacket(out of range)", func() error { _, err := e.EnqueuePacket(flows+7, pkt[:64]); return err }},
+		{"ReservePacket(f, 0)", func() error { _, err := e.ReservePacket(1, 0); return err }},
+	} {
+		if err := bad.call(); err == nil || errors.Is(err, ErrAdmissionDrop) {
+			t.Errorf("%s = %v, want a caller error", bad.name, err)
+		}
+		if got := e.Stats().Rejected; got != st.Rejected {
+			t.Errorf("%s moved Rejected %d -> %d", bad.name, st.Rejected, got)
+		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)

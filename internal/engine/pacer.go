@@ -11,11 +11,11 @@ package engine
 // goroutines.
 //
 // A port's entire service — every shard's scheduling unit — runs on its
-// home pacer, so a Sink's Transmit is never concurrent with itself (the
+// home pacer, so a sink's SendView is never concurrent with itself (the
 // contract the per-port workers provided). The pacer enters shards the
-// way the pull API does, through drainShard, and like the pull API it
-// carries the delivery form (copy for Serve, view for ServeViews) down
-// that path as a value.
+// way the pull API does, through drainShard, always asking for views: push
+// delivery has one form, and a sink that wants a contiguous buffer copies
+// it out of the view itself, outside every shard lock.
 //
 // Wheel geometry: one slot per tick (1ms) for the next 256ms. Shaper waits
 // are a few ticks at every rate the tests, bench/ and qmsim use; a deadline
@@ -28,7 +28,7 @@ package engine
 //
 // Cross-thread handoff is one mutex-guarded pending list plus a
 // capacity-1 wake channel: producers (notify), the control plane
-// (Serve/Pause/Resume/SetPortRate/SetFlowPort kicks) and the pacer
+// (ServeViews/Pause/Resume/SetPortRate/SetFlowPort kicks) and the pacer
 // itself never contend for more than an append. Everything else —
 // wheel, runnable queue, per-port bookkeeping — is goroutine-local.
 
@@ -59,7 +59,7 @@ const (
 // pacer is one shard's port-service goroutine plus its mailbox. The
 // struct exists for every shard from New (so notify and kicks always
 // have a target); the goroutine and its wheel state start lazily on the
-// first Serve of a port homed here.
+// first ServeViews of a port homed here.
 type pacer struct {
 	e    *Engine
 	home int
@@ -309,23 +309,19 @@ func (pc *pacer) throttle(p *port, now, wait int64) {
 
 // servePortOnce gives port pi one service round: up to a burst of
 // packets (bounded by the shaper's byte budget for the coming tick),
-// then decides where the port goes next — runnable, wheel, or idle. A
-// port registered through ServeViews is served views, one registered
-// through Serve reassembled buffers; the loop differs only in the call
-// that hands a packet to the sink.
+// then decides where the port goes next — runnable, wheel, or idle.
 func (pc *pacer) servePortOnce(pi int32) {
 	e := pc.e
 	p := e.ports[pi]
 	if !p.serving.Load() || p.paused.Load() {
-		// A paused port holds its backlog; Resume (or a fresh Serve)
+		// A paused port holds its backlog; Resume (or a fresh ServeViews)
 		// kicks the pacer, so no state needs to be kept here.
 		return
 	}
-	box := p.sink.Load()
-	if box == nil {
+	sink := p.sink.Load()
+	if sink == nil {
 		return
 	}
-	view := box.sinkV != nil
 	shaped := p.sh.enabled()
 	budget := int64(1) << 62
 	var now int64 // read for shaped ports only: an unshaped one is served off the clock
@@ -354,7 +350,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// rate exact).
 			max = 1
 		}
-		pc.out = e.dequeuePort(p, view, pc.out[:0], max)
+		pc.out = e.dequeuePort(p, pc.out[:0], max)
 		if len(pc.out) == 0 {
 			// Nothing servable: declare intent to park, then scan once
 			// more. The scan enters every shard's critical section, so a
@@ -363,7 +359,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// idle=true (the store below happens-before our lock
 			// acquisitions) and re-queues us via notify.
 			p.idle.Store(true)
-			pc.out = e.dequeuePort(p, view, pc.out[:0], max)
+			pc.out = e.dequeuePort(p, pc.out[:0], max)
 			if len(pc.out) == 0 {
 				// Idle spells are not pacing jitter: the next departure
 				// starts a fresh gap sequence.
@@ -375,20 +371,22 @@ func (pc *pacer) servePortOnce(pi int32) {
 		for i := range pc.out {
 			d := pc.out[i]
 			pc.out[i] = Dequeued{}
-			err := p.send(box, d)
-			// Drop the engine's reference to a view whether the sink
+			err := p.send(*sink, d)
+			// Drop the engine's reference to the view whether the sink
 			// succeeded or not — an erroring sink that kept the view
-			// retained it first. A copy has no view, and its buffer belongs
-			// to the sink either way.
+			// retained it first.
 			rel.Add(d.View)
 			if err != nil {
 				// The link died mid-burst (a panicking sink is a dead link
 				// too): the rest of the batch — already dequeued — is
-				// released so buffers and lent segments are not leaked.
-				// Those packets count as dequeued but not transmitted, like
-				// frames lost on a failing link. The port stops being served
-				// (Serve re-arms it).
-				e.discard(pc.out[i+1:], &rel)
+				// released so lent segments are not leaked. Those packets
+				// count as dequeued but not transmitted, like frames lost
+				// on a failing link. The port stops being served
+				// (ServeViews re-arms it).
+				for j := i + 1; j < len(pc.out); j++ {
+					rel.Add(pc.out[j].View)
+					pc.out[j] = Dequeued{}
+				}
 				p.serving.Store(false)
 				return
 			}
@@ -421,26 +419,13 @@ var errSinkPanic = errors.New("engine: sink panicked")
 
 // send hands d to the port's sink. A panic in there is the sink's failure,
 // not the engine's: it is counted and comes back as the error a failing
-// Transmit would have returned, so the pacer and its other ports go on.
-func (p *port) send(box *sinkBox, d Dequeued) (err error) {
+// SendView would have returned, so the pacer and its other ports go on.
+func (p *port) send(sink SinkV, d Dequeued) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.sinkPanics.Add(1)
 			err = errSinkPanic
 		}
 	}()
-	if box.sinkV != nil {
-		return box.sinkV.SendView(p.idx, d)
-	}
-	return box.sink.Transmit(d)
-}
-
-// discard settles packets that were dequeued for a sink that will not take
-// them: buffers go back to the pool, views into rel.
-func (e *Engine) discard(ds []Dequeued, rel *queue.ViewReleaser) {
-	for i := range ds {
-		e.ReleaseBuffer(ds[i].Data)
-		rel.Add(ds[i].View)
-		ds[i] = Dequeued{}
-	}
+	return sink.SendView(p.idx, d)
 }

@@ -699,6 +699,42 @@ func TestSetWeightValidation(t *testing.T) {
 	if err := e.SetWeight(3, 4); err != nil {
 		t.Errorf("valid weight rejected: %v", err)
 	}
+	// Weights live in 32 bits: 1<<32 used to truncate to 0, the default
+	// weight, and 1<<33 likewise. Every setter refuses what it cannot keep.
+	h := newPolicyEngine(t, 64, policy.Config{}, policy.EgressConfig{
+		Kind: policy.EgressWRR,
+		Levels: []policy.LevelSpec{
+			{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 2},
+			{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2},
+		},
+	})
+	for _, shift := range []uint{31, 32, 33} {
+		big := int(int64(1) << shift) // not a constant: int may be 32 bits
+		if err := h.SetWeight(3, big); err == nil {
+			t.Errorf("SetWeight(%d) accepted", big)
+		}
+		if err := h.SetClassWeight(1, big); err == nil {
+			t.Errorf("SetClassWeight(%d) accepted", big)
+		}
+		if err := h.SetTenantWeight(1, big); err == nil {
+			t.Errorf("SetTenantWeight(%d) accepted", big)
+		}
+		eg := policy.EgressConfig{Levels: []policy.LevelSpec{{Tier: policy.TierClass, Weights: []int{1, big}}}}
+		if err := eg.Validate(); err == nil {
+			t.Errorf("LevelSpec weight %d accepted", big)
+		}
+	}
+	if fi, _ := h.Flow(3); fi.Weight != 1 {
+		t.Errorf("refused weights changed flow 3's weight to %d", fi.Weight)
+	}
+	for _, set := range []func(int, int) error{h.SetClassWeight, h.SetTenantWeight} {
+		if err := set(1, policy.MaxWeight); err != nil {
+			t.Errorf("weight MaxWeight rejected: %v", err)
+		}
+	}
+	if cs, ts := h.ClassStats(), h.TenantStats(); cs[1].Weight != policy.MaxWeight || ts[1].Weight != policy.MaxWeight {
+		t.Errorf("class/tenant 1 weights %d/%d, want MaxWeight", cs[1].Weight, ts[1].Weight)
+	}
 }
 
 func TestBatchEnqueueWithAdmission(t *testing.T) {

@@ -6,13 +6,12 @@ package engine
 // This file is that interface in software. Every flow belongs to exactly
 // one port (Config.NumPorts, SetFlowPort; all flows start on port 0),
 // each (shard, port) pair owns an N-level scheduling unit (see
-// egress.go), and a port served through Serve is driven by its home
-// shard's pacer goroutine (see pacer.go): it picks via the configured
-// tenant, class and flow disciplines, paces against the port's token-bucket
-// shaper (see shaper.go), and pushes packets into the registered sink —
-// reassembled for a Sink, as views for a SinkV (ServeViews, views.go) —
-// push-mode delivery with backpressure, where the old DequeueNextBatch
-// pull loop survives as the unported path.
+// egress.go), and a port served through ServeViews (views.go) is driven by
+// its home shard's pacer goroutine (see pacer.go): it picks via the
+// configured tenant, class and flow disciplines, paces against the port's
+// token-bucket shaper (see shaper.go), and pushes packet views into the
+// registered sink — push-mode delivery with backpressure, where the
+// DequeueNextBatch pull loop survives as the unported path.
 //
 // Pause/Resume model link-level flow control (a paused port holds its
 // backlog and transmits nothing); SetPortRate reshapes at runtime. An
@@ -34,34 +33,6 @@ import (
 // resource.
 const MaxPorts = 4096
 
-// Sink consumes the packets a served port transmits. Transmit may block —
-// that is the backpressure path; the pacer will not pick another packet
-// for this port until it returns. Returning a non-nil error stops the
-// port's service (the port can be Served again), and so does a panic,
-// which the pacer recovers and counts in PortStat.SinkPanics. Transmit
-// always runs on the port's home pacer goroutine, never concurrently with
-// itself; note that a Transmit that blocks indefinitely also stalls the
-// other ports homed to the same pacer.
-type Sink interface {
-	Transmit(d Dequeued) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(d Dequeued) error
-
-// Transmit implements Sink.
-func (f SinkFunc) Transmit(d Dequeued) error { return f(d) }
-
-// sinkBox wraps a port's consumer for atomic publication (atomic.Pointer
-// needs a concrete pointed-to type; the interfaces themselves are two
-// words). Exactly one of the two fields is set — sink by Serve, sinkV by
-// ServeViews — and which one decides the form the pacer dequeues the
-// port's packets in and the call it hands them to.
-type sinkBox struct {
-	sink  Sink
-	sinkV SinkV
-}
-
 // port is one output port: shaper, pacer handoff state, and transmit
 // counters. The scheduling state lives in the shards (one portSched per
 // (shard, port) pair); the service loop lives in the port's home pacer.
@@ -77,9 +48,9 @@ type port struct {
 	// the pacer reads per packet. layout_test.go pins the distances.
 	_       [hotPad]byte
 	paused  atomic.Bool
-	serving atomic.Bool             // Serve registered a sink; cleared on error/close
-	idle    atomic.Bool             // dropped from the pacer awaiting traffic
-	sink    atomic.Pointer[sinkBox] // current sink; replaced by each Serve
+	serving atomic.Bool           // ServeViews registered a sink; cleared on error/close
+	idle    atomic.Bool           // dropped from the pacer awaiting traffic
+	sink    atomic.Pointer[SinkV] // current sink; replaced by each ServeViews
 
 	// Transmit counters: written per packet by the home pacer, read by
 	// PortStats/Stats. Separated from the producer-CASed control words
@@ -94,7 +65,7 @@ type port struct {
 	// stamps every transmit and the gap to the previous one lands in gaps,
 	// so PortStats can report how tightly the wheel tracks the configured
 	// rate. txLastNs == noDeparture means no previous departure — set by
-	// New, on idle park and on Serve, so idle spells don't count as pacing
+	// New, on idle park and on ServeViews, so idle spells don't count as pacing
 	// jitter.
 	txLastNs atomic.Int64
 	gaps     stats.Histogram
@@ -105,7 +76,7 @@ type port struct {
 const noDeparture = math.MinInt64
 
 // noteDeparture records one shaped transmit at engine time now. Called
-// only from the port's home pacer; the fields are atomics because Serve
+// only from the port's home pacer; the fields are atomics because ServeViews
 // and PortStats touch them cross-goroutine.
 func (p *port) noteDeparture(now int64) {
 	if last := p.txLastNs.Swap(now); last != noDeparture {
@@ -122,7 +93,7 @@ func (p *port) notify() {
 	}
 }
 
-// kick queues the port for pacer attention unconditionally (Serve/Pause/
+// kick queues the port for pacer attention unconditionally (ServeViews/Pause/
 // Resume/SetPortRate/SetFlowPort): a parked or waiting port re-evaluates;
 // for a runnable one the pacer de-duplicates — harmless.
 func (p *port) kick() {
@@ -136,9 +107,6 @@ func (e *Engine) portAt(port int) (*port, error) {
 	}
 	return e.ports[port], nil
 }
-
-// NumPorts returns the configured output-port count.
-func (e *Engine) NumPorts() int { return len(e.ports) }
 
 // SetFlowPort moves flow onto port (all flows start on port 0), under
 // its current tenant and class. A backlogged flow moves with its queue,
@@ -154,17 +122,6 @@ func (e *Engine) SetFlowPort(flow uint32, port int) error {
 	}
 	p.kick()
 	return nil
-}
-
-// FlowPort returns the port flow is currently mapped to.
-func (e *Engine) FlowPort(flow uint32) (int, error) {
-	if int64(flow) >= int64(e.cfg.NumFlows) {
-		return 0, ErrUnknownFlow
-	}
-	s := e.shardOf(flow)
-	var port int
-	e.run(s, func() { port = s.portOf(flow) })
-	return port, nil
 }
 
 // SetPortRate reshapes port at runtime: rate 0 removes shaping, a
@@ -207,68 +164,24 @@ func (e *Engine) Resume(port int) error {
 	return nil
 }
 
-// Paused reports whether port is paused.
-func (e *Engine) Paused(port int) (bool, error) {
-	p, err := e.portAt(port)
-	if err != nil {
-		return false, err
-	}
-	return p.paused.Load(), nil
-}
-
-// Serve registers sink as port's transmitter and hands the port to its
-// home shard's pacer (starting that pacer's goroutine on first use): the
-// pacer picks packets via the configured disciplines, paces them against
-// the port's shaper on its timing wheel, and pushes them into sink until
-// the engine closes or sink returns an error or panics. Either way, packets
-// already picked for the current burst are released — counted as
-// dequeued but not transmitted, like frames lost on a failing link. One
-// service per port; a second Serve on a live port fails. Serving any
-// number of ports costs one goroutine per shard, not one per port.
-func (e *Engine) Serve(port int, sink Sink) error {
-	return e.serve(port, &sinkBox{sink: sink})
-}
-
-// serve is the registration behind Serve and ServeViews.
-func (e *Engine) serve(port int, box *sinkBox) error {
-	p, err := e.portAt(port)
-	if err != nil {
-		return err
-	}
-	if box.sink == nil && box.sinkV == nil {
-		return fmt.Errorf("engine: nil sink for port %d", port)
-	}
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	if e.closed() {
-		return ErrClosed
-	}
-	if !p.serving.CompareAndSwap(false, true) {
-		return fmt.Errorf("engine: port %d is already being served", port)
-	}
-	p.sink.Store(box)
-	p.txLastNs.Store(noDeparture) // a re-arm must not count downtime as a gap
-	p.pc.start()
-	p.kick()
-	return nil
-}
-
 // unshapedBatch is how many packets an unshaped port's service round
 // picks at most — the same burst the pull loops use, so push-mode
 // delivery pays the same per-shard amortization as DequeueNextBatch.
 const unshapedBatch = 64
 
-// dequeuePort serves up to max packets from p's scheduling units,
-// rotating the starting shard per call, appending to out. It is
+// dequeuePort serves up to max packets from p's scheduling units as
+// views, rotating the starting shard per call, appending to out. It is
 // dequeueNextBatch with the pick restricted to one port, sharing the
 // same per-shard drain (drainShard). Only p's home pacer calls it
 // (shardCursor is pacer-local).
-func (e *Engine) dequeuePort(p *port, view bool, out []Dequeued, max int) []Dequeued {
+func (e *Engine) dequeuePort(p *port, out []Dequeued, max int) []Dequeued {
 	n := len(e.shards)
 	p.shardCursor++
-	start := int(p.shardCursor) % n
+	// n is a power of two; mask before the int conversion, as
+	// dequeueNextBatch does.
+	start := int(p.shardCursor & uint32(n-1))
 	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], p.idx, view, out, max)
+		out = e.drainShard(e.shards[(start+i)%n], p.idx, true, out, max)
 	}
 	return out
 }
@@ -281,7 +194,7 @@ type PortStat struct {
 	Throttled          uint64 // shaper waits (wheel parks awaiting tokens)
 	Paused             bool
 	Serving            bool
-	SinkPanics         uint64 // sink calls that panicked; each stopped the port like an error
+	SinkPanics         uint64 // SendView calls that panicked; each stopped the port like an error
 	ActiveFlows        int    // flows with backlog mapped to this port
 	RateBytesPerSec    int64  // 0 = unshaped
 	BurstBytes         int64
@@ -321,7 +234,6 @@ func (e *Engine) PortStats() []PortStat {
 		}
 	}
 	for _, s := range e.shards {
-		s := s
 		e.run(s, func() {
 			for i := range out {
 				out[i].ActiveFlows += s.ps[i].activeFlows

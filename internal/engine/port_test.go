@@ -1,7 +1,7 @@
 package engine
 
 // Tests of the port-level transmit subsystem: flow→port mapping,
-// push-mode delivery through Serve, token-bucket pacing, pause/resume
+// push-mode delivery through ServeViews, token-bucket pacing, pause/resume
 // flow control, and the interplay with both datapaths and Close.
 
 import (
@@ -28,7 +28,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// countingSink tallies deliveries per flow and releases the buffers.
+// countingSink tallies deliveries per flow.
 type countingSink struct {
 	e  *Engine
 	mu sync.Mutex
@@ -40,12 +40,11 @@ func newCountingSink(e *Engine) *countingSink {
 	return &countingSink{e: e, by: make(map[uint32]int)}
 }
 
-func (c *countingSink) Transmit(d Dequeued) error {
+func (c *countingSink) SendView(_ int, d Dequeued) error {
 	c.mu.Lock()
 	c.n++
 	c.by[d.Flow]++
 	c.mu.Unlock()
-	c.e.ReleaseBuffer(d.Data)
 	return nil
 }
 
@@ -72,8 +71,8 @@ func TestPortConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumPorts() != 1 {
-		t.Fatalf("default NumPorts = %d, want 1", e.NumPorts())
+	if n := e.Config().NumPorts; n != 1 {
+		t.Fatalf("default NumPorts = %d, want 1", n)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestServeDeliversBacklogAndLiveTraffic(t *testing.T) {
 		}
 	}
 	sink := newCountingSink(e)
-	if err := e.Serve(0, sink); err != nil {
+	if err := e.ServeViews(0, sink); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "backlog delivery", func() bool { return sink.count() == 16 })
@@ -138,7 +137,7 @@ func TestMultiPortPartition(t *testing.T) {
 			sinks := make([]*countingSink, ports)
 			for p := 0; p < ports; p++ {
 				sinks[p] = newCountingSink(e)
-				if err := e.Serve(p, sinks[p]); err != nil {
+				if err := e.ServeViews(p, sinks[p]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -216,7 +215,7 @@ func TestShapedPortPacesDelivery(t *testing.T) {
 		}
 	}
 	sink := newCountingSink(e.Engine)
-	if err := e.Serve(0, sink); err != nil {
+	if err := e.ServeViews(0, sink); err != nil {
 		t.Fatal(err)
 	}
 	// The 60th packet leaves on the first tick whose credit exceeds the 59
@@ -275,9 +274,8 @@ func TestPacerHorizonRepark(t *testing.T) {
 		}
 	}
 	var departed []int // tick of each departure
-	if err := e.Serve(0, SinkFunc(func(d Dequeued) error {
+	if err := e.ServeViews(0, SinkVFunc(func(_ int, d Dequeued) error {
 		departed = append(departed, e.nowTick())
-		e.ReleaseBuffer(d.Data)
 		return nil
 	})); err != nil {
 		t.Fatal(err)
@@ -330,9 +328,8 @@ func TestPacerSixteenShapedPorts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := e.Serve(p, SinkFunc(func(d Dequeued) error {
+		if err := e.ServeViews(p, SinkVFunc(func(_ int, d Dequeued) error {
 			sent[p] += int64(d.Bytes)
-			e.ReleaseBuffer(d.Data)
 			return nil
 		})); err != nil {
 			t.Fatal(err)
@@ -435,7 +432,7 @@ func TestUnshapedPortRecordsNoJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCountingSink(e)
-	if err := e.Serve(0, sink); err != nil {
+	if err := e.ServeViews(0, sink); err != nil {
 		t.Fatal(err)
 	}
 	pkt := make([]byte, 256)
@@ -457,13 +454,13 @@ func TestUnshapedPortRecordsNoJitter(t *testing.T) {
 func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true})
 	sink := newCountingSink(e.Engine)
-	if err := e.Serve(0, sink); err != nil {
+	if err := e.ServeViews(0, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Pause(0); err != nil {
 		t.Fatal(err)
 	}
-	if paused, _ := e.Paused(0); !paused {
+	if !e.PortStats()[0].Paused {
 		t.Fatal("port not reported paused")
 	}
 	pkt := make([]byte, queue.SegmentBytes)
@@ -501,12 +498,12 @@ func TestSetFlowPortMovesBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p, err := e.FlowPort(5); err != nil || p != 0 {
-		t.Fatalf("FlowPort(5) = (%d, %v), want (0, nil)", p, err)
+	if fi, err := e.Flow(5); err != nil || fi.Port != 0 {
+		t.Fatalf("Flow(5).Port = (%d, %v), want (0, nil)", fi.Port, err)
 	}
 	// Only port 1 is served: nothing moves while the flow sits on port 0.
 	sink := newCountingSink(e.Engine)
-	if err := e.Serve(1, sink); err != nil {
+	if err := e.ServeViews(1, sink); err != nil {
 		t.Fatal(err)
 	}
 	e.tick(30)
@@ -519,8 +516,8 @@ func TestSetFlowPortMovesBacklog(t *testing.T) {
 	if e.settle(); sink.count() != 4 {
 		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", sink.count())
 	}
-	if p, _ := e.FlowPort(5); p != 1 {
-		t.Fatalf("FlowPort(5) = %d after move, want 1", p)
+	if fi, _ := e.Flow(5); fi.Port != 1 {
+		t.Fatalf("Flow(5).Port = %d after move, want 1", fi.Port)
 	}
 	pst := e.PortStats()
 	if pst[0].ActiveFlows != 0 {
@@ -539,10 +536,10 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Serve(3, SinkFunc(func(Dequeued) error { return nil })); err == nil {
+	if err := e.ServeViews(3, SinkVFunc(func(int, Dequeued) error { return nil })); err == nil {
 		t.Error("out-of-range port accepted")
 	}
-	if err := e.Serve(0, nil); err == nil {
+	if err := e.ServeViews(0, nil); err == nil {
 		t.Error("nil sink accepted")
 	}
 	if err := e.SetFlowPort(999, 0); !errors.Is(err, ErrUnknownFlow) {
@@ -563,12 +560,11 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 		}
 	}
 	var stopped atomic.Bool
-	failing := SinkFunc(func(d Dequeued) error {
-		e.ReleaseBuffer(d.Data)
+	failing := SinkVFunc(func(_ int, d Dequeued) error {
 		stopped.Store(true)
 		return errors.New("link down")
 	})
-	if err := e.Serve(0, failing); err != nil {
+	if err := e.ServeViews(0, failing); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "sink error stop", func() bool { return stopped.Load() && !e.ports[0].serving.Load() })
@@ -579,19 +575,19 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 		t.Fatalf("invariants after mid-burst sink failure: %v", err)
 	}
 	sink2 := newCountingSink(e)
-	if err := e.Serve(0, sink2); err != nil {
+	if err := e.ServeViews(0, sink2); err != nil {
 		t.Fatalf("re-Serve after sink stop: %v", err)
 	}
 	waitUntil(t, 5*time.Second, "remaining backlog", func() bool {
 		return e.Stats().QueuedSegments == 0
 	})
-	if err := e.Serve(0, SinkFunc(func(Dequeued) error { return nil })); err == nil {
+	if err := e.ServeViews(0, SinkVFunc(func(int, Dequeued) error { return nil })); err == nil {
 		t.Error("double Serve accepted")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Serve(0, SinkFunc(func(Dequeued) error { return nil })); !errors.Is(err, ErrClosed) {
+	if err := e.ServeViews(0, SinkVFunc(func(int, Dequeued) error { return nil })); !errors.Is(err, ErrClosed) {
 		t.Errorf("Serve after Close err = %v, want ErrClosed", err)
 	}
 }
@@ -660,7 +656,7 @@ func TestPortsConcurrentChurn(t *testing.T) {
 			sinks := make([]*countingSink, ports)
 			for p := 0; p < ports; p++ {
 				sinks[p] = newCountingSink(e)
-				if err := e.Serve(p, sinks[p]); err != nil {
+				if err := e.ServeViews(p, sinks[p]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -149,12 +149,16 @@ func (e *Engine) Drain() error {
 // ErrClosed (calls already inside a shard finish normally). The rings are
 // sealed, so a post racing the flip is either refused or accepted — and an
 // accepted post is executed: the workers drain up to the sealed tails
-// through the unconditional lock and exit, no packet or counter lost. Port
-// workers spawned by Serve are unparked and waited out last (a Sink blocked
-// forever therefore blocks Close). Close is idempotent and safe to call
-// concurrently. After Close the observation surface (Stats, ShardStats,
-// PortStats, CheckInvariants, Len, Occupancy, ActiveFlows, FreeSegments)
-// keeps working against the quiescent state.
+// through the unconditional lock and exit, no packet or counter lost. The
+// pacers started by ServeViews are unparked and waited out last (a sink
+// blocked forever therefore blocks Close). Close is idempotent and safe to
+// call concurrently. After Close the observation surface (Stats and its
+// per-shard, -port, -class and -tenant slices, CheckInvariants, Len, Flow,
+// Config, FreeSegments, LentSegments) keeps working against the quiescent
+// state. What was checked out stays the holder's to settle: a view
+// retained across Close returns its chain to the pool on Release, and an
+// open Reservation refuses Commit with ErrClosed and returns its run on
+// Abort — neither enters a shard.
 func (e *Engine) Close() error {
 	e.lifeMu.Lock()
 	defer e.lifeMu.Unlock()

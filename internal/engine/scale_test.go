@@ -44,8 +44,9 @@ func TestScaleThreeLevelHierarchySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumTenants() != tenants || e.NumClasses() != classes || e.NumPorts() != ports {
-		t.Fatalf("built %d tenants × %d classes × %d ports", e.NumTenants(), e.NumClasses(), e.NumPorts())
+	if cfg := e.Config(); cfg.Egress.Units(policy.TierTenant) != tenants || cfg.Egress.Units(policy.TierClass) != classes || cfg.NumPorts != ports {
+		t.Fatalf("built %d tenants × %d classes × %d ports",
+			cfg.Egress.Units(policy.TierTenant), cfg.Egress.Units(policy.TierClass), cfg.NumPorts)
 	}
 	var after runtime.MemStats
 	runtime.GC()

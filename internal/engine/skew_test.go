@@ -143,21 +143,19 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 	}
 
 	var txA, txB atomic.Uint64
-	slow := SinkFunc(func(d Dequeued) error {
+	slow := SinkVFunc(func(_ int, d Dequeued) error {
 		time.Sleep(500 * time.Microsecond) // keep the pacer mid-drain
 		txA.Add(1)
-		e.ReleaseBuffer(d.Data)
 		return nil
 	})
-	fast := SinkFunc(func(d Dequeued) error {
+	fast := SinkVFunc(func(_ int, d Dequeued) error {
 		txB.Add(1)
-		e.ReleaseBuffer(d.Data)
 		return nil
 	})
-	if err := e.Serve(0, slow); err != nil {
+	if err := e.ServeViews(0, slow); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Serve(1, fast); err != nil {
+	if err := e.ServeViews(1, fast); err != nil {
 		t.Fatal(err)
 	}
 

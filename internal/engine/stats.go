@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"npqm/internal/policy"
 	"npqm/internal/queue"
 	"npqm/internal/sched"
 	"npqm/internal/stats"
@@ -37,7 +38,7 @@ type Stats struct {
 	PushedOutPackets  uint64
 	PushedOutSegments uint64
 
-	// Transmit side (ports served through Serve). Packets delivered by
+	// Transmit side (ports served through ServeViews). Packets delivered by
 	// port workers are also counted in DequeuedPackets/Segments — the
 	// transmit counters slice that total by delivery path and add the
 	// pacing signal. See PortStats for the per-port breakdown.
@@ -102,7 +103,7 @@ type ShardStat struct {
 	WorkerIdleNs int64
 	// StealBatches is always zero: work stealing is gone. The field stays
 	// only because bench/replay.go, which a non-benchmark PR may not edit,
-	// reads it; it goes with ROADMAP item 4's benchmark-only PR.
+	// reads it; it goes with ROADMAP item 3's benchmark-only PR.
 	StealBatches uint64
 }
 
@@ -115,7 +116,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{Shards: len(e.shards)}
 	var res stats.Histogram
 	for _, s := range e.shards {
-		s := s
 		e.run(s, func() {
 			st.EnqueuedPackets += s.enqPackets
 			st.EnqueuedSegments += s.enqSegments
@@ -159,7 +159,6 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))
 	for i, s := range e.shards {
-		i, s := i, s
 		e.run(s, func() {
 			out[i] = ShardStat{
 				Shard:            i,
@@ -198,10 +197,10 @@ type TenantStat struct {
 // accumTierFlows adds one shard's backlogged-flow counts per unit of
 // tier into counts, inside the shard's critical section. When the tier
 // is flat (no level of its own) every backlogged flow sits in unit 0.
-func accumTierFlows(s *shard, tier int, counts []int) {
+func accumTierFlows(s *shard, tier policy.Tier, counts []int) {
 	li := -1
 	for k := range s.eg.levels {
-		if int(s.eg.levels[k].tier) == tier {
+		if s.eg.levels[k].tier == tier {
 			li = k
 		}
 	}
@@ -234,7 +233,7 @@ func accumTierFlows(s *shard, tier int, counts []int) {
 }
 
 // tierStats collects per-unit backlog and weights for one tier.
-func (e *Engine) tierStats(tier int) ([]int, []int) {
+func (e *Engine) tierStats(tier policy.Tier) ([]int, []int) {
 	units := int(e.tierUnits[tier])
 	counts := make([]int, units)
 	weights := make([]int, units)
@@ -242,7 +241,6 @@ func (e *Engine) tierStats(tier int) ([]int, []int) {
 		weights[u] = 1
 	}
 	for si, s := range e.shards {
-		si, s := si, s
 		e.run(s, func() {
 			if si == 0 {
 				for u := range weights {
@@ -261,7 +259,7 @@ func (e *Engine) tierStats(tier int) ([]int, []int) {
 // flows the class holds right now (summed across shards and ports;
 // consistent per shard, not a global cut) and its configured weight.
 func (e *Engine) ClassStats() []ClassStat {
-	counts, weights := e.tierStats(tierClass)
+	counts, weights := e.tierStats(policy.TierClass)
 	out := make([]ClassStat, len(counts))
 	for c := range out {
 		out[c] = ClassStat{Class: c, ActiveFlows: counts[c], Weight: weights[c]}
@@ -274,7 +272,7 @@ func (e *Engine) ClassStats() []ClassStat {
 // ports; consistent per shard, not a global cut) and its configured
 // weight.
 func (e *Engine) TenantStats() []TenantStat {
-	counts, weights := e.tierStats(tierTenant)
+	counts, weights := e.tierStats(policy.TierTenant)
 	out := make([]TenantStat, len(counts))
 	for t := range out {
 		out[t] = TenantStat{Tenant: t, ActiveFlows: counts[t], Weight: weights[t]}
@@ -299,7 +297,6 @@ func (e *Engine) CheckInvariants() error {
 	var enq, deq, pushed uint64
 	queued, floating := 0, 0
 	for i, s := range e.shards {
-		i, s := i, s
 		var err error
 		e.run(s, func() {
 			err = s.m.CheckInvariants()
@@ -447,7 +444,7 @@ func (e *Engine) checkStackLocked(s *shard, shardIdx, p int, ps *portSched) (int
 					var pb [numTiers]int32
 					if path := s.pathOf(uint32(id), pb[:0]); path[n-1] != parent {
 						return 0, fmt.Errorf("engine: shard %d flow %d sits under node %d but maps to tenant %d class %d (node %d)",
-							shardIdx, id, parent, fs.tenant, fs.class, path[n-1])
+							shardIdx, id, parent, fs.unit[policy.TierTenant], fs.unit[policy.TierClass], path[n-1])
 					}
 				}
 				total++

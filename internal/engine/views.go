@@ -26,7 +26,9 @@ package engine
 // exactly once. Push-mode sinks (ServeViews) do NOT own the view — the
 // engine drops its reference as soon as SendView returns — so a sink that
 // completes transmission asynchronously (a NIC-style descriptor ring)
-// must Retain before returning and Release on completion. Retain/Release
+// must Retain before returning and Release on completion, and one that
+// wants the payload in one piece copies it out (PacketView.AppendTo) while
+// it holds the view. Retain/Release
 // are safe from any goroutine; double release panics (see
 // queue.PacketView.Release).
 //
@@ -38,21 +40,30 @@ package engine
 // when some other goroutine releases — and a reservation's count as
 // enqueued at Commit. None of these paths touch Stats.CopiedBytes.
 
-import "npqm/internal/queue"
+import (
+	"fmt"
+
+	"npqm/internal/policy"
+	"npqm/internal/queue"
+)
 
 // PacketView is a zero-copy dequeued packet; see queue.PacketView for the
 // iterator and reference-counting surface. Re-exported so engine callers
 // need not import internal/queue.
 type PacketView = queue.PacketView
 
-// SinkV consumes the packet views a port served through ServeViews
-// transmits — the zero-copy counterpart of Sink. SendView may block (that
-// is the backpressure path) and always runs on the port's home pacer
-// goroutine, never concurrently with itself. Returning a non-nil error or
-// panicking stops the port's service, exactly as with Sink.Transmit. The
-// engine releases its reference to d.View when SendView returns, success,
-// error or panic: a sink that needs the view afterwards must Retain it
-// first.
+// SinkV consumes the packets a served port transmits, as views — push
+// delivery has this one form. SendView may block: that is the backpressure
+// path, the pacer will not pick another packet for this port until it
+// returns (and a SendView that blocks indefinitely also stalls the other
+// ports homed to the same pacer). It always runs on the port's home pacer
+// goroutine, never concurrently with itself, and outside every shard lock.
+// Returning a non-nil error stops the port's service (the port can be
+// served again), and so does a panic, which the pacer recovers and counts
+// in PortStat.SinkPanics. The engine releases its reference to d.View when
+// SendView returns, success, error or panic: a sink that needs the view
+// afterwards must Retain it first, and one that wants contiguous bytes
+// copies them out itself with d.View.AppendTo(buf).
 type SinkV interface {
 	SendView(port int, d DequeuedView) error
 }
@@ -115,16 +126,38 @@ func (e *Engine) DequeueViewBatch(flows []uint32) (views []PacketView, errs []er
 	return views, e.dequeueBatch(flows, nil, views)
 }
 
-// ServeViews registers sink as port's zero-copy transmitter — Serve with
-// packet views instead of reassembled buffers. The pacer picks packets
-// via the configured disciplines, paces them against the port's shaper,
-// and pushes views into sink until the engine closes or sink returns an
-// error (on which the rest of the picked burst is released, counted as
-// dequeued but not transmitted). The engine drops its reference to each
-// view as SendView returns; asynchronous sinks Retain first. One service
-// per port; a second Serve or ServeViews on a live port fails.
+// ServeViews registers sink as port's transmitter and hands the port to its
+// home shard's pacer (starting that pacer's goroutine on first use): the
+// pacer picks packets via the configured disciplines, paces them against
+// the port's shaper on its timing wheel, and pushes them into sink as views
+// until the engine closes or sink returns an error or panics. Either way,
+// packets already picked for the current burst are released — counted as
+// dequeued but not transmitted, like frames lost on a failing link. The
+// engine drops its reference to each view as SendView returns; asynchronous
+// sinks Retain first. One service per port; a second ServeViews on a live
+// port fails. Serving any number of ports costs one goroutine per shard,
+// not one per port.
 func (e *Engine) ServeViews(port int, sink SinkV) error {
-	return e.serve(port, &sinkBox{sinkV: sink})
+	p, err := e.portAt(port)
+	if err != nil {
+		return err
+	}
+	if sink == nil {
+		return fmt.Errorf("engine: nil sink for port %d", port)
+	}
+	e.lifeMu.Lock()
+	defer e.lifeMu.Unlock()
+	if e.closed() {
+		return ErrClosed
+	}
+	if !p.serving.CompareAndSwap(false, true) {
+		return fmt.Errorf("engine: port %d is already being served", port)
+	}
+	p.sink.Store(&sink)
+	p.txLastNs.Store(noDeparture) // a re-arm must not count downtime as a gap
+	p.pc.start()
+	p.kick()
+	return nil
 }
 
 // --- ingest: write-in-place reservations ---
@@ -192,14 +225,14 @@ func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 // enqueued at Commit, and a manager refusal counts as rejected exactly
 // like a refused enqueue.
 func (s *shard) reserveLocked(flow uint32, n int) (queue.PacketWriter, error) {
-	if s.adm != nil && n > 0 {
+	if s.admKind != policy.KindNone && n > 0 {
 		if err := s.admitNeedLocked(flow, segsFor(n)); err != nil {
 			return queue.PacketWriter{}, err
 		}
 	}
 	w, err := s.m.ReservePacket(queue.QueueID(flow), n)
 	if err != nil {
-		s.rejected++
+		s.noteRefused(err)
 	}
 	return w, err
 }

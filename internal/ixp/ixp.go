@@ -94,12 +94,6 @@ var timings = [numUnits]unitTiming{
 	SDRAM:   {latency: 45, occupancy: 10},
 }
 
-// Timing returns the (latency, occupancy) of a unit in cycles.
-func Timing(u Unit) (latency, occupancy int) {
-	t := timings[u]
-	return t.latency, t.occupancy
-}
-
 // Profile is the per-packet cost profile of the queue-management loop.
 type Profile struct {
 	Name     string

@@ -183,9 +183,10 @@ func TestUnitStrings(t *testing.T) {
 }
 
 func TestTiming(t *testing.T) {
-	lat, occ := Timing(SDRAM)
-	if lat < occ || lat <= 0 {
-		t.Fatalf("SDRAM timing = %d/%d", lat, occ)
+	for u, tm := range timings {
+		if tm.latency < tm.occupancy || tm.occupancy <= 0 {
+			t.Errorf("%v timing = %d/%d: a unit is busy no longer than an access takes", Unit(u), tm.latency, tm.occupancy)
+		}
 	}
 }
 

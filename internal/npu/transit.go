@@ -153,26 +153,3 @@ func RunTransit(cfg TransitConfig) (TransitResult, error) {
 	res.P99LatencyUs = stats.Percentile(latSamp, 99)
 	return res, nil
 }
-
-// SaturationMbps binary-searches the offered load at which the prototype
-// starts dropping more than the tolerance, converging on the dynamic
-// equivalent of TransitMbps.
-func SaturationMbps(engine CopyEngine, clockMHz float64, seed uint64) (float64, error) {
-	lo, hi := 10.0, 2000.0
-	for i := 0; i < 18; i++ {
-		mid := (lo + hi) / 2
-		res, err := RunTransit(TransitConfig{
-			Engine: engine, ClockMHz: clockMHz, OfferedMbps: mid,
-			Packets: 6000, Seed: seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if res.DropRate > 0.005 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -59,15 +59,29 @@ func TestTransitOverload(t *testing.T) {
 }
 
 // TestSaturationMatchesStaticModel: the dynamic saturation point of every
-// copy engine converges on the static TransitMbps prediction — the dynamic
-// and analytic models agree.
+// copy engine — the offered load, found by bisection, at which the prototype
+// starts dropping more than 0.5% — converges on the static TransitMbps
+// prediction: the dynamic and analytic models agree.
 func TestSaturationMatchesStaticModel(t *testing.T) {
 	for _, engine := range CopyEngines() {
 		static := TransitMbps(engine, ClockMHz)
-		dynamic, err := SaturationMbps(engine, ClockMHz, 3)
-		if err != nil {
-			t.Fatal(err)
+		lo, hi := 10.0, 2000.0
+		for i := 0; i < 18; i++ {
+			mid := (lo + hi) / 2
+			res, err := RunTransit(TransitConfig{
+				Engine: engine, ClockMHz: ClockMHz, OfferedMbps: mid,
+				Packets: 6000, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.DropRate > 0.005 {
+				hi = mid
+			} else {
+				lo = mid
+			}
 		}
+		dynamic := (lo + hi) / 2
 		if rel := math.Abs(dynamic-static) / static; rel > 0.08 {
 			t.Errorf("%v: dynamic saturation %.0f Mbps vs static %.0f (off %.0f%%)",
 				engine, dynamic, static, rel*100)

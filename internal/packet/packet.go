@@ -35,11 +35,8 @@ const (
 	ATMPayloadBytes = 48
 )
 
-// Errors.
-var (
-	ErrFrameTooShort = errors.New("packet: frame too short")
-	ErrBadCell       = errors.New("packet: not a 53-byte ATM cell")
-)
+// ErrFrameTooShort is ParseEth's refusal of a truncated frame.
+var ErrFrameTooShort = errors.New("packet: frame too short")
 
 // MAC is an Ethernet address.
 type MAC [6]byte
@@ -135,19 +132,6 @@ func (c ATMCell) Marshal() []byte {
 	return out
 }
 
-// ParseATM decodes a 53-byte cell.
-func ParseATM(raw []byte) (ATMCell, error) {
-	if len(raw) != ATMCellBytes {
-		return ATMCell{}, fmt.Errorf("%w: %d bytes", ErrBadCell, len(raw))
-	}
-	var c ATMCell
-	c.VPI = uint16(raw[0])<<4 | uint16(raw[1])>>4
-	c.VCI = uint16(raw[1]&0x0f)<<12 | uint16(raw[2])<<4 | uint16(raw[3])>>4
-	c.PT = (raw[3] >> 1) & 0x7
-	copy(c.Payload[:], raw[5:])
-	return c, nil
-}
-
 // FlowKey is the classification tuple mapping traffic onto MMS queues.
 type FlowKey struct {
 	SrcIP, DstIP     uint32
@@ -190,19 +174,6 @@ func Segment(data []byte) [][]byte {
 			end = len(data)
 		}
 		out = append(out, data[off:end])
-	}
-	return out
-}
-
-// Reassemble concatenates segments back into a packet.
-func Reassemble(segments [][]byte) []byte {
-	n := 0
-	for _, s := range segments {
-		n += len(s)
-	}
-	out := make([]byte, 0, n)
-	for _, s := range segments {
-		out = append(out, s...)
 	}
 	return out
 }

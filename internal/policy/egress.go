@@ -15,7 +15,10 @@ package policy
 // only when the competing flows live on the same shard (one shard, or
 // flow IDs that hash together).
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EgressKind selects the integrated egress scheduler's discipline.
 type EgressKind uint8
@@ -70,28 +73,44 @@ func ParseEgressKind(s string) (EgressKind, error) {
 // dynamic resource.
 const MaxLevelUnits = 256
 
-// MaxEgressClasses is the historical name for MaxLevelUnits, kept for
-// callers that speak in classes.
-const MaxEgressClasses = MaxLevelUnits
+// MaxWeight bounds a flow's or a level unit's WRR/DRR weight: the engine
+// keeps them in 32 bits.
+const MaxWeight = math.MaxInt32
 
-// The tier names a LevelSpec can carry, outermost first. The engine
-// fixes the nesting order — tenants contain classes contain flows — so
-// a configuration lists the tiers it wants and the order is implied.
+// Tier names an intermediate scheduling tier, outermost first. The engine
+// fixes the nesting order — tenants contain classes contain flows — so a
+// configuration lists the tiers it wants and the order is implied. The
+// value is the tier's index wherever per-tier state is kept.
+type Tier uint8
+
 const (
 	// TierTenant is the outermost intermediate tier (SetFlowTenant
 	// groups flows into tenants; every flow starts in tenant 0).
-	TierTenant = "tenant"
+	TierTenant Tier = iota
 	// TierClass is the inner intermediate tier (SetFlowClass groups
 	// flows into classes; every flow starts in class 0).
-	TierClass = "class"
+	TierClass
+	// NumTiers is the number of tiers.
+	NumTiers
 )
+
+// String returns the tier's name.
+func (t Tier) String() string {
+	switch t {
+	case TierTenant:
+		return "tenant"
+	case TierClass:
+		return "class"
+	}
+	return fmt.Sprintf("tier(%d)", uint8(t))
+}
 
 // LevelSpec configures one intermediate scheduling level of the egress
 // hierarchy.
 type LevelSpec struct {
 	// Tier names the level: TierTenant or TierClass. Each tier may
 	// appear at most once; tenants always sit outside classes.
-	Tier string
+	Tier Tier
 	// Kind is the level's discipline (default round-robin).
 	Kind EgressKind
 	// Units is the tier's unit count — tenants per engine, classes per
@@ -139,7 +158,7 @@ type EgressConfig struct {
 
 // Level returns the spec for tier, or nil when the configuration does
 // not mention it.
-func (c *EgressConfig) Level(tier string) *LevelSpec {
+func (c *EgressConfig) Level(tier Tier) *LevelSpec {
 	for i := range c.Levels {
 		if c.Levels[i].Tier == tier {
 			return &c.Levels[i]
@@ -148,22 +167,29 @@ func (c *EgressConfig) Level(tier string) *LevelSpec {
 	return nil
 }
 
+// Units returns tier's unit count: its LevelSpec's Units, or 1 — flat, no
+// scheduling level — when the tier is absent or lists 0.
+func (c *EgressConfig) Units(tier Tier) int {
+	if ls := c.Level(tier); ls != nil && ls.Units > 1 {
+		return ls.Units
+	}
+	return 1
+}
+
 // WithLevel returns a copy of the configuration with spec inserted,
 // replacing any existing spec for the same tier and keeping the tenant
 // tier outermost.
 func (c EgressConfig) WithLevel(spec LevelSpec) EgressConfig {
 	out := make([]LevelSpec, 0, len(c.Levels)+1)
 	for _, ls := range c.Levels {
-		if ls.Tier != spec.Tier {
+		if ls.Tier < spec.Tier {
 			out = append(out, ls)
 		}
 	}
 	out = append(out, spec)
-	// Fixed nesting order: tenant outside class. Two tiers, so one
-	// swap suffices.
-	for i := 1; i < len(out); i++ {
-		if out[i].Tier == TierTenant && out[i-1].Tier == TierClass {
-			out[i], out[i-1] = out[i-1], out[i]
+	for _, ls := range c.Levels {
+		if ls.Tier > spec.Tier {
+			out = append(out, ls)
 		}
 	}
 	c.Levels = out
@@ -205,23 +231,13 @@ func (c EgressConfig) Validate() error {
 	if c.QuantumBytes < 0 {
 		return fmt.Errorf("policy: negative egress quantum %d", c.QuantumBytes)
 	}
-	seenClass := false
-	seen := map[string]bool{}
-	for _, ls := range c.Levels {
-		switch ls.Tier {
-		case TierTenant:
-			if seenClass {
-				return fmt.Errorf("policy: tenant level listed inside class level (tenants contain classes)")
-			}
-		case TierClass:
-			seenClass = true
-		default:
-			return fmt.Errorf("policy: unknown egress tier %q (want %q or %q)", ls.Tier, TierTenant, TierClass)
+	for i, ls := range c.Levels {
+		if ls.Tier >= NumTiers {
+			return fmt.Errorf("policy: unknown egress tier %d (want %s or %s)", uint8(ls.Tier), TierTenant, TierClass)
 		}
-		if seen[ls.Tier] {
-			return fmt.Errorf("policy: egress tier %q listed twice", ls.Tier)
+		if i > 0 && ls.Tier <= c.Levels[i-1].Tier {
+			return fmt.Errorf("policy: %s level listed after %s level (each tier once, tenants outside classes)", ls.Tier, c.Levels[i-1].Tier)
 		}
-		seen[ls.Tier] = true
 		if ls.Kind > EgressDRR {
 			return fmt.Errorf("policy: unknown %s egress kind %d", ls.Tier, ls.Kind)
 		}
@@ -235,8 +251,8 @@ func (c EgressConfig) Validate() error {
 			return fmt.Errorf("policy: negative %s egress quantum %d", ls.Tier, ls.QuantumBytes)
 		}
 		for i, w := range ls.Weights {
-			if w < 0 {
-				return fmt.Errorf("policy: negative weight %d for %s %d", w, ls.Tier, i)
+			if w < 0 || w > MaxWeight {
+				return fmt.Errorf("policy: weight %d for %s %d out of range [0, %d]", w, ls.Tier, i, MaxWeight)
 			}
 		}
 	}

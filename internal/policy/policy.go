@@ -8,7 +8,8 @@
 // literature centers on for this hardware class:
 //
 //   - Tail-Drop: a per-queue segment cap plus the physical pool limit — the
-//     baseline every AQM paper compares against;
+//     baseline every AQM paper compares against (configuration only: the
+//     rule is the engine's shard.overTailLimit);
 //   - Longest Queue Drop (LQD): when the shared pool is exhausted the
 //     arrival is admitted by pushing out the head packet of the longest
 //     queue (Matsakis: LQD is 1.5-competitive for shared-memory switches);
@@ -76,8 +77,6 @@ type Admission interface {
 	// Admit decides the fate of a packet needing need segments that is
 	// arriving on flow, given the flow's queue state and the pool state.
 	Admit(flow uint32, need int, q QueueState, pool PoolState) Verdict
-	// Name returns the policy's short name ("tail", "lqd", "red", ...).
-	Name() string
 }
 
 // Kind selects an admission policy family.
@@ -192,19 +191,19 @@ func (c Config) Validate() error {
 	return fmt.Errorf("policy: unknown kind %d", c.Kind)
 }
 
-// New builds one admission instance from cfg. KindNone returns (nil, nil):
-// a nil Admission means "accept everything the pool can hold". Callers that
-// shard the buffer build one instance per shard so state stays private.
+// New builds one admission instance from cfg. KindNone and KindTailDrop
+// return (nil, nil): neither keeps state or weighs anything — tail-drop is
+// two integer compares against cfg.Limit and the pool's free count, which
+// the engine runs where it stands. Callers that shard the buffer build one
+// instance per shard so state stays private.
 func New(cfg Config) (Admission, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	switch cfg.Kind {
-	case KindNone:
+	case KindNone, KindTailDrop:
 		return nil, nil
-	case KindTailDrop:
-		return &tailDrop{limit: cfg.Limit}, nil
 	case KindLQD:
 		return &lqd{}, nil
 	case KindRED:
@@ -217,23 +216,6 @@ func New(cfg Config) (Admission, error) {
 	}
 	return nil, fmt.Errorf("policy: unknown kind %d", cfg.Kind)
 }
-
-// tailDrop drops arrivals beyond a per-queue cap or the physical pool.
-type tailDrop struct {
-	limit int
-}
-
-func (t *tailDrop) Admit(_ uint32, need int, q QueueState, pool PoolState) Verdict {
-	if need > pool.Free {
-		return Drop
-	}
-	if t.limit > 0 && q.Segments+need > t.limit {
-		return Drop
-	}
-	return Accept
-}
-
-func (t *tailDrop) Name() string { return "tail" }
 
 // lqd admits every arrival the pool can ever hold, evicting from the
 // longest queue when the pool is currently exhausted. Push-out keeps the
@@ -251,8 +233,6 @@ func (l *lqd) Admit(_ uint32, need int, _ QueueState, pool PoolState) Verdict {
 	}
 	return PushOut
 }
-
-func (l *lqd) Name() string { return "lqd" }
 
 // red is Random Early Detection over pool occupancy: the average occupancy
 // fraction is an EWMA updated on every arrival; arrivals are dropped with
@@ -299,5 +279,3 @@ func (r *red) Admit(_ uint32, need int, _ QueueState, pool PoolState) Verdict {
 	}
 	return Accept
 }
-
-func (r *red) Name() string { return "red" }

@@ -22,7 +22,6 @@ import (
 // bytes are derived, never tracked incrementally.
 type pktModel struct {
 	queues [][][]byte
-	drops  struct{ pkts, segs uint64 }
 }
 
 func newPktModel(queues int) *pktModel {
@@ -72,14 +71,12 @@ func (mo *pktModel) longest() (int, bool) {
 func (mo *pktModel) dropHead(q int) []byte {
 	p := mo.queues[q][0]
 	mo.queues[q] = mo.queues[q][1:]
-	mo.drops.pkts++
-	mo.drops.segs += uint64(pktSegs(p))
 	return p
 }
 
 // TestBulkPathConservesAgainstModel drives one manager over a shared store
 // with a random packet-op sequence and cross-checks every outcome — success
-// or refusal, payload bytes, free count, buffered bytes, drop tallies —
+// or refusal, payload bytes, free count, buffered bytes —
 // against the reference model. MagazineSize 8 with packets up to 24 segments
 // makes every large FreeN cross magazine boundaries.
 func TestBulkPathConservesAgainstModel(t *testing.T) {
@@ -160,8 +157,8 @@ func TestBulkPathConservesAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: dequeue = (%d segs, %v), want %d segs, payload match %v",
 					step, n, err, pktSegs(want), bytes.Equal(data, want))
 			}
-		case 6: // DropHeadPacket
-			n, err := m.DropHeadPacket(QueueID(q))
+		case 6: // DeletePacket
+			n, err := m.DeletePacket(QueueID(q))
 			if len(mo.queues[q]) == 0 {
 				if err == nil {
 					t.Fatalf("step %d: drop succeeded on empty queue", step)
@@ -210,10 +207,6 @@ func TestBulkPathConservesAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
-	}
-	dp, ds := m.Drops()
-	if dp != mo.drops.pkts || ds != mo.drops.segs {
-		t.Fatalf("drops = (%d pkts, %d segs), model (%d, %d)", dp, ds, mo.drops.pkts, mo.drops.segs)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -301,8 +294,8 @@ func TestBulkPathConcurrentExhaustion(t *testing.T) {
 						fail("worker %d step %d: dequeue mismatch (%d segs, %v)", w, step, n, err)
 						return
 					}
-				case 6: // DropHeadPacket
-					n, err := m.DropHeadPacket(QueueID(q))
+				case 6: // DeletePacket
+					n, err := m.DeletePacket(QueueID(q))
 					if len(mo.queues[q]) == 0 {
 						if err == nil {
 							fail("worker %d step %d: drop succeeded on empty queue", w, step)

@@ -20,8 +20,7 @@ func TestEnqueuePacketSegmentation(t *testing.T) {
 		t.Fatalf("segments = %d, want 4", n)
 	}
 	// Last segment carries the remainder and the EOP flag.
-	var infos []SegInfo
-	m.Walk(5, func(i SegInfo) bool { infos = append(infos, i); return true })
+	infos := segInfos(m, 5)
 	if len(infos) != 4 {
 		t.Fatalf("walk saw %d segments", len(infos))
 	}

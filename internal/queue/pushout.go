@@ -61,9 +61,6 @@ func (m *Manager) publishLongest() {
 	}
 }
 
-// TracksLongest reports whether the longest-queue heap is maintained.
-func (m *Manager) TracksLongest() bool { return m.heapPos != nil }
-
 // LongestQueue returns the queue currently holding the most segments and
 // its segment count. ok is false when every queue is empty. With tracking
 // enabled this is O(1); otherwise it scans the queue table.
@@ -84,9 +81,9 @@ func (m *Manager) LongestQueue() (QueueID, int, bool) {
 	return best, int(bestLen), bestLen > 0
 }
 
-// PushOutLongest drops the head packet of the longest queue, counting it in
-// the drop accounting, and returns the victim queue and the number of
-// segments freed. When the longest queue's head is an incomplete packet
+// PushOutLongest drops the head packet of the longest queue and returns the
+// victim queue and the number of segments freed (the caller keeps the drop
+// accounting). When the longest queue's head is an incomplete packet
 // (possible only through the raw segment API) a single segment is dropped
 // instead so forward progress is guaranteed. ErrQueueEmpty is returned when
 // every queue is empty.
@@ -104,28 +101,7 @@ func (m *Manager) PushOutLongest() (QueueID, int, error) {
 	} else if err != nil {
 		return q, n, err
 	}
-	m.droppedPackets++
-	m.droppedSegments += uint64(n)
 	return q, n, nil
-}
-
-// DropHeadPacket removes the head packet of q like DeletePacket, but counts
-// it as a policy drop rather than a dequeue, for callers implementing
-// admission policies above the manager.
-func (m *Manager) DropHeadPacket(q QueueID) (int, error) {
-	n, err := m.DeletePacket(q)
-	if err != nil {
-		return n, err
-	}
-	m.droppedPackets++
-	m.droppedSegments += uint64(n)
-	return n, nil
-}
-
-// Drops returns the cumulative packets and segments removed by push-out or
-// DropHeadPacket since New.
-func (m *Manager) Drops() (packets, segments uint64) {
-	return m.droppedPackets, m.droppedSegments
 }
 
 // fixLongest restores the heap after qsegs[q] changed. It is a no-op when

@@ -26,7 +26,7 @@ func TestLongestQueueTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetLongestTracking(true)
-	if !m.TracksLongest() {
+	if m.heapPos == nil {
 		t.Fatal("tracking not enabled")
 	}
 	rng := xrand.New(11)
@@ -102,8 +102,8 @@ func TestLongestTrackingMidstreamAndOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetLongestTracking(false)
-	if m.TracksLongest() || m.LongestLen() != 0 {
-		t.Fatalf("tracking still on (%v) or mirror not cleared (%d)", m.TracksLongest(), m.LongestLen())
+	if m.heapPos != nil || m.LongestLen() != 0 {
+		t.Fatalf("tracking still on (%v) or mirror not cleared (%d)", m.heapPos != nil, m.LongestLen())
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -128,9 +128,6 @@ func TestPushOutLongest(t *testing.T) {
 	q, n, err := m.PushOutLongest()
 	if err != nil || q != 1 || n != 3 {
 		t.Fatalf("PushOutLongest = (%d, %d, %v), want (1, 3, nil)", q, n, err)
-	}
-	if p, s := m.Drops(); p != 1 || s != 3 {
-		t.Fatalf("Drops = (%d, %d), want (1, 3)", p, s)
 	}
 	if got, _ := m.Len(1); got != 12 {
 		t.Fatalf("queue 1 has %d segments after push-out, want 12", got)
@@ -171,30 +168,6 @@ func TestPushOutPartialPacket(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDropHeadPacket(t *testing.T) {
-	m, err := New(Config{NumQueues: 2, NumSegments: 16, StoreData: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := make([]byte, 2*SegmentBytes)
-	if _, err := m.EnqueuePacket(0, pkt); err != nil {
-		t.Fatal(err)
-	}
-	n, err := m.DropHeadPacket(0)
-	if err != nil || n != 2 {
-		t.Fatalf("DropHeadPacket = (%d, %v), want (2, nil)", n, err)
-	}
-	if p, s := m.Drops(); p != 1 || s != 2 {
-		t.Fatalf("Drops = (%d, %d), want (1, 2)", p, s)
-	}
-	if _, err := m.DropHeadPacket(0); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("empty DropHeadPacket error = %v, want ErrQueueEmpty", err)
-	}
-	if p, s := m.Drops(); p != 1 || s != 2 {
-		t.Fatalf("failed drop changed counters to (%d, %d)", p, s)
 	}
 }
 

@@ -151,10 +151,6 @@ type Manager struct {
 	// hot path performs no heap allocation.
 	run []int32
 
-	// Drop accounting: packets removed by push-out or DropHeadPacket.
-	droppedPackets  uint64
-	droppedSegments uint64
-
 	// fillRuns counts the runs buildChain recorded for packets that joined a
 	// queue; against the segments enqueued it is the pool's fragmentation.
 	fillRuns uint64
@@ -258,10 +254,6 @@ func (m *Manager) QueuedSegments() int { return int(m.queuedSegs) }
 // Floating returns the number of segments allocated but not yet linked.
 func (m *Manager) Floating() int { return int(m.floating) }
 
-// SharedStore reports whether this manager draws from a pool shared with
-// other managers.
-func (m *Manager) SharedStore() bool { return m.src.Shared() }
-
 // FlushFree hands this manager's cached free segments back to the shared
 // pool so other managers can allocate them (no-op for a private pool).
 func (m *Manager) FlushFree() { m.src.Flush() }
@@ -272,12 +264,6 @@ func (m *Manager) Len(q QueueID) (int, error) {
 		return 0, err
 	}
 	return int(m.qsegs[q]), nil
-}
-
-// Empty reports whether queue q holds no segments.
-func (m *Manager) Empty(q QueueID) (bool, error) {
-	n, err := m.Len(q)
-	return n == 0, err
 }
 
 func (m *Manager) checkQueue(q QueueID) error {
@@ -654,20 +640,6 @@ func (m *Manager) OverwriteLengthAndMove(from, to QueueID, n int) (int, error) {
 		return 0, err
 	}
 	return m.MovePacket(from, to)
-}
-
-// Walk calls fn for each segment of q from head to tail, stopping early if
-// fn returns false. It is read-only and used by tests and the reassembler.
-func (m *Manager) Walk(q QueueID, fn func(info SegInfo) bool) error {
-	if err := m.checkQueue(q); err != nil {
-		return err
-	}
-	for s := m.qhead[q]; s != nilSeg; s = m.next[s] {
-		if !fn(m.info(s)) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Payload returns a copy of the stored payload of segment s (nil when data

@@ -457,22 +457,12 @@ func TestOverwriteLengthAndMove(t *testing.T) {
 	mustInvariants(t, m)
 }
 
-func TestWalk(t *testing.T) {
-	m := newTestManager(t, 8)
-	for i := 0; i < 4; i++ {
-		m.Enqueue(0, []byte{byte(i)}, i == 3)
+// segInfos reads queue q's segments head to tail off the link table.
+func segInfos(m *Manager, q QueueID) (infos []SegInfo) {
+	for s := m.qhead[q]; s != nilSeg; s = m.next[s] {
+		infos = append(infos, m.info(s))
 	}
-	var lens []int
-	m.Walk(0, func(info SegInfo) bool {
-		lens = append(lens, info.Len)
-		return len(lens) < 3 // stop early
-	})
-	if len(lens) != 3 {
-		t.Fatalf("walk visited %d segments", len(lens))
-	}
-	if err := m.Walk(99, func(SegInfo) bool { return true }); !errors.Is(err, ErrBadQueue) {
-		t.Fatalf("err = %v", err)
-	}
+	return infos
 }
 
 func TestPayloadAccessor(t *testing.T) {

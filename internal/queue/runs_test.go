@@ -207,7 +207,7 @@ func TestCheckInvariantsReportsBadRun(t *testing.T) {
 //	op%12 == 8: ReservePacket   q=a%4, 1+11*(b>>1) bytes, then Commit (b odd) or Abort
 //	op%12 == 9: DequeuePacketView + Release, q=a%4
 //	op%12 == 10: MovePacket     from=a%4, to=b%4
-//	op%12 == 11: DropHeadPacket q=a%4
+//	op%12 == 11: DeletePacket   q=a%4
 //
 // The seed corpus (testdata/fuzz/FuzzRunCoding) splits a run with each
 // mutator, builds a packet of more than 255 segments, commits and aborts
@@ -297,7 +297,7 @@ func FuzzRunCoding(f *testing.F) {
 				queues[q] = append(queues[q], segs...)
 				free -= n
 
-			case 2, 9, 11: // DequeuePacket, DequeuePacketView, DropHeadPacket
+			case 2, 9, 11: // DequeuePacket, DequeuePacketView, DeletePacket
 				want, wantErr := headPacket(q)
 				var got []byte
 				var n int
@@ -315,7 +315,7 @@ func FuzzRunCoding(f *testing.F) {
 						v.Release()
 					}
 				case 11:
-					n, err = m.DropHeadPacket(QueueID(q))
+					n, err = m.DeletePacket(QueueID(q))
 				}
 				if wantErr != nil {
 					if !errors.Is(err, wantErr) {
@@ -466,22 +466,17 @@ func FuzzRunCoding(f *testing.F) {
 			t.Fatalf("free segments %d, reference says %d", got, free)
 		}
 		for q := 0; q < nq; q++ {
-			at := 0
-			m.Walk(QueueID(q), func(info SegInfo) bool {
-				if at >= len(queues[q]) {
-					t.Fatalf("queue %d holds more than the reference's %d segments", q, len(queues[q]))
-				}
+			infos := segInfos(m, QueueID(q))
+			if len(infos) != len(queues[q]) {
+				t.Fatalf("queue %d holds %d segments, reference says %d", q, len(infos), len(queues[q]))
+			}
+			for at, info := range infos {
 				want := queues[q][at]
 				got, _ := m.Payload(info.Seg)
 				if info.Len != want.len || info.EOP != want.eop || !bytes.Equal(got, want.mem[:want.len]) {
 					t.Fatalf("queue %d segment %d = (%d B, eop %v), reference wants (%d B, eop %v)",
 						q, at, info.Len, info.EOP, want.len, want.eop)
 				}
-				at++
-				return true
-			})
-			if at != len(queues[q]) {
-				t.Fatalf("queue %d holds %d segments, reference says %d", q, at, len(queues[q]))
 			}
 		}
 	})

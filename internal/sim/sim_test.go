@@ -33,7 +33,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	var e Engine
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.At(7, func(Time) { order = append(order, i) })
 	}
 	e.Run()

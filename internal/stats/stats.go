@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -207,21 +206,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(top)
 }
 
-// Counter is a named monotonic event counter.
-type Counter struct {
-	Name string
-	n    uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n uint64) { c.n += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // Utilization tracks busy/total cycle counts for a resource.
 type Utilization struct {
 	Busy  uint64
@@ -281,35 +265,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sparkline renders values as a compact ASCII bar string, used by the
-// example binaries for quick visual inspection of distributions.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	max := values[0]
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		if max <= 0 {
-			b.WriteRune(glyphs[0])
-			continue
-		}
-		i := int(v / max * float64(len(glyphs)-1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(glyphs) {
-			i = len(glyphs) - 1
-		}
-		b.WriteRune(glyphs[i])
-	}
-	return b.String()
 }

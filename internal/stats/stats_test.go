@@ -167,15 +167,6 @@ func TestHistogramQuantileError(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "ops"}
-	c.Inc()
-	c.Addn(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	var u Utilization
 	if u.Value() != 0 {
@@ -224,21 +215,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline not empty")
-	}
-	s := Sparkline([]float64{0, 1, 2, 4})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("sparkline length wrong: %q", s)
-	}
-	// All-zero input should render lowest glyph without dividing by zero.
-	z := Sparkline([]float64{0, 0})
-	if len([]rune(z)) != 2 {
-		t.Fatalf("zero sparkline wrong: %q", z)
 	}
 }
 

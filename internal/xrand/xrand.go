@@ -52,11 +52,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
 	// 53 high bits give a uniformly distributed double in [0,1).

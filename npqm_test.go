@@ -144,8 +144,8 @@ func TestConcurrentQueueManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", cm.Shards())
+	if n := cm.Config().Shards; n != 4 {
+		t.Fatalf("Shards = %d, want 4", n)
 	}
 	pkt := bytes.Repeat([]byte{0x77}, 300)
 	if _, err := cm.EnqueuePacket(9, pkt); err != nil {

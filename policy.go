@@ -40,7 +40,10 @@ type LevelSpec = policy.LevelSpec
 // level is normally built with RoundRobinEgress and friends).
 type EgressKind = policy.EgressKind
 
-// The tier names a LevelSpec can carry.
+// Tier names an intermediate scheduling tier of the egress hierarchy.
+type Tier = policy.Tier
+
+// The tiers a LevelSpec can name, outermost first.
 const (
 	TierTenant = policy.TierTenant
 	TierClass  = policy.TierClass
@@ -57,7 +60,8 @@ const (
 // DequeuedPacket is one served packet: its flow, its byte count, and its
 // payload in the form the entry point delivers — Data (a pooled buffer to
 // ReleaseBuffer) from the copy entry points, View (a PacketView to Release)
-// from the view ones. Exactly one of the two is set.
+// from the view ones and to every push-mode sink. Exactly one of the two is
+// set.
 type DequeuedPacket = engine.Dequeued
 
 // DequeuedView is DequeuedPacket under the name the view entry points use.
@@ -75,21 +79,25 @@ type Reservation = engine.Reservation
 // most one burst of slack.
 type ShaperConfig = policy.ShaperConfig
 
-// Sink consumes the packets a served port transmits (push-mode delivery).
-// Transmit may block — that is the backpressure path — and returning an
-// error stops the port's worker. See ConcurrentQueueManager.Serve.
-type Sink = engine.Sink
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc = engine.SinkFunc
-
-// SinkV consumes the packet views a port served through ServeViews
-// transmits — the zero-copy counterpart of Sink. The engine releases its
-// reference when SendView returns; asynchronous sinks Retain first.
+// SinkV consumes the packets a served port transmits, as views — the one
+// form of push-mode delivery. SendView may block (that is the backpressure
+// path); returning an error or panicking stops the port's service. The
+// engine releases its reference when SendView returns: asynchronous sinks
+// Retain first, and a sink that wants contiguous bytes copies them out with
+// d.View.AppendTo(buf). See ConcurrentQueueManager.ServeViews.
 type SinkV = engine.SinkV
 
 // SinkVFunc adapts a function to the SinkV interface.
 type SinkVFunc = engine.SinkVFunc
+
+// FlowInfo is one flow's port, tenant, class, weight, segment cap and live
+// occupancy, read together by ConcurrentQueueManager.Flow.
+type FlowInfo = engine.FlowInfo
+
+// EngineConfig is the normalized engine configuration
+// ConcurrentQueueManager.Config returns: shards rounded, defaults filled,
+// tier unit counts readable as Egress.Units(TierTenant / TierClass).
+type EngineConfig = engine.Config
 
 // PortStat is one output port's transmit statistics (see PortStats).
 type PortStat = engine.PortStat
@@ -216,8 +224,8 @@ type ConcurrentConfig struct {
 	// Egress is the integrated scheduler discipline (zero value: RR).
 	Egress EgressConfig
 	// Ports is the output-port count (0 means 1). Flows start on port 0;
-	// SetFlowPort re-homes them, and Serve attaches a push-mode Sink per
-	// port.
+	// SetFlowPort re-homes them, and ServeViews attaches a push-mode sink
+	// per port.
 	Ports int
 	// PortRate is the token-bucket shaper installed on every port (zero
 	// value: unshaped); reshape individual ports with SetPortRate.
