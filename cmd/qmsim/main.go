@@ -469,6 +469,36 @@ func runEngine(w io.Writer, a engineArgs) error {
 	// Per-producer completion-latency histograms, merged after the run.
 	compLat := make([]stats.Histogram, a.parallel)
 	done := make(chan struct{})
+	// The producers' enqueue form, chosen once. offer is the blocking call
+	// the 1-in-compLatEvery latency sample times — on the ring datapath it
+	// first executes what the shard's ring holds — and post is what every
+	// other packet uses.
+	offer := func(f uint32, pkt []byte) error {
+		_, err := e.EnqueuePacket(f, pkt)
+		return err
+	}
+	if viewMode {
+		// Write-in-place ingest: reserve the run, scatter the payload into
+		// the reserved segment slices (the copy here stands in for a NIC
+		// writing segments as they arrive — the engine itself never
+		// copies), splice. A sample times both critical sections.
+		offer = func(f uint32, pkt []byte) error {
+			r, err := e.ReservePacket(f, len(pkt))
+			if err != nil {
+				return err
+			}
+			off := 0
+			r.Range(func(seg []byte) bool {
+				off += copy(seg, pkt[off:])
+				return true
+			})
+			return r.Commit()
+		}
+	}
+	post := offer
+	if ringMode && !viewMode {
+		post = e.EnqueueAsync // fire and forget; outcomes land in the counters
+	}
 	start := time.Now()
 
 	for p := 0; p < a.parallel; p++ {
@@ -498,22 +528,6 @@ func runEngine(w io.Writer, a engineArgs) error {
 				errOnce.Do(func() { firstErr = err })
 				return
 			}
-			// Write-in-place ingest for -delivery view: reserve the run,
-			// scatter the payload into the reserved segment slices (the
-			// copy here stands in for a NIC writing segments as they
-			// arrive — the engine itself never copies), splice.
-			reserve := func(f uint32, pkt []byte) error {
-				r, err := e.ReservePacket(f, len(pkt))
-				if err != nil {
-					return err
-				}
-				off := 0
-				r.Range(func(seg []byte) bool {
-					off += copy(seg, pkt[off:])
-					return true
-				})
-				return r.Commit()
-			}
 			quota := perProducer
 			if p < extra {
 				quota++
@@ -523,29 +537,15 @@ func runEngine(w io.Writer, a engineArgs) error {
 				pkt := payload[:mix.Next()]
 				var err error
 				// Both datapaths sample the blocking call's latency on the
-				// same 1-in-compLatEvery schedule, so the measurement
-				// overhead (two clock reads and a histogram add) is charged
-				// identically and the mpps columns stay comparable.
-				switch sample := n%compLatEvery == 0; {
-				case viewMode && sample:
-					// Reserve+commit is always blocking: the sample times
-					// both critical sections.
+				// same schedule, so the measurement overhead (two clock
+				// reads and a histogram add) is charged identically and the
+				// mpps columns stay comparable.
+				if n%compLatEvery == 0 {
 					t0 := time.Now()
-					err = reserve(f, pkt)
+					err = offer(f, pkt)
 					compLat[p].Add(time.Since(t0).Nanoseconds())
-				case viewMode:
-					err = reserve(f, pkt)
-				case ringMode && !sample:
-					// Fire and forget; outcomes land in the counters.
-					err = e.EnqueueAsync(f, pkt)
-				case sample:
-					// Blocking enqueue: the locked call, which on the ring
-					// datapath first executes what the shard's ring holds.
-					t0 := time.Now()
-					_, err = e.EnqueuePacket(f, pkt)
-					compLat[p].Add(time.Since(t0).Nanoseconds())
-				default:
-					_, err = e.EnqueuePacket(f, pkt)
+				} else {
+					err = post(f, pkt)
 				}
 				switch {
 				case err == nil:
@@ -562,66 +562,60 @@ func runEngine(w io.Writer, a engineArgs) error {
 		}(p)
 	}
 
-	switch {
-	case pushMode && viewMode:
-		// Push-mode zero-copy egress: the port workers hand the sink a
-		// view per packet; the engine releases it when SendView returns.
-		for p := 0; p < a.ports; p++ {
-			if err := e.ServeViews(p, engine.SinkVFunc(func(_ int, d engine.DequeuedView) error {
-				countUnits(d.Flow)
-				return nil
-			})); err != nil {
-				return err
-			}
+	// The pull form, chosen once like the enqueue form: a batch of buffers
+	// handed back one by one, or a batch of views released together.
+	dequeue, release := e.DequeueNextBatch, func(batch []engine.Dequeued) {
+		for _, d := range batch {
+			e.ReleaseBuffer(d.Data)
 		}
-	case pushMode:
-		// Push-mode egress into a sink that wants contiguous bytes: it
-		// copies each payload out of its view, outside every shard lock,
-		// into a buffer of its own (a port's sink never runs concurrently
-		// with itself).
+	}
+	if viewMode {
+		dequeue, release = e.DequeueNextViewBatch, e.ReleaseViews
+	}
+	pull := func(max int) int {
+		batch := dequeue(max)
+		for _, d := range batch {
+			countUnits(d.Flow)
+		}
+		release(batch)
+		return len(batch)
+	}
+	if pushMode {
+		// Push-mode egress: the port workers hand the sink a view per
+		// packet and the engine releases it when SendView returns. A sink
+		// that wants contiguous bytes (-delivery copy) copies the payload
+		// out of the view, outside every shard lock, into a buffer of its
+		// own (a port's sink never runs concurrently with itself).
 		for p := 0; p < a.ports; p++ {
 			var buf []byte
 			if err := e.ServeViews(p, engine.SinkVFunc(func(_ int, d engine.DequeuedView) error {
 				countUnits(d.Flow)
-				buf = d.View.AppendTo(buf[:0])
+				if !viewMode {
+					buf = d.View.AppendTo(buf[:0])
+				}
 				return nil
 			})); err != nil {
 				return err
 			}
 		}
-	default:
+	} else {
 		for c := 0; c < a.parallel; c++ {
 			consWG.Add(1)
 			go func() {
 				defer consWG.Done()
 				for {
-					var served int
-					if viewMode {
-						batch := e.DequeueNextViewBatch(64)
-						for _, d := range batch {
-							countUnits(d.Flow)
-						}
-						e.ReleaseViews(batch)
-						served = len(batch)
-					} else {
-						batch := e.DequeueNextBatch(64)
-						for _, d := range batch {
-							countUnits(d.Flow)
-							e.ReleaseBuffer(d.Data)
-						}
-						served = len(batch)
+					if pull(64) > 0 {
+						continue
 					}
-					if served == 0 {
-						select {
-						case <-done:
-							return
-						default:
-							// Yield so producers get CPU on few-core hosts;
-							// without this the consumer burns its timeslice
-							// polling an empty engine and the CSV measures
-							// scheduler timeslices, not policy behavior.
-							runtime.Gosched()
-						}
+					select {
+					case <-done:
+						return
+					default:
+						// Yield so producers get CPU on few-core hosts;
+						// without this the consumer burns its timeslice
+						// polling an empty engine and the CSV measures
+						// scheduler timeslices, not policy behavior.
+						runtime.Gosched()
 					}
 				}
 			}()
@@ -696,36 +690,16 @@ func runEngine(w io.Writer, a engineArgs) error {
 		}
 	}
 	// Drain whatever the consumers left at the cutoff.
-	for {
-		if viewMode {
-			batch := e.DequeueNextViewBatch(256)
-			if len(batch) == 0 {
-				break
-			}
-			for _, d := range batch {
-				countUnits(d.Flow)
-			}
-			e.ReleaseViews(batch)
-			continue
-		}
-		batch := e.DequeueNextBatch(256)
-		if len(batch) == 0 {
-			break
-		}
-		for _, d := range batch {
-			countUnits(d.Flow)
-			e.ReleaseBuffer(d.Data)
-		}
+	for pull(256) > 0 {
 	}
 	elapsed := time.Since(start)
 	st := e.Stats()
 	portStats := e.PortStats()
 	var tierWeights [policy.NumTiers][]int
-	for _, ts := range e.TenantStats() {
-		tierWeights[policy.TierTenant] = append(tierWeights[policy.TierTenant], ts.Weight)
-	}
-	for _, cs := range e.ClassStats() {
-		tierWeights[policy.TierClass] = append(tierWeights[policy.TierClass], cs.Weight)
+	for t := range policy.NumTiers {
+		for _, ts := range e.TierStats(t) {
+			tierWeights[t] = append(tierWeights[t], ts.Weight)
+		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		return err

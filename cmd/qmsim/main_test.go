@@ -69,4 +69,8 @@ func TestEngine(t *testing.T) {
 			}
 		})
 	}
+	// A flow space the engine cannot build is a named error, not a panic.
+	if err := run(strings.Fields("-flows -3"), &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "NumFlows") {
+		t.Errorf("qmsim -flows -3: error %v, want one naming NumFlows", err)
+	}
 }

@@ -86,7 +86,7 @@ func (e *Engine) EnqueueBatch(batch []EnqueueReq) (segments int, errs []error) {
 				continue
 			}
 			var n int
-			n, held, errs[i] = e.arrive(s, batch[i].Flow, batch[i].Data, len(batch[i].Data), nil)
+			n, held, errs[i] = e.arrive(s, batch[i].Flow, batch[i].Data, len(batch[i].Data), nil, false)
 			segments += n
 		}
 		if held {

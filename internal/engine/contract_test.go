@@ -29,7 +29,7 @@ func TestContractRunPanicReleasesShard(t *testing.T) {
 		}()
 		e.run(s, func() {
 			// Work done before the panic stays done, and stays counted.
-			if _, err := s.enqueueLocked(flow, make([]byte, 3*queue.SegmentBytes)); err != nil {
+			if _, _, err := e.arrive(s, flow, make([]byte, 3*queue.SegmentBytes), 3*queue.SegmentBytes, nil, false); err != nil {
 				t.Error(err)
 			}
 			panic("boom")

@@ -118,7 +118,7 @@ type egressState struct {
 	levels []levelCfg
 	// tierWeights holds every tier's per-unit weights (len = the
 	// tier's unit count, ≥ 1), whether or not the tier is active, so
-	// SetClassWeight/SetTenantWeight always have a place to write.
+	// SetTierWeight always has a place to write.
 	// Active levels alias their tier's slice.
 	tierWeights [numTiers][]int32
 	// hasLevelDRR caches whether any intermediate level runs DRR, so
@@ -347,9 +347,14 @@ func (e *Engine) SetWeight(flow uint32, weight int) error {
 	return nil
 }
 
-// setTierWeight sets a tier unit's weight for that level's WRR (packets
-// per visit) and DRR (quantum multiplier) on every shard.
-func (e *Engine) setTierWeight(tier policy.Tier, unit, weight int) error {
+// SetTierWeight sets the weight of one unit of tier — a tenant or a class —
+// for that level's WRR (packets per visit) and DRR (quantum multiplier) on
+// every shard. Weights must be positive; units default to weight 1 (or the
+// tier's LevelSpec Weights). Safe while traffic flows.
+func (e *Engine) SetTierWeight(tier policy.Tier, unit, weight int) error {
+	if tier >= numTiers {
+		return fmt.Errorf("engine: unknown egress tier %d", uint8(tier))
+	}
 	if weight <= 0 || weight > policy.MaxWeight {
 		return fmt.Errorf("engine: weight %d for %s %d out of range [1, %d]", weight, tier, unit, policy.MaxWeight)
 	}
@@ -360,22 +365,6 @@ func (e *Engine) setTierWeight(tier policy.Tier, unit, weight int) error {
 		e.run(s, func() { s.eg.tierWeights[tier][unit] = int32(weight) })
 	}
 	return nil
-}
-
-// SetClassWeight sets class's weight for class-level WRR (packets per
-// visit) and DRR (quantum multiplier) on every shard. Weights must be
-// positive; classes default to weight 1 (or the class LevelSpec's
-// Weights). Safe while traffic flows.
-func (e *Engine) SetClassWeight(class, weight int) error {
-	return e.setTierWeight(policy.TierClass, class, weight)
-}
-
-// SetTenantWeight sets tenant's weight for tenant-level WRR (packets
-// per visit) and DRR (quantum multiplier) on every shard. Weights must
-// be positive; tenants default to weight 1 (or the tenant LevelSpec's
-// Weights). Safe while traffic flows.
-func (e *Engine) SetTenantWeight(tenant, weight int) error {
-	return e.setTierWeight(policy.TierTenant, tenant, weight)
 }
 
 // rehome moves flow to unit of the home the selector names — its
@@ -642,16 +631,6 @@ func (s *shard) clearActive(flow uint32) {
 	ps.st.Deactivate(int32(flow), s.pathOf(flow, pb[:0]))
 	ps.activeFlows--
 	s.activeFlows--
-}
-
-// syncActive reconciles flow's list membership with its queue occupancy.
-func (s *shard) syncActive(flow uint32) {
-	n, err := s.m.Len(queue.QueueID(flow))
-	if err == nil && n > 0 {
-		s.setActive(flow)
-	} else {
-		s.clearActive(flow)
-	}
 }
 
 // --- picking (caller holds the shard's critical section) ---

@@ -66,14 +66,9 @@ var ErrClosed = errors.New("engine: closed")
 // bare sentinel — classify with errors.Is; it never allocates.
 var ErrUnknownFlow = errors.New("engine: unknown flow")
 
-// errWantPushOut is an internal sentinel: the admission policy admitted the
-// arrival contingent on push-out eviction. The arrival routines (arrive for
-// blocking calls, enqueuePosted for posted ones) catch it, evict, and retry.
-var errWantPushOut = errors.New("engine: admission wants push-out eviction")
-
 // maxEvictAttempts scales the retry budget of an LQD arrival (see relief):
 // under heavy contention another shard can consume the freed space between
-// the eviction and the retry; with the budget spent the arrival is dropped.
+// the eviction and the retry; with the budget spent the arrival is refused.
 const maxEvictAttempts = 8
 
 // Reassembly buffers are pooled in three size classes, each as a pointer to
@@ -176,32 +171,21 @@ type shard struct {
 	ring *cmdRing
 	cmds []command
 
-	// Cumulative traffic counters.
-	enqPackets  uint64
-	enqSegments uint64
-	deqPackets  uint64
-	deqSegments uint64
-	rejected    uint64 // enqueues refused for want of room (see noteEnqueue)
-	copiedBytes uint64 // payload bytes that crossed a copying enqueue or dequeue
+	// Counters are the shard's live books: joined and left write the
+	// traffic counters, arrive's exits the fates of refused arrivals,
+	// noteCopied the copy charge.
+	Counters
 
 	// storeData mirrors Config.StoreData so the copy accounting can run
 	// inside shard methods without reaching for the engine.
 	storeData bool
 
-	// Policy counters. Dropped arrivals never entered the buffer;
-	// pushed-out packets were resident and were evicted, so the
-	// conservation law reads enqueued = dequeued + pushed-out + resident.
-	dropPackets  uint64 // arrivals refused by the admission policy
-	dropSegments uint64
-	poPackets    uint64 // resident packets evicted by push-out
-	poSegments   uint64
-
 	// Admission policy: admKind says which (KindNone = accept all), adm is
 	// its instance — nil for tail-drop, whose decision is two integer
-	// compares, against the pool and against admLimit, run inline
-	// (admitNeedLocked), which keeps the hot enqueue path within the
-	// no-policy budget. admLimit is the tail-drop per-queue cap and 0
-	// whenever there is none: another policy, or tail-drop uncapped.
+	// compares, against the pool and against admLimit, run inline (admit),
+	// which keeps the hot enqueue path within the no-policy budget. admLimit
+	// is the tail-drop per-queue cap and 0 whenever there is none: another
+	// policy, or tail-drop uncapped.
 	adm      policy.Admission
 	admKind  policy.Kind
 	admLimit int
@@ -288,6 +272,9 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	}
 	if cfg.NumFlows == 0 {
 		cfg.NumFlows = queue.DefaultNumQueues
+	}
+	if cfg.NumFlows < 0 {
+		return nil, fmt.Errorf("engine: negative NumFlows %d", cfg.NumFlows)
 	}
 	if cfg.NumSegments <= 0 {
 		return nil, fmt.Errorf("engine: NumSegments must be positive, got %d", cfg.NumSegments)
@@ -504,7 +491,7 @@ func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 	if !e.enter(s) {
 		return 0, ErrClosed
 	}
-	n, held, err := e.arrive(s, flow, data, len(data), nil)
+	n, held, err := e.arrive(s, flow, data, len(data), nil, false)
 	if held {
 		s.unlock()
 	}
@@ -514,52 +501,77 @@ func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 // segsFor is the segment count of an n-byte packet.
 func segsFor(n int) int { return (n + queue.SegmentBytes - 1) / queue.SegmentBytes }
 
-// arrive is a blocking arrival — admission, push-out and the manager call
-// in (normally) one critical section — shared by EnqueuePacket, EnqueueAsync
-// before Start, the EnqueueBatch bucket walk and, with w != nil,
-// ReservePacket (open a size-byte reservation in *w instead of copying
-// data). The caller has entered s.
+// arrive is the one arrival routine — admission, the manager call, push-out
+// and the books — behind EnqueuePacket, EnqueueBatch's bucket walk,
+// EnqueueAsync before Start, the drain's posted enqueues (stay) and, with
+// w != nil, ReservePacket (open a size-byte reservation in *w instead of
+// copying data). The caller has entered s.
 //
-// A refusal that relief can cure is retried here. An elected victim on s is
-// pushed out in place: the freed segments land in the cache the arrival
-// allocates from, with no flush and no unlock. Any other shard — a remote
-// victim, or one whose cache strands free segments — is visited with s
-// released, because shards are never entered nested, and admission re-runs
-// on return. held is false when the engine closed in between: s is not
-// held, nothing was enqueued, and err is ErrClosed. A retried attempt is not
-// a rejection, so Stats.Rejected counts only refusals the caller sees.
-func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter) (n int, held bool, err error) {
+// Each round asks admit for a verdict and, unless that is PushOut, the
+// manager for the segments. A shortage — a PushOut verdict or a dry manager
+// — asks relief which shard to visit before the next round. An elected
+// victim on s is pushed out in place: the freed segments land in the cache
+// the arrival allocates from, with no flush and no unlock. Any other shard
+// — a remote victim, or one whose cache strands free segments — is visited
+// with s released, because shards are never entered nested, and admission
+// re-runs on return. held is false when the engine closed in between: s is
+// not held, nothing was enqueued, and err is ErrClosed.
+//
+// stay confines the arrival to s: a drain cannot leave its shard — later
+// commands of the same flow may already be popped behind this one — so
+// under LQD a posted arrival evicts from its own shard's longest queue, one
+// packet a round for at most maxEvictAttempts rounds, whether or not that
+// queue is the global longest and whether or not other shards' caches
+// strand free segments (see relief).
+//
+// The fate is counted once, where the loop exits: enqueued (joined),
+// dropped by the policy (noteDrop) — which an arrival owed an eviction that
+// made no room is — or refused for want of room (noteRefused). A round that
+// is retried counts nothing.
+func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter, stay bool) (n int, held bool, err error) {
 	need := segsFor(size)
 	for round := 0; ; round++ {
-		if w != nil {
-			*w, err = s.reserveLocked(flow, size)
-		} else {
-			n, err = s.enqueueLocked(flow, data)
+		verdict := policy.Accept
+		if s.admKind != policy.KindNone && size > 0 {
+			verdict = s.admit(flow, need)
 		}
-		if err == nil {
-			return n, true, nil
-		}
-		wantPushOut := err == errWantPushOut //nolint:errorlint // internal sentinel, never wrapped
-		// relief reads the pool-wide count from inside s.
-		s.publish()
-		v := e.relief(s, need, err, round)
-		if v == nil {
-			if wantPushOut {
-				err = s.noteDrop(need)
+		switch verdict {
+		case policy.Drop:
+			return 0, true, s.noteDrop(need)
+		case policy.Accept:
+			if w != nil {
+				*w, err = s.m.ReservePacket(queue.QueueID(flow), size) // joins at Commit
+			} else if n, err = s.m.EnqueuePacket(queue.QueueID(flow), data); err == nil {
+				s.noteCopied(size)
+				s.joined(flow, n, arrived)
 			}
-			return 0, true, err
+			if err == nil {
+				return n, true, nil
+			}
+			if !errors.Is(err, queue.ErrNoFreeSegments) {
+				return 0, true, s.noteRefused(err)
+			}
 		}
-		if !wantPushOut {
-			s.rejected-- // the manager's refusal is being retried: the final attempt settles the count
-		}
-		if v == s {
+		// dry: the manager, not the policy, found the pool short — which a
+		// staying LQD arrival, unable to go and fetch the room the verdict
+		// saw, takes as the PushOut verdict it is owed.
+		dry := verdict == policy.Accept && !(stay && s.admKind == policy.KindLQD)
+		s.publish() // relief reads the pool-wide count from inside s
+		switch v := e.relief(s, need, dry, round, stay); {
+		case v == nil && dry:
+			return 0, true, s.noteRefused(err)
+		case v == nil:
+			return 0, true, s.noteDrop(need)
+		case stay:
+			s.evictLongest()
+		case v == s:
 			e.pushOutElected(s, need)
-			continue
-		}
-		s.unlock()
-		e.relieve(v, need)
-		if !e.enter(s) {
-			return 0, false, ErrClosed
+		default:
+			s.unlock()
+			e.relieve(v, need)
+			if !e.enter(s) {
+				return 0, false, ErrClosed
+			}
 		}
 	}
 }
@@ -578,16 +590,23 @@ func (e *Engine) relieve(v *shard, need int) {
 	v.unlock()
 }
 
-// relief names the shard a refused arrival of need segments must visit
-// before a retry can succeed. The manager ran dry although the pool holds
-// need: a shard whose cache strands free segments. The pool is short — by
-// the admission verdict, or because a concurrent arrival took the space
-// between the verdict and the manager call — the elected LQD victim, which
-// exists only while LQD is configured. nil means cause is final, or the
-// retry budget — one round per evicted packet and per flushed cache, times
-// maxEvictAttempts for lost races — is spent.
-func (e *Engine) relief(s *shard, need int, cause error, round int) *shard {
-	switch dry := errors.Is(cause, queue.ErrNoFreeSegments); {
+// relief names the shard an arrival of need segments that met a shortage on
+// s must visit before another round can succeed. The manager ran dry
+// although the pool holds need: a shard whose cache strands free segments.
+// The pool is short — by the admission verdict (not dry), or because a
+// concurrent arrival took the space between the verdict and the manager
+// call — the elected LQD victim, which exists only while LQD is configured.
+// nil means the shortage is final, or the retry budget — one round per
+// evicted packet and per flushed cache, times maxEvictAttempts for lost
+// races — is spent. An arrival that must stay has s or nothing: when it is
+// owed an eviction, while s has a queue to evict from, for maxEvictAttempts
+// rounds.
+func (e *Engine) relief(s *shard, need int, dry bool, round int, stay bool) *shard {
+	switch {
+	case stay:
+		if !dry && round < maxEvictAttempts && s.m.LongestLen() > 0 {
+			return s
+		}
 	case round >= maxEvictAttempts*(need+len(e.shards)):
 	case dry && e.store.Free() >= need:
 		for _, t := range e.shards {
@@ -595,7 +614,7 @@ func (e *Engine) relief(s *shard, need int, cause error, round int) *shard {
 				return t
 			}
 		}
-	case dry || cause == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
+	default:
 		return e.electVictim()
 	}
 	return nil
@@ -625,76 +644,145 @@ func (e *Engine) electVictim() *shard {
 func (e *Engine) pushOutElected(v *shard, need int) {
 	for {
 		v.publish() // count what this section has freed so far
-		if e.store.Free() >= need || e.electVictim() != v {
+		if e.store.Free() >= need || e.electVictim() != v || !v.evictLongest() {
 			return
 		}
-		q, segs, err := v.m.PushOutLongest()
-		if err != nil {
-			return
-		}
-		v.notePushOut(uint32(q), segs)
 	}
 }
 
-// notePushOut settles the books for a packet of segs segments pushed out of
-// flow, inside the shard's critical section.
-func (s *shard) notePushOut(flow uint32, segs int) {
-	s.poPackets++
-	s.poSegments += uint64(segs)
-	s.syncActive(flow)
-	s.noteRemoveRes(flow, false)
+// evictLongest pushes out the head packet of the shard's longest queue —
+// the one place a packet is pushed out — reporting false when every queue
+// is empty.
+func (s *shard) evictLongest() bool {
+	q, segs, err := s.m.PushOutLongest()
+	if err == nil {
+		s.left(uint32(q), segs, pushedOut)
+	}
+	return err == nil
+}
+
+// cause says how a packet joined a queue or why it left one.
+type cause uint8
+
+const (
+	arrived   cause = iota // joined: enqueued, or a reservation committed
+	moved                  // joined or left: MovePacket relinked it, the engine's totals do not move
+	served                 // left: dequeued, as a buffer or a view
+	deleted                // left: DeletePacket, which the books count as a dequeue
+	pushedOut              // left: evicted by LQD
+)
+
+// joined settles the books for a packet of segs segments that has just been
+// linked onto flow's queue, inside the shard's critical section. With left
+// it is the only writer of the traffic counters, the active lists (rehome
+// and dequeuePicked's misuse guard apart) and the residence sampler, so the
+// conservation law — enqueued = dequeued + pushed-out + resident — is
+// these two switches. A moved packet advances the flow's residence sequence
+// unsampled.
+func (s *shard) joined(flow uint32, segs int, how cause) {
+	if how == arrived {
+		s.EnqueuedPackets++
+		s.EnqueuedSegments += uint64(segs)
+	}
+	s.setActive(flow)
+	switch {
+	case s.res == nil:
+	case how == arrived:
+		s.res.noteEnqueue(flow)
+	default:
+		s.res.noteTransfer(flow)
+	}
+}
+
+// left settles the books for the packet of segs segments that has just been
+// unlinked from the head of flow's queue (see joined). The flow stays on its
+// active list exactly while it has backlog; only a served packet records a
+// residence sample, the others retire the sequence number.
+func (s *shard) left(flow uint32, segs int, why cause) {
+	switch why {
+	case served, deleted:
+		s.DequeuedPackets++
+		s.DequeuedSegments += uint64(segs)
+	case pushedOut:
+		s.PushedOutPackets++
+		s.PushedOutSegments += uint64(segs)
+	}
+	if n, err := s.m.Len(queue.QueueID(flow)); err == nil && n > 0 {
+		s.setActive(flow)
+	} else {
+		s.clearActive(flow)
+	}
+	if s.res != nil {
+		s.res.noteRemove(flow, why == served)
+	}
 }
 
 // noteDrop counts an arrival of need segments refused by admission, inside
-// the shard's critical section.
+// the shard's critical section. It returns the bare ErrAdmissionDrop
+// sentinel: overloaded callers see millions of drops, so the error must not
+// allocate.
 func (s *shard) noteDrop(need int) error {
-	s.dropPackets++
-	s.dropSegments += uint64(need)
+	s.DroppedPackets++
+	s.DroppedSegments += uint64(need)
 	return ErrAdmissionDrop
 }
 
-// enqueueLocked runs admission then the manager enqueue, inside s's
-// critical section. Drops return the bare ErrAdmissionDrop sentinel:
-// overloaded callers see millions of drops, so the error must not allocate.
-// errWantPushOut asks the caller to evict and retry.
-func (s *shard) enqueueLocked(flow uint32, data []byte) (int, error) {
-	if s.admKind != policy.KindNone && len(data) > 0 {
-		if err := s.admitNeedLocked(flow, segsFor(len(data))); err != nil {
-			return 0, err
-		}
+// noteRefused counts the manager's final refusal err as rejected when it was
+// for want of room — the pool ran dry or the flow is at its cap — and hands
+// err back. A malformed call (an empty packet, a flow outside the flow
+// space) is the caller's error, not buffer pressure, and is not counted.
+func (s *shard) noteRefused(err error) error {
+	if errors.Is(err, queue.ErrNoFreeSegments) || errors.Is(err, queue.ErrQueueLimit) {
+		s.Rejected++
 	}
-	n, err := s.m.EnqueuePacket(queue.QueueID(flow), data)
-	s.noteEnqueue(n, err)
-	if err == nil {
-		s.noteCopied(len(data))
-		s.setActive(flow)
-		s.noteEnqueueRes(flow)
-	}
-	return n, err
+	return err
 }
 
-// admitNeedLocked runs the admission decision for a packet of need segments
-// arriving on flow, inside s's critical section, counting drops. It is the
-// policy half shared by enqueueLocked and reserveLocked: nil admits,
-// ErrAdmissionDrop refuses (counted), and errWantPushOut asks the caller to
-// evict globally and retry.
-func (s *shard) admitNeedLocked(flow uint32, need int) error {
+// noteCopied charges n payload bytes to the shard's copy counter, inside
+// the shard's critical section. Only the copying datapaths call it — the
+// view and write-in-place paths never do, which is how Stats.CopiedBytes
+// proves a deployment's copy path has gone quiet. No payload memory means
+// nothing was copied, so the charge is skipped.
+func (s *shard) noteCopied(n int) {
+	if s.storeData {
+		s.CopiedBytes += uint64(n)
+	}
+}
+
+// admit is the admission decision for a packet of need segments arriving on
+// flow, inside s's critical section (s.admKind != KindNone). Tail-drop is
+// the inline fast path: one pool-wide free-count read (an atomic load per
+// cache) and a per-queue cap compare, with no interface dispatch. LQD and
+// RED consult s.adm, which sees pool-wide occupancy. A PushOut verdict is
+// not executed here: the globally longest queue may live on another shard,
+// so arrive elects the victim and evicts.
+func (s *shard) admit(flow uint32, need int) policy.Verdict {
 	if s.admKind == policy.KindTailDrop {
-		// Inline fast path: one pool-wide free-count read (an atomic
-		// load per cache) and a per-queue cap compare, with no
-		// interface dispatch.
 		if need > s.m.FreeSegments() || s.overTailLimit(flow, need) {
-			return s.noteDrop(need)
+			return policy.Drop
 		}
-		return nil
+		return policy.Accept
 	}
-	switch s.admitLocked(flow, need) {
-	case admitDrop:
-		return s.noteDrop(need)
-	case admitPushOut:
-		return errWantPushOut
+	occ, err := s.m.Occupancy(queue.QueueID(flow))
+	if err != nil {
+		return policy.Accept // out-of-range flow: let the manager report ErrBadQueue
 	}
-	return nil
+	if lim, _ := s.m.SegmentLimit(queue.QueueID(flow)); lim > 0 && occ.Segments+need > lim {
+		// The manager's per-flow cap will refuse this packet no matter
+		// what the policy says; pass it through so the caller sees
+		// ErrQueueLimit — and, crucially, so a push-out verdict does not
+		// evict an innocent victim for an arrival that cannot land.
+		return policy.Accept
+	}
+	// Free() walks every cache's atomic mirror; read it once per decision.
+	free := s.m.FreeSegments()
+	verdict := s.adm.Admit(flow, need,
+		policy.QueueState{Segments: occ.Segments},
+		policy.PoolState{Free: free, Capacity: s.m.NumSegments()})
+	if verdict == policy.PushOut && free >= need {
+		return policy.Accept // the policy is stricter than the pool; no eviction needed
+	}
+	return verdict
 }
 
 // overTailLimit is the tail-drop per-queue rule, the one place it is
@@ -708,61 +796,6 @@ func (s *shard) overTailLimit(flow uint32, need int) bool {
 	}
 	segs, err := s.m.Len(queue.QueueID(flow))
 	return err == nil && segs+need > s.admLimit
-}
-
-// noteCopied charges n payload bytes to the shard's copy counter, inside
-// the shard's critical section. Only the copying datapaths call it — the
-// view and write-in-place paths never do, which is how Stats.CopiedBytes
-// proves a deployment's copy path has gone quiet. No payload memory means
-// nothing was copied, so the charge is skipped.
-func (s *shard) noteCopied(n int) {
-	if s.storeData {
-		s.copiedBytes += uint64(n)
-	}
-}
-
-// admitResult is the outcome of consulting the admission policy.
-type admitResult uint8
-
-const (
-	admitOK      admitResult = iota // proceed with the enqueue
-	admitDrop                       // refuse the arrival
-	admitPushOut                    // admit after global eviction (caller handles)
-)
-
-// admitLocked consults the admission policy for a packet of need segments
-// arriving on this shard, inside s's critical section (s.adm != nil: LQD or
-// RED). The
-// policy sees pool-wide occupancy. A PushOut verdict is not executed here:
-// the globally longest queue may live on another shard, so the caller
-// elects the victim and evicts (see arrive).
-func (s *shard) admitLocked(flow uint32, need int) admitResult {
-	occ, err := s.m.Occupancy(queue.QueueID(flow))
-	if err != nil {
-		return admitOK // out-of-range flow: let the manager report ErrBadQueue
-	}
-	if lim, _ := s.m.SegmentLimit(queue.QueueID(flow)); lim > 0 && occ.Segments+need > lim {
-		// The manager's per-flow cap will refuse this packet no matter
-		// what the policy says; pass it through so the caller sees
-		// ErrQueueLimit — and, crucially, so a push-out verdict does not
-		// evict an innocent victim for an arrival that cannot land.
-		return admitOK
-	}
-	// Free() walks every cache's atomic mirror; read it once per decision.
-	free := s.m.FreeSegments()
-	verdict := s.adm.Admit(flow, need,
-		policy.QueueState{Segments: occ.Segments},
-		policy.PoolState{Free: free, Capacity: s.m.NumSegments()})
-	switch verdict {
-	case policy.Drop:
-		return admitDrop
-	case policy.PushOut:
-		if free >= need {
-			return admitOK // the policy is stricter than the pool; no eviction needed
-		}
-		return admitPushOut
-	}
-	return admitOK
 }
 
 // DequeuePacket removes and reassembles the head packet of flow. The
@@ -795,9 +828,9 @@ const unpicked int64 = -1
 // checks the segment chain out of the pool in the lent state (d.View,
 // nothing copied), otherwise the payload is reassembled into a pooled
 // buffer sized to the packet (d.Data; no buffer is taken when there is no
-// packet) — and the one place the books are settled: traffic and copy
-// counters, the discipline charges of a picked packet, active-list
-// membership, residence sample. It fills the caller's record in place: the
+// packet) — and where a served packet is charged to the discipline that
+// picked it before left settles the books. It fills the caller's record in
+// place: the
 // record is 64 bytes, and returning it through take, dequeuePicked and the
 // drain loop cost the 64-byte batch workload about 5%.
 //
@@ -825,7 +858,6 @@ func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err erro
 			d.Bytes = segs * queue.SegmentBytes
 		}
 	}
-	s.noteDequeue(segs, err)
 	if err != nil {
 		*d = Dequeued{}
 		return err
@@ -836,8 +868,7 @@ func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err erro
 	if debit != unpicked && s.eg.hasLevelDRR {
 		s.chargeLevels(flow, d.Bytes)
 	}
-	s.syncActive(flow)
-	s.noteRemoveRes(flow, true)
+	s.left(flow, segs, served)
 	return nil
 }
 
@@ -906,10 +937,8 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 	var ch queue.PacketChain
 	var err error
 	e.run(src, func() {
-		ch, err = src.m.UnlinkHeadPacket(queue.QueueID(from))
-		if err == nil {
-			src.syncActive(from)
-			src.noteRemoveRes(from, false)
+		if ch, err = src.m.UnlinkHeadPacket(queue.QueueID(from)); err == nil {
+			src.left(from, ch.Segs, moved)
 		}
 	})
 	if err != nil {
@@ -925,8 +954,7 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 			return
 		}
 		if err = dst.m.LinkPacketTail(queue.QueueID(to), ch); err == nil {
-			dst.setActive(to)
-			dst.noteTransferRes(to)
+			dst.joined(to, ch.Segs, moved)
 		}
 	})
 	if err != nil {
@@ -937,8 +965,7 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 		// and miscounted the loss as a push-out.
 		e.run(src, func() {
 			_ = src.m.LinkPacketHead(queue.QueueID(from), ch)
-			src.setActive(from)
-			src.noteTransferRes(from)
+			src.joined(from, ch.Segs, moved)
 		})
 		return 0, err
 	}
@@ -953,19 +980,19 @@ func (s *shard) moveLocal(from, to uint32) (int, error) {
 		}
 	}
 	n, err := s.m.MovePacket(queue.QueueID(from), queue.QueueID(to))
-	if err == nil {
-		s.syncActive(from)
-		s.syncActive(to)
-		if from != to {
-			s.noteRemoveRes(from, false)
-			s.noteTransferRes(to)
-		} else if occ, oerr := s.m.Occupancy(queue.QueueID(from)); oerr == nil && occ.Packets > 1 {
-			// Same-queue rotation: the head packet went to the tail.
-			s.noteRemoveRes(from, false)
-			s.noteTransferRes(from)
+	if err != nil {
+		return 0, err
+	}
+	if from == to {
+		// Same-queue rotation: the head packet went to the tail — unless it
+		// is alone there, in which case nothing left and nothing joined.
+		if occ, _ := s.m.Occupancy(queue.QueueID(from)); occ.Packets == 1 {
+			return n, nil
 		}
 	}
-	return n, err
+	s.left(from, n, moved)
+	s.joined(to, n, moved)
+	return n, nil
 }
 
 // DeletePacket drops the head packet of flow, returning its segment count.
@@ -977,11 +1004,8 @@ func (e *Engine) DeletePacket(flow uint32) (int, error) {
 	var n int
 	var err error
 	e.run(s, func() {
-		n, err = s.m.DeletePacket(queue.QueueID(flow))
-		s.noteDequeue(n, err)
-		if err == nil {
-			s.syncActive(flow)
-			s.noteRemoveRes(flow, false)
+		if n, err = s.m.DeletePacket(queue.QueueID(flow)); err == nil {
+			s.left(flow, n, deleted)
 		}
 	})
 	return n, err
@@ -1013,34 +1037,3 @@ func (e *Engine) SetFlowLimit(flow uint32, limit int) error {
 // critical section ends (see shard.publish), so against a shard in the
 // middle of a batch the value lags by that batch.
 func (e *Engine) FreeSegments() int { return e.store.Free() }
-
-// noteEnqueue records an enqueue outcome inside the shard's critical
-// section.
-func (s *shard) noteEnqueue(segments int, err error) {
-	if err != nil {
-		s.noteRefused(err)
-		return
-	}
-	s.enqPackets++
-	s.enqSegments += uint64(segments)
-}
-
-// noteRefused counts a manager refusal as rejected when it was for want of
-// room — the pool ran dry or the flow is at its cap. A malformed call (an
-// empty packet, a flow outside the flow space) is the caller's error, not
-// buffer pressure, and is not counted.
-func (s *shard) noteRefused(err error) {
-	if errors.Is(err, queue.ErrNoFreeSegments) || errors.Is(err, queue.ErrQueueLimit) {
-		s.rejected++
-	}
-}
-
-// noteDequeue records a dequeue/delete outcome inside the shard's critical
-// section.
-func (s *shard) noteDequeue(segments int, err error) {
-	if err != nil {
-		return
-	}
-	s.deqPackets++
-	s.deqSegments += uint64(segments)
-}

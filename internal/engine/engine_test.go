@@ -30,6 +30,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 8}); err == nil {
 		t.Error("zero NumSegments accepted")
 	}
+	if _, err := New(Config{NumFlows: -3, NumSegments: 16}); err == nil {
+		t.Error("negative NumFlows accepted")
+	}
 	// The pool is shared: fewer segments than shards is legal now.
 	if _, err := New(Config{Shards: 8, NumSegments: 4}); err != nil {
 		t.Errorf("NumSegments < Shards rejected on a shared pool: %v", err)

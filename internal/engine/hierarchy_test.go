@@ -120,7 +120,7 @@ func TestClassWRRVisitPattern(t *testing.T) {
 	}
 }
 
-// TestClassStatsReflectBacklog: ClassStats counts backlogged flows per
+// TestClassStatsReflectBacklog: TierStats(class) counts backlogged flows per
 // class across shards and reports configured weights.
 func TestClassStatsReflectBacklog(t *testing.T) {
 	e, err := New(Config{
@@ -142,20 +142,20 @@ func TestClassStatsReflectBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := e.ClassStats()
+	cs := e.TierStats(policy.TierClass)
 	if len(cs) != 4 {
-		t.Fatalf("ClassStats length %d, want 4", len(cs))
+		t.Fatalf("TierStats(class) length %d, want 4", len(cs))
 	}
 	for c, st := range cs {
-		if st.Class != c || st.ActiveFlows != 3 || st.Weight != c+1 {
+		if st.Unit != c || st.ActiveFlows != 3 || st.Weight != c+1 {
 			t.Fatalf("class %d stat %+v, want 3 active flows, weight %d", c, st, c+1)
 		}
 	}
-	if err := e.SetClassWeight(2, 9); err != nil {
+	if err := e.SetTierWeight(policy.TierClass, 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	if cs := e.ClassStats(); cs[2].Weight != 9 {
-		t.Fatalf("class 2 weight %d after SetClassWeight, want 9", cs[2].Weight)
+	if cs := e.TierStats(policy.TierClass); cs[2].Weight != 9 {
+		t.Fatalf("class 2 weight %d after SetTierWeight, want 9", cs[2].Weight)
 	}
 }
 
@@ -234,7 +234,7 @@ func TestClassRehomingChurnRing(t *testing.T) {
 			case 1:
 				_ = e.SetFlowPort(f, rng.Intn(4))
 			case 2:
-				_ = e.SetClassWeight(rng.Intn(4), 1+rng.Intn(4))
+				_ = e.SetTierWeight(policy.TierClass, rng.Intn(4), 1+rng.Intn(4))
 			default:
 				_ = e.SetWeight(f, 1+rng.Intn(4))
 			}
@@ -368,7 +368,7 @@ func TestTenantClassFlowComposition(t *testing.T) {
 	}
 }
 
-// TestTenantStatsReflectBacklog: TenantStats counts backlogged flows per
+// TestTenantStatsReflectBacklog: TierStats(tenant) counts backlogged flows per
 // tenant across shards and reports configured weights, and re-homing a
 // backlogged flow moves its count.
 func TestTenantStatsReflectBacklog(t *testing.T) {
@@ -395,26 +395,26 @@ func TestTenantStatsReflectBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := e.TenantStats()
+	ts := e.TierStats(policy.TierTenant)
 	if len(ts) != 4 {
-		t.Fatalf("TenantStats length %d, want 4", len(ts))
+		t.Fatalf("TierStats(tenant) length %d, want 4", len(ts))
 	}
 	for tn, st := range ts {
-		if st.Tenant != tn || st.ActiveFlows != 3 || st.Weight != tn+1 {
+		if st.Unit != tn || st.ActiveFlows != 3 || st.Weight != tn+1 {
 			t.Fatalf("tenant %d stat %+v, want 3 active flows, weight %d", tn, st, tn+1)
 		}
 	}
-	if err := e.SetTenantWeight(2, 9); err != nil {
+	if err := e.SetTierWeight(policy.TierTenant, 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	if ts := e.TenantStats(); ts[2].Weight != 9 {
-		t.Fatalf("tenant 2 weight %d after SetTenantWeight, want 9", ts[2].Weight)
+	if ts := e.TierStats(policy.TierTenant); ts[2].Weight != 9 {
+		t.Fatalf("tenant 2 weight %d after SetTierWeight, want 9", ts[2].Weight)
 	}
 	// Re-home a backlogged flow: the counts must follow it.
 	if err := e.SetFlowTenant(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	ts = e.TenantStats()
+	ts = e.TierStats(policy.TierTenant)
 	if ts[0].ActiveFlows != 2 || ts[1].ActiveFlows != 4 {
 		t.Fatalf("after re-homing flow 0 to tenant 1: counts %d/%d, want 2/4", ts[0].ActiveFlows, ts[1].ActiveFlows)
 	}
@@ -498,9 +498,9 @@ func TestTenantRehomingChurnRing(t *testing.T) {
 			case 2:
 				_ = e.SetFlowPort(f, rng.Intn(4))
 			case 3:
-				_ = e.SetTenantWeight(rng.Intn(3), 1+rng.Intn(4))
+				_ = e.SetTierWeight(policy.TierTenant, rng.Intn(3), 1+rng.Intn(4))
 			case 4:
-				_ = e.SetClassWeight(rng.Intn(4), 1+rng.Intn(4))
+				_ = e.SetTierWeight(policy.TierClass, rng.Intn(4), 1+rng.Intn(4))
 			default:
 				_ = e.SetWeight(f, 1+rng.Intn(4))
 			}

@@ -152,6 +152,14 @@ func TestREDEngineDropsUnderPressure(t *testing.T) {
 	}
 }
 
+// TestConservationLawAcrossPolicies holds both sides of the books under
+// every admission policy on a pool small enough to refuse. The departure
+// side: every enqueued segment was dequeued, pushed out or is resident. The
+// arrival side: every packet offered — through EnqueuePacket, EnqueueBatch,
+// ReservePacket+Commit/Abort, and EnqueueAsync before and after Start — met
+// exactly one fate, offered = enqueued + dropped + rejected + caller errors
+// (+ aborted reservations), and each returned error names the counter that
+// moved.
 func TestConservationLawAcrossPolicies(t *testing.T) {
 	for _, cfg := range []policy.Config{
 		{},
@@ -160,35 +168,138 @@ func TestConservationLawAcrossPolicies(t *testing.T) {
 		{Kind: policy.KindRED, MinTh: 0.2, MaxTh: 0.6, MaxP: 0.5, Weight: 0.1, Seed: 9},
 	} {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
+			const flows, pool, capped = 128, 128, 5
 			e, err := New(Config{
-				Shards: 4, NumFlows: 128, NumSegments: 128, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: pool, StoreData: true,
 				Admission: cfg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Overdrive the pool, interleaving dequeues and deletes.
-			for i := 0; i < 3000; i++ {
-				f := uint32(i*7) % 128
-				_, err := e.EnqueuePacket(f, seg(1+i%3))
-				if err != nil && !errors.Is(err, ErrAdmissionDrop) &&
-					!errors.Is(err, queue.ErrNoFreeSegments) {
+			defer e.Close()
+			if err := e.SetFlowLimit(capped, 2); err != nil { // ErrQueueLimit under every policy
+				t.Fatal(err)
+			}
+			// want is what the returned errors say the counters read;
+			// callerErrs and aborted are the fates no counter records.
+			var want struct{ enq, drop, rej uint64 }
+			var offered, callerErrs, aborted uint64
+			tally := func(err error) {
+				offered++
+				switch {
+				case err == nil:
+					want.enq++
+				case errors.Is(err, ErrAdmissionDrop):
+					want.drop++
+				case errors.Is(err, queue.ErrNoFreeSegments), errors.Is(err, queue.ErrQueueLimit):
+					want.rej++
+				case errors.Is(err, queue.ErrBadQueue), errors.Is(err, queue.ErrBadLength):
+					callerErrs++
+				default:
+					t.Fatalf("unexpected arrival error: %v", err)
+				}
+			}
+			// settle compares the counters with the tallies. posted is how
+			// many EnqueueAsync calls went out since the last settle: nobody
+			// was told their fate, so they are held to the sum only and the
+			// tallies then adopt what the counters say.
+			settle := func(what string, posted uint64) {
+				t.Helper()
+				if err := e.Drain(); err != nil {
 					t.Fatal(err)
 				}
+				st := e.Stats()
+				offered += posted
+				if got, sum := st.EnqueuedPackets+st.DroppedPackets+st.Rejected, want.enq+want.drop+want.rej+posted; got != sum {
+					t.Fatalf("%s: %d fates counted for %d arrivals", what, got, sum)
+				}
+				if posted == 0 && (st.EnqueuedPackets != want.enq || st.DroppedPackets != want.drop || st.Rejected != want.rej) {
+					t.Fatalf("%s: counters enq %d drop %d rej %d, returned errors say %d %d %d",
+						what, st.EnqueuedPackets, st.DroppedPackets, st.Rejected, want.enq, want.drop, want.rej)
+				}
+				want.enq, want.drop, want.rej = st.EnqueuedPackets, st.DroppedPackets, st.Rejected
+			}
+			// Overdrive the pool, interleaving dequeues and deletes.
+			for i := 0; i < 3000; i++ {
+				if i == 1500 {
+					if err := e.Start(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				f := uint32(i*7) % flows
+				data := seg(1 + i%3)
+				switch i % 8 {
+				default:
+					_, err := e.EnqueuePacket(f, data)
+					tally(err)
+					settle("EnqueuePacket", 0)
+				case 1:
+					// A burst with one of each way to go wrong in it: the
+					// capped flow, a packet the pool can never hold, an
+					// empty one, a flow outside the flow space.
+					batch := []EnqueueReq{
+						{f, data}, {capped, seg(2)}, {f + 1, seg(pool + 1)},
+						{f, nil}, {flows, data}, {(f + 64) % flows, data},
+					}
+					_, errs := e.EnqueueBatch(batch)
+					for j := range batch {
+						var err error
+						if errs != nil {
+							err = errs[j]
+						}
+						tally(err)
+					}
+					settle("EnqueueBatch", 0)
+				case 2, 5:
+					// Before Start these run on the spot, after it they are
+					// posted; three in a row, two of them to one shard.
+					for _, pf := range []uint32{f, f, (f + 1) % flows} {
+						if err := e.EnqueueAsync(pf, data); err != nil {
+							t.Fatal(err)
+						}
+					}
+					settle("EnqueueAsync", 3)
+				case 3:
+					r, err := e.ReservePacket(f, len(data))
+					if err != nil {
+						tally(err)
+						settle("ReservePacket", 0)
+						break
+					}
+					settle("ReservePacket (open)", 0) // charged to admission, not yet to the books
+					if i%16 == 3 {
+						tally(r.Commit())
+					} else if err := r.Abort(); err != nil {
+						t.Fatal(err)
+					} else {
+						offered++
+						aborted++
+					}
+					settle("Commit/Abort", 0)
+				}
 				if i%3 == 0 {
-					if _, err := e.DequeuePacket(uint32(i * 13 % 128)); err != nil &&
+					if _, err := e.DequeuePacket(uint32(i * 13 % flows)); err != nil &&
 						!errors.Is(err, queue.ErrQueueEmpty) {
 						t.Fatal(err)
 					}
 				}
 				if i%11 == 0 {
-					if _, err := e.DeletePacket(uint32(i * 5 % 128)); err != nil &&
+					if _, err := e.DeletePacket(uint32(i * 5 % flows)); err != nil &&
 						!errors.Is(err, queue.ErrQueueEmpty) {
 						t.Fatal(err)
 					}
 				}
 			}
 			st := e.Stats()
+			if got := st.EnqueuedPackets + st.DroppedPackets + st.Rejected + callerErrs + aborted; got != offered {
+				t.Fatalf("arrivals: offered %d != enq %d + dropped %d + rejected %d + caller errors %d + aborted %d",
+					offered, st.EnqueuedPackets, st.DroppedPackets, st.Rejected, callerErrs, aborted)
+			}
+			if st.Rejected == 0 || callerErrs == 0 || aborted == 0 || st.EnqueuedPackets == 0 ||
+				(cfg.Kind != policy.KindNone && st.DroppedPackets == 0) ||
+				(cfg.Kind == policy.KindLQD && st.PushedOutPackets == 0) {
+				t.Fatalf("the script missed a fate: %+v, caller errors %d, aborted %d", st, callerErrs, aborted)
+			}
 			if st.EnqueuedSegments != st.DequeuedSegments+st.PushedOutSegments+uint64(st.QueuedSegments) {
 				t.Fatalf("conservation: enq %d != deq %d + pushed %d + resident %d",
 					st.EnqueuedSegments, st.DequeuedSegments, st.PushedOutSegments, st.QueuedSegments)
@@ -713,11 +824,11 @@ func TestSetWeightValidation(t *testing.T) {
 		if err := h.SetWeight(3, big); err == nil {
 			t.Errorf("SetWeight(%d) accepted", big)
 		}
-		if err := h.SetClassWeight(1, big); err == nil {
-			t.Errorf("SetClassWeight(%d) accepted", big)
+		if err := h.SetTierWeight(policy.TierClass, 1, big); err == nil {
+			t.Errorf("SetTierWeight(class, %d) accepted", big)
 		}
-		if err := h.SetTenantWeight(1, big); err == nil {
-			t.Errorf("SetTenantWeight(%d) accepted", big)
+		if err := h.SetTierWeight(policy.TierTenant, 1, big); err == nil {
+			t.Errorf("SetTierWeight(tenant, %d) accepted", big)
 		}
 		eg := policy.EgressConfig{Levels: []policy.LevelSpec{{Tier: policy.TierClass, Weights: []int{1, big}}}}
 		if err := eg.Validate(); err == nil {
@@ -727,12 +838,18 @@ func TestSetWeightValidation(t *testing.T) {
 	if fi, _ := h.Flow(3); fi.Weight != 1 {
 		t.Errorf("refused weights changed flow 3's weight to %d", fi.Weight)
 	}
-	for _, set := range []func(int, int) error{h.SetClassWeight, h.SetTenantWeight} {
-		if err := set(1, policy.MaxWeight); err != nil {
+	for tier := range policy.NumTiers {
+		if err := h.SetTierWeight(tier, 1, policy.MaxWeight); err != nil {
 			t.Errorf("weight MaxWeight rejected: %v", err)
 		}
 	}
-	if cs, ts := h.ClassStats(), h.TenantStats(); cs[1].Weight != policy.MaxWeight || ts[1].Weight != policy.MaxWeight {
+	if err := h.SetTierWeight(policy.NumTiers, 0, 1); err == nil {
+		t.Error("SetTierWeight accepted a tier that does not exist")
+	}
+	if ts := h.TierStats(policy.NumTiers); ts != nil {
+		t.Errorf("TierStats of a tier that does not exist = %v, want none", ts)
+	}
+	if cs, ts := h.TierStats(policy.TierClass), h.TierStats(policy.TierTenant); cs[1].Weight != policy.MaxWeight || ts[1].Weight != policy.MaxWeight {
 		t.Errorf("class/tenant 1 weights %d/%d, want MaxWeight", cs[1].Weight, ts[1].Weight)
 	}
 }

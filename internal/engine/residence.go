@@ -78,25 +78,3 @@ func (r *residence) noteRemove(flow uint32, dequeued bool) {
 		}
 	}
 }
-
-// noteRemoveRes is the shard-level hook: shards without sampling skip in
-// one branch.
-func (s *shard) noteRemoveRes(flow uint32, dequeued bool) {
-	if s.res != nil {
-		s.res.noteRemove(flow, dequeued)
-	}
-}
-
-// noteEnqueueRes is the shard-level arrival hook.
-func (s *shard) noteEnqueueRes(flow uint32) {
-	if s.res != nil {
-		s.res.noteEnqueue(flow)
-	}
-}
-
-// noteTransferRes is the shard-level moved-packet arrival hook.
-func (s *shard) noteTransferRes(flow uint32) {
-	if s.res != nil {
-		s.res.noteTransfer(flow)
-	}
-}

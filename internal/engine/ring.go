@@ -16,18 +16,17 @@ package engine
 // them first. The per-shard worker exists only so that posts make progress
 // when nobody else enters the shard.
 //
-// A posted enqueue cannot leave its shard — later commands of the same flow
-// may already be popped behind it, and shard locks never nest — so under LQD
-// it evicts from its own shard's longest queue when the pool is full
-// (enqueueEvictLocal), and drops (counted) when that cannot make room.
-// Blocking arrivals get the exact global eviction (arrive).
+// A posted enqueue runs the same arrival routine as a blocking one (arrive)
+// with one difference, its stay flag: it cannot leave its shard — later
+// commands of the same flow may already be popped behind it, and shard locks
+// never nest — so under LQD it evicts from its own shard's longest queue
+// when the pool is full, and drops (counted) when that cannot make room.
+// Blocking arrivals get the exact global eviction. Nobody is waiting for a
+// posted enqueue's outcome: it lives in the shard counters.
 
 import (
-	"errors"
 	"runtime"
 
-	"npqm/internal/policy"
-	"npqm/internal/queue"
 	"npqm/internal/ring"
 )
 
@@ -87,8 +86,9 @@ func (e *Engine) drain(s *shard) {
 			continue
 		}
 		for i := range s.cmds[:n] {
-			e.enqueuePosted(s, s.cmds[i].flow, s.cmds[i].data)
-			s.cmds[i] = command{} // drop the payload reference promptly
+			c := &s.cmds[i]
+			e.arrive(s, c.flow, c.data, len(c.data), nil, true) // stays: s remains held
+			*c = command{}                                      // drop the payload reference promptly
 		}
 		left -= n
 	}
@@ -153,7 +153,7 @@ func (e *Engine) Drain() error {
 // pacers started by ServeViews are unparked and waited out last (a sink
 // blocked forever therefore blocks Close). Close is idempotent and safe to
 // call concurrently. After Close the observation surface (Stats and its
-// per-shard, -port, -class and -tenant slices, CheckInvariants, Len, Flow,
+// per-shard, -port and -tier slices, CheckInvariants, Len, Flow,
 // Config, FreeSegments, LentSegments) keeps working against the quiescent
 // state. What was checked out stays the holder's to settle: a view
 // retained across Close returns its chain to the pool on Release, and an
@@ -197,50 +197,6 @@ func (e *Engine) worker(s *shard) {
 	}
 }
 
-// enqueuePosted executes one posted enqueue inside s's critical section.
-// Nobody is waiting for the outcome: it lives in the shard counters.
-func (e *Engine) enqueuePosted(s *shard, flow uint32, data []byte) {
-	_, err := s.enqueueLocked(flow, data)
-	switch {
-	case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-		e.enqueueEvictLocal(s, flow, data)
-	case err != nil && s.admKind == policy.KindLQD && errors.Is(err, queue.ErrNoFreeSegments):
-		// Pool exhausted (or its free segments stranded in other shards'
-		// caches, which a drain must not visit): under LQD the arrival is
-		// still entitled to eviction. Un-count the rejection — the eviction
-		// path settles the packet's fate exactly once.
-		s.rejected--
-		e.enqueueEvictLocal(s, flow, data)
-	}
-}
-
-// enqueueEvictLocal handles an LQD push-out verdict for a posted enqueue.
-// The drain cannot leave its shard to evict the globally longest queue, so
-// it approximates LQD locally: push out its own shard's longest queue until
-// the arrival fits, else drop. Blocking enqueues get the exact global
-// eviction (arrive).
-func (e *Engine) enqueueEvictLocal(s *shard, flow uint32, data []byte) {
-	for round := 0; round < maxEvictAttempts; round++ {
-		q, segs, err := s.m.PushOutLongest()
-		if err != nil {
-			break
-		}
-		s.notePushOut(uint32(q), segs)
-		_, err = s.enqueueLocked(flow, data)
-		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-			continue
-		case err != nil && errors.Is(err, queue.ErrNoFreeSegments):
-			// Still short (the evicted packet was smaller than the
-			// arrival): un-count the retry's rejection and evict again.
-			s.rejected--
-			continue
-		}
-		return
-	}
-	_ = s.noteDrop(segsFor(len(data))) // counted; nobody to hand the sentinel to
-}
-
 // EnqueueAsync posts a fire-and-forget enqueue of data onto flow: the call
 // returns as soon as the command is in the shard's ring (blocking only for
 // ring backpressure), and the outcome — linked, dropped by admission, or
@@ -264,7 +220,7 @@ func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
 	}
 	// Every outcome arrive can produce is counted; not held means a Close
 	// landed mid-arrival, nothing was enqueued, and the caller is told.
-	_, held, err := e.arrive(s, flow, data, len(data), nil)
+	_, held, err := e.arrive(s, flow, data, len(data), nil, false)
 	if !held {
 		return err
 	}

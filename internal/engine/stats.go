@@ -9,34 +9,70 @@ import (
 	"npqm/internal/stats"
 )
 
-// Stats is an aggregate snapshot of engine activity and occupancy across
-// all shards. Counters are cumulative since New.
-type Stats struct {
-	Shards int
-
-	// Traffic counters.
+// Counters are the cumulative traffic and policy counters, since New — the
+// one declaration of each: every shard keeps a live block (written by
+// shard.joined, shard.left, the exits of Engine.arrive and the copy charge,
+// shard.noteCopied), ShardStat carries a shard's copy and Stats their sum.
+//
+// The books balance two ways. Every arrival meets exactly one fate —
+// enqueued, dropped by the admission policy, rejected for want of room, or
+// turned away as the caller's own error, which no counter records — and a
+// round an LQD arrival retries internally after a push-out or a
+// stranded-cache fetch is none of them. Every enqueued segment was dequeued,
+// pushed out, or is resident: EnqueuedSegments = DequeuedSegments +
+// PushedOutSegments + QueuedSegments, which is why DeletePacket counts as a
+// dequeue.
+type Counters struct {
 	EnqueuedPackets  uint64
 	EnqueuedSegments uint64
 	// EnqueuedRuns counts the address-contiguous runs those segments were
-	// chained as when their packets were built (queue.Manager.FillRuns):
-	// EnqueuedSegments/EnqueuedRuns is the mean run length, the measure of
-	// how fragmented the free store hands out chains.
+	// chained as when their packets were built: EnqueuedSegments/EnqueuedRuns
+	// is the mean run length, the measure of how fragmented the free store
+	// hands out chains. The queue manager keeps this one
+	// (queue.Manager.FillRuns); it is filled in when a shard is read.
 	EnqueuedRuns     uint64
 	DequeuedPackets  uint64
 	DequeuedSegments uint64
-	// Rejected counts enqueues refused for want of room (pool exhausted or
-	// flow capped) — calls that returned the error, not the passes an LQD
-	// arrival retries internally after a push-out or a stranded-cache fetch.
+	// Rejected counts enqueues and reservations refused for want of room:
+	// the pool exhausted or the flow at its cap.
 	Rejected uint64
-
-	// Policy counters. Dropped arrivals were refused by the admission
-	// policy and never buffered; pushed-out packets were buffered and then
-	// evicted (LQD push-out), so conservation reads
-	// EnqueuedSegments = DequeuedSegments + PushedOutSegments + QueuedSegments.
+	// Dropped arrivals were refused by the admission policy and never
+	// buffered; pushed-out packets were buffered and then evicted by LQD.
 	DroppedPackets    uint64
 	DroppedSegments   uint64
 	PushedOutPackets  uint64
 	PushedOutSegments uint64
+	// CopiedBytes counts payload bytes that crossed a copying datapath:
+	// buffer-based enqueues copy in, buffer-based dequeues copy out, and
+	// each charges the bytes it copied. The zero-copy paths — view
+	// delivery and write-in-place ingest — never add to it, so a
+	// deployment that has fully converted sees this counter stand still
+	// while traffic flows. Always zero when data storage is off.
+	CopiedBytes uint64
+}
+
+// add accumulates o into c.
+func (c *Counters) add(o Counters) {
+	c.EnqueuedPackets += o.EnqueuedPackets
+	c.EnqueuedSegments += o.EnqueuedSegments
+	c.EnqueuedRuns += o.EnqueuedRuns
+	c.DequeuedPackets += o.DequeuedPackets
+	c.DequeuedSegments += o.DequeuedSegments
+	c.Rejected += o.Rejected
+	c.DroppedPackets += o.DroppedPackets
+	c.DroppedSegments += o.DroppedSegments
+	c.PushedOutPackets += o.PushedOutPackets
+	c.PushedOutSegments += o.PushedOutSegments
+	c.CopiedBytes += o.CopiedBytes
+}
+
+// Stats is an aggregate snapshot of engine activity and occupancy across
+// all shards.
+type Stats struct {
+	Shards int
+
+	// Counters are summed over the shards.
+	Counters
 
 	// Transmit side (ports served through ServeViews). Packets delivered by
 	// port workers are also counted in DequeuedPackets/Segments — the
@@ -45,14 +81,6 @@ type Stats struct {
 	TransmittedPackets uint64
 	TransmittedBytes   uint64
 	Throttled          uint64 // pacer parks waiting for shaper tokens
-
-	// CopiedBytes counts payload bytes that crossed a copying datapath:
-	// buffer-based enqueues copy in, buffer-based dequeues copy out, and
-	// each charges the bytes it copied. The zero-copy paths — view
-	// delivery and write-in-place ingest — never add to it, so a
-	// deployment that has fully converted sees this counter stand still
-	// while traffic flows. Always zero when data storage is off.
-	CopiedBytes uint64
 
 	// CoalescedWakes counts pacer notifies absorbed by an already-pending
 	// wake instead of delivered. High values mean the enqueue path is
@@ -82,17 +110,11 @@ type Stats struct {
 // Segment memory is shared (there is no per-shard pool), so the occupancy
 // columns report what this shard's queues hold of the common pool.
 type ShardStat struct {
-	Shard            int
-	EnqueuedPackets  uint64
-	EnqueuedSegments uint64
-	EnqueuedRuns     uint64 // runs those segments were chained as (see Stats)
-	DequeuedPackets  uint64
-	Rejected         uint64
-	DroppedPackets   uint64
-	PushedOutPackets uint64
-	QueuedSegments   int // segments this shard's queues hold
-	BufferedBytes    int64
-	ActiveFlows      int
+	Shard int
+	Counters
+	QueuedSegments int // segments this shard's queues hold
+	BufferedBytes  int64
+	ActiveFlows    int
 
 	// Worker accounting (zero before Start): the time the shard's worker
 	// goroutine spent in its own passes through the shard lock (busy) and
@@ -107,6 +129,22 @@ type ShardStat struct {
 	StealBatches uint64
 }
 
+// read copies shard i's row of the books, inside its critical section: the
+// one per-shard read behind Stats, ShardStats and CheckInvariants.
+func (s *shard) read(i int) ShardStat {
+	row := ShardStat{
+		Shard:          i,
+		Counters:       s.Counters,
+		QueuedSegments: s.m.QueuedSegments(),
+		BufferedBytes:  int64(s.m.TotalBuffered()),
+		ActiveFlows:    s.activeFlows,
+		WorkerBusyNs:   s.wBusyNs.Load(),
+		WorkerIdleNs:   s.wIdleNs.Load(),
+	}
+	row.EnqueuedRuns = s.m.FillRuns()
+	return row
+}
+
 // Stats aggregates counters and occupancy across shards. Each shard is
 // snapshotted inside its own critical section; the result is consistent per
 // shard but not a global atomic cut (concurrent traffic may move between
@@ -115,23 +153,13 @@ type ShardStat struct {
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: len(e.shards)}
 	var res stats.Histogram
-	for _, s := range e.shards {
-		e.run(s, func() {
-			st.EnqueuedPackets += s.enqPackets
-			st.EnqueuedSegments += s.enqSegments
-			st.EnqueuedRuns += s.m.FillRuns()
-			st.DequeuedPackets += s.deqPackets
-			st.DequeuedSegments += s.deqSegments
-			st.Rejected += s.rejected
-			st.CopiedBytes += s.copiedBytes
-			st.DroppedPackets += s.dropPackets
-			st.DroppedSegments += s.dropSegments
-			st.PushedOutPackets += s.poPackets
-			st.PushedOutSegments += s.poSegments
-			st.QueuedSegments += s.m.QueuedSegments()
-			st.BufferedBytes += int64(s.m.TotalBuffered())
-			st.ActiveFlows += s.activeFlows
-		})
+	for i, s := range e.shards {
+		var row ShardStat
+		e.run(s, func() { row = s.read(i) })
+		st.add(row.Counters)
+		st.QueuedSegments += row.QueuedSegments
+		st.BufferedBytes += row.BufferedBytes
+		st.ActiveFlows += row.ActiveFlows
 		if s.res != nil {
 			res.Merge(&s.res.hist) // lock-free: no reason to hold the shard for it
 		}
@@ -159,39 +187,17 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))
 	for i, s := range e.shards {
-		e.run(s, func() {
-			out[i] = ShardStat{
-				Shard:            i,
-				EnqueuedPackets:  s.enqPackets,
-				EnqueuedSegments: s.enqSegments,
-				EnqueuedRuns:     s.m.FillRuns(),
-				DequeuedPackets:  s.deqPackets,
-				Rejected:         s.rejected,
-				DroppedPackets:   s.dropPackets,
-				PushedOutPackets: s.poPackets,
-				QueuedSegments:   s.m.QueuedSegments(),
-				BufferedBytes:    int64(s.m.TotalBuffered()),
-				ActiveFlows:      s.activeFlows,
-			}
-		})
-		out[i].WorkerBusyNs = s.wBusyNs.Load()
-		out[i].WorkerIdleNs = s.wIdleNs.Load()
+		e.run(s, func() { out[i] = s.read(i) })
 	}
 	return out
 }
 
-// ClassStat is one scheduling class's slice of the egress statistics.
-type ClassStat struct {
-	Class       int
-	ActiveFlows int // flows with backlog currently mapped to this class
-	Weight      int // class-level WRR/DRR weight
-}
-
-// TenantStat is one scheduling tenant's slice of the egress statistics.
-type TenantStat struct {
-	Tenant      int
-	ActiveFlows int // flows with backlog currently mapped to this tenant
-	Weight      int // tenant-level WRR/DRR weight
+// TierStat is one scheduling unit's slice of the egress statistics: a
+// tenant's or a class's, by the tier asked of TierStats.
+type TierStat struct {
+	Unit        int
+	ActiveFlows int // flows with backlog currently mapped to this unit
+	Weight      int // the unit's WRR/DRR weight at its level
 }
 
 // accumTierFlows adds one shard's backlogged-flow counts per unit of
@@ -232,50 +238,28 @@ func accumTierFlows(s *shard, tier policy.Tier, counts []int) {
 	}
 }
 
-// tierStats collects per-unit backlog and weights for one tier.
-func (e *Engine) tierStats(tier policy.Tier) ([]int, []int) {
-	units := int(e.tierUnits[tier])
-	counts := make([]int, units)
-	weights := make([]int, units)
-	for u := range weights {
-		weights[u] = 1
+// TierStats returns one entry per unit of tier (the tenants, or the
+// classes): how many backlogged flows the unit holds right now (summed
+// across shards and ports; consistent per shard, not a global cut) and its
+// configured weight. A tier other than the two there are has no units.
+func (e *Engine) TierStats(tier policy.Tier) []TierStat {
+	if tier >= numTiers {
+		return nil
 	}
+	counts := make([]int, e.tierUnits[tier])
+	out := make([]TierStat, len(counts))
 	for si, s := range e.shards {
 		e.run(s, func() {
 			if si == 0 {
-				for u := range weights {
-					if w := s.eg.tierWeights[tier][u]; w > 0 {
-						weights[u] = int(w)
-					}
+				for u := range out {
+					out[u] = TierStat{Unit: u, Weight: max(1, int(s.eg.tierWeights[tier][u]))}
 				}
 			}
 			accumTierFlows(s, tier, counts)
 		})
 	}
-	return counts, weights
-}
-
-// ClassStats returns one entry per scheduling class: how many backlogged
-// flows the class holds right now (summed across shards and ports;
-// consistent per shard, not a global cut) and its configured weight.
-func (e *Engine) ClassStats() []ClassStat {
-	counts, weights := e.tierStats(policy.TierClass)
-	out := make([]ClassStat, len(counts))
-	for c := range out {
-		out[c] = ClassStat{Class: c, ActiveFlows: counts[c], Weight: weights[c]}
-	}
-	return out
-}
-
-// TenantStats returns one entry per scheduling tenant: how many
-// backlogged flows the tenant holds right now (summed across shards and
-// ports; consistent per shard, not a global cut) and its configured
-// weight.
-func (e *Engine) TenantStats() []TenantStat {
-	counts, weights := e.tierStats(policy.TierTenant)
-	out := make([]TenantStat, len(counts))
-	for t := range out {
-		out[t] = TenantStat{Tenant: t, ActiveFlows: counts[t], Weight: weights[t]}
+	for u := range out {
+		out[u].ActiveFlows = counts[u]
 	}
 	return out
 }
@@ -294,19 +278,17 @@ func (e *Engine) TenantStats() []TenantStat {
 // was posted by then; views released on other goroutines included — their
 // release must happen-before the check).
 func (e *Engine) CheckInvariants() error {
-	var enq, deq, pushed uint64
+	var c Counters
 	queued, floating := 0, 0
 	for i, s := range e.shards {
 		var err error
 		e.run(s, func() {
-			err = s.m.CheckInvariants()
-			if err == nil {
+			if err = s.m.CheckInvariants(); err == nil {
 				err = e.checkActiveLocked(s, i)
 			}
-			enq += s.enqSegments
-			deq += s.deqSegments
-			pushed += s.poSegments
-			queued += s.m.QueuedSegments()
+			row := s.read(i)
+			c.add(row.Counters)
+			queued += row.QueuedSegments
 			floating += s.m.Floating()
 		})
 		if err != nil {
@@ -321,9 +303,9 @@ func (e *Engine) CheckInvariants() error {
 		return fmt.Errorf("engine: conservation violated: %d free + %d queued + %d floating + %d lent != %d",
 			free, queued, floating, lent, e.cfg.NumSegments)
 	}
-	if enq != deq+pushed+uint64(queued) {
+	if c.EnqueuedSegments != c.DequeuedSegments+c.PushedOutSegments+uint64(queued) {
 		return fmt.Errorf("engine: segment conservation violated: enqueued %d != dequeued %d + pushed-out %d + resident %d",
-			enq, deq, pushed, queued)
+			c.EnqueuedSegments, c.DequeuedSegments, c.PushedOutSegments, queued)
 	}
 	return nil
 }

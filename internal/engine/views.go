@@ -43,7 +43,6 @@ package engine
 import (
 	"fmt"
 
-	"npqm/internal/policy"
 	"npqm/internal/queue"
 )
 
@@ -209,7 +208,7 @@ func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 	if !e.enter(s) {
 		return Reservation{}, ErrClosed
 	}
-	_, held, err := e.arrive(s, flow, nil, n, &r.w)
+	_, held, err := e.arrive(s, flow, nil, n, &r.w, false)
 	if held {
 		s.unlock()
 	}
@@ -217,38 +216,6 @@ func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 		return Reservation{}, err
 	}
 	return r, nil
-}
-
-// reserveLocked runs admission then the manager reservation, inside s's
-// critical section — enqueueLocked with the payload copy replaced by a
-// checked-out run. No traffic counters move here: the packet counts as
-// enqueued at Commit, and a manager refusal counts as rejected exactly
-// like a refused enqueue.
-func (s *shard) reserveLocked(flow uint32, n int) (queue.PacketWriter, error) {
-	if s.admKind != policy.KindNone && n > 0 {
-		if err := s.admitNeedLocked(flow, segsFor(n)); err != nil {
-			return queue.PacketWriter{}, err
-		}
-	}
-	w, err := s.m.ReservePacket(queue.QueueID(flow), n)
-	if err != nil {
-		s.noteRefused(err)
-	}
-	return w, err
-}
-
-// commitLocked splices a filled reservation inside s's critical section
-// and settles the enqueue-side bookkeeping the reservation deferred.
-func (s *shard) commitLocked(flow uint32, w *queue.PacketWriter) error {
-	segs := w.Segments()
-	if err := w.Commit(); err != nil {
-		return err
-	}
-	s.enqPackets++
-	s.enqSegments += uint64(segs)
-	s.setActive(flow)
-	s.noteEnqueueRes(flow)
-	return nil
 }
 
 // Commit splices the filled run onto the flow's queue — the packet
@@ -260,14 +227,17 @@ func (r *Reservation) Commit() error {
 	if r.e == nil {
 		return queue.ErrWriterDone
 	}
-	if !r.e.enter(r.s) {
+	s := r.s
+	if !r.e.enter(s) {
 		return ErrClosed
 	}
-	err := r.s.commitLocked(r.flow, &r.w)
-	r.s.unlock()
+	segs := r.w.Segments()
+	err := r.w.Commit()
 	if err == nil {
+		s.joined(r.flow, segs, arrived)
 		*r = Reservation{}
 	}
+	s.unlock()
 	return err
 }
 

@@ -120,7 +120,7 @@ type LevelSpec struct {
 	// Weights are the per-unit weights for level WRR (packets per
 	// visit) and DRR (quantum multiplier); entries beyond the slice,
 	// and zero entries, default to 1. Reconfigurable at runtime with
-	// SetClassWeight / SetTenantWeight.
+	// SetTierWeight.
 	Weights []int
 	// QuantumBytes is the DRR byte quantum per weight unit per visit at
 	// this level (0 takes the flow-level QuantumBytes after its own

@@ -102,12 +102,9 @@ type EngineConfig = engine.Config
 // PortStat is one output port's transmit statistics (see PortStats).
 type PortStat = engine.PortStat
 
-// ClassStat is one scheduling class's backlog statistics (see ClassStats).
-type ClassStat = engine.ClassStat
-
-// TenantStat is one scheduling tenant's backlog statistics (see
-// TenantStats).
-type TenantStat = engine.TenantStat
+// TierStat is one tenant's or one class's backlog statistics (see
+// TierStats).
+type TierStat = engine.TierStat
 
 // PortShaper returns a token-bucket shaper configuration: rate is the
 // sustained drain in bytes per second (0 = unshaped), burst the bucket
