@@ -502,28 +502,32 @@ func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
 	var out []Dequeued
 	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], anyPort, view, out, max)
+		out, _ = e.drainShard(e.shards[(start+i)%n], anyPort, view, out, max, unshapedBudget)
 	}
 	return out
 }
 
 // drainShard serves discipline-picked packets from one shard on one port
-// (anyPort = all) until out reaches max or the shard has nothing
-// servable; a closed engine serves nothing. Shared by the pull API
-// (dequeueNextBatch) and the pacers (dequeuePort).
-func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max int) []Dequeued {
+// (anyPort = all) until out reaches max, the packet that uses up room bytes
+// has been served (so room is overdrawn by less than one packet — the
+// shaper's charge-after-send rule) or the shard has nothing servable; a
+// closed engine serves nothing. It returns the room left. Shared by the
+// pull API (dequeueNextBatch, which sets no byte limit) and the pacers
+// (dequeuePort).
+func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max int, room int64) ([]Dequeued, int64) {
 	if !e.enter(s) {
-		return out
+		return out, room
 	}
 	var d Dequeued
-	for len(out) < max && s.dequeuePicked(&d, port, view) {
+	for len(out) < max && room > 0 && s.dequeuePicked(&d, port, view) {
 		if out == nil {
 			out = newBatch(1, max)
 		}
 		out = append(out, d)
+		room -= int64(d.Bytes)
 	}
 	s.unlock()
-	return out
+	return out, room
 }
 
 // batchAlloc bounds the capacity a batch result slice starts with, so a

@@ -13,7 +13,8 @@ package engine
 // A port's entire service — every shard's scheduling unit — runs on its
 // home pacer, so a sink's SendView is never concurrent with itself (the
 // contract the per-port workers provided). The pacer enters shards the
-// way the pull API does, through drainShard, always asking for views: push
+// way the pull API does, through drainShard, always asking for views and,
+// for a shaped port, for no more bytes than its tick's budget: push
 // delivery has one form, and a sink that wants a contiguous buffer copies
 // it out of the view itself, outside every shard lock.
 //
@@ -322,44 +323,37 @@ func (pc *pacer) servePortOnce(pi int32) {
 	if sink == nil {
 		return
 	}
-	shaped := p.sh.enabled()
-	budget := int64(1) << 62
-	var now int64 // read for shaped ports only: an unshaped one is served off the clock
-	if shaped {
-		now = e.clk.now()
-		b, wait := p.sh.budget(now, pacerTick)
-		if b <= 0 {
-			pc.throttle(p, now, wait)
-			return
-		}
-		budget = b
+	now := e.clk.now()
+	budget, wait := p.sh.budget(now, pacerTick)
+	if budget <= 0 {
+		pc.throttle(p, now, wait)
+		return
 	}
-	sent := int64(0)
-	pkts := 0
+	shaped := budget < unshapedBudget
 	// One pool transaction per burst: the engine's references to served
 	// views are dropped per packet as SendView returns, but the chains ride
 	// the accumulator back to the store in bulk.
 	var rel queue.ViewReleaser
 	defer rel.Flush()
-	for pkts < unshapedBatch {
-		max := unshapedBatch - pkts
-		if shaped {
-			// Packet-at-a-time under shaping: the byte budget is checked
-			// between packets, so the bucket overdraws by at most one
-			// packet (the charge-after-send debt that keeps the long-run
-			// rate exact).
-			max = 1
-		}
-		pc.out = e.dequeuePort(p, pc.out[:0], max)
-		if len(pc.out) == 0 {
-			// Nothing servable: declare intent to park, then scan once
-			// more. The scan enters every shard's critical section, so a
-			// producer whose setActive preceded our scan is seen by it,
-			// and one whose setActive follows our scan observes
+	// Each pass asks the shards for the rest of the burst at once — the
+	// packets and the bytes still allowed — so a tick's burst costs one
+	// critical section per shard visited, not one per packet, and overdraws
+	// the bucket by at most the packet that crossed the budget (the
+	// charge-after-send debt that keeps the long-run rate exact).
+	sent, pkts := int64(0), 0
+	for scanned := false; pkts < unshapedBatch && sent < budget; scanned = true {
+		if scanned {
+			// The last pass came back short of both limits: it visited every
+			// shard and left nothing servable. Declare intent to park, then
+			// scan once more. The scan enters every shard's critical
+			// section, so a producer whose setActive preceded our scan is
+			// seen by it, and one whose setActive follows our scan observes
 			// idle=true (the store below happens-before our lock
 			// acquisitions) and re-queues us via notify.
 			p.idle.Store(true)
-			pc.out = e.dequeuePort(p, pc.out[:0], max)
+		}
+		pc.out = e.dequeuePort(p, pc.out[:0], unshapedBatch-pkts, budget-sent)
+		if scanned {
 			if len(pc.out) == 0 {
 				// Idle spells are not pacing jitter: the next departure
 				// starts a fresh gap sequence.
@@ -368,41 +362,46 @@ func (pc *pacer) servePortOnce(pi int32) {
 			}
 			p.idle.Store(false)
 		}
+		accepted := int64(0)
+		var err error
 		for i := range pc.out {
 			d := pc.out[i]
 			pc.out[i] = Dequeued{}
-			err := p.send(*sink, d)
+			if err == nil {
+				err = p.send(*sink, d)
+			}
 			// Drop the engine's reference to the view whether the sink
 			// succeeded or not — an erroring sink that kept the view
-			// retained it first.
+			// retained it first. Once the link has died mid-burst (a
+			// panicking sink is a dead link too) that is all that happens to
+			// the rest of the batch: already dequeued, it is released so
+			// lent segments are not leaked, counts as dequeued but not
+			// transmitted, like frames lost on a failing link, and is not
+			// charged to the bucket.
 			rel.Add(d.View)
 			if err != nil {
-				// The link died mid-burst (a panicking sink is a dead link
-				// too): the rest of the batch — already dequeued — is
-				// released so lent segments are not leaked. Those packets
-				// count as dequeued but not transmitted, like frames lost
-				// on a failing link. The port stops being served
-				// (ServeViews re-arms it).
-				for j := i + 1; j < len(pc.out); j++ {
-					rel.Add(pc.out[j].View)
-					pc.out[j] = Dequeued{}
-				}
-				p.serving.Store(false)
-				return
+				continue
 			}
 			p.txPackets.Add(1)
 			p.txBytes.Add(uint64(d.Bytes))
 			if shaped {
-				p.sh.charge(d.Bytes)
 				now = e.clk.now()
 				p.noteDeparture(now)
 			}
-			sent += int64(d.Bytes)
+			accepted += int64(d.Bytes)
 			pkts++
 		}
-		if shaped && sent >= budget {
-			break
+		if shaped {
+			// Charged per batch, and before the budget is read again below:
+			// a later charge would let the port run once more on credit it
+			// has spent.
+			p.sh.charge(accepted)
 		}
+		if err != nil {
+			p.serving.Store(false) // ServeViews re-arms the port
+			return
+		}
+		sent += accepted
 	}
 	if shaped {
 		if _, wait := p.sh.budget(now, pacerTick); wait > 0 {
@@ -411,7 +410,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 		}
 	}
 	// The burst filled (or the bucket still has credit): more backlog is
-	// likely — stay runnable and let the next empty scan park the port.
+	// likely — stay runnable and let the next short pass park the port.
 	pc.makeRunnable(pi)
 }
 

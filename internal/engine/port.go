@@ -164,24 +164,27 @@ func (e *Engine) Resume(port int) error {
 	return nil
 }
 
-// unshapedBatch is how many packets an unshaped port's service round
-// picks at most — the same burst the pull loops use, so push-mode
-// delivery pays the same per-shard amortization as DequeueNextBatch.
+// unshapedBatch is how many packets a port's service round picks at most
+// — the same burst the pull loops use, so push-mode delivery pays the
+// same per-shard amortization as DequeueNextBatch. A shaped port's round is
+// bounded by its tick's byte budget as well.
 const unshapedBatch = 64
 
-// dequeuePort serves up to max packets from p's scheduling units as
-// views, rotating the starting shard per call, appending to out. It is
-// dequeueNextBatch with the pick restricted to one port, sharing the
-// same per-shard drain (drainShard). Only p's home pacer calls it
-// (shardCursor is pacer-local).
-func (e *Engine) dequeuePort(p *port, out []Dequeued, max int) []Dequeued {
+// dequeuePort serves up to max packets and about room bytes (see
+// drainShard) from p's scheduling units as views, rotating the starting
+// shard per call, appending to out. It is dequeueNextBatch with the pick
+// restricted to one port and a byte allowance, sharing the same per-shard
+// drain: a result short of both limits means every shard was visited and
+// left with nothing for p. Only p's home pacer calls it (shardCursor is
+// pacer-local).
+func (e *Engine) dequeuePort(p *port, out []Dequeued, max int, room int64) []Dequeued {
 	n := len(e.shards)
 	p.shardCursor++
 	// n is a power of two; mask before the int conversion, as
 	// dequeueNextBatch does.
 	start := int(p.shardCursor & uint32(n-1))
-	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], p.idx, true, out, max)
+	for i := 0; i < n && len(out) < max && room > 0; i++ {
+		out, room = e.drainShard(e.shards[(start+i)%n], p.idx, true, out, max, room)
 	}
 	return out
 }

@@ -350,77 +350,95 @@ func TestPacerSixteenShapedPorts(t *testing.T) {
 
 // TestSinkPanicStopsOnlyItsPort: a sink that panics is a sink that failed.
 // Its port stops and can be re-armed, the burst it was handed is settled,
-// nothing stays lent, and the pacer goes on serving its other ports.
+// nothing stays lent, and the pacer goes on serving its other ports. The
+// shaped arms run it with a tick's burst of 31 packets in hand — the batch
+// a shaped port drains at once — and hold the bucket to what the sink
+// accepted.
 func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
-	for _, view := range []bool{false, true} {
-		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
-			e := newStepped(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512, StoreData: true, NumPorts: 2})
-			if err := e.SetFlowPort(1, 1); err != nil {
-				t.Fatal(err)
+	const pktBytes = 3 * queue.SegmentBytes
+	for _, shaped := range []bool{false, true} {
+		for _, view := range []bool{false, true} {
+			name, backlog, rate := fmt.Sprintf("view=%v", view), 10, policy.ShaperConfig{}
+			if shaped {
+				// 4096 + 2000 bytes of credit at the first instant: the whole
+				// 31-packet backlog (5952 bytes) is one burst.
+				name, backlog, rate = "shaped,"+name, 31, policy.ShaperConfig{RateBytesPerSec: 2_000_000, BurstBytes: 4096}
 			}
-			pkt := make([]byte, 3*queue.SegmentBytes)
-			enqueue := func(n int) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					for f := uint32(0); f < 2; f++ {
-						if _, err := e.EnqueuePacket(f, pkt); err != nil {
-							t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				e := newStepped(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512, StoreData: true, NumPorts: 2, PortRate: rate})
+				if err := e.SetFlowPort(1, 1); err != nil {
+					t.Fatal(err)
+				}
+				pkt := make([]byte, pktBytes)
+				enqueue := func(n int) {
+					t.Helper()
+					for i := 0; i < n; i++ {
+						for f := uint32(0); f < 2; f++ {
+							if _, err := e.EnqueuePacket(f, pkt); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
 				}
-			}
-			enqueue(10)
-			var got [2]int
-			if err := serveAs(e.Engine, 0, view, func(Dequeued) error {
-				if got[0]++; got[0] == 3 {
-					panic("sink bug")
+				enqueue(backlog)
+				var got [2]int
+				if err := serveAs(e.Engine, 0, view, func(Dequeued) error {
+					if got[0]++; got[0] == 3 {
+						panic("sink bug")
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := serveAs(e.Engine, 1, view, func(Dequeued) error { got[1]++; return nil }); err != nil {
-				t.Fatal(err)
-			}
-			e.settle()
-			pst := e.PortStats()
-			if pst[0].SinkPanics != 1 || pst[0].Serving || pst[0].TransmittedPackets != 2 {
-				t.Fatalf("panicked port: %+v, want 1 panic, stopped after 2 transmissions", pst[0])
-			}
-			if pst[1].SinkPanics != 0 || !pst[1].Serving || got[1] != 10 {
-				t.Fatalf("sibling port delivered %d of 10: %+v", got[1], pst[1])
-			}
-			// The whole picked burst is gone from the queues: two sent, one
-			// lost in the panic, seven discarded.
-			if st := e.Stats(); st.DequeuedPackets != 20 || st.LentSegments != 0 {
-				t.Fatalf("after the panic: %d dequeued, %d segments lent, want 20 and 0", st.DequeuedPackets, st.LentSegments)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			// Both ports take traffic again, the stopped one once re-armed.
-			enqueue(4)
-			e.settle()
-			if got != [2]int{3, 14} {
-				t.Fatalf("deliveries %v before the re-arm, want [3 14]", got)
-			}
-			if err := serveAs(e.Engine, 0, view, func(Dequeued) error { got[0]++; return nil }); err != nil {
-				t.Fatalf("re-arm after the panic: %v", err)
-			}
-			e.settle()
-			if got != [2]int{7, 14} {
-				t.Fatalf("deliveries %v after the re-arm, want [7 14]", got)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if n := e.LentSegments(); n != 0 || e.FreeSegments() != 512 {
-				t.Fatalf("%d segments lent, %d free of 512 after the drain", n, e.FreeSegments())
-			}
-		})
+				if err := serveAs(e.Engine, 1, view, func(Dequeued) error { got[1]++; return nil }); err != nil {
+					t.Fatal(err)
+				}
+				e.settle()
+				pst := e.PortStats()
+				if pst[0].SinkPanics != 1 || pst[0].Serving || pst[0].TransmittedPackets != 2 {
+					t.Fatalf("panicked port: %+v, want 1 panic, stopped after 2 transmissions", pst[0])
+				}
+				if pst[1].SinkPanics != 0 || !pst[1].Serving || got[1] != backlog {
+					t.Fatalf("sibling port delivered %d of %d: %+v", got[1], backlog, pst[1])
+				}
+				// The bucket paid for the two packets the sink accepted, not
+				// for the one it died on or the rest of the burst.
+				if want := rate.BurstBytes - 2*pktBytes; shaped && pst[0].ShaperTokens != want {
+					t.Fatalf("panicked port's bucket holds %d bytes, want %d", pst[0].ShaperTokens, want)
+				}
+				// The whole picked burst is gone from the queues: two sent, one
+				// lost in the panic, the rest discarded.
+				if st := e.Stats(); st.DequeuedPackets != uint64(2*backlog) || st.LentSegments != 0 {
+					t.Fatalf("after the panic: %d dequeued, %d segments lent, want %d and 0", st.DequeuedPackets, st.LentSegments, 2*backlog)
+				}
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				// Both ports take traffic again, the stopped one once re-armed
+				// (two ticks: a shaped sibling is in debt for its burst).
+				enqueue(4)
+				e.tick(2)
+				if got != [2]int{3, backlog + 4} {
+					t.Fatalf("deliveries %v before the re-arm, want [3 %d]", got, backlog+4)
+				}
+				if err := serveAs(e.Engine, 0, view, func(Dequeued) error { got[0]++; return nil }); err != nil {
+					t.Fatalf("re-arm after the panic: %v", err)
+				}
+				e.settle()
+				if got != [2]int{7, backlog + 4} {
+					t.Fatalf("deliveries %v after the re-arm, want [7 %d]", got, backlog+4)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if n := e.LentSegments(); n != 0 || e.FreeSegments() != 512 {
+					t.Fatalf("%d segments lent, %d free of 512 after the drain", n, e.FreeSegments())
+				}
+			})
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ package engine
 //
 // The bucket is shared between its port's pacer (the hot reader) and
 // the control plane (SetPortRate, PortStats), so it carries its own
-// mutex; the pacer takes it once per packet, far off the per-segment
+// mutex; the pacer takes it per service round (budget before the burst and
+// after it) and per drained batch (one charge), far off the per-packet
 // paths.
 
 import (
@@ -20,6 +21,10 @@ import (
 
 	"npqm/internal/policy"
 )
+
+// unshapedBudget is the byte budget of a port that is not shaped, and the
+// allowance of a pull: large enough never to bind.
+const unshapedBudget = int64(1) << 62
 
 type shaper struct {
 	mu     sync.Mutex
@@ -46,14 +51,6 @@ func (sh *shaper) configure(cfg policy.ShaperConfig, now int64) {
 	sh.tokens = cfg.BurstBytes
 	sh.last = now
 	sh.mu.Unlock()
-}
-
-// enabled reports whether the shaper currently paces at all.
-func (sh *shaper) enabled() bool {
-	sh.mu.Lock()
-	on := sh.rate > 0
-	sh.mu.Unlock()
-	return on
 }
 
 // tokensFor converts an elapsed interval (ns) to earned bytes. Exact integer
@@ -90,13 +87,13 @@ func (sh *shaper) refillLocked(now int64) {
 // transmit between now and now+horizon (current credit plus the credit
 // the coming horizon will earn). When the answer is not positive, wait
 // is the ns until it becomes so — the pacer parks the port on its
-// wheel for that long. Unshaped buckets report an effectively unlimited
-// budget.
+// wheel for that long. An unshaped bucket reports unshapedBudget, which no
+// shaped one reaches.
 func (sh *shaper) budget(now, horizon int64) (bytes, wait int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.rate <= 0 {
-		return 1 << 62, 0
+		return unshapedBudget, 0
 	}
 	sh.refillLocked(now)
 	b := sh.tokens + tokensFor(horizon, sh.rate)
@@ -106,15 +103,15 @@ func (sh *shaper) budget(now, horizon int64) (bytes, wait int64) {
 	return b, max((-b+1)*second/sh.rate, 1)
 }
 
-// charge debits a transmitted packet's bytes (the bucket may go
-// negative). No-op when unshaped.
-func (sh *shaper) charge(n int) {
+// charge debits transmitted bytes (the bucket may go negative). No-op
+// when unshaped.
+func (sh *shaper) charge(n int64) {
 	if n <= 0 {
 		return
 	}
 	sh.mu.Lock()
 	if sh.rate > 0 {
-		sh.tokens -= int64(n)
+		sh.tokens -= n
 	}
 	sh.mu.Unlock()
 }

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"npqm/internal/policy"
 	"npqm/internal/traffic"
 )
 
@@ -189,5 +193,50 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 	}
 	if got := e.Stats().CoalescedWakes; got == 0 {
 		t.Error("kick storm produced no coalesced wakes — the burst never overflowed the wake channel")
+	}
+
+	// The parking protocol itself: a pass that comes back short is the first
+	// parking scan, and only the idle flag and one confirming scan stand
+	// between it and a parked port. The producer spins on the delivery count
+	// and answers every delivery with one more single-packet flow on a
+	// random shard, so arrivals land while the port is between its short
+	// pass and its confirming scan — seen by that scan or announced by
+	// notify, whichever side of it they fall. One stranded packet ends the
+	// chain and the test.
+	for _, rate := range []int64{0, 20_000_000} {
+		t.Run(fmt.Sprintf("parking/rate=%d", rate), func(t *testing.T) {
+			const flows, chain = 64, 20000
+			e, err := New(Config{
+				Shards: 4, NumFlows: flows, NumSegments: 512, StoreData: true,
+				PortRate: policy.ShaperConfig{RateBytesPerSec: rate},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var tx atomic.Uint64
+			if err := e.ServeViews(0, SinkVFunc(func(_ int, d Dequeued) error {
+				tx.Add(1)
+				return nil
+			})); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			deadline := time.Now().Add(20 * time.Second)
+			for sent, spins := uint64(0), 0; sent < chain; {
+				if tx.Load() < sent { // packet sent-1 has not left yet
+					if spins++; spins%4096 == 0 && time.Now().After(deadline) {
+						t.Fatalf("stranded: packet %d of %d never left", sent, chain)
+					}
+					runtime.Gosched()
+					continue
+				}
+				if _, err := e.EnqueuePacket(uint32(rng.Intn(flows)), []byte("solo")); err != nil {
+					t.Fatal(err)
+				}
+				sent++
+			}
+			waitUntil(t, 20*time.Second, "the last packet of the chain", func() bool { return tx.Load() == chain })
+		})
 	}
 }

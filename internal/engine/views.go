@@ -255,5 +255,6 @@ func (r *Reservation) Abort() error {
 }
 
 // LentSegments returns the pool-wide lent population: segments checked
-// out in packet views and open reservations right now.
+// out in packet views and open reservations, as of each shard's last
+// critical section (segstore.Source.Lend has the contract).
 func (e *Engine) LentSegments() int { return e.store.Lent() }

@@ -349,7 +349,8 @@ func (w *PacketWriter) Abort() error {
 }
 
 // LentSegments returns the pool-wide lent population: segments checked out
-// in views or open reservations.
+// in views or open reservations. Owner context: this manager's own lending
+// is counted (segstore.Source.Lend has the contract).
 func (m *Manager) LentSegments() int { return m.src.Lent() }
 
 // FillRuns returns how many address-contiguous runs the packets enqueued so

@@ -18,6 +18,11 @@ type Cache struct {
 	st  *Store
 	mag [2]magazine // [0] is the active magazine
 
+	// lent is what this owner has lent (or, negative, taken back) since its
+	// last Publish: a plain word settled into Store.lentSegs once per
+	// critical section, beside the free-count mirror and for the same reason.
+	lent int32
+
 	_ [cachePad]byte // owner-hot words above; cross-thread mirror below
 
 	// count mirrors mag[0].n + mag[1].n for lock-free readers. Invariant:
@@ -81,15 +86,20 @@ func (c *Cache) Cached() int { return int(c.count.Load()) }
 // Shared reports that other caches draw from the same pool.
 func (c *Cache) Shared() bool { return true }
 
-// Lend adjusts the shared pool's lent population (owner context).
-func (c *Cache) Lend(n int32) { c.st.Lend(n) }
+// Lend adjusts the shared pool's lent population (owner context); Publish
+// settles it.
+func (c *Cache) Lend(n int32) { c.lent += n }
 
 // ReturnLent hands a lent chain straight to the shared depot — safe from
 // any goroutine, bypassing this single-owner cache entirely.
 func (c *Cache) ReturnLent(head, tail, n int32) { c.st.ReturnLent(head, tail, n) }
 
-// Lent returns the pool-wide lent population.
-func (c *Cache) Lent() int { return c.st.Lent() }
+// Lent returns the pool-wide lent population, this owner's own lending
+// settled first (owner context, like FreeSegments).
+func (c *Cache) Lent() int {
+	c.Publish()
+	return c.st.Lent()
+}
 
 // Alloc takes one segment from the active magazine, swapping in the spare
 // or pulling a fresh magazine from the depot (one CAS) when it runs dry.
@@ -202,15 +212,20 @@ func (c *Cache) FreeN(head, tail, n int32) {
 	}
 }
 
-// Publish refreshes the cache's lock-free population mirror. The owner
-// calls it when it leaves a critical section (see count), so pool-wide
-// occupancy reads by other owners are exact at section granularity while
-// queue operations and the per-segment path stay free of atomics. A mirror
-// that is already exact is left alone: the store is a full barrier, and a
-// section that allocated and freed nothing pays one load instead.
+// Publish refreshes the cache's lock-free population mirror and settles its
+// lent delta. The owner calls it when it leaves a critical section (see
+// count), so pool-wide occupancy reads by other owners are exact at section
+// granularity while queue operations and the per-segment path stay free of
+// atomics. A mirror that is already exact is left alone: the store is a full
+// barrier, and a section that allocated, freed and lent nothing pays one
+// load instead.
 func (c *Cache) Publish() {
 	if n := c.mag[0].n + c.mag[1].n; c.count.Load() != n {
 		c.count.Store(n)
+	}
+	if c.lent != 0 {
+		c.st.lentSegs.Add(int64(c.lent))
+		c.lent = 0
 	}
 }
 

@@ -108,7 +108,11 @@ type Source interface {
 	// zero-copy view or reservation, a negative delta takes them back onto
 	// the owner's books (a writer committing its reserved run). Owner
 	// context only, like Alloc — the lent chains themselves are handed back
-	// through ReturnLent.
+	// through ReturnLent. A shared source settles its lending into the pool's
+	// count once per critical section (Cache.Publish), so: the owner's own
+	// Lent settles first and is always exact; a cross-thread Store.Lent is
+	// exact whenever owners are outside critical sections; and it is never
+	// negative as long as every ReturnLent follows the section that lent.
 	Lend(n int32)
 	// ReturnLent returns a lent chain of n segments (head→…→tail through
 	// View.Next; Next[tail] is overwritten) to free storage and debits the
@@ -278,13 +282,9 @@ func (st *Store) depotCount() int { return int(uint32(st.depotFree.Load())) }
 func (st *Store) depotAdd(delta int32) { st.depotFree.Add(1<<32 + uint64(int64(delta))) }
 
 // Lent returns the pool-wide lent population (segments checked out as
-// zero-copy views or in-flight write reservations).
+// zero-copy views or in-flight write reservations), as of each owner's last
+// Publish (see Source.Lend).
 func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
-
-// Lend adjusts the lent population by delta segments. Callers move
-// segments onto the lent books when a view or reservation checks a chain
-// out, and off them when a writer commits its run back into a queue.
-func (st *Store) Lend(n int32) { st.lentSegs.Add(int64(n)) }
 
 // ReturnLent returns a lent chain to the depot as one magazine and debits
 // the lent population. Safe from any goroutine: the single publishing CAS

@@ -85,6 +85,33 @@ func TestCacheDrainsWholePool(t *testing.T) {
 	}
 }
 
+// TestLentSettlesAtPublish is the Source.Lend contract for a shared
+// source: lending is the owner's plain delta until Publish adds it to the
+// pool's count once; the owner's own Lent settles first; another cache's
+// read and Store.Lent see it from the Publish on.
+func TestLentSettlesAtPublish(t *testing.T) {
+	st, err := New(Config{NumSegments: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := st.NewCache(), st.NewCache()
+	a.Lend(3)
+	a.Lend(2)
+	if st.Lent() != 0 || b.Lent() != 0 {
+		t.Fatalf("Store.Lent = %d, the other owner reads %d inside the lender's section, want 0", st.Lent(), b.Lent())
+	}
+	if a.Lent() != 5 || st.Lent() != 5 {
+		t.Fatalf("owner reads %d lent, store %d after it, want 5", a.Lent(), st.Lent())
+	}
+	a.Lend(-5) // a commit takes a reserved run back ...
+	b.Lend(4)  // ... while another owner lends
+	a.Publish()
+	b.Publish()
+	if st.Lent() != 4 {
+		t.Fatalf("Store.Lent = %d with both sections over, want 4", st.Lent())
+	}
+}
+
 func TestFlushMakesSegmentsReachable(t *testing.T) {
 	st, err := New(Config{NumSegments: 256})
 	if err != nil {
