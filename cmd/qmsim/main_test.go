@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -64,8 +66,16 @@ func TestEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {
-			if got := firstRow(t, tc.args)["offered"]; got != tc.offered {
+			row := firstRow(t, tc.args)
+			if got := row["offered"]; got != tc.offered {
 				t.Errorf("offered = %q, want %s", got, tc.offered)
+			}
+			// Fragmentation reads off the row: between one run per packet
+			// and one per segment (pkt_bytes is the mix's mean size).
+			runs, err1 := strconv.ParseFloat(row["runs_per_pkt"], 64)
+			pkt, err2 := strconv.ParseFloat(row["pkt_bytes"], 64)
+			if segs := math.Ceil(pkt / 64); err1 != nil || err2 != nil || runs < 1 || runs > segs {
+				t.Errorf("runs_per_pkt = %q, want a number in [1, %v]", row["runs_per_pkt"], segs)
 			}
 		})
 	}

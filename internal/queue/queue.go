@@ -24,6 +24,8 @@
 // Length, EOP flag and a run length share one 16-bit word per segment (see
 // the word* constants): every chain is a list of address-contiguous runs, so
 // the packet operations step run by run (hop) instead of segment by segment.
+// A shared store (segstore.Cache) hands a freed packet chain back whole to
+// the next packet of its size, so those runs outlive the packet.
 package queue
 
 import (
@@ -51,7 +53,7 @@ const nilSeg = int32(-1)
 // written as fullWord and never read by a packet walk. Only the run's last
 // segment has a length, an EOP flag and a link of its own. Runs are recorded
 // when a packet's chain is built (buildChain) and only ever split
-// (splitHead), never merged.
+// (splitHead), never merged; a chain reused whole keeps them.
 const (
 	wordLen  = 0x007f // payload length, 0..SegmentBytes
 	wordEOP  = 0x0080 // end-of-packet marker

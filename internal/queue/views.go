@@ -34,6 +34,8 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
+
+	"npqm/internal/segstore"
 )
 
 // PacketView is a dequeued packet still living in the slab: a lent chain of
@@ -126,13 +128,14 @@ func (v PacketView) Retain() {
 }
 
 // Release drops a reference; the final one scrubs the chain and returns it
-// to the store in one bulk operation. Safe from any goroutine. Releasing
-// more times than Retain+1 panics — a double release means some consumer
-// may still be reading segments that are back in the free pool, the
-// use-after-free this accounting exists to catch. (Like sync.WaitGroup,
-// the panic is best-effort: it detects the imbalance while the refcount
-// slot has not been recycled by a later packet chain headed at the same
-// segment.)
+// to the store in one bulk operation — one whole chain, which a shared
+// store keeps whole for the next packet of its size. Safe from any
+// goroutine. Releasing more times than Retain+1 panics — a double release
+// means some consumer may still be reading segments that are back in the
+// free pool, the use-after-free this accounting exists to catch. (Like
+// sync.WaitGroup, the panic is best-effort: it detects the imbalance while
+// the refcount slot has not been recycled by a later packet chain headed
+// at the same segment.)
 func (v PacketView) Release() {
 	m := v.m
 	n := atomic.AddInt32(&m.refs[v.head], -1)
@@ -152,14 +155,17 @@ func (v PacketView) Release() {
 // loop) releases each packet into the accumulator and flushes once: the
 // scrub still happens per packet, but the depot push — the one CAS the
 // cross-goroutine return path costs — and the lent-counter update are paid
-// once per batch. The zero value is ready to use. Like a single Release,
-// an accumulator is one goroutine's tool; the flush itself is safe from
-// any goroutine under the same shared-store condition as Release.
+// once per batch. A batch of same-size chains goes back with that size as
+// its grain, so a shared store hands them out whole again; a mixed batch
+// has none. The zero value is ready to use. Like a single Release, an
+// accumulator is one goroutine's tool; the flush itself is safe from any
+// goroutine under the same shared-store condition as Release.
 type ViewReleaser struct {
-	m    *Manager
-	head int32
-	tail int32
-	n    int32
+	m     *Manager
+	head  int32
+	tail  int32
+	n     int32
+	grain int32 // segments per chain while all are the same size, else 0
 }
 
 // Add releases one view into the accumulator. Views whose reference count
@@ -183,9 +189,12 @@ func (r *ViewReleaser) Add(v PacketView) {
 		r.m = m
 	}
 	if r.n == 0 {
-		r.head = v.head
+		r.head, r.grain = v.head, v.segs
 	} else {
 		m.next[r.tail] = v.head
+		if r.grain != v.segs {
+			r.grain = 0
+		}
 	}
 	r.tail = v.end
 	r.n += v.segs
@@ -195,8 +204,20 @@ func (r *ViewReleaser) Add(v PacketView) {
 // reusable afterwards.
 func (r *ViewReleaser) Flush() {
 	if r.n > 0 {
-		r.m.src.ReturnLent(r.head, r.tail, r.n)
+		r.m.returnLent(r.head, r.tail, r.n, r.grain)
 		r.n = 0
+	}
+}
+
+// returnLent hands the store a lent batch of n segments made of whole
+// grain-segment chains (grain 0: mixed sizes). Only a shared store keeps
+// chains by size; a private pool takes the batch as one chain. Kept out of
+// Flush so that Flush, deferred once per pacer burst, still inlines.
+func (m *Manager) returnLent(head, tail, n, grain int32) {
+	if c, ok := m.src.(*segstore.Cache); ok {
+		c.ReturnLentChains(head, tail, n, grain)
+	} else {
+		m.src.ReturnLent(head, tail, n)
 	}
 }
 
@@ -334,9 +355,9 @@ func (w *PacketWriter) Commit() error {
 }
 
 // Abort scrubs the reserved run and hands it back to the store in one bulk
-// return without ever touching the queue. Safe from any goroutine, like a
-// view release — a producer that reserved, failed its read, and aborts
-// does not need the owner context. The writer becomes terminal.
+// return, whole, without ever touching the queue. Safe from any goroutine,
+// like a view release — a producer that reserved, failed its read, and
+// aborts does not need the owner context. The writer becomes terminal.
 func (w *PacketWriter) Abort() error {
 	m := w.m
 	if m == nil {

@@ -1,6 +1,9 @@
 package segstore
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // cachePad separates the owner-hot magazine words from the cross-thread
 // count mirror, and both from neighbouring heap objects (small allocations
@@ -8,31 +11,42 @@ import "sync/atomic"
 // prefetcher pair; layout_test.go pins the distances.
 const cachePad = 128
 
-// Cache is a per-owner allocation front end over a shared Store: two
+// MaxGrain is the longest chain a Cache keeps whole: a FreeN of g segments,
+// 2 ≤ g ≤ MaxGrain, goes to bin g, and the next AllocN of g segments takes
+// it back in one piece. An MTU packet is 24 segments.
+const MaxGrain = 32
+
+// Cache is a per-owner allocation front end over a shared Store: two general
 // magazines (an active one and a spare) refilled from and flushed to the
-// depot a whole magazine at a time. A Cache is single-owner — the engine
-// guards each shard's cache with the shard lock — so magazine manipulation
-// is plain field access; only the population mirror is atomic, for
-// Store.Free aggregation by other threads.
+// depot a whole magazine at a time, and one bin per chain size. A Cache is
+// single-owner — the engine guards each shard's cache with the shard lock —
+// so magazine manipulation is plain field access; only the population
+// mirror is atomic, for Store.Free aggregation by other threads.
 type Cache struct {
 	st  *Store
 	mag [2]magazine // [0] is the active magazine
 
+	binned int32 // segments across bins
 	// lent is what this owner has lent (or, negative, taken back) since its
 	// last Publish: a plain word settled into Store.lentSegs once per
 	// critical section, beside the free-count mirror and for the same reason.
 	lent int32
+	mask uint64 // bit g set iff bins[g] holds chains
+
+	// bins[g] holds whole g-segment chains back to back, one list through
+	// View.Next, for 2 ≤ g ≤ MaxGrain; bins[0] and bins[1] stay empty.
+	bins [MaxGrain + 1]magazine
 
 	_ [cachePad]byte // owner-hot words above; cross-thread mirror below
 
-	// count mirrors mag[0].n + mag[1].n for lock-free readers. Invariant:
-	// it is exact whenever the owner is outside a critical section. The
-	// owner refreshes it with Publish — once at the end of each critical
-	// section, not per queue operation or per segment — before any
-	// pool-wide read it makes itself inside one (FreeSegments), and at
-	// magazine transfers to the depot (so a segment is never counted in a
-	// cache and the depot at once). Inside a section other owners see the
-	// value the section started with, give or take whole magazines.
+	// count mirrors the magazines' and bins' population for lock-free
+	// readers. Invariant: it is exact whenever the owner is outside a
+	// critical section. The owner refreshes it with Publish — once at the end
+	// of each critical section, not per queue operation or per segment —
+	// before any pool-wide read it makes itself inside one (FreeSegments),
+	// and at magazine transfers to the depot (so a segment is never counted
+	// in a cache and the depot at once). Inside a section other owners see
+	// the value the section started with, give or take whole magazines.
 	count atomic.Int32
 
 	_ [cachePad]byte // keep the next heap neighbour off the mirror's line
@@ -43,10 +57,22 @@ type magazine struct {
 	n    int32
 }
 
+// grainOf is the bin and depot stack a chain of n segments belongs to: n
+// itself for 2 ≤ n ≤ MaxGrain, else 0, the general magazines.
+func grainOf(n int32) int32 {
+	if n >= 2 && n <= MaxGrain {
+		return n
+	}
+	return 0
+}
+
 // NewCache registers and returns a new cache on the store.
 func (st *Store) NewCache() *Cache {
 	c := &Cache{st: st}
 	c.mag[0].head, c.mag[1].head = nilSeg, nilSeg
+	for g := range c.bins {
+		c.bins[g].head = nilSeg
+	}
 	st.mu.Lock()
 	old := *st.caches.Load()
 	list := make([]*Cache, len(old)+1)
@@ -72,12 +98,13 @@ func (c *Cache) FreeSegments() int {
 	return c.st.Free()
 }
 
+// held is the owner's exact population: magazines plus bins.
+func (c *Cache) held() int32 { return c.mag[0].n + c.mag[1].n + c.binned }
+
 // Avail returns the segments this owner can actually allocate right now:
-// its own magazines plus the depot. Segments cached by other owners are
-// free pool-wide but unreachable until those owners flush.
-func (c *Cache) Avail() int {
-	return int(c.mag[0].n+c.mag[1].n) + c.st.depotCount()
-}
+// its own magazines and bins plus the depot. Segments cached by other
+// owners are free pool-wide but unreachable until those owners flush.
+func (c *Cache) Avail() int { return int(c.held()) + c.st.depotCount() }
 
 // Cached returns this cache's published population — the free segments
 // other owners cannot reach until Flush. Lock-free, safe from any goroutine.
@@ -94,6 +121,12 @@ func (c *Cache) Lend(n int32) { c.lent += n }
 // any goroutine, bypassing this single-owner cache entirely.
 func (c *Cache) ReturnLent(head, tail, n int32) { c.st.ReturnLent(head, tail, n) }
 
+// ReturnLentChains is ReturnLent for a batch of whole grain-segment chains
+// (see Store.ReturnLentChains). Safe from any goroutine.
+func (c *Cache) ReturnLentChains(head, tail, n, grain int32) {
+	c.st.ReturnLentChains(head, tail, n, grain)
+}
+
 // Lent returns the pool-wide lent population, this owner's own lending
 // settled first (owner context, like FreeSegments).
 func (c *Cache) Lent() int {
@@ -101,21 +134,13 @@ func (c *Cache) Lent() int {
 	return c.st.Lent()
 }
 
-// Alloc takes one segment from the active magazine, swapping in the spare
-// or pulling a fresh magazine from the depot (one CAS) when it runs dry.
+// Alloc takes one segment from the active general magazine, refilling it
+// when it runs dry.
 func (c *Cache) Alloc() (int32, bool) {
-	m := &c.mag[0]
-	if m.n == 0 {
-		if c.mag[1].n > 0 {
-			c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
-		} else {
-			head, n, ok := c.st.popMagazine()
-			if !ok {
-				return 0, false
-			}
-			m.head, m.n = head, n
-		}
+	if c.mag[0].n == 0 && !c.refill() {
+		return 0, false
 	}
+	m := &c.mag[0]
 	s := m.head
 	m.head = c.st.view.Next[s]
 	m.n--
@@ -123,41 +148,90 @@ func (c *Cache) Alloc() (int32, bool) {
 }
 
 // AllocN fills dst with segments and returns how many it delivered — short
-// only when the cache and depot together run dry. Runs are carved a whole
-// magazine at a time: the inner loop walks the magazine chain with plain
-// pointer reads, so a multi-segment packet costs one AllocN instead of one
-// Alloc (function call, dryness check) per segment, and at most one depot
-// CAS per magazine crossed.
+// only when the cache and depot together run dry. A run of 2…MaxGrain
+// segments is first one whole chain off the front of its bin, refilled from
+// the depot's stack of that grain, so a packet freed in one run is
+// allocated in one run. Other runs are carved from the general magazines a
+// magazine at a time: the inner loop walks the chain with plain pointer
+// reads, and at most one depot CAS is paid per magazine crossed.
 func (c *Cache) AllocN(dst []int32) int {
-	next := c.st.view.Next
-	got := 0
-	for got < len(dst) {
-		m := &c.mag[0]
-		if m.n == 0 {
-			if c.mag[1].n > 0 {
-				c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
-			} else {
-				head, n, ok := c.st.popMagazine()
-				if !ok {
-					return got
-				}
-				m.head, m.n = head, n
-			}
+	n := int32(len(dst))
+	g := grainOf(n)
+	if g != 0 && (c.bins[g].n > 0 || c.fillBin(g)) {
+		b := &c.bins[g]
+		b.head = c.walk(dst, b.head)
+		b.n -= g
+		c.binned -= g
+		if b.n == 0 {
+			c.mask &^= 1 << g
 		}
-		take := int32(len(dst) - got)
-		if take > m.n {
-			take = m.n
-		}
-		s := m.head
-		for i := int32(0); i < take; i++ {
-			dst[got] = s
-			got++
-			s = next[s]
-		}
-		m.head = s
-		m.n -= take
+		return len(dst)
 	}
-	return got
+	got := int32(0)
+	for got < n {
+		if c.mag[0].n == 0 && !c.refill() {
+			break
+		}
+		m := &c.mag[0]
+		take := min(n-got, m.n)
+		m.head = c.walk(dst[got:got+take], m.head)
+		m.n -= take
+		got += take
+	}
+	return int(got)
+}
+
+// walk fills dst with the chain from s on and returns the segment after it.
+func (c *Cache) walk(dst []int32, s int32) int32 {
+	next := c.st.view.Next
+	for i := range dst {
+		dst[i] = s
+		s = next[s]
+	}
+	return s
+}
+
+// fillBin refills the empty bin g with a magazine of grain g from the depot.
+func (c *Cache) fillBin(g int32) bool {
+	if c.st.grains.Load()&(1<<g) == 0 {
+		return false
+	}
+	head, n, ok := c.st.popMagazine(g)
+	if !ok {
+		c.st.clearGrain(g)
+		return false
+	}
+	c.bins[g] = magazine{head, n}
+	c.binned += n
+	c.mask |= 1 << g
+	return true
+}
+
+// refill makes the empty active magazine non-empty: it swaps in the spare or
+// pulls a general magazine from the depot (one CAS). Only when both are dry
+// does it break whole chains: this cache's largest bin becomes the active
+// magazine, or else a magazine of any grain from the depot. False means the
+// cache and the depot hold nothing at all.
+func (c *Cache) refill() bool {
+	if c.mag[1].n > 0 {
+		c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
+		return true
+	}
+	head, n, ok := c.st.popMagazine(0)
+	if !ok && c.mask != 0 {
+		g := int32(bits.Len64(c.mask) - 1)
+		head, n, ok = c.bins[g].head, c.bins[g].n, true
+		c.bins[g] = magazine{head: nilSeg}
+		c.binned -= n
+		c.mask &^= 1 << g
+	}
+	if !ok {
+		head, n, ok = c.st.popGrained()
+	}
+	if ok {
+		c.mag[0] = magazine{head, n}
+	}
+	return ok
 }
 
 // Free returns one segment to the active magazine. When both magazines are
@@ -168,8 +242,8 @@ func (c *Cache) Free(s int32) {
 		if c.mag[1].n >= c.st.magSize {
 			spare := c.mag[1]
 			c.mag[1] = magazine{head: nilSeg}
-			c.count.Store(c.mag[0].n)
-			c.st.pushMagazine(spare.head, spare.n)
+			c.count.Store(c.held())
+			c.st.pushMagazine(spare.head, spare.n, 0)
 		}
 		c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
 	}
@@ -180,35 +254,44 @@ func (c *Cache) Free(s int32) {
 }
 
 // FreeN splices a pre-linked chain of n segments (head→…→tail through
-// View.Next; Next[tail] is overwritten) onto the active magazine in O(1),
-// the bulk analogue of Free. The active magazine is allowed to grow past the
-// nominal magazine size; once it holds two magazines' worth, nominal-size
-// magazines are carved off its front and pushed to the depot — one chain
-// walk and one CAS per magazine of frees, and a steady alloc-run/free-run
-// cycle (the datapath's dequeue feeding the next enqueue) never touches the
-// depot at all.
+// View.Next; Next[tail] is overwritten) in O(1), the bulk analogue of Free:
+// onto bin n when n is a grain, else onto the active magazine. Either may
+// grow past a nominal magazine; once it holds two magazines' worth, whole
+// magazines (of whole chains, for a bin) are carved off its front and
+// pushed to the depot — one chain walk and one CAS per magazine of frees,
+// and a steady alloc-run/free-run cycle (the datapath's dequeue feeding the
+// next enqueue) never touches the depot at all.
 func (c *Cache) FreeN(head, tail, n int32) {
 	if n <= 0 {
 		return
 	}
 	next := c.st.view.Next
+	g := grainOf(n)
 	m := &c.mag[0]
+	if g != 0 {
+		m = &c.bins[g]
+		c.binned += n
+		c.mask |= 1 << g
+	}
 	next[tail] = m.head
 	m.head = head
 	m.n += n
-	for m.n >= 2*c.st.magSize {
+	for per := c.st.magSegs[g]; m.n >= 2*per; {
 		s := m.head
-		for i := int32(1); i < c.st.magSize; i++ {
+		for i := int32(1); i < per; i++ {
 			s = next[s]
 		}
 		h := m.head
 		m.head = next[s]
 		next[s] = nilSeg
-		m.n -= c.st.magSize
+		m.n -= per
+		if g != 0 {
+			c.binned -= per
+		}
 		// Publish the shrunken population before the push so the departing
 		// magazine is never counted in the cache and the depot at once.
-		c.count.Store(m.n + c.mag[1].n)
-		c.st.pushMagazine(h, c.st.magSize)
+		c.count.Store(c.held())
+		c.st.pushMagazine(h, per, g)
 	}
 }
 
@@ -220,7 +303,7 @@ func (c *Cache) FreeN(head, tail, n int32) {
 // barrier, and a section that allocated, freed and lent nothing pays one
 // load instead.
 func (c *Cache) Publish() {
-	if n := c.mag[0].n + c.mag[1].n; c.count.Load() != n {
+	if n := c.held(); c.count.Load() != n {
 		c.count.Store(n)
 	}
 	if c.lent != 0 {
@@ -229,48 +312,30 @@ func (c *Cache) Publish() {
 	}
 }
 
-// Flush pushes both magazines (full or partial) back to the depot so other
-// owners can allocate them — used after push-out eviction frees segments on
-// a different shard than the arrival that needs them.
+// Flush pushes both magazines (full or partial) and every bin, each to its
+// grain's stack, back to the depot so other owners can allocate them — used
+// after push-out eviction frees segments on a different shard than the
+// arrival that needs them.
 func (c *Cache) Flush() {
-	mags := c.mag
-	c.mag[0] = magazine{head: nilSeg}
-	c.mag[1] = magazine{head: nilSeg}
 	c.count.Store(0)
-	for _, m := range mags {
+	for i, m := range c.mag {
 		if m.n > 0 {
-			c.st.pushMagazine(m.head, m.n)
+			c.st.pushMagazine(m.head, m.n, 0)
 		}
+		c.mag[i] = magazine{head: nilSeg}
 	}
+	for ; c.mask != 0; c.mask &= c.mask - 1 {
+		g := int32(bits.TrailingZeros64(c.mask))
+		c.st.pushMagazine(c.bins[g].head, c.bins[g].n, g)
+		c.bins[g] = magazine{head: nilSeg}
+	}
+	c.binned = 0
 }
 
-// CheckInvariants validates this cache's magazines (chain lengths, states,
-// counter mirror). The global walk lives on Store.CheckInvariants.
+// CheckInvariants validates this cache's magazines and bins (chain lengths,
+// grains, states, counter mirror). The global walk lives on
+// Store.CheckInvariants.
 func (c *Cache) CheckInvariants() error {
-	seen := make(map[int32]bool, c.mag[0].n+c.mag[1].n)
-	total := int32(0)
-	for i := range c.mag {
-		s := c.mag[i].head
-		for k := int32(0); k < c.mag[i].n; k++ {
-			if s < 0 || int(s) >= c.st.nseg {
-				return errChain("cache magazine", i, s)
-			}
-			if seen[s] {
-				return errDup("cache magazine", s)
-			}
-			seen[s] = true
-			if c.st.view.State[s] != StateFree {
-				return errState("cache magazine", s, c.st.view.State[s])
-			}
-			s = c.st.view.Next[s]
-		}
-		if s != nilSeg {
-			return errChain("cache magazine", i, s)
-		}
-		total += c.mag[i].n
-	}
-	if got := c.count.Load(); got != total {
-		return errCount("cache", int(total), int(got))
-	}
-	return nil
+	_, err := c.st.newChecker().cache(0, c)
+	return err
 }

@@ -1,0 +1,181 @@
+package segstore
+
+import "testing"
+
+// FuzzCacheChains replays a byte-coded stream of operations on two or three
+// caches over one store and checks the books after every step: the global
+// walk (Store.CheckInvariants — every bin and depot magazine holds whole
+// chains of its grain), Free() + held + lent == pool, and Store.Lent() ==
+// lent. On one goroutine an AllocN must never come up short while Avail()
+// covers it, whatever bins and grain stacks the segments sit in. Every step
+// ends with each cache's Publish, as a critical section would.
+//
+// data[0] picks the cache count and the magazine size; then 3-byte records
+// op, a, b:
+//
+//	op%7 == 0: AllocN of 1 + b%(MaxGrain+4) segments on cache a
+//	op%7 == 1: FreeN held chain a on cache b
+//	op%7 == 2: Lend held chain a through cache b
+//	op%7 == 3: ReturnLent lent chain a through cache b
+//	op%7 == 4: return up to 1 + b%4 lent chains from a on as one batch, with
+//	           their common grain (odd b: grain 0, as a mixed batch)
+//	op%7 == 5: Flush cache a
+//	op%7 == 6: Alloc one segment on cache a
+func FuzzCacheChains(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x17\x00\x01\x17\x02\x00\x00\x01\x00\x00\x00\x00\x17"))
+	f.Add([]byte("\x01\x00\x00\x08\x00\x01\x08\x02\x00\x00\x02\x01\x00\x04\x00\x00\x00\x02\x08\x05\x01\x00"))
+	f.Add([]byte("\x02\x00\x02\x1f\x06\x00\x00\x00\x01\x1f\x01\x00\x02\x05\x02\x00\x00\x00\x23"))
+
+	f.Fuzz(replayCacheChains)
+}
+
+// replayCacheChains is FuzzCacheChains' body.
+func replayCacheChains(t *testing.T, data []byte) {
+	const pool = 160
+	{
+		if len(data) == 0 {
+			return
+		}
+		st, err := New(Config{NumSegments: pool, MagazineSize: 4 + int(data[0]>>1)%13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches := make([]*Cache, 2+int(data[0])%2)
+		for i := range caches {
+			caches[i] = st.NewCache()
+		}
+		v := st.View()
+		type chain struct {
+			segs []int32
+			lent bool
+		}
+		var held []chain
+		heldSegs, lentSegs := 0, 0
+		setState := func(segs []int32, s uint8) {
+			for _, x := range segs {
+				v.State[x] = s
+			}
+		}
+		// pick returns the index of the k-th chain (mod their count) whose
+		// lent mark is lent, or -1.
+		pick := func(k byte, lent bool) int {
+			var idx []int
+			for i, ch := range held {
+				if ch.lent == lent {
+					idx = append(idx, i)
+				}
+			}
+			if len(idx) == 0 {
+				return -1
+			}
+			return idx[int(k)%len(idx)]
+		}
+		drop := func(i int) {
+			ch := held[i]
+			held = append(held[:i], held[i+1:]...)
+			if ch.lent {
+				lentSegs -= len(ch.segs)
+			} else {
+				heldSegs -= len(ch.segs)
+			}
+		}
+		// take allocates n segments on c, through Alloc when one is true.
+		take := func(c *Cache, n int, one bool) {
+			avail := c.Avail()
+			dst := make([]int32, n)
+			got := 0
+			if !one {
+				got = c.AllocN(dst)
+			} else if s, ok := c.Alloc(); ok {
+				dst[0], got = s, 1
+			}
+			if avail >= n && got != n {
+				t.Fatalf("allocating %d = %d with Avail %d", n, got, avail)
+			}
+			for _, s := range dst[:got] {
+				if v.State[s] != StateFree {
+					t.Fatalf("allocated segment %d in state %d", s, v.State[s])
+				}
+			}
+			if got == 0 {
+				return
+			}
+			relink(v.Next, dst[:got])
+			setState(dst[:got], StateFloating)
+			held = append(held, chain{segs: dst[:got]})
+			heldSegs += got
+		}
+		for i := 1; i+2 < len(data); i += 3 {
+			op, a, b := data[i]%7, data[i+1], data[i+2]
+			c := caches[int(a)%len(caches)]
+			switch op {
+			case 0:
+				take(c, 1+int(b)%(MaxGrain+4), false)
+			case 1:
+				if k := pick(a, false); k >= 0 {
+					segs := held[k].segs
+					drop(k)
+					setState(segs, StateFree)
+					caches[int(b)%len(caches)].FreeN(segs[0], segs[len(segs)-1], int32(len(segs)))
+				}
+			case 2:
+				if k := pick(a, false); k >= 0 {
+					ch := &held[k]
+					caches[int(b)%len(caches)].Lend(int32(len(ch.segs)))
+					setState(ch.segs, StateLent)
+					ch.lent = true
+					heldSegs -= len(ch.segs)
+					lentSegs += len(ch.segs)
+				}
+			case 3:
+				if k := pick(a, true); k >= 0 {
+					segs := held[k].segs
+					drop(k)
+					setState(segs, StateFree)
+					caches[int(b)%len(caches)].ReturnLent(segs[0], segs[len(segs)-1], int32(len(segs)))
+				}
+			case 4:
+				var batch []int32
+				grain := int32(-1)
+				for n := 1 + int(b)%4; n > 0; n-- {
+					k := pick(a, true)
+					if k < 0 {
+						break
+					}
+					segs := held[k].segs
+					drop(k)
+					setState(segs, StateFree)
+					if grain != -1 && grain != int32(len(segs)) {
+						grain = 0
+					} else {
+						grain = int32(len(segs))
+					}
+					batch = append(batch, segs...)
+				}
+				if len(batch) > 0 {
+					if b&1 != 0 {
+						grain = 0
+					}
+					relink(v.Next, batch)
+					c.ReturnLentChains(batch[0], batch[len(batch)-1], int32(len(batch)), grain)
+				}
+			case 5:
+				c.Flush()
+			case 6:
+				take(c, 1, true)
+			}
+			for _, c := range caches {
+				c.Publish()
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("step %d (op %d): %v", i/3, op, err)
+			}
+			if free := st.Free(); free+heldSegs+lentSegs != pool {
+				t.Fatalf("step %d (op %d): %d free + %d held + %d lent != %d", i/3, op, free, heldSegs, lentSegs, pool)
+			}
+			if st.Lent() != lentSegs {
+				t.Fatalf("step %d (op %d): Lent = %d, %d segments lent", i/3, op, st.Lent(), lentSegs)
+			}
+		}
+	}
+}

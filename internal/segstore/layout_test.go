@@ -5,21 +5,37 @@ import (
 	"unsafe"
 )
 
-// TestCacheLayout pins the padding between the owner-hot magazine fields
-// and the cross-thread count mirror: Store.Free sums every cache's mirror
-// on each policy decision, and without the pad those reads would bounce
-// the owner's magazine line around the machine. Distances, not absolute
-// alignment, are asserted — heap base alignment is the allocator's call.
+// TestCacheLayout pins the owner-hot words and the padding between them and
+// the cross-thread count mirror. Every AllocN and FreeN reads the magazines,
+// the bins' total, the lent delta and the bin mask, so those four share one
+// 64-byte line ahead of the bins array (a prototype with the total after
+// the array read −4…−12% on one-segment workloads, which never use a bin,
+// in noisy pairs).
+// Store.Free sums every cache's mirror on each policy decision, and without
+// the pad those reads would bounce the owner's lines around the machine.
+// Distances, not absolute alignment, are asserted — heap base alignment is
+// the allocator's call.
 func TestCacheLayout(t *testing.T) {
 	var c Cache
 	offMag := unsafe.Offsetof(c.mag)
+	offBins := unsafe.Offsetof(c.bins)
 	offCount := unsafe.Offsetof(c.count)
 
+	for name, end := range map[string]uintptr{
+		"mag":    offMag + unsafe.Sizeof(c.mag),
+		"binned": unsafe.Offsetof(c.binned) + unsafe.Sizeof(c.binned),
+		"lent":   unsafe.Offsetof(c.lent) + unsafe.Sizeof(c.lent),
+		"mask":   unsafe.Offsetof(c.mask) + unsafe.Sizeof(c.mask),
+	} {
+		if end-offMag > 64 || end > offBins {
+			t.Errorf("layout: %s ends %d bytes past mag (bins at %d), want within one 64-byte line ahead of bins", name, end-offMag, offBins-offMag)
+		}
+	}
 	if cachePad < 128 {
 		t.Fatalf("cachePad = %d, want >= 128 (adjacent-line prefetch pairs)", cachePad)
 	}
-	if d := offCount - offMag; d < cachePad {
-		t.Errorf("layout: mag/count only %d bytes apart, want >= %d", d, cachePad)
+	if d := offCount - (offBins + unsafe.Sizeof(c.bins)); d < cachePad {
+		t.Errorf("layout: bins/count only %d bytes apart, want >= %d", d, cachePad)
 	}
 	// Tail pad: the mirror must not end the struct, or the next object in
 	// the same span shares its line.
@@ -28,15 +44,30 @@ func TestCacheLayout(t *testing.T) {
 	}
 }
 
-// TestStoreLayout sanity-checks that the depot head (CAS-contended by all
-// caches) does not share a line with the read-only view header.
+// TestStoreLayout pins where the depot's words sit. Every push and pop
+// moves the segment count and CASes a stack head, and on one-segment
+// traffic that head is the general stack's, so the count, the lent count,
+// the grain mask and depot[0] share one 64-byte span: the general path
+// touches one contended line per depot trip, as it did before the grain
+// stacks (whose heads, depot[2…MaxGrain], follow eight to a line). The
+// cluster stays a line pair away from the read-only view header. (Heads on
+// lines of their own measured no different on ports16-shaped-push.)
 func TestStoreLayout(t *testing.T) {
 	var st Store
-	offView := unsafe.Offsetof(st.view)
-	offDepot := unsafe.Offsetof(st.depotHead)
-	t.Logf("Store: view at %d, depotHead at %d, size %d",
-		offView, offDepot, unsafe.Sizeof(st))
-	if offDepot < offView {
-		t.Skip("depotHead precedes view; layout review needed only if contended")
+	offCount := unsafe.Offsetof(st.depotFree)
+	offDepot := unsafe.Offsetof(st.depot)
+	for name, end := range map[string]uintptr{
+		"lentSegs": unsafe.Offsetof(st.lentSegs) + 8,
+		"grains":   unsafe.Offsetof(st.grains) + 8,
+		"depot[0]": offDepot + unsafe.Sizeof(st.depot[0]),
+	} {
+		if end < offCount || end-offCount > 64 {
+			t.Errorf("layout: %s ends %d bytes from depotFree, want within its 64-byte span", name, int(end)-int(offCount))
+		}
 	}
+	if end := unsafe.Offsetof(st.view) + unsafe.Sizeof(st.view); offCount < end+cachePad {
+		t.Errorf("layout: depot count at %d, view header ends at %d, want >= %d apart", offCount, end, cachePad)
+	}
+	t.Logf("Store: depotFree at %d, depot[0] at %d, depot[%d] at %d, size %d",
+		offCount, offDepot, MaxGrain, offDepot+uintptr(MaxGrain)*unsafe.Sizeof(st.depot[0]), unsafe.Sizeof(st))
 }

@@ -11,15 +11,20 @@
 // global lock:
 //
 //   - Store: the slab (link, segment-word and state arrays plus the payload
-//     memory) and the depot, a Treiber stack of segment magazines. The depot head
-//     packs a 32-bit version tag beside the top-magazine index so a
-//     compare-and-swap cannot succeed across an ABA reuse of the same
-//     magazine head.
-//   - Cache: a per-owner (per-shard) pair of magazines refilled and flushed
-//     from the depot MagazineSegments at a time, so the steady-state cost
-//     of the shared pool is one CAS per ~64 allocations instead of one per
-//     segment — the software analogue of the paper's free-list working in
-//     hardware line bursts.
+//     memory) and the depot, one Treiber stack of segment magazines per
+//     grain: general magazines, and for each chain size g from 2 to MaxGrain
+//     magazines of whole g-segment chains. Each stack head packs a 32-bit
+//     version tag beside the top-magazine index so a compare-and-swap cannot
+//     succeed across an ABA reuse of the same magazine head.
+//   - Cache: a per-owner (per-shard) pair of general magazines refilled and
+//     flushed from the depot MagazineSegments at a time, so the steady-state
+//     cost of the shared pool is one CAS per ~64 allocations instead of one
+//     per segment — the software analogue of the paper's free-list working
+//     in hardware line bursts — and one bin per chain size: a chain of g
+//     segments freed whole is allocated whole by the next request for g,
+//     so a packet's address-contiguous runs survive its reuse. Runs never
+//     merge; chains are reused whole, and broken only when nothing else is
+//     left.
 //   - Private: a single-owner FIFO free list over a private slab, exactly
 //     the allocation discipline the seed Manager used. The timed models
 //     (MMS, DDR) keep it because FIFO reuse cycles segments through the
@@ -34,6 +39,7 @@ package segstore
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -182,12 +188,11 @@ type Store struct {
 	view    View
 	nseg    int
 	magSize int32
+	// magSegs[g] is the segment count of a magazine of grain g: magSize for
+	// general magazines (g = 0), else as many whole g-segment chains as fit
+	// in magSize, at least one.
+	magSegs [MaxGrain + 1]int32
 
-	// depotHead packs (top magazine head + 1) in the high 32 bits and a
-	// version tag in the low 32. Index 0 in the high half means empty, so a
-	// nil head and segment 0 cannot collide; the tag advances on every
-	// successful push or pop, making the CAS ABA-safe.
-	depotHead atomic.Uint64
 	// depotFree packs the depot's segment count (low 32 bits) under a
 	// change sequence (high 32): every count change bumps the sequence, so
 	// Free can tell that no magazine moved while it summed the cache
@@ -196,15 +201,31 @@ type Store struct {
 	// the depot's true population (and a subtraction never borrows).
 	depotFree atomic.Uint64
 	lentSegs  atomic.Int64 // segments checked out as views or reservations
+	// grains has bit g set while depot[g] may hold magazines: a push sets it
+	// after its CAS unless it is already set, and a pop that finds the stack
+	// empty clears it, then sets it again if the stack filled meanwhile
+	// (clearGrain) — so once a push has returned, its stack's bit is set
+	// until the stack is seen empty. A dry cache reads one word, not 31
+	// stacks.
+	grains atomic.Uint64
 
-	// dnext[h] links magazine head h to the next magazine head below it.
-	// Accessed only with atomics: a popper that loaded a stale top still
-	// reads dnext[top] before its CAS fails, racing with the owner pushing
-	// that head back.
+	// depot[g] is the head of the Treiber stack of magazines of grain g:
+	// depot[0] holds general magazines, depot[g] for 2 ≤ g ≤ MaxGrain whole
+	// g-segment chains. Each head packs (top magazine head + 1) in the high
+	// 32 bits and a version tag in the low 32. Index 0 in the high half means
+	// empty, so a nil head and segment 0 cannot collide; the tag advances on
+	// every successful push or pop, making the CAS ABA-safe. Every push and
+	// pop also moves depotFree, so the general head shares its line.
+	depot [MaxGrain + 1]atomic.Uint64
+
+	// dnext[h] links magazine head h to the next magazine head below it, in
+	// whichever stack h is on. Accessed only with atomics: a popper that
+	// loaded a stale top still reads dnext[top] before its CAS fails, racing
+	// with the owner pushing that head back.
 	dnext []int32
 	// dcount[h] is the population of the magazine headed by h. Written by
 	// the owner before the publishing CAS and read after a claiming CAS, so
-	// plain access is ordered through depotHead.
+	// plain access is ordered through the stack head.
 	dcount []int32
 
 	// caches registers every Cache for FreeSegments aggregation;
@@ -213,7 +234,7 @@ type Store struct {
 	mu     sync.Mutex // serializes NewCache registrations
 }
 
-// New builds a Store with every segment in depot magazines.
+// New builds a Store with every segment in general depot magazines.
 func New(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -229,11 +250,19 @@ func New(cfg Config) (*Store, error) {
 		dnext:   make([]int32, cfg.NumSegments),
 		dcount:  make([]int32, cfg.NumSegments),
 	}
+	st.magSegs[0] = int32(mag)
+	for g := int32(2); g <= MaxGrain; g++ {
+		st.magSegs[g] = max(int32(mag)/g, 1) * g
+	}
 	empty := make([]*Cache, 0)
 	st.caches.Store(&empty)
-	// Carve the pool into magazines and stack them. Chains run through the
-	// slab's Next array in ascending order so the first allocations sweep
-	// the slab sequentially.
+	// Carve the pool into stretches of four magazines and stack them. Chains
+	// run through the slab's Next array in ascending order so the first
+	// allocations sweep the slab sequentially. Every chain a cache will keep
+	// whole is cut from these stretches, and one that crosses a stretch's
+	// end stays two runs for life: at one magazine per stretch a fifth of
+	// MTU chains did, at four one in eighteen.
+	mag *= 4
 	for base := cfg.NumSegments; base > 0; base -= mag {
 		lo := base - mag
 		if lo < 0 {
@@ -243,7 +272,7 @@ func New(cfg Config) (*Store, error) {
 			st.view.Next[i] = int32(i + 1)
 		}
 		st.view.Next[base-1] = nilSeg
-		st.pushMagazine(int32(lo), int32(base-lo))
+		st.pushMagazine(int32(lo), int32(base-lo), 0)
 	}
 	return st, nil
 }
@@ -287,47 +316,65 @@ func (st *Store) depotAdd(delta int32) { st.depotFree.Add(1<<32 + uint64(int64(d
 func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
 
 // ReturnLent returns a lent chain to the depot as one magazine and debits
-// the lent population. Safe from any goroutine: the single publishing CAS
-// in pushMagazine is the depot's normal concurrency discipline, and the
-// caller owns the chain exclusively until that CAS, so its scrub writes
-// happen-before any later allocation. The chain may be any length —
-// popMagazine handles non-nominal counts.
-func (st *Store) ReturnLent(head, tail, n int32) {
+// the lent population: ReturnLentChains of one chain, whose grain is its
+// length.
+func (st *Store) ReturnLent(head, tail, n int32) { st.ReturnLentChains(head, tail, n, n) }
+
+// ReturnLentChains returns a lent batch of n segments (head→…→tail through
+// View.Next; Next[tail] is overwritten) made of whole grain-segment chains
+// to the depot as one magazine on that grain's stack, and debits the lent
+// population. A grain outside 2…MaxGrain, or one that does not divide n —
+// a mixed batch has grain 0 — sends the batch to the general stack. Safe
+// from any goroutine: the single publishing CAS in pushMagazine is the
+// depot's normal concurrency discipline, and the caller owns the chain
+// exclusively until that CAS, so its scrub writes happen-before any later
+// allocation. The batch may be any length — pops handle non-nominal counts.
+func (st *Store) ReturnLentChains(head, tail, n, grain int32) {
 	if n <= 0 {
 		return
 	}
+	g := grainOf(grain)
+	if g != 0 && n%g != 0 {
+		g = 0
+	}
 	st.view.Next[tail] = nilSeg
-	st.pushMagazine(head, n)
+	st.pushMagazine(head, n, g)
 	st.lentSegs.Add(-int64(n))
 }
 
 // pushMagazine publishes the chain headed by head (count segments linked
-// through View.Next) onto the depot. One CAS on success.
-func (st *Store) pushMagazine(head, count int32) {
+// through View.Next, whole grain-segment chains) onto depot stack grain.
+// One CAS on success.
+func (st *Store) pushMagazine(head, count, grain int32) {
+	d := &st.depot[grain]
 	st.dcount[head] = count
 	st.depotAdd(count)
 	for {
-		old := st.depotHead.Load()
+		old := d.Load()
 		atomic.StoreInt32(&st.dnext[head], int32(old>>32)-1)
 		nw := uint64(uint32(head+1))<<32 | uint64(uint32(old)+1)
-		if st.depotHead.CompareAndSwap(old, nw) {
-			return
+		if d.CompareAndSwap(old, nw) {
+			break
 		}
+	}
+	if bit := uint64(1) << grain; grain != 0 && st.grains.Load()&bit == 0 {
+		st.grains.Or(bit)
 	}
 }
 
-// popMagazine claims the top magazine. One CAS on success; ok is false when
-// the depot is empty.
-func (st *Store) popMagazine() (head, count int32, ok bool) {
+// popMagazine claims the top magazine of stack grain. One CAS on success;
+// ok is false when the stack is empty.
+func (st *Store) popMagazine(grain int32) (head, count int32, ok bool) {
+	d := &st.depot[grain]
 	for {
-		old := st.depotHead.Load()
+		old := d.Load()
 		head = int32(old>>32) - 1
 		if head < 0 {
 			return 0, 0, false
 		}
 		next := atomic.LoadInt32(&st.dnext[head])
 		nw := uint64(uint32(next+1))<<32 | uint64(uint32(old)+1)
-		if st.depotHead.CompareAndSwap(old, nw) {
+		if d.CompareAndSwap(old, nw) {
 			count = st.dcount[head]
 			st.depotAdd(-count)
 			return head, count, true
@@ -335,64 +382,68 @@ func (st *Store) popMagazine() (head, count int32, ok bool) {
 	}
 }
 
+// popGrained claims a magazine from the largest grain whose stack holds
+// one, clearing the bits of the stacks it finds empty.
+func (st *Store) popGrained() (head, count int32, ok bool) {
+	for mask := st.grains.Load(); mask != 0; mask = st.grains.Load() {
+		g := int32(bits.Len64(mask) - 1)
+		if head, count, ok = st.popMagazine(g); ok {
+			return head, count, true
+		}
+		st.clearGrain(g)
+	}
+	return 0, 0, false
+}
+
+// clearGrain clears grain's bit after a pop found its stack empty, and sets
+// it again if a push landed meanwhile: the push either sees the bit clear
+// and sets it, or set it before this clear, in which case its CAS precedes
+// the reload below.
+func (st *Store) clearGrain(grain int32) {
+	bit := uint64(1) << grain
+	st.grains.And(^bit)
+	if st.depot[grain].Load()>>32 != 0 {
+		st.grains.Or(bit)
+	}
+}
+
 // CheckInvariants walks the depot and every registered cache, verifying
 // that free storage is acyclic, correctly counted, holds only segments in
-// StateFree, and that no segment appears twice. It also cross-checks the
+// StateFree, that no segment appears twice, and that every depot magazine
+// and every bin holds whole chains of its grain. It also cross-checks the
 // state array: the number of StateFree segments must equal the free
 // population. Only meaningful when no owner is allocating (tests and
 // debugging).
 func (st *Store) CheckInvariants() error {
-	seen := make([]bool, st.nseg)
-	walkChain := func(where string, head, count int32) error {
-		s := head
-		for i := int32(0); i < count; i++ {
-			if s < 0 || int(s) >= st.nseg {
-				return fmt.Errorf("segstore: %s chain leaves the pool at %d", where, s)
-			}
-			if seen[s] {
-				return fmt.Errorf("segstore: segment %d free twice (%s)", s, where)
-			}
-			seen[s] = true
-			if st.view.State[s] != StateFree {
-				return fmt.Errorf("segstore: %s holds segment %d in state %d", where, s, st.view.State[s])
-			}
-			s = st.view.Next[s]
-		}
-		if s != nilSeg {
-			return fmt.Errorf("segstore: %s chain longer than its count %d", where, count)
-		}
-		return nil
-	}
+	k := st.newChecker()
 	var depotTotal int64
 	mags := 0
-	for h := int32(st.depotHead.Load()>>32) - 1; h >= 0; h = atomic.LoadInt32(&st.dnext[h]) {
-		if mags++; mags > st.nseg {
-			return fmt.Errorf("segstore: depot magazine list cycles")
+	grains := st.grains.Load()
+	for g := range st.depot {
+		h := int32(st.depot[g].Load()>>32) - 1
+		if h >= 0 && g != 0 && grains&(1<<g) == 0 {
+			return fmt.Errorf("segstore: depot stack %d holds magazines but its grain bit is clear", g)
 		}
-		if err := walkChain("depot", h, st.dcount[h]); err != nil {
-			return err
+		for ; h >= 0; h = atomic.LoadInt32(&st.dnext[h]) {
+			if mags++; mags > st.nseg {
+				return fmt.Errorf("segstore: depot magazine list cycles")
+			}
+			if err := k.chain("depot stack", g, h, st.dcount[h], int32(g)); err != nil {
+				return err
+			}
+			depotTotal += int64(st.dcount[h])
 		}
-		depotTotal += int64(st.dcount[h])
 	}
 	if got := int64(st.depotCount()); got != depotTotal {
 		return fmt.Errorf("segstore: depot holds %d segments, counter says %d", depotTotal, got)
 	}
 	free := depotTotal
 	for i, c := range *st.caches.Load() {
-		cached := int64(0)
-		for m := range c.mag {
-			if c.mag[m].n == 0 {
-				continue
-			}
-			if err := walkChain(fmt.Sprintf("cache %d magazine %d", i, m), c.mag[m].head, c.mag[m].n); err != nil {
-				return err
-			}
-			cached += int64(c.mag[m].n)
+		held, err := k.cache(i, c)
+		if err != nil {
+			return err
 		}
-		if got := int64(c.count.Load()); got != cached {
-			return fmt.Errorf("segstore: cache %d holds %d segments, counter says %d", i, cached, got)
-		}
-		free += cached
+		free += int64(held)
 	}
 	stateFree, stateLent := int64(0), int64(0)
 	for _, s := range st.view.State {
@@ -410,4 +461,68 @@ func (st *Store) CheckInvariants() error {
 		return fmt.Errorf("segstore: %d segments in StateLent, lent counter says %d", stateLent, got)
 	}
 	return nil
+}
+
+// checker walks free storage for CheckInvariants, marking every segment it
+// meets so none is counted twice.
+type checker struct {
+	st   *Store
+	seen []bool
+}
+
+func (st *Store) newChecker() *checker { return &checker{st: st, seen: make([]bool, st.nseg)} }
+
+// chain walks the count-segment chain from head, the i-th of where, made of
+// whole grain-segment chains (grain 0: any).
+func (k *checker) chain(where string, i int, head, count, grain int32) error {
+	if grain != 0 && count%grain != 0 {
+		return fmt.Errorf("segstore: %s %d holds %d segments, not whole %d-segment chains", where, i, count, grain)
+	}
+	s := head
+	for n := int32(0); n < count; n++ {
+		if s < 0 || int(s) >= k.st.nseg {
+			return errChain(where, i, s)
+		}
+		if k.seen[s] {
+			return errDup(where, s)
+		}
+		k.seen[s] = true
+		if k.st.view.State[s] != StateFree {
+			return errState(where, s, k.st.view.State[s])
+		}
+		s = k.st.view.Next[s]
+	}
+	if s != nilSeg {
+		return fmt.Errorf("segstore: %s %d chain longer than its count %d", where, i, count)
+	}
+	return nil
+}
+
+// cache walks cache i's magazines and bins, checks its bin mask, bin total
+// and count mirror, and returns the segments it holds.
+func (k *checker) cache(i int, c *Cache) (int32, error) {
+	for m := range c.mag {
+		if err := k.chain("cache magazine", m, c.mag[m].head, c.mag[m].n, 0); err != nil {
+			return 0, err
+		}
+	}
+	binned := int32(0)
+	for g := range c.bins {
+		b := c.bins[g]
+		if (b.n > 0) != (c.mask&(1<<g) != 0) || (b.n > 0 && g < 2) {
+			return 0, fmt.Errorf("segstore: cache %d bin %d holds %d segments, mask %#x", i, g, b.n, c.mask)
+		}
+		if err := k.chain("cache bin", g, b.head, b.n, int32(g)); err != nil {
+			return 0, err
+		}
+		binned += b.n
+	}
+	if binned != c.binned {
+		return 0, errCount("cache bins", int(binned), int(c.binned))
+	}
+	held := c.mag[0].n + c.mag[1].n + binned
+	if got := c.count.Load(); got != held {
+		return 0, fmt.Errorf("segstore: cache %d holds %d segments, counter says %d", i, held, got)
+	}
+	return held, nil
 }

@@ -251,6 +251,94 @@ func TestConcurrentMagazineChurn(t *testing.T) {
 	}
 }
 
+// TestConcurrentChainChurn is TestConcurrentMagazineChurn for whole chains:
+// workers allocate runs of 1…MaxGrain+8 segments, and give them back
+// through FreeN (bins, spilling to the grain stacks) or, lent, as same-size
+// and mixed batches straight to the depot — so every grain stack and the
+// grain mask are pushed, popped and cleared from several goroutines at once.
+// Run under -race.
+func TestConcurrentChainChurn(t *testing.T) {
+	const (
+		workers = 4
+		n       = 4096
+		rounds  = 3000
+	)
+	st, err := New(Config{NumSegments: n, MagazineSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]atomic.Int32, n)
+	caches := make([]*Cache, workers)
+	for i := range caches {
+		caches[i] = st.NewCache()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			c := caches[w]
+			id := int32(w + 1)
+			next := c.View().Next
+			var lent []int32
+			lentGrain := int32(-1)
+			returnLent := func() {
+				if len(lent) > 0 {
+					relink(next, lent)
+					st.ReturnLentChains(lent[0], lent[len(lent)-1], int32(len(lent)), max(lentGrain, 0))
+					lent, lentGrain = lent[:0], -1
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				run := make([]int32, 1+rng.Intn(MaxGrain+8))
+				got := c.AllocN(run)
+				for _, s := range run[:got] {
+					if !owner[s].CompareAndSwap(0, id) {
+						t.Errorf("segment %d allocated twice (owners %d and %d)", s, owner[s].Load(), id)
+						return
+					}
+				}
+				if got == 0 {
+					returnLent()
+					continue
+				}
+				for _, s := range run[:got] {
+					owner[s].Store(0)
+				}
+				if rng.Intn(2) == 0 {
+					head, tail := relink(next, run[:got])
+					c.FreeN(head, tail, int32(got))
+				} else {
+					c.Lend(int32(got))
+					if lentGrain != -1 && lentGrain != int32(got) {
+						lentGrain = 0
+					} else {
+						lentGrain = int32(got)
+					}
+					lent = append(lent, run[:got]...)
+				}
+				c.Publish()
+				if rng.Intn(4) == 0 {
+					returnLent()
+				}
+				if r%256 == 0 {
+					c.Flush()
+				}
+			}
+			returnLent()
+			c.Flush()
+		}(w)
+	}
+	wg.Wait()
+	if st.Free() != n || st.Lent() != 0 {
+		t.Fatalf("Free = %d, Lent = %d after churn, want %d and 0", st.Free(), st.Lent(), n)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkCacheAllocFree(b *testing.B) {
 	st, err := New(Config{NumSegments: 1 << 16})
 	if err != nil {
