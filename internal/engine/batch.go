@@ -142,6 +142,10 @@ func (e *Engine) dequeueBatch(flows []uint32, pkts [][]byte, views []PacketView)
 		}
 		var d Dequeued
 		for _, i := range idxs {
+			if !e.inSpace(flows[i]) {
+				errs[i] = e.badFlow(flows[i])
+				continue
+			}
 			errs[i] = s.take(&d, flows[i], views != nil, unpicked)
 			if views != nil {
 				views[i] = d.View

@@ -65,15 +65,19 @@ type DequeuedView = Dequeued
 
 // flowState is one flow's dense scheduler state: the intrusive links of
 // its innermost active list, its home port and its unit in every tier
-// (tenant, class), its WRR/DRR weight, and its DRR deficit. One entry per
-// flow, engine-wide, touched only inside the owning shard's critical
-// section. next == sched.None means the flow is not active (no backlog).
+// (tenant, class), its WRR/DRR weight, its DRR deficit, and its row in
+// the owning shard's queue table. One entry per flow, engine-wide,
+// touched only inside the owning shard's critical section. next ==
+// sched.None means the flow is not active (no backlog). 40 bytes, row
+// included: it sits in the four bytes that aligning deficit leaves free
+// (layout_test.go pins the size).
 type flowState struct {
 	next, prev int32
 	port       int32
 	unit       [numTiers]int32
 	weight     int32  // 0 = discipline default
 	defEpoch   uint32 // deficit is valid only when this matches eg.epoch
+	row        uint32 // fixed at New; see shard.row
 	deficit    int64
 }
 
@@ -172,7 +176,7 @@ func (s *shard) SetDeficit(id int32, d int64) {
 }
 
 func (s *shard) HeadBytes(id int32) (int64, bool) {
-	bytes, _, err := s.m.PacketLen(queue.QueueID(id))
+	bytes, _, err := s.m.PacketLen(s.row(uint32(id)))
 	if err != nil {
 		return 0, false
 	}
@@ -339,7 +343,7 @@ func (e *Engine) SetWeight(flow uint32, weight int) error {
 	if weight <= 0 || weight > policy.MaxWeight {
 		return fmt.Errorf("engine: weight %d for flow %d out of range [1, %d]", weight, flow, policy.MaxWeight)
 	}
-	if int64(flow) >= int64(e.cfg.NumFlows) {
+	if !e.inSpace(flow) {
 		return ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
@@ -375,7 +379,7 @@ func (e *Engine) SetTierWeight(tier policy.Tier, unit, weight int) error {
 // while traffic flows; per-flow FIFO is unaffected (the flow's shard
 // does not change).
 func (e *Engine) rehome(flow uint32, home func(*flowState) *int32, unit int) error {
-	if int64(flow) >= int64(e.cfg.NumFlows) {
+	if !e.inSpace(flow) {
 		return ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
@@ -434,7 +438,7 @@ type FlowInfo struct {
 // the observation surface it keeps working after Close. Unknown flows
 // (outside the configured flow space) report ErrUnknownFlow.
 func (e *Engine) Flow(flow uint32) (FlowInfo, error) {
-	if int64(flow) >= int64(e.cfg.NumFlows) {
+	if !e.inSpace(flow) {
 		return FlowInfo{}, ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
@@ -448,8 +452,8 @@ func (e *Engine) Flow(flow uint32) (FlowInfo, error) {
 			Weight: int(s.Weight(int32(flow))),
 		}
 		// flow is in range: neither read can fail.
-		fi.Limit, _ = s.m.SegmentLimit(queue.QueueID(flow))
-		fi.Occupancy, _ = s.m.Occupancy(queue.QueueID(flow))
+		fi.Limit, _ = s.m.SegmentLimit(s.row(flow))
+		fi.Occupancy, _ = s.m.Occupancy(s.row(flow))
 	})
 	return fi, nil
 }

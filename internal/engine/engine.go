@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -105,8 +107,8 @@ type Config struct {
 	// rounded up to a power of two; 0 means DefaultShards.
 	Shards int
 	// NumFlows is the total flow-ID space (0 means queue.DefaultNumQueues,
-	// 32K). Every shard accepts the full flow range; the hash decides
-	// which shard owns which flow.
+	// 32K). The hash decides which shard owns which flow, and each shard's
+	// queue table holds only the flows it owns.
 	NumFlows int
 	// NumSegments is the shared segment pool (required, > 0). All shards
 	// allocate from this one pool through per-shard magazine caches, so a
@@ -202,6 +204,10 @@ type shard struct {
 	flows       []flowState
 	ports       []*port
 	eg          egressState
+
+	// flowOf maps m's rows back to flows: the shard's own flows in flow-ID
+	// order, flowOf[flows[f].row] == f (see row).
+	flowOf []uint32
 
 	// res samples packet residence times (nil when disabled).
 	res *residence
@@ -335,9 +341,11 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		tierUnits: tierUnits,
 		portStop:  make(chan struct{}),
 	}
+	owned := make([]int, cfg.Shards)
 	for f := range e.flows {
 		e.flows[f].next = sched.None
 		e.flows[f].prev = sched.None
+		owned[e.ShardOf(uint32(f))]++
 	}
 	for i := range e.pacers {
 		e.pacers[i] = newPacer(e, i)
@@ -355,8 +363,11 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	}
 	allocBuf := e.getBuf
 	for i := range e.shards {
+		// A shard's queue table has one row per flow it owns — at least
+		// one, since NumQueues 0 asks the manager for its default.
+		rows := max(owned[i], 1)
 		cache := store.NewCache()
-		m, err := queue.NewWithStore(queue.Config{NumQueues: cfg.NumFlows}, cache)
+		m, err := queue.NewWithStore(queue.Config{NumQueues: rows}, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -370,6 +381,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 			ps:        make([]portSched, cfg.NumPorts),
 			flows:     e.flows,
 			ports:     e.ports,
+			flowOf:    make([]uint32, 0, owned[i]),
 		}
 		for t := range numTiers {
 			s.eg.tierWeights[t] = make([]int32, tierUnits[t])
@@ -380,8 +392,16 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		}
 		e.shards[i] = s
 		if cfg.ResidenceSample > 0 {
-			s.res = newResidence(cfg.ResidenceSample, cfg.NumFlows, clk)
+			s.res = newResidence(cfg.ResidenceSample, rows, clk)
 		}
+	}
+	// Rows follow flow order inside each shard. The manager's
+	// longest-queue heap breaks ties by lowest row, so among equally long
+	// queues LQD evicts from the lowest flow ID, whatever the shard count.
+	for f := range e.flows {
+		s := e.shardOf(uint32(f))
+		e.flows[f].row = uint32(len(s.flowOf))
+		s.flowOf = append(s.flowOf, uint32(f))
 	}
 	if err := e.SetAdmission(cfg.Admission); err != nil {
 		return nil, err
@@ -480,6 +500,44 @@ func (e *Engine) shardOf(flow uint32) *shard {
 	return e.shards[e.ShardOf(flow)]
 }
 
+// inSpace reports whether flow lies inside the configured flow space. Every
+// entry point asks before it looks the flow's row up.
+func (e *Engine) inSpace(flow uint32) bool { return int64(flow) < int64(e.cfg.NumFlows) }
+
+// badFlow is the error for a flow outside the flow space on the paths that
+// reach a queue manager: the manager's ErrBadQueue, worded as the manager
+// words it.
+func (e *Engine) badFlow(flow uint32) error {
+	return fmt.Errorf("%w: %d (have %d)", queue.ErrBadQueue, flow, e.cfg.NumFlows)
+}
+
+// row is flow's row in s's queue table; flow is in the flow space and
+// owned by s. Every call that hands a flow to s.m goes through here.
+func (s *shard) row(flow uint32) queue.QueueID { return queue.QueueID(s.flows[flow].row) }
+
+// named restates a manager error in the caller's numbering. The manager
+// names a queue "queue <row>", a row of s's table, which means nothing to
+// the caller; the message is rebuilt around the flow that row holds and
+// keeps its sentinel for errors.Is. An error that names no queue — a bare
+// sentinel above all, which an overloaded caller meets millions of times —
+// comes back as it is, unallocated.
+func (s *shard) named(err error) error {
+	inner := errors.Unwrap(err)
+	if inner == nil {
+		return err
+	}
+	rest, ok := strings.CutPrefix(err.Error(), inner.Error()+": queue ")
+	n := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' })
+	if n < 0 {
+		n = len(rest)
+	}
+	row, perr := strconv.Atoi(rest[:n])
+	if !ok || perr != nil || row >= len(s.flowOf) {
+		return err
+	}
+	return fmt.Errorf("%w: queue %d%s", inner, s.flowOf[row], rest[n:])
+}
+
 // EnqueuePacket segments data onto flow, returning the segment count. When
 // an admission policy is configured it is consulted first; a refusal
 // returns ErrAdmissionDrop, and under LQD the arrival may instead evict
@@ -527,9 +585,13 @@ func segsFor(n int) int { return (n + queue.SegmentBytes - 1) / queue.SegmentByt
 // The fate is counted once, where the loop exits: enqueued (joined),
 // dropped by the policy (noteDrop) — which an arrival owed an eviction that
 // made no room is — or refused for want of room (noteRefused). A round that
-// is retried counts nothing.
+// is retried counts nothing. A flow outside the flow space is the caller's
+// error and meets no fate.
 func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.PacketWriter, stay bool) (n int, held bool, err error) {
-	need := segsFor(size)
+	if !e.inSpace(flow) {
+		return 0, true, e.badFlow(flow)
+	}
+	q, need := s.row(flow), segsFor(size)
 	for round := 0; ; round++ {
 		verdict := policy.Accept
 		if s.admKind != policy.KindNone && size > 0 {
@@ -540,8 +602,8 @@ func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.P
 			return 0, true, s.noteDrop(need)
 		case policy.Accept:
 			if w != nil {
-				*w, err = s.m.ReservePacket(queue.QueueID(flow), size) // joins at Commit
-			} else if n, err = s.m.EnqueuePacket(queue.QueueID(flow), data); err == nil {
+				*w, err = s.m.ReservePacket(q, size) // joins at Commit
+			} else if n, err = s.m.EnqueuePacket(q, data); err == nil {
 				s.noteCopied(size)
 				s.joined(flow, n, arrived)
 			}
@@ -549,7 +611,7 @@ func (e *Engine) arrive(s *shard, flow uint32, data []byte, size int, w *queue.P
 				return n, true, nil
 			}
 			if !errors.Is(err, queue.ErrNoFreeSegments) {
-				return 0, true, s.noteRefused(err)
+				return 0, true, s.noteRefused(s.named(err))
 			}
 		}
 		// dry: the manager, not the policy, found the pool short — which a
@@ -624,9 +686,10 @@ func (e *Engine) relief(s *shard, need int, dry bool, round int, stay bool) *sha
 // when every queue is empty: the first shard in index order whose published
 // longest-queue length (queue.Manager.LongestLen, one padded atomic word
 // per shard) is strictly greatest; inside the shard the heap breaks ties by
-// lowest flow ID. No shard is entered. The mirrors are exact on one
-// goroutine and a hint under concurrency, where peek-then-evict is racy
-// whatever the peek costs; pushOutElected re-elects inside the victim.
+// lowest row, which is lowest flow ID (see New). No shard is entered. The
+// mirrors are exact on one goroutine and a hint under concurrency, where
+// peek-then-evict is racy whatever the peek costs; pushOutElected re-elects
+// inside the victim.
 func (e *Engine) electVictim() *shard {
 	var victim *shard
 	best := 0
@@ -656,7 +719,7 @@ func (e *Engine) pushOutElected(v *shard, need int) {
 func (s *shard) evictLongest() bool {
 	q, segs, err := s.m.PushOutLongest()
 	if err == nil {
-		s.left(uint32(q), segs, pushedOut)
+		s.left(s.flowOf[q], segs, pushedOut)
 	}
 	return err == nil
 }
@@ -688,9 +751,9 @@ func (s *shard) joined(flow uint32, segs int, how cause) {
 	switch {
 	case s.res == nil:
 	case how == arrived:
-		s.res.noteEnqueue(flow)
+		s.res.noteEnqueue(s.row(flow))
 	default:
-		s.res.noteTransfer(flow)
+		s.res.noteTransfer(s.row(flow))
 	}
 }
 
@@ -707,13 +770,13 @@ func (s *shard) left(flow uint32, segs int, why cause) {
 		s.PushedOutPackets++
 		s.PushedOutSegments += uint64(segs)
 	}
-	if n, err := s.m.Len(queue.QueueID(flow)); err == nil && n > 0 {
+	if n, _ := s.m.Len(s.row(flow)); n > 0 {
 		s.setActive(flow)
 	} else {
 		s.clearActive(flow)
 	}
 	if s.res != nil {
-		s.res.noteRemove(flow, why == served)
+		s.res.noteRemove(s.row(flow), why == served)
 	}
 }
 
@@ -763,11 +826,9 @@ func (s *shard) admit(flow uint32, need int) policy.Verdict {
 		}
 		return policy.Accept
 	}
-	occ, err := s.m.Occupancy(queue.QueueID(flow))
-	if err != nil {
-		return policy.Accept // out-of-range flow: let the manager report ErrBadQueue
-	}
-	if lim, _ := s.m.SegmentLimit(queue.QueueID(flow)); lim > 0 && occ.Segments+need > lim {
+	q := s.row(flow)
+	occ, _ := s.m.Occupancy(q)
+	if lim, _ := s.m.SegmentLimit(q); lim > 0 && occ.Segments+need > lim {
 		// The manager's per-flow cap will refuse this packet no matter
 		// what the policy says; pass it through so the caller sees
 		// ErrQueueLimit — and, crucially, so a push-out verdict does not
@@ -788,14 +849,13 @@ func (s *shard) admit(flow uint32, need int) policy.Verdict {
 // overTailLimit is the tail-drop per-queue rule, the one place it is
 // written: need more segments would take flow past the cap. Admission
 // applies it to arrivals and MovePacket to the destination of a move. False
-// when there is no cap (see admLimit) and for a flow outside the flow space
-// (the manager reports that one).
+// when there is no cap (see admLimit).
 func (s *shard) overTailLimit(flow uint32, need int) bool {
 	if s.admLimit <= 0 {
 		return false
 	}
-	segs, err := s.m.Len(queue.QueueID(flow))
-	return err == nil && segs+need > s.admLimit
+	segs, _ := s.m.Len(s.row(flow))
+	return segs+need > s.admLimit
 }
 
 // DequeuePacket removes and reassembles the head packet of flow. The
@@ -814,7 +874,11 @@ func (e *Engine) dequeue(flow uint32, view bool) (d Dequeued, err error) {
 	if !e.enter(s) {
 		return d, ErrClosed
 	}
-	err = s.take(&d, flow, view, unpicked)
+	if e.inSpace(flow) {
+		err = s.take(&d, flow, view, unpicked)
+	} else {
+		err = e.badFlow(flow)
+	}
 	s.unlock()
 	return d, err
 }
@@ -848,11 +912,11 @@ const unpicked int64 = -1
 func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err error) {
 	var segs int
 	*d = Dequeued{Flow: flow}
-	if view {
-		d.View, err = s.m.DequeuePacketView(queue.QueueID(flow))
+	if q := s.row(flow); view {
+		d.View, err = s.m.DequeuePacketView(q)
 		segs, d.Bytes = d.View.Segments(), d.View.Len()
 	} else {
-		d.Data, segs, err = s.m.DequeuePacketInto(queue.QueueID(flow), s.allocBuf)
+		d.Data, segs, err = s.m.DequeuePacketInto(q, s.allocBuf)
 		s.noteCopied(len(d.Data))
 		if d.Bytes = len(d.Data); !s.storeData {
 			d.Bytes = segs * queue.SegmentBytes
@@ -860,7 +924,7 @@ func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err erro
 	}
 	if err != nil {
 		*d = Dequeued{}
-		return err
+		return s.named(err)
 	}
 	if debit > 0 {
 		s.SetDeficit(int32(flow), s.Deficit(int32(flow))-debit)
@@ -922,8 +986,13 @@ func (e *Engine) getBuf(segs int) []byte {
 // (ErrAdmissionDrop) and the per-flow segment cap (ErrQueueLimit); a
 // refused move leaves the packet on its source queue.
 func (e *Engine) MovePacket(from, to uint32) (int, error) {
-	if e.closed() {
+	switch {
+	case e.closed():
 		return 0, ErrClosed
+	case !e.inSpace(from):
+		return 0, e.badFlow(from)
+	case !e.inSpace(to):
+		return 0, e.badFlow(to)
 	}
 	si, di := e.ShardOf(from), e.ShardOf(to)
 	if si == di {
@@ -937,8 +1006,10 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 	var ch queue.PacketChain
 	var err error
 	e.run(src, func() {
-		if ch, err = src.m.UnlinkHeadPacket(queue.QueueID(from)); err == nil {
+		if ch, err = src.m.UnlinkHeadPacket(src.row(from)); err == nil {
 			src.left(from, ch.Segs, moved)
+		} else {
+			err = src.named(err)
 		}
 	})
 	if err != nil {
@@ -953,8 +1024,10 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 			err = ErrAdmissionDrop
 			return
 		}
-		if err = dst.m.LinkPacketTail(queue.QueueID(to), ch); err == nil {
+		if err = dst.m.LinkPacketTail(dst.row(to), ch); err == nil {
 			dst.joined(to, ch.Segs, moved)
+		} else {
+			err = dst.named(err)
 		}
 	})
 	if err != nil {
@@ -964,7 +1037,7 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 		// packet when the rollback enqueue found the source pool refilled,
 		// and miscounted the loss as a push-out.
 		e.run(src, func() {
-			_ = src.m.LinkPacketHead(queue.QueueID(from), ch)
+			_ = src.m.LinkPacketHead(src.row(from), ch)
 			src.joined(from, ch.Segs, moved)
 		})
 		return 0, err
@@ -974,19 +1047,20 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 
 // moveLocal is the same-shard MovePacket body, inside s's critical section.
 func (s *shard) moveLocal(from, to uint32) (int, error) {
+	qf := s.row(from)
 	if from != to && s.admLimit > 0 { // price the packet only where a cap can refuse it
-		if _, need, err := s.m.PacketLen(queue.QueueID(from)); err == nil && s.overTailLimit(to, need) {
+		if _, need, err := s.m.PacketLen(qf); err == nil && s.overTailLimit(to, need) {
 			return 0, ErrAdmissionDrop
 		}
 	}
-	n, err := s.m.MovePacket(queue.QueueID(from), queue.QueueID(to))
+	n, err := s.m.MovePacket(qf, s.row(to))
 	if err != nil {
-		return 0, err
+		return 0, s.named(err)
 	}
 	if from == to {
 		// Same-queue rotation: the head packet went to the tail — unless it
 		// is alone there, in which case nothing left and nothing joined.
-		if occ, _ := s.m.Occupancy(queue.QueueID(from)); occ.Packets == 1 {
+		if occ, _ := s.m.Occupancy(qf); occ.Packets == 1 {
 			return n, nil
 		}
 	}
@@ -997,15 +1071,20 @@ func (s *shard) moveLocal(from, to uint32) (int, error) {
 
 // DeletePacket drops the head packet of flow, returning its segment count.
 func (e *Engine) DeletePacket(flow uint32) (int, error) {
-	if e.closed() {
+	switch {
+	case e.closed():
 		return 0, ErrClosed
+	case !e.inSpace(flow):
+		return 0, e.badFlow(flow)
 	}
 	s := e.shardOf(flow)
 	var n int
 	var err error
 	e.run(s, func() {
-		if n, err = s.m.DeletePacket(queue.QueueID(flow)); err == nil {
+		if n, err = s.m.DeletePacket(s.row(flow)); err == nil {
 			s.left(flow, n, deleted)
+		} else {
+			err = s.named(err)
 		}
 	})
 	return n, err
@@ -1013,22 +1092,24 @@ func (e *Engine) DeletePacket(flow uint32) (int, error) {
 
 // Len returns the queued segment count of flow.
 func (e *Engine) Len(flow uint32) (int, error) {
+	if !e.inSpace(flow) {
+		return 0, e.badFlow(flow)
+	}
 	s := e.shardOf(flow)
 	var n int
-	var err error
-	e.run(s, func() { n, err = s.m.Len(queue.QueueID(flow)) })
-	return n, err
+	e.run(s, func() { n, _ = s.m.Len(s.row(flow)) })
+	return n, nil
 }
 
 // SetFlowLimit caps flow at limit segments (0 removes the cap). Unknown
 // flows (outside the configured flow space) report ErrUnknownFlow.
 func (e *Engine) SetFlowLimit(flow uint32, limit int) error {
-	if int64(flow) >= int64(e.cfg.NumFlows) {
+	if !e.inSpace(flow) {
 		return ErrUnknownFlow
 	}
 	s := e.shardOf(flow)
 	var err error
-	e.run(s, func() { err = s.m.SetSegmentLimit(queue.QueueID(flow), limit) })
+	e.run(s, func() { err = s.m.SetSegmentLimit(s.row(flow), limit) })
 	return err
 }
 

@@ -34,6 +34,15 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
+// TestFlowStateLayout: the dense flow table is the engine's per-flow
+// footprint (one entry per flow of the space); a flow's row in its shard's
+// queue table must fit in the four bytes that aligning deficit leaves free.
+func TestFlowStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(flowState{}); got != 40 {
+		t.Fatalf("layout: flowState is %d bytes, want 40", got)
+	}
+}
+
 // TestPortLayout: the enqueue path CASes idle per notify; the pacer writes
 // tx counters and, on shaped ports, the departure stamp and the gap
 // histogram per packet. Neither may share a line with the other or with the

@@ -312,7 +312,7 @@ func (e *Engine) CheckInvariants() error {
 
 // checkActiveLocked validates the shard's level-stack active lists
 // against the queue table, inside the shard's critical section: a flow
-// owned by this shard is linked into exactly one scheduling unit's
+// owned by this shard (one row of its table) is linked into exactly one scheduling unit's
 // innermost rotation iff it has backlog, every linked node holds
 // backlogged descendants, every rotation at every level is a
 // well-formed circular ring (walking Count steps closes the cycle with
@@ -322,19 +322,11 @@ func (e *Engine) CheckInvariants() error {
 // or class.
 func (e *Engine) checkActiveLocked(s *shard, shardIdx int) error {
 	count := 0
-	for q := 0; q < s.m.NumQueues(); q++ {
-		if e.ShardOf(uint32(q)) != shardIdx {
-			// The flow table is engine-wide: this entry belongs to another
-			// shard's critical section and queue manager.
-			continue
-		}
-		n, err := s.m.Len(queue.QueueID(q))
-		if err != nil {
-			return err
-		}
-		if linked := s.isActive(uint32(q)); linked != (n > 0) {
+	for q, f := range s.flowOf {
+		n, _ := s.m.Len(queue.QueueID(q))
+		if linked := s.isActive(f); linked != (n > 0) {
 			return fmt.Errorf("engine: shard %d flow %d has %d segments but list membership is %v",
-				shardIdx, q, n, linked)
+				shardIdx, f, n, linked)
 		}
 		if n > 0 {
 			count++
