@@ -183,19 +183,18 @@ func (s *shard) HeadBytes(id int32) (int64, bool) {
 	return int64(bytes), true
 }
 
-func (s *shard) Audit(id int32, delta int64) {
-	if s.eg.audit != nil {
-		s.eg.audit[id] += delta
-	}
-}
+// Audit is called only while flowParams reports Audit, i.e. eg.audit is set.
+func (s *shard) Audit(id int32, delta int64) { s.eg.audit[id] += delta }
 
 // The portSched is the Stack's Hierarchy: level parameters and node
 // weights come from the shard's level configuration, the leaf
-// population is the shard's flow table. Pointer-shaped.
+// population is the shard's flow table. The Stack reads them at Init and
+// Refresh only, so whatever changes them refreshes every built stack:
+// SetEgress (Reset), SetTierWeight and the test-only audit install.
 
 func (ps *portSched) Params(level int) sched.Params {
 	lv := &ps.s.eg.levels[level]
-	return sched.Params{Kind: lv.kind, Quantum: lv.quantum}
+	return sched.Params{Kind: lv.kind, Quantum: lv.quantum, Audit: ps.audits != nil}
 }
 
 func (ps *portSched) Weight(level int, id int32) int64 {
@@ -209,14 +208,11 @@ func (ps *portSched) Weight(level int, id int32) int64 {
 func (ps *portSched) LeafParams() sched.Params { return ps.s.flowParams() }
 func (ps *portSched) Leaf() sched.Entity       { return ps.s }
 
-func (ps *portSched) AuditNode(level int, id int32, delta int64) {
-	if ps.audits != nil {
-		ps.audits[level][id] += delta
-	}
-}
+// AuditNode is called only while Params reports Audit, i.e. audits is set.
+func (ps *portSched) AuditNode(level int, id int32, delta int64) { ps.audits[level][id] += delta }
 
 func (s *shard) flowParams() sched.Params {
-	return sched.Params{Kind: s.eg.kind, Quantum: int64(s.eg.quantum)}
+	return sched.Params{Kind: s.eg.kind, Quantum: int64(s.eg.quantum), Audit: s.eg.audit != nil}
 }
 
 // pathOf appends flow's composite node index at every active level to
@@ -366,7 +362,14 @@ func (e *Engine) SetTierWeight(tier policy.Tier, unit, weight int) error {
 		return fmt.Errorf("engine: %s %d out of range [0, %d)", tier, unit, e.tierUnits[tier])
 	}
 	for _, s := range e.shards {
-		e.run(s, func() { s.eg.tierWeights[tier][unit] = int32(weight) })
+		e.run(s, func() {
+			s.eg.tierWeights[tier][unit] = int32(weight)
+			for p := range s.ps {
+				if s.ps[p].st.Ready() {
+					s.ps[p].st.Refresh()
+				}
+			}
+		})
 	}
 	return nil
 }
@@ -601,12 +604,14 @@ func (s *shard) initPortLocked(ps *portSched) {
 }
 
 // initLevelAuditLocked allocates a port unit's per-level audit slices
-// (tests only), sized to each level's composite node count.
+// (tests only), sized to each level's composite node count, and has the
+// stack re-read its Params so every level reports to them.
 func (s *shard) initLevelAuditLocked(ps *portSched) {
 	ps.audits = make([][]int64, ps.st.Depth())
 	for k := range ps.audits {
 		ps.audits[k] = make([]int64, ps.st.Width(k))
 	}
+	ps.st.Refresh()
 }
 
 func (s *shard) setActive(flow uint32) {

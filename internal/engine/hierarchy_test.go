@@ -120,6 +120,61 @@ func TestClassWRRVisitPattern(t *testing.T) {
 	}
 }
 
+// TestTierWeightTakesEffectMidTraffic: a class weight changed while both
+// classes are backlogged governs the very next rotation. The level stack
+// keeps its own copy of node weights, so SetTierWeight must refresh it;
+// TierStats reads the engine's weight slice and cannot tell.
+func TestTierWeightTakesEffectMidTraffic(t *testing.T) {
+	e, err := New(Config{
+		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		Egress: policy.EgressConfig{
+			Kind: policy.EgressRR,
+			Levels: []policy.LevelSpec{
+				{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2},
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flows 0,1 in class 0; flows 2,3 in class 1.
+	for f := uint32(2); f < 4; f++ {
+		if err := e.SetFlowClass(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		for f := uint32(0); f < 4; f++ {
+			if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// serve takes picks packets and checks the class split at every cycle
+	// boundary (a cycle is wA+wB picks).
+	serve := func(picks, wA, wB int) {
+		t.Helper()
+		counts := [2]int{}
+		for i := 0; i < picks; i++ {
+			d, ok := e.DequeueNext()
+			if !ok {
+				t.Fatal("scheduler idle with backlog")
+			}
+			fi, _ := e.Flow(d.Flow)
+			counts[fi.Class]++
+			e.ReleaseBuffer(d.Data)
+			if (i+1)%(wA+wB) == 0 && counts[0]*wB != counts[1]*wA {
+				t.Fatalf("after %d picks: class counts %v, want exact %d:%d", i+1, counts, wA, wB)
+			}
+		}
+	}
+	serve(8, 1, 1)
+	if err := e.SetTierWeight(policy.TierClass, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	serve(16, 3, 1)
+}
+
 // TestClassStatsReflectBacklog: TierStats(class) counts backlogged flows per
 // class across shards and reports configured weights.
 func TestClassStatsReflectBacklog(t *testing.T) {

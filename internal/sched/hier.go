@@ -18,14 +18,20 @@
 // cache); everything per-member — links, weight, DRR deficit, the head
 // packet length, and the test-only audit hook — is reached through the
 // Entity interface. Discipline parameters travel in Params per call
-// rather than per Level, so a configuration change updates one place
-// even when thousands of Levels exist.
+// rather than per Level, so thousands of Levels share one copy.
 //
-// Audit semantics (test builds enable the hook): Audit accumulates the
+// A Stack reads its configuration (each level's Params, node weights,
+// the leaf Entity, whether auditing is on) from its Hierarchy at Init and
+// Refresh only, never per packet. A caller that changes that
+// configuration calls Refresh; until it does, the Stack schedules by what
+// it last read.
+//
+// Audit semantics (tests opt in with Params.Audit): Audit accumulates the
 // net service entitlement granted to a member — quantum bytes for DRR,
 // visit packets for WRR — with forfeited credit subtracted back out, so
 // a conservation property can hold every level to
-// served == granted − outstanding, exactly.
+// served == granted − outstanding, exactly. With Audit off a grant or
+// forfeit makes no call.
 package sched
 
 import "npqm/internal/policy"
@@ -60,7 +66,7 @@ type Entity interface {
 	// available (the caller's dequeue will fail and deactivate it).
 	HeadBytes(id int32) (int64, bool)
 	// Audit accumulates granted/forfeited service entitlement for the
-	// conservation property; a no-op outside tests.
+	// conservation property. Level calls it only under Params.Audit.
 	Audit(id int32, delta int64)
 }
 
@@ -71,6 +77,9 @@ type Params struct {
 	Kind policy.EgressKind
 	// Quantum is the DRR byte quantum earned per weight unit per visit.
 	Quantum int64
+	// Audit makes the Level report grants and forfeits to Entity.Audit
+	// (tests); off, it makes no Audit call.
+	Audit bool
 }
 
 // Level is one scheduling level's rotation state over an intrusive
@@ -134,7 +143,7 @@ func (l *Level) Deactivate(p Params, e Entity, id int32) {
 		// The member emptied mid-visit: end the visit now. Leaving it
 		// open would let a member that drained and refilled before the
 		// next pick resume its old credit and burst past its weight.
-		if p.Kind == policy.EgressWRR {
+		if p.Kind == policy.EgressWRR && p.Audit {
 			e.Audit(id, -l.credit)
 		}
 		l.visiting = false
@@ -144,7 +153,9 @@ func (l *Level) Deactivate(p Params, e Entity, id int32) {
 		// Forfeit banked DRR credit, whichever dequeue path emptied the
 		// member — otherwise a drained-and-refilled member returns with
 		// stale credit and bursts ahead of its weight.
-		e.Audit(id, -d)
+		if p.Audit {
+			e.Audit(id, -d)
+		}
 		e.SetDeficit(id, 0)
 	}
 	if l.count == 1 {
@@ -187,7 +198,7 @@ func (l *Level) Pick(p Params, e Entity) (int32, int64, bool) {
 	case policy.EgressPrio:
 		return l.pickPrio(e), 0, true
 	case policy.EgressWRR:
-		return l.pickWRR(e), 0, true
+		return l.pickWRR(p, e), 0, true
 	case policy.EgressDRR:
 		id, debit := l.pickDRR(p, e)
 		return id, debit, true
@@ -232,7 +243,7 @@ func (l *Level) pickPrio(e Entity) int32 {
 }
 
 // pickWRR serves the cursor Weight packets per visit.
-func (l *Level) pickWRR(e Entity) int32 {
+func (l *Level) pickWRR(p Params, e Entity) int32 {
 	if l.visiting {
 		id := l.cursor
 		l.credit--
@@ -244,7 +255,9 @@ func (l *Level) pickWRR(e Entity) int32 {
 	}
 	id := l.cursor
 	w := e.Weight(id)
-	e.Audit(id, w)
+	if p.Audit {
+		e.Audit(id, w)
+	}
 	if w <= 1 {
 		l.cursor = e.Next(id)
 		return id
@@ -261,7 +274,9 @@ func (l *Level) startVisit(p Params, e Entity, id int32) {
 	l.visiting = true
 	grant := e.Weight(id) * p.Quantum
 	e.SetDeficit(id, e.Deficit(id)+grant)
-	e.Audit(id, grant)
+	if p.Audit {
+		e.Audit(id, grant)
+	}
 }
 
 // pickDRR implements deficit round-robin: each visit a member earns

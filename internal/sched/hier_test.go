@@ -141,12 +141,13 @@ func TestLevelPrioServesMinimum(t *testing.T) {
 func TestLevelWRRWeights(t *testing.T) {
 	e := newEnt(4)
 	e.weight[1] = 3
+	p := Params{Kind: policy.EgressWRR, Audit: true}
 	var l Level
 	l.Activate(e, 1)
 	l.Activate(e, 2)
 	counts := map[int32]int{}
 	for i := 0; i < 8; i++ { // two full cycles of 3+1
-		id, _, _ := l.Pick(wrrParams(), e)
+		id, _, _ := l.Pick(p, e)
 		counts[id]++
 	}
 	if counts[1] != 6 || counts[2] != 2 {
@@ -161,22 +162,23 @@ func TestLevelWRRWeights(t *testing.T) {
 func TestLevelWRRMidVisitDeactivateRefundsCredit(t *testing.T) {
 	e := newEnt(4)
 	e.weight[1] = 4
+	p := Params{Kind: policy.EgressWRR, Audit: true}
 	var l Level
 	l.Activate(e, 1)
 	l.Activate(e, 2)
-	if id, _, _ := l.Pick(wrrParams(), e); id != 1 {
+	if id, _, _ := l.Pick(p, e); id != 1 {
 		t.Fatal("first pick should open member 1's visit")
 	}
 	// Member 1 drains after one of its four packets: the three unused
 	// credits must be refunded from the audit and the next pick moves on.
-	l.Deactivate(wrrParams(), e, 1)
+	l.Deactivate(p, e, 1)
 	if e.audit[1] != 1 {
 		t.Fatalf("audit %d after mid-visit drain, want 1 (refund)", e.audit[1])
 	}
 	if l.Visiting() {
 		t.Fatal("visit survived its member's deactivation")
 	}
-	if id, _, _ := l.Pick(wrrParams(), e); id != 2 {
+	if id, _, _ := l.Pick(p, e); id != 2 {
 		t.Fatal("rotation did not move on after mid-visit drain")
 	}
 }
@@ -186,12 +188,13 @@ func TestLevelDRRByteFairness(t *testing.T) {
 	e.weight[2] = 2
 	e.head[1] = 300
 	e.head[2] = 300
+	p := Params{Kind: policy.EgressDRR, Quantum: 100, Audit: true}
 	var l Level
 	l.Activate(e, 1)
 	l.Activate(e, 2)
 	served := map[int32]int64{}
 	for i := 0; i < 90; i++ {
-		id, debit, ok := l.Pick(drrParams(100), e)
+		id, debit, ok := l.Pick(p, e)
 		if !ok {
 			t.Fatal("pick failed with members active")
 		}

@@ -19,16 +19,18 @@ package sched
 // and deactivation cascade outward only while a list transitions
 // between empty and non-empty, so the common case stays O(1).
 //
-// Everything configuration-like — discipline parameters per level, node
-// weights, the leaf Entity, audit sinks — is reached through the
-// Hierarchy interface so the Stack itself holds only rotation state and
-// the caller's policy can change without touching any per-Stack state.
+// Configuration — discipline parameters per level, node weights, the
+// leaf Entity, whether auditing is on — comes from the Hierarchy
+// interface, but the Stack reads it only at Init and Refresh and keeps a
+// copy: a pick, activate, deactivate or charge makes no Hierarchy call
+// at all. A caller that changes anything the Hierarchy reports calls
+// Refresh (Reset does) before the next operation; until then the Stack
+// keeps scheduling by the configuration it last read.
 
 import "npqm/internal/policy"
 
 // Hierarchy supplies a Stack's configuration and its leaf population.
-// Implementations are expected to be pointer-shaped so the interface
-// conversions in the pick path do not allocate.
+// The Stack calls it only from Init and Refresh.
 type Hierarchy interface {
 	// Params returns the discipline of intermediate level k (0 is the
 	// outermost).
@@ -44,16 +46,18 @@ type Hierarchy interface {
 	Leaf() Entity
 	// AuditNode mirrors Entity.Audit for intermediate nodes: it
 	// accumulates granted/forfeited service entitlement at level k for
-	// the conservation property. A no-op outside tests.
+	// the conservation property. Called only while Params(k).Audit is
+	// set.
 	AuditNode(level int, id int32, delta int64)
 }
 
 // node is one intermediate node's dense state: its intrusive links on
-// the parent's rotation, its own DRR deficit, and the child Level
-// arbitrating the tier below it.
+// the parent's rotation, its own DRR deficit, its weight as last read
+// from the Hierarchy, and the child Level arbitrating the tier below it.
 type node struct {
 	next, prev int32
 	deficit    int64
+	weight     int64
 	child      Level
 }
 
@@ -66,24 +70,29 @@ type nodeEntity struct {
 }
 
 // Stack is one scheduling unit's hierarchy state: the root Level, the
-// per-level node slices, and the Hierarchy it was initialized against.
-// The zero value is not ready (Init builds it); a depth-0 Stack is
-// ready and flat. Not safe for concurrent use — the caller provides the
-// critical section.
+// per-level node slices, the Hierarchy it was initialized against and
+// the configuration last read from it. The zero value is not ready
+// (Init builds it); a depth-0 Stack is ready and flat. Not safe for
+// concurrent use — the caller provides the critical section.
 type Stack struct {
-	h     Hierarchy
-	root  Level
-	nodes [][]node
-	ents  []nodeEntity
+	h      Hierarchy
+	root   Level
+	nodes  [][]node
+	ents   []nodeEntity
+	params []Params // per intermediate level, as of the last Refresh
+	leafP  Params
+	leaf   Entity
 }
 
 // Init builds the stack: counts[k] is the (composite) node count of
 // intermediate level k, outermost first; an empty counts is the flat
-// configuration. All nodes start unlinked with zero deficit.
+// configuration. All nodes start unlinked with zero deficit, and the
+// configuration is read as Refresh reads it.
 func (st *Stack) Init(h Hierarchy, counts []int32) {
 	st.h = h
 	st.nodes = make([][]node, len(counts))
 	st.ents = make([]nodeEntity, len(counts))
+	st.params = make([]Params, len(counts))
 	for k, n := range counts {
 		st.nodes[k] = make([]node, n)
 		for i := range st.nodes[k] {
@@ -91,6 +100,21 @@ func (st *Stack) Init(h Hierarchy, counts []int32) {
 			st.nodes[k][i].prev = None
 		}
 		st.ents[k] = nodeEntity{st: st, lvl: int32(k)}
+	}
+	st.Refresh()
+}
+
+// Refresh re-reads the configuration from the Hierarchy: every level's
+// Params, the leaf Params and Entity, and every node's weight. Rotation,
+// visit and deficit state are untouched. Call it after changing anything
+// the Hierarchy reports; the Stack does not see the change until then.
+func (st *Stack) Refresh() {
+	st.leafP, st.leaf = st.h.LeafParams(), st.h.Leaf()
+	for k := range st.nodes {
+		st.params[k] = st.h.Params(k)
+		for i := range st.nodes[k] {
+			st.nodes[k][i].weight = st.h.Weight(k, int32(i))
+		}
 	}
 }
 
@@ -128,7 +152,7 @@ func (ne *nodeEntity) SetNext(id, next int32) { ne.st.nodes[ne.lvl][id].next = n
 func (ne *nodeEntity) Prev(id int32) int32    { return ne.st.nodes[ne.lvl][id].prev }
 func (ne *nodeEntity) SetPrev(id, prev int32) { ne.st.nodes[ne.lvl][id].prev = prev }
 
-func (ne *nodeEntity) Weight(id int32) int64 { return ne.st.h.Weight(int(ne.lvl), id) }
+func (ne *nodeEntity) Weight(id int32) int64 { return ne.st.nodes[ne.lvl][id].weight }
 
 func (ne *nodeEntity) Deficit(id int32) int64 { return ne.st.nodes[ne.lvl][id].deficit }
 func (ne *nodeEntity) SetDeficit(id int32, d int64) {
@@ -146,17 +170,17 @@ func (ne *nodeEntity) HeadBytes(id int32) (int64, bool) {
 	st := ne.st
 	l := &st.nodes[ne.lvl][id].child
 	for k := int(ne.lvl) + 1; k < len(st.nodes); k++ {
-		nid, ok := l.Peek(st.h.Params(k), &st.ents[k])
+		nid, ok := l.Peek(st.params[k], &st.ents[k])
 		if !ok {
 			return 0, false
 		}
 		l = &st.nodes[k][nid].child
 	}
-	leaf, ok := l.Peek(st.h.LeafParams(), st.h.Leaf())
+	leaf, ok := l.Peek(st.leafP, st.leaf)
 	if !ok {
 		return 0, false
 	}
-	return st.h.Leaf().HeadBytes(leaf)
+	return st.leaf.HeadBytes(leaf)
 }
 
 func (ne *nodeEntity) Audit(id int32, delta int64) { ne.st.h.AuditNode(int(ne.lvl), id, delta) }
@@ -173,19 +197,19 @@ func (ne *nodeEntity) Audit(id int32, delta int64) { ne.st.h.AuditNode(int(ne.lv
 func (st *Stack) Pick() (int32, int64, bool) {
 	n := len(st.nodes)
 	if n == 0 {
-		return st.root.Pick(st.h.LeafParams(), st.h.Leaf())
+		return st.root.Pick(st.leafP, st.leaf)
 	}
-	id, _, ok := st.root.Pick(st.h.Params(0), &st.ents[0])
+	id, _, ok := st.root.Pick(st.params[0], &st.ents[0])
 	if !ok {
 		return None, 0, false
 	}
 	for k := 1; k < n; k++ {
-		id, _, ok = st.nodes[k-1][id].child.Pick(st.h.Params(k), &st.ents[k])
+		id, _, ok = st.nodes[k-1][id].child.Pick(st.params[k], &st.ents[k])
 		if !ok {
 			return None, 0, false // unreachable: a linked node has descendants
 		}
 	}
-	return st.nodes[n-1][id].child.Pick(st.h.LeafParams(), st.h.Leaf())
+	return st.nodes[n-1][id].child.Pick(st.leafP, st.leaf)
 }
 
 // Activate links leaf into the hierarchy along path (path[k] is the
@@ -195,11 +219,11 @@ func (st *Stack) Pick() (int32, int64, bool) {
 func (st *Stack) Activate(leaf int32, path []int32) {
 	n := len(st.nodes)
 	if n == 0 {
-		st.root.Activate(st.h.Leaf(), leaf)
+		st.root.Activate(st.leaf, leaf)
 		return
 	}
 	l := &st.nodes[n-1][path[n-1]].child
-	l.Activate(st.h.Leaf(), leaf)
+	l.Activate(st.leaf, leaf)
 	if l.Count() > 1 {
 		return
 	}
@@ -221,22 +245,22 @@ func (st *Stack) Activate(leaf int32, path []int32) {
 func (st *Stack) Deactivate(leaf int32, path []int32) {
 	n := len(st.nodes)
 	if n == 0 {
-		st.root.Deactivate(st.h.LeafParams(), st.h.Leaf(), leaf)
+		st.root.Deactivate(st.leafP, st.leaf, leaf)
 		return
 	}
 	l := &st.nodes[n-1][path[n-1]].child
-	l.Deactivate(st.h.LeafParams(), st.h.Leaf(), leaf)
+	l.Deactivate(st.leafP, st.leaf, leaf)
 	if l.Count() > 0 {
 		return
 	}
 	for k := n - 1; k > 0; k-- {
 		l = &st.nodes[k-1][path[k-1]].child
-		l.Deactivate(st.h.Params(k), &st.ents[k], path[k])
+		l.Deactivate(st.params[k], &st.ents[k], path[k])
 		if l.Count() > 0 {
 			return
 		}
 	}
-	st.root.Deactivate(st.h.Params(0), &st.ents[0], path[0])
+	st.root.Deactivate(st.params[0], &st.ents[0], path[0])
 }
 
 // Charge debits bytes actually served under path against every
@@ -244,17 +268,19 @@ func (st *Stack) Deactivate(leaf int32, path []int32) {
 // caller's (Pick returned it); packet-granular levels are untouched.
 func (st *Stack) Charge(path []int32, bytes int64) {
 	for k := range st.nodes {
-		if st.h.Params(k).Kind == policy.EgressDRR {
+		if st.params[k].Kind == policy.EgressDRR {
 			st.nodes[k][path[k]].deficit -= bytes
 		}
 	}
 }
 
-// Reset ends every open visit without refunds and zeroes every
-// intermediate deficit — the discipline-replacement reset (the caller
-// resets leaf deficits and audit state wholesale alongside). Membership
-// survives: backlogged subtrees stay linked across a discipline change.
+// Reset ends every open visit without refunds, zeroes every
+// intermediate deficit and re-reads the configuration (Refresh) — the
+// discipline-replacement reset (the caller resets leaf deficits and
+// audit state wholesale alongside). Membership survives: backlogged
+// subtrees stay linked across a discipline change.
 func (st *Stack) Reset() {
+	st.Refresh()
 	st.root.ResetRotation()
 	for k := range st.nodes {
 		for i := range st.nodes[k] {
