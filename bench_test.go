@@ -24,7 +24,8 @@
 //   - EnginePolicy: the cost of consulting Tail-Drop and RED against no
 //     policy. overload-lqd-steps is LQD only.
 //   - EngineShardedBatch: EnqueueBatch/DequeueBatch, an entry point no
-//     workload calls.
+//     workload calls, beside the same bursts through the per-packet calls
+//     — the margin DESIGN.md's "What stays in two forms" keeps them by.
 //
 // The engine cells run at bench/'s shard count and no other; the shard
 // sweep is `qmsim -model engine -shards 1|4|16|64`. Run with:
@@ -297,46 +298,76 @@ func BenchmarkAblationBanks(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineShardedBatch is the batched entry point: bursts of 64
-// packets per EnqueueBatch/DequeueBatch call, locking each shard once per
-// burst.
+// BenchmarkEngineShardedBatch is the batched entry point against the margin
+// it must keep: bursts of 64 packets per EnqueueBatch/DequeueBatch call,
+// locking each shard once per burst ("batch"), and the same bursts through
+// EnqueuePacket/DequeuePacket, one shard entry per packet ("loop").
 func BenchmarkEngineShardedBatch(b *testing.B) {
 	const burst = 64
-	cm, err := NewConcurrentQueueManager(DefaultFlows, 1<<17, benchShards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkt := make([]byte, 320)
-	b.SetBytes(int64(len(pkt) * burst))
-	var gid atomic.Uint32
-	b.RunParallel(func(pb *testing.PB) {
-		batch := make([]PacketEnqueue, burst)
-		flows := make([]uint32, burst)
-		fd := benchFlowDist(b, uint64(gid.Add(1)))
-		for pb.Next() {
-			for j := range batch {
-				f := fd.Next()
-				batch[j] = PacketEnqueue{Flow: f, Data: pkt}
-				flows[j] = f
+	for _, mode := range []string{"batch", "loop"} {
+		b.Run(mode, func(b *testing.B) {
+			cm, err := NewConcurrentQueueManager(DefaultFlows, 1<<17, benchShards)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if _, errs := cm.EnqueueBatch(batch); errs != nil {
-				for _, err := range errs {
-					if err != nil {
+			pkt := make([]byte, 320)
+			b.SetBytes(int64(len(pkt) * burst))
+			b.ReportAllocs()
+			var gid atomic.Uint32
+			b.RunParallel(func(pb *testing.PB) {
+				batch := make([]PacketEnqueue, burst)
+				flows := make([]uint32, burst)
+				fd := benchFlowDist(b, uint64(gid.Add(1)))
+				for pb.Next() {
+					for j := range batch {
+						f := fd.Next()
+						batch[j] = PacketEnqueue{Flow: f, Data: pkt}
+						flows[j] = f
+					}
+					if err := shardedBurst(cm, mode == "loop", batch, flows); err != nil {
 						b.Error(err)
 						return
 					}
 				}
-			}
-			pkts, errs := cm.DequeueBatch(flows)
-			for j, err := range errs {
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				cm.ReleaseBuffer(pkts[j])
+			})
+		})
+	}
+}
+
+// shardedBurst enqueues batch and dequeues flows, one call per packet when
+// loop is set, else through the batch entry points, and releases every
+// buffer it dequeued.
+func shardedBurst(cm *ConcurrentQueueManager, loop bool, batch []PacketEnqueue, flows []uint32) error {
+	if loop {
+		for _, p := range batch {
+			if _, err := cm.EnqueuePacket(p.Flow, p.Data); err != nil {
+				return err
 			}
 		}
-	})
+		for _, f := range flows {
+			data, err := cm.DequeuePacket(f)
+			if err != nil {
+				return err
+			}
+			cm.ReleaseBuffer(data)
+		}
+		return nil
+	}
+	if _, errs := cm.EnqueueBatch(batch); errs != nil {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	pkts, errs := cm.DequeueBatch(flows)
+	for j, err := range errs {
+		if err != nil {
+			return err
+		}
+		cm.ReleaseBuffer(pkts[j])
+	}
+	return nil
 }
 
 // BenchmarkEnginePolicy measures the admission-policy overhead on the
@@ -509,13 +540,14 @@ func BenchmarkEngineDelivery(b *testing.B) {
 
 // BenchmarkSegstore compares the shared segment store against the old
 // static per-shard pool split at the allocation layer. Each worker holds a
-// live set of segments and churns (alloc one, trim to target): "uniform"
-// sizes every worker's target just under an even pool share; "zipf" skews
-// demand so the hottest workers want several times their share. Under the
-// static split the hot workers' allocations fail once their private pool
-// is exhausted — capacity stranded in the cold workers' pools — while the
-// shared store serves the skew from one pool. The fail metric reports
-// failed allocations per successful one.
+// live set of segments and churns one segment at a time through AllocN and
+// FreeN, as the single-segment commands do (alloc one, trim to target):
+// "uniform" sizes every worker's target just under an even pool share;
+// "zipf" skews demand so the hottest workers want several times their
+// share. Under the static split the hot workers' allocations fail once
+// their private pool is exhausted — capacity stranded in the cold workers'
+// pools — while the shared store serves the skew from one pool. The fail
+// metric reports failed allocations per successful one.
 func BenchmarkSegstore(b *testing.B) {
 	const pool = 1 << 16
 	workers := runtime.GOMAXPROCS(0)
@@ -569,20 +601,22 @@ func BenchmarkSegstore(b *testing.B) {
 					w := int(gid.Add(1)-1) % workers
 					src := srcs[w]
 					held := make([]int32, 0, tgt[w]+1)
+					one := make([]int32, 1)
 					for pb.Next() {
-						if s, ok := src.Alloc(); ok {
-							held = append(held, s)
+						if src.AllocN(one) == 1 {
+							held = append(held, one[0])
 							oks.Add(1)
 						} else {
 							fails.Add(1)
 						}
 						for len(held) > tgt[w] {
-							src.Free(held[len(held)-1])
+							s := held[len(held)-1]
+							src.FreeN(s, s, 1)
 							held = held[:len(held)-1]
 						}
 					}
 					for _, s := range held {
-						src.Free(s)
+						src.FreeN(s, s, 1)
 					}
 				})
 				if oks.Load() > 0 {

@@ -392,7 +392,6 @@ func runEngine(w io.Writer, a engineArgs) error {
 		Shards:      a.shards,
 		NumFlows:    a.flows,
 		NumSegments: a.pool,
-		StoreData:   true,
 		Admission: policy.Config{
 			Kind: kind, Limit: a.limit,
 			MinTh: a.minth, MaxTh: a.maxth, MaxP: a.maxp, Weight: a.wq,

@@ -70,7 +70,6 @@ func NewConcurrentQueueManager(flows, segments, shards int) (*ConcurrentQueueMan
 		Shards:      shards,
 		NumFlows:    flows,
 		NumSegments: segments,
-		StoreData:   true,
 	})
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func TestShapedBurstHoldsBudgetIMIX(t *testing.T) {
 	for _, rate := range []int64{500_000, 2_000_000, 40_000_000} {
 		t.Run(fmt.Sprintf("rate=%d", rate), func(t *testing.T) {
 			e := newStepped(t, Config{
-				Shards: 4, NumFlows: flows, NumSegments: 1 << 15, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: 1 << 15,
 				PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 			})
 			defer e.Close()
@@ -116,7 +116,7 @@ func TestShapedPortSharesAcrossShards(t *testing.T) {
 	const shards, rate, burst, pktBytes, ticks = 4, 2_000_000, 64, 64, 64
 	const perTick = rate * int64(pacerTick) / int64(second)
 	e := newStepped(t, Config{
-		Shards: shards, NumFlows: 64, NumSegments: 1 << 15, StoreData: true,
+		Shards: shards, NumFlows: 64, NumSegments: 1 << 15,
 		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 	})
 	defer e.Close()
@@ -174,7 +174,7 @@ func TestShapedPortSharesAcrossShards(t *testing.T) {
 func TestContractCloseWithRetainedBurst(t *testing.T) {
 	const pool, rate, burst, pktBytes = 1 << 12, 2_000_000, 64, 64
 	e := newStepped(t, Config{
-		Shards: 4, NumFlows: 64, NumSegments: pool, StoreData: true,
+		Shards: 4, NumFlows: 64, NumSegments: pool,
 		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 	})
 	pkt := make([]byte, pktBytes)

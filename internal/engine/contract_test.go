@@ -17,7 +17,7 @@ import (
 // shard's other flows go on being served.
 func TestContractRunPanicReleasesShard(t *testing.T) {
 	const pool = 256
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool, StoreData: true})
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool})
 	defer e.Close()
 	const flow = 3
 	s := e.shardOf(flow)
@@ -56,7 +56,7 @@ func TestContractRunPanicReleasesShard(t *testing.T) {
 // ErrClosed and leaves it open; Abort returns the run.
 func TestContractCloseWithOpenReservation(t *testing.T) {
 	const pool = 256
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool, StoreData: true})
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool})
 	r, err := e.ReservePacket(5, 4*queue.SegmentBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestContractCloseWithOpenReservation(t *testing.T) {
 // Release after Close returns each chain to the pool.
 func TestContractCloseWithRetainedViews(t *testing.T) {
 	const pool = 256
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool, StoreData: true})
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: pool})
 	payload := make([]byte, 2*queue.SegmentBytes)
 	for i := range payload {
 		payload[i] = byte(i)

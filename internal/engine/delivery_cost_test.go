@@ -211,7 +211,7 @@ func TestMirrorExactOutsideSections(t *testing.T) {
 		for _, ring := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards%d/ring=%v", shards, ring), func(t *testing.T) {
 				e, err := New(Config{
-					Shards: shards, NumFlows: flows, NumSegments: pool, StoreData: true,
+					Shards: shards, NumFlows: flows, NumSegments: pool,
 					Admission: policy.Config{Kind: policy.KindLQD},
 				})
 				if err != nil {
@@ -329,7 +329,7 @@ func TestMirrorExactOutsideSections(t *testing.T) {
 func TestFreeSegmentsBoundedUnderConcurrency(t *testing.T) {
 	const flows, pool, perPhase = 64, 4096, 30000
 	e, err := New(Config{
-		Shards: 4, NumFlows: flows, NumSegments: pool, StoreData: true,
+		Shards: 4, NumFlows: flows, NumSegments: pool,
 		Admission: policy.Config{Kind: policy.KindTailDrop},
 	})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestReServeDoesNotBookOutageAsGap(t *testing.T) {
 	for _, view := range []bool{false, true} {
 		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
 			e := newStepped(t, Config{
-				Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+				Shards: 1, NumFlows: 8, NumSegments: 4096,
 				PortRate: policy.ShaperConfig{RateBytesPerSec: 1 << 20, BurstBytes: 1024}, // ~1ms per packet
 			})
 			defer e.Close()
@@ -462,7 +462,7 @@ func TestDeliveryEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/view=%v/%s", dp.name, view, eqEntryNames[entry])
 				t.Run(name, func(t *testing.T) {
 					e, err := New(Config{
-						Shards: 4, NumFlows: eqNumFlows, NumSegments: eqPool, StoreData: true,
+						Shards: 4, NumFlows: eqNumFlows, NumSegments: eqPool,
 						NumPorts: eqPorts,
 						Egress: policy.EgressConfig{
 							Kind: policy.EgressDRR, QuantumBytes: 700,

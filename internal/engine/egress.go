@@ -49,10 +49,8 @@ const numTiers = policy.NumTiers
 // byte count, and the payload in the form the caller asked for — exactly
 // one of Data and View is set. Copy delivery fills Data with the
 // reassembled payload (from the engine's buffer pool — ReleaseBuffer it
-// when done; empty when data storage is off, where Bytes is derived from
-// the segment count so shapers can charge transmissions either way). View
-// delivery fills View with the packet's segment chain, read in place;
-// Bytes then comes from the queue accounting and is exact either way.
+// when done). View delivery fills View with the packet's segment chain,
+// read in place; Bytes then comes from the queue accounting.
 type Dequeued struct {
 	Flow  uint32
 	Bytes int

@@ -51,7 +51,7 @@ func enableEgressAudit(e *Engine) {
 // stayed non-negative and the flow transmitted for free forever.
 func TestDRRFallbackChargesDeficit(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 1024, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 1024,
 		Egress: policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 1},
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestDRRFallbackChargesDeficit(t *testing.T) {
 // ahead of its weight while its competitor waited.
 func TestWRRVisitEndsWhenFlowDrains(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 1024, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 1024,
 		Egress: policy.EgressConfig{Kind: policy.EgressWRR, DefaultWeight: 1},
 	})
 	if err != nil {
@@ -226,7 +226,7 @@ func TestEgressConservationProperty(t *testing.T) {
 			const flows = 64
 			e, err := New(Config{
 				Shards: tc.shards, NumFlows: flows, NumSegments: 4096,
-				StoreData: true, Egress: eg,
+				Egress: eg,
 			})
 			if err != nil {
 				t.Fatal(err)

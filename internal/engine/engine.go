@@ -114,7 +114,9 @@ type Config struct {
 	// allocate from this one pool through per-shard magazine caches, so a
 	// single hot flow can consume (nearly) all of it.
 	NumSegments int
-	// StoreData controls whether payloads are stored (as in queue.Config).
+	// Deprecated: payloads are always stored and StoreData is ignored. The
+	// field stays until the benchmark module (bench/replay.go) stops
+	// setting it.
 	StoreData bool
 	// Admission selects the shared-buffer admission policy. The zero value
 	// (policy.KindNone) admits everything the pool can hold. Each shard
@@ -177,10 +179,6 @@ type shard struct {
 	// traffic counters, arrive's exits the fates of refused arrivals,
 	// noteCopied the copy charge.
 	Counters
-
-	// storeData mirrors Config.StoreData so the copy accounting can run
-	// inside shard methods without reaching for the engine.
-	storeData bool
 
 	// Admission policy: admKind says which (KindNone = accept all), adm is
 	// its instance — nil for tail-drop, whose decision is two integer
@@ -318,7 +316,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	store, err := segstore.New(segstore.Config{
 		NumSegments:  cfg.NumSegments,
 		SegmentBytes: queue.SegmentBytes,
-		StoreData:    cfg.StoreData,
+		StoreData:    true,
 		MagazineSize: mag,
 	})
 	if err != nil {
@@ -374,14 +372,13 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		// Per-port level stacks are allocated lazily on first activity
 		// (see portSched), so a wide port space costs nothing up front.
 		s := &shard{
-			m:         m,
-			cache:     cache,
-			storeData: cfg.StoreData,
-			allocBuf:  allocBuf,
-			ps:        make([]portSched, cfg.NumPorts),
-			flows:     e.flows,
-			ports:     e.ports,
-			flowOf:    make([]uint32, 0, owned[i]),
+			m:        m,
+			cache:    cache,
+			allocBuf: allocBuf,
+			ps:       make([]portSched, cfg.NumPorts),
+			flows:    e.flows,
+			ports:    e.ports,
+			flowOf:   make([]uint32, 0, owned[i]),
 		}
 		for t := range numTiers {
 			s.eg.tierWeights[t] = make([]int32, tierUnits[t])
@@ -648,7 +645,7 @@ func (e *Engine) relieve(v *shard, need int) {
 		return
 	}
 	e.pushOutElected(v, need)
-	v.m.FlushFree()
+	v.cache.Flush()
 	v.unlock()
 }
 
@@ -804,13 +801,8 @@ func (s *shard) noteRefused(err error) error {
 // noteCopied charges n payload bytes to the shard's copy counter, inside
 // the shard's critical section. Only the copying datapaths call it — the
 // view and write-in-place paths never do, which is how Stats.CopiedBytes
-// proves a deployment's copy path has gone quiet. No payload memory means
-// nothing was copied, so the charge is skipped.
-func (s *shard) noteCopied(n int) {
-	if s.storeData {
-		s.CopiedBytes += uint64(n)
-	}
-}
+// proves a deployment's copy path has gone quiet.
+func (s *shard) noteCopied(n int) { s.CopiedBytes += uint64(n) }
 
 // admit is the admission decision for a packet of need segments arriving on
 // flow, inside s's critical section (s.admKind != KindNone). Tail-drop is
@@ -905,10 +897,6 @@ const unpicked int64 = -1
 // the deficit negative instead of transmitting for free. The intermediate
 // levels are charged the bytes actually served. Both charges precede the
 // active-list sync: a flow that drains forfeits only what it did not spend.
-//
-// A view's byte count comes from the queue accounting, so it is exact
-// even when data storage is off, where the copy can only estimate from
-// the segment count.
 func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err error) {
 	var segs int
 	*d = Dequeued{Flow: flow}
@@ -918,9 +906,7 @@ func (s *shard) take(d *Dequeued, flow uint32, view bool, debit int64) (err erro
 	} else {
 		d.Data, segs, err = s.m.DequeuePacketInto(q, s.allocBuf)
 		s.noteCopied(len(d.Data))
-		if d.Bytes = len(d.Data); !s.storeData {
-			d.Bytes = segs * queue.SegmentBytes
-		}
+		d.Bytes = len(d.Data)
 	}
 	if err != nil {
 		*d = Dequeued{}

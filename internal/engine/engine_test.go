@@ -16,7 +16,7 @@ import (
 
 func newTest(t *testing.T, shards, flows, segments int) *Engine {
 	t.Helper()
-	e, err := New(Config{Shards: shards, NumFlows: flows, NumSegments: segments, StoreData: true})
+	e, err := New(Config{Shards: shards, NumFlows: flows, NumSegments: segments})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestShardStats(t *testing.T) {
 func BenchmarkEngineEnqueueDequeue(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e, err := New(Config{Shards: shards, NumFlows: 4096, NumSegments: 1 << 16, StoreData: true})
+			e, err := New(Config{Shards: shards, NumFlows: 4096, NumSegments: 1 << 16})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,7 +26,7 @@ import (
 // sort with their classes here).
 func TestClassPrioServesLowestClassFirst(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 64, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 64, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressRR,
 			Levels: []policy.LevelSpec{
@@ -78,7 +78,7 @@ func TestClassPrioServesLowestClassFirst(t *testing.T) {
 // serve sequence cycles AAAB exactly.
 func TestClassWRRVisitPattern(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressRR,
 			Levels: []policy.LevelSpec{
@@ -126,7 +126,7 @@ func TestClassWRRVisitPattern(t *testing.T) {
 // TierStats reads the engine's weight slice and cannot tell.
 func TestTierWeightTakesEffectMidTraffic(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressRR,
 			Levels: []policy.LevelSpec{
@@ -179,7 +179,7 @@ func TestTierWeightTakesEffectMidTraffic(t *testing.T) {
 // class across shards and reports configured weights.
 func TestClassStatsReflectBacklog(t *testing.T) {
 	e, err := New(Config{
-		Shards: 4, NumFlows: 64, NumSegments: 4096, StoreData: true,
+		Shards: 4, NumFlows: 64, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Levels: []policy.LevelSpec{
 				{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
@@ -228,7 +228,7 @@ func TestClassRehomingChurnRing(t *testing.T) {
 		perFlow   = 120
 	)
 	e, err := New(Config{
-		Shards: 4, NumFlows: flows, NumSegments: 1 << 13, StoreData: true,
+		Shards: 4, NumFlows: flows, NumSegments: 1 << 13,
 		NumPorts: 4,
 		Egress: policy.EgressConfig{
 			Kind:         policy.EgressDRR,
@@ -361,7 +361,7 @@ func TestClassRehomingChurnRing(t *testing.T) {
 // lowest backlogged class is served first.
 func TestTenantClassFlowComposition(t *testing.T) {
 	e, err := New(Config{
-		Shards: 1, NumFlows: 32, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 32, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressRR,
 			Levels: []policy.LevelSpec{
@@ -428,7 +428,7 @@ func TestTenantClassFlowComposition(t *testing.T) {
 // backlogged flow moves its count.
 func TestTenantStatsReflectBacklog(t *testing.T) {
 	e, err := New(Config{
-		Shards: 4, NumFlows: 64, NumSegments: 4096, StoreData: true,
+		Shards: 4, NumFlows: 64, NumSegments: 4096,
 		Egress: policy.EgressConfig{
 			Levels: []policy.LevelSpec{
 				{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
@@ -491,7 +491,7 @@ func TestTenantRehomingChurnRing(t *testing.T) {
 		perFlow   = 120
 	)
 	e, err := New(Config{
-		Shards: 4, NumFlows: flows, NumSegments: 1 << 13, StoreData: true,
+		Shards: 4, NumFlows: flows, NumSegments: 1 << 13,
 		NumPorts: 4,
 		Egress: policy.EgressConfig{
 			Kind:         policy.EgressDRR,
@@ -630,7 +630,7 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 		usedFlw = 4096
 	)
 	e, err := New(Config{
-		Shards: shards, NumFlows: flows, NumSegments: 1 << 14, StoreData: true,
+		Shards: shards, NumFlows: flows, NumSegments: 1 << 14,
 		NumPorts: ports,
 		// Every port shaped: 64 KB/s with a small burst, so a 2KB port
 		// load outruns burst + one tick's credit and the wheel actually

@@ -32,7 +32,7 @@ func newRingEngine(t *testing.T, cfg Config) *Engine {
 }
 
 func TestRingBlockingWrappers(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 256, NumSegments: 4096, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 4, NumFlows: 256, NumSegments: 4096})
 	defer e.Close()
 
 	pkt := []byte("ring datapath says hello across three segments of payload, give or take a few words to cross 64B")
@@ -63,7 +63,7 @@ func TestRingBlockingWrappers(t *testing.T) {
 }
 
 func TestRingPerFlowFIFO(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 4096, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 4096})
 	defer e.Close()
 	// A blocking dequeue executes what its shard's ring holds before its own
 	// work, so it must observe every packet posted before it, in order.
@@ -92,7 +92,7 @@ func TestRingPerFlowFIFO(t *testing.T) {
 // waiting for the slot would run the blocking call first, and the flow would
 // deliver seq+1 before seq (or find its queue empty).
 func TestPostedThenBlockingKeepsProgramOrder(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 1, NumFlows: 16, NumSegments: 1024, StoreData: true, RingCapacity: 64})
+	e := newRingEngine(t, Config{Shards: 1, NumFlows: 16, NumSegments: 1024, RingCapacity: 64})
 	defer e.Close()
 	const goroutines, rounds = 8, 4000
 	var wg sync.WaitGroup
@@ -135,7 +135,7 @@ func TestPostedThenBlockingKeepsProgramOrder(t *testing.T) {
 }
 
 func TestRingBatchPaths(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 8, NumFlows: 512, NumSegments: 8192, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 8, NumFlows: 512, NumSegments: 8192})
 	defer e.Close()
 	const burst = 96
 	batch := make([]EnqueueReq, burst)
@@ -171,7 +171,7 @@ func TestRingBatchPaths(t *testing.T) {
 }
 
 func TestRingEgressAndMove(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 128, NumSegments: 4096, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 4, NumFlows: 128, NumSegments: 4096})
 	defer e.Close()
 	for f := uint32(0); f < 16; f++ {
 		if _, err := e.EnqueuePacket(f, []byte("egress")); err != nil {
@@ -210,7 +210,7 @@ func TestRingEgressAndMove(t *testing.T) {
 
 func TestRingLQDGlobalEviction(t *testing.T) {
 	e := newRingEngine(t, Config{
-		Shards: 4, NumFlows: 64, NumSegments: 64, StoreData: true,
+		Shards: 4, NumFlows: 64, NumSegments: 64,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	defer e.Close()
@@ -249,7 +249,7 @@ func TestRingLQDGlobalEviction(t *testing.T) {
 }
 
 func TestStartWhileTrafficFlows(t *testing.T) {
-	e, err := New(Config{Shards: 8, NumFlows: 1024, NumSegments: 1 << 14, StoreData: true})
+	e, err := New(Config{Shards: 8, NumFlows: 1024, NumSegments: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestStartWhileTrafficFlows(t *testing.T) {
 }
 
 func TestCloseDrainsInFlightWithoutLoss(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 8, NumFlows: 2048, NumSegments: 1 << 15, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 8, NumFlows: 2048, NumSegments: 1 << 15})
 	const producers = 4
 	var posted atomic.Uint64
 	var drained atomic.Uint64
@@ -372,7 +372,7 @@ func TestCloseDrainsInFlightWithoutLoss(t *testing.T) {
 }
 
 func TestDoubleCloseAndPostCloseErrors(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 2, NumFlows: 64, NumSegments: 512, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 2, NumFlows: 64, NumSegments: 512})
 	if _, err := e.EnqueuePacket(1, []byte("resident")); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestDoubleCloseAndPostCloseErrors(t *testing.T) {
 }
 
 func TestDrainFlushesAsyncBacklog(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 256, NumSegments: 1 << 13, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 4, NumFlows: 256, NumSegments: 1 << 13})
 	defer e.Close()
 	pkt := make([]byte, 64)
 	const n = 5000
@@ -477,7 +477,7 @@ func TestResidenceSampling(t *testing.T) {
 	for _, datapath := range []string{"sync", "ring"} {
 		t.Run(datapath, func(t *testing.T) {
 			e, err := New(Config{
-				Shards: 4, NumFlows: 256, NumSegments: 4096, StoreData: true,
+				Shards: 4, NumFlows: 256, NumSegments: 4096,
 				ResidenceSample: 1, // stamp every packet
 			})
 			if err != nil {
@@ -532,7 +532,7 @@ func TestResidenceSampling(t *testing.T) {
 }
 
 func TestRingDequeueNextSmallBudgetFindsBacklog(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 8, NumFlows: 256, NumSegments: 2048, StoreData: true})
+	e := newRingEngine(t, Config{Shards: 8, NumFlows: 256, NumSegments: 2048})
 	defer e.Close()
 	// A single resident packet on whatever shard: DequeueNextBatch with a
 	// budget smaller than the shard count must still find it, for every

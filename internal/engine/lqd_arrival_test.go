@@ -114,7 +114,7 @@ func TestLQDMatchesReferenceModel(t *testing.T) {
 		for _, in := range ingests {
 			t.Run(fmt.Sprintf("shards%d/%s", shards, in.name), func(t *testing.T) {
 				e, err := New(Config{
-					Shards: shards, NumFlows: flows, NumSegments: pool, StoreData: true,
+					Shards: shards, NumFlows: flows, NumSegments: pool,
 					Admission: policy.Config{Kind: policy.KindLQD},
 				})
 				if err != nil {
@@ -293,7 +293,7 @@ func TestLQDOverloadNoAllocs(t *testing.T) {
 	for _, in := range ingests {
 		setup := func(t *testing.T) (e *Engine, hog, remote uint32) {
 			e, err := New(Config{
-				Shards: 4, NumFlows: flows, NumSegments: pool, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: pool,
 				Admission: policy.Config{Kind: policy.KindLQD},
 			})
 			if err != nil {
@@ -377,7 +377,7 @@ func TestLQDOverloadNoAllocs(t *testing.T) {
 func TestLQDArrivalsSurviveStart(t *testing.T) {
 	const flows, pool, producers, perProducer = 64, 512, 4, 4000
 	e, err := New(Config{
-		Shards: 4, NumFlows: flows, NumSegments: pool, StoreData: true,
+		Shards: 4, NumFlows: flows, NumSegments: pool,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {
@@ -435,7 +435,7 @@ func TestLQDArrivalsSurviveStart(t *testing.T) {
 		t.Errorf("engine enqueued %d packets, producers saw %d accepted of %d offered", got, accepted.Load(), offered.Load())
 	}
 	// enqueued = dequeued + pushed-out + resident, and
-	// free + queued + floating + lent == pool.
+	// free + queued + lent == pool.
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

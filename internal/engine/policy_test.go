@@ -18,7 +18,6 @@ func newPolicyEngine(t *testing.T, segments int, adm policy.Config, eg policy.Eg
 		Shards:      1,
 		NumFlows:    64,
 		NumSegments: segments,
-		StoreData:   true,
 		Admission:   adm,
 		Egress:      eg,
 	})
@@ -170,7 +169,7 @@ func TestConservationLawAcrossPolicies(t *testing.T) {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
 			const flows, pool, capped = 128, 128, 5
 			e, err := New(Config{
-				Shards: 4, NumFlows: flows, NumSegments: pool, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: pool,
 				Admission: cfg,
 			})
 			if err != nil {
@@ -431,7 +430,7 @@ func TestEgressDRRByteFairness(t *testing.T) {
 func TestEgressWorkConservingAcrossShards(t *testing.T) {
 	for _, kind := range []policy.EgressKind{policy.EgressRR, policy.EgressPrio, policy.EgressWRR, policy.EgressDRR} {
 		e, err := New(Config{
-			Shards: 8, NumFlows: 512, NumSegments: 4096, StoreData: true,
+			Shards: 8, NumFlows: 512, NumSegments: 4096,
 			Egress: policy.EgressConfig{Kind: kind},
 		})
 		if err != nil {
@@ -473,7 +472,7 @@ func TestEgressWorkConservingAcrossShards(t *testing.T) {
 // reconfiguration-safety check; afterwards the invariants must still hold.
 func TestConcurrentPolicyReconfiguration(t *testing.T) {
 	e, err := New(Config{
-		Shards: 4, NumFlows: 256, NumSegments: 2048, StoreData: true,
+		Shards: 4, NumFlows: 256, NumSegments: 2048,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {
@@ -584,7 +583,7 @@ func TestLQDDoesNotEvictForCappedArrival(t *testing.T) {
 	// LQD plus a per-flow cap: an arrival the cap will refuse anyway must
 	// not push out another flow's packet first.
 	e, err := New(Config{
-		Shards: 1, NumFlows: 64, NumSegments: 8, StoreData: true,
+		Shards: 1, NumFlows: 64, NumSegments: 8,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {
@@ -655,7 +654,7 @@ func TestCrossShardMoveIntoFullPool(t *testing.T) {
 	// already resident in the shared pool — so it must succeed even when
 	// the pool is completely full, and must not evict anything.
 	e, err := New(Config{
-		Shards: 2, NumFlows: 64, NumSegments: 16, StoreData: true,
+		Shards: 2, NumFlows: 64, NumSegments: 16,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {
@@ -700,7 +699,7 @@ func TestLQDEvictsAcrossShards(t *testing.T) {
 	// shard — impossible under the old per-shard pool split, where the
 	// arrival's shard could only see (and evict from) its own fragment.
 	e, err := New(Config{
-		Shards: 4, NumFlows: 256, NumSegments: 64, StoreData: true,
+		Shards: 4, NumFlows: 256, NumSegments: 64,
 		Admission: policy.Config{Kind: policy.KindLQD},
 	})
 	if err != nil {

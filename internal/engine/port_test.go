@@ -77,7 +77,7 @@ func TestPortConfigValidation(t *testing.T) {
 }
 
 func TestServeDeliversBacklogAndLiveTraffic(t *testing.T) {
-	e, err := New(Config{Shards: 4, NumFlows: 64, NumSegments: 2048, StoreData: true})
+	e, err := New(Config{Shards: 4, NumFlows: 64, NumSegments: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMultiPortPartition(t *testing.T) {
 		t.Run(datapath, func(t *testing.T) {
 			const ports = 4
 			const flows = 64
-			e, err := New(Config{Shards: 4, NumFlows: flows, NumSegments: 4096, StoreData: true, NumPorts: ports})
+			e, err := New(Config{Shards: 4, NumFlows: flows, NumSegments: 4096, NumPorts: ports})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestShapedPortPacesDelivery(t *testing.T) {
 	const rate, burst = 1 << 20, 1024 // 1 MiB/s, 1 KiB burst
 	const pktBytes, packets = 1024, 60
 	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 4096,
 		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 	})
 	pkt := make([]byte, pktBytes)
@@ -264,7 +264,7 @@ func TestShapedPortPacesDelivery(t *testing.T) {
 func TestPacerHorizonRepark(t *testing.T) {
 	const pktBytes, packets = 1500, 9
 	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096, StoreData: true,
+		Shards: 1, NumFlows: 8, NumSegments: 4096,
 		PortRate: policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: pktBytes},
 	})
 	pkt := make([]byte, pktBytes)
@@ -313,7 +313,7 @@ func TestPacerHorizonRepark(t *testing.T) {
 func TestPacerSixteenShapedPorts(t *testing.T) {
 	const ports, rate, burst, pktBytes, ticks = 16, 2_000_000, 4096, 64, 50
 	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 64, NumSegments: 1 << 16, StoreData: true, NumPorts: ports,
+		Shards: 1, NumFlows: 64, NumSegments: 1 << 16, NumPorts: ports,
 		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
 	})
 	sent := make([]int64, ports)
@@ -365,7 +365,7 @@ func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
 				name, backlog, rate = "shaped,"+name, 31, policy.ShaperConfig{RateBytesPerSec: 2_000_000, BurstBytes: 4096}
 			}
 			t.Run(name, func(t *testing.T) {
-				e := newStepped(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512, StoreData: true, NumPorts: 2, PortRate: rate})
+				e := newStepped(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512, NumPorts: 2, PortRate: rate})
 				if err := e.SetFlowPort(1, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -445,7 +445,7 @@ func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
 // TestUnshapedPortRecordsNoJitter: the jitter meter prices shaper
 // pacing; an unshaped port's burst-mode departures must not feed it.
 func TestUnshapedPortRecordsNoJitter(t *testing.T) {
-	e, err := New(Config{Shards: 1, NumFlows: 8, NumSegments: 512, StoreData: true})
+	e, err := New(Config{Shards: 1, NumFlows: 8, NumSegments: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestUnshapedPortRecordsNoJitter(t *testing.T) {
 }
 
 func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true})
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512})
 	sink := newCountingSink(e.Engine)
 	if err := e.ServeViews(0, sink); err != nil {
 		t.Fatal(err)
@@ -509,7 +509,7 @@ func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 }
 
 func TestSetFlowPortMovesBacklog(t *testing.T) {
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, StoreData: true, NumPorts: 2})
+	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, NumPorts: 2})
 	pkt := make([]byte, queue.SegmentBytes)
 	for i := 0; i < 4; i++ {
 		if _, err := e.EnqueuePacket(5, pkt); err != nil {
@@ -550,7 +550,7 @@ func TestSetFlowPortMovesBacklog(t *testing.T) {
 }
 
 func TestServeErrorsAndSinkStop(t *testing.T) {
-	e, err := New(Config{Shards: 1, NumFlows: 8, NumSegments: 128, StoreData: true})
+	e, err := New(Config{Shards: 1, NumFlows: 8, NumSegments: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 
 func TestPullAPIDrainsAllPorts(t *testing.T) {
 	// The legacy pull path serves every port's flows, rotating.
-	e, err := New(Config{Shards: 2, NumFlows: 32, NumSegments: 512, StoreData: true, NumPorts: 3})
+	e, err := New(Config{Shards: 2, NumFlows: 32, NumSegments: 512, NumPorts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +653,7 @@ func TestPortsConcurrentChurn(t *testing.T) {
 			const ports = 4
 			const flows = 128
 			e, err := New(Config{
-				Shards: 4, NumFlows: flows, NumSegments: 2048, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: 2048,
 				NumPorts: ports,
 				PortRate: policy.ShaperConfig{RateBytesPerSec: 1 << 28, BurstBytes: 1 << 16},
 				Egress:   policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 256},

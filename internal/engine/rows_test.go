@@ -81,7 +81,7 @@ func TestErrorsNameTheFlow(t *testing.T) {
 	const flows, pool = 1000, 256
 	for _, flow := range []uint32{0, flows - 1, flows, math.MaxUint32} {
 		t.Run(fmt.Sprint(flow), func(t *testing.T) {
-			e, err := New(Config{Shards: 8, NumFlows: flows, NumSegments: pool, StoreData: true})
+			e, err := New(Config{Shards: 8, NumFlows: flows, NumSegments: pool})
 			if err != nil {
 				t.Fatal(err)
 			}

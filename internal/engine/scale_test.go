@@ -31,7 +31,7 @@ func TestScaleThreeLevelHierarchySmoke(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	e, err := New(Config{
-		Shards: 8, NumFlows: flows, NumSegments: 1 << 16, StoreData: true,
+		Shards: 8, NumFlows: flows, NumSegments: 1 << 16,
 		NumPorts: ports,
 		Egress: policy.EgressConfig{
 			Kind: policy.EgressDRR, QuantumBytes: 512,

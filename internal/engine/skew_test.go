@@ -42,7 +42,6 @@ func TestSkewedConservationFIFO(t *testing.T) {
 		Shards:      shardCount,
 		NumFlows:    flows,
 		NumSegments: segments,
-		StoreData:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +135,7 @@ func TestSkewedConservationFIFO(t *testing.T) {
 // while the pacer is mid-drain overflows the capacity-1 wake channel —
 // those signals must coalesce (counted), never strand a runnable port.
 func TestPacerNotifyBurstNoStrand(t *testing.T) {
-	e, err := New(Config{Shards: 1, NumFlows: 16, NumSegments: 512, StoreData: true, NumPorts: 2})
+	e, err := New(Config{Shards: 1, NumFlows: 16, NumSegments: 512, NumPorts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 		t.Run(fmt.Sprintf("parking/rate=%d", rate), func(t *testing.T) {
 			const flows, chain = 64, 20000
 			e, err := New(Config{
-				Shards: 4, NumFlows: flows, NumSegments: 512, StoreData: true,
+				Shards: 4, NumFlows: flows, NumSegments: 512,
 				PortRate: policy.ShaperConfig{RateBytesPerSec: rate},
 			})
 			if err != nil {

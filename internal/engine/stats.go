@@ -47,7 +47,7 @@ type Counters struct {
 	// each charges the bytes it copied. The zero-copy paths — view
 	// delivery and write-in-place ingest — never add to it, so a
 	// deployment that has fully converted sees this counter stand still
-	// while traffic flows. Always zero when data storage is off.
+	// while traffic flows.
 	CopiedBytes uint64
 }
 
@@ -266,7 +266,7 @@ func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 
 // CheckInvariants validates every shard's queue discipline, the
 // N-level active lists, the shared store's free structures, and the engine-wide
-// conservation laws: free + queued + floating + lent equals the configured
+// conservation laws: free + queued + lent equals the configured
 // pool (lent counts segments checked out in packet views and open
 // write-in-place reservations), and every enqueued segment was either
 // dequeued, pushed out by the admission policy, or is still resident
@@ -279,7 +279,7 @@ func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 // release must happen-before the check).
 func (e *Engine) CheckInvariants() error {
 	var c Counters
-	queued, floating := 0, 0
+	queued := 0
 	for i, s := range e.shards {
 		var err error
 		e.run(s, func() {
@@ -289,7 +289,6 @@ func (e *Engine) CheckInvariants() error {
 			row := s.read(i)
 			c.add(row.Counters)
 			queued += row.QueuedSegments
-			floating += s.m.Floating()
 		})
 		if err != nil {
 			return err
@@ -299,9 +298,9 @@ func (e *Engine) CheckInvariants() error {
 		return err
 	}
 	lent := e.store.Lent()
-	if free := e.store.Free(); free+queued+floating+lent != e.cfg.NumSegments {
-		return fmt.Errorf("engine: conservation violated: %d free + %d queued + %d floating + %d lent != %d",
-			free, queued, floating, lent, e.cfg.NumSegments)
+	if free := e.store.Free(); free+queued+lent != e.cfg.NumSegments {
+		return fmt.Errorf("engine: conservation violated: %d free + %d queued + %d lent != %d",
+			free, queued, lent, e.cfg.NumSegments)
 	}
 	if c.EnqueuedSegments != c.DequeuedSegments+c.PushedOutSegments+uint64(queued) {
 		return fmt.Errorf("engine: segment conservation violated: enqueued %d != dequeued %d + pushed-out %d + resident %d",

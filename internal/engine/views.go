@@ -34,7 +34,7 @@ package engine
 //
 // Accounting: segments checked out in views or open reservations are in
 // the lent state, counted by Stats.LentSegments and by the conservation
-// law CheckInvariants enforces (free + queued + floating + lent == pool).
+// law CheckInvariants enforces (free + queued + lent == pool).
 // A view's segments count as dequeued when the view is produced — inside
 // the shard's critical section, so the traffic counters never depend on
 // when some other goroutine releases — and a reservation's count as

@@ -282,7 +282,7 @@ func TestViewPipelineConcurrent(t *testing.T) {
 				perProd   = 3000
 			)
 			e, err := New(Config{
-				Shards: 4, NumFlows: 64, NumSegments: pool, StoreData: true,
+				Shards: 4, NumFlows: 64, NumSegments: pool,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -416,7 +416,7 @@ func TestViewPipelineConcurrent(t *testing.T) {
 func TestServeViewsSinkError(t *testing.T) {
 	const pool = 2048
 	e, err := New(Config{
-		Shards: 2, NumFlows: 16, NumSegments: pool, StoreData: true, NumPorts: 1,
+		Shards: 2, NumFlows: 16, NumSegments: pool, NumPorts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

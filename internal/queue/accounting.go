@@ -78,30 +78,6 @@ func (m *Manager) admissible(q QueueID, n int) bool {
 // TotalBuffered returns the pool-wide buffered byte count.
 func (m *Manager) TotalBuffered() int { return int(m.totalBytes) }
 
-// noteLink updates accounting when segment s joins queue q.
-func (m *Manager) noteLink(q QueueID, s Seg) {
-	w := m.seg[s]
-	m.qbytes[q] += int32(w & wordLen)
-	m.totalBytes += int64(w & wordLen)
-	m.queuedSegs++
-	if w&wordEOP != 0 {
-		m.qpkts[q]++
-	}
-	m.fixLongest(q)
-}
-
-// noteUnlink updates accounting when segment s leaves queue q.
-func (m *Manager) noteUnlink(q QueueID, s Seg) {
-	w := m.seg[s]
-	m.qbytes[q] -= int32(w & wordLen)
-	m.totalBytes -= int64(w & wordLen)
-	m.queuedSegs--
-	if w&wordEOP != 0 {
-		m.qpkts[q]--
-	}
-	m.fixLongest(q)
-}
-
 // noteRewrite updates accounting when a queued segment's length changes in
 // place (its EOP marker never does).
 func (m *Manager) noteRewrite(q QueueID, oldLen, newLen int) {

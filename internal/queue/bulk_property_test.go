@@ -244,8 +244,10 @@ func TestBulkPathConcurrentExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgrs := make([]*Manager, workers)
+	caches := make([]*segstore.Cache, workers)
 	for w := range mgrs {
-		if mgrs[w], err = NewWithStore(Config{NumQueues: numQueues}, st.NewCache()); err != nil {
+		caches[w] = st.NewCache()
+		if mgrs[w], err = NewWithStore(Config{NumQueues: numQueues}, caches[w]); err != nil {
 			t.Fatal(err)
 		}
 		mgrs[w].SetLongestTracking(true)
@@ -353,8 +355,8 @@ func TestBulkPathConcurrentExhaustion(t *testing.T) {
 		return
 	}
 	// Hand every cached magazine back; the pool must be whole again.
-	for _, m := range mgrs {
-		m.FlushFree()
+	for _, c := range caches {
+		c.Flush()
 	}
 	if free := st.Free(); free != numSegs {
 		t.Errorf("pool holds %d free segments after full drain, want %d", free, numSegs)

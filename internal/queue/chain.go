@@ -32,7 +32,7 @@ func (m *Manager) UnlinkHeadPacket(q QueueID) (PacketChain, error) {
 	if err != nil {
 		return PacketChain{}, err
 	}
-	m.unspliceHead(q, ch)
+	m.unspliceHead(q, ch, 1)
 	m.next[ch.Tail] = nilSeg
 	return ch, nil
 }
@@ -48,14 +48,15 @@ func (m *Manager) LinkPacketTail(q QueueID, ch PacketChain) error {
 	if !m.admissible(q, ch.Segs) {
 		return fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, ch.Segs)
 	}
-	m.splice(q, ch, false)
+	m.splice(q, ch, 1, false)
 	return nil
 }
 
-// splice links a nil-terminated chain into q, at the tail or (atHead) in
-// front of the head: one queue-table and accounting update whatever the
-// chain's length.
-func (m *Manager) splice(q QueueID, ch PacketChain, atHead bool) {
+// splice links a nil-terminated chain holding pkts complete packets into q,
+// at the tail or (atHead) in front of the head: one queue-table and
+// accounting update whatever the chain's length. pkts is 1 on every packet
+// path; a lone segment passes its EOP bit (segChain).
+func (m *Manager) splice(q QueueID, ch PacketChain, pkts int32, atHead bool) {
 	switch {
 	case m.qtail[q] == nilSeg:
 		m.qhead[q], m.qtail[q] = int32(ch.Head), int32(ch.Tail)
@@ -68,22 +69,23 @@ func (m *Manager) splice(q QueueID, ch PacketChain, atHead bool) {
 	}
 	m.qsegs[q] += int32(ch.Segs)
 	m.qbytes[q] += int32(ch.Bytes)
-	m.qpkts[q]++
+	m.qpkts[q] += pkts
 	m.queuedSegs += int32(ch.Segs)
 	m.totalBytes += int64(ch.Bytes)
 	m.fixLongest(q)
 }
 
-// unspliceHead takes the head packet ch (as findPacketEnd described it) out
-// of q's table and accounting. The chain's own links are left alone.
-func (m *Manager) unspliceHead(q QueueID, ch PacketChain) {
+// unspliceHead takes the head chain ch, holding pkts complete packets (see
+// splice), out of q's table and accounting. The chain's own links are left
+// alone.
+func (m *Manager) unspliceHead(q QueueID, ch PacketChain, pkts int32) {
 	m.qhead[q] = m.next[ch.Tail]
 	if m.qhead[q] == nilSeg {
 		m.qtail[q] = nilSeg
 	}
 	m.qsegs[q] -= int32(ch.Segs)
 	m.qbytes[q] -= int32(ch.Bytes)
-	m.qpkts[q]--
+	m.qpkts[q] -= pkts
 	m.queuedSegs -= int32(ch.Segs)
 	m.totalBytes -= int64(ch.Bytes)
 	m.fixLongest(q)
@@ -97,6 +99,6 @@ func (m *Manager) LinkPacketHead(q QueueID, ch PacketChain) error {
 	if err := m.checkQueue(q); err != nil {
 		return err
 	}
-	m.splice(q, ch, true)
+	m.splice(q, ch, 1, true)
 	return nil
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // sharedPair builds two managers over one shared store, as the engine's
-// shards do.
-func sharedPair(t *testing.T, segments int) (*Manager, *Manager, *segstore.Store) {
+// shards do, and returns their caches beside them.
+func sharedPair(t *testing.T, segments int) (a, b *Manager, caches [2]*segstore.Cache, st *segstore.Store) {
 	t.Helper()
-	st, err := segstore.New(segstore.Config{
+	var err error
+	st, err = segstore.New(segstore.Config{
 		NumSegments:  segments,
 		SegmentBytes: SegmentBytes,
 		StoreData:    true,
@@ -21,19 +22,18 @@ func sharedPair(t *testing.T, segments int) (*Manager, *Manager, *segstore.Store
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewWithStore(Config{NumQueues: 16}, st.NewCache())
-	if err != nil {
+	caches = [2]*segstore.Cache{st.NewCache(), st.NewCache()}
+	if a, err = NewWithStore(Config{NumQueues: 16}, caches[0]); err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewWithStore(Config{NumQueues: 16}, st.NewCache())
-	if err != nil {
+	if b, err = NewWithStore(Config{NumQueues: 16}, caches[1]); err != nil {
 		t.Fatal(err)
 	}
-	return a, b, st
+	return a, b, caches, st
 }
 
 func TestCrossManagerChainMove(t *testing.T) {
-	a, b, st := sharedPair(t, 128)
+	a, b, caches, st := sharedPair(t, 128)
 	payload := bytes.Repeat([]byte{0xab, 0x12}, 90) // 180 B → 3 segments
 	if _, err := a.EnqueuePacket(3, payload); err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestCrossManagerChainMove(t *testing.T) {
 	if _, _, err := a.DequeuePacket(3); err != nil {
 		t.Fatal(err)
 	}
-	a.FlushFree()
-	b.FlushFree()
+	caches[0].Flush()
+	caches[1].Flush()
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCrossManagerChainMove(t *testing.T) {
 }
 
 func TestChainRollbackRestoresOrder(t *testing.T) {
-	a, b, _ := sharedPair(t, 128)
+	a, b, _, _ := sharedPair(t, 128)
 	first := bytes.Repeat([]byte{1}, 100)
 	second := bytes.Repeat([]byte{2}, 100)
 	if _, err := a.EnqueuePacket(0, first); err != nil {
@@ -120,7 +120,7 @@ func TestChainRollbackRestoresOrder(t *testing.T) {
 }
 
 func TestSharedManagersSeeGlobalPool(t *testing.T) {
-	a, b, _ := sharedPair(t, 64)
+	a, b, caches, _ := sharedPair(t, 64)
 	// Manager a hoards the whole pool on one queue.
 	for i := 0; i < 64; i++ {
 		if _, err := a.EnqueuePacket(1, []byte{byte(i)}); err != nil {
@@ -139,7 +139,7 @@ func TestSharedManagersSeeGlobalPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.FlushFree()
+	caches[0].Flush()
 	if _, err := b.EnqueuePacket(2, []byte{1}); err != nil {
 		t.Fatalf("enqueue after drain+flush: %v", err)
 	}

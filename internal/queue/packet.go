@@ -43,7 +43,7 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	m.fillRuns += uint64(m.buildChain(run, len(data), stateQueued, data))
 	m.splice(q, PacketChain{
 		Head: Seg(run[0]), Tail: Seg(run[needed-1]), Segs: needed, Bytes: len(data),
-	}, false)
+	}, 1, false)
 	return needed, nil
 }
 
@@ -175,7 +175,7 @@ func (m *Manager) consumeHeadChain(q QueueID, ch PacketChain, buf []byte, copyDa
 		}
 		s = next
 	}
-	m.unspliceHead(q, ch)
+	m.unspliceHead(q, ch, 1)
 	m.src.FreeN(head, end, int32(ch.Segs))
 	return buf
 }
@@ -202,8 +202,8 @@ func (m *Manager) PacketLen(q QueueID) (bytes, segments int, err error) {
 //   - the per-queue byte/packet counters and the manager totals match the
 //     walked lists;
 //   - on a private pool it additionally walks the free list (via the
-//     store), scans for floating segments, and checks segment
-//     conservation: free + queued + floating + lent == pool size.
+//     store) and checks segment conservation: free + queued + lent ==
+//     pool size.
 //
 // With a shared store the free list and conservation span every manager on
 // the slab, so those checks live on segstore.Store.CheckInvariants and the
@@ -274,24 +274,15 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("queue: %d segments queued, counter says %d", queued, m.queuedSegs)
 	}
 	if !m.src.Shared() {
-		// Exclusive pool: the whole slab is ours, so scan for floating
-		// segments, validate the free list, and check conservation.
+		// Exclusive pool: the whole slab is ours, so validate the free list
+		// and check conservation.
 		if err := m.src.CheckInvariants(); err != nil {
 			return err
 		}
-		floating := int32(0)
-		for s := range m.state {
-			if m.state[s] == stateFloating {
-				floating++
-			}
-		}
-		if floating != m.floating {
-			return fmt.Errorf("queue: %d floating segments, counter says %d", floating, m.floating)
-		}
 		lent := int32(m.src.Lent())
-		if int32(m.src.FreeSegments())+queued+floating+lent != int32(m.cfg.NumSegments) {
-			return fmt.Errorf("queue: conservation violated: %d free + %d queued + %d floating + %d lent != %d",
-				m.src.FreeSegments(), queued, floating, lent, m.cfg.NumSegments)
+		if int32(m.src.FreeSegments())+queued+lent != int32(m.cfg.NumSegments) {
+			return fmt.Errorf("queue: conservation violated: %d free + %d queued + %d lent != %d",
+				m.src.FreeSegments(), queued, lent, m.cfg.NumSegments)
 		}
 	}
 

@@ -225,35 +225,27 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickConservation fuzzes alloc/free interleavings and checks segment
-// conservation.
+// TestQuickConservation fuzzes interleavings of single-segment enqueues and
+// deletes and checks segment conservation.
 func TestQuickConservation(t *testing.T) {
 	f := func(ops []byte) bool {
 		m, err := New(Config{NumQueues: 4, NumSegments: 16})
 		if err != nil {
 			return false
 		}
-		var floating []Seg
 		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				if s, err := m.Alloc(); err == nil {
-					floating = append(floating, s)
-				}
-			case 1:
-				if len(floating) > 0 {
-					s := floating[len(floating)-1]
-					floating = floating[:len(floating)-1]
-					if err := m.Free(s); err != nil {
-						return false
-					}
-				}
-			case 2:
-				if _, err := m.Enqueue(QueueID(op%4), []byte{op}, op%2 == 0); err != nil {
+			q := QueueID(op % 4)
+			if op&4 == 0 {
+				if _, err := m.Enqueue(q, []byte{op}, op&8 == 0); err != nil {
 					// Only acceptable failure is pool exhaustion.
 					if m.FreeSegments() != 0 {
 						return false
 					}
+				}
+			} else if err := m.DeleteSegment(q); err != nil {
+				// Only acceptable failure is an empty queue.
+				if n, _ := m.Len(q); n != 0 {
+					return false
 				}
 			}
 		}

@@ -79,7 +79,6 @@ var (
 	ErrBadQueue       = errors.New("queue: queue id out of range")
 	ErrBadLength      = errors.New("queue: segment length out of range")
 	ErrBadSegment     = errors.New("queue: segment handle out of range")
-	ErrSegmentState   = errors.New("queue: segment in wrong state for operation")
 	ErrNoPacket       = errors.New("queue: no complete packet at queue head")
 	ErrQueueLimit     = errors.New("queue: per-queue segment limit exceeded")
 	ErrWriterDone     = errors.New("queue: packet writer already committed or aborted")
@@ -89,10 +88,9 @@ var (
 // array (see segstore): they turn pointer-corruption bugs in callers into
 // errors instead of silent cross-linked queues.
 const (
-	stateFree     = segstore.StateFree
-	stateQueued   = segstore.StateQueued
-	stateFloating = segstore.StateFloating // allocated, not yet linked into a queue
-	stateLent     = segstore.StateLent     // checked out as a zero-copy view or reservation
+	stateFree   = segstore.StateFree
+	stateQueued = segstore.StateQueued
+	stateLent   = segstore.StateLent // checked out as a zero-copy view or reservation
 )
 
 // Config sizes a Manager.
@@ -139,7 +137,6 @@ type Manager struct {
 	totalBytes int64
 
 	queuedSegs int32 // total segments linked across this manager's queues
-	floating   int32 // segments allocated but not yet queued
 
 	// Longest-queue tracking (see pushout.go): an indexed max-heap over
 	// qsegs, maintained only when heapPos is non-nil. Multi-segment packet
@@ -253,13 +250,6 @@ func (m *Manager) AvailSegments() int { return m.src.Avail() }
 // queues.
 func (m *Manager) QueuedSegments() int { return int(m.queuedSegs) }
 
-// Floating returns the number of segments allocated but not yet linked.
-func (m *Manager) Floating() int { return int(m.floating) }
-
-// FlushFree hands this manager's cached free segments back to the shared
-// pool so other managers can allocate them (no-op for a private pool).
-func (m *Manager) FlushFree() { m.src.Flush() }
-
 // Len returns the number of segments queued on q.
 func (m *Manager) Len(q QueueID) (int, error) {
 	if err := m.checkQueue(q); err != nil {
@@ -279,35 +269,6 @@ func (m *Manager) checkSeg(s Seg) error {
 	if s.Nil() || int(s) >= m.cfg.NumSegments {
 		return fmt.Errorf("%w: %d", ErrBadSegment, s)
 	}
-	return nil
-}
-
-// Alloc takes a segment from the store ("Dequeue Free List" in the paper's
-// operation breakdown). The segment is in the floating state until linked
-// into a queue or freed.
-func (m *Manager) Alloc() (Seg, error) {
-	s, ok := m.src.Alloc()
-	if !ok {
-		return Seg(nilSeg), ErrNoFreeSegments
-	}
-	m.next[s] = nilSeg
-	m.seg[s] = loneWord
-	m.state[s] = stateFloating
-	m.floating++
-	return Seg(s), nil
-}
-
-// Free returns a floating segment to the store ("Enqueue Free List").
-func (m *Manager) Free(s Seg) error {
-	if err := m.checkSeg(s); err != nil {
-		return err
-	}
-	if m.state[s] != stateFloating {
-		return fmt.Errorf("%w: Free of segment %d in state %d", ErrSegmentState, s, m.state[s])
-	}
-	m.state[s] = stateFree
-	m.floating--
-	m.src.Free(int32(s))
 	return nil
 }
 
@@ -360,14 +321,18 @@ func (m *Manager) splitHead(h int32) {
 	}
 }
 
-// setPayload validates and stores payload into segment s, keeping its run
-// mark.
-func (m *Manager) setPayload(s Seg, payload []byte, eop bool) error {
-	n := len(payload)
+// checkLen rejects a segment length outside 1..SegmentBytes.
+func checkLen(n int) error {
 	if n < 1 || n > SegmentBytes {
 		return fmt.Errorf("%w: %d bytes", ErrBadLength, n)
 	}
-	w := m.seg[s]&^(wordLen|wordEOP) | uint16(n)
+	return nil
+}
+
+// setPayload stores payload (checkLen has passed it) into segment s,
+// keeping its run mark.
+func (m *Manager) setPayload(s int32, payload []byte, eop bool) {
+	w := m.seg[s]&^(wordLen|wordEOP) | uint16(len(payload))
 	if eop {
 		w |= wordEOP
 	}
@@ -377,7 +342,14 @@ func (m *Manager) setPayload(s Seg, payload []byte, eop bool) error {
 		copied := copy(m.data[base:base+SegmentBytes], payload)
 		clear(m.data[base+copied : base+SegmentBytes])
 	}
-	return nil
+}
+
+// segChain describes the lone segment s, whose word is w, as the chain
+// splice and unspliceHead take, with the packet it closes: one if it
+// carries the EOP mark, else none.
+func segChain(s int32, w uint16) (ch PacketChain, pkts int32) {
+	ch = PacketChain{Head: Seg(s), Tail: Seg(s), Segs: 1, Bytes: int(w & wordLen)}
+	return ch, int32(w&wordEOP) / wordEOP
 }
 
 // payload returns the stored bytes of segment s (nil if data storage is
@@ -392,117 +364,89 @@ func (m *Manager) payload(s Seg) []byte {
 	return out
 }
 
-// Enqueue allocates a segment, fills it with payload and links it at the
-// tail of queue q. This is the MMS "Enqueue one segment" command.
+// Enqueue takes a segment from the store, fills it with payload and links it
+// at the tail of queue q. This is the MMS "Enqueue one segment" command.
 func (m *Manager) Enqueue(q QueueID, payload []byte, eop bool) (Seg, error) {
-	if err := m.checkQueue(q); err != nil {
-		return Seg(nilSeg), err
-	}
-	if !m.admissible(q, 1) {
-		return Seg(nilSeg), fmt.Errorf("%w: queue %d at %d segments", ErrQueueLimit, q, m.qsegs[q])
-	}
-	s, err := m.Alloc()
-	if err != nil {
-		return s, err
-	}
-	if err := m.setPayload(s, payload, eop); err != nil {
-		m.Free(s) // payload invalid; segment returns to the pool
-		return Seg(nilSeg), err
-	}
-	m.linkTail(q, s)
-	return s, nil
+	return m.enqueueSegment(q, payload, eop, false)
 }
 
-// AppendHead allocates a segment and links it at the *head* of queue q — the
-// MMS "append a segment at the head of a packet" command, used for protocol
-// encapsulation (prepending headers without copying the packet).
+// AppendHead takes a segment from the store and links it at the *head* of
+// queue q — the MMS "append a segment at the head of a packet" command, used
+// for protocol encapsulation (prepending headers without copying the
+// packet).
 func (m *Manager) AppendHead(q QueueID, payload []byte, eop bool) (Seg, error) {
+	return m.enqueueSegment(q, payload, eop, true)
+}
+
+// enqueueSegment is Enqueue and AppendHead on the packet primitives: a
+// one-segment AllocN, the segment written as queued, and a splice at the
+// tail or (atHead) the head. Queue, length and cap are all checked before
+// anything is allocated, so a refused command leaves the pool as it was.
+func (m *Manager) enqueueSegment(q QueueID, payload []byte, eop, atHead bool) (Seg, error) {
 	if err := m.checkQueue(q); err != nil {
+		return Seg(nilSeg), err
+	}
+	if err := checkLen(len(payload)); err != nil {
 		return Seg(nilSeg), err
 	}
 	if !m.admissible(q, 1) {
 		return Seg(nilSeg), fmt.Errorf("%w: queue %d at %d segments", ErrQueueLimit, q, m.qsegs[q])
 	}
-	s, err := m.Alloc()
-	if err != nil {
-		return s, err
+	run := m.runBuf(1)
+	if m.src.AllocN(run) == 0 {
+		return Seg(nilSeg), ErrNoFreeSegments
 	}
-	if err := m.setPayload(s, payload, eop); err != nil {
-		m.Free(s)
-		return Seg(nilSeg), err
-	}
-	m.linkHead(q, s)
-	return s, nil
-}
-
-func (m *Manager) linkTail(q QueueID, s Seg) {
-	m.next[s] = nilSeg
-	if m.qtail[q] == nilSeg {
-		m.qhead[q] = int32(s)
-	} else {
-		m.next[m.qtail[q]] = int32(s)
-	}
-	m.qtail[q] = int32(s)
-	m.qsegs[q]++
+	s := run[0]
+	m.seg[s] = loneWord
+	m.setPayload(s, payload, eop)
 	m.state[s] = stateQueued
-	m.floating--
-	m.noteLink(q, s)
-}
-
-func (m *Manager) linkHead(q QueueID, s Seg) {
-	m.next[s] = m.qhead[q]
-	m.qhead[q] = int32(s)
-	if m.qtail[q] == nilSeg {
-		m.qtail[q] = int32(s)
-	}
-	m.qsegs[q]++
-	m.state[s] = stateQueued
-	m.floating--
-	m.noteLink(q, s)
-}
-
-// unlinkHead removes and returns the head segment of q (caller checked
-// non-empty). The segment becomes floating.
-func (m *Manager) unlinkHead(q QueueID) Seg {
-	s := m.qhead[q]
-	m.splitHead(s)
-	m.qhead[q] = m.next[s]
-	if m.qhead[q] == nilSeg {
-		m.qtail[q] = nilSeg
-	}
 	m.next[s] = nilSeg
-	m.qsegs[q]--
-	m.state[s] = stateFloating
-	m.floating++
-	m.noteUnlink(q, Seg(s))
-	return Seg(s)
+	ch, pkts := segChain(s, m.seg[s])
+	m.splice(q, ch, pkts, atHead)
+	return Seg(s), nil
+}
+
+// headOf returns the head segment of q, or the error a single-segment
+// command reports for an unknown or empty queue.
+func (m *Manager) headOf(q QueueID) (int32, error) {
+	if err := m.checkQueue(q); err != nil {
+		return nilSeg, err
+	}
+	if h := m.qhead[q]; h != nilSeg {
+		return h, nil
+	}
+	return nilSeg, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
+}
+
+// dropHead unlinks the head segment of the non-empty queue q and returns it
+// to the store: Dequeue and DeleteSegment on the packet primitives.
+func (m *Manager) dropHead(q QueueID) {
+	h := m.qhead[q]
+	m.splitHead(h)
+	ch, pkts := segChain(h, m.seg[h])
+	m.unspliceHead(q, ch, pkts)
+	m.state[h] = stateFree
+	m.src.FreeN(h, h, 1)
 }
 
 // Dequeue unlinks the head segment of q, frees it, and returns its
 // description and payload. This is the MMS "Dequeue" command.
 func (m *Manager) Dequeue(q QueueID) (SegInfo, []byte, error) {
-	if err := m.checkQueue(q); err != nil {
+	h, err := m.headOf(q)
+	if err != nil {
 		return SegInfo{}, nil, err
 	}
-	if m.qhead[q] == nilSeg {
-		return SegInfo{}, nil, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
-	}
-	info := m.info(m.qhead[q])
-	payload := m.payload(info.Seg)
-	s := m.unlinkHead(q)
-	m.Free(s)
+	info, payload := m.info(h), m.payload(Seg(h))
+	m.dropHead(q)
 	return info, payload, nil
 }
 
 // ReadHead returns the head segment of q without dequeuing it — the MMS
 // "Read" command.
 func (m *Manager) ReadHead(q QueueID) (SegInfo, []byte, error) {
-	if err := m.checkQueue(q); err != nil {
+	h, err := m.headOf(q)
+	if err != nil {
 		return SegInfo{}, nil, err
-	}
-	h := m.qhead[q]
-	if h == nilSeg {
-		return SegInfo{}, nil, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
 	}
 	return m.info(h), m.payload(Seg(h)), nil
 }
@@ -510,13 +454,11 @@ func (m *Manager) ReadHead(q QueueID) (SegInfo, []byte, error) {
 // DeleteSegment unlinks and frees the head segment of q without returning
 // data — the MMS "Delete one segment" command.
 func (m *Manager) DeleteSegment(q QueueID) error {
-	if err := m.checkQueue(q); err != nil {
+	if _, err := m.headOf(q); err != nil {
 		return err
 	}
-	if m.qhead[q] == nilSeg {
-		return fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
-	}
-	return m.Free(m.unlinkHead(q))
+	m.dropHead(q)
+	return nil
 }
 
 // DeletePacket unlinks and frees the whole packet at the head of q (all
@@ -560,17 +502,15 @@ func (m *Manager) findPacketEnd(q QueueID) (PacketChain, error) {
 // "Overwrite a segment" command (used e.g. for header modification). The
 // EOP flag is preserved.
 func (m *Manager) Overwrite(q QueueID, payload []byte) error {
-	if err := m.checkQueue(q); err != nil {
+	h, err := m.headOf(q)
+	if err != nil {
 		return err
 	}
-	h := m.qhead[q]
-	if h == nilSeg {
-		return fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
+	if err := checkLen(len(payload)); err != nil {
+		return err
 	}
 	old := m.info(h)
-	if err := m.setPayload(Seg(h), payload, old.EOP); err != nil {
-		return err
-	}
+	m.setPayload(h, payload, old.EOP)
 	m.splitHead(h)
 	m.noteRewrite(q, old.Len, len(payload))
 	return nil
@@ -580,15 +520,12 @@ func (m *Manager) Overwrite(q QueueID, payload []byte) error {
 // the MMS "Overwrite_Segment_length" command (7 cycles in Table 4: it is a
 // metadata-only operation with no data-memory access).
 func (m *Manager) OverwriteLength(q QueueID, n int) error {
-	if err := m.checkQueue(q); err != nil {
+	h, err := m.headOf(q)
+	if err != nil {
 		return err
 	}
-	h := m.qhead[q]
-	if h == nilSeg {
-		return fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
-	}
-	if n < 1 || n > SegmentBytes {
-		return fmt.Errorf("%w: %d bytes", ErrBadLength, n)
+	if err := checkLen(n); err != nil {
+		return err
 	}
 	m.noteRewrite(q, int(m.seg[h]&wordLen), n)
 	m.seg[h] = m.seg[h]&^wordLen | uint16(n)
@@ -619,9 +556,9 @@ func (m *Manager) MovePacket(from, to QueueID) (int, error) {
 	} else if !m.admissible(to, n) {
 		return 0, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, to, n)
 	}
-	m.unspliceHead(from, ch)
+	m.unspliceHead(from, ch, 1)
 	m.next[ch.Tail] = nilSeg
-	m.splice(to, ch, false)
+	m.splice(to, ch, 1, false)
 	return n, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"npqm/internal/xrand"
 )
 
 func newTestManager(t *testing.T, segs int) *Manager {
@@ -149,61 +151,92 @@ func TestExhaustion(t *testing.T) {
 	mustInvariants(t, m)
 }
 
+// TestPayloadValidation: an empty or oversized payload is refused with
+// ErrBadLength by both single-segment commands before anything is
+// allocated — on a pool with room, on a queue at its cap and on a dry pool
+// alike — and leaves pool, queues and invariants as they were.
 func TestPayloadValidation(t *testing.T) {
 	m := newTestManager(t, 4)
-	if _, err := m.Enqueue(0, nil, true); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("empty payload: %v", err)
+	refuse := func(where string) {
+		t.Helper()
+		free, queued := m.FreeSegments(), m.QueuedSegments()
+		for _, p := range [][]byte{nil, make([]byte, SegmentBytes+1)} {
+			if _, err := m.Enqueue(1, p, true); !errors.Is(err, ErrBadLength) {
+				t.Fatalf("%s: Enqueue of %d bytes = %v, want ErrBadLength", where, len(p), err)
+			}
+			if _, err := m.AppendHead(1, p, true); !errors.Is(err, ErrBadLength) {
+				t.Fatalf("%s: AppendHead of %d bytes = %v, want ErrBadLength", where, len(p), err)
+			}
+		}
+		if m.FreeSegments() != free || m.QueuedSegments() != queued {
+			t.Fatalf("%s: refusals moved the books: free %d → %d, queued %d → %d",
+				where, free, m.FreeSegments(), queued, m.QueuedSegments())
+		}
+		mustInvariants(t, m)
 	}
-	if _, err := m.Enqueue(0, make([]byte, SegmentBytes+1), true); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("oversized payload: %v", err)
+	refuse("room")
+	if err := m.SetSegmentLimit(1, 1); err != nil {
+		t.Fatal(err)
 	}
-	// Failed enqueues must not leak segments.
-	if m.FreeSegments() != 4 {
-		t.Fatalf("leaked segments: free = %d", m.FreeSegments())
-	}
-	if _, err := m.Enqueue(0, make([]byte, SegmentBytes), true); err != nil {
+	if _, err := m.Enqueue(1, make([]byte, SegmentBytes), true); err != nil {
 		t.Fatalf("max payload rejected: %v", err)
 	}
+	refuse("capped queue")
+	for m.FreeSegments() > 0 {
+		if _, err := m.Enqueue(2, []byte{2}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuse("dry pool")
 }
 
-func TestAllocFree(t *testing.T) {
-	m := newTestManager(t, 2)
-	s1, err := m.Alloc()
-	if err != nil {
-		t.Fatal(err)
+// TestSegmentCommandsReuseFIFO pins the reuse order the timed models'
+// DDR-bank tables rest on: on a private pool, every segment Enqueue and
+// AppendHead take is the head of a FIFO free list — 0, 1, …, N−1 on a fresh
+// pool — and every segment Dequeue and DeleteSegment give back joins its
+// tail, whatever mix of the four commands runs.
+func TestSegmentCommandsReuseFIFO(t *testing.T) {
+	const n = 8
+	m := newTestManager(t, n)
+	fifo := make([]Seg, n)
+	for i := range fifo {
+		fifo[i] = Seg(i)
 	}
-	s2, err := m.Alloc()
-	if err != nil {
-		t.Fatal(err)
+	rng := xrand.New(28)
+	taken := 0
+	for step := 0; step < 40*n; step++ {
+		q := QueueID(rng.Intn(3))
+		qlen, _ := m.Len(q)
+		switch op := rng.Intn(4); {
+		case op < 2 && len(fifo) > 0:
+			cmd, name := m.Enqueue, "Enqueue"
+			if op == 1 {
+				cmd, name = m.AppendHead, "AppendHead"
+			}
+			s, err := cmd(q, []byte{byte(step)}, step%2 == 0)
+			if err != nil || s != fifo[0] {
+				t.Fatalf("step %d: %s = (%d, %v), want segment %d", step, name, s, err, fifo[0])
+			}
+			fifo = fifo[1:]
+			taken++
+		case op >= 2 && qlen > 0:
+			head, _, _ := m.ReadHead(q)
+			var err error
+			if op == 2 {
+				_, _, err = m.Dequeue(q)
+			} else {
+				err = m.DeleteSegment(q)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			fifo = append(fifo, head.Seg)
+		}
 	}
-	if _, err := m.Alloc(); !errors.Is(err, ErrNoFreeSegments) {
-		t.Fatalf("err = %v", err)
+	if taken < 4*n {
+		t.Fatalf("only %d segments taken: the pool did not cycle", taken)
 	}
 	mustInvariants(t, m)
-	if err := m.Free(s1); err != nil {
-		t.Fatal(err)
-	}
-	// Double free must be rejected.
-	if err := m.Free(s1); !errors.Is(err, ErrSegmentState) {
-		t.Fatalf("double free: %v", err)
-	}
-	if err := m.Free(s2); err != nil {
-		t.Fatal(err)
-	}
-	if m.FreeSegments() != 2 {
-		t.Fatalf("free = %d", m.FreeSegments())
-	}
-	mustInvariants(t, m)
-}
-
-func TestFreeBadHandle(t *testing.T) {
-	m := newTestManager(t, 2)
-	if err := m.Free(Seg(-1)); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := m.Free(Seg(5)); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestReadHead(t *testing.T) {

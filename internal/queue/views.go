@@ -18,7 +18,7 @@ package queue
 //
 // While checked out, segments are in the lent state and counted by the
 // store's lent population, so pool stats and CheckInvariants stay exact:
-// free + queued + floating + lent == pool size at every quiescent point.
+// free + queued + lent == pool size at every quiescent point.
 //
 // Ownership and thread-safety: DequeuePacketView, ReservePacket, and
 // Commit are owner-context operations like every other Manager method (the
@@ -258,7 +258,7 @@ func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 		}
 		return PacketView{}, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
 	}
-	m.unspliceHead(q, PacketChain{Head: Seg(head), Tail: Seg(end), Segs: int(n), Bytes: int(chainBytes)})
+	m.unspliceHead(q, PacketChain{Head: Seg(head), Tail: Seg(end), Segs: int(n), Bytes: int(chainBytes)}, 1)
 	m.next[end] = nilSeg
 	m.src.Lend(n)
 	atomic.StoreInt32(&m.refs[head], 1)
@@ -348,7 +348,7 @@ func (w *PacketWriter) Commit() error {
 	m.fillRuns += uint64(w.runs)
 	m.splice(w.q, PacketChain{
 		Head: Seg(w.head), Tail: Seg(w.tail), Segs: int(w.segs), Bytes: int(w.bytes),
-	}, false)
+	}, 1, false)
 	m.src.Lend(-w.segs)
 	*w = PacketWriter{}
 	return nil

@@ -15,6 +15,17 @@ func relink(next []int32, run []int32) (head, tail int32) {
 	return run[0], run[len(run)-1]
 }
 
+// alloc1 takes one segment through AllocN, as the queue's single-segment
+// commands do; ok is false on a dry pool.
+func alloc1(src Source) (int32, bool) {
+	var s [1]int32
+	ok := src.AllocN(s[:]) == 1
+	return s[0], ok
+}
+
+// free1 returns one segment through FreeN.
+func free1(src Source, s int32) { src.FreeN(s, s, 1) }
+
 func TestCacheAllocNShortOnDryPool(t *testing.T) {
 	const n = 40
 	st, err := New(Config{NumSegments: n, MagazineSize: 8})
@@ -172,7 +183,7 @@ func TestPrivateBulkFIFO(t *testing.T) {
 	p.FreeN(head, tail, int32(len(run)))
 	// The free list is now 10..15 then the returned 0..9.
 	for want := int32(10); want < 16; want++ {
-		if s, ok := p.Alloc(); !ok || s != want {
+		if s, ok := alloc1(p); !ok || s != want {
 			t.Fatalf("Alloc = (%d, %v), want (%d, true)", s, ok, want)
 		}
 	}
@@ -193,7 +204,7 @@ func TestPrivateBulkFIFO(t *testing.T) {
 		t.Fatalf("AllocN on empty pool = %d", k)
 	}
 	for s := int32(0); s < n; s++ {
-		p.Free(s)
+		free1(p, s)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)

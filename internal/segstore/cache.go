@@ -134,19 +134,6 @@ func (c *Cache) Lent() int {
 	return c.st.Lent()
 }
 
-// Alloc takes one segment from the active general magazine, refilling it
-// when it runs dry.
-func (c *Cache) Alloc() (int32, bool) {
-	if c.mag[0].n == 0 && !c.refill() {
-		return 0, false
-	}
-	m := &c.mag[0]
-	s := m.head
-	m.head = c.st.view.Next[s]
-	m.n--
-	return s, true
-}
-
 // AllocN fills dst with segments and returns how many it delivered — short
 // only when the cache and depot together run dry. A run of 2…MaxGrain
 // segments is first one whole chain off the front of its bin, refilled from
@@ -234,33 +221,14 @@ func (c *Cache) refill() bool {
 	return ok
 }
 
-// Free returns one segment to the active magazine. When both magazines are
-// full the spare is pushed to the depot (one CAS), so a sustained
-// free-heavy phase costs one CAS per magazine of frees.
-func (c *Cache) Free(s int32) {
-	if c.mag[0].n >= c.st.magSize {
-		if c.mag[1].n >= c.st.magSize {
-			spare := c.mag[1]
-			c.mag[1] = magazine{head: nilSeg}
-			c.count.Store(c.held())
-			c.st.pushMagazine(spare.head, spare.n, 0)
-		}
-		c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
-	}
-	m := &c.mag[0]
-	c.st.view.Next[s] = m.head
-	m.head = s
-	m.n++
-}
-
 // FreeN splices a pre-linked chain of n segments (head→…→tail through
-// View.Next; Next[tail] is overwritten) in O(1), the bulk analogue of Free:
-// onto bin n when n is a grain, else onto the active magazine. Either may
-// grow past a nominal magazine; once it holds two magazines' worth, whole
-// magazines (of whole chains, for a bin) are carved off its front and
-// pushed to the depot — one chain walk and one CAS per magazine of frees,
-// and a steady alloc-run/free-run cycle (the datapath's dequeue feeding the
-// next enqueue) never touches the depot at all.
+// View.Next; Next[tail] is overwritten) in O(1): onto bin n when n is a
+// grain, else onto the active magazine. Either may grow past a nominal
+// magazine; once it holds two magazines' worth, whole magazines (of whole
+// chains, for a bin) are carved off its front and pushed to the depot — one
+// chain walk and one CAS per magazine of frees, and a steady
+// alloc-run/free-run cycle (the datapath's dequeue feeding the next
+// enqueue) never touches the depot at all.
 func (c *Cache) FreeN(head, tail, n int32) {
 	if n <= 0 {
 		return
@@ -298,10 +266,9 @@ func (c *Cache) FreeN(head, tail, n int32) {
 // Publish refreshes the cache's lock-free population mirror and settles its
 // lent delta. The owner calls it when it leaves a critical section (see
 // count), so pool-wide occupancy reads by other owners are exact at section
-// granularity while queue operations and the per-segment path stay free of
-// atomics. A mirror that is already exact is left alone: the store is a full
-// barrier, and a section that allocated, freed and lent nothing pays one
-// load instead.
+// granularity while queue operations stay free of atomics. A mirror that is
+// already exact is left alone: the store is a full barrier, and a section
+// that allocated, freed and lent nothing pays one load instead.
 func (c *Cache) Publish() {
 	if n := c.held(); c.count.Load() != n {
 		c.count.Store(n)

@@ -20,7 +20,8 @@ import "testing"
 //	op%7 == 4: return up to 1 + b%4 lent chains from a on as one batch, with
 //	           their common grain (odd b: grain 0, as a mixed batch)
 //	op%7 == 5: Flush cache a
-//	op%7 == 6: Alloc one segment on cache a
+//	op%7 == 6: AllocN of one segment on cache a, as the queue's
+//	           single-segment commands allocate
 func FuzzCacheChains(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x17\x00\x01\x17\x02\x00\x00\x01\x00\x00\x00\x00\x17"))
 	f.Add([]byte("\x01\x00\x00\x08\x00\x01\x08\x02\x00\x00\x02\x01\x00\x04\x00\x00\x00\x02\x08\x05\x01\x00"))
@@ -79,16 +80,11 @@ func replayCacheChains(t *testing.T, data []byte) {
 				heldSegs -= len(ch.segs)
 			}
 		}
-		// take allocates n segments on c, through Alloc when one is true.
-		take := func(c *Cache, n int, one bool) {
+		// take allocates n segments on c.
+		take := func(c *Cache, n int) {
 			avail := c.Avail()
 			dst := make([]int32, n)
-			got := 0
-			if !one {
-				got = c.AllocN(dst)
-			} else if s, ok := c.Alloc(); ok {
-				dst[0], got = s, 1
-			}
+			got := c.AllocN(dst)
 			if avail >= n && got != n {
 				t.Fatalf("allocating %d = %d with Avail %d", n, got, avail)
 			}
@@ -101,7 +97,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 				return
 			}
 			relink(v.Next, dst[:got])
-			setState(dst[:got], StateFloating)
+			setState(dst[:got], StateQueued)
 			held = append(held, chain{segs: dst[:got]})
 			heldSegs += got
 		}
@@ -110,7 +106,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 			c := caches[int(a)%len(caches)]
 			switch op {
 			case 0:
-				take(c, 1+int(b)%(MaxGrain+4), false)
+				take(c, 1+int(b)%(MaxGrain+4))
 			case 1:
 				if k := pick(a, false); k >= 0 {
 					segs := held[k].segs
@@ -162,7 +158,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 			case 5:
 				c.Flush()
 			case 6:
-				take(c, 1, true)
+				take(c, 1)
 			}
 			for _, c := range caches {
 				c.Publish()

@@ -49,24 +49,10 @@ func (p *Private) Avail() int { return int(p.count) }
 // Shared reports that this pool has a single owner.
 func (p *Private) Shared() bool { return false }
 
-// Alloc pops the free-list head ("Dequeue Free List" in the paper's
-// operation breakdown).
-func (p *Private) Alloc() (int32, bool) {
-	if p.head == nilSeg {
-		return 0, false
-	}
-	s := p.head
-	p.head = p.view.Next[s]
-	if p.head == nilSeg {
-		p.tail = nilSeg
-	}
-	p.count--
-	return s, true
-}
-
-// AllocN pops up to len(dst) segments off the free-list head in one walk,
-// preserving FIFO reuse order: a run comes out in exactly the order repeated
-// Alloc calls would have produced.
+// AllocN pops up to len(dst) segments off the free-list head in one walk
+// ("Dequeue Free List" in the paper's operation breakdown), preserving FIFO
+// reuse order: a run comes out in exactly the order one-segment calls would
+// have produced.
 func (p *Private) AllocN(dst []int32) int {
 	s := p.head
 	got := 0
@@ -83,22 +69,11 @@ func (p *Private) AllocN(dst []int32) int {
 	return got
 }
 
-// Free appends the segment at the free-list tail ("Enqueue Free List").
-func (p *Private) Free(s int32) {
-	p.view.Next[s] = nilSeg
-	if p.tail == nilSeg {
-		p.head = s
-	} else {
-		p.view.Next[p.tail] = s
-	}
-	p.tail = s
-	p.count++
-}
-
 // FreeN appends a pre-linked chain of n segments (head→…→tail through
-// View.Next) at the free-list tail in O(1). The chain joins the FIFO in its
-// own link order, so reuse still cycles through the whole pool — the
-// property the timed models' DDR bank-striping tables depend on.
+// View.Next) at the free-list tail in O(1) ("Enqueue Free List"). The chain
+// joins the FIFO in its own link order, so reuse still cycles through the
+// whole pool — the property the timed models' DDR bank-striping tables
+// depend on.
 func (p *Private) FreeN(head, tail, n int32) {
 	if n <= 0 {
 		return
@@ -130,9 +105,6 @@ func (p *Private) ReturnLent(head, tail, n int32) {
 
 // Lent returns the lent population.
 func (p *Private) Lent() int { return int(p.lent) }
-
-// Flush is a no-op: there is no shared pool to hand segments back to.
-func (p *Private) Flush() {}
 
 // CheckInvariants walks the free list, verifying it is acyclic, correctly
 // counted, every member is in StateFree, and the tail pointer matches the

@@ -49,10 +49,9 @@ import (
 // library keeps them so pointer-corruption bugs in callers become errors
 // instead of silently cross-linked queues.
 const (
-	StateFree     uint8 = iota // on a free list or in a magazine
-	StateQueued                // linked into a flow queue
-	StateFloating              // allocated, not yet linked (or in transit)
-	StateLent                  // checked out to a consumer as a zero-copy view
+	StateFree   uint8 = iota // on a free list or in a magazine
+	StateQueued              // linked into a flow queue (or in transit between two)
+	StateLent                // checked out to a consumer as a zero-copy view
 )
 
 // MagazineSegments is the default magazine size: the number of segments
@@ -93,27 +92,20 @@ type Source interface {
 	// (its own cache plus the depot); segments stranded in other owners'
 	// caches are free but not reachable.
 	Avail() int
-	// Alloc takes one segment; ok is false when nothing is reachable.
-	Alloc() (int32, bool)
 	// AllocN fills dst with freshly allocated segments and returns how many
-	// it delivered — short only when the pool runs dry mid-run. The bulk
-	// analogue of Alloc: one call per packet instead of one per segment.
-	// Link words of the returned segments are unspecified.
+	// it delivered — short only when the pool runs dry mid-run: one call
+	// per packet, or per segment for a one-segment dst. Link words of the
+	// returned segments are unspecified.
 	AllocN(dst []int32) int
-	// Free returns one segment.
-	Free(s int32)
 	// FreeN returns a chain of n segments already linked head→…→tail
 	// through View.Next (Next[tail] is overwritten). The whole chain is
 	// spliced into free storage in one operation regardless of n.
 	FreeN(head, tail, n int32)
-	// Flush hands cached segments back to the shared pool so other owners
-	// can allocate them (no-op for a private source).
-	Flush()
 	// Lend moves segments between the owner's books and the lent
 	// population: a positive delta marks segments as checked out to a
 	// zero-copy view or reservation, a negative delta takes them back onto
 	// the owner's books (a writer committing its reserved run). Owner
-	// context only, like Alloc — the lent chains themselves are handed back
+	// context only, like AllocN — the lent chains themselves are handed back
 	// through ReturnLent. A shared source settles its lending into the pool's
 	// count once per critical section (Cache.Publish), so: the owner's own
 	// Lent settles first and is always exact; a cross-thread Store.Lent is

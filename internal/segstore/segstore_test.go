@@ -14,26 +14,26 @@ func TestPrivateFIFO(t *testing.T) {
 	}
 	// Fresh pool allocates in ascending order.
 	for want := int32(0); want < 8; want++ {
-		s, ok := p.Alloc()
+		s, ok := alloc1(p)
 		if !ok || s != want {
 			t.Fatalf("Alloc = (%d, %v), want (%d, true)", s, ok, want)
 		}
 	}
-	if _, ok := p.Alloc(); ok {
+	if _, ok := alloc1(p); ok {
 		t.Fatal("alloc succeeded on empty pool")
 	}
 	// FIFO recycling: freeing 3, 1, 4 hands them back in that order.
 	for _, s := range []int32{3, 1, 4} {
-		p.Free(s)
+		free1(p, s)
 	}
 	for _, want := range []int32{3, 1, 4} {
-		s, ok := p.Alloc()
+		s, ok := alloc1(p)
 		if !ok || s != want {
 			t.Fatalf("recycled Alloc = (%d, %v), want (%d, true)", s, ok, want)
 		}
 	}
 	for s := int32(0); s < 8; s++ {
-		p.Free(s)
+		free1(p, s)
 	}
 	if p.FreeSegments() != 8 {
 		t.Fatalf("FreeSegments = %d, want 8", p.FreeSegments())
@@ -55,7 +55,7 @@ func TestCacheDrainsWholePool(t *testing.T) {
 	}
 	seen := make([]bool, n)
 	for i := 0; i < n; i++ {
-		s, ok := c.Alloc()
+		s, ok := alloc1(c)
 		if !ok {
 			t.Fatalf("alloc %d failed with %d free", i, st.Free())
 		}
@@ -64,14 +64,14 @@ func TestCacheDrainsWholePool(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if _, ok := c.Alloc(); ok {
+	if _, ok := alloc1(c); ok {
 		t.Fatal("alloc succeeded on exhausted pool")
 	}
 	if st.Free() != 0 || c.Avail() != 0 {
 		t.Fatalf("Free = %d, Avail = %d after draining", st.Free(), c.Avail())
 	}
 	for s := int32(0); s < n; s++ {
-		c.Free(s)
+		free1(c, s)
 	}
 	c.Publish()
 	if st.Free() != n {
@@ -120,7 +120,7 @@ func TestFlushMakesSegmentsReachable(t *testing.T) {
 	a, b := st.NewCache(), st.NewCache()
 	held := make([]int32, 0, 256)
 	for {
-		s, ok := a.Alloc()
+		s, ok := alloc1(a)
 		if !ok {
 			break
 		}
@@ -131,28 +131,28 @@ func TestFlushMakesSegmentsReachable(t *testing.T) {
 	}
 	// Frees land in a's magazines: globally free, unreachable from b.
 	for _, s := range held[:10] {
-		a.Free(s)
+		free1(a, s)
 	}
 	a.Publish()
 	if st.Free() != 10 {
 		t.Fatalf("Free = %d, want 10", st.Free())
 	}
-	if _, ok := b.Alloc(); ok {
+	if _, ok := alloc1(b); ok {
 		t.Fatal("cache b allocated from cache a's magazines without a flush")
 	}
 	a.Flush()
 	if got := a.Avail(); got != 10 {
 		t.Fatalf("a.Avail = %d after flush, want 10 (via depot)", got)
 	}
-	got, ok := b.Alloc()
+	got, ok := alloc1(b)
 	if !ok {
 		t.Fatal("cache b cannot allocate after flush")
 	}
-	b.Free(got)
-	b.Free(held[10])
+	free1(b, got)
+	free1(b, held[10])
 	held = held[11:]
 	for _, s := range held {
-		a.Free(s)
+		free1(a, s)
 	}
 	a.Flush()
 	b.Flush()
@@ -211,7 +211,7 @@ func TestConcurrentMagazineChurn(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				burst := 1 + rng.Intn(80)
 				for i := 0; i < burst; i++ {
-					s, ok := c.Alloc()
+					s, ok := alloc1(c)
 					if !ok {
 						break
 					}
@@ -228,7 +228,7 @@ func TestConcurrentMagazineChurn(t *testing.T) {
 						t.Errorf("segment %d freed while not owned", s)
 						return
 					}
-					c.Free(s)
+					free1(c, s)
 				}
 				held = append(held[:0], held[k:]...)
 				if r%64 == 0 {
@@ -237,7 +237,7 @@ func TestConcurrentMagazineChurn(t *testing.T) {
 			}
 			for _, s := range held {
 				owner[s].Store(0)
-				c.Free(s)
+				free1(c, s)
 			}
 			c.Flush()
 		}(w)
@@ -345,12 +345,12 @@ func BenchmarkCacheAllocFree(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := st.NewCache()
+	run := make([]int32, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, ok := c.Alloc()
-		if !ok {
+		if c.AllocN(run) != 1 {
 			b.Fatal("pool exhausted")
 		}
-		c.Free(s)
+		c.FreeN(run[0], run[0], 1)
 	}
 }

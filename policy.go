@@ -245,7 +245,6 @@ func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) 
 		Shards:          cfg.Shards,
 		NumFlows:        cfg.Flows,
 		NumSegments:     cfg.Segments,
-		StoreData:       true,
 		Admission:       cfg.Admission,
 		Egress:          cfg.Egress,
 		NumPorts:        cfg.Ports,
