@@ -727,15 +727,16 @@ func runEngine(w io.Writer, a engineArgs) error {
 	if viewMode {
 		delivMode = "view"
 	}
-	fmt.Fprintln(w, "shards,parallel,flows,policy,egress,datapath,delivery,pktmix,pkt_bytes,offered,delivered,dropped,pushed_out,rejected,resident,peak_occupancy_pct,ring_occ_peak,comp_p50_us,comp_p99_us,res_p50_us,res_p99_us,copied_bytes,runs_per_pkt,elapsed_s,mpps,gbps")
-	fmt.Fprintf(w, "%d,%d,%d,%s,%s,%s,%s,%s,%.0f,%d,%d,%d,%d,%d,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f,%d,%.3f,%.3f,%.3f,%.3f\n",
+	fmt.Fprintln(w, "shards,parallel,flows,policy,egress,datapath,delivery,pktmix,pkt_bytes,offered,delivered,dropped,pushed_out,rejected,resident,peak_occupancy_pct,ring_occ_peak,comp_p50_us,comp_p99_us,res_p50_us,res_p99_us,copied_bytes,runs_per_pkt,whole_per_pkt,elapsed_s,mpps,gbps")
+	fmt.Fprintf(w, "%d,%d,%d,%s,%s,%s,%s,%s,%.0f,%d,%d,%d,%d,%d,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
 		e.Config().Shards, a.parallel, a.flows, kind, egKind, a.datapath, delivMode, mixKind, meanPkt,
 		a.ops, st.DequeuedPackets,
 		st.DroppedPackets, st.PushedOutPackets, st.Rejected,
 		residentAtCutoff, occPct, peakRing.Load(),
 		lat.Quantile(0.50)/1e3, lat.Quantile(0.99)/1e3,
 		st.ResidenceP50Ns/1e3, st.ResidenceP99Ns/1e3,
-		st.CopiedBytes, float64(st.EnqueuedRuns)/float64(max(st.EnqueuedPackets, 1)), elapsed.Seconds(), mpps, gbps)
+		st.CopiedBytes, float64(st.EnqueuedRuns)/float64(max(st.EnqueuedPackets, 1)),
+		float64(st.EnqueuedWhole)/float64(max(st.EnqueuedPackets, 1)), elapsed.Seconds(), mpps, gbps)
 	if pushMode {
 		// Per-port block: what each shaped output port actually carried,
 		// and (for shaped ports) how tightly the pacer tracked the rate —

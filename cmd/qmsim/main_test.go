@@ -77,6 +77,10 @@ func TestEngine(t *testing.T) {
 			if segs := math.Ceil(pkt / 64); err1 != nil || err2 != nil || runs < 1 || runs > segs {
 				t.Errorf("runs_per_pkt = %q, want a number in [1, %v]", row["runs_per_pkt"], segs)
 			}
+			// So does the share of packets built on a reused whole chain.
+			if whole, err := strconv.ParseFloat(row["whole_per_pkt"], 64); err != nil || whole < 0 || whole > 1 {
+				t.Errorf("whole_per_pkt = %q, want a number in [0, 1]", row["whole_per_pkt"])
+			}
 		})
 	}
 	// A flow space the engine cannot build is a named error, not a panic.

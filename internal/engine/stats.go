@@ -30,7 +30,13 @@ type Counters struct {
 	// is the mean run length, the measure of how fragmented the free store
 	// hands out chains. The queue manager keeps this one
 	// (queue.Manager.FillRuns); it is filled in when a shard is read.
-	EnqueuedRuns     uint64
+	EnqueuedRuns uint64
+	// EnqueuedWhole counts the packets built on a whole chain of their size
+	// reused as it stands, links and run words kept, rather than carved and
+	// built segment by segment: against EnqueuedPackets it is the share that
+	// took the free store's fast path. Kept by the queue manager
+	// (queue.Manager.FillWhole) and filled in like EnqueuedRuns.
+	EnqueuedWhole    uint64
 	DequeuedPackets  uint64
 	DequeuedSegments uint64
 	// Rejected counts enqueues and reservations refused for want of room:
@@ -56,6 +62,7 @@ func (c *Counters) add(o Counters) {
 	c.EnqueuedPackets += o.EnqueuedPackets
 	c.EnqueuedSegments += o.EnqueuedSegments
 	c.EnqueuedRuns += o.EnqueuedRuns
+	c.EnqueuedWhole += o.EnqueuedWhole
 	c.DequeuedPackets += o.DequeuedPackets
 	c.DequeuedSegments += o.DequeuedSegments
 	c.Rejected += o.Rejected
@@ -141,7 +148,7 @@ func (s *shard) read(i int) ShardStat {
 		WorkerBusyNs:   s.wBusyNs.Load(),
 		WorkerIdleNs:   s.wIdleNs.Load(),
 	}
-	row.EnqueuedRuns = s.m.FillRuns()
+	row.EnqueuedRuns, row.EnqueuedWhole = s.m.FillRuns(), s.m.FillWhole()
 	return row
 }
 

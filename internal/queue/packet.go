@@ -1,18 +1,22 @@
 package queue
 
-import "fmt"
+import (
+	"fmt"
+
+	"npqm/internal/segstore"
+)
 
 // EnqueuePacket segments data into SegmentBytes chunks and enqueues them on
 // q, marking the last chunk EOP. It returns the number of segments used.
 //
-// This is the vectorized enqueue: the whole segment run is grabbed from the
-// store in one AllocN, the chain is built off-queue (buildChain: one pass,
-// one payload copy per address-contiguous run, no per-segment accounting),
-// and spliced onto the queue tail with one queue-table and accounting update
-// — the same O(1) splice LinkPacketTail performs for cross-manager moves.
-// Admission is charged for the full run up front, so the queue never holds a
-// truncated packet: on a short allocation the partial run goes straight back
-// to the store and the queue is untouched.
+// This is the vectorized enqueue: the packet's chain is made off-queue in
+// one piece (allocChain: a whole chain reused as it stands, or a run from
+// one AllocN built in one pass), with one payload copy per
+// address-contiguous run and no per-segment accounting, and spliced onto
+// the queue tail with one queue-table and accounting update — the same O(1)
+// splice LinkPacketTail performs for cross-manager moves. Admission is
+// charged for the full run up front, so the queue never holds a truncated
+// packet: a short allocation leaves the queue untouched.
 func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	if err := m.checkQueue(q); err != nil {
 		return 0, err
@@ -24,38 +28,99 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	if !m.admissible(q, needed) {
 		return 0, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, needed)
 	}
+	ch, runs, whole, err := m.allocChain(len(data), needed, stateQueued, data)
+	if err != nil {
+		return 0, err
+	}
+	m.fillRuns += uint64(runs)
+	if whole {
+		m.fillWhole++
+	}
+	m.splice(q, ch, 1, false)
+	return needed, nil
+}
+
+// allocChain gives an n-byte packet of segs segments its chain, in state st
+// and with payload copied in when given, and reports how many runs the chain
+// holds and whether it was reused whole. A packet of more than one segment
+// on a shared store first asks the cache for a whole chain of its size
+// (segstore.Cache.AllocChain) and reuses it as it stands (reuseChain);
+// otherwise, or on a miss, the segments come from one AllocN and buildChain
+// links and codes them. One-segment packets skip the ask: their bin never
+// exists. On ErrNoFreeSegments the pool is as it was.
+func (m *Manager) allocChain(n, segs int, st uint8, payload []byte) (ch PacketChain, runs int, whole bool, err error) {
+	ch.Segs, ch.Bytes = segs, n
+	if c, ok := m.src.(*segstore.Cache); ok && segs > 1 {
+		if head, tail, ok := c.AllocChain(int32(segs)); ok {
+			ch.Head, ch.Tail = Seg(head), Seg(tail)
+			return ch, m.reuseChain(head, tail, n, st, payload), true, nil
+		}
+	}
 	// Check what this manager can actually allocate (its cache plus the
 	// shared depot), not the pool-wide count: segments cached by other
 	// owners are free but unreachable.
 	// Pool-dry refusals return the bare sentinel: an overloaded caller sees
 	// millions of them, so the error must not allocate.
-	if needed > m.src.Avail() {
-		return 0, ErrNoFreeSegments
+	if segs > m.src.Avail() {
+		return ch, 0, false, ErrNoFreeSegments
 	}
-	run := m.runBuf(needed)
-	if got := m.src.AllocN(run); got < needed {
+	run := m.runBuf(segs)
+	if got := m.src.AllocN(run); got < segs {
 		// Another owner drained the depot between the reservation check and
-		// the grab. Nothing touched the queue yet, so there is no chain to
-		// unwind — relink the partial run and hand it back in one FreeN.
+		// the grab. Nothing touched a queue yet, so there is no chain to
+		// unwind — hand the partial run back in one FreeN.
 		m.returnRun(run[:got])
-		return 0, ErrNoFreeSegments
+		return ch, 0, false, ErrNoFreeSegments
 	}
-	m.fillRuns += uint64(m.buildChain(run, len(data), stateQueued, data))
-	m.splice(q, PacketChain{
-		Head: Seg(run[0]), Tail: Seg(run[needed-1]), Segs: needed, Bytes: len(data),
-	}, 1, false)
-	return needed, nil
+	ch.Head, ch.Tail = Seg(run[0]), Seg(run[segs-1])
+	return ch, m.buildChain(run, n, st, payload), false, nil
+}
+
+// reuseChain makes the whole chain [head..tail], popped as it stands, the
+// chain of an n-byte packet in state st and returns how many runs it holds.
+// Its links and run marks stay; one pass over its runs sets each run's
+// state, copies each run's payload (when given, and when payloads are stored
+// at all), and gives the last segment of every run but the tail a full word
+// — a segment command may have left it short. The tail gets the packet's
+// last length and EOP, a nil link and, with a payload, cleared slack.
+func (m *Manager) reuseChain(head, tail int32, n int, st uint8, payload []byte) (runs int) {
+	if m.data == nil {
+		payload = nil // pointer traffic only
+	}
+	off := 0 // payload offset of the run at s
+	for s := head; ; {
+		last, w, next := m.hop(s)
+		m.setState(s, last, st)
+		end := off + int(last-s+1)*SegmentBytes
+		if payload != nil {
+			copy(m.data[int(s)*SegmentBytes:], payload[off:min(n, end)])
+		}
+		runs++
+		w &^= segstore.WordLen | segstore.WordEOP
+		if last == tail {
+			k := n - end + SegmentBytes // bytes in the tail
+			m.seg[last] = w | uint16(k) | segstore.WordEOP
+			m.next[last] = nilSeg
+			if payload != nil {
+				base := int(last) * SegmentBytes
+				clear(m.data[base+k : base+SegmentBytes])
+			}
+			return runs
+		}
+		m.seg[last] = w | fullWord
+		s, off = next, end
+	}
 }
 
 // buildChain turns the freshly allocated segments in run into the chain of
 // an n-byte packet in state st and returns how many address-contiguous runs
 // it recorded. AllocN carves ascending magazines, so neighbours in run are
-// usually neighbours in the slab: each maximal stretch (capped at maxRun)
-// becomes one run. Everything a segment needs — word, state, link — is
-// written in this one pass; the segment that closes a stretch also marks the
-// stretch's first word and copies the stretch's payload (when given, and
-// when payloads are stored at all) in one piece rather than segment by
-// segment.
+// usually neighbours in the slab: each maximal stretch (capped at
+// segstore.MaxRun) becomes one run. Everything a segment needs — word,
+// state, link — is written in this one pass; the segment that closes a
+// stretch also marks the stretch's first word and copies the stretch's
+// payload (when given, and when payloads are stored at all) in one piece
+// rather than segment by segment.
 func (m *Manager) buildChain(run []int32, n int, st uint8, payload []byte) (runs int) {
 	if m.data == nil {
 		payload = nil // pointer traffic only
@@ -67,16 +132,16 @@ func (m *Manager) buildChain(run []int32, n int, st uint8, payload []byte) (runs
 		if i < end {
 			next = run[i+1]
 		} else {
-			w = uint16(n-i*SegmentBytes) | wordEOP
+			w = uint16(n-i*SegmentBytes) | segstore.WordEOP
 		}
 		m.state[s] = st
 		m.next[s] = next
-		if next == s+1 && i-start < maxRun-1 {
+		if next == s+1 && i-start < segstore.MaxRun-1 {
 			m.seg[s] = fullWord
 			continue // s is inside a stretch: full, linked to its neighbour
 		}
 		first := run[start]
-		if mark := uint16(i-start+1) << wordRun; first == s {
+		if mark := uint16(i-start+1) << segstore.WordRun; first == s {
 			m.seg[s] = w | mark
 		} else {
 			m.seg[s] = w
@@ -106,16 +171,17 @@ func (m *Manager) runBuf(n int) []int32 {
 	return m.run[:n]
 }
 
-// returnRun relinks a partially allocated run into one chain and gives it
-// back to the store in a single FreeN. AllocN left the segments in the free
-// state, so only the link words need rebuilding.
+// returnRun gives a partially allocated run back to the store in a single
+// FreeN. AllocN left the segments free with stale words, and a run of
+// 2…MaxGrain segments lands in a bin, where the store finds a chain's end by
+// its words and the next packet of that size reuses them as they stand — so
+// the run is built first, in the free state, as a well-formed chain:
+// linked, run-coded, EOP on its last segment.
 func (m *Manager) returnRun(run []int32) {
 	if len(run) == 0 {
 		return
 	}
-	for i := 0; i < len(run)-1; i++ {
-		m.next[run[i]] = run[i+1]
-	}
+	m.buildChain(run, len(run)*SegmentBytes, stateFree, nil)
 	m.src.FreeN(run[0], run[len(run)-1], int32(len(run)))
 }
 
@@ -229,18 +295,18 @@ func (m *Manager) CheckInvariants() error {
 			}
 			w := m.seg[s]
 			if left == 0 {
-				left = int32(w >> wordRun)
+				left = int32(w >> segstore.WordRun)
 				if left < 1 || int(s+left) > m.cfg.NumSegments {
 					return fmt.Errorf("queue: segment %d starts a run of %d (queue %d)", s, left, q)
 				}
 			}
-			if left--; left > 0 && (m.next[s] != s+1 || w&(wordLen|wordEOP) != fullWord) {
+			if left--; left > 0 && (m.next[s] != s+1 || w&(segstore.WordLen|segstore.WordEOP) != fullWord) {
 				return fmt.Errorf("queue: segment %d inside a run is not full and linked to %d (queue %d): word %#x, next %d",
 					s, s+1, q, w, m.next[s])
 			}
 			n++
-			bytes += int32(w & wordLen)
-			if w&wordEOP != 0 {
+			bytes += int32(w & segstore.WordLen)
+			if w&segstore.WordEOP != 0 {
 				pkts++
 			}
 			last = s

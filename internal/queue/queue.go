@@ -21,11 +21,12 @@
 // Packet boundaries are marked with an end-of-packet (EOP) flag on the last
 // segment, as in ATM AAL5 and the paper's segmentation scheme.
 //
-// Length, EOP flag and a run length share one 16-bit word per segment (see
-// the word* constants): every chain is a list of address-contiguous runs, so
-// the packet operations step run by run (hop) instead of segment by segment.
-// A shared store (segstore.Cache) hands a freed packet chain back whole to
-// the next packet of its size, so those runs outlive the packet.
+// Length, EOP flag and a run length share one 16-bit word per segment, in
+// the layout segstore owns (segstore.WordLen): every chain is a list of
+// address-contiguous runs, so the packet operations step run by run (hop)
+// instead of segment by segment. A shared store (segstore.Cache) hands a
+// freed packet chain back whole, words and all, to the next packet of its
+// size, which keeps its links and runs (reuseChain).
 package queue
 
 import (
@@ -46,22 +47,11 @@ const DefaultNumQueues = 32 * 1024
 // nilSeg is the null segment pointer.
 const nilSeg = int32(-1)
 
-// Segment word layout (segstore.View.Seg). Every chain is a list of
-// address-contiguous runs: the word of a run's first segment carries the
-// run's length r (a lone segment is a run of one), and the r-1 segments
-// before the run's last are full, non-EOP and linked s -> s+1 — they are
-// written as fullWord and never read by a packet walk. Only the run's last
-// segment has a length, an EOP flag and a link of its own. Runs are recorded
-// when a packet's chain is built (buildChain) and only ever split
-// (splitHead), never merged; a chain reused whole keeps them.
-const (
-	wordLen  = 0x007f // payload length, 0..SegmentBytes
-	wordEOP  = 0x0080 // end-of-packet marker
-	wordRun  = 8      // shift of the run length, meaningful at a run start
-	maxRun   = 255    // longest run one word can record
-	loneWord = 1 << wordRun
-	fullWord = SegmentBytes // a run's interior segment: full, no EOP, no mark
-)
+// fullWord is the word of a run's interior segment (segstore.WordLen has
+// the layout): full, no EOP, no run mark. Runs are recorded when a packet's
+// chain is built (buildChain) and only ever split (splitHead), never merged;
+// a chain reused whole (reuseChain) keeps them.
+const fullWord = SegmentBytes
 
 // Seg is a segment handle (index into the segment pool).
 type Seg int32
@@ -121,7 +111,7 @@ type Manager struct {
 	// store these arrays are shared with every other manager on the slab;
 	// each manager touches only segments it currently owns.
 	next  []int32
-	seg   []uint16 // segment words: length, EOP, run length (see wordLen)
+	seg   []uint16 // segment words: length, EOP, run length (segstore.WordLen)
 	state []uint8
 	refs  []int32 // per-chain-head view refcounts (atomic access only)
 
@@ -150,9 +140,11 @@ type Manager struct {
 	// hot path performs no heap allocation.
 	run []int32
 
-	// fillRuns counts the runs buildChain recorded for packets that joined a
-	// queue; against the segments enqueued it is the pool's fragmentation.
-	fillRuns uint64
+	// fillRuns counts the runs of the chains of packets that joined a queue;
+	// against the segments enqueued it is the pool's fragmentation. fillWhole
+	// counts those packets whose chain was reused whole (reuseChain).
+	fillRuns  uint64
+	fillWhole uint64
 
 	// Data memory (aliases the store's payload slab; nil when disabled).
 	data []byte
@@ -282,26 +274,18 @@ type SegInfo struct {
 // info decodes segment s's word.
 func (m *Manager) info(s int32) SegInfo {
 	w := m.seg[s]
-	return SegInfo{Seg: Seg(s), Len: int(w & wordLen), EOP: w&wordEOP != 0}
+	return SegInfo{Seg: Seg(s), Len: int(w & segstore.WordLen), EOP: w&segstore.WordEOP != 0}
 }
 
-// hop steps over the run that starts at s: it returns the run's last
-// segment, that segment's word and its link. The branch is deliberate. A
-// lone segment is its own last, and on that arm the word and the link both
-// load from s alone, so a fragmented chain is chased exactly like a plain
-// linked list; only a real run pays the dependent load behind s + r - 1.
+// hop steps over the run that starts at s (segstore.Hop): it returns the
+// run's last segment, that segment's word and its link.
 func (m *Manager) hop(s int32) (last int32, w uint16, next int32) {
-	w = m.seg[s]
-	if r := int32(w >> wordRun); r > 1 {
-		last = s + r - 1
-		return last, m.seg[last], m.next[last]
-	}
-	return s, w, m.next[s]
+	return segstore.Hop(m.seg, m.next, s)
 }
 
 // runBytes is the payload of the run [s..last] whose last word is w.
 func runBytes(s, last int32, w uint16) int32 {
-	return (last-s)*SegmentBytes + int32(w&wordLen)
+	return (last-s)*SegmentBytes + int32(w&segstore.WordLen)
 }
 
 // setState moves the run [s..last] to state st.
@@ -315,9 +299,9 @@ func (m *Manager) setState(s, last int32, st uint8) {
 // rest of its run starts at h+1 and inherits the remaining length. The one
 // way a run changes after buildChain recorded it.
 func (m *Manager) splitHead(h int32) {
-	if r := m.seg[h] >> wordRun; r > 1 {
-		m.seg[h] = m.seg[h]&(wordLen|wordEOP) | loneWord
-		m.seg[h+1] = m.seg[h+1]&(wordLen|wordEOP) | (r-1)<<wordRun
+	if r := m.seg[h] >> segstore.WordRun; r > 1 {
+		m.seg[h] = m.seg[h]&(segstore.WordLen|segstore.WordEOP) | segstore.LoneWord
+		m.seg[h+1] = m.seg[h+1]&(segstore.WordLen|segstore.WordEOP) | (r-1)<<segstore.WordRun
 	}
 }
 
@@ -332,9 +316,9 @@ func checkLen(n int) error {
 // setPayload stores payload (checkLen has passed it) into segment s,
 // keeping its run mark.
 func (m *Manager) setPayload(s int32, payload []byte, eop bool) {
-	w := m.seg[s]&^(wordLen|wordEOP) | uint16(len(payload))
+	w := m.seg[s]&^(segstore.WordLen|segstore.WordEOP) | uint16(len(payload))
 	if eop {
-		w |= wordEOP
+		w |= segstore.WordEOP
 	}
 	m.seg[s] = w
 	if m.data != nil {
@@ -348,8 +332,8 @@ func (m *Manager) setPayload(s int32, payload []byte, eop bool) {
 // splice and unspliceHead take, with the packet it closes: one if it
 // carries the EOP mark, else none.
 func segChain(s int32, w uint16) (ch PacketChain, pkts int32) {
-	ch = PacketChain{Head: Seg(s), Tail: Seg(s), Segs: 1, Bytes: int(w & wordLen)}
-	return ch, int32(w&wordEOP) / wordEOP
+	ch = PacketChain{Head: Seg(s), Tail: Seg(s), Segs: 1, Bytes: int(w & segstore.WordLen)}
+	return ch, int32(w&segstore.WordEOP) / segstore.WordEOP
 }
 
 // payload returns the stored bytes of segment s (nil if data storage is
@@ -359,7 +343,7 @@ func (m *Manager) payload(s Seg) []byte {
 		return nil
 	}
 	base := int(s) * SegmentBytes
-	out := make([]byte, m.seg[s]&wordLen)
+	out := make([]byte, m.seg[s]&segstore.WordLen)
 	copy(out, m.data[base:])
 	return out
 }
@@ -397,7 +381,7 @@ func (m *Manager) enqueueSegment(q QueueID, payload []byte, eop, atHead bool) (S
 		return Seg(nilSeg), ErrNoFreeSegments
 	}
 	s := run[0]
-	m.seg[s] = loneWord
+	m.seg[s] = segstore.LoneWord
 	m.setPayload(s, payload, eop)
 	m.state[s] = stateQueued
 	m.next[s] = nilSeg
@@ -490,7 +474,7 @@ func (m *Manager) findPacketEnd(q QueueID) (PacketChain, error) {
 		last, w, next := m.hop(s)
 		n += last - s + 1
 		bytes += runBytes(s, last, w)
-		if w&wordEOP != 0 {
+		if w&segstore.WordEOP != 0 {
 			return PacketChain{Head: Seg(h), Tail: Seg(last), Segs: int(n), Bytes: int(bytes)}, nil
 		}
 		s = next
@@ -527,8 +511,8 @@ func (m *Manager) OverwriteLength(q QueueID, n int) error {
 	if err := checkLen(n); err != nil {
 		return err
 	}
-	m.noteRewrite(q, int(m.seg[h]&wordLen), n)
-	m.seg[h] = m.seg[h]&^wordLen | uint16(n)
+	m.noteRewrite(q, int(m.seg[h]&segstore.WordLen), n)
+	m.seg[h] = m.seg[h]&^segstore.WordLen | uint16(n)
 	m.splitHead(h)
 	return nil
 }

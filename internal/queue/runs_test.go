@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"npqm/internal/segstore"
 )
 
 // runsOf walks q segment by segment and returns the run lengths its chain
@@ -14,7 +16,7 @@ func runsOf(t *testing.T, m *Manager, q QueueID) []int {
 	t.Helper()
 	var runs []int
 	for s := m.qhead[q]; s != nilSeg; {
-		r := int32(m.seg[s] >> wordRun)
+		r := int32(m.seg[s] >> segstore.WordRun)
 		if r < 1 {
 			t.Fatalf("segment %d heads a run of %d", s, r)
 		}
@@ -130,7 +132,7 @@ func TestRunLongerThanOneWord(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runsOf(t, m, 1)
-	if len(got) != 3 || got[0] != maxRun || got[1] != maxRun || got[2] != 600-2*maxRun {
+	if len(got) != 3 || got[0] != segstore.MaxRun || got[1] != segstore.MaxRun || got[2] != 600-2*segstore.MaxRun {
 		t.Fatalf("runs = %v, want [255 255 90]", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -162,12 +164,12 @@ func TestCheckInvariantsReportsBadRun(t *testing.T) {
 		corrupt func(m *Manager, head int32)
 		want    string
 	}{
-		{"run leaves the pool", func(m *Manager, h int32) { m.seg[h] = m.seg[h]&0xff | 200<<wordRun }, "starts a run of 200"},
+		{"run leaves the pool", func(m *Manager, h int32) { m.seg[h] = m.seg[h]&0xff | 200<<segstore.WordRun }, "starts a run of 200"},
 		{"start without a run", func(m *Manager, h int32) { m.seg[h] &= 0xff }, "starts a run of 0"},
 		{"interior link broken", func(m *Manager, h int32) { m.next[h+1] = h + 3 }, "inside a run"},
 		{"interior not full", func(m *Manager, h int32) { m.seg[h+1] = SegmentBytes - 1 }, "inside a run"},
-		{"interior marked EOP", func(m *Manager, h int32) { m.seg[h+2] |= wordEOP }, "inside a run"},
-		{"run claims the next packet", func(m *Manager, h int32) { m.seg[h] = m.seg[h]&0xff | 5<<wordRun }, "inside a run"},
+		{"interior marked EOP", func(m *Manager, h int32) { m.seg[h+2] |= segstore.WordEOP }, "inside a run"},
+		{"run claims the next packet", func(m *Manager, h int32) { m.seg[h] = m.seg[h]&0xff | 5<<segstore.WordRun }, "inside a run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newTestManager(t, 16)
@@ -194,6 +196,14 @@ func TestCheckInvariantsReportsBadRun(t *testing.T) {
 // reference model that knows nothing about runs: queues as plain lists of
 // segments (64 bytes of backing memory, a length, an EOP flag).
 //
+// Every input runs twice. The private arm is one manager on a FIFO pool.
+// The shared arm is two managers, each on its own cache of one
+// segstore.Store, taking the commands in turn: freed chains pass through
+// bins and grain stacks and come back whole to packets of other lengths
+// (reuseChain), so a stale length, EOP or tail left in a reused chain shows
+// up as a payload or length mismatch, and the store's CheckInvariants runs
+// after every command.
+//
 // Command records are 3 bytes: opcode, operand a, operand b.
 //
 //	op%12 == 0: EnqueuePacket   q=a%4, 1+11*b bytes (up to 44 segments)
@@ -211,71 +221,107 @@ func TestCheckInvariantsReportsBadRun(t *testing.T) {
 //
 // The seed corpus (testdata/fuzz/FuzzRunCoding) splits a run with each
 // mutator, builds a packet of more than 255 segments, commits and aborts
-// reservations, and reuses freed segments out of address order.
+// reservations, and reuses freed segments out of address order. For the
+// shared arm it hands chains with a short head segment between the
+// managers, reuses a chain that was not the last in its bin and then
+// exposes its tail's slack, and counts a view right after the other
+// manager aborted a reservation.
 func FuzzRunCoding(f *testing.F) {
-	const (
-		nq   = 4
-		pool = 640
-	)
+	const pool = 640
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := New(Config{NumQueues: runCodingQueues, NumSegments: pool, StoreData: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayRunCoding(t, data, pool, []*Manager{m}, func() error { return nil })
+
+		st, err := segstore.New(segstore.Config{
+			NumSegments: pool, SegmentBytes: SegmentBytes, StoreData: true, MagazineSize: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches := []*segstore.Cache{st.NewCache(), st.NewCache()}
+		ms := make([]*Manager, len(caches))
+		for i, c := range caches {
+			if ms[i], err = NewWithStore(Config{NumQueues: runCodingQueues}, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replayRunCoding(t, data, pool, ms, func() error {
+			for _, c := range caches {
+				c.Publish() // as the owner does when it leaves a critical section
+			}
+			return st.CheckInvariants()
+		})
+	})
+}
+
+// runCodingQueues is the queue count of each manager FuzzRunCoding drives.
+const runCodingQueues = 4
+
+// replayRunCoding is FuzzRunCoding's body: record k goes to ms[k%len(ms)],
+// and settle validates what the managers share after every command.
+func replayRunCoding(t *testing.T, data []byte, pool int, ms []*Manager, settle func() error) {
+	const nq = runCodingQueues
 	type seg struct {
 		mem   [SegmentBytes]byte
 		len   int
 		known int // bytes of mem the reference can vouch for (a writer's tail is never cleared)
 		eop   bool
 	}
+	model := make([][nq][]seg, len(ms))
+	free := pool
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := New(Config{NumQueues: nq, NumSegments: pool, StoreData: true})
-		if err != nil {
-			t.Fatal(err)
+	split := func(p []byte) []seg {
+		var out []seg
+		for off := 0; off < len(p); off += SegmentBytes {
+			var s seg
+			s.len = copy(s.mem[:], p[off:])
+			s.known = SegmentBytes
+			out = append(out, s)
 		}
-		var queues [nq][]seg
-		free := pool
+		out[len(out)-1].eop = true
+		return out
+	}
+	// headPacket returns the segments of q's head packet, or the error
+	// the manager must report instead.
+	headPacket := func(queues *[nq][]seg, q int) (int, error) {
+		if len(queues[q]) == 0 {
+			return 0, ErrQueueEmpty
+		}
+		for i, s := range queues[q] {
+			if s.eop {
+				return i + 1, nil
+			}
+		}
+		return 0, ErrNoPacket
+	}
+	join := func(segs []seg) []byte {
+		var out []byte
+		for _, s := range segs {
+			out = append(out, s.mem[:s.len]...)
+		}
+		return out
+	}
+	var fill byte
+	fresh := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			fill += 7
+			p[i] = fill
+		}
+		return p
+	}
 
-		split := func(p []byte) []seg {
-			var out []seg
-			for off := 0; off < len(p); off += SegmentBytes {
-				var s seg
-				s.len = copy(s.mem[:], p[off:])
-				s.known = SegmentBytes
-				out = append(out, s)
-			}
-			out[len(out)-1].eop = true
-			return out
-		}
-		// headPacket returns the segments of q's head packet, or the error
-		// the manager must report instead.
-		headPacket := func(q int) (int, error) {
-			if len(queues[q]) == 0 {
-				return 0, ErrQueueEmpty
-			}
-			for i, s := range queues[q] {
-				if s.eop {
-					return i + 1, nil
-				}
-			}
-			return 0, ErrNoPacket
-		}
-		join := func(segs []seg) []byte {
-			var out []byte
-			for _, s := range segs {
-				out = append(out, s.mem[:s.len]...)
-			}
-			return out
-		}
-		var fill byte
-		fresh := func(n int) []byte {
-			p := make([]byte, n)
-			for i := range p {
-				fill += 7
-				p[i] = fill
-			}
-			return p
-		}
-
-		for i := 0; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%12, data[i+1], data[i+2]
-			q := int(a) % nq
+	for i := 0; i+2 < len(data); i += 3 {
+		op, a, b := data[i]%12, data[i+1], data[i+2]
+		q := int(a) % nq
+		m, queues := ms[i/3%len(ms)], &model[i/3%len(ms)]
+		avail := m.AvailSegments()
+		// One command is one critical section: it returns early on the
+		// failures it expects, and the checks below still run.
+		func() {
 			switch op {
 			case 0, 1: // EnqueuePacket
 				size := 1 + 11*int(b)
@@ -285,11 +331,11 @@ func FuzzRunCoding(f *testing.F) {
 				pkt := fresh(size)
 				segs := split(pkt)
 				n, err := m.EnqueuePacket(QueueID(q), pkt)
-				if len(segs) > free {
+				if len(segs) > avail {
 					if !errors.Is(err, ErrNoFreeSegments) {
-						t.Fatalf("op %d: enqueue of %d segments into %d free: err = %v", i, len(segs), free, err)
+						t.Fatalf("op %d: enqueue of %d segments with %d available: err = %v", i, len(segs), avail, err)
 					}
-					continue
+					return
 				}
 				if err != nil || n != len(segs) {
 					t.Fatalf("op %d: enqueue = (%d, %v), want (%d, nil)", i, n, err, len(segs))
@@ -298,7 +344,7 @@ func FuzzRunCoding(f *testing.F) {
 				free -= n
 
 			case 2, 9, 11: // DequeuePacket, DequeuePacketView, DeletePacket
-				want, wantErr := headPacket(q)
+				want, wantErr := headPacket(queues, q)
 				var got []byte
 				var n int
 				var err error
@@ -321,7 +367,7 @@ func FuzzRunCoding(f *testing.F) {
 					if !errors.Is(err, wantErr) {
 						t.Fatalf("op %d: packet op %d on q=%d: err = %v, want %v", i, op, q, err, wantErr)
 					}
-					continue
+					return
 				}
 				if err != nil || n != want {
 					t.Fatalf("op %d: packet op %d on q=%d = (%d, %v), want (%d, nil)", i, op, q, n, err, want)
@@ -345,7 +391,7 @@ func FuzzRunCoding(f *testing.F) {
 					if !errors.Is(err, ErrQueueEmpty) {
 						t.Fatalf("op %d: segment op on empty q=%d: err = %v", i, q, err)
 					}
-					continue
+					return
 				}
 				h := queues[q][0]
 				if err != nil {
@@ -362,11 +408,11 @@ func FuzzRunCoding(f *testing.F) {
 				s.len = copy(s.mem[:], fresh(1+int(b)%SegmentBytes))
 				s.known, s.eop = SegmentBytes, b >= 128
 				_, err := m.AppendHead(QueueID(q), s.mem[:s.len], s.eop)
-				if free == 0 {
+				if avail == 0 {
 					if !errors.Is(err, ErrNoFreeSegments) {
 						t.Fatalf("op %d: AppendHead on a dry pool: err = %v", i, err)
 					}
-					continue
+					return
 				}
 				if err != nil {
 					t.Fatalf("op %d: AppendHead(q=%d): %v", i, q, err)
@@ -391,7 +437,7 @@ func FuzzRunCoding(f *testing.F) {
 					if !errors.Is(err, ErrQueueEmpty) {
 						t.Fatalf("op %d: overwrite on empty q=%d: err = %v", i, q, err)
 					}
-					continue
+					return
 				}
 				if err != nil {
 					t.Fatalf("op %d: overwrite on q=%d: %v", i, q, err)
@@ -407,11 +453,11 @@ func FuzzRunCoding(f *testing.F) {
 				pkt := fresh(1 + 11*int(b>>1))
 				segs := split(pkt)
 				w, err := m.ReservePacket(QueueID(q), len(pkt))
-				if len(segs) > free {
+				if len(segs) > avail {
 					if !errors.Is(err, ErrNoFreeSegments) {
-						t.Fatalf("op %d: reserve of %d segments into %d free: err = %v", i, len(segs), free, err)
+						t.Fatalf("op %d: reserve of %d segments with %d available: err = %v", i, len(segs), avail, err)
 					}
-					continue
+					return
 				}
 				if err != nil || w.Segments() != len(segs) {
 					t.Fatalf("op %d: reserve = (%d segs, %v), want (%d, nil)", i, w.Segments(), err, len(segs))
@@ -428,7 +474,7 @@ func FuzzRunCoding(f *testing.F) {
 					if err := w.Abort(); err != nil {
 						t.Fatalf("op %d: abort: %v", i, err)
 					}
-					continue
+					return
 				}
 				if err := w.Commit(); err != nil {
 					t.Fatalf("op %d: commit: %v", i, err)
@@ -439,13 +485,13 @@ func FuzzRunCoding(f *testing.F) {
 
 			case 10: // MovePacket
 				to := int(b) % nq
-				want, wantErr := headPacket(q)
+				want, wantErr := headPacket(queues, q)
 				n, err := m.MovePacket(QueueID(q), QueueID(to))
 				if wantErr != nil {
 					if !errors.Is(err, wantErr) {
 						t.Fatalf("op %d: move %d->%d: err = %v, want %v", i, q, to, err, wantErr)
 					}
-					continue
+					return
 				}
 				if err != nil || n != want {
 					t.Fatalf("op %d: move %d->%d = (%d, %v), want (%d, nil)", i, q, to, n, err, want)
@@ -456,28 +502,33 @@ func FuzzRunCoding(f *testing.F) {
 					queues[to] = append(queues[to], pkt...)
 				}
 			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("op %d (opcode %d): %v", i, op, err)
-			}
+		}()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("op %d (opcode %d): %v", i, op, err)
 		}
-
-		// Final cross-check: every queue reads back segment for segment.
+		if err := settle(); err != nil {
+			t.Fatalf("op %d (opcode %d): %v", i, op, err)
+		}
 		if got := m.FreeSegments(); got != free {
-			t.Fatalf("free segments %d, reference says %d", got, free)
+			t.Fatalf("op %d (opcode %d): free segments %d, reference says %d", i, op, got, free)
 		}
+	}
+
+	// Final cross-check: every queue reads back segment for segment.
+	for k, m := range ms {
 		for q := 0; q < nq; q++ {
 			infos := segInfos(m, QueueID(q))
-			if len(infos) != len(queues[q]) {
-				t.Fatalf("queue %d holds %d segments, reference says %d", q, len(infos), len(queues[q]))
+			if len(infos) != len(model[k][q]) {
+				t.Fatalf("manager %d queue %d holds %d segments, reference says %d", k, q, len(infos), len(model[k][q]))
 			}
 			for at, info := range infos {
-				want := queues[q][at]
+				want := model[k][q][at]
 				got, _ := m.Payload(info.Seg)
 				if info.Len != want.len || info.EOP != want.eop || !bytes.Equal(got, want.mem[:want.len]) {
-					t.Fatalf("queue %d segment %d = (%d B, eop %v), reference wants (%d B, eop %v)",
-						q, at, info.Len, info.EOP, want.len, want.eop)
+					t.Fatalf("manager %d queue %d segment %d = (%d B, eop %v), reference wants (%d B, eop %v)",
+						k, q, at, info.Len, info.EOP, want.len, want.eop)
 				}
 			}
 		}
-	})
+	}
 }

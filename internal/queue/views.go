@@ -12,9 +12,10 @@ package queue
 //     run of the chain. Releasing the view scrubs and returns the chain in
 //     one FreeN-equivalent operation.
 //   - ReservePacket is the write-in-place inverse: the segment run is
-//     allocated and pre-linked up front, the producer fills the slices a
-//     PacketWriter exposes (a readv target), then Commit splices the chain
-//     onto the queue tail in O(1) — or Abort hands the untouched run back.
+//     allocated and pre-linked up front (or a whole chain reused), the
+//     producer fills the slices a PacketWriter exposes (a readv target),
+//     then Commit splices the chain onto the queue tail in O(1) — or Abort
+//     hands the untouched run back.
 //
 // While checked out, segments are in the lent state and counted by the
 // store's lent population, so pool stats and CheckInvariants stay exact:
@@ -243,7 +244,7 @@ func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 		m.setState(s, last, stateLent)
 		n += last - s + 1
 		chainBytes += runBytes(s, last, w)
-		if w&wordEOP != 0 {
+		if w&segstore.WordEOP != 0 {
 			end = last
 			break
 		}
@@ -277,7 +278,8 @@ type PacketWriter struct {
 	tail  int32
 	segs  int32
 	bytes int32
-	runs  int32 // runs buildChain recorded, counted into fillRuns at Commit
+	runs  int32 // runs the chain holds, counted into fillRuns at Commit
+	whole bool  // the chain was reused whole, counted into fillWhole at Commit
 }
 
 // Valid reports whether the writer holds a live reservation.
@@ -321,18 +323,13 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 	if !m.admissible(q, needed) {
 		return PacketWriter{}, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, needed)
 	}
-	if needed > m.src.Avail() {
-		return PacketWriter{}, ErrNoFreeSegments // bare, as in EnqueuePacket
+	ch, runs, whole, err := m.allocChain(n, needed, stateLent, nil)
+	if err != nil {
+		return PacketWriter{}, err
 	}
-	run := m.runBuf(needed)
-	if got := m.src.AllocN(run); got < needed {
-		m.returnRun(run[:got])
-		return PacketWriter{}, ErrNoFreeSegments
-	}
-	runs := m.buildChain(run, n, stateLent, nil)
 	m.src.Lend(int32(needed))
-	return PacketWriter{m: m, q: q, head: run[0], tail: run[needed-1],
-		segs: int32(needed), bytes: int32(n), runs: int32(runs)}, nil
+	return PacketWriter{m: m, q: q, head: int32(ch.Head), tail: int32(ch.Tail),
+		segs: int32(needed), bytes: int32(n), runs: int32(runs), whole: whole}, nil
 }
 
 // Commit splices the filled run onto the queue tail — one queue-table and
@@ -346,6 +343,9 @@ func (w *PacketWriter) Commit() error {
 	}
 	m.setChainState(w.head, w.tail, stateQueued)
 	m.fillRuns += uint64(w.runs)
+	if w.whole {
+		m.fillWhole++
+	}
 	m.splice(w.q, PacketChain{
 		Head: Seg(w.head), Tail: Seg(w.tail), Segs: int(w.segs), Bytes: int(w.bytes),
 	}, 1, false)
@@ -379,3 +379,9 @@ func (m *Manager) LentSegments() int { return m.src.Lent() }
 // by the segments enqueued it is how fragmented the free store hands out
 // chains, 1/segments-per-packet at best and 1 at worst.
 func (m *Manager) FillRuns() uint64 { return m.fillRuns }
+
+// FillWhole returns how many of those packets were built on a whole chain
+// of their size reused as it stands (segstore.Cache.AllocChain) rather than
+// carved segment by segment: against the packets enqueued it is the share
+// of the bin fast path.
+func (m *Manager) FillWhole() uint64 { return m.fillWhole }

@@ -6,12 +6,36 @@ import "testing"
 // boundaries, short returns on a dry pool, FreeN spilling whole magazines
 // back to the depot, and FIFO preservation on the private pool.
 
-// relink rebuilds the chain links for a run the way the queue layer does
-// before handing it back, returning head and tail.
+// relink links the segments of run into one chain in order, returning head
+// and tail. It leaves their words alone: a batch of chains that chainUp
+// already built is relinked end to end this way.
 func relink(next []int32, run []int32) (head, tail int32) {
 	for i := 0; i < len(run)-1; i++ {
 		next[run[i]] = run[i+1]
 	}
+	return run[0], run[len(run)-1]
+}
+
+// chainUp builds run into the well-formed chain the queue layer hands back
+// for a packet: linked in order, each address-contiguous stretch (at most
+// MaxRun segments) one run marked on its first word, EOP on the last
+// segment. Every test chain bound for FreeN or ReturnLent goes through it,
+// since a bin or grain stack trusts the words of the chains it holds.
+// Lengths are left out: the store reads none.
+func chainUp(v View, run []int32) (head, tail int32) {
+	relink(v.Next, run)
+	for i := 0; i < len(run); {
+		j := i + 1
+		for j < len(run) && run[j] == run[j-1]+1 && j-i < MaxRun {
+			j++
+		}
+		for _, s := range run[i+1 : j] {
+			v.Seg[s] = 0
+		}
+		v.Seg[run[i]] = uint16(j-i) << WordRun
+		i = j
+	}
+	v.Seg[run[len(run)-1]] |= WordEOP
 	return run[0], run[len(run)-1]
 }
 
@@ -51,7 +75,7 @@ func TestCacheAllocNShortOnDryPool(t *testing.T) {
 	if extra := c.AllocN(dst[:4]); extra != 0 {
 		t.Fatalf("AllocN on a dry pool delivered %d segments", extra)
 	}
-	head, tail := relink(c.View().Next, dst[:got])
+	head, tail := chainUp(c.View(), dst[:got])
 	c.FreeN(head, tail, int32(got))
 	c.Publish()
 	if st.Free() != n {
@@ -80,7 +104,7 @@ func TestCacheFreeNSpillsAcrossMagazines(t *testing.T) {
 		t.Fatalf("AllocN = %d, want %d", got, len(run))
 	}
 	c.Publish()
-	head, tail := relink(c.View().Next, run)
+	head, tail := chainUp(c.View(), run)
 	c.FreeN(head, tail, int32(len(run)))
 	c.Publish()
 	if st.Free() != n {
@@ -101,7 +125,7 @@ func TestCacheFreeNSpillsAcrossMagazines(t *testing.T) {
 	if got := c.AllocN(all); got != n {
 		t.Fatalf("re-AllocN = %d, want %d", got, n)
 	}
-	head, tail = relink(c.View().Next, all)
+	head, tail = chainUp(c.View(), all)
 	c.FreeN(head, tail, int32(n))
 	c.Publish()
 	if err := st.CheckInvariants(); err != nil {
@@ -129,7 +153,7 @@ func TestCacheBulkChurnConserves(t *testing.T) {
 			}
 			run := held[len(held)-1]
 			held = held[:len(held)-1]
-			head, tail := relink(c.View().Next, run)
+			head, tail := chainUp(c.View(), run)
 			c.FreeN(head, tail, int32(len(run)))
 			heldSegs -= len(run)
 		} else {
@@ -150,7 +174,7 @@ func TestCacheBulkChurnConserves(t *testing.T) {
 		}
 	}
 	for _, run := range held {
-		head, tail := relink(c.View().Next, run)
+		head, tail := chainUp(c.View(), run)
 		c.FreeN(head, tail, int32(len(run)))
 	}
 	c.Publish()
@@ -179,7 +203,7 @@ func TestPrivateBulkFIFO(t *testing.T) {
 			t.Fatalf("run[%d] = %d, want FIFO order", i, s)
 		}
 	}
-	head, tail := relink(p.View().Next, run)
+	head, tail := chainUp(p.View(), run)
 	p.FreeN(head, tail, int32(len(run)))
 	// The free list is now 10..15 then the returned 0..9.
 	for want := int32(10); want < 16; want++ {

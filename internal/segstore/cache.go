@@ -12,8 +12,8 @@ import (
 const cachePad = 128
 
 // MaxGrain is the longest chain a Cache keeps whole: a FreeN of g segments,
-// 2 ≤ g ≤ MaxGrain, goes to bin g, and the next AllocN of g segments takes
-// it back in one piece. An MTU packet is 24 segments.
+// 2 ≤ g ≤ MaxGrain, goes to bin g, and the next AllocChain of g segments
+// takes it back in one piece. An MTU packet is 24 segments.
 const MaxGrain = 32
 
 // Cache is a per-owner allocation front end over a shared Store: two general
@@ -134,26 +134,14 @@ func (c *Cache) Lent() int {
 	return c.st.Lent()
 }
 
-// AllocN fills dst with segments and returns how many it delivered — short
-// only when the cache and depot together run dry. A run of 2…MaxGrain
-// segments is first one whole chain off the front of its bin, refilled from
-// the depot's stack of that grain, so a packet freed in one run is
-// allocated in one run. Other runs are carved from the general magazines a
-// magazine at a time: the inner loop walks the chain with plain pointer
-// reads, and at most one depot CAS is paid per magazine crossed.
+// AllocN fills dst with segments carved from the general magazines and
+// returns how many it delivered — short only when the cache and depot
+// together run dry. It carves a magazine at a time: the inner loop walks the
+// chain with plain pointer reads, and at most one depot CAS is paid per
+// magazine crossed. Whole chains are AllocChain's business; AllocN reaches
+// them only when nothing else is left (refill), and breaks them.
 func (c *Cache) AllocN(dst []int32) int {
 	n := int32(len(dst))
-	g := grainOf(n)
-	if g != 0 && (c.bins[g].n > 0 || c.fillBin(g)) {
-		b := &c.bins[g]
-		b.head = c.walk(dst, b.head)
-		b.n -= g
-		c.binned -= g
-		if b.n == 0 {
-			c.mask &^= 1 << g
-		}
-		return len(dst)
-	}
 	got := int32(0)
 	for got < n {
 		if c.mag[0].n == 0 && !c.refill() {
@@ -166,6 +154,29 @@ func (c *Cache) AllocN(dst []int32) int {
 		got += take
 	}
 	return int(got)
+}
+
+// AllocChain takes the first whole n-segment chain off bin n, refilling the
+// bin from the depot's stack of grain n, and returns it as it stands: linked
+// head→…→tail (Next[tail] is unspecified) and well formed by the words of
+// its last life, so a packet of n segments built on it rewrites its words
+// per run, not per segment. The tail is found by hopping the chain's runs.
+// ok is false when n is not a grain (2…MaxGrain) or neither the bin nor the
+// stack holds a chain; the caller then carves with AllocN.
+func (c *Cache) AllocChain(n int32) (head, tail int32, ok bool) {
+	g := grainOf(n)
+	if g == 0 || c.bins[g].n == 0 && !c.fillBin(g) {
+		return nilSeg, nilSeg, false
+	}
+	b := &c.bins[g]
+	head = b.head
+	tail, b.head = chainEnd(&c.st.view, head, g)
+	b.n -= g
+	c.binned -= g
+	if b.n == 0 {
+		c.mask &^= 1 << g
+	}
+	return head, tail, true
 }
 
 // walk fills dst with the chain from s on and returns the segment after it.
@@ -223,17 +234,17 @@ func (c *Cache) refill() bool {
 
 // FreeN splices a pre-linked chain of n segments (head→…→tail through
 // View.Next; Next[tail] is overwritten) in O(1): onto bin n when n is a
-// grain, else onto the active magazine. Either may grow past a nominal
+// grain, else onto the active magazine. A chain bound for a bin must be well
+// formed by its words (see WordLen). Either may grow past a nominal
 // magazine; once it holds two magazines' worth, whole magazines (of whole
 // chains, for a bin) are carved off its front and pushed to the depot — one
-// chain walk and one CAS per magazine of frees, and a steady
-// alloc-run/free-run cycle (the datapath's dequeue feeding the next
-// enqueue) never touches the depot at all.
+// cut and one CAS per magazine of frees, and a steady alloc-run/free-run
+// cycle (the datapath's dequeue feeding the next enqueue) never touches the
+// depot at all.
 func (c *Cache) FreeN(head, tail, n int32) {
 	if n <= 0 {
 		return
 	}
-	next := c.st.view.Next
 	g := grainOf(n)
 	m := &c.mag[0]
 	if g != 0 {
@@ -241,17 +252,12 @@ func (c *Cache) FreeN(head, tail, n int32) {
 		c.binned += n
 		c.mask |= 1 << g
 	}
-	next[tail] = m.head
+	c.st.view.Next[tail] = m.head
 	m.head = head
 	m.n += n
 	for per := c.st.magSegs[g]; m.n >= 2*per; {
-		s := m.head
-		for i := int32(1); i < per; i++ {
-			s = next[s]
-		}
 		h := m.head
-		m.head = next[s]
-		next[s] = nilSeg
+		m.head = c.cut(h, per, g)
 		m.n -= per
 		if g != 0 {
 			c.binned -= per
@@ -261,6 +267,27 @@ func (c *Cache) FreeN(head, tail, n int32) {
 		c.count.Store(c.held())
 		c.st.pushMagazine(h, per, g)
 	}
+}
+
+// cut ends a magazine of per segments at h, the front of a chain of whole
+// grain-segment chains (grain 0: loose segments), and returns the segment
+// after it. A general magazine is cut by walking its links, a
+// grained one by hopping its chains' runs.
+func (c *Cache) cut(h, per, grain int32) int32 {
+	v := &c.st.view
+	s, after := h, h
+	if grain == 0 {
+		for i := int32(1); i < per; i++ {
+			s = v.Next[s]
+		}
+		after = v.Next[s]
+	} else {
+		for k := per / grain; k > 0; k-- {
+			s, after = chainEnd(v, after, grain)
+		}
+	}
+	v.Next[s] = nilSeg
+	return after
 }
 
 // Publish refreshes the cache's lock-free population mirror and settles its

@@ -10,18 +10,25 @@ import "testing"
 // covers it, whatever bins and grain stacks the segments sit in. Every step
 // ends with each cache's Publish, as a critical section would.
 //
+// Every chain goes back built by chainUp, so the bins and grain stacks hold
+// well-formed chains, and a whole chain handed out by AllocChain must be one:
+// its links run from head to tail over exactly its grain.
+//
 // data[0] picks the cache count and the magazine size; then 3-byte records
 // op, a, b:
 //
-//	op%7 == 0: AllocN of 1 + b%(MaxGrain+4) segments on cache a
-//	op%7 == 1: FreeN held chain a on cache b
-//	op%7 == 2: Lend held chain a through cache b
-//	op%7 == 3: ReturnLent lent chain a through cache b
-//	op%7 == 4: return up to 1 + b%4 lent chains from a on as one batch, with
+//	op%8 == 0: AllocN of 1 + b%(MaxGrain+4) segments on cache a
+//	op%8 == 1: FreeN held chain a on cache b
+//	op%8 == 2: Lend held chain a through cache b
+//	op%8 == 3: ReturnLent lent chain a through cache b
+//	op%8 == 4: return up to 1 + b%4 lent chains from a on as one batch, with
 //	           their common grain (odd b: grain 0, as a mixed batch)
-//	op%7 == 5: Flush cache a
-//	op%7 == 6: AllocN of one segment on cache a, as the queue's
+//	op%8 == 5: Flush cache a
+//	op%8 == 6: AllocN of one segment on cache a, as the queue's
 //	           single-segment commands allocate
+//	op%8 == 7: AllocChain of 1 + b%(MaxGrain+4) segments on cache a, as the
+//	           queue's packet commands ask first; a miss must be real (no
+//	           grain, or an empty bin and grain stack)
 func FuzzCacheChains(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x17\x00\x01\x17\x02\x00\x00\x01\x00\x00\x00\x00\x17"))
 	f.Add([]byte("\x01\x00\x00\x08\x00\x01\x08\x02\x00\x00\x02\x01\x00\x04\x00\x00\x00\x02\x08\x05\x01\x00"))
@@ -96,13 +103,12 @@ func replayCacheChains(t *testing.T, data []byte) {
 			if got == 0 {
 				return
 			}
-			relink(v.Next, dst[:got])
 			setState(dst[:got], StateQueued)
 			held = append(held, chain{segs: dst[:got]})
 			heldSegs += got
 		}
 		for i := 1; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%7, data[i+1], data[i+2]
+			op, a, b := data[i]%8, data[i+1], data[i+2]
 			c := caches[int(a)%len(caches)]
 			switch op {
 			case 0:
@@ -112,7 +118,8 @@ func replayCacheChains(t *testing.T, data []byte) {
 					segs := held[k].segs
 					drop(k)
 					setState(segs, StateFree)
-					caches[int(b)%len(caches)].FreeN(segs[0], segs[len(segs)-1], int32(len(segs)))
+					head, tail := chainUp(v, segs)
+					caches[int(b)%len(caches)].FreeN(head, tail, int32(len(segs)))
 				}
 			case 2:
 				if k := pick(a, false); k >= 0 {
@@ -128,7 +135,8 @@ func replayCacheChains(t *testing.T, data []byte) {
 					segs := held[k].segs
 					drop(k)
 					setState(segs, StateFree)
-					caches[int(b)%len(caches)].ReturnLent(segs[0], segs[len(segs)-1], int32(len(segs)))
+					head, tail := chainUp(v, segs)
+					caches[int(b)%len(caches)].ReturnLent(head, tail, int32(len(segs)))
 				}
 			case 4:
 				var batch []int32
@@ -141,6 +149,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 					segs := held[k].segs
 					drop(k)
 					setState(segs, StateFree)
+					chainUp(v, segs)
 					if grain != -1 && grain != int32(len(segs)) {
 						grain = 0
 					} else {
@@ -159,6 +168,28 @@ func replayCacheChains(t *testing.T, data []byte) {
 				c.Flush()
 			case 6:
 				take(c, 1)
+			case 7:
+				n := int32(1 + int(b)%(MaxGrain+4))
+				head, tail, ok := c.AllocChain(n)
+				if !ok {
+					if g := grainOf(n); g != 0 && (c.bins[g].n > 0 || st.depot[g].Load()>>32 != 0) {
+						t.Fatalf("step %d: AllocChain(%d) missed with %d binned and stack %#x", i/3, n, c.bins[g].n, st.depot[g].Load())
+					}
+					break
+				}
+				segs := make([]int32, 0, n)
+				for s := head; len(segs) < int(n); s = v.Next[s] {
+					if v.State[s] != StateFree {
+						t.Fatalf("step %d: AllocChain(%d) handed out segment %d in state %d", i/3, n, s, v.State[s])
+					}
+					segs = append(segs, s)
+				}
+				if segs[n-1] != tail {
+					t.Fatalf("step %d: AllocChain(%d) tail %d, its links end at %d", i/3, n, tail, segs[n-1])
+				}
+				setState(segs, StateQueued)
+				held = append(held, chain{segs: segs})
+				heldSegs += int(n)
 			}
 			for _, c := range caches {
 				c.Publish()

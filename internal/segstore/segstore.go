@@ -21,10 +21,10 @@
 //     cost of the shared pool is one CAS per ~64 allocations instead of one
 //     per segment — the software analogue of the paper's free-list working
 //     in hardware line bursts — and one bin per chain size: a chain of g
-//     segments freed whole is allocated whole by the next request for g,
-//     so a packet's address-contiguous runs survive its reuse. Runs never
-//     merge; chains are reused whole, and broken only when nothing else is
-//     left.
+//     segments freed whole is handed out whole, links and run words as they
+//     stand, to the next request for g (AllocChain), so a packet's
+//     address-contiguous runs survive its reuse. Runs never merge; chains
+//     are reused whole, and broken only when nothing else is left.
 //   - Private: a single-owner FIFO free list over a private slab, exactly
 //     the allocation discipline the seed Manager used. The timed models
 //     (MMS, DDR) keep it because FIFO reuse cycles segments through the
@@ -66,15 +66,62 @@ const nilSeg = int32(-1)
 // so the arrays need no locking of their own.
 type View struct {
 	Next []int32 // link words (queue chains, free chains)
-	// Seg holds one word per segment: payload length in bits 0-6, the
-	// end-of-packet marker in bit 7 and, on the first segment of an
-	// address-contiguous run of a chain, the run's length in bits 8-15
-	// (see the queue package, which owns the encoding). Like the link, a
-	// free segment's word is unspecified: whoever allocates it writes it.
+	// Seg holds one word per segment (see WordLen for the layout). A loose
+	// free segment's word, like its link, is unspecified: whoever allocates
+	// it writes it. A chain kept whole in a bin or on a grain stack is well
+	// formed by its words, and Cache.AllocChain hands it out as it stands.
 	Seg   []uint16
 	State []uint8 // lifecycle state per segment
 	Refs  []int32 // view refcount per lent chain head (atomic access only)
 	Data  []byte  // payload slab (nil when storage is disabled)
+}
+
+// Segment word layout (View.Seg). Every chain is a list of
+// address-contiguous runs: the word of a run's first segment carries the
+// run's length r (a lone segment is a run of one, LoneWord), and the r-1
+// segments before the run's last are full, non-EOP and linked s -> s+1; a
+// packet walk never reads their words. Only the run's last segment has a
+// length, an EOP flag and a link of its own. The queue layer records the
+// runs when it builds a packet's chain and only ever splits one, never
+// merges; a chain reused whole (Cache.AllocChain) keeps them.
+//
+// A chain is well formed when its runs add up to its length and only its
+// last segment carries EOP. Every chain in a bin or on a grain stack is:
+// the store finds where one ends by hopping its runs (Hop), and
+// Store.CheckInvariants verifies it.
+const (
+	WordLen  = 0x007f       // payload length, 0..segment size
+	WordEOP  = 0x0080       // end-of-packet marker
+	WordRun  = 8            // shift of the run length, meaningful at a run start
+	MaxRun   = 255          // longest run one word can record
+	LoneWord = 1 << WordRun // a run of one
+)
+
+// Hop steps over the run that starts at s in the chain threaded through seg
+// and next: it returns the run's last segment, that segment's word and its
+// link. The branch is deliberate. A lone segment is its own last, and on
+// that arm the word and the link both load from s alone, so a fragmented
+// chain is chased exactly like a plain linked list; only a real run pays
+// the dependent load behind s + r - 1.
+func Hop(seg []uint16, next []int32, s int32) (last int32, w uint16, link int32) {
+	w = seg[s]
+	if r := int32(w >> WordRun); r > 1 {
+		last = s + r - 1
+		return last, seg[last], next[last]
+	}
+	return s, w, next[s]
+}
+
+// chainEnd hops the runs of the well-formed n-segment chain from s and
+// returns its tail and the tail's link.
+func chainEnd(v *View, s, n int32) (tail, after int32) {
+	for {
+		last, _, next := Hop(v.Seg, v.Next, s)
+		if n -= last - s + 1; n <= 0 {
+			return last, next
+		}
+		s = next
+	}
 }
 
 // Source is the allocation facade a queue Manager draws segments from:
@@ -313,9 +360,9 @@ func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
 func (st *Store) ReturnLent(head, tail, n int32) { st.ReturnLentChains(head, tail, n, n) }
 
 // ReturnLentChains returns a lent batch of n segments (head→…→tail through
-// View.Next; Next[tail] is overwritten) made of whole grain-segment chains
-// to the depot as one magazine on that grain's stack, and debits the lent
-// population. A grain outside 2…MaxGrain, or one that does not divide n —
+// View.Next; Next[tail] is overwritten) made of whole grain-segment chains,
+// each well formed by its words (see WordLen), to the depot as one magazine
+// on that grain's stack, and debits the lent population. A grain outside 2…MaxGrain, or one that does not divide n —
 // a mixed batch has grain 0 — sends the batch to the general stack. Safe
 // from any goroutine: the single publishing CAS in pushMagazine is the
 // depot's normal concurrency discipline, and the caller owns the chain
@@ -402,7 +449,9 @@ func (st *Store) clearGrain(grain int32) {
 // CheckInvariants walks the depot and every registered cache, verifying
 // that free storage is acyclic, correctly counted, holds only segments in
 // StateFree, that no segment appears twice, and that every depot magazine
-// and every bin holds whole chains of its grain. It also cross-checks the
+// and every bin holds whole chains of its grain, each well formed by its
+// words (see WordLen): runs that add up to the grain, linked s -> s+1
+// inside, and EOP on the chain's last segment only. It also cross-checks the
 // state array: the number of StateFree segments must equal the free
 // population. Only meaningful when no owner is allocating (tests and
 // debugging).
@@ -465,12 +514,14 @@ type checker struct {
 func (st *Store) newChecker() *checker { return &checker{st: st, seen: make([]bool, st.nseg)} }
 
 // chain walks the count-segment chain from head, the i-th of where, made of
-// whole grain-segment chains (grain 0: any).
+// whole grain-segment chains (grain 0: any), each well formed by its words.
 func (k *checker) chain(where string, i int, head, count, grain int32) error {
 	if grain != 0 && count%grain != 0 {
 		return fmt.Errorf("segstore: %s %d holds %d segments, not whole %d-segment chains", where, i, count, grain)
 	}
+	v := &k.st.view
 	s := head
+	left := int32(0) // segments of the current run still to come
 	for n := int32(0); n < count; n++ {
 		if s < 0 || int(s) >= k.st.nseg {
 			return errChain(where, i, s)
@@ -479,10 +530,26 @@ func (k *checker) chain(where string, i int, head, count, grain int32) error {
 			return errDup(where, s)
 		}
 		k.seen[s] = true
-		if k.st.view.State[s] != StateFree {
-			return errState(where, s, k.st.view.State[s])
+		if v.State[s] != StateFree {
+			return errState(where, s, v.State[s])
 		}
-		s = k.st.view.Next[s]
+		if grain != 0 {
+			w, rest := v.Seg[s], grain-n%grain // rest: segments of this chain from s on
+			if left == 0 {
+				if left = int32(w >> WordRun); left < 1 || left > rest {
+					return fmt.Errorf("segstore: %s %d: segment %d starts a run of %d with %d segments of its chain left",
+						where, i, s, left, rest)
+				}
+			}
+			if left--; left > 0 && v.Next[s] != s+1 {
+				return fmt.Errorf("segstore: %s %d: segment %d inside a run is linked to %d", where, i, s, v.Next[s])
+			}
+			if (w&WordEOP != 0) != (rest == 1) {
+				return fmt.Errorf("segstore: %s %d: segment %d has EOP %v with %d segments of its chain left",
+					where, i, s, w&WordEOP != 0, rest)
+			}
+		}
+		s = v.Next[s]
 	}
 	if s != nilSeg {
 		return fmt.Errorf("segstore: %s %d chain longer than its count %d", where, i, count)

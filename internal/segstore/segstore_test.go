@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,10 +253,12 @@ func TestConcurrentMagazineChurn(t *testing.T) {
 }
 
 // TestConcurrentChainChurn is TestConcurrentMagazineChurn for whole chains:
-// workers allocate runs of 1…MaxGrain+8 segments, and give them back
-// through FreeN (bins, spilling to the grain stacks) or, lent, as same-size
-// and mixed batches straight to the depot — so every grain stack and the
-// grain mask are pushed, popped and cleared from several goroutines at once.
+// workers allocate runs of 1…MaxGrain+8 segments as the queue layer does (a
+// whole chain off its bin, else AllocN), and give them back through FreeN
+// (bins, spilling to the grain stacks) or, lent, as same-size and mixed
+// batches straight to the depot — so every grain stack and the grain mask
+// are pushed, popped and cleared from several goroutines at once, and a
+// chain is cut by its words while others push chains onto the same stacks.
 // Run under -race.
 func TestConcurrentChainChurn(t *testing.T) {
 	const (
@@ -280,19 +283,31 @@ func TestConcurrentChainChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			c := caches[w]
 			id := int32(w + 1)
-			next := c.View().Next
+			v := c.View()
 			var lent []int32
 			lentGrain := int32(-1)
 			returnLent := func() {
 				if len(lent) > 0 {
-					relink(next, lent)
+					relink(v.Next, lent)
 					st.ReturnLentChains(lent[0], lent[len(lent)-1], int32(len(lent)), max(lentGrain, 0))
 					lent, lentGrain = lent[:0], -1
 				}
 			}
 			for r := 0; r < rounds; r++ {
 				run := make([]int32, 1+rng.Intn(MaxGrain+8))
-				got := c.AllocN(run)
+				var got int
+				if head, tail, ok := c.AllocChain(int32(len(run))); ok {
+					for s := head; got < len(run); s = v.Next[s] {
+						run[got] = s
+						got++
+					}
+					if run[got-1] != tail {
+						t.Errorf("AllocChain(%d) tail %d, its links end at %d", len(run), tail, run[got-1])
+						return
+					}
+				} else {
+					got = c.AllocN(run)
+				}
 				for _, s := range run[:got] {
 					if !owner[s].CompareAndSwap(0, id) {
 						t.Errorf("segment %d allocated twice (owners %d and %d)", s, owner[s].Load(), id)
@@ -307,9 +322,10 @@ func TestConcurrentChainChurn(t *testing.T) {
 					owner[s].Store(0)
 				}
 				if rng.Intn(2) == 0 {
-					head, tail := relink(next, run[:got])
+					head, tail := chainUp(v, run[:got])
 					c.FreeN(head, tail, int32(got))
 				} else {
+					chainUp(v, run[:got])
 					c.Lend(int32(got))
 					if lentGrain != -1 && lentGrain != int32(got) {
 						lentGrain = 0
@@ -336,6 +352,51 @@ func TestConcurrentChainChurn(t *testing.T) {
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CheckInvariants verifies the words of every chain a bin or a grain stack
+// holds: AllocChain and FreeN's carve find a chain's end by them, so a
+// malformed one would hand out the wrong segments.
+func TestCheckInvariantsReportsMalformedChain(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(v View, h int32)
+		want    string
+	}{
+		{"run crosses the chain's end", func(v View, h int32) { v.Seg[h] = 5 << WordRun }, "starts a run of 5 with 4 segments"},
+		{"start without a run", func(v View, h int32) { v.Seg[h] = 0 }, "starts a run of 0"},
+		{"interior link broken", func(v View, h int32) { v.Next[h+1] = h + 3 }, "inside a run is linked to"},
+		{"EOP inside the chain", func(v View, h int32) { v.Seg[h+2] |= WordEOP }, "has EOP true with 2 segments"},
+		{"EOP missing at the end", func(v View, h int32) { v.Seg[h+3] &^= WordEOP }, "has EOP false with 1 segments"},
+	} {
+		for _, where := range []string{"cache bin", "depot stack"} {
+			t.Run(tc.name+"/"+where, func(t *testing.T) {
+				st, err := New(Config{NumSegments: 64, MagazineSize: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := st.NewCache()
+				run := make([]int32, 4)
+				if c.AllocN(run) != 4 || run[3] != run[0]+3 {
+					t.Fatalf("AllocN = %v, want four neighbours from a fresh store", run)
+				}
+				head, tail := chainUp(st.View(), run)
+				c.FreeN(head, tail, 4)
+				if where == "depot stack" {
+					c.Flush()
+				}
+				c.Publish()
+				if err := st.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				tc.corrupt(st.View(), head)
+				err = st.CheckInvariants()
+				if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("CheckInvariants = %v, want an error in the %s mentioning %q", err, where, tc.want)
+				}
+			})
+		}
 	}
 }
 
