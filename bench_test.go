@@ -9,9 +9,9 @@
 //     AblationFIFODepth, AblationBanks: the paper's timed models. They run
 //     in simulated time off the engine datapath, which bench/ does not
 //     drive; each reports its reproduction metric via b.ReportMetric.
-//   - Segstore: the shared store against a static per-shard split
-//     (segstore.NewPrivate). No engine configuration builds the split, so
-//     no workload can compare the two.
+//   - Segstore: the shared store against a static per-shard split (one
+//     segstore.Store per worker). No engine configuration builds the
+//     split, so no workload can compare the two.
 //   - EngineDelivery: allocs per delivered packet, batch of 1 and of 64,
 //     copy and view, out of a standing backlog. bench/ reports
 //     engine.allocs_per_pkt as one MemStats delta over a saturate window,
@@ -575,7 +575,7 @@ func BenchmarkSegstore(b *testing.B) {
 		for _, dist := range []string{"uniform", "zipf"} {
 			b.Run(fmt.Sprintf("%s/%s", mode, dist), func(b *testing.B) {
 				tgt := targets(dist)
-				srcs := make([]segstore.Source, workers)
+				srcs := make([]*segstore.Cache, workers)
 				switch mode {
 				case "shared":
 					st, err := segstore.New(segstore.Config{NumSegments: pool})
@@ -586,13 +586,12 @@ func BenchmarkSegstore(b *testing.B) {
 						srcs[w] = st.NewCache()
 					}
 				case "static":
-					per := pool / workers
 					for w := range srcs {
-						p, err := segstore.NewPrivate(segstore.Config{NumSegments: per})
+						st, err := segstore.New(segstore.Config{NumSegments: pool / workers})
 						if err != nil {
 							b.Fatal(err)
 						}
-						srcs[w] = p
+						srcs[w] = st.NewCache()
 					}
 				}
 				var fails, oks atomic.Uint64

@@ -256,5 +256,5 @@ func (r *Reservation) Abort() error {
 
 // LentSegments returns the pool-wide lent population: segments checked
 // out in packet views and open reservations, as of each shard's last
-// critical section (segstore.Source.Lend has the contract).
+// critical section (segstore.Cache.Lend has the contract).
 func (e *Engine) LentSegments() int { return e.store.Lent() }

@@ -16,11 +16,7 @@
 // one of three copy engines.
 package npu
 
-import (
-	"fmt"
-
-	"npqm/internal/plb"
-)
+import "fmt"
 
 // ClockMHz is the reference prototype's CPU and bus clock.
 const ClockMHz = 100
@@ -30,7 +26,7 @@ const PacketBits = 64 * 8
 
 // SRAMAccessCycles is the cost of one pointer access to the ZBT SRAM via
 // the PLB EMC: a single-beat transaction plus the bus latency.
-const SRAMAccessCycles = plb.SingleBeatCycles + plb.LatencyCycles // 7
+const SRAMAccessCycles = singleBeatCycles + latencyCycles // 7
 
 // Step is one priced step of a sub-operation's micro-program.
 type Step struct {
@@ -165,16 +161,16 @@ func CopyEngines() []CopyEngine { return []CopyEngine{WordCopy, LineCopy, DMACop
 func CopyCost(e CopyEngine) (cpu, wall int) {
 	switch e {
 	case WordCopy:
-		c, err := plb.WordCopyCycles(64)
+		c, err := wordCopyCycles(64)
 		if err != nil {
 			panic(err) // 64 is always valid
 		}
 		return c, c
 	case LineCopy:
-		c := plb.LineCopyCycles()
+		c := lineCopyCycles()
 		return c, c
 	case DMACopy:
-		return plb.DMASetupCycles(), plb.DMASetupCycles() + plb.DMACopyCycles
+		return dmaSetupCycles(), dmaSetupCycles() + dmaCopyCycles
 	default:
 		panic(fmt.Sprintf("npu: unknown copy engine %d", int(e)))
 	}

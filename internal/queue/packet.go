@@ -43,15 +43,15 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 // allocChain gives an n-byte packet of segs segments its chain, in state st
 // and with payload copied in when given, and reports how many runs the chain
 // holds and whether it was reused whole. A packet of more than one segment
-// on a shared store first asks the cache for a whole chain of its size
+// first asks the cache for a whole chain of its size
 // (segstore.Cache.AllocChain) and reuses it as it stands (reuseChain);
 // otherwise, or on a miss, the segments come from one AllocN and buildChain
 // links and codes them. One-segment packets skip the ask: their bin never
 // exists. On ErrNoFreeSegments the pool is as it was.
 func (m *Manager) allocChain(n, segs int, st uint8, payload []byte) (ch PacketChain, runs int, whole bool, err error) {
 	ch.Segs, ch.Bytes = segs, n
-	if c, ok := m.src.(*segstore.Cache); ok && segs > 1 {
-		if head, tail, ok := c.AllocChain(int32(segs)); ok {
+	if segs > 1 {
+		if head, tail, ok := m.src.AllocChain(int32(segs)); ok {
 			ch.Head, ch.Tail = Seg(head), Seg(tail)
 			return ch, m.reuseChain(head, tail, n, st, payload), true, nil
 		}
@@ -267,8 +267,8 @@ func (m *Manager) PacketLen(q QueueID) (bytes, segments int, err error) {
 //     its address successor;
 //   - the per-queue byte/packet counters and the manager totals match the
 //     walked lists;
-//   - on a private pool it additionally walks the free list (via the
-//     store) and checks segment conservation: free + queued + lent ==
+//   - on a pool it owns (New) it additionally walks the free storage (via
+//     the store) and checks segment conservation: free + queued + lent ==
 //     pool size.
 //
 // With a shared store the free list and conservation span every manager on
@@ -339,10 +339,11 @@ func (m *Manager) CheckInvariants() error {
 	if queued != m.queuedSegs {
 		return fmt.Errorf("queue: %d segments queued, counter says %d", queued, m.queuedSegs)
 	}
-	if !m.src.Shared() {
+	if m.own != nil {
 		// Exclusive pool: the whole slab is ours, so validate the free list
 		// and check conservation.
-		if err := m.src.CheckInvariants(); err != nil {
+		m.src.Publish()
+		if err := m.own.CheckInvariants(); err != nil {
 			return err
 		}
 		lent := int32(m.src.Lent())

@@ -24,9 +24,10 @@
 // Length, EOP flag and a run length share one 16-bit word per segment, in
 // the layout segstore owns (segstore.WordLen): every chain is a list of
 // address-contiguous runs, so the packet operations step run by run (hop)
-// instead of segment by segment. A shared store (segstore.Cache) hands a
+// instead of segment by segment. The store's cache (segstore.Cache) hands a
 // freed packet chain back whole, words and all, to the next packet of its
-// size, which keeps its links and runs (reuseChain).
+// size, which keeps its links and runs (reuseChain); loose segments it
+// reuses in the order they were freed, the seed's FIFO free list.
 package queue
 
 import (
@@ -102,10 +103,11 @@ type Config struct {
 type Manager struct {
 	cfg Config
 
-	// src is the segment store this manager allocates from; the slices
-	// below alias its slab so the hot path never goes through the
-	// interface for pointer-memory access.
-	src segstore.Source
+	// src is the store cache this manager allocates from; the slices below
+	// alias its slab. own is the store when this manager owns it whole
+	// (New), nil on a shared one.
+	src *segstore.Cache
+	own *segstore.Store
 
 	// Per-segment pointer memory (the ZBT SRAM contents). With a shared
 	// store these arrays are shared with every other manager on the slab;
@@ -167,29 +169,35 @@ type Manager struct {
 // layout_test.go pins the distances.
 const mirrorPad = 128
 
-// New returns a Manager over a private segment pool with all segments on a
-// FIFO free list — the seed behavior, kept for the timed models whose DDR
-// bank-interleaving measurements depend on FIFO reuse order.
+// New returns a Manager that owns its segment pool: a store of one
+// pool-sized magazine under one cache, which is the seed's FIFO free list
+// (loose segments leave from its head and return at its tail), kept for the
+// timed models whose DDR bank-interleaving measurements depend on FIFO
+// reuse order.
 func New(cfg Config) (*Manager, error) {
 	if cfg.NumSegments <= 0 {
 		return nil, fmt.Errorf("queue: NumSegments must be positive, got %d", cfg.NumSegments)
 	}
-	src, err := segstore.NewPrivate(segstore.Config{
+	st, err := segstore.New(segstore.Config{
 		NumSegments:  cfg.NumSegments,
 		SegmentBytes: SegmentBytes,
 		StoreData:    cfg.StoreData,
+		MagazineSize: cfg.NumSegments,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return NewWithStore(cfg, src)
+	m, err := NewWithStore(cfg, st.NewCache())
+	if err == nil {
+		m.own = st
+	}
+	return m, err
 }
 
-// NewWithStore returns a Manager drawing segments from src — typically one
-// cache of a shared segstore.Store, so several managers (the engine's
-// shards) allocate from a single pool. cfg.NumSegments and cfg.StoreData
-// are taken from the store.
-func NewWithStore(cfg Config, src segstore.Source) (*Manager, error) {
+// NewWithStore returns a Manager drawing segments from src, one cache of a
+// segstore.Store, so several managers (the engine's shards) allocate from a
+// single pool. cfg.NumSegments and cfg.StoreData are taken from the store.
+func NewWithStore(cfg Config, src *segstore.Cache) (*Manager, error) {
 	if cfg.NumQueues == 0 {
 		cfg.NumQueues = DefaultNumQueues
 	}

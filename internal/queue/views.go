@@ -24,13 +24,12 @@ package queue
 // Ownership and thread-safety: DequeuePacketView, ReservePacket, and
 // Commit are owner-context operations like every other Manager method (the
 // engine calls them under the shard lock). Release, Retain, Range, and
-// Abort are safe from any goroutine when the manager draws from a shared
-// store (segstore.Store via a Cache — the engine's configuration): the
-// chain is exclusively owned by the view holder and the return path goes
-// straight to the store's thread-safe depot (segstore.ReturnLent). A
-// self-contained manager over a private pool has no concurrent return
-// path, so there — as for every other operation on such a manager — the
-// caller provides the serialization.
+// Abort are safe from any goroutine: the chain is exclusively owned by the
+// view holder and the return path goes straight to the store's thread-safe
+// depot (segstore.Cache.ReturnLent). So on a manager that owns its pool
+// (New) a lent chain rejoins the free list through the depot, not at the
+// FIFO's tail: FIFO reuse holds for segments the queue commands free, and
+// the timed models never lend.
 
 import (
 	"fmt"
@@ -205,20 +204,8 @@ func (r *ViewReleaser) Add(v PacketView) {
 // reusable afterwards.
 func (r *ViewReleaser) Flush() {
 	if r.n > 0 {
-		r.m.returnLent(r.head, r.tail, r.n, r.grain)
+		r.m.src.ReturnLentChains(r.head, r.tail, r.n, r.grain)
 		r.n = 0
-	}
-}
-
-// returnLent hands the store a lent batch of n segments made of whole
-// grain-segment chains (grain 0: mixed sizes). Only a shared store keeps
-// chains by size; a private pool takes the batch as one chain. Kept out of
-// Flush so that Flush, deferred once per pacer burst, still inlines.
-func (m *Manager) returnLent(head, tail, n, grain int32) {
-	if c, ok := m.src.(*segstore.Cache); ok {
-		c.ReturnLentChains(head, tail, n, grain)
-	} else {
-		m.src.ReturnLent(head, tail, n)
 	}
 }
 
@@ -371,7 +358,7 @@ func (w *PacketWriter) Abort() error {
 
 // LentSegments returns the pool-wide lent population: segments checked out
 // in views or open reservations. Owner context: this manager's own lending
-// is counted (segstore.Source.Lend has the contract).
+// is counted (segstore.Cache.Lend has the contract).
 func (m *Manager) LentSegments() int { return m.src.Lent() }
 
 // FillRuns returns how many address-contiguous runs the packets enqueued so

@@ -1,10 +1,13 @@
 package segstore
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Tests for the bulk alloc/free path: AllocN runs carved across magazine
 // boundaries, short returns on a dry pool, FreeN spilling whole magazines
-// back to the depot, and FIFO preservation on the private pool.
+// back to the depot, and FIFO preservation on a one-magazine pool.
 
 // relink links the segments of run into one chain in order, returning head
 // and tail. It leaves their words alone: a batch of chains that chainUp
@@ -41,14 +44,25 @@ func chainUp(v View, run []int32) (head, tail int32) {
 
 // alloc1 takes one segment through AllocN, as the queue's single-segment
 // commands do; ok is false on a dry pool.
-func alloc1(src Source) (int32, bool) {
+func alloc1(c *Cache) (int32, bool) {
 	var s [1]int32
-	ok := src.AllocN(s[:]) == 1
+	ok := c.AllocN(s[:]) == 1
 	return s[0], ok
 }
 
 // free1 returns one segment through FreeN.
-func free1(src Source, s int32) { src.FreeN(s, s, 1) }
+func free1(c *Cache, s int32) { c.FreeN(s, s, 1) }
+
+// fifoPool is the paper's FIFO free list: a Store of n segments in one
+// magazine under its only cache.
+func fifoPool(t *testing.T, n int) (*Store, *Cache) {
+	t.Helper()
+	st, err := New(Config{NumSegments: n, MagazineSize: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, st.NewCache()
+}
 
 func TestCacheAllocNShortOnDryPool(t *testing.T) {
 	const n = 40
@@ -87,8 +101,8 @@ func TestCacheAllocNShortOnDryPool(t *testing.T) {
 }
 
 // A FreeN longer than two magazines must carve nominal-size magazines off
-// the front and push them to the depot, leaving the active magazine below
-// the spill threshold and the pool count exact.
+// the front and push them to the depot, leaving the free side below the
+// spill threshold and the pool count exact.
 func TestCacheFreeNSpillsAcrossMagazines(t *testing.T) {
 	const (
 		n   = 64
@@ -110,13 +124,21 @@ func TestCacheFreeNSpillsAcrossMagazines(t *testing.T) {
 	if st.Free() != n {
 		t.Fatalf("Free = %d after bulk free, want %d", st.Free(), n)
 	}
-	// The spill loop must have stopped below two magazines' worth.
-	if held := c.count.Load(); held >= 2*mag {
-		t.Fatalf("cache still holds %d segments, spill threshold is %d", held, 2*mag)
+	// The spill loop must have stopped with the free side below two
+	// magazines' worth.
+	if held := c.mag[1].n; held >= 2*mag {
+		t.Fatalf("free side still holds %d segments, spill threshold is %d", held, 2*mag)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// A tail pointer that is not the free side's last segment is reported.
+	tail = c.tail
+	c.tail = c.mag[1].head
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "free side ends at") {
+		t.Fatalf("CheckInvariants with a stale free-side tail = %v", err)
+	}
+	c.tail = tail
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +208,14 @@ func TestCacheBulkChurnConserves(t *testing.T) {
 	}
 }
 
-// Private pools promise FIFO reuse (the DDR bank-striping property); the
-// bulk entry points must preserve it exactly.
+// A one-magazine pool promises FIFO reuse (the DDR bank-striping property);
+// the bulk entry points must preserve it exactly. Only loose chains join the
+// free list's tail — one segment, or more than MaxGrain — so the returned
+// run is longer than any bin's grain.
 func TestPrivateBulkFIFO(t *testing.T) {
-	const n = 16
-	p, err := NewPrivate(Config{NumSegments: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := make([]int32, 10)
+	const n, k = 48, MaxGrain + 8
+	st, p := fifoPool(t, n)
+	run := make([]int32, k)
 	if got := p.AllocN(run); got != len(run) {
 		t.Fatalf("AllocN = %d, want %d", got, len(run))
 	}
@@ -205,32 +226,38 @@ func TestPrivateBulkFIFO(t *testing.T) {
 	}
 	head, tail := chainUp(p.View(), run)
 	p.FreeN(head, tail, int32(len(run)))
-	// The free list is now 10..15 then the returned 0..9.
-	for want := int32(10); want < 16; want++ {
+	// The free list is now k..n-1, then the returned 0..k-1.
+	for want := int32(k); want < n; want++ {
 		if s, ok := alloc1(p); !ok || s != want {
 			t.Fatalf("Alloc = (%d, %v), want (%d, true)", s, ok, want)
 		}
 	}
-	got := make([]int32, 10)
-	if k := p.AllocN(got); k != 10 {
-		t.Fatalf("AllocN = %d, want 10", k)
+	free1(p, n-1) // joins behind the returned run
+	got := make([]int32, k+1)
+	if m := p.AllocN(got); m != k+1 {
+		t.Fatalf("AllocN = %d, want %d", m, k+1)
 	}
 	for i, s := range got {
-		if s != int32(i) {
-			t.Fatalf("recycled run[%d] = %d, want %d", i, s, i)
+		want := int32(i)
+		if i == k {
+			want = n - 1
+		}
+		if s != want {
+			t.Fatalf("recycled run[%d] = %d, want %d", i, s, want)
 		}
 	}
 	// Short return drains to exactly nothing and the pool stays coherent.
 	if p.FreeSegments() != 0 {
 		t.Fatalf("FreeSegments = %d, want 0", p.FreeSegments())
 	}
-	if k := p.AllocN(make([]int32, 4)); k != 0 {
-		t.Fatalf("AllocN on empty pool = %d", k)
+	if m := p.AllocN(make([]int32, 4)); m != 0 {
+		t.Fatalf("AllocN on empty pool = %d", m)
 	}
 	for s := int32(0); s < n; s++ {
 		free1(p, s)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	p.Publish()
+	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

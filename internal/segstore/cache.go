@@ -16,15 +16,24 @@ const cachePad = 128
 // takes it back in one piece. An MTU packet is 24 segments.
 const MaxGrain = 32
 
-// Cache is a per-owner allocation front end over a shared Store: two general
-// magazines (an active one and a spare) refilled from and flushed to the
-// depot a whole magazine at a time, and one bin per chain size. A Cache is
-// single-owner — the engine guards each shard's cache with the shard lock —
-// so magazine manipulation is plain field access; only the population
-// mirror is atomic, for Store.Free aggregation by other threads.
+// Cache is a per-owner allocation front end over a Store: two general
+// magazines and one bin per chain size. The allocation side (mag[0]) is
+// carved from its head; the free side (mag[1]) takes loose frees at its tail
+// and becomes the allocation side when that runs dry, before the depot is
+// asked, so loose segments are reused in the order they were freed. The
+// free side spills whole magazines to the depot once it holds two, so
+// beside its bins a cache strands up to three magazines' worth: one being
+// carved and a free side of under two (just under four right after a free
+// side is swapped in). A Store built with MagazineSize equal to NumSegments
+// and one Cache is the paper's FIFO free list: segments leave from its head
+// and return at its tail. A Cache is single-owner — the engine guards each
+// shard's cache with the shard lock — so magazine manipulation is plain
+// field access; only the population mirror is atomic, for Store.Free
+// aggregation by other threads.
 type Cache struct {
-	st  *Store
-	mag [2]magazine // [0] is the active magazine
+	st   *Store
+	mag  [2]magazine // [0] the allocation side, [1] the free side
+	tail int32       // the free side's last segment while it holds any
 
 	binned int32 // segments across bins
 	// lent is what this owner has lent (or, negative, taken back) since its
@@ -110,15 +119,24 @@ func (c *Cache) Avail() int { return int(c.held()) + c.st.depotCount() }
 // other owners cannot reach until Flush. Lock-free, safe from any goroutine.
 func (c *Cache) Cached() int { return int(c.count.Load()) }
 
-// Shared reports that other caches draw from the same pool.
-func (c *Cache) Shared() bool { return true }
-
-// Lend adjusts the shared pool's lent population (owner context); Publish
-// settles it.
+// Lend moves n segments between the owner's books and the lent population:
+// a positive n marks segments checked out to a zero-copy view or
+// reservation, a negative n takes them back (a writer committing its
+// reserved run). Owner context only, like AllocN; the lent chains
+// themselves come back through ReturnLent. The delta settles into the
+// pool's count once per critical section (Publish), so the owner's own Lent
+// settles first and is always exact, a cross-thread Store.Lent is exact
+// whenever owners are outside critical sections, and it is never negative
+// as long as every ReturnLent follows the section that lent.
 func (c *Cache) Lend(n int32) { c.lent += n }
 
-// ReturnLent hands a lent chain straight to the shared depot — safe from
-// any goroutine, bypassing this single-owner cache entirely.
+// ReturnLent hands a lent chain of n segments (head→…→tail through
+// View.Next; Next[tail] is overwritten), scrubbed to StateFree by the
+// caller, straight to the depot and debits the lent population — safe from
+// any goroutine, because views are released wherever the consumer
+// finishes. It bypasses this single-owner cache entirely, so on a one-cache
+// store a lent chain rejoins the free list through the depot, after the
+// free side: FIFO reuse holds for FreeN's frees only.
 func (c *Cache) ReturnLent(head, tail, n int32) { c.st.ReturnLent(head, tail, n) }
 
 // ReturnLentChains is ReturnLent for a batch of whole grain-segment chains
@@ -205,11 +223,11 @@ func (c *Cache) fillBin(g int32) bool {
 	return true
 }
 
-// refill makes the empty active magazine non-empty: it swaps in the spare or
-// pulls a general magazine from the depot (one CAS). Only when both are dry
-// does it break whole chains: this cache's largest bin becomes the active
-// magazine, or else a magazine of any grain from the depot. False means the
-// cache and the depot hold nothing at all.
+// refill makes the empty allocation side non-empty: it swaps in the free
+// side or pulls a general magazine from the depot (one CAS). Only when both
+// are dry does it break whole chains: this cache's largest bin becomes the
+// allocation side, or else a magazine of any grain from the depot. False
+// means the cache and the depot hold nothing at all.
 func (c *Cache) refill() bool {
 	if c.mag[1].n > 0 {
 		c.mag[0], c.mag[1] = c.mag[1], c.mag[0]
@@ -233,27 +251,36 @@ func (c *Cache) refill() bool {
 }
 
 // FreeN splices a pre-linked chain of n segments (head→…→tail through
-// View.Next; Next[tail] is overwritten) in O(1): onto bin n when n is a
-// grain, else onto the active magazine. A chain bound for a bin must be well
-// formed by its words (see WordLen). Either may grow past a nominal
-// magazine; once it holds two magazines' worth, whole magazines (of whole
-// chains, for a bin) are carved off its front and pushed to the depot — one
-// cut and one CAS per magazine of frees, and a steady alloc-run/free-run
-// cycle (the datapath's dequeue feeding the next enqueue) never touches the
-// depot at all.
+// View.Next; Next[tail] is overwritten) in O(1): onto the front of bin n
+// when n is a grain, else at the tail of the free side. A chain bound for a
+// bin must be well formed by its words (see WordLen). Either may grow past
+// a nominal magazine; once it holds two magazines' worth, whole magazines
+// (of whole chains, for a bin) are carved off its front and pushed to the
+// depot — one cut and one CAS per magazine of frees, and a steady
+// alloc-run/free-run cycle (the datapath's dequeue feeding the next
+// enqueue) never touches the depot at all.
 func (c *Cache) FreeN(head, tail, n int32) {
 	if n <= 0 {
 		return
 	}
+	next := c.st.view.Next
 	g := grainOf(n)
-	m := &c.mag[0]
+	m := &c.mag[1]
 	if g != 0 {
 		m = &c.bins[g]
 		c.binned += n
 		c.mask |= 1 << g
+		next[tail] = m.head
+		m.head = head
+	} else {
+		next[tail] = nilSeg
+		if m.n == 0 {
+			m.head = head
+		} else {
+			next[c.tail] = head
+		}
+		c.tail = tail
 	}
-	c.st.view.Next[tail] = m.head
-	m.head = head
 	m.n += n
 	for per := c.st.magSegs[g]; m.n >= 2*per; {
 		h := m.head
@@ -306,7 +333,7 @@ func (c *Cache) Publish() {
 	}
 }
 
-// Flush pushes both magazines (full or partial) and every bin, each to its
+// Flush pushes both sides (full or partial) and every bin, each to its
 // grain's stack, back to the depot so other owners can allocate them — used
 // after push-out eviction frees segments on a different shard than the
 // arrival that needs them.

@@ -1,6 +1,6 @@
-// Package segstore is the shared segment-memory layer under the queue
-// engine: one process-wide slab holding every segment's payload and link
-// words, a lock-free global free-list, and per-owner magazine caches.
+// Package segstore is the segment-memory layer under every queue manager:
+// one slab holding every segment's payload and link words, a lock-free
+// global free-list, and per-owner magazine caches.
 //
 // The paper's queue manager is built around a single shared data memory —
 // all per-flow queues allocate 64-byte segments from one pool, and the free
@@ -16,8 +16,9 @@
 //     magazines of whole g-segment chains. Each stack head packs a 32-bit
 //     version tag beside the top-magazine index so a compare-and-swap cannot
 //     succeed across an ABA reuse of the same magazine head.
-//   - Cache: a per-owner (per-shard) pair of general magazines refilled and
-//     flushed from the depot MagazineSegments at a time, so the steady-state
+//   - Cache: a per-owner (per-shard) pair of general magazines, one carved
+//     for allocation and one taking frees at its tail, refilled and flushed
+//     from the depot MagazineSegments at a time, so the steady-state
 //     cost of the shared pool is one CAS per ~64 allocations instead of one
 //     per segment — the software analogue of the paper's free-list working
 //     in hardware line bursts — and one bin per chain size: a chain of g
@@ -25,11 +26,13 @@
 //     stand, to the next request for g (AllocChain), so a packet's
 //     address-contiguous runs survive its reuse. Runs never merge; chains
 //     are reused whole, and broken only when nothing else is left.
-//   - Private: a single-owner FIFO free list over a private slab, exactly
-//     the allocation discipline the seed Manager used. The timed models
-//     (MMS, DDR) keep it because FIFO reuse cycles segments through the
-//     whole pool, striping the data memory across DDR banks; their measured
-//     tables depend on that order.
+//
+// The paper's own free list is one configuration of the same two types: a
+// Store whose one magazine is the whole pool (MagazineSize = NumSegments)
+// under a single Cache hands loose segments out from the head and takes
+// them back at the tail, never touching the depot in between. The timed
+// models (MMS, DDR) depend on that FIFO order: it cycles segment reuse
+// through the whole pool, striping the data memory across DDR banks.
 //
 // Magazine chains are threaded through the slab's Next array (a free
 // segment's link word is otherwise unused); depot links between magazine
@@ -124,61 +127,7 @@ func chainEnd(v *View, s, n int32) (tail, after int32) {
 	}
 }
 
-// Source is the allocation facade a queue Manager draws segments from:
-// either a Cache over a shared Store or a Private FIFO pool.
-type Source interface {
-	// View returns the backing slab arrays.
-	View() View
-	// NumSegments is the total pool size behind this source.
-	NumSegments() int
-	// FreeSegments is the pool-wide free population — the number policies
-	// consult. For a shared store it spans the depot and every cache, and
-	// counts everything this owner has allocated or freed so far.
-	FreeSegments() int
-	// Avail is the number of segments this owner could allocate right now
-	// (its own cache plus the depot); segments stranded in other owners'
-	// caches are free but not reachable.
-	Avail() int
-	// AllocN fills dst with freshly allocated segments and returns how many
-	// it delivered — short only when the pool runs dry mid-run: one call
-	// per packet, or per segment for a one-segment dst. Link words of the
-	// returned segments are unspecified.
-	AllocN(dst []int32) int
-	// FreeN returns a chain of n segments already linked head→…→tail
-	// through View.Next (Next[tail] is overwritten). The whole chain is
-	// spliced into free storage in one operation regardless of n.
-	FreeN(head, tail, n int32)
-	// Lend moves segments between the owner's books and the lent
-	// population: a positive delta marks segments as checked out to a
-	// zero-copy view or reservation, a negative delta takes them back onto
-	// the owner's books (a writer committing its reserved run). Owner
-	// context only, like AllocN — the lent chains themselves are handed back
-	// through ReturnLent. A shared source settles its lending into the pool's
-	// count once per critical section (Cache.Publish), so: the owner's own
-	// Lent settles first and is always exact; a cross-thread Store.Lent is
-	// exact whenever owners are outside critical sections; and it is never
-	// negative as long as every ReturnLent follows the section that lent.
-	Lend(n int32)
-	// ReturnLent returns a lent chain of n segments (head→…→tail through
-	// View.Next; Next[tail] is overwritten) to free storage and debits the
-	// lent population. Unlike every other method, ReturnLent is safe to
-	// call from any goroutine for a shared source — view releases happen
-	// wherever the consumer finishes, not in the owning shard — so shared
-	// sources route the chain straight to the global depot. Private
-	// sources remain single-owner. Segments must be scrubbed (StateFree)
-	// by the caller before the chain is handed back.
-	ReturnLent(head, tail, n int32)
-	// Lent is the pool-wide lent population.
-	Lent() int
-	// Shared reports whether other sources draw from the same pool.
-	Shared() bool
-	// CheckInvariants validates this source's free-storage structures.
-	// Shared sources validate only their own cache; use
-	// Store.CheckInvariants for the global walk. Quiescent callers only.
-	CheckInvariants() error
-}
-
-// Config sizes a Store or Private pool.
+// Config sizes a Store.
 type Config struct {
 	// NumSegments is the pool size (required, > 0).
 	NumSegments int
@@ -191,7 +140,8 @@ type Config struct {
 	// MagazineSize overrides the segments per magazine (0 means
 	// MagazineSegments). Small pools shared by many caches want smaller
 	// magazines, or most of the pool strands in the first caches to touch
-	// the depot.
+	// the depot; a pool with one cache and MagazineSize = NumSegments is a
+	// single FIFO free list.
 	MagazineSize int
 }
 
@@ -351,7 +301,7 @@ func (st *Store) depotAdd(delta int32) { st.depotFree.Add(1<<32 + uint64(int64(d
 
 // Lent returns the pool-wide lent population (segments checked out as
 // zero-copy views or in-flight write reservations), as of each owner's last
-// Publish (see Source.Lend).
+// Publish (see Cache.Lend).
 func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
 
 // ReturnLent returns a lent chain to the depot as one magazine and debits
@@ -579,9 +529,34 @@ func (k *checker) cache(i int, c *Cache) (int32, error) {
 	if binned != c.binned {
 		return 0, errCount("cache bins", int(binned), int(c.binned))
 	}
+	if f := c.mag[1]; f.n > 0 {
+		last := f.head
+		for n := int32(1); n < f.n; n++ {
+			last = k.st.view.Next[last]
+		}
+		if last != c.tail {
+			return 0, fmt.Errorf("segstore: cache %d free side ends at %d, tail says %d", i, last, c.tail)
+		}
+	}
 	held := c.mag[0].n + c.mag[1].n + binned
 	if got := c.count.Load(); got != held {
 		return 0, fmt.Errorf("segstore: cache %d holds %d segments, counter says %d", i, held, got)
 	}
 	return held, nil
+}
+
+func errChain(where string, i int, s int32) error {
+	return fmt.Errorf("segstore: %s %d chain broken at segment %d", where, i, s)
+}
+
+func errDup(where string, s int32) error {
+	return fmt.Errorf("segstore: segment %d appears twice in %s", s, where)
+}
+
+func errState(where string, s int32, state uint8) error {
+	return fmt.Errorf("segstore: %s holds segment %d in state %d", where, s, state)
+}
+
+func errCount(where string, walked, counter int) error {
+	return fmt.Errorf("segstore: %s holds %d segments, counter says %d", where, walked, counter)
 }

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
+// TestPrivateFIFO is the paper's free list as a one-magazine Store under one
+// cache: a fresh pool allocates in ascending order, and loose segments come
+// back in the order they were freed, behind those never handed out.
 func TestPrivateFIFO(t *testing.T) {
-	p, err := NewPrivate(Config{NumSegments: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, p := fifoPool(t, 8)
 	// Fresh pool allocates in ascending order.
 	for want := int32(0); want < 8; want++ {
 		s, ok := alloc1(p)
@@ -33,13 +33,25 @@ func TestPrivateFIFO(t *testing.T) {
 			t.Fatalf("recycled Alloc = (%d, %v), want (%d, true)", s, ok, want)
 		}
 	}
+	// A lent segment goes back through the depot, which is reached only
+	// after the free side: 5 returns lent before 2 is freed, and comes out
+	// after it.
+	p.Lend(1)
+	p.ReturnLent(5, 5, 1)
+	free1(p, 2)
+	for _, want := range []int32{2, 5} {
+		s, ok := alloc1(p)
+		if !ok || s != want {
+			t.Fatalf("Alloc after a lent return = (%d, %v), want (%d, true)", s, ok, want)
+		}
+	}
 	for s := int32(0); s < 8; s++ {
 		free1(p, s)
 	}
 	if p.FreeSegments() != 8 {
 		t.Fatalf("FreeSegments = %d, want 8", p.FreeSegments())
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,10 +98,10 @@ func TestCacheDrainsWholePool(t *testing.T) {
 	}
 }
 
-// TestLentSettlesAtPublish is the Source.Lend contract for a shared
-// source: lending is the owner's plain delta until Publish adds it to the
-// pool's count once; the owner's own Lent settles first; another cache's
-// read and Store.Lent see it from the Publish on.
+// TestLentSettlesAtPublish is the Cache.Lend contract on a shared store:
+// lending is the owner's plain delta until Publish adds it to the pool's
+// count once; the owner's own Lent settles first; another cache's read and
+// Store.Lent see it from the Publish on.
 func TestLentSettlesAtPublish(t *testing.T) {
 	st, err := New(Config{NumSegments: 256})
 	if err != nil {

@@ -93,25 +93,6 @@ func (s *Source) Geometric(p float64) int {
 	return 1 + int(math.Floor(math.Log(u)/math.Log(1-p)))
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Choice returns a uniformly chosen index weighted by weights.
 // It panics if all weights are zero or negative.
 func (s *Source) Choice(weights []float64) int {

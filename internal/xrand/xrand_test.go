@@ -126,40 +126,6 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(23)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	s := New(29)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, x := range xs {
-		sum2 += x
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed element multiset: %v", xs)
-	}
-}
-
 func TestChoiceRespectsWeights(t *testing.T) {
 	s := New(31)
 	w := []float64{0, 1, 3}
