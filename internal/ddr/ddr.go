@@ -35,7 +35,6 @@ package ddr
 import (
 	"fmt"
 
-	"npqm/internal/mem"
 	"npqm/internal/xrand"
 )
 
@@ -125,17 +124,17 @@ func (r Result) GoodputGbps() float64 { return PeakGbps * r.Utilization }
 // portOrder is the fixed serialization order of the four paper ports,
 // as enumerated in the paper's footnote 3: "a write and a read port from/to
 // the network, a write and a read port from/to an internal processing unit".
-var portOrder = [4]mem.Port{mem.NetWrite, mem.NetRead, mem.CPUWrite, mem.CPURead}
+var portOrder = [4]Port{NetWrite, NetRead, CPUWrite, CPURead}
 
 // Controller is the DDR controller model. Time advances as scheduling
 // decisions are made; drive it either with RunSaturated (Table 1) or by
 // offering requests and calling Step from a higher-level model.
 type Controller struct {
 	cfg        Config
-	fifos      [4]*mem.FIFO
+	fifos      [4]*FIFO
 	now        uint64   // current time in half-slots
 	bankFreeAt []uint64 // per bank: first half-slot a new access may start
-	lastOp     mem.Op
+	lastOp     Op
 	lastIssue  uint64 // issue time of the last access
 	hasLast    bool
 	rrPtr      int // round-robin pointer over ports
@@ -149,13 +148,13 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{cfg: cfg, bankFreeAt: make([]uint64, cfg.Banks)}
 	for i := range c.fifos {
-		c.fifos[i] = mem.NewFIFO(0)
+		c.fifos[i] = NewFIFO(0)
 	}
 	return c, nil
 }
 
 // Offer enqueues a request on its port's FIFO.
-func (c *Controller) Offer(r mem.Request) {
+func (c *Controller) Offer(r Request) {
 	if r.Bank < 0 || r.Bank >= c.cfg.Banks {
 		panic(fmt.Sprintf("ddr: bank %d out of range [0,%d)", r.Bank, c.cfg.Banks))
 	}
@@ -187,12 +186,12 @@ func (c *Controller) Result() Result {
 
 // turnaroundAt reports whether a request of the given op issued at time t
 // would collide with the data phase of the previous access.
-func (c *Controller) turnaroundAt(op mem.Op, t uint64) bool {
-	return c.cfg.RWInterleave && c.hasLast && op == mem.Write &&
-		c.lastOp == mem.Read && t == c.lastIssue+AccessHalfSlots
+func (c *Controller) turnaroundAt(op Op, t uint64) bool {
+	return c.cfg.RWInterleave && c.hasLast && op == Write &&
+		c.lastOp == Read && t == c.lastIssue+AccessHalfSlots
 }
 
-func (c *Controller) issue(r mem.Request, t uint64) {
+func (c *Controller) issue(r Request, t uint64) {
 	c.bankFreeAt[r.Bank] = t + BankBusyHalfSlots
 	c.lastOp = r.Op
 	c.lastIssue = t
@@ -281,7 +280,7 @@ func (c *Controller) stepReorder() bool {
 
 // peekEligible returns the first of the first depth entries of f whose bank
 // is free at time now.
-func peekEligible(f *mem.FIFO, depth int, bankFreeAt []uint64, now uint64) (mem.Request, int, bool) {
+func peekEligible(f *FIFO, depth int, bankFreeAt []uint64, now uint64) (Request, int, bool) {
 	n := f.Len()
 	if n < depth {
 		depth = n
@@ -292,11 +291,11 @@ func peekEligible(f *mem.FIFO, depth int, bankFreeAt []uint64, now uint64) (mem.
 			return r, i, true
 		}
 	}
-	return mem.Request{}, 0, false
+	return Request{}, 0, false
 }
 
 // removeAt removes the i-th entry of f preserving order of the rest.
-func removeAt(f *mem.FIFO, i int) {
+func removeAt(f *FIFO, i int) {
 	f.Remove(i)
 }
 
@@ -319,7 +318,7 @@ func RunSaturated(cfg Config, seed uint64, decisions int) (Result, error) {
 		for _, p := range portOrder {
 			f := c.fifos[int(p)]
 			for f.Len() < depth {
-				c.Offer(mem.Request{Port: p, Op: p.Dir(), Bank: rng.Intn(cfg.Banks)})
+				c.Offer(Request{Port: p, Op: p.Dir(), Bank: rng.Intn(cfg.Banks)})
 			}
 		}
 		c.Step()

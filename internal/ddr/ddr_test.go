@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"npqm/internal/mem"
 )
 
 const probeDecisions = 400_000
@@ -183,7 +181,7 @@ func TestDistinctBanksPipelinePerfectly(t *testing.T) {
 	// All writes, striped across banks: no conflicts, no turnarounds.
 	bank := 0
 	for i := 0; i < 400; i++ {
-		c.Offer(mem.Request{Port: mem.NetWrite, Op: mem.Write, Bank: bank})
+		c.Offer(Request{Port: NetWrite, Op: Write, Bank: bank})
 		bank = (bank + 1) % 8
 	}
 	for c.Pending() > 0 {
@@ -202,8 +200,8 @@ func TestTurnaroundAccountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Offer(mem.Request{Port: mem.NetRead, Op: mem.Read, Bank: 0})
-	c.Offer(mem.Request{Port: mem.NetWrite, Op: mem.Write, Bank: 1})
+	c.Offer(Request{Port: NetRead, Op: Read, Bank: 0})
+	c.Offer(Request{Port: NetWrite, Op: Write, Bank: 1})
 	// FCFS serves ports in paper order: NetWrite first, then NetRead — so
 	// to force read-then-write use ports whose order matches.
 	for c.Pending() > 0 {
@@ -220,8 +218,8 @@ func TestTurnaroundAccountedOnce(t *testing.T) {
 
 	// Now force read first via CPU ports (later in the order).
 	c2, _ := NewController(Config{Banks: 4, Scheduler: FCFSRoundRobin, RWInterleave: true})
-	c2.Offer(mem.Request{Port: mem.NetRead, Op: mem.Read, Bank: 0})
-	c2.Offer(mem.Request{Port: mem.CPUWrite, Op: mem.Write, Bank: 1})
+	c2.Offer(Request{Port: NetRead, Op: Read, Bank: 0})
+	c2.Offer(Request{Port: CPUWrite, Op: Write, Bank: 1})
 	for c2.Pending() > 0 {
 		c2.Step()
 	}
@@ -239,7 +237,7 @@ func TestSameBankSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		c.Offer(mem.Request{Port: mem.NetWrite, Op: mem.Write, Bank: 3})
+		c.Offer(Request{Port: NetWrite, Op: Write, Bank: 3})
 	}
 	for c.Pending() > 0 {
 		c.Step()
@@ -292,7 +290,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatal("expected panic for out-of-range bank")
 		}
 	}()
-	c.Offer(mem.Request{Bank: 5})
+	c.Offer(Request{Bank: 5})
 }
 
 func TestGoodput(t *testing.T) {
@@ -313,7 +311,7 @@ func TestSchedulerKindString(t *testing.T) {
 
 func TestNowNs(t *testing.T) {
 	c, _ := NewController(Config{Banks: 2})
-	c.Offer(mem.Request{Port: mem.NetWrite, Op: mem.Write, Bank: 0})
+	c.Offer(Request{Port: NetWrite, Op: Write, Bank: 0})
 	c.Step()
 	if c.NowNs() != 40 {
 		t.Fatalf("NowNs = %v, want 40 after one access", c.NowNs())

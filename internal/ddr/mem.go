@@ -1,11 +1,11 @@
-// Package mem defines the memory-access vocabulary shared by the hardware
-// models: operation kinds, ports, and request records.
-//
-// The paper's DDR analysis (Section 3) considers aggregate traffic from four
-// ports — "a write and a read port from/to the network, a write and a read
-// port from/to an internal processing unit" — issuing 64-byte block accesses.
-// These types describe exactly that traffic.
-package mem
+package ddr
+
+// The memory-access vocabulary the controller schedules: operation kinds,
+// ports and request records. The paper's DDR analysis (Section 3) considers
+// aggregate traffic from four ports — "a write and a read port from/to the
+// network, a write and a read port from/to an internal processing unit" —
+// issuing 64-byte block accesses. These types describe exactly that
+// traffic.
 
 import "fmt"
 

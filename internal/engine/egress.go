@@ -566,22 +566,12 @@ func (s *shard) chargeLevels(flow uint32, bytes int) {
 // dequeuePicked serves one packet picked by the level-stack discipline
 // from shard s into *d, inside s's critical section.
 // port selects the scheduling unit (anyPort rotates over all of them). It
-// reports false when the shard has nothing servable on that port.
+// reports false when the shard has nothing servable on that port. A picked
+// flow is active, so it holds a whole packet: the engine links only whole
+// packets.
 func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
-	for {
-		flow, debit, ok := s.pickLocked(port)
-		if !ok {
-			return false
-		}
-		if s.take(d, flow, view, debit) == nil {
-			return true
-		}
-		// The list said active but no complete packet is available
-		// (raw-segment misuse): deactivate the flow so the pick loop
-		// cannot spin on it. Nothing was served, so take charged nothing,
-		// and any banked deficit is forfeited by clearActive.
-		s.clearActive(flow)
-	}
+	flow, debit, ok := s.pickLocked(port)
+	return ok && s.take(d, flow, view, debit) == nil
 }
 
 // --- active-list maintenance (caller holds the shard's critical section) ---

@@ -735,9 +735,8 @@ const (
 // joined settles the books for a packet of segs segments that has just been
 // linked onto flow's queue, inside the shard's critical section. With left
 // it is the only writer of the traffic counters, the active lists (rehome
-// and dequeuePicked's misuse guard apart) and the residence sampler, so the
-// conservation law — enqueued = dequeued + pushed-out + resident — is
-// these two switches. A moved packet advances the flow's residence sequence
+// apart) and the residence sampler, so the conservation law — enqueued =
+// dequeued + pushed-out + resident — is these two switches. A moved packet advances the flow's residence sequence
 // unsampled.
 func (s *shard) joined(flow uint32, segs int, how cause) {
 	if how == arrived {

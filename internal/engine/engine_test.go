@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,233 +89,63 @@ func TestShardBalance(t *testing.T) {
 	}
 }
 
+// TestRoundTrip: one packet in, its occupancy read, the same bytes out, and
+// an empty flow's dequeue refused.
 func TestRoundTrip(t *testing.T) {
-	e := newTest(t, 4, 256, 1024)
-	pkt := bytes.Repeat([]byte{0x5a}, 200)
-	n, err := e.EnqueuePacket(7, pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Errorf("enqueued %d segments, want 4", n)
-	}
-	if l, _ := e.Len(7); l != 4 {
-		t.Errorf("Len = %d, want 4", l)
-	}
-	fi, err := e.Flow(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Bytes != 200 || fi.Packets != 1 || fi.Segments != 4 {
-		t.Errorf("Flow(7).Occupancy = %+v", fi.Occupancy)
-	}
-	got, err := e.DequeuePacket(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pkt) {
-		t.Errorf("payload mismatch: %d bytes", len(got))
-	}
-	e.ReleaseBuffer(got)
-	if _, err := e.DequeuePacket(7); !errors.Is(err, queue.ErrQueueEmpty) {
-		t.Errorf("dequeue of empty flow: %v", err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 1024}, false,
+		script{}.do(cEnqueue, 7, bytesArg(200)).do(cRead, 7).do(cDequeue, 7, 0).do(cDequeue, 7, 0))
 }
 
+// TestMovePacketSameAndCrossShard: a move to a flow on the same shard (0 to
+// 2, of four) and to one on another (0 to 1) delivers the same bytes, and
+// neither is an arrival or a departure on the books.
 func TestMovePacketSameAndCrossShard(t *testing.T) {
-	e := newTest(t, 4, 1024, 4096)
-	// Find a same-shard pair and a cross-shard pair.
-	same, cross := uint32(0), uint32(0)
-	foundSame, foundCross := false, false
-	for f := uint32(1); f < 1024; f++ {
-		if e.ShardOf(f) == e.ShardOf(0) && !foundSame {
-			same, foundSame = f, true
-		}
-		if e.ShardOf(f) != e.ShardOf(0) && !foundCross {
-			cross, foundCross = f, true
-		}
-		if foundSame && foundCross {
-			break
-		}
-	}
-	if !foundSame || !foundCross {
-		t.Fatal("could not find shard pairs")
-	}
-	pkt := bytes.Repeat([]byte{0xcd}, 150)
-
-	if _, err := e.EnqueuePacket(0, pkt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.MovePacket(0, same); err != nil {
-		t.Fatalf("same-shard move: %v", err)
-	}
-	got, err := e.DequeuePacket(same)
-	if err != nil || !bytes.Equal(got, pkt) {
-		t.Fatalf("same-shard move lost data: %v", err)
-	}
-	e.ReleaseBuffer(got)
-
-	if _, err := e.EnqueuePacket(0, pkt); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats()
-	if _, err := e.MovePacket(0, cross); err != nil {
-		t.Fatalf("cross-shard move: %v", err)
-	}
-	// A move is neither an arrival nor a departure: counters must not
-	// depend on whether the flows happened to share a shard.
-	after := e.Stats()
-	if after.EnqueuedPackets != before.EnqueuedPackets ||
-		after.DequeuedPackets != before.DequeuedPackets ||
-		after.Rejected != before.Rejected {
-		t.Errorf("cross-shard move perturbed stats: before %+v after %+v", before, after)
-	}
-	got, err = e.DequeuePacket(cross)
-	if err != nil || !bytes.Equal(got, pkt) {
-		t.Fatalf("cross-shard move lost data: %v", err)
-	}
-	e.ReleaseBuffer(got)
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 4096}, false,
+		script{}.do(cEnqueue, 0, bytesArg(150)).do(cMove, 0, 2).do(cDequeue, 2, 0).
+			do(cEnqueue, 0, bytesArg(150)).do(cMove, 0, 1).do(cDequeue, 1, 0))
 }
 
+// TestMovePacketCrossShardNoData: a cross-shard move relinks the packet's
+// chain on the shared slab: the destination holds its segments, the source
+// none.
 func TestMovePacketCrossShardNoData(t *testing.T) {
-	// Cross-shard moves are pointer relinking on the shared slab, so they
-	// work even with payload storage off (the pre-segstore engine had to
-	// refuse them: it could only move across shards by copying data).
-	e, err := New(Config{Shards: 4, NumFlows: 1024, NumSegments: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cross uint32
-	for f := uint32(1); f < 1024; f++ {
-		if e.ShardOf(f) != e.ShardOf(0) {
-			cross = f
-			break
-		}
-	}
-	if _, err := e.EnqueuePacket(0, make([]byte, 130)); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := e.MovePacket(0, cross); err != nil || n != 3 {
-		t.Fatalf("cross-shard move without data storage = (%d, %v), want (3, nil)", n, err)
-	}
-	if l, _ := e.Len(cross); l != 3 {
-		t.Errorf("destination holds %d segments, want 3", l)
-	}
-	if l, _ := e.Len(0); l != 0 {
-		t.Errorf("source still holds %d segments", l)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 4096}, false,
+		script{}.do(cEnqueue, 0, bytesArg(130)).do(cMove, 0, 1).do(cRead, 1).do(cRead, 0))
 }
 
+// TestPerFlowLimit: a flow at its segment cap rejects the next packet
+// (counted), and takes it once the cap is lifted.
 func TestPerFlowLimit(t *testing.T) {
-	e := newTest(t, 2, 64, 256)
-	if err := e.SetFlowLimit(3, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.EnqueuePacket(3, make([]byte, 128)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.EnqueuePacket(3, make([]byte, 64)); !errors.Is(err, queue.ErrQueueLimit) {
-		t.Errorf("over-limit enqueue: %v", err)
-	}
-	st := e.Stats()
-	if st.Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", st.Rejected)
-	}
-	if err := e.SetFlowLimit(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.EnqueuePacket(3, make([]byte, 64)); err != nil {
-		t.Errorf("enqueue after cap removal: %v", err)
+	h := runEngine(t, Config{Shards: 2, NumFlows: 64, NumSegments: 256}, false,
+		script{}.do(cLimit, 3, 2).do(cEnqueue, 3, segsArg(2)).do(cEnqueue, 3, segsArg(1)).
+			do(cLimit, 3, 0).do(cEnqueue, 3, segsArg(1)))
+	if c := h.m.c; c.Rejected != 1 {
+		t.Fatalf("Rejected = %d, want 1", c.Rejected)
 	}
 }
 
+// TestBatchRoundTrip: a hundred packets over eight flows go in by batch —
+// three in a row to a flow — and come out by batch, each flow's in the
+// order the batches listed them.
 func TestBatchRoundTrip(t *testing.T) {
-	e := newTest(t, 4, 256, 2048)
-	const n = 100
-	batch := make([]EnqueueReq, n)
-	for i := range batch {
-		pkt := make([]byte, 100)
-		binary.LittleEndian.PutUint32(pkt, uint32(i))
-		batch[i] = EnqueueReq{Flow: uint32(i % 8), Data: pkt}
-	}
-	segs, errs := e.EnqueueBatch(batch)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch[%d]: %v", i, err)
+	s := script{}
+	for i := 0; i < 96; i += 8 {
+		s = s.do(cBatch, 7)
+		for j := i; j < i+8; j++ {
+			s = append(s, byte(j/3%8), byte(bytesArg(100)))
 		}
 	}
-	if segs != n*2 {
-		t.Errorf("segments = %d, want %d", segs, n*2)
+	for f := 0; f < 8; f++ {
+		s = s.do(cDequeueBatch, 6, f, f, f, f, f, f, f, 0).do(cDequeueBatch, 5, f, f, f, f, f, f, 0)
 	}
-	st := e.Stats()
-	if st.EnqueuedPackets != n || st.QueuedSegments != n*2 {
-		t.Errorf("stats after batch: %+v", st)
-	}
-
-	// Dequeue everything batch-wise; packets on each flow must come back
-	// in the order the enqueue batch listed them.
-	flows := make([]uint32, n)
-	for i := range flows {
-		flows[i] = uint32(i % 8) // same relative order as the enqueues
-	}
-	// Re-sort flows so that per-flow order of requests matches enqueue
-	// order: flow f was enqueued at i = f, f+8, f+16, ...
-	k := 0
-	for f := uint32(0); f < 8; f++ {
-		for i := int(f); i < n; i += 8 {
-			flows[k] = f
-			k++
-		}
-	}
-	pkts, derrs := e.DequeueBatch(flows)
-	k = 0
-	for f := uint32(0); f < 8; f++ {
-		for i := int(f); i < n; i += 8 {
-			if derrs[k] != nil {
-				t.Fatalf("dequeue flow %d: %v", f, derrs[k])
-			}
-			got := binary.LittleEndian.Uint32(pkts[k])
-			if got != uint32(i) {
-				t.Errorf("flow %d: got packet %d, want %d", f, got, i)
-			}
-			e.ReleaseBuffer(pkts[k])
-			k++
-		}
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if free := e.FreeSegments(); free != 2048 {
-		t.Errorf("FreeSegments = %d, want 2048 after full drain", free)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 2048}, false, s)
 }
 
+// TestBatchPartialFailure: a packet the pool cannot hold fails alone; the
+// batch's good packets are linked.
 func TestBatchPartialFailure(t *testing.T) {
-	e := newTest(t, 2, 64, 64)
-	big := make([]byte, 65*queue.SegmentBytes) // more than the whole pool
-	_, errs := e.EnqueueBatch([]EnqueueReq{
-		{Flow: 1, Data: make([]byte, 64)},
-		{Flow: 2, Data: big},
-		{Flow: 3, Data: make([]byte, 64)},
-	})
-	if errs[0] != nil || errs[2] != nil {
-		t.Errorf("good packets rejected: %v %v", errs[0], errs[2])
-	}
-	if !errors.Is(errs[1], queue.ErrNoFreeSegments) {
-		t.Errorf("oversized packet: %v", errs[1])
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 2, NumFlows: 64, NumSegments: 32}, false,
+		script{}.do(cBatch, 2, 1, segsArg(1), 2, segsArg(35), 3, segsArg(1)))
 }
 
 // TestConcurrentConservation hammers the engine from concurrent producers
@@ -581,43 +410,11 @@ func BenchmarkEngineEnqueueDequeue(b *testing.B) {
 	}
 }
 
-// TestHotFlowConsumesSharedPool is the shared-buffer acceptance test: with
-// several shards, one hot flow must be able to occupy (nearly) the whole
-// pool. Under the old per-shard pool split a flow could never exceed
-// NumSegments/Shards — 25% here.
+// TestHotFlowConsumesSharedPool: one flow can take the whole shared pool,
+// whichever shard it hashes to, and the pool comes back whole.
 func TestHotFlowConsumesSharedPool(t *testing.T) {
-	const segments = 4096
-	e := newTest(t, 4, 256, segments)
-	hot := uint32(42)
-	for {
-		if _, err := e.EnqueuePacket(hot, make([]byte, queue.SegmentBytes)); err != nil {
-			if !errors.Is(err, queue.ErrNoFreeSegments) {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	n, err := e.Len(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min := segments * 9 / 10; n < min {
-		t.Fatalf("hot flow occupies %d of %d segments, want >= %d (90%%)", n, segments, min)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Drain and confirm the pool comes back whole.
-	for {
-		data, err := e.DequeuePacket(hot)
-		if err != nil {
-			break
-		}
-		e.ReleaseBuffer(data)
-	}
-	if free := e.FreeSegments(); free != segments {
-		t.Fatalf("FreeSegments = %d, want %d after drain", free, segments)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 512}, false,
+		script{}.rep(513, cEnqueue, 42, segsArg(1)).do(cRead, 42))
 }
 
 // TestConcurrentCrossShardMoves hammers cross-shard MovePacket (pointer

@@ -21,197 +21,71 @@ import (
 )
 
 // TestClassPrioServesLowestClassFirst: with strict priority at the class
-// level, a full drain must serve every packet of class c before any
-// packet of class c+1, regardless of flow IDs (which deliberately do not
-// sort with their classes here).
+// level, a full drain serves every packet of class c before any packet of
+// class c+1, regardless of flow IDs: flow f lands in class 7 - f%8, so
+// high flow IDs get high priority.
 func TestClassPrioServesLowestClassFirst(t *testing.T) {
-	e, err := New(Config{
-		Shards: 1, NumFlows: 64, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Kind: policy.EgressRR,
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierClass, Kind: policy.EgressPrio, Units: 8},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := script{}
+	for f := range 64 {
+		s = s.do(cRehome, f, 2|(7-f%8)<<2)
 	}
-	// Flow f lands in class (7 - f%8): high flow IDs get high priority,
-	// so any accidental flow-ID ordering would fail the class assertion.
-	for f := uint32(0); f < 64; f++ {
-		if err := e.SetFlowClass(f, 7-int(f%8)); err != nil {
-			t.Fatal(err)
+	for range 4 {
+		for f := range 64 {
+			s = s.do(cEnqueue, f, bytesArg(100))
 		}
 	}
-	for i := 0; i < 4; i++ {
-		for f := uint32(0); f < 64; f++ {
-			if _, err := e.EnqueuePacket(f, make([]byte, 100)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	lastClass := -1
-	for {
-		d, ok := e.DequeueNext()
-		if !ok {
-			break
-		}
-		fi, err := e.Flow(d.Flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := fi.Class
-		if c < lastClass {
-			t.Fatalf("served class %d after class %d (strict priority violated)", c, lastClass)
-		}
-		lastClass = c
-		e.ReleaseBuffer(d.Data)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 1024,
+		Egress: policy.EgressConfig{Kind: policy.EgressRR, Levels: []policy.LevelSpec{
+			{Tier: policy.TierClass, Kind: policy.EgressPrio, Units: 8},
+		}}}, false, s.rep(257, cNext, 0))
 }
 
 // TestClassWRRVisitPattern: class-level WRR gives each backlogged class
-// weight packets per visit, so with weights 3:1 and deep backlog the
-// serve sequence cycles AAAB exactly.
+// weight packets per visit, so with weights 3:1 and deep backlog the serve
+// sequence cycles AAAB exactly. Flows 0 and 1 are in class 0, 2 and 3 in
+// class 1.
 func TestClassWRRVisitPattern(t *testing.T) {
-	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Kind: policy.EgressRR,
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2, Weights: []int{3, 1}},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flows 0,1 in class 0; flows 2,3 in class 1.
-	for f := uint32(2); f < 4; f++ {
-		if err := e.SetFlowClass(f, 1); err != nil {
-			t.Fatal(err)
+	s := script{}.do(cRehome, 2, 2|1<<2).do(cRehome, 3, 2|1<<2)
+	for range 8 {
+		for f := range 4 {
+			s = s.do(cEnqueue, f, segsArg(1))
 		}
 	}
-	for i := 0; i < 8; i++ {
-		for f := uint32(0); f < 4; f++ {
-			if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	counts := [2]int{}
-	for i := 0; i < 16; i++ { // four full 3+1 cycles
-		d, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("scheduler idle with backlog")
-		}
-		fi, _ := e.Flow(d.Flow)
-		counts[fi.Class]++
-		e.ReleaseBuffer(d.Data)
-		// At every cycle boundary the ratio is exact.
-		if (i+1)%4 == 0 {
-			if counts[0] != 3*counts[1] {
-				t.Fatalf("after %d picks: class counts %v, want exact 3:1", i+1, counts)
-			}
-		}
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 8, NumSegments: 256,
+		Egress: policy.EgressConfig{Kind: policy.EgressRR, Levels: []policy.LevelSpec{
+			{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2, Weights: []int{3, 1}},
+		}}}, false, s.rep(16, cNext, 0))
 }
 
 // TestTierWeightTakesEffectMidTraffic: a class weight changed while both
 // classes are backlogged governs the very next rotation. The level stack
 // keeps its own copy of node weights, so SetTierWeight must refresh it;
-// TierStats reads the engine's weight slice and cannot tell.
+// TierStats reads the engine's weight slice and cannot tell. Flows 0 and 1
+// are in class 0, 2 and 3 in class 1.
 func TestTierWeightTakesEffectMidTraffic(t *testing.T) {
-	e, err := New(Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Kind: policy.EgressRR,
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flows 0,1 in class 0; flows 2,3 in class 1.
-	for f := uint32(2); f < 4; f++ {
-		if err := e.SetFlowClass(f, 1); err != nil {
-			t.Fatal(err)
+	s := script{}.do(cRehome, 2, 2|1<<2).do(cRehome, 3, 2|1<<2)
+	for range 16 {
+		for f := range 4 {
+			s = s.do(cEnqueue, f, segsArg(1))
 		}
 	}
-	for i := 0; i < 16; i++ {
-		for f := uint32(0); f < 4; f++ {
-			if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// serve takes picks packets and checks the class split at every cycle
-	// boundary (a cycle is wA+wB picks).
-	serve := func(picks, wA, wB int) {
-		t.Helper()
-		counts := [2]int{}
-		for i := 0; i < picks; i++ {
-			d, ok := e.DequeueNext()
-			if !ok {
-				t.Fatal("scheduler idle with backlog")
-			}
-			fi, _ := e.Flow(d.Flow)
-			counts[fi.Class]++
-			e.ReleaseBuffer(d.Data)
-			if (i+1)%(wA+wB) == 0 && counts[0]*wB != counts[1]*wA {
-				t.Fatalf("after %d picks: class counts %v, want exact %d:%d", i+1, counts, wA, wB)
-			}
-		}
-	}
-	serve(8, 1, 1)
-	if err := e.SetTierWeight(policy.TierClass, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	serve(16, 3, 1)
+	runEngine(t, Config{Shards: 1, NumFlows: 8, NumSegments: 256,
+		Egress: policy.EgressConfig{Kind: policy.EgressRR, Levels: []policy.LevelSpec{
+			{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2},
+		}}}, false, s.rep(8, cNext, 0).do(cWeight, 0, 128|2|1<<2).rep(16, cNext, 0)) // class 0 to weight 3
 }
 
 // TestClassStatsReflectBacklog: TierStats(class) counts backlogged flows per
 // class across shards and reports configured weights.
 func TestClassStatsReflectBacklog(t *testing.T) {
-	e, err := New(Config{
-		Shards: 4, NumFlows: 64, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := script{}
+	for f := range 12 {
+		s = s.do(cRehome, f, 2|f%4<<2).do(cEnqueue, f, segsArg(1))
 	}
-	for f := uint32(0); f < 12; f++ {
-		if err := e.SetFlowClass(f, int(f%4)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := e.TierStats(policy.TierClass)
-	if len(cs) != 4 {
-		t.Fatalf("TierStats(class) length %d, want 4", len(cs))
-	}
-	for c, st := range cs {
-		if st.Unit != c || st.ActiveFlows != 3 || st.Weight != c+1 {
-			t.Fatalf("class %d stat %+v, want 3 active flows, weight %d", c, st, c+1)
-		}
-	}
-	if err := e.SetTierWeight(policy.TierClass, 2, 9); err != nil {
-		t.Fatal(err)
-	}
-	if cs := e.TierStats(policy.TierClass); cs[2].Weight != 9 {
-		t.Fatalf("class 2 weight %d after SetTierWeight, want 9", cs[2].Weight)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 256,
+		Egress: policy.EgressConfig{Levels: []policy.LevelSpec{
+			{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
+		}}}, false, s.do(cWeight, 0, 128|3|1<<2|2<<3)) // class 2 to weight 4
 }
 
 // TestClassRehomingChurnRing re-homes backlogged flows across classes and
@@ -358,124 +232,38 @@ func TestClassRehomingChurnRing(t *testing.T) {
 // WRR 3:1 outside class strict priority outside flow RR — must compose:
 // with deep backlog everywhere, each 3+1 tenant cycle grants tenant 0
 // three packets and tenant 1 one, and within every tenant's grant the
-// lowest backlogged class is served first.
+// lowest backlogged class is served first. Flow f is in tenant f%2 and
+// class f/2%4, so both tenants hold flows of every class.
 func TestTenantClassFlowComposition(t *testing.T) {
-	e, err := New(Config{
-		Shards: 1, NumFlows: 32, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Kind: policy.EgressRR,
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 2, Weights: []int{3, 1}},
-				{Tier: policy.TierClass, Kind: policy.EgressPrio, Units: 4},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := script{}
+	for f := range 32 {
+		s = s.do(cRehome, f, 1|f%2<<2).do(cRehome, f, 2|f/2%4<<2)
 	}
-	if eg := e.Config().Egress; eg.Units(policy.TierTenant) != 2 || eg.Units(policy.TierClass) != 4 {
-		t.Fatalf("hierarchy %d tenants × %d classes, want 2 × 4", eg.Units(policy.TierTenant), eg.Units(policy.TierClass))
-	}
-	// Flow f: tenant f%2, class (f/2)%4 — both tenants hold flows of
-	// every class.
-	for f := uint32(0); f < 32; f++ {
-		if err := e.SetFlowTenant(f, int(f%2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetFlowClass(f, int(f/2)%4); err != nil {
-			t.Fatal(err)
+	for range 4 {
+		for f := range 32 {
+			s = s.do(cEnqueue, f, segsArg(1))
 		}
 	}
-	for i := 0; i < 4; i++ {
-		for f := uint32(0); f < 32; f++ {
-			if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	counts := [2]int{}
-	lastClass := [2]int{-1, -1}
-	for i := 0; i < 64; i++ { // sixteen full 3+1 tenant cycles
-		d, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("scheduler idle with backlog")
-		}
-		fi, err := e.Flow(d.Flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn, c := fi.Tenant, fi.Class
-		// Strict class priority holds within each tenant's own service
-		// sequence (the backlog drains class by class, so a tenant's
-		// served class never decreases).
-		if c < lastClass[tn] {
-			t.Fatalf("tenant %d served class %d after class %d (priority violated within tenant)", tn, c, lastClass[tn])
-		}
-		lastClass[tn] = c
-		counts[tn]++
-		e.ReleaseBuffer(d.Data)
-		if (i+1)%4 == 0 && counts[0] != 3*counts[1] {
-			t.Fatalf("after %d picks: tenant counts %v, want exact 3:1", i+1, counts)
-		}
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 32, NumSegments: 256,
+		Egress: policy.EgressConfig{Kind: policy.EgressRR, Levels: []policy.LevelSpec{
+			{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 2, Weights: []int{3, 1}},
+			{Tier: policy.TierClass, Kind: policy.EgressPrio, Units: 4},
+		}}}, false, s.rep(64, cNext, 0))
 }
 
 // TestTenantStatsReflectBacklog: TierStats(tenant) counts backlogged flows per
 // tenant across shards and reports configured weights, and re-homing a
 // backlogged flow moves its count.
 func TestTenantStatsReflectBacklog(t *testing.T) {
-	e, err := New(Config{
-		Shards: 4, NumFlows: 64, NumSegments: 4096,
-		Egress: policy.EgressConfig{
-			Levels: []policy.LevelSpec{
-				{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
-				{Tier: policy.TierClass, Kind: policy.EgressRR, Units: 2},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := script{}
+	for f := range 12 {
+		s = s.do(cRehome, f, 1|f%4<<2).do(cRehome, f, 2|f/4%2<<2).do(cEnqueue, f, segsArg(1))
 	}
-	for f := uint32(0); f < 12; f++ {
-		if err := e.SetFlowTenant(f, int(f%4)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetFlowClass(f, int(f)/4%2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.EnqueuePacket(f, make([]byte, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := e.TierStats(policy.TierTenant)
-	if len(ts) != 4 {
-		t.Fatalf("TierStats(tenant) length %d, want 4", len(ts))
-	}
-	for tn, st := range ts {
-		if st.Unit != tn || st.ActiveFlows != 3 || st.Weight != tn+1 {
-			t.Fatalf("tenant %d stat %+v, want 3 active flows, weight %d", tn, st, tn+1)
-		}
-	}
-	if err := e.SetTierWeight(policy.TierTenant, 2, 9); err != nil {
-		t.Fatal(err)
-	}
-	if ts := e.TierStats(policy.TierTenant); ts[2].Weight != 9 {
-		t.Fatalf("tenant 2 weight %d after SetTierWeight, want 9", ts[2].Weight)
-	}
-	// Re-home a backlogged flow: the counts must follow it.
-	if err := e.SetFlowTenant(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	ts = e.TierStats(policy.TierTenant)
-	if ts[0].ActiveFlows != 2 || ts[1].ActiveFlows != 4 {
-		t.Fatalf("after re-homing flow 0 to tenant 1: counts %d/%d, want 2/4", ts[0].ActiveFlows, ts[1].ActiveFlows)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 256,
+		Egress: policy.EgressConfig{Levels: []policy.LevelSpec{
+			{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 4, Weights: []int{1, 2, 3, 4}},
+			{Tier: policy.TierClass, Kind: policy.EgressRR, Units: 2},
+		}}}, false, s.do(cWeight, 0, 128|3|2<<3).do(cRehome, 0, 1|1<<2)) // tenant 2 to weight 4; flow 0 to tenant 1
 }
 
 // TestTenantRehomingChurnRing is the three-level variant of

@@ -7,16 +7,13 @@ package engine
 // -race (CI runs them so).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"npqm/internal/policy"
-	"npqm/internal/queue"
 )
 
 func newRingEngine(t *testing.T, cfg Config) *Engine {
@@ -31,58 +28,18 @@ func newRingEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// TestRingBlockingWrappers: the blocking calls on a started engine.
 func TestRingBlockingWrappers(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 256, NumSegments: 4096})
-	defer e.Close()
-
-	pkt := []byte("ring datapath says hello across three segments of payload, give or take a few words to cross 64B")
-	n, err := e.EnqueuePacket(7, pkt)
-	if err != nil {
-		t.Fatalf("EnqueuePacket: %v", err)
-	}
-	if want := (len(pkt) + queue.SegmentBytes - 1) / queue.SegmentBytes; n != want {
-		t.Fatalf("EnqueuePacket linked %d segments, want %d", n, want)
-	}
-	if l, err := e.Len(7); err != nil || l != n {
-		t.Fatalf("Len = (%d, %v), want (%d, nil)", l, err, n)
-	}
-	got, err := e.DequeuePacket(7)
-	if err != nil {
-		t.Fatalf("DequeuePacket: %v", err)
-	}
-	if !bytes.Equal(got, pkt) {
-		t.Fatalf("payload mismatch: got %q", got)
-	}
-	e.ReleaseBuffer(got)
-	if _, err := e.DequeuePacket(7); !errors.Is(err, queue.ErrQueueEmpty) {
-		t.Fatalf("DequeuePacket on empty flow: %v, want ErrQueueEmpty", err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 4096}, true,
+		script{}.do(cEnqueue, 7, bytesArg(97)).do(cRead, 7).do(cDequeue, 7, 0).do(cDequeue, 7, 0))
 }
 
+// TestRingPerFlowFIFO: a blocking dequeue executes what its shard's ring
+// holds before its own work, so it observes every packet posted before it,
+// in order.
 func TestRingPerFlowFIFO(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 4096})
-	defer e.Close()
-	// A blocking dequeue executes what its shard's ring holds before its own
-	// work, so it must observe every packet posted before it, in order.
-	for i := 0; i < 32; i++ {
-		pkt := []byte(fmt.Sprintf("flow5-packet-%02d", i))
-		if err := e.EnqueueAsync(5, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 32; i++ {
-		got, err := e.DequeuePacket(5)
-		if err != nil {
-			t.Fatalf("packet %d: %v", i, err)
-		}
-		if want := fmt.Sprintf("flow5-packet-%02d", i); string(got) != want {
-			t.Fatalf("packet %d = %q, want %q", i, got, want)
-		}
-		e.ReleaseBuffer(got)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 4096}, true,
+		script{}.rep(32, cPost, 5, bytesArg(16)).rep(32, cDequeue, 5, 0))
 }
 
 // TestPostedThenBlockingKeepsProgramOrder: a goroutine's blocking call must
@@ -134,117 +91,50 @@ func TestPostedThenBlockingKeepsProgramOrder(t *testing.T) {
 	}
 }
 
+// TestRingBatchPaths: the batch enqueue and dequeue on a started engine.
 func TestRingBatchPaths(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 8, NumFlows: 512, NumSegments: 8192})
-	defer e.Close()
-	const burst = 96
-	batch := make([]EnqueueReq, burst)
-	flows := make([]uint32, burst)
-	pkt := make([]byte, 200)
-	for i := range batch {
-		f := uint32(i * 5 % 512)
-		batch[i] = EnqueueReq{Flow: f, Data: pkt}
-		flows[i] = f
+	s, flows := script{}, []int{}
+	for i := range 96 {
+		flows = append(flows, i*5%255)
 	}
-	segs, errs := e.EnqueueBatch(batch)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("EnqueueBatch[%d]: %v", i, err)
+	for i := 0; i < 96; i += 8 {
+		s = s.do(cBatch, 7)
+		for _, f := range flows[i : i+8] {
+			s = append(s, byte(f), byte(bytesArg(200)))
 		}
 	}
-	if want := burst * ((len(pkt) + queue.SegmentBytes - 1) / queue.SegmentBytes); segs != want {
-		t.Fatalf("EnqueueBatch linked %d segments, want %d", segs, want)
-	}
-	pkts, errs := e.DequeueBatch(flows)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("DequeueBatch[%d]: %v", i, err)
+	for i := 0; i < 96; i += 8 {
+		s = s.do(cDequeueBatch, 7)
+		for _, f := range flows[i : i+8] {
+			s = append(s, byte(f))
 		}
-		if len(pkts[i]) != len(pkt) {
-			t.Fatalf("DequeueBatch[%d] returned %d bytes, want %d", i, len(pkts[i]), len(pkt))
-		}
-		e.ReleaseBuffer(pkts[i])
+		s = append(s, 0)
 	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 8, NumFlows: 255, NumSegments: 8192}, true, s)
 }
 
+// TestRingEgressAndMove: a cross-shard move (flow 0 to 1, of four shards)
+// and the egress pull on a started engine.
 func TestRingEgressAndMove(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 4, NumFlows: 128, NumSegments: 4096})
-	defer e.Close()
-	for f := uint32(0); f < 16; f++ {
-		if _, err := e.EnqueuePacket(f, []byte("egress")); err != nil {
-			t.Fatal(err)
-		}
+	s := script{}
+	for f := range 16 {
+		s = s.do(cEnqueue, f, bytesArg(6))
 	}
-	// Cross-shard move: pick two flows on different shards.
-	from, to := uint32(0), uint32(1)
-	for e.ShardOf(to) == e.ShardOf(from) {
-		to++
-	}
-	if _, err := e.MovePacket(from, to); err != nil {
-		t.Fatalf("MovePacket: %v", err)
-	}
-	if l, _ := e.Len(to); l != 2 {
-		t.Fatalf("destination holds %d segments after move, want 2", l)
-	}
-	served := 0
-	for {
-		out := e.DequeueNextBatch(8)
-		if len(out) == 0 {
-			break
-		}
-		for _, d := range out {
-			e.ReleaseBuffer(d.Data)
-			served++
-		}
-	}
-	if served != 16 {
-		t.Fatalf("egress served %d packets, want 16", served)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 4, NumFlows: 128, NumSegments: 4096}, true,
+		s.do(cMove, 0, 1).do(cRead, 1).rep(3, cNextBatch, 8<<1))
 }
 
+// TestRingLQDGlobalEviction: on a started engine, a hog fills the pool and
+// newcomers on other flows push it out instead of being refused.
 func TestRingLQDGlobalEviction(t *testing.T) {
-	e := newRingEngine(t, Config{
-		Shards: 4, NumFlows: 64, NumSegments: 64,
-		Admission: policy.Config{Kind: policy.KindLQD},
-	})
-	defer e.Close()
-	pkt := make([]byte, 4*queue.SegmentBytes)
-	// Fill the pool from one hog flow, then arrive on others: LQD must push
-	// the hog out rather than refuse the newcomers. (The fill is counted,
-	// not error-terminated: under LQD the hog itself is the longest queue,
-	// so an overfilling hog self-evicts instead of erroring.)
-	hog := uint32(3)
-	for i := 0; i < 64/4; i++ {
-		if _, err := e.EnqueuePacket(hog, pkt); err != nil {
-			t.Fatalf("hog fill %d: %v", i, err)
-		}
+	s := script{}.rep(16, cEnqueue, 3, segsArg(4))
+	for f := 10; f < 20; f++ {
+		s = s.do(cEnqueue, f, segsArg(4))
 	}
-	st := e.Stats()
-	if st.QueuedSegments < 56 {
-		t.Fatalf("hog only buffered %d segments", st.QueuedSegments)
-	}
-	accepted := 0
-	for f := uint32(10); f < 20; f++ {
-		if _, err := e.EnqueuePacket(f, pkt); err == nil {
-			accepted++
-		} else if !errors.Is(err, ErrAdmissionDrop) {
-			t.Fatalf("EnqueuePacket(%d): %v", f, err)
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("LQD admitted none of the newcomers")
-	}
-	if st := e.Stats(); st.PushedOutPackets == 0 {
-		t.Fatal("no push-outs recorded")
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 64,
+		Admission: policy.Config{Kind: policy.KindLQD}}, true, s)
+	if c := h.m.c; c.PushedOutPackets == 0 || c.DroppedPackets != 0 {
+		t.Fatalf("%d pushed out, %d dropped; want newcomers admitted by push-out", c.PushedOutPackets, c.DroppedPackets)
 	}
 }
 
@@ -443,33 +333,13 @@ func TestDrainFlushesAsyncBacklog(t *testing.T) {
 	}
 }
 
+// TestUnknownFlowSentinel: the control plane names a flow outside the flow
+// space with ErrUnknownFlow, before and after Start.
 func TestUnknownFlowSentinel(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 128, NumSegments: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetFlowLimit(128, 10); !errors.Is(err, ErrUnknownFlow) {
-		t.Fatalf("SetFlowLimit(out of range): %v, want ErrUnknownFlow", err)
-	}
-	if err := e.SetWeight(1<<20, 3); !errors.Is(err, ErrUnknownFlow) {
-		t.Fatalf("SetWeight(out of range): %v, want ErrUnknownFlow", err)
-	}
-	if err := e.SetFlowLimit(127, 10); err != nil {
-		t.Fatalf("SetFlowLimit(in range): %v", err)
-	}
-	if err := e.SetWeight(127, 3); err != nil {
-		t.Fatalf("SetWeight(in range): %v", err)
-	}
-	// The sentinel also holds on the ring datapath.
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.SetFlowLimit(129, 10); !errors.Is(err, ErrUnknownFlow) {
-		t.Fatalf("ring SetFlowLimit(out of range): %v, want ErrUnknownFlow", err)
-	}
-	if err := e.SetWeight(129, 2); !errors.Is(err, ErrUnknownFlow) {
-		t.Fatalf("ring SetWeight(out of range): %v, want ErrUnknownFlow", err)
+	s := script{}.do(cLimit, 128, 10).do(cWeight, 128, 2).do(cRehome, 128, 1).do(cRead, 128).
+		do(cLimit, 127, 10).do(cWeight, 127, 2)
+	for _, started := range []bool{false, true} {
+		runEngine(t, Config{Shards: 2, NumFlows: 128, NumSegments: 512}, started, s)
 	}
 }
 

@@ -27,84 +27,38 @@ func newPolicyEngine(t *testing.T, segments int, adm policy.Config, eg policy.Eg
 	return e
 }
 
+// TestTailDropAdmission: a flow at the tail-drop cap has its next packet
+// dropped; another flow still gets in.
 func TestTailDropAdmission(t *testing.T) {
-	e := newPolicyEngine(t, 64, policy.Config{Kind: policy.KindTailDrop, Limit: 4}, policy.EgressConfig{})
-	// Fill flow 1 to its cap.
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(1, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := e.EnqueuePacket(1, seg(1))
-	if !errors.Is(err, ErrAdmissionDrop) {
-		t.Fatalf("over-cap enqueue error = %v, want ErrAdmissionDrop", err)
-	}
-	// A different flow still gets in.
-	if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.DroppedPackets != 1 || st.DroppedSegments != 1 {
-		t.Fatalf("drops = (%d, %d), want (1, 1)", st.DroppedPackets, st.DroppedSegments)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 64,
+		Admission: policy.Config{Kind: policy.KindTailDrop, Limit: 4}}, false,
+		script{}.rep(5, cEnqueue, 1, segsArg(1)).do(cEnqueue, 2, segsArg(1)))
+	if c := h.m.c; c.DroppedPackets != 1 || c.DroppedSegments != 1 {
+		t.Fatalf("drops = (%d, %d), want (1, 1)", c.DroppedPackets, c.DroppedSegments)
 	}
 }
 
+// TestLQDPushOut: flow 1 hoards 12 of 16 segments in 3-segment packets and
+// flow 2 takes the other 4; an arrival on flow 3 pushes out flow 1's head
+// packet and is admitted.
 func TestLQDPushOut(t *testing.T) {
-	e := newPolicyEngine(t, 16, policy.Config{Kind: policy.KindLQD}, policy.EgressConfig{})
-	// Flow 1 hoards 12 segments in 3-segment packets; flow 2 takes 4.
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(1, seg(3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if free := e.FreeSegments(); free != 0 {
-		t.Fatalf("pool should be full, %d free", free)
-	}
-	// A new arrival on flow 3 pushes out flow 1's head packet.
-	if _, err := e.EnqueuePacket(3, seg(2)); err != nil {
-		t.Fatalf("LQD should have admitted via push-out, got %v", err)
-	}
-	st := e.Stats()
-	if st.PushedOutPackets != 1 || st.PushedOutSegments != 3 {
-		t.Fatalf("push-out = (%d, %d) packets/segments, want (1, 3)", st.PushedOutPackets, st.PushedOutSegments)
-	}
-	if n, _ := e.Len(1); n != 9 {
-		t.Fatalf("victim flow holds %d segments, want 9", n)
-	}
-	if n, _ := e.Len(3); n != 2 {
-		t.Fatalf("arriving flow holds %d segments, want 2", n)
-	}
-	if st.DroppedPackets != 0 {
-		t.Fatalf("LQD admitted arrival counted as dropped (%d)", st.DroppedPackets)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 16,
+		Admission: policy.Config{Kind: policy.KindLQD}}, false,
+		script{}.rep(4, cEnqueue, 1, segsArg(3)).rep(4, cEnqueue, 2, segsArg(1)).
+			do(cEnqueue, 3, segsArg(2)).do(cRead, 1).do(cRead, 3))
+	if c := h.m.c; c.PushedOutPackets != 1 || c.PushedOutSegments != 3 || c.DroppedPackets != 0 {
+		t.Fatalf("push-out (%d, %d), %d dropped; want (1, 3), 0", c.PushedOutPackets, c.PushedOutSegments, c.DroppedPackets)
 	}
 }
 
+// TestLQDOversizedArrivalDropped: an arrival the pool can never hold is
+// dropped, and nothing is evicted for it.
 func TestLQDOversizedArrivalDropped(t *testing.T) {
-	e := newPolicyEngine(t, 8, policy.Config{Kind: policy.KindLQD}, policy.EgressConfig{})
-	if _, err := e.EnqueuePacket(1, seg(4)); err != nil {
-		t.Fatal(err)
-	}
-	// 100 segments can never fit an 8-segment pool: dropped, nothing evicted.
-	_, err := e.EnqueuePacket(2, seg(100))
-	if !errors.Is(err, ErrAdmissionDrop) {
-		t.Fatalf("oversized arrival error = %v, want ErrAdmissionDrop", err)
-	}
-	if n, _ := e.Len(1); n != 4 {
-		t.Fatalf("resident flow disturbed: %d segments", n)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 8,
+		Admission: policy.Config{Kind: policy.KindLQD}}, false,
+		script{}.do(cEnqueue, 1, segsArg(4)).do(cEnqueue, 2, segsArg(35)).do(cRead, 1))
+	if c := h.m.c; c.DroppedPackets != 1 || c.PushedOutPackets != 0 {
+		t.Fatalf("%d dropped, %d pushed out; want 1, 0", c.DroppedPackets, c.PushedOutPackets)
 	}
 }
 
@@ -152,13 +106,12 @@ func TestREDEngineDropsUnderPressure(t *testing.T) {
 }
 
 // TestConservationLawAcrossPolicies holds both sides of the books under
-// every admission policy on a pool small enough to refuse. The departure
-// side: every enqueued segment was dequeued, pushed out or is resident. The
-// arrival side: every packet offered — through EnqueuePacket, EnqueueBatch,
-// ReservePacket+Commit/Abort, and EnqueueAsync before and after Start — met
-// exactly one fate, offered = enqueued + dropped + rejected + caller errors
-// (+ aborted reservations), and each returned error names the counter that
-// moved.
+// every admission policy on a pool small enough to refuse, while the shard
+// workers execute posted enqueues beside the test goroutine's dequeues and
+// deletes: the interleaving FuzzEngineCommands, which runs its rings without
+// workers, does not reach. Every post met exactly one fate — offered =
+// enqueued + dropped + rejected — and every enqueued segment was dequeued,
+// pushed out, or is resident.
 func TestConservationLawAcrossPolicies(t *testing.T) {
 	for _, cfg := range []policy.Config{
 		{},
@@ -179,102 +132,24 @@ func TestConservationLawAcrossPolicies(t *testing.T) {
 			if err := e.SetFlowLimit(capped, 2); err != nil { // ErrQueueLimit under every policy
 				t.Fatal(err)
 			}
-			// want is what the returned errors say the counters read;
-			// callerErrs and aborted are the fates no counter records.
-			var want struct{ enq, drop, rej uint64 }
-			var offered, callerErrs, aborted uint64
-			tally := func(err error) {
-				offered++
-				switch {
-				case err == nil:
-					want.enq++
-				case errors.Is(err, ErrAdmissionDrop):
-					want.drop++
-				case errors.Is(err, queue.ErrNoFreeSegments), errors.Is(err, queue.ErrQueueLimit):
-					want.rej++
-				case errors.Is(err, queue.ErrBadQueue), errors.Is(err, queue.ErrBadLength):
-					callerErrs++
-				default:
-					t.Fatalf("unexpected arrival error: %v", err)
-				}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
 			}
-			// settle compares the counters with the tallies. posted is how
-			// many EnqueueAsync calls went out since the last settle: nobody
-			// was told their fate, so they are held to the sum only and the
-			// tallies then adopt what the counters say.
-			settle := func(what string, posted uint64) {
-				t.Helper()
-				if err := e.Drain(); err != nil {
-					t.Fatal(err)
-				}
-				st := e.Stats()
-				offered += posted
-				if got, sum := st.EnqueuedPackets+st.DroppedPackets+st.Rejected, want.enq+want.drop+want.rej+posted; got != sum {
-					t.Fatalf("%s: %d fates counted for %d arrivals", what, got, sum)
-				}
-				if posted == 0 && (st.EnqueuedPackets != want.enq || st.DroppedPackets != want.drop || st.Rejected != want.rej) {
-					t.Fatalf("%s: counters enq %d drop %d rej %d, returned errors say %d %d %d",
-						what, st.EnqueuedPackets, st.DroppedPackets, st.Rejected, want.enq, want.drop, want.rej)
-				}
-				want.enq, want.drop, want.rej = st.EnqueuedPackets, st.DroppedPackets, st.Rejected
-			}
-			// Overdrive the pool, interleaving dequeues and deletes.
-			for i := 0; i < 3000; i++ {
-				if i == 1500 {
-					if err := e.Start(); err != nil {
-						t.Fatal(err)
-					}
-				}
+			var offered uint64
+			for i := 0; i < 1500; i++ {
 				f := uint32(i*7) % flows
-				data := seg(1 + i%3)
-				switch i % 8 {
-				default:
-					_, err := e.EnqueuePacket(f, data)
-					tally(err)
-					settle("EnqueuePacket", 0)
-				case 1:
-					// A burst with one of each way to go wrong in it: the
-					// capped flow, a packet the pool can never hold, an
-					// empty one, a flow outside the flow space.
-					batch := []EnqueueReq{
-						{f, data}, {capped, seg(2)}, {f + 1, seg(pool + 1)},
-						{f, nil}, {flows, data}, {(f + 64) % flows, data},
-					}
-					_, errs := e.EnqueueBatch(batch)
-					for j := range batch {
-						var err error
-						if errs != nil {
-							err = errs[j]
-						}
-						tally(err)
-					}
-					settle("EnqueueBatch", 0)
-				case 2, 5:
-					// Before Start these run on the spot, after it they are
-					// posted; three in a row, two of them to one shard.
-					for _, pf := range []uint32{f, f, (f + 1) % flows} {
-						if err := e.EnqueueAsync(pf, data); err != nil {
-							t.Fatal(err)
-						}
-					}
-					settle("EnqueueAsync", 3)
-				case 3:
-					r, err := e.ReservePacket(f, len(data))
-					if err != nil {
-						tally(err)
-						settle("ReservePacket", 0)
-						break
-					}
-					settle("ReservePacket (open)", 0) // charged to admission, not yet to the books
-					if i%16 == 3 {
-						tally(r.Commit())
-					} else if err := r.Abort(); err != nil {
+				// Two posts to one shard, one to the next flow, one to the
+				// capped flow, and now and then a packet the pool can never
+				// hold.
+				posts := []EnqueueReq{{f, seg(1 + i%3)}, {f, seg(1 + i%3)}, {(f + 1) % flows, seg(1)}, {capped, seg(2)}}
+				if i%64 == 0 {
+					posts = append(posts, EnqueueReq{f, seg(pool + 1)})
+				}
+				for _, p := range posts {
+					if err := e.EnqueueAsync(p.Flow, p.Data); err != nil {
 						t.Fatal(err)
-					} else {
-						offered++
-						aborted++
 					}
-					settle("Commit/Abort", 0)
+					offered++
 				}
 				if i%3 == 0 {
 					if _, err := e.DequeuePacket(uint32(i * 13 % flows)); err != nil &&
@@ -289,15 +164,18 @@ func TestConservationLawAcrossPolicies(t *testing.T) {
 					}
 				}
 			}
-			st := e.Stats()
-			if got := st.EnqueuedPackets + st.DroppedPackets + st.Rejected + callerErrs + aborted; got != offered {
-				t.Fatalf("arrivals: offered %d != enq %d + dropped %d + rejected %d + caller errors %d + aborted %d",
-					offered, st.EnqueuedPackets, st.DroppedPackets, st.Rejected, callerErrs, aborted)
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
 			}
-			if st.Rejected == 0 || callerErrs == 0 || aborted == 0 || st.EnqueuedPackets == 0 ||
+			st := e.Stats()
+			if got := st.EnqueuedPackets + st.DroppedPackets + st.Rejected; got != offered {
+				t.Fatalf("arrivals: offered %d != enq %d + dropped %d + rejected %d",
+					offered, st.EnqueuedPackets, st.DroppedPackets, st.Rejected)
+			}
+			if st.Rejected == 0 || st.EnqueuedPackets == 0 ||
 				(cfg.Kind != policy.KindNone && st.DroppedPackets == 0) ||
 				(cfg.Kind == policy.KindLQD && st.PushedOutPackets == 0) {
-				t.Fatalf("the script missed a fate: %+v, caller errors %d, aborted %d", st, callerErrs, aborted)
+				t.Fatalf("the script missed a fate: %+v", st)
 			}
 			if st.EnqueuedSegments != st.DequeuedSegments+st.PushedOutSegments+uint64(st.QueuedSegments) {
 				t.Fatalf("conservation: enq %d != deq %d + pushed %d + resident %d",
@@ -310,159 +188,56 @@ func TestConservationLawAcrossPolicies(t *testing.T) {
 	}
 }
 
+// TestEgressPriority: strict priority serves the lowest flow ID first.
 func TestEgressPriority(t *testing.T) {
-	e := newPolicyEngine(t, 64, policy.Config{}, policy.EgressConfig{Kind: policy.EgressPrio})
-	for _, f := range []uint32{5, 2, 7, 2, 0, 5} {
-		if _, err := e.EnqueuePacket(f, seg(1)); err != nil {
-			t.Fatal(err)
-		}
+	s := script{}
+	for _, f := range []int{5, 2, 7, 2, 0, 5} {
+		s = s.do(cEnqueue, f, segsArg(1))
 	}
-	var got []uint32
-	for {
-		p, ok := e.DequeueNext()
-		if !ok {
-			break
-		}
-		got = append(got, p.Flow)
-		e.ReleaseBuffer(p.Data)
-	}
-	want := []uint32{0, 2, 2, 5, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("served %d packets, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("priority order %v, want %v", got, want)
-		}
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 64,
+		Egress: policy.EgressConfig{Kind: policy.EgressPrio}}, false, s.rep(7, cNext, 0))
 }
 
+// TestEgressRoundRobin: four backlogged flows are served in turn.
 func TestEgressRoundRobin(t *testing.T) {
-	e := newPolicyEngine(t, 64, policy.Config{}, policy.EgressConfig{Kind: policy.EgressRR})
-	for f := uint32(0); f < 4; f++ {
-		for i := 0; i < 3; i++ {
-			if _, err := e.EnqueuePacket(f, seg(1)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	s := script{}
+	for f := range 4 {
+		s = s.rep(3, cEnqueue, f, segsArg(1))
 	}
-	// Twelve packets over four flows: every window of four consecutive
-	// picks must serve four distinct flows while all stay backlogged.
-	batch := e.DequeueNextBatch(8)
-	if len(batch) != 8 {
-		t.Fatalf("got %d packets, want 8", len(batch))
-	}
-	for w := 0; w+4 <= 8; w += 4 {
-		seen := map[uint32]bool{}
-		for _, p := range batch[w : w+4] {
-			seen[p.Flow] = true
-		}
-		if len(seen) != 4 {
-			t.Fatalf("window %d served flows %v, want all 4 distinct", w, batch[w:w+4])
-		}
-	}
-	for _, p := range batch {
-		e.ReleaseBuffer(p.Data)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 64,
+		Egress: policy.EgressConfig{Kind: policy.EgressRR}}, false, s.do(cNextBatch, 8<<1))
 }
 
+// TestEgressWRRRatios: weight 3 against weight 1 takes three packets a
+// round to the other's one.
 func TestEgressWRRRatios(t *testing.T) {
-	e := newPolicyEngine(t, 4096, policy.Config{},
-		policy.EgressConfig{Kind: policy.EgressWRR, DefaultWeight: 1})
-	if err := e.SetWeight(1, 3); err != nil {
-		t.Fatal(err)
+	s := script{}.do(cWeight, 1, 2) // weight 3
+	for f := 1; f <= 2; f++ {
+		s = s.rep(60, cEnqueue, f, segsArg(1))
 	}
-	for f := uint32(1); f <= 2; f++ {
-		for i := 0; i < 400; i++ {
-			if _, err := e.EnqueuePacket(f, seg(1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	counts := map[uint32]int{}
-	for i := 0; i < 200; i++ {
-		p, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("scheduler went idle with backlog")
-		}
-		counts[p.Flow]++
-		e.ReleaseBuffer(p.Data)
-	}
-	// Weight 3:1 over 200 picks → 150/50.
-	if counts[1] != 150 || counts[2] != 50 {
-		t.Fatalf("WRR split %v, want flow1=150 flow2=50", counts)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 256,
+		Egress: policy.EgressConfig{Kind: policy.EgressWRR, DefaultWeight: 1}}, false, s.rep(40, cNext, 0))
 }
 
+// TestEgressDRRByteFairness: 4-segment packets on flow 1 against 1-segment
+// ones on flow 2 share the port by bytes, not packets.
 func TestEgressDRRByteFairness(t *testing.T) {
-	e := newPolicyEngine(t, 8192, policy.Config{},
-		policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 512})
-	// Flow 1 sends 4-segment (256 B) packets, flow 2 sends 1-segment (64 B):
-	// byte-fair service means ~4x as many flow-2 packets.
-	for i := 0; i < 300; i++ {
-		if _, err := e.EnqueuePacket(1, seg(4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 1200; i++ {
-		if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bytes := map[uint32]int{}
-	for i := 0; i < 500; i++ {
-		p, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("scheduler went idle with backlog")
-		}
-		bytes[p.Flow] += len(p.Data)
-		e.ReleaseBuffer(p.Data)
-	}
-	ratio := float64(bytes[1]) / float64(bytes[2])
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("DRR byte split %v (ratio %.2f), want ~1.0", bytes, ratio)
-	}
+	s := script{}.rep(30, cEnqueue, 1, segsArg(4)).rep(120, cEnqueue, 2, segsArg(1))
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 1024,
+		Egress: policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 512}}, false, s.rep(60, cNext, 0))
 }
 
+// TestEgressWorkConservingAcrossShards: under every discipline the pull
+// batches drain every shard; a batch comes back empty only when the engine
+// is.
 func TestEgressWorkConservingAcrossShards(t *testing.T) {
 	for _, kind := range []policy.EgressKind{policy.EgressRR, policy.EgressPrio, policy.EgressWRR, policy.EgressDRR} {
-		e, err := New(Config{
-			Shards: 8, NumFlows: 512, NumSegments: 4096,
-			Egress: policy.EgressConfig{Kind: kind},
-		})
-		if err != nil {
-			t.Fatal(err)
+		s := script{}
+		for f := 0; f < 255; f += 3 {
+			s = s.do(cEnqueue, f, segsArg(1))
 		}
-		total := 0
-		for f := uint32(0); f < 512; f += 3 {
-			if _, err := e.EnqueuePacket(f, seg(1)); err != nil {
-				t.Fatal(err)
-			}
-			total++
-		}
-		served := 0
-		for {
-			batch := e.DequeueNextBatch(17)
-			if len(batch) == 0 {
-				break
-			}
-			for _, p := range batch {
-				served++
-				e.ReleaseBuffer(p.Data)
-			}
-		}
-		if served != total {
-			t.Fatalf("%v: served %d of %d packets", kind, served, total)
-		}
-		if st := e.Stats(); st.ActiveFlows != 0 {
-			t.Fatalf("%v: %d flows still active after drain", kind, st.ActiveFlows)
-		}
-		if err := e.CheckInvariants(); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+		runEngine(t, Config{Shards: 8, NumFlows: 255, NumSegments: 1024,
+			Egress: policy.EgressConfig{Kind: kind}}, false, s.rep(12, cNextBatch, 8<<1))
 	}
 }
 
@@ -579,220 +354,66 @@ func TestConcurrentPolicyReconfiguration(t *testing.T) {
 	}
 }
 
+// TestLQDDoesNotEvictForCappedArrival: with LQD and a per-flow cap, an
+// arrival the cap refuses anyway must not push out another flow's packet
+// first.
 func TestLQDDoesNotEvictForCappedArrival(t *testing.T) {
-	// LQD plus a per-flow cap: an arrival the cap will refuse anyway must
-	// not push out another flow's packet first.
-	e, err := New(Config{
-		Shards: 1, NumFlows: 64, NumSegments: 8,
-		Admission: policy.Config{Kind: policy.KindLQD},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetFlowLimit(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := e.EnqueuePacket(1, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := e.EnqueuePacket(2, seg(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if free := e.FreeSegments(); free != 0 {
-		t.Fatalf("pool should be full, %d free", free)
-	}
-	// Flow 1 is at its cap: the arrival must be refused by the limit
-	// without evicting anything from flow 2.
-	if _, err := e.EnqueuePacket(1, seg(1)); !errors.Is(err, queue.ErrQueueLimit) {
-		t.Fatalf("capped arrival err = %v, want ErrQueueLimit", err)
-	}
-	st := e.Stats()
-	if st.PushedOutPackets != 0 {
-		t.Fatalf("%d packets evicted for an arrival the cap refused", st.PushedOutPackets)
-	}
-	if n, _ := e.Len(2); n != 6 {
-		t.Fatalf("innocent flow disturbed: %d segments, want 6", n)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 8,
+		Admission: policy.Config{Kind: policy.KindLQD}}, false,
+		script{}.do(cLimit, 1, 2).rep(2, cEnqueue, 1, segsArg(1)).rep(3, cEnqueue, 2, segsArg(2)).
+			do(cEnqueue, 1, segsArg(1)).do(cRead, 2))
+	if c := h.m.c; c.Rejected != 1 || c.PushedOutPackets != 0 {
+		t.Fatalf("%d rejected, %d pushed out; want 1, 0", c.Rejected, c.PushedOutPackets)
 	}
 }
 
+// TestMovePacketHonorsAdmission: a same-shard move into a queue at the
+// tail-drop cap is refused, the packet stays on its source, and nothing is
+// counted as dropped.
 func TestMovePacketHonorsAdmission(t *testing.T) {
-	// Same-shard move: the tail-drop per-queue cap applies to the
-	// destination even though pool occupancy is unchanged.
-	e := newPolicyEngine(t, 64, policy.Config{Kind: policy.KindTailDrop, Limit: 4}, policy.EgressConfig{})
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.EnqueuePacket(1, seg(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.MovePacket(1, 2); !errors.Is(err, ErrAdmissionDrop) {
-		t.Fatalf("move into capped queue err = %v, want ErrAdmissionDrop", err)
-	}
-	if n, _ := e.Len(1); n != 2 {
-		t.Fatalf("refused move disturbed the source: %d segments", n)
-	}
-	st := e.Stats()
-	if st.DroppedPackets != 0 {
-		t.Fatalf("refused move counted as a drop (%d): the packet was not lost", st.DroppedPackets)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 64,
+		Admission: policy.Config{Kind: policy.KindTailDrop, Limit: 4}}, false,
+		script{}.rep(4, cEnqueue, 2, segsArg(1)).do(cEnqueue, 1, segsArg(2)).do(cMove, 1, 2).do(cRead, 1))
+	if c := h.m.c; c.DroppedPackets != 0 {
+		t.Fatalf("the refused move was counted as %d drops: the packet was not lost", c.DroppedPackets)
 	}
 }
 
+// TestCrossShardMoveIntoFullPool: a cross-shard move allocates nothing —
+// the packet's segments are resident in the shared pool — so it succeeds
+// with the pool full and evicts nothing. Flows 0 and 1 live on different
+// shards of two.
 func TestCrossShardMoveIntoFullPool(t *testing.T) {
-	// A cross-shard move allocates nothing — the packet's segments are
-	// already resident in the shared pool — so it must succeed even when
-	// the pool is completely full, and must not evict anything.
-	e, err := New(Config{
-		Shards: 2, NumFlows: 64, NumSegments: 16,
-		Admission: policy.Config{Kind: policy.KindLQD},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find two flows on different shards.
-	src, dst := uint32(0), uint32(0)
-	for f := uint32(1); f < 64; f++ {
-		if e.ShardOf(f) != e.ShardOf(0) {
-			src, dst = 0, f
-			break
-		}
-	}
-	if _, err := e.EnqueuePacket(src, seg(2)); err != nil {
-		t.Fatal(err)
-	}
-	// Fill the rest of the pool via dst.
-	for e.FreeSegments() > 0 {
-		if _, err := e.EnqueuePacket(dst, seg(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := e.MovePacket(src, dst)
-	if err != nil || n != 2 {
-		t.Fatalf("cross-shard move with full pool = (%d, %v), want (2, nil)", n, err)
-	}
-	st := e.Stats()
-	if st.PushedOutPackets != 0 {
-		t.Fatalf("move evicted %d packets; it allocates nothing and must not push out", st.PushedOutPackets)
-	}
-	if l, _ := e.Len(dst); l != 16 {
-		t.Fatalf("destination holds %d segments, want 16", l)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 2, NumFlows: 64, NumSegments: 16,
+		Admission: policy.Config{Kind: policy.KindLQD}}, false,
+		script{}.do(cEnqueue, 0, segsArg(2)).rep(7, cEnqueue, 1, segsArg(2)).do(cMove, 0, 1).do(cRead, 1))
+	if c := h.m.c; c.PushedOutPackets != 0 {
+		t.Fatalf("the move evicted %d packets", c.PushedOutPackets)
 	}
 }
 
+// TestLQDEvictsAcrossShards: global LQD. The hog fills the shared pool from
+// its shard (flow 0, shard 0 of four); an arrival on another shard (flow
+// 1) pushes the hog out instead of being refused.
 func TestLQDEvictsAcrossShards(t *testing.T) {
-	// Global LQD: the hog and the arrival live on different shards; the
-	// arrival's shard must evict the globally longest queue on the other
-	// shard — impossible under the old per-shard pool split, where the
-	// arrival's shard could only see (and evict from) its own fragment.
-	e, err := New(Config{
-		Shards: 4, NumFlows: 256, NumSegments: 64,
-		Admission: policy.Config{Kind: policy.KindLQD},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hog := uint32(0)
-	victim := uint32(0)
-	for f := uint32(1); f < 256; f++ {
-		if e.ShardOf(f) != e.ShardOf(hog) {
-			victim = f
-			break
-		}
-	}
-	// The hog fills the whole shared pool from its shard.
-	for i := 0; i < 16; i++ {
-		if _, err := e.EnqueuePacket(hog, seg(4)); err != nil {
-			t.Fatalf("hog enqueue %d: %v", i, err)
-		}
-	}
-	if free := e.FreeSegments(); free != 0 {
-		t.Fatalf("pool should be full, %d free", free)
-	}
-	// An arrival on another shard pushes the hog out.
-	if _, err := e.EnqueuePacket(victim, seg(2)); err != nil {
-		t.Fatalf("LQD should have admitted via cross-shard push-out, got %v", err)
-	}
-	st := e.Stats()
-	if st.PushedOutPackets == 0 {
-		t.Fatal("no push-out recorded")
-	}
-	if n, _ := e.Len(hog); n != 60 {
-		t.Fatalf("hog holds %d segments, want 60 (one 4-segment packet evicted)", n)
-	}
-	if n, _ := e.Len(victim); n != 2 {
-		t.Fatalf("arrival holds %d segments, want 2", n)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 64,
+		Admission: policy.Config{Kind: policy.KindLQD}}, false,
+		script{}.rep(16, cEnqueue, 0, segsArg(4)).do(cEnqueue, 1, segsArg(2)).do(cRead, 0).do(cRead, 1))
+	if c := h.m.c; c.PushedOutPackets != 1 || c.DroppedPackets != 0 {
+		t.Fatalf("%d pushed out, %d dropped; want 1, 0", c.PushedOutPackets, c.DroppedPackets)
 	}
 }
 
+// TestDRRDeficitForfeitedOnDirectDrain: flow 1 banks deficit across visits
+// behind a large packet, then drains through DequeuePacket; refilled, it
+// must not burst ahead on the stale credit.
 func TestDRRDeficitForfeitedOnDirectDrain(t *testing.T) {
-	e := newPolicyEngine(t, 4096, policy.Config{},
-		policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 64})
-	// Flow 1 holds one large packet the 64-byte quantum cannot cover in
-	// one visit; flow 2 keeps the scheduler rotating so flow 1 banks
-	// deficit across visits.
-	if _, err := e.EnqueuePacket(1, seg(8)); err != nil { // 512 bytes
-		t.Fatal(err)
+	s := script{}.do(cEnqueue, 1, segsArg(8)).rep(4, cEnqueue, 2, segsArg(1)).rep(4, cNext, 0).do(cDequeue, 1, 0)
+	for range 8 {
+		s = s.do(cEnqueue, 1, segsArg(1)).do(cEnqueue, 2, segsArg(1))
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		p, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("idle with backlog")
-		}
-		if p.Flow != 2 {
-			t.Fatalf("flow 1 served with insufficient deficit (pick %d)", i)
-		}
-		e.ReleaseBuffer(p.Data)
-	}
-	// Drain flow 1 through the direct path: its banked deficit must go.
-	if data, err := e.DequeuePacket(1); err != nil {
-		t.Fatal(err)
-	} else {
-		e.ReleaseBuffer(data)
-	}
-	// Refill both flows with equal small packets: flow 1 must not burst
-	// ahead on stale credit — successive picks alternate.
-	for i := 0; i < 8; i++ {
-		if _, err := e.EnqueuePacket(1, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.EnqueuePacket(2, seg(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := map[uint32]int{}
-	for i := 0; i < 8; i++ {
-		p, ok := e.DequeueNext()
-		if !ok {
-			t.Fatal("idle with backlog")
-		}
-		counts[p.Flow]++
-		e.ReleaseBuffer(p.Data)
-	}
-	if counts[1] != 4 || counts[2] != 4 {
-		t.Fatalf("post-drain DRR split %v, want 4/4 (stale deficit detected)", counts)
-	}
+	runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 256,
+		Egress: policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 64}}, false, s.rep(8, cNext, 0))
 }
 
 func TestSetWeightValidation(t *testing.T) {
@@ -853,30 +474,16 @@ func TestSetWeightValidation(t *testing.T) {
 	}
 }
 
+// TestBatchEnqueueWithAdmission: a batch of six one-segment packets on a
+// flow capped at two links two and drops four.
 func TestBatchEnqueueWithAdmission(t *testing.T) {
-	e := newPolicyEngine(t, 16, policy.Config{Kind: policy.KindTailDrop, Limit: 2}, policy.EgressConfig{})
-	batch := make([]EnqueueReq, 6)
-	for i := range batch {
-		batch[i] = EnqueueReq{Flow: 1, Data: seg(1)}
+	s := script{}.do(cBatch, 5)
+	for range 6 {
+		s = append(s, 1, byte(segsArg(1)))
 	}
-	n, errs := e.EnqueueBatch(batch)
-	if n != 2 {
-		t.Fatalf("batch linked %d segments, want 2 (cap)", n)
-	}
-	drops := 0
-	for _, err := range errs {
-		if errors.Is(err, ErrAdmissionDrop) {
-			drops++
-		}
-	}
-	if drops != 4 {
-		t.Fatalf("%d batch entries dropped, want 4", drops)
-	}
-	st := e.Stats()
-	if st.DroppedPackets != 4 {
-		t.Fatalf("stats drops = %d, want 4", st.DroppedPackets)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 16,
+		Admission: policy.Config{Kind: policy.KindTailDrop, Limit: 2}}, false, s)
+	if c := h.m.c; c.DroppedPackets != 4 {
+		t.Fatalf("%d dropped, want 4", c.DroppedPackets)
 	}
 }

@@ -115,73 +115,30 @@ func TestServeDeliversBacklogAndLiveTraffic(t *testing.T) {
 	}
 }
 
+// TestMultiPortPartition: four served ports each transmit exactly their own
+// flows' packets, on either datapath.
 func TestMultiPortPartition(t *testing.T) {
+	const ports, flows = 4, 64
+	s := script{}
+	for f := range flows {
+		s = s.do(cRehome, f, f%ports<<2)
+	}
+	for p := range ports {
+		s = s.do(cServe, p)
+	}
+	for range 8 {
+		for f := range flows {
+			s = s.do(cEnqueue, f, segsArg(1))
+		}
+	}
+	s = s.do(cServe, 0)
 	for _, datapath := range []string{"sync", "ring"} {
 		t.Run(datapath, func(t *testing.T) {
-			const ports = 4
-			const flows = 64
-			e, err := New(Config{Shards: 4, NumFlows: flows, NumSegments: 4096, NumPorts: ports})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for f := uint32(0); f < flows; f++ {
-				if err := e.SetFlowPort(f, int(f)%ports); err != nil {
-					t.Fatal(err)
+			h := runEngine(t, Config{Shards: 4, NumFlows: flows, NumSegments: 4096, NumPorts: ports}, datapath == "ring", s)
+			for p, n := range h.transmitted {
+				if n != flows/ports*8 {
+					t.Errorf("port %d transmitted %d packets, want %d", p, n, flows/ports*8)
 				}
-			}
-			if datapath == "ring" {
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sinks := make([]*countingSink, ports)
-			for p := 0; p < ports; p++ {
-				sinks[p] = newCountingSink(e)
-				if err := e.ServeViews(p, sinks[p]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pkt := make([]byte, queue.SegmentBytes)
-			const per = 8
-			for i := 0; i < per; i++ {
-				for f := uint32(0); f < flows; f++ {
-					if _, err := e.EnqueuePacket(f, pkt); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			total := func() int {
-				n := 0
-				for _, s := range sinks {
-					n += s.count()
-				}
-				return n
-			}
-			waitUntil(t, 10*time.Second, "all ports drained", func() bool { return total() == flows*per })
-			// Strict partition: a port transmitted only its own flows.
-			for p, s := range sinks {
-				s.mu.Lock()
-				for f, n := range s.by {
-					if int(f)%ports != p {
-						t.Errorf("port %d transmitted flow %d (%d packets) belonging to port %d", p, f, n, int(f)%ports)
-					}
-				}
-				if s.n != flows/ports*per {
-					t.Errorf("port %d transmitted %d packets, want %d", p, s.n, flows/ports*per)
-				}
-				s.mu.Unlock()
-			}
-			pst := e.PortStats()
-			for p := 0; p < ports; p++ {
-				if pst[p].TransmittedPackets != uint64(flows/ports*per) {
-					t.Errorf("PortStats[%d].TransmittedPackets = %d, want %d", p, pst[p].TransmittedPackets, flows/ports*per)
-				}
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -508,44 +465,14 @@ func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
 	}
 }
 
+// TestSetFlowPortMovesBacklog: a backlogged flow re-homed onto a served port
+// is transmitted there; nothing moves while it sits on an unserved one.
 func TestSetFlowPortMovesBacklog(t *testing.T) {
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, NumPorts: 2})
-	pkt := make([]byte, queue.SegmentBytes)
-	for i := 0; i < 4; i++ {
-		if _, err := e.EnqueuePacket(5, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fi, err := e.Flow(5); err != nil || fi.Port != 0 {
-		t.Fatalf("Flow(5).Port = (%d, %v), want (0, nil)", fi.Port, err)
-	}
-	// Only port 1 is served: nothing moves while the flow sits on port 0.
-	sink := newCountingSink(e.Engine)
-	if err := e.ServeViews(1, sink); err != nil {
-		t.Fatal(err)
-	}
-	e.tick(30)
-	if n := sink.count(); n != 0 {
-		t.Fatalf("port 1 transmitted %d packets of a port-0 flow", n)
-	}
-	if err := e.SetFlowPort(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if e.settle(); sink.count() != 4 {
-		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", sink.count())
-	}
-	if fi, _ := e.Flow(5); fi.Port != 1 {
-		t.Fatalf("Flow(5).Port = %d after move, want 1", fi.Port)
-	}
-	pst := e.PortStats()
-	if pst[0].ActiveFlows != 0 {
-		t.Fatalf("port 0 still reports %d active flows", pst[0].ActiveFlows)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, NumPorts: 2}, false,
+		script{}.rep(4, cEnqueue, 5, segsArg(1)).do(cRead, 5).do(cServe, 1).do(cRead, 5).
+			do(cRehome, 5, 1<<2).do(cServe, 1).do(cRead, 5))
+	if h.transmitted[1] != 4 {
+		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", h.transmitted[1])
 	}
 }
 
@@ -610,37 +537,14 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 	}
 }
 
+// TestPullAPIDrainsAllPorts: the pull path serves every port's flows,
+// rotating.
 func TestPullAPIDrainsAllPorts(t *testing.T) {
-	// The legacy pull path serves every port's flows, rotating.
-	e, err := New(Config{Shards: 2, NumFlows: 32, NumSegments: 512, NumPorts: 3})
-	if err != nil {
-		t.Fatal(err)
+	s := script{}
+	for f := range 32 {
+		s = s.do(cRehome, f, f%3<<2).do(cEnqueue, f, segsArg(1))
 	}
-	for f := uint32(0); f < 32; f++ {
-		if err := e.SetFlowPort(f, int(f)%3); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.EnqueuePacket(f, make([]byte, queue.SegmentBytes)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	served := 0
-	for {
-		batch := e.DequeueNextBatch(7)
-		if len(batch) == 0 {
-			break
-		}
-		for _, d := range batch {
-			served++
-			e.ReleaseBuffer(d.Data)
-		}
-	}
-	if served != 32 {
-		t.Fatalf("pull path served %d of 32 packets across 3 ports", served)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, Config{Shards: 2, NumFlows: 32, NumSegments: 512, NumPorts: 3}, false, s.rep(5, cNextBatch, 7<<1))
 }
 
 // TestPortsConcurrentChurn runs producers, four served ports, runtime

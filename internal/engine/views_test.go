@@ -30,239 +30,58 @@ func checkNoLeaks(t *testing.T, e *Engine, pool int) {
 	}
 }
 
+// TestDequeuePacketViewBothDatapaths: a view dequeue on either datapath:
+// the dequeue is on the books at once, the segments stay lent until the
+// release, and a closed engine refuses.
 func TestDequeuePacketViewBothDatapaths(t *testing.T) {
 	for _, ring := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ring=%v", ring), func(t *testing.T) {
-			const pool = 1024
-			e := newTest(t, 4, 256, pool)
-			if ring {
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pkt := bytes.Repeat([]byte{0xa5}, 200)
-			if _, err := e.EnqueuePacket(7, pkt); err != nil {
+			h := runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 1024}, ring,
+				script{}.do(cEnqueue, 7, bytesArg(200)).do(cDequeue, 7, 1).do(cRead, 7).do(cRelease, 0).do(cDequeue, 7, 1))
+			if err := h.e.Close(); err != nil {
 				t.Fatal(err)
 			}
-			v, err := e.DequeuePacketView(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := v.AppendTo(nil); !bytes.Equal(got, pkt) {
-				t.Fatalf("payload mismatch: %d bytes", len(got))
-			}
-			if got := e.LentSegments(); got != v.Segments() {
-				t.Fatalf("LentSegments = %d with view out, want %d", got, v.Segments())
-			}
-			// The dequeue is on the books before the release.
-			if st := e.Stats(); st.DequeuedPackets != 1 {
-				t.Fatalf("DequeuedPackets = %d, want 1", st.DequeuedPackets)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("invariants with view outstanding: %v", err)
-			}
-			v.Release()
-			if _, err := e.DequeuePacketView(7); !errors.Is(err, queue.ErrQueueEmpty) {
-				t.Fatalf("empty queue: %v", err)
-			}
-			checkNoLeaks(t, e, pool)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.DequeuePacketView(7); !errors.Is(err, ErrClosed) {
+			if _, err := h.e.DequeuePacketView(7); !errors.Is(err, ErrClosed) {
 				t.Fatalf("after close: %v", err)
 			}
 		})
 	}
 }
 
+// TestReserveCommitBothDatapaths: a reservation lends its run until Commit
+// links it (counted then, copying nothing) or Abort returns it (counted
+// never). TestContractCloseWithOpenReservation has one open across Close.
 func TestReserveCommitBothDatapaths(t *testing.T) {
 	for _, ring := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ring=%v", ring), func(t *testing.T) {
-			const pool = 1024
-			e := newTest(t, 4, 256, pool)
-			if ring {
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			payload := make([]byte, 3*queue.SegmentBytes+9)
-			for i := range payload {
-				payload[i] = byte(i * 11)
-			}
-			r, err := e.ReservePacket(5, len(payload))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r.Valid() || r.Flow() != 5 || r.Len() != len(payload) || r.Segments() != 4 {
-				t.Fatalf("reservation shape: valid=%v flow=%d len=%d segs=%d",
-					r.Valid(), r.Flow(), r.Len(), r.Segments())
-			}
-			if got := e.LentSegments(); got != 4 {
-				t.Fatalf("LentSegments = %d mid-reserve, want 4", got)
-			}
-			// Nothing is enqueued until Commit.
-			if st := e.Stats(); st.EnqueuedPackets != 0 {
-				t.Fatalf("EnqueuedPackets = %d before commit, want 0", st.EnqueuedPackets)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("invariants mid-reserve: %v", err)
-			}
-			off := 0
-			r.Range(func(seg []byte) bool {
-				off += copy(seg, payload[off:])
-				return true
-			})
-			if err := r.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Commit(); !errors.Is(err, queue.ErrWriterDone) {
-				t.Fatalf("second commit: %v", err)
-			}
-			st := e.Stats()
-			if st.EnqueuedPackets != 1 || st.EnqueuedSegments != 4 {
-				t.Fatalf("after commit: %d packets / %d segments enqueued", st.EnqueuedPackets, st.EnqueuedSegments)
-			}
-			if st.CopiedBytes != 0 {
-				t.Fatalf("CopiedBytes = %d on the reserve path, want 0", st.CopiedBytes)
-			}
-			// The committed packet serves through the view path: still no copy.
-			d, ok := e.DequeueNextView()
-			if !ok || d.Flow != 5 || d.Bytes != len(payload) {
-				t.Fatalf("DequeueNextView = (%+v, %v)", d, ok)
-			}
-			if got := d.View.AppendTo(nil); !bytes.Equal(got, payload) {
-				t.Fatal("committed payload mismatch")
-			}
-			d.View.Release()
-			if st := e.Stats(); st.CopiedBytes != 0 {
-				t.Fatalf("CopiedBytes = %d after view delivery, want 0", st.CopiedBytes)
-			}
-			checkNoLeaks(t, e, pool)
-
-			// Abort mid-reserve: segments come back, nothing was counted.
-			r2, err := e.ReservePacket(6, 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r2.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r2.Abort(); !errors.Is(err, queue.ErrWriterDone) {
-				t.Fatalf("second abort: %v", err)
-			}
-			if st := e.Stats(); st.EnqueuedPackets != 1 {
-				t.Fatalf("abort moved the enqueue counter: %d", st.EnqueuedPackets)
-			}
-			checkNoLeaks(t, e, pool)
-
-			// Commit on a closed engine fails with the reservation open;
-			// Abort still returns the segments.
-			r3, err := e.ReservePacket(7, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r3.Commit(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("commit after close: %v", err)
-			}
-			if err := r3.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			if got := e.LentSegments(); got != 0 {
-				t.Fatalf("LentSegments = %d after post-close abort, want 0", got)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
+			runEngine(t, Config{Shards: 4, NumFlows: 255, NumSegments: 1024}, ring,
+				script{}.do(cReserve, 5, bytesArg(3*queue.SegmentBytes+9)).do(cSettle, 0).do(cNext, 1).do(cRelease, 0).
+					do(cReserve, 6, bytesArg(100)).do(cSettle, 128))
 		})
 	}
 }
 
+// TestReserveAdmission: a reservation past the flow's cap is refused up
+// front and counted as rejected, like a refused enqueue.
 func TestReserveAdmission(t *testing.T) {
-	e := newTest(t, 1, 8, 64)
-	for f := uint32(0); f < 2; f++ {
-		if err := e.SetFlowLimit(f, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := e.ReservePacket(0, 2*queue.SegmentBytes)
-	if err != nil {
-		t.Fatalf("within limit: %v", err)
-	}
-	// A reservation exceeding the per-flow cap is refused up front and
-	// counted as rejected, exactly like a refused enqueue.
-	if _, err := e.ReservePacket(1, 3*queue.SegmentBytes); !errors.Is(err, queue.ErrQueueLimit) {
-		t.Fatalf("over per-flow limit: %v", err)
-	}
-	if st := e.Stats(); st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
-	}
-	if err := r.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 8, NumSegments: 64}, false,
+		script{}.do(cLimit, 0, 2).do(cLimit, 1, 2).do(cReserve, 0, segsArg(2)).do(cReserve, 1, segsArg(3)).do(cSettle, 128))
+	if c := h.m.c; c.Rejected != 1 {
+		t.Fatalf("Rejected = %d, want 1", c.Rejected)
 	}
 }
 
+// TestDequeueViewBatchAndNextViewBatch: the per-flow view batch and the
+// picked view batch, on either datapath.
 func TestDequeueViewBatchAndNextViewBatch(t *testing.T) {
+	s := script{}
+	for f := range 16 {
+		s = s.do(cEnqueue, f, bytesArg(100+f))
+	}
+	s = s.do(cDequeueBatch, 7, 0, 1, 2, 3, 4, 5, 6, 7, 1).do(cRelease, 1)
 	for _, ring := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ring=%v", ring), func(t *testing.T) {
-			const pool = 2048
-			e := newTest(t, 4, 64, pool)
-			if ring {
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			const flows = 16
-			for f := uint32(0); f < flows; f++ {
-				pkt := bytes.Repeat([]byte{byte(f)}, 100+int(f))
-				if _, err := e.EnqueuePacket(f, pkt); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Per-flow batch: every listed flow yields its head packet.
-			list := make([]uint32, 0, flows/2)
-			for f := uint32(0); f < flows/2; f++ {
-				list = append(list, f)
-			}
-			views, errs := e.DequeueViewBatch(list)
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("flow %d: %v", list[i], err)
-				}
-				want := bytes.Repeat([]byte{byte(list[i])}, 100+int(list[i]))
-				if got := views[i].AppendTo(nil); !bytes.Equal(got, want) {
-					t.Fatalf("flow %d payload mismatch", list[i])
-				}
-				views[i].Release()
-			}
-			// Discipline-picked batch drains the rest.
-			seen := 0
-			for {
-				batch := e.DequeueNextViewBatch(5)
-				if len(batch) == 0 {
-					break
-				}
-				for _, d := range batch {
-					if d.Bytes != d.View.Len() {
-						t.Fatalf("Bytes=%d but view holds %d", d.Bytes, d.View.Len())
-					}
-					d.View.Release()
-					seen++
-				}
-			}
-			if seen != flows/2 {
-				t.Fatalf("drained %d packets, want %d", seen, flows/2)
-			}
-			checkNoLeaks(t, e, pool)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
+			runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 2048}, ring, s.rep(3, cNextBatch, 1|5<<1))
 		})
 	}
 }
