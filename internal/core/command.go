@@ -197,17 +197,6 @@ var paperLatency = map[Command]int{
 	CmdOverwriteSegMove:    12,
 }
 
-// Microprogram returns the pointer-memory schedule of c.
-func Microprogram(c Command) []MicroOp {
-	mp, ok := microprograms[c]
-	if !ok {
-		panic(fmt.Sprintf("core: no microprogram for %v", c))
-	}
-	out := make([]MicroOp, len(mp))
-	copy(out, mp)
-	return out
-}
-
 // Cycles returns the execution latency of c in MMS clock cycles — the
 // schedule length of its micro-program (Table 4).
 func (c Command) Cycles() int {

@@ -207,48 +207,14 @@ type TierStat struct {
 	Weight      int // the unit's WRR/DRR weight at its level
 }
 
-// accumTierFlows adds one shard's backlogged-flow counts per unit of
-// tier into counts, inside the shard's critical section. When the tier
-// is flat (no level of its own) every backlogged flow sits in unit 0.
-func accumTierFlows(s *shard, tier policy.Tier, counts []int) {
-	li := -1
-	for k := range s.eg.levels {
-		if s.eg.levels[k].tier == tier {
-			li = k
-		}
-	}
-	if li < 0 {
-		for p := range s.ps {
-			counts[0] += s.ps[p].activeFlows
-		}
-		return
-	}
-	// Flows hang off the innermost level's nodes; a node's unit in the
-	// queried tier is recovered from its composite index by stripping
-	// the inner tiers' strides.
-	stride := int32(1)
-	for k := li + 1; k < len(s.eg.levels); k++ {
-		stride *= s.eg.levels[k].mod
-	}
-	mod := s.eg.levels[li].mod
-	for p := range s.ps {
-		ps := &s.ps[p]
-		if !ps.st.Ready() || ps.activeFlows == 0 {
-			continue
-		}
-		last := ps.st.Depth() - 1
-		for idx := 0; idx < ps.st.Width(last); idx++ {
-			if n := ps.st.Child(last, int32(idx)).Count(); n > 0 {
-				counts[(int32(idx)/stride)%mod] += n
-			}
-		}
-	}
-}
-
 // TierStats returns one entry per unit of tier (the tenants, or the
 // classes): how many backlogged flows the unit holds right now (summed
 // across shards and ports; consistent per shard, not a global cut) and its
 // configured weight. A tier other than the two there are has no units.
+// Each shard walks its own flows: a flow is backlogged while it is linked
+// into a rotation, and counts toward its unit in the tier (unit 0 when the
+// tier is flat). The cost grows with the flows a shard owns, up to its
+// last backlogged one.
 func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 	if tier >= numTiers {
 		return nil
@@ -262,7 +228,18 @@ func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 					out[u] = TierStat{Unit: u, Weight: max(1, int(s.eg.tierWeights[tier][u]))}
 				}
 			}
-			accumTierFlows(s, tier, counts)
+			// The walk stops at the last backlogged flow, so an idle
+			// shard costs nothing.
+			left := s.activeFlows
+			for _, f := range s.flowOf {
+				if left == 0 {
+					break
+				}
+				if s.isActive(f) {
+					counts[s.flows[f].unit[tier]]++
+					left--
+				}
+			}
 		})
 	}
 	for u := range out {

@@ -6,175 +6,50 @@ import (
 )
 
 func TestOccupancyTracksOperations(t *testing.T) {
-	m := newTestManager(t, 32)
-	if occ, _ := m.Occupancy(0); occ != (Occupancy{}) {
-		t.Fatalf("fresh occupancy = %+v", occ)
-	}
-	m.Enqueue(0, make([]byte, 64), false)
-	m.Enqueue(0, make([]byte, 10), true)
-	occ, err := m.Occupancy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if occ.Segments != 2 || occ.Bytes != 74 || occ.Packets != 1 {
-		t.Fatalf("occupancy = %+v", occ)
-	}
-	if m.TotalBuffered() != 74 {
-		t.Fatalf("total = %d", m.TotalBuffered())
-	}
-	// Overwrite shrinks the head segment.
-	if err := m.Overwrite(0, make([]byte, 4)); err != nil {
-		t.Fatal(err)
-	}
-	occ, _ = m.Occupancy(0)
-	if occ.Bytes != 14 {
-		t.Fatalf("bytes after overwrite = %d", occ.Bytes)
-	}
-	// OverwriteLength adjusts too.
-	if err := m.OverwriteLength(0, 60); err != nil {
-		t.Fatal(err)
-	}
-	occ, _ = m.Occupancy(0)
-	if occ.Bytes != 70 {
-		t.Fatalf("bytes after length overwrite = %d", occ.Bytes)
-	}
-	// Dequeue drains the accounting.
-	m.Dequeue(0)
-	m.Dequeue(0)
-	occ, _ = m.Occupancy(0)
-	if occ != (Occupancy{}) || m.TotalBuffered() != 0 {
-		t.Fatalf("occupancy after drain = %+v total=%d", occ, m.TotalBuffered())
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 32).do(oEnqueue, 0, 64, 0).do(oEnqueue, 0, 10, 1).do(oOverwrite, 0, 4).
+		do(oOverwriteLength, 0, 60).do(oDequeue, 0).do(oDequeue, 0).is(nil)
 }
 
 func TestOccupancyMoveTransfers(t *testing.T) {
-	m := newTestManager(t, 32)
-	m.EnqueuePacket(1, make([]byte, 100)) // 2 segments, 100 bytes
-	m.EnqueuePacket(1, make([]byte, 64))  // second packet stays
-	if _, err := m.MovePacket(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	occ1, _ := m.Occupancy(1)
-	occ2, _ := m.Occupancy(2)
-	if occ1.Bytes != 64 || occ1.Packets != 1 {
-		t.Fatalf("source occupancy = %+v", occ1)
-	}
-	if occ2.Bytes != 100 || occ2.Packets != 1 || occ2.Segments != 2 {
-		t.Fatalf("dest occupancy = %+v", occ2)
-	}
-	if m.TotalBuffered() != 164 {
-		t.Fatalf("total = %d", m.TotalBuffered())
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 32).do(oEnqueuePacket, 1, 100).do(oEnqueuePacket, 1, 64).do(oMove, 1, 2).is(nil)
 }
 
 func TestSegmentLimitTailDrop(t *testing.T) {
-	m := newTestManager(t, 32)
-	if err := m.SetSegmentLimit(3, 2); err != nil {
-		t.Fatal(err)
+	h := newPrivate(t, 8, 32).do(oLimit, 3, 2).do(oEnqueue, 3, 1, 1).do(oEnqueue, 3, 1, 1).
+		do(oEnqueue, 3, 1, 1).is(ErrQueueLimit).do(oDequeue, 3).do(oEnqueue, 3, 1, 1).is(nil).do(oLimit, 3, 0)
+	for range 10 {
+		h.do(oEnqueue, 3, 1, 1).is(nil)
 	}
-	if lim, _ := m.SegmentLimit(3); lim != 2 {
-		t.Fatalf("limit = %d", lim)
-	}
-	m.Enqueue(3, []byte{1}, true)
-	m.Enqueue(3, []byte{2}, true)
-	if _, err := m.Enqueue(3, []byte{3}, true); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("err = %v", err)
-	}
-	// The drop must not leak a segment.
-	if m.FreeSegments() != 30 {
-		t.Fatalf("free = %d", m.FreeSegments())
-	}
-	// Draining restores admission.
-	m.Dequeue(3)
-	if _, err := m.Enqueue(3, []byte{3}, true); err != nil {
-		t.Fatal(err)
-	}
-	// Removing the cap restores unbounded admission.
-	if err := m.SetSegmentLimit(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := m.Enqueue(3, []byte{byte(i)}, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustInvariants(t, m)
 }
 
 func TestSegmentLimitPacketAdmission(t *testing.T) {
-	m := newTestManager(t, 32)
-	m.SetSegmentLimit(0, 3)
-	// A 4-segment packet must be rejected whole, not truncated.
-	if _, err := m.EnqueuePacket(0, make([]byte, 4*SegmentBytes)); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("err = %v", err)
-	}
-	if n, _ := m.Len(0); n != 0 {
-		t.Fatalf("len = %d after rejected packet", n)
-	}
-	if _, err := m.EnqueuePacket(0, make([]byte, 3*SegmentBytes)); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
+	// A 4-segment packet is refused whole, not truncated.
+	newPrivate(t, 8, 32).do(oLimit, 0, 3).do(oEnqueuePacket, 0, 4*SegmentBytes).is(ErrQueueLimit).
+		do(oEnqueuePacket, 0, 3*SegmentBytes).is(nil)
 }
 
 func TestSegmentLimitMoveAdmission(t *testing.T) {
-	m := newTestManager(t, 32)
-	m.SetSegmentLimit(5, 1)
-	m.EnqueuePacket(4, make([]byte, 2*SegmentBytes))
-	if _, err := m.MovePacket(4, 5); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("err = %v", err)
-	}
-	// Source untouched on rejection.
-	if n, _ := m.Len(4); n != 2 {
-		t.Fatalf("source len = %d", n)
-	}
-	// AppendHead also respects the cap.
-	m.Enqueue(5, []byte{1}, true)
-	if _, err := m.AppendHead(5, []byte{2}, false); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("err = %v", err)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 32).do(oLimit, 5, 1).do(oEnqueuePacket, 4, 2*SegmentBytes).do(oMove, 4, 5).is(ErrQueueLimit).
+		do(oEnqueue, 5, 1, 1).do(oAppendHead, 5, 1, 0).is(ErrQueueLimit).
+		do(oOverwriteAndMove, 4, 5, 3).is(ErrQueueLimit).do(oTransfer, 4, 5).is(ErrQueueLimit).
+		do(oReserve, 5, 1, 1).is(ErrQueueLimit)
 }
 
 func TestSegmentLimitValidation(t *testing.T) {
-	m := newTestManager(t, 8)
-	if err := m.SetSegmentLimit(99, 1); !errors.Is(err, ErrBadQueue) {
+	// Clearing a cap that was never set is a no-op.
+	h := newPrivate(t, 8, 8).do(oLimit, 99, 1).is(ErrBadQueue).do(oLimit, 0, -1).is(ErrBadLength).do(oLimit, 0, 0).is(nil)
+	if _, err := h.ms[0].SegmentLimit(99); !errors.Is(err, ErrBadQueue) {
 		t.Fatalf("err = %v", err)
-	}
-	if err := m.SetSegmentLimit(0, -1); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := m.SegmentLimit(99); !errors.Is(err, ErrBadQueue) {
-		t.Fatalf("err = %v", err)
-	}
-	// No-op: clearing a cap that was never set allocates nothing.
-	if err := m.SetSegmentLimit(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if lim, _ := m.SegmentLimit(0); lim != 0 {
-		t.Fatalf("limit = %d", lim)
 	}
 }
 
 func TestOccupancyBadQueue(t *testing.T) {
-	m := newTestManager(t, 8)
+	m := newPrivate(t, 8, 8).ms[0]
 	if _, err := m.Occupancy(99); !errors.Is(err, ErrBadQueue) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestDeletePacketUpdatesAccounting(t *testing.T) {
-	m := newTestManager(t, 32)
-	m.EnqueuePacket(0, make([]byte, 150))
-	m.EnqueuePacket(0, make([]byte, 64))
-	if _, err := m.DeletePacket(0); err != nil {
-		t.Fatal(err)
-	}
-	occ, _ := m.Occupancy(0)
-	if occ.Bytes != 64 || occ.Packets != 1 {
-		t.Fatalf("occupancy after delete = %+v", occ)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 32).do(oEnqueuePacket, 0, 150).do(oEnqueuePacket, 0, 64).do(oDeletePacket, 0).is(nil)
 }

@@ -2,151 +2,42 @@ package queue
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"npqm/internal/segstore"
 )
 
-// sharedPair builds two managers over one shared store, as the engine's
-// shards do, and returns their caches beside them.
-func sharedPair(t *testing.T, segments int) (a, b *Manager, caches [2]*segstore.Cache, st *segstore.Store) {
-	t.Helper()
-	var err error
-	st, err = segstore.New(segstore.Config{
-		NumSegments:  segments,
-		SegmentBytes: SegmentBytes,
-		StoreData:    true,
-		MagazineSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caches = [2]*segstore.Cache{st.NewCache(), st.NewCache()}
-	if a, err = NewWithStore(Config{NumQueues: 16}, caches[0]); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = NewWithStore(Config{NumQueues: 16}, caches[1]); err != nil {
-		t.Fatal(err)
-	}
-	return a, b, caches, st
-}
+// The cross-manager scripts run on two managers sharing one store, as the
+// engine's shards do; on(k) names the manager of the next command.
 
 func TestCrossManagerChainMove(t *testing.T) {
-	a, b, caches, st := sharedPair(t, 128)
-	payload := bytes.Repeat([]byte{0xab, 0x12}, 90) // 180 B → 3 segments
-	if _, err := a.EnqueuePacket(3, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.EnqueuePacket(3, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := a.UnlinkHeadPacket(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Segs != 3 || ch.Bytes != 180 {
-		t.Fatalf("chain = %+v, want 3 segments / 180 bytes", ch)
-	}
-	if n, _ := a.Len(3); n != 1 {
-		t.Fatalf("source holds %d segments after unlink, want 1", n)
-	}
-	if err := b.LinkPacketTail(7, ch); err != nil {
-		t.Fatal(err)
-	}
-	got, n, err := b.DequeuePacket(7)
-	if err != nil || n != 3 || !bytes.Equal(got, payload) {
-		t.Fatalf("relinked packet = (%d segs, %v), payload match %v", n, err, bytes.Equal(got, payload))
-	}
-	// Both managers and the store must still be consistent.
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.DequeuePacket(3); err != nil {
-		t.Fatal(err)
-	}
-	caches[0].Flush()
-	caches[1].Flush()
-	if err := st.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if free := st.Free(); free != 128 {
-		t.Fatalf("store free = %d, want 128", free)
-	}
+	h := newShared(t, 16, 128, 8, 2)
+	h.on(0).do(oEnqueuePacket, 3, 180).on(0).do(oEnqueuePacket, 3, 1).on(0).do(oTransfer, 3, 7).is(nil).
+		on(1).do(oDequeuePacket, 7).is(nil).on(0).do(oDequeuePacket, 3).is(nil).on(0).do(oFlush).do(oFlush)
 }
 
+// TestChainRollbackRestoresOrder: a destination that refuses the packet
+// (its cap) has it restored at the source's head, FIFO order intact.
 func TestChainRollbackRestoresOrder(t *testing.T) {
-	a, b, _, _ := sharedPair(t, 128)
-	first := bytes.Repeat([]byte{1}, 100)
-	second := bytes.Repeat([]byte{2}, 100)
-	if _, err := a.EnqueuePacket(0, first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.EnqueuePacket(0, second); err != nil {
-		t.Fatal(err)
-	}
-	// Destination refuses (per-flow cap): caller restores at the head.
-	if err := b.SetSegmentLimit(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := a.UnlinkHeadPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.LinkPacketTail(5, ch); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("over-cap link err = %v, want ErrQueueLimit", err)
-	}
-	if err := a.LinkPacketHead(0, ch); err != nil {
-		t.Fatal(err)
-	}
-	// FIFO order must be intact: first out is still `first`.
-	got, _, err := a.DequeuePacket(0)
-	if err != nil || !bytes.Equal(got, first) {
-		t.Fatalf("head after rollback = %v (err %v), want the first packet", got[:1], err)
-	}
-	got, _, err = a.DequeuePacket(0)
-	if err != nil || !bytes.Equal(got, second) {
-		t.Fatalf("second packet corrupted by rollback (err %v)", err)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	h := newShared(t, 16, 128, 8, 2)
+	h.on(1).do(oLimit, 5, 1).on(0).do(oEnqueuePacket, 0, 100).on(0).do(oEnqueuePacket, 0, 100).
+		on(0).do(oTransfer, 0, 5).is(ErrQueueLimit).on(0).do(oDequeuePacket, 0).on(0).do(oDequeuePacket, 0).is(nil)
 }
 
+// TestSharedManagersSeeGlobalPool: one manager hoards the pool, the other
+// sees it empty (FreeSegments is pool-wide), and a flush after a drain
+// makes room again.
 func TestSharedManagersSeeGlobalPool(t *testing.T) {
-	a, b, caches, _ := sharedPair(t, 64)
-	// Manager a hoards the whole pool on one queue.
-	for i := 0; i < 64; i++ {
-		if _, err := a.EnqueuePacket(1, []byte{byte(i)}); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
+	h := newShared(t, 16, 64, 8, 2)
+	for range 64 {
+		h.on(0).do(oEnqueuePacket, 1, 1).is(nil)
 	}
-	if free := b.FreeSegments(); free != 0 {
-		t.Fatalf("b sees %d free, want 0 (pool-wide view)", free)
+	h.on(1).do(oEnqueuePacket, 2, 1).is(ErrNoFreeSegments)
+	for range 8 {
+		h.on(0).do(oDequeuePacket, 1)
 	}
-	if _, err := b.EnqueuePacket(2, []byte{1}); !errors.Is(err, ErrNoFreeSegments) {
-		t.Fatalf("enqueue on exhausted pool: %v", err)
-	}
-	// Draining via a (with a flush) makes room for b again.
-	for i := 0; i < 8; i++ {
-		if _, _, err := a.DequeuePacket(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	caches[0].Flush()
-	if _, err := b.EnqueuePacket(2, []byte{1}); err != nil {
-		t.Fatalf("enqueue after drain+flush: %v", err)
-	}
-	if a.QueuedSegments() != 56 || b.QueuedSegments() != 1 {
-		t.Fatalf("queued split = (%d, %d), want (56, 1)", a.QueuedSegments(), b.QueuedSegments())
-	}
+	h.on(0).do(oFlush).on(1).do(oEnqueuePacket, 2, 1).is(nil)
 }
 
 // wellFormed hops the n-segment chain from head and reports how it breaks
@@ -180,9 +71,10 @@ func wellFormed(m *Manager, head int32, n int) error {
 // reuses it as it stands: returnRun must hand back a well-formed chain,
 // whatever words the segments held and however scattered they are.
 func TestReturnRunFreesAWellFormedChain(t *testing.T) {
-	m, _, caches, st := sharedPair(t, 64)
+	h := newShared(t, 16, 64, 8, 2)
+	m, c := h.ms[0], h.caches[0]
 	run := make([]int32, 8)
-	if got := caches[0].AllocN(run); got != len(run) {
+	if got := c.AllocN(run); got != len(run) {
 		t.Fatalf("AllocN = %d, want %d", got, len(run))
 	}
 	for _, s := range run {
@@ -197,8 +89,8 @@ func TestReturnRunFreesAWellFormedChain(t *testing.T) {
 			t.Fatalf("chain %v after returnRun: %v", part, err)
 		}
 	}
-	caches[0].Publish()
-	if err := st.CheckInvariants(); err != nil {
+	c.Publish()
+	if err := h.st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// The next 4-segment packet takes the last of them whole.
@@ -213,5 +105,7 @@ func TestReturnRunFreesAWellFormedChain(t *testing.T) {
 	if out, _, err := m.DequeuePacket(0); err != nil || !bytes.Equal(out, payload) {
 		t.Fatalf("dequeue = (%d bytes, %v), want the %d-byte packet", len(out), err, len(payload))
 	}
-	mustInvariants(t, m)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

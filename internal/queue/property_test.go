@@ -1,255 +1,90 @@
 package queue
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
 	"npqm/internal/xrand"
 )
 
-// model is a trivially correct reference implementation: per-queue slices of
-// (payload, eop) records plus a free-capacity counter.
-type model struct {
-	queues   [][]modelSeg
-	capacity int
-}
-
-type modelSeg struct {
-	payload []byte
-	eop     bool
-}
-
-func newModel(queues, segs int) *model {
-	return &model{queues: make([][]modelSeg, queues), capacity: segs}
-}
-
-func (mo *model) used() int {
-	n := 0
-	for _, q := range mo.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// TestRandomOpsAgainstModel drives the Manager with a long random operation
-// sequence and cross-checks every observable result against the reference
-// model, validating pointer invariants as it goes.
+// TestRandomOpsAgainstModel drives one private manager with a long random
+// mix of the single-segment and packet commands on a small pool, held to
+// the model after every step.
 func TestRandomOpsAgainstModel(t *testing.T) {
-	const (
-		numQueues = 6
-		numSegs   = 40
-		steps     = 8000
-	)
 	rng := xrand.New(2025)
-	m, err := New(Config{NumQueues: numQueues, NumSegments: numSegs, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo := newModel(numQueues, numSegs)
-
-	randPayload := func() []byte {
-		n := 1 + rng.Intn(SegmentBytes)
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(rng.Uint32())
-		}
-		return p
-	}
-
-	for step := 0; step < steps; step++ {
-		q := QueueID(rng.Intn(numQueues))
+	h := newPrivate(t, 6, 40)
+	for range 8000 {
+		q, to, n := rng.Intn(6), rng.Intn(6), 1+rng.Intn(SegmentBytes)
 		switch rng.Intn(8) {
-		case 0, 1: // Enqueue segment
-			p := randPayload()
-			eop := rng.Bool(0.5)
-			_, err := m.Enqueue(q, p, eop)
-			if mo.used() >= mo.capacity {
-				if err == nil {
-					t.Fatalf("step %d: enqueue succeeded on full pool", step)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("step %d: enqueue failed: %v", step, err)
-				}
-				mo.queues[q] = append(mo.queues[q], modelSeg{p, eop})
-			}
-		case 2: // Dequeue
-			info, data, err := m.Dequeue(q)
-			if len(mo.queues[q]) == 0 {
-				if err == nil {
-					t.Fatalf("step %d: dequeue succeeded on empty queue", step)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("step %d: dequeue failed: %v", step, err)
-				}
-				want := mo.queues[q][0]
-				mo.queues[q] = mo.queues[q][1:]
-				if !bytes.Equal(data, want.payload) || info.EOP != want.eop {
-					t.Fatalf("step %d: dequeue mismatch", step)
-				}
-			}
-		case 3: // ReadHead
-			info, data, err := m.ReadHead(q)
-			if len(mo.queues[q]) == 0 {
-				if err == nil {
-					t.Fatalf("step %d: read succeeded on empty queue", step)
-				}
-			} else {
-				want := mo.queues[q][0]
-				if err != nil || !bytes.Equal(data, want.payload) || info.EOP != want.eop {
-					t.Fatalf("step %d: read mismatch (%v)", step, err)
-				}
-			}
-		case 4: // DeleteSegment
-			err := m.DeleteSegment(q)
-			if len(mo.queues[q]) == 0 {
-				if err == nil {
-					t.Fatalf("step %d: delete succeeded on empty queue", step)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("step %d: delete failed: %v", step, err)
-				}
-				mo.queues[q] = mo.queues[q][1:]
-			}
-		case 5: // Overwrite head
-			p := randPayload()
-			err := m.Overwrite(q, p)
-			if len(mo.queues[q]) == 0 {
-				if err == nil {
-					t.Fatalf("step %d: overwrite succeeded on empty queue", step)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("step %d: overwrite failed: %v", step, err)
-				}
-				mo.queues[q][0].payload = p
-			}
-		case 6: // MovePacket
-			to := QueueID(rng.Intn(numQueues))
-			// The model moves the head packet if one exists.
-			pktLen := 0
-			for i, s := range mo.queues[q] {
-				if s.eop {
-					pktLen = i + 1
-					break
-				}
-			}
-			n, err := m.MovePacket(q, to)
-			if pktLen == 0 {
-				if err == nil {
-					t.Fatalf("step %d: move succeeded without a packet", step)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("step %d: move failed: %v", step, err)
-				}
-				if n != pktLen {
-					t.Fatalf("step %d: moved %d segments, want %d", step, n, pktLen)
-				}
-				if q != to {
-					pkt := mo.queues[q][:pktLen]
-					mo.queues[to] = append(mo.queues[to], pkt...)
-					mo.queues[q] = mo.queues[q][pktLen:]
-				} else if pktLen < len(mo.queues[q]) {
-					pkt := append([]modelSeg(nil), mo.queues[q][:pktLen]...)
-					mo.queues[q] = append(mo.queues[q][pktLen:], pkt...)
-				}
-			}
-		case 7: // DeletePacket
-			pktLen := 0
-			for i, s := range mo.queues[q] {
-				if s.eop {
-					pktLen = i + 1
-					break
-				}
-			}
-			n, err := m.DeletePacket(q)
-			if pktLen == 0 {
-				if err == nil {
-					t.Fatalf("step %d: delete-packet succeeded without a packet", step)
-				}
-			} else {
-				if err != nil || n != pktLen {
-					t.Fatalf("step %d: delete-packet n=%d err=%v want %d", step, n, err, pktLen)
-				}
-				mo.queues[q] = mo.queues[q][pktLen:]
-			}
+		case 0, 1:
+			h.do(oEnqueue, q, n, rng.Intn(2))
+		case 2:
+			h.do(oDequeue, q)
+		case 3:
+			h.do(oAppendHead, q, n, rng.Intn(2))
+		case 4:
+			h.do(oDeleteSegment, q)
+		case 5:
+			h.do(oOverwrite, q, n)
+		case 6:
+			h.do(oMove, q, to)
+		case 7:
+			h.do(oDeletePacket, q)
 		}
-
-		// Cheap consistency checks every step, full invariants periodically.
-		if m.FreeSegments() != mo.capacity-mo.used() {
-			t.Fatalf("step %d: free count %d, model %d", step, m.FreeSegments(), mo.capacity-mo.used())
-		}
-		for qq := 0; qq < numQueues; qq++ {
-			n, _ := m.Len(QueueID(qq))
-			if n != len(mo.queues[qq]) {
-				t.Fatalf("step %d: queue %d len %d, model %d", step, qq, n, len(mo.queues[qq]))
-			}
-		}
-		if step%500 == 0 {
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestQuickPacketRoundTrip uses testing/quick to fuzz packet payloads
-// through segmentation and reassembly.
-func TestQuickPacketRoundTrip(t *testing.T) {
-	m, err := New(Config{NumQueues: 2, NumSegments: 1024, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
+// TestSegmentCommandsReuseFIFO pins the reuse order the timed models'
+// DDR-bank tables rest on: on a private pool every segment Enqueue and
+// AppendHead take is the head of a FIFO free list — 0, 1, …, N−1 on a
+// fresh pool — and every segment Dequeue and DeleteSegment give back joins
+// its tail, whatever mix of the four commands runs. The model names each
+// handle.
+func TestSegmentCommandsReuseFIFO(t *testing.T) {
+	const n = 8
+	h := newPrivate(t, 3, n)
+	rng := xrand.New(28)
+	taken := 0
+	for step := range 40 * n {
+		op := []int{oEnqueue, oAppendHead, oDequeue, oDeleteSegment}[rng.Intn(4)]
+		if h.do(op, rng.Intn(3), 1, step%2); (op == oEnqueue || op == oAppendHead) && h.err == nil {
+			taken++
+		}
 	}
+	if taken < 4*n {
+		t.Fatalf("only %d segments taken: the pool did not cycle", taken)
+	}
+}
+
+// TestQuickPacketRoundTrip runs testing/quick's packets through
+// segmentation and reassembly.
+func TestQuickPacketRoundTrip(t *testing.T) {
+	h := newPrivate(t, 2, 1024)
 	f := func(data []byte) bool {
-		if len(data) == 0 || len(data) > 1000*SegmentBytes {
-			return true
+		if len(data) > 0 && len(data) <= 1000*SegmentBytes {
+			h.feed = data
+			h.do(oEnqueuePacket, 0, len(data)).is(nil).do(oDequeuePacket, 0).is(nil)
 		}
-		if _, err := m.EnqueuePacket(0, data); err != nil {
-			return false
-		}
-		got, _, err := m.DequeuePacket(0)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, data) && m.FreeSegments() == 1024
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickConservation fuzzes interleavings of single-segment enqueues and
-// deletes and checks segment conservation.
+// TestQuickConservation runs testing/quick's interleavings of
+// single-segment enqueues and deletes on a 16-segment pool.
 func TestQuickConservation(t *testing.T) {
 	f := func(ops []byte) bool {
-		m, err := New(Config{NumQueues: 4, NumSegments: 16})
-		if err != nil {
-			return false
-		}
+		h := newPrivate(t, 4, 16)
 		for _, op := range ops {
-			q := QueueID(op % 4)
 			if op&4 == 0 {
-				if _, err := m.Enqueue(q, []byte{op}, op&8 == 0); err != nil {
-					// Only acceptable failure is pool exhaustion.
-					if m.FreeSegments() != 0 {
-						return false
-					}
-				}
-			} else if err := m.DeleteSegment(q); err != nil {
-				// Only acceptable failure is an empty queue.
-				if n, _ := m.Len(q); n != 0 {
-					return false
-				}
+				h.do(oEnqueue, int(op%4), 1, int(op>>3&1^1))
+			} else {
+				h.do(oDeleteSegment, int(op%4))
 			}
 		}
-		return m.CheckInvariants() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,28 +1,13 @@
 package queue
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-
-	"npqm/internal/xrand"
 )
 
-func newTestManager(t *testing.T, segs int) *Manager {
-	t.Helper()
-	m, err := New(Config{NumQueues: 8, NumSegments: segs, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func mustInvariants(t *testing.T, m *Manager) {
-	t.Helper()
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
+// The single-scenario tests below are command scripts on the harness
+// (fuzz_test.go): the model checks every return, every queued segment and
+// the books after each command, and .is pins what a script is for.
 
 func TestNewDefaults(t *testing.T) {
 	m, err := New(Config{NumSegments: 4})
@@ -47,108 +32,40 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEnqueueDequeueRoundTrip(t *testing.T) {
-	m := newTestManager(t, 16)
-	payload := []byte("hello, queue manager")
-	s, err := m.Enqueue(3, payload, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Nil() {
-		t.Fatal("nil segment returned")
-	}
-	if n, _ := m.Len(3); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
-	mustInvariants(t, m)
-
-	info, data, err := m.Dequeue(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Seg != s || info.Len != len(payload) || !info.EOP {
-		t.Fatalf("info = %+v", info)
-	}
-	if !bytes.Equal(data, payload) {
-		t.Fatalf("data = %q", data)
-	}
-	if m.FreeSegments() != 16 {
-		t.Fatalf("segment not returned to free list: %d", m.FreeSegments())
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 16).do(oEnqueue, 3, 20, 1).is(nil).do(oDequeue, 3).is(nil)
 }
 
 func TestFIFOOrderWithinQueue(t *testing.T) {
-	m := newTestManager(t, 32)
-	for i := 0; i < 10; i++ {
-		if _, err := m.Enqueue(0, []byte{byte(i)}, true); err != nil {
-			t.Fatal(err)
-		}
+	h := newPrivate(t, 8, 32)
+	for range 10 {
+		h.do(oEnqueue, 0, 1, 1)
 	}
-	for i := 0; i < 10; i++ {
-		_, data, err := m.Dequeue(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[0] != byte(i) {
-			t.Fatalf("dequeue %d returned %d", i, data[0])
-		}
+	for range 10 {
+		h.do(oDequeue, 0).is(nil)
 	}
 }
 
 func TestQueueIsolation(t *testing.T) {
-	m := newTestManager(t, 32)
-	m.Enqueue(1, []byte{1}, true)
-	m.Enqueue(2, []byte{2}, true)
-	m.Enqueue(1, []byte{11}, true)
-	if n, _ := m.Len(1); n != 2 {
-		t.Fatalf("queue 1 len = %d", n)
-	}
-	if n, _ := m.Len(2); n != 1 {
-		t.Fatalf("queue 2 len = %d", n)
-	}
-	_, d, _ := m.Dequeue(2)
-	if d[0] != 2 {
-		t.Fatalf("queue 2 head = %d", d[0])
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 32).do(oEnqueue, 1, 1, 1).do(oEnqueue, 2, 1, 1).do(oEnqueue, 1, 1, 1).do(oDequeue, 2).is(nil)
 }
 
 func TestDequeueEmpty(t *testing.T) {
-	m := newTestManager(t, 4)
-	if _, _, err := m.Dequeue(0); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
+	newPrivate(t, 8, 4).do(oDequeue, 0).is(ErrQueueEmpty)
 }
 
 func TestBadQueueID(t *testing.T) {
-	m := newTestManager(t, 4)
-	if _, err := m.Enqueue(99, []byte{1}, true); !errors.Is(err, ErrBadQueue) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, _, err := m.Dequeue(99); !errors.Is(err, ErrBadQueue) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := m.Len(99); !errors.Is(err, ErrBadQueue) {
+	h := newPrivate(t, 8, 4).do(oEnqueue, 99, 1, 1).is(ErrBadQueue).do(oDequeue, 99).is(ErrBadQueue)
+	if _, err := h.ms[0].Len(99); !errors.Is(err, ErrBadQueue) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestExhaustion(t *testing.T) {
-	m := newTestManager(t, 3)
-	for i := 0; i < 3; i++ {
-		if _, err := m.Enqueue(0, []byte{1}, true); err != nil {
-			t.Fatal(err)
-		}
+	h := newPrivate(t, 8, 3)
+	for range 3 {
+		h.do(oEnqueue, 0, 1, 1).is(nil)
 	}
-	if _, err := m.Enqueue(0, []byte{1}, true); !errors.Is(err, ErrNoFreeSegments) {
-		t.Fatalf("err = %v", err)
-	}
-	// Draining restores capacity.
-	m.Dequeue(0)
-	if _, err := m.Enqueue(0, []byte{1}, true); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
+	h.do(oEnqueue, 0, 1, 1).is(ErrNoFreeSegments).do(oDequeue, 0).do(oEnqueue, 0, 1, 1).is(nil)
 }
 
 // TestPayloadValidation: an empty or oversized payload is refused with
@@ -156,338 +73,90 @@ func TestExhaustion(t *testing.T) {
 // allocated — on a pool with room, on a queue at its cap and on a dry pool
 // alike — and leaves pool, queues and invariants as they were.
 func TestPayloadValidation(t *testing.T) {
-	m := newTestManager(t, 4)
-	refuse := func(where string) {
-		t.Helper()
-		free, queued := m.FreeSegments(), m.QueuedSegments()
-		for _, p := range [][]byte{nil, make([]byte, SegmentBytes+1)} {
-			if _, err := m.Enqueue(1, p, true); !errors.Is(err, ErrBadLength) {
-				t.Fatalf("%s: Enqueue of %d bytes = %v, want ErrBadLength", where, len(p), err)
-			}
-			if _, err := m.AppendHead(1, p, true); !errors.Is(err, ErrBadLength) {
-				t.Fatalf("%s: AppendHead of %d bytes = %v, want ErrBadLength", where, len(p), err)
-			}
-		}
-		if m.FreeSegments() != free || m.QueuedSegments() != queued {
-			t.Fatalf("%s: refusals moved the books: free %d → %d, queued %d → %d",
-				where, free, m.FreeSegments(), queued, m.QueuedSegments())
-		}
-		mustInvariants(t, m)
-	}
-	refuse("room")
-	if err := m.SetSegmentLimit(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Enqueue(1, make([]byte, SegmentBytes), true); err != nil {
-		t.Fatalf("max payload rejected: %v", err)
-	}
-	refuse("capped queue")
-	for m.FreeSegments() > 0 {
-		if _, err := m.Enqueue(2, []byte{2}, true); err != nil {
-			t.Fatal(err)
+	h := newPrivate(t, 8, 4)
+	refuse := func() {
+		for _, n := range []int{0, SegmentBytes + 1} {
+			h.do(oEnqueue, 1, n, 1).is(ErrBadLength).do(oAppendHead, 1, n, 1).is(ErrBadLength)
 		}
 	}
-	refuse("dry pool")
+	refuse()
+	h.do(oLimit, 1, 1).do(oEnqueue, 1, SegmentBytes, 1).is(nil)
+	refuse()
+	for range 3 {
+		h.do(oEnqueue, 2, 1, 1).is(nil)
+	}
+	refuse()
 }
 
-// TestSegmentCommandsReuseFIFO pins the reuse order the timed models'
-// DDR-bank tables rest on: on a private pool, every segment Enqueue and
-// AppendHead take is the head of a FIFO free list — 0, 1, …, N−1 on a fresh
-// pool — and every segment Dequeue and DeleteSegment give back joins its
-// tail, whatever mix of the four commands runs.
-func TestSegmentCommandsReuseFIFO(t *testing.T) {
-	const n = 8
-	m := newTestManager(t, n)
-	fifo := make([]Seg, n)
-	for i := range fifo {
-		fifo[i] = Seg(i)
-	}
-	rng := xrand.New(28)
-	taken := 0
-	for step := 0; step < 40*n; step++ {
-		q := QueueID(rng.Intn(3))
-		qlen, _ := m.Len(q)
-		switch op := rng.Intn(4); {
-		case op < 2 && len(fifo) > 0:
-			cmd, name := m.Enqueue, "Enqueue"
-			if op == 1 {
-				cmd, name = m.AppendHead, "AppendHead"
-			}
-			s, err := cmd(q, []byte{byte(step)}, step%2 == 0)
-			if err != nil || s != fifo[0] {
-				t.Fatalf("step %d: %s = (%d, %v), want segment %d", step, name, s, err, fifo[0])
-			}
-			fifo = fifo[1:]
-			taken++
-		case op >= 2 && qlen > 0:
-			head, _, _ := m.ReadHead(q)
-			var err error
-			if op == 2 {
-				_, _, err = m.Dequeue(q)
-			} else {
-				err = m.DeleteSegment(q)
-			}
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			fifo = append(fifo, head.Seg)
-		}
-	}
-	if taken < 4*n {
-		t.Fatalf("only %d segments taken: the pool did not cycle", taken)
-	}
-	mustInvariants(t, m)
-}
-
+// TestReadHead: the harness reads every queue's head after each command —
+// here a segment without EOP, and ErrQueueEmpty on the other queues — and
+// the queues must read back the same after it.
 func TestReadHead(t *testing.T) {
-	m := newTestManager(t, 4)
-	m.Enqueue(0, []byte{7, 8}, false)
-	info, data, err := m.ReadHead(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Len != 2 || info.EOP || data[0] != 7 {
-		t.Fatalf("info=%+v data=%v", info, data)
-	}
-	// Non-destructive.
-	if n, _ := m.Len(0); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
-	if _, _, err := m.ReadHead(1); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
+	newPrivate(t, 8, 4).do(oEnqueue, 0, 2, 0).do(oEnqueue, 0, 5, 1)
 }
 
 func TestDeleteSegment(t *testing.T) {
-	m := newTestManager(t, 4)
-	m.Enqueue(0, []byte{1}, false)
-	m.Enqueue(0, []byte{2}, true)
-	if err := m.DeleteSegment(0); err != nil {
-		t.Fatal(err)
-	}
-	_, data, _ := m.Dequeue(0)
-	if data[0] != 2 {
-		t.Fatalf("head after delete = %d", data[0])
-	}
-	if err := m.DeleteSegment(0); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 4).do(oEnqueue, 0, 1, 0).do(oEnqueue, 0, 1, 1).do(oDeleteSegment, 0).is(nil).
+		do(oDequeue, 0).do(oDeleteSegment, 0).is(ErrQueueEmpty)
 }
 
 func TestDeletePacket(t *testing.T) {
-	m := newTestManager(t, 16)
-	// Two packets: 3 segments + 1 segment.
-	m.Enqueue(0, []byte{1}, false)
-	m.Enqueue(0, []byte{2}, false)
-	m.Enqueue(0, []byte{3}, true)
-	m.Enqueue(0, []byte{4}, true)
-	n, err := m.DeletePacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("deleted %d segments, want 3", n)
-	}
-	if l, _ := m.Len(0); l != 1 {
-		t.Fatalf("len = %d", l)
-	}
-	_, data, _ := m.Dequeue(0)
-	if data[0] != 4 {
-		t.Fatalf("survivor = %d", data[0])
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 16).do(oEnqueue, 0, 1, 0).do(oEnqueue, 0, 1, 0).do(oEnqueue, 0, 1, 1).do(oEnqueue, 0, 1, 1).
+		do(oDeletePacket, 0).is(nil).do(oDequeue, 0).is(nil)
 }
 
 func TestDeletePacketIncomplete(t *testing.T) {
-	m := newTestManager(t, 4)
-	m.Enqueue(0, []byte{1}, false) // no EOP anywhere
-	if _, err := m.DeletePacket(0); !errors.Is(err, ErrNoPacket) {
-		t.Fatalf("err = %v", err)
-	}
-	// Queue untouched on failure.
-	if n, _ := m.Len(0); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
+	newPrivate(t, 8, 4).do(oEnqueue, 0, 1, 0).do(oDeletePacket, 0).is(ErrNoPacket)
 }
 
 func TestOverwrite(t *testing.T) {
-	m := newTestManager(t, 4)
-	m.Enqueue(0, []byte{1, 2, 3}, true)
-	if err := m.Overwrite(0, []byte{9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	info, data, _ := m.ReadHead(0)
-	if info.Len != 2 || !bytes.Equal(data, []byte{9, 9}) {
-		t.Fatalf("info=%+v data=%v", info, data)
-	}
-	if !info.EOP {
-		t.Fatal("overwrite must preserve EOP")
-	}
-	if err := m.Overwrite(1, []byte{1}); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
+	newPrivate(t, 8, 4).do(oEnqueue, 0, 3, 1).do(oOverwrite, 0, 2).is(nil).do(oOverwrite, 1, 1).is(ErrQueueEmpty)
 }
 
 func TestOverwriteLength(t *testing.T) {
-	m := newTestManager(t, 4)
-	m.Enqueue(0, []byte{1, 2, 3, 4}, true)
-	if err := m.OverwriteLength(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	info, _, _ := m.ReadHead(0)
-	if info.Len != 2 {
-		t.Fatalf("len = %d", info.Len)
-	}
-	if err := m.OverwriteLength(0, 0); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := m.OverwriteLength(0, SegmentBytes+1); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := m.OverwriteLength(1, 5); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
+	newPrivate(t, 8, 4).do(oEnqueue, 0, 4, 1).do(oOverwriteLength, 0, 2).is(nil).
+		do(oOverwriteLength, 0, 0).is(ErrBadLength).do(oOverwriteLength, 0, SegmentBytes+1).is(ErrBadLength).
+		do(oOverwriteLength, 1, 5).is(ErrQueueEmpty)
 }
 
 func TestAppendHead(t *testing.T) {
-	m := newTestManager(t, 8)
-	m.Enqueue(0, []byte{2}, true)
-	// Prepend a header segment (protocol encapsulation use case).
-	if _, err := m.AppendHead(0, []byte{1}, false); err != nil {
-		t.Fatal(err)
-	}
-	_, d1, _ := m.Dequeue(0)
-	_, d2, _ := m.Dequeue(0)
-	if d1[0] != 1 || d2[0] != 2 {
-		t.Fatalf("order = %d,%d", d1[0], d2[0])
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 8).do(oEnqueue, 0, 1, 1).do(oAppendHead, 0, 1, 0).is(nil).do(oDequeue, 0).do(oDequeue, 0)
 }
 
 func TestAppendHeadEmptyQueue(t *testing.T) {
-	m := newTestManager(t, 4)
-	if _, err := m.AppendHead(0, []byte{5}, true); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := m.Len(0); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 4).do(oAppendHead, 0, 5, 1).is(nil)
 }
 
 func TestMovePacket(t *testing.T) {
-	m := newTestManager(t, 16)
-	m.Enqueue(0, []byte{1}, false)
-	m.Enqueue(0, []byte{2}, true)
-	m.Enqueue(0, []byte{3}, true) // second packet stays
-	m.Enqueue(1, []byte{9}, true) // destination already populated
-	n, err := m.MovePacket(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("moved %d segments", n)
-	}
-	if l, _ := m.Len(0); l != 1 {
-		t.Fatalf("source len = %d", l)
-	}
-	if l, _ := m.Len(1); l != 3 {
-		t.Fatalf("dest len = %d", l)
-	}
-	mustInvariants(t, m)
-	// Destination order: 9, then 1, 2.
-	var got []byte
-	for i := 0; i < 3; i++ {
-		_, d, _ := m.Dequeue(1)
-		got = append(got, d[0])
-	}
-	if !bytes.Equal(got, []byte{9, 1, 2}) {
-		t.Fatalf("dest order = %v", got)
+	h := newPrivate(t, 8, 16).do(oEnqueue, 0, 1, 0).do(oEnqueue, 0, 1, 1).do(oEnqueue, 0, 1, 1).do(oEnqueue, 1, 1, 1).
+		do(oMove, 0, 1).is(nil)
+	for range 3 {
+		h.do(oDequeue, 1)
 	}
 }
 
 func TestMovePacketToEmptyQueue(t *testing.T) {
-	m := newTestManager(t, 8)
-	m.Enqueue(0, []byte{1}, true)
-	if _, err := m.MovePacket(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if l, _ := m.Len(2); l != 1 {
-		t.Fatalf("dest len = %d", l)
-	}
-	if l, _ := m.Len(0); l != 0 {
-		t.Fatalf("source len = %d", l)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 8).do(oEnqueue, 0, 1, 1).do(oMove, 0, 2).is(nil)
 }
 
 func TestMovePacketSelf(t *testing.T) {
-	m := newTestManager(t, 8)
-	m.Enqueue(0, []byte{1}, true)
-	m.Enqueue(0, []byte{2}, true)
-	// Rotates the first packet to the tail.
-	if _, err := m.MovePacket(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	_, d, _ := m.Dequeue(0)
-	if d[0] != 2 {
-		t.Fatalf("head after self-move = %d", d[0])
-	}
-	// Self-move of the only packet is a no-op.
-	if _, err := m.MovePacket(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	_, d, _ = m.Dequeue(0)
-	if d[0] != 1 {
-		t.Fatalf("got %d", d[0])
-	}
+	// Rotates the first packet to the tail; a self-move of the only packet
+	// is a no-op.
+	newPrivate(t, 8, 8).do(oEnqueue, 0, 1, 1).do(oEnqueue, 0, 1, 1).do(oMove, 0, 0).do(oDequeue, 0).
+		do(oMove, 0, 0).is(nil).do(oDequeue, 0)
 }
 
 func TestMovePacketErrors(t *testing.T) {
-	m := newTestManager(t, 8)
-	if _, err := m.MovePacket(0, 1); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("err = %v", err)
-	}
-	m.Enqueue(0, []byte{1}, false) // incomplete packet
-	if _, err := m.MovePacket(0, 1); !errors.Is(err, ErrNoPacket) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := m.MovePacket(0, 99); !errors.Is(err, ErrBadQueue) {
-		t.Fatalf("err = %v", err)
-	}
+	newPrivate(t, 8, 8).do(oMove, 0, 1).is(ErrQueueEmpty).do(oEnqueue, 0, 1, 0).do(oMove, 0, 1).is(ErrNoPacket).
+		do(oMove, 0, 99).is(ErrBadQueue)
 }
 
 func TestOverwriteAndMove(t *testing.T) {
-	m := newTestManager(t, 8)
-	m.Enqueue(0, []byte{1, 1}, true)
-	n, err := m.OverwriteAndMove(0, 1, []byte{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("moved %d", n)
-	}
-	info, data, _ := m.ReadHead(1)
-	if info.Len != 1 || data[0] != 5 {
-		t.Fatalf("info=%+v data=%v", info, data)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 8).do(oEnqueue, 0, 2, 1).do(oOverwriteAndMove, 0, 1, 1).is(nil)
 }
 
 func TestOverwriteLengthAndMove(t *testing.T) {
-	m := newTestManager(t, 8)
-	m.Enqueue(0, []byte{1, 2, 3}, true)
-	if _, err := m.OverwriteLengthAndMove(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	info, _, _ := m.ReadHead(1)
-	if info.Len != 1 {
-		t.Fatalf("len = %d", info.Len)
-	}
-	mustInvariants(t, m)
+	newPrivate(t, 8, 8).do(oEnqueue, 0, 3, 1).do(oOverwriteLengthAndMove, 0, 1, 1).is(nil)
 }
 
 // segInfos reads queue q's segments head to tail off the link table.
@@ -499,13 +168,8 @@ func segInfos(m *Manager, q QueueID) (infos []SegInfo) {
 }
 
 func TestPayloadAccessor(t *testing.T) {
-	m := newTestManager(t, 4)
-	s, _ := m.Enqueue(0, []byte{42}, true)
-	p, err := m.Payload(s)
-	if err != nil || p[0] != 42 {
-		t.Fatalf("payload = %v err = %v", p, err)
-	}
-	if _, err := m.Payload(Seg(-1)); !errors.Is(err, ErrBadSegment) {
+	h := newPrivate(t, 8, 4).do(oEnqueue, 0, 1, 1) // the harness reads every queued segment through Payload
+	if _, err := h.ms[0].Payload(Seg(-1)); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("err = %v", err)
 	}
 }

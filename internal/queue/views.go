@@ -129,24 +129,18 @@ func (v PacketView) Retain() {
 
 // Release drops a reference; the final one scrubs the chain and returns it
 // to the store in one bulk operation — one whole chain, which a shared
-// store keeps whole for the next packet of its size. Safe from any
-// goroutine. Releasing more times than Retain+1 panics — a double release
-// means some consumer may still be reading segments that are back in the
-// free pool, the use-after-free this accounting exists to catch. (Like
-// sync.WaitGroup, the panic is best-effort: it detects the imbalance while
-// the refcount slot has not been recycled by a later packet chain headed
-// at the same segment.)
+// store keeps whole for the next packet of its size. It is a ViewReleaser
+// of one view, so it is safe from any goroutine, the zero view's Release
+// does nothing, and releasing more times than Retain+1 panics — a double
+// release means some consumer may still be reading segments that are back
+// in the free pool, the use-after-free this accounting exists to catch.
+// (Like sync.WaitGroup, the panic is best-effort: it detects the imbalance
+// while the refcount slot has not been recycled by a later packet chain
+// headed at the same segment.)
 func (v PacketView) Release() {
-	m := v.m
-	n := atomic.AddInt32(&m.refs[v.head], -1)
-	if n > 0 {
-		return
-	}
-	if n < 0 {
-		panic("queue: PacketView released more times than retained")
-	}
-	m.setChainState(v.head, v.end, stateFree)
-	m.src.ReturnLent(v.head, v.end, v.segs)
+	var r ViewReleaser
+	r.Add(v)
+	r.Flush()
 }
 
 // ViewReleaser accumulates view releases and returns the chains to the

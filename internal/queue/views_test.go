@@ -6,105 +6,33 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"npqm/internal/segstore"
 )
 
-// newSharedManager builds a manager over a shared store, the configuration
-// under which view releases and writer aborts are safe from any goroutine.
-func newSharedManager(t *testing.T, segs int) *Manager {
-	t.Helper()
-	st, err := segstore.New(segstore.Config{
-		NumSegments: segs, SegmentBytes: SegmentBytes, StoreData: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewWithStore(Config{NumQueues: 8}, st.NewCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func TestDequeuePacketViewRoundTrip(t *testing.T) {
-	m := newTestManager(t, 64)
-	payload := make([]byte, 3*SegmentBytes+17)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-	segs, err := m.EnqueuePacket(1, payload)
-	if err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	v, err := m.DequeuePacketView(1)
-	if err != nil {
-		t.Fatalf("view dequeue: %v", err)
-	}
-	if !v.Valid() {
-		t.Fatal("view not valid")
-	}
-	if v.Len() != len(payload) || v.Segments() != segs {
-		t.Fatalf("view shape = (%d bytes, %d segs), want (%d, %d)",
-			v.Len(), v.Segments(), len(payload), segs)
-	}
-	if got := v.AppendTo(nil); !bytes.Equal(got, payload) {
-		t.Fatalf("payload mismatch: got %d bytes", len(got))
-	}
-	// The chain is out of the queue but not yet back in the pool.
-	if m.LentSegments() != segs {
-		t.Fatalf("lent = %d, want %d", m.LentSegments(), segs)
-	}
-	if free := m.FreeSegments(); free != 64-segs {
-		t.Fatalf("free = %d while view held, want %d", free, 64-segs)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants with view outstanding: %v", err)
-	}
-	v.Release()
-	if m.LentSegments() != 0 {
-		t.Fatalf("lent = %d after release, want 0", m.LentSegments())
-	}
-	if free := m.FreeSegments(); free != 64 {
-		t.Fatalf("free = %d after release, want 64", free)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after release: %v", err)
-	}
+	// The harness checks the books with the view held: out of the queue,
+	// lent, not yet free.
+	newPrivate(t, 8, 64).do(oEnqueuePacket, 1, 3*SegmentBytes+17).do(oView, 1, 1).is(nil).do(oRelease, 1)
 }
 
 func TestPacketViewErrors(t *testing.T) {
-	m := newTestManager(t, 16)
-	if _, err := m.DequeuePacketView(0); !errors.Is(err, ErrQueueEmpty) {
-		t.Fatalf("empty queue: %v", err)
-	}
-	// Raw segments without an EOP are not a packet.
-	if _, err := m.Enqueue(2, make([]byte, 8), false); err != nil {
-		t.Fatalf("raw enqueue: %v", err)
-	}
-	if _, err := m.DequeuePacketView(2); !errors.Is(err, ErrNoPacket) {
-		t.Fatalf("no EOP: %v", err)
-	}
-	// The failed view dequeue must leave the queue servable by the view path
-	// once the packet completes.
-	if _, err := m.Enqueue(2, make([]byte, 8), true); err != nil {
-		t.Fatalf("raw enqueue 2: %v", err)
-	}
-	v, err := m.DequeuePacketView(2)
-	if err != nil {
-		t.Fatalf("view after completion: %v", err)
-	}
-	if v.Segments() != 2 {
-		t.Fatalf("segments = %d, want 2", v.Segments())
-	}
+	// A failed view dequeue leaves the queue servable by the view path once
+	// the packet completes.
+	newPrivate(t, 8, 16).do(oView, 0).is(ErrQueueEmpty).do(oEnqueue, 2, 8, 0).do(oView, 2).is(ErrNoPacket).
+		do(oEnqueue, 2, 8, 1).do(oView, 2).is(nil)
+	// The zero view is not a packet: releasing it, directly or through an
+	// accumulator, does nothing.
+	var v PacketView
+	var r ViewReleaser
 	v.Release()
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	r.Add(v)
+	r.Flush()
+	if v.Valid() || v.Len() != 0 || v.AppendTo(nil) != nil {
+		t.Fatal("the zero view reads as a packet")
 	}
 }
 
 func TestPacketViewRetainCrossGoroutine(t *testing.T) {
-	m := newSharedManager(t, 64)
+	m := newShared(t, 8, 64, 0, 1).ms[0]
 	payload := make([]byte, 2*SegmentBytes)
 	if _, err := m.EnqueuePacket(0, payload); err != nil {
 		t.Fatal(err)
@@ -144,7 +72,7 @@ func TestPacketViewRetainCrossGoroutine(t *testing.T) {
 }
 
 func TestPacketViewDoubleReleasePanics(t *testing.T) {
-	m := newTestManager(t, 16)
+	m := newPrivate(t, 8, 16).ms[0]
 	if _, err := m.EnqueuePacket(0, make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,112 +89,40 @@ func TestPacketViewDoubleReleasePanics(t *testing.T) {
 	v.Release()
 }
 
+// TestViewReleaserBatch holds ten views, one of them retained, and
+// releases them through one ViewReleaser twice: the retained one survives
+// the first pass.
 func TestViewReleaserBatch(t *testing.T) {
-	m := newSharedManager(t, 256)
-	payload := make([]byte, 3*SegmentBytes)
-	var views []PacketView
-	for i := 0; i < 10; i++ {
-		if _, err := m.EnqueuePacket(QueueID(i%4), payload); err != nil {
-			t.Fatal(err)
-		}
+	h := newShared(t, 8, 256, 0, 1)
+	for i := range 10 {
+		h.do(oEnqueuePacket, i%4, 3*SegmentBytes)
 	}
-	for q := QueueID(0); q < 4; q++ {
-		for {
-			v, err := m.DequeuePacketView(q)
-			if err != nil {
-				break
-			}
-			views = append(views, v)
-		}
+	for i, q := range []int{0, 0, 0, 1, 1, 1, 2, 2, 3, 3} {
+		h.do(oView, q, 1, b2i(i == 3)).is(nil)
 	}
-	if len(views) != 10 {
-		t.Fatalf("dequeued %d views, want 10", len(views))
-	}
-	// A retained view must survive the batch release.
-	views[3].Retain()
-	var r ViewReleaser
-	for _, v := range views {
-		r.Add(v)
-	}
-	r.Flush()
-	if lent := m.LentSegments(); lent != 3 {
-		t.Fatalf("lent = %d after batch release, want 3 (the retained view)", lent)
-	}
-	views[3].Release()
-	if lent := m.LentSegments(); lent != 0 {
-		t.Fatalf("lent = %d after final release, want 0", lent)
-	}
-	if free := m.FreeSegments(); free != 256 {
-		t.Fatalf("free = %d, want 256", free)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	retained := h.held[3].v
+	h.do(oRelease, 0).do(oRelease, 0)
 	// A drained accumulator flushes as a no-op, and over-release through
 	// the accumulator panics like a direct Release.
+	var r ViewReleaser
 	r.Flush()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Add after final release did not panic")
 		}
 	}()
-	r.Add(views[3])
+	r.Add(retained)
 }
 
+// TestReserveCommitRoundTrip: with the reservation open its segments are
+// lent and the queue is empty; Commit links it, a second terminal call is
+// refused (the harness checks both).
 func TestReserveCommitRoundTrip(t *testing.T) {
-	m := newTestManager(t, 64)
-	payload := make([]byte, 2*SegmentBytes+5)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	w, err := m.ReservePacket(3, len(payload))
-	if err != nil {
-		t.Fatalf("reserve: %v", err)
-	}
-	if !w.Valid() || w.Len() != len(payload) || w.Segments() != 3 || w.Queue() != 3 {
-		t.Fatalf("writer shape = (%v, %d, %d, %d)", w.Valid(), w.Len(), w.Segments(), w.Queue())
-	}
-	// Reserved segments are lent, and the packet is not yet in the queue.
-	if m.LentSegments() != 3 {
-		t.Fatalf("lent = %d during reservation, want 3", m.LentSegments())
-	}
-	if n, _ := m.Len(3); n != 0 {
-		t.Fatalf("queue len = %d before commit, want 0", n)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants with reservation open: %v", err)
-	}
-	off := 0
-	w.Range(func(seg []byte) bool {
-		off += copy(seg, payload[off:])
-		return true
-	})
-	if off != len(payload) {
-		t.Fatalf("writer exposed %d bytes, want %d", off, len(payload))
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if err := w.Commit(); !errors.Is(err, ErrWriterDone) {
-		t.Fatalf("second commit: %v, want ErrWriterDone", err)
-	}
-	if m.LentSegments() != 0 {
-		t.Fatalf("lent = %d after commit, want 0", m.LentSegments())
-	}
-	got, _, err := m.DequeuePacket(3)
-	if err != nil {
-		t.Fatalf("dequeue: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("committed payload mismatch")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	newPrivate(t, 8, 64).do(oReserve, 3, 2*SegmentBytes+5, 2).is(nil).do(oSettle, 0, 1).do(oDequeuePacket, 3).is(nil)
 }
 
 func TestReserveAbort(t *testing.T) {
-	m := newSharedManager(t, 16)
+	m := newShared(t, 8, 16, 0, 1).ms[0]
 	w, err := m.ReservePacket(0, 3*SegmentBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -291,25 +147,8 @@ func TestReserveAbort(t *testing.T) {
 }
 
 func TestReserveErrors(t *testing.T) {
-	m := newTestManager(t, 4)
-	if _, err := m.ReservePacket(0, 0); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("zero length: %v", err)
-	}
-	if _, err := m.ReservePacket(0, 5*SegmentBytes); !errors.Is(err, ErrNoFreeSegments) {
-		t.Fatalf("oversized: %v", err)
-	}
-	if err := m.SetSegmentLimit(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ReservePacket(0, 2*SegmentBytes); !errors.Is(err, ErrQueueLimit) {
-		t.Fatalf("over limit: %v", err)
-	}
-	if m.LentSegments() != 0 || m.FreeSegments() != 4 {
-		t.Fatalf("lent=%d free=%d after failed reserves", m.LentSegments(), m.FreeSegments())
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	newPrivate(t, 8, 4).do(oReserve, 0, 0).is(ErrBadLength).do(oReserve, 0, 5*SegmentBytes).is(ErrNoFreeSegments).
+		do(oLimit, 0, 1).do(oReserve, 0, 2*SegmentBytes).is(ErrQueueLimit)
 }
 
 // TestViewLifecycleProperty mixes copy enqueues, reservations (committed
@@ -318,7 +157,7 @@ func TestReserveErrors(t *testing.T) {
 // pool refills exactly.
 func TestViewLifecycleProperty(t *testing.T) {
 	const pool = 256
-	m := newSharedManager(t, pool)
+	m := newShared(t, 8, pool, 0, 1).ms[0]
 	rng := rand.New(rand.NewSource(7))
 	var wg sync.WaitGroup
 	release := func(v PacketView) {

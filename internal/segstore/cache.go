@@ -136,8 +136,9 @@ func (c *Cache) Lend(n int32) { c.lent += n }
 // any goroutine, because views are released wherever the consumer
 // finishes. It bypasses this single-owner cache entirely, so on a one-cache
 // store a lent chain rejoins the free list through the depot, after the
-// free side: FIFO reuse holds for FreeN's frees only.
-func (c *Cache) ReturnLent(head, tail, n int32) { c.st.ReturnLent(head, tail, n) }
+// free side: FIFO reuse holds for FreeN's frees only. It is
+// Store.ReturnLentChains of one chain, whose grain is its length.
+func (c *Cache) ReturnLent(head, tail, n int32) { c.st.ReturnLentChains(head, tail, n, n) }
 
 // ReturnLentChains is ReturnLent for a batch of whole grain-segment chains
 // (see Store.ReturnLentChains). Safe from any goroutine.

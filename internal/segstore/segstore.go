@@ -304,11 +304,6 @@ func (st *Store) depotAdd(delta int32) { st.depotFree.Add(1<<32 + uint64(int64(d
 // Publish (see Cache.Lend).
 func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
 
-// ReturnLent returns a lent chain to the depot as one magazine and debits
-// the lent population: ReturnLentChains of one chain, whose grain is its
-// length.
-func (st *Store) ReturnLent(head, tail, n int32) { st.ReturnLentChains(head, tail, n, n) }
-
 // ReturnLentChains returns a lent batch of n segments (head→…→tail through
 // View.Next; Next[tail] is overwritten) made of whole grain-segment chains,
 // each well formed by its words (see WordLen), to the depot as one magazine

@@ -14,9 +14,11 @@ type SizeMixKind int
 const (
 	// MixFixed returns the configured size for every packet.
 	MixFixed SizeMixKind = iota
-	// MixIMIX draws from the classic Internet mix: 64-, 576- and
-	// 1500-byte packets weighted 7:4:1 — the small-packet-dominated blend
-	// backbone measurements report, and the standard router benchmark load.
+	// MixIMIX draws the simple IMIX as IP packet sizes: 576- and 1500-byte
+	// packets with the 40-byte one raised to the 64-byte segment floor
+	// (64/576/1500 B, 7:4:1). SizeDist's IMIX is the same mix as Ethernet
+	// frames. Neither may change: bench/'s overload-lqd-steps delivery
+	// digest is computed over this mix.
 	MixIMIX
 )
 

@@ -24,7 +24,12 @@ type SizeDist int
 const (
 	// Min64 is the paper's worst case: every packet 64 bytes.
 	Min64 SizeDist = iota
-	// IMIX is the classic Internet mix (7:4:1 of 64/594/1518).
+	// IMIX is the simple IMIX as Ethernet frame sizes: 40-, 576- and
+	// 1500-byte IP packets plus 18 bytes of header and FCS, the smallest
+	// padded to the 64-byte minimum frame (64/594/1518 B, 7:4:1). SizeMix's
+	// MixIMIX is the same mix as IP packets. Neither may change: the
+	// examples' expected output (testdata/examples) is computed over this
+	// mix.
 	IMIX
 	// Uniform draws uniformly in [64, 1518].
 	Uniform
