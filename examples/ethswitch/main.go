@@ -136,7 +136,7 @@ func run(policy string) error {
 	src := packet.MAC{0x02, 0, 0, 0, 0, 1}
 
 	// Offer 2:1 congestion in real time: bursts on an absolute schedule.
-	burstEvery := time.Duration(burstSize * 64 * int(time.Second) / offerRate)
+	burstEvery := time.Duration(burstSize*64) * time.Second / time.Duration(offerRate)
 	start := time.Now()
 	paused := false
 	for i := 0; i < frames; i++ {

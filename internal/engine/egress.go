@@ -10,15 +10,15 @@ package engine
 // tenant-level WRR cannot drift from class- or flow-level WRR.
 //
 // Scheduler state is dense and index-based: every flow owns one
-// flowState entry in an engine-wide table (intrusive list links, port,
-// tenant, class, weight, DRR deficit — no per-flow maps, no per-port
-// bitmaps), so a million flows cost a million small structs rather than
-// ports×flows bits, and activation/deactivation/picking are O(1) list
-// splices. Intermediate nodes (a tenant, a (tenant, class) pair) are
-// dense composite indices into per-level slices inside the Stack.
-// Entries are only ever touched inside the owning shard's critical
-// section; the table is engine-wide only so the facade can size it
-// once.
+// flowState entry (port, tenant, class, weight, DRR deficit, queue row)
+// and one flowLinks entry (its intrusive active-list links) in two
+// engine-wide tables — no per-flow maps, no per-port bitmaps — so a
+// million flows cost a million small structs rather than ports×flows bits,
+// and activation/deactivation/picking are O(1) list splices.
+// Intermediate nodes (a tenant, a (tenant, class) pair) are dense
+// composite indices into per-level slices inside the Stack. Entries are
+// only ever touched inside the owning shard's critical section; the
+// tables are engine-wide only so the facade can size them once.
 //
 // All egress state lives per shard under the shard lock: a flow always
 // hashes to the same shard, so per-flow cursor/credit/deficit state
@@ -29,8 +29,10 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"npqm/internal/policy"
+	"npqm/internal/prefetch"
 	"npqm/internal/queue"
 	"npqm/internal/sched"
 )
@@ -61,23 +63,28 @@ type Dequeued struct {
 // DequeuedView is Dequeued under the name the view entry points use.
 type DequeuedView = Dequeued
 
-// flowState is one flow's dense scheduler state: the intrusive links of
-// its innermost active list, its home port and its unit in every tier
-// (tenant, class), its WRR/DRR weight, its DRR deficit, and its row in
-// the owning shard's queue table. One entry per flow, engine-wide,
-// touched only inside the owning shard's critical section. next ==
-// sched.None means the flow is not active (no backlog). 40 bytes, row
-// included: it sits in the four bytes that aligning deficit leaves free
-// (layout_test.go pins the size).
+// flowState is one flow's dense scheduler configuration: its home port
+// and its unit in every tier (tenant, class), its WRR/DRR weight, its DRR
+// deficit, and its row in the owning shard's queue table. One entry per
+// flow, engine-wide, touched only inside the owning shard's critical
+// section. 32 bytes, two to a cache line and never straddling one
+// (layout_test.go pins the size). Its list links live apart, in flowLinks:
+// every activation and pick writes them, while this entry is read-mostly
+// (only a DRR pick writes the deficit), so the core that serves a flow
+// and the core that activates it do not take turns owning its
+// configuration's line.
 type flowState struct {
-	next, prev int32
-	port       int32
-	unit       [numTiers]int32
-	weight     int32  // 0 = discipline default
-	defEpoch   uint32 // deficit is valid only when this matches eg.epoch
-	row        uint32 // fixed at New; see shard.row
-	deficit    int64
+	port     int32
+	unit     [numTiers]int32
+	weight   int32  // 0 = discipline default
+	defEpoch uint32 // deficit is valid only when this matches eg.epoch
+	row      uint32 // fixed at New; see shard.row
+	deficit  int64
 }
+
+// flowLinks is one flow's place on its innermost active list, indexed like
+// flowState. next == sched.None means the flow is not active (no backlog).
+type flowLinks struct{ next, prev int32 }
 
 // portSched is one (shard, port) scheduling unit: a sched.Stack over
 // the shard's configured levels, built on the port's first active flow
@@ -144,13 +151,13 @@ type egressState struct {
 // --- sched.Entity / sched.Hierarchy implementations ---
 
 // The shard itself is the flow-level Entity: member ids are flow IDs
-// indexing the dense flowState table. Pointer-shaped, so the interface
-// conversion in the pick paths does not allocate.
+// indexing the dense flowState and flowLinks tables. Pointer-shaped, so
+// the interface conversion in the pick paths does not allocate.
 
-func (s *shard) Next(id int32) int32    { return s.flows[id].next }
-func (s *shard) SetNext(id, next int32) { s.flows[id].next = next }
-func (s *shard) Prev(id int32) int32    { return s.flows[id].prev }
-func (s *shard) SetPrev(id, prev int32) { s.flows[id].prev = prev }
+func (s *shard) Next(id int32) int32    { return s.links[id].next }
+func (s *shard) SetNext(id, next int32) { s.links[id].next = next }
+func (s *shard) Prev(id int32) int32    { return s.links[id].prev }
+func (s *shard) SetPrev(id, prev int32) { s.links[id].prev = prev }
 
 func (s *shard) Weight(id int32) int64 {
 	if w := s.flows[id].weight; w > 0 {
@@ -524,7 +531,19 @@ func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max i
 		return out, room
 	}
 	var d Dequeued
-	for len(out) < max && room > 0 && s.dequeuePicked(&d, port, view) {
+	var la lookahead
+	hint := s.hinting()
+	for len(out) < max && room > 0 {
+		flow, debit, ok := s.pickLocked(port)
+		if !ok {
+			break
+		}
+		if hint && len(out)+1 < max {
+			s.hintAhead(&la, flow)
+		}
+		if s.take(&d, flow, view, debit) != nil {
+			break
+		}
 		if out == nil {
 			out = newBatch(1, max)
 		}
@@ -533,6 +552,92 @@ func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max i
 	}
 	s.unlock()
 	return out, room
+}
+
+// sharedDrains is how many drains of a shard issue prefetch hints after a
+// contended entry marked it shared (see lockContended).
+const sharedDrains = 1024
+
+// markShared turns the shard's prefetch hints on for the next drains
+// drains, the producer's with them.
+func (s *shard) markShared(drains int) {
+	s.shared = drains
+	s.cache.SetHints(true)
+}
+
+// hinting reports whether this drain issues prefetch hints, and counts it
+// against the shard's shared mark; the drain that uses the mark up turns
+// the producer's hint (segstore.Cache.SetHints) off with it. A hint pays
+// off only when its line is far away, last written on another core. On one
+// goroutine the lines are in its own cache and the hints are pure cost:
+// ungated, they made a single-goroutine enqueue/dequeue loop of 64-byte
+// packets about a fifth slower (EXPERIMENTS.md, "The pipelined drain").
+func (s *shard) hinting() bool {
+	if s.shared == 0 {
+		return false
+	}
+	if s.shared--; s.shared == 0 {
+		s.cache.SetHints(false)
+	}
+	return true
+}
+
+// lookahead is the drain's software pipeline (DESIGN.md, "The pipelined
+// drain"): cur is the flow being served on port, and f holds the next
+// distinct flows the picks are predicted to serve, nearest first, carried
+// from packet to packet like pipeline registers; n of them are valid.
+type lookahead struct {
+	port int32
+	cur  int32
+	n    int
+	f    [3]int32
+}
+
+// hintAhead advances the drain's pipeline to flow, just picked, and issues
+// the hints for the flows ahead of it, inside the shard's critical
+// section: the links and configuration of the flow three ahead, the queue
+// row of the one two ahead and the head segment of the next — each stage
+// reading only what the stage behind it hinted a packet earlier. A pick of
+// the flow being served (a WRR or DRR visit going on) changes nothing and
+// hints nothing. A pick of the nearest prediction shifts the registers and
+// extends them by the one link the last packet hinted. Any other pick
+// restarts them from Stack.Peek — past flow itself, when its visit is
+// still open — and walks two links. A wrong prediction costs a few wasted
+// hints and never a wrong packet: nothing here writes engine state.
+func (s *shard) hintAhead(la *lookahead, flow uint32) {
+	port, cur := s.flows[flow].port, int32(flow)
+	switch {
+	case la.n > 0 && la.port == port && cur == la.cur:
+		return
+	case la.n > 0 && la.port == port && cur == la.f[0]:
+		la.f[0], la.f[1] = la.f[1], la.f[2]
+		la.n--
+	default:
+		next, _ := s.ps[port].st.Peek() // flow is still active: never empty
+		if next == cur {
+			next = s.links[cur].next
+		}
+		la.port, la.f[0], la.n = port, next, 1
+	}
+	la.cur = cur
+	for la.n < len(la.f) {
+		next := s.links[la.f[la.n-1]].next
+		if next == sched.None {
+			break
+		}
+		la.f[la.n] = next
+		la.n++
+	}
+	near := s.row(uint32(la.f[0]))
+	row := near
+	if la.n > 1 {
+		row = s.row(uint32(la.f[1]))
+	}
+	s.m.Hint(row, near)
+	if la.n > 2 {
+		f := la.f[2]
+		prefetch.Hint([]unsafe.Pointer{unsafe.Pointer(&s.links[f]), unsafe.Pointer(&s.flows[f])})
+	}
 }
 
 // batchAlloc bounds the capacity a batch result slice starts with, so a
@@ -576,7 +681,7 @@ func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
 
 // --- active-list maintenance (caller holds the shard's critical section) ---
 
-func (s *shard) isActive(flow uint32) bool { return s.flows[flow].next != sched.None }
+func (s *shard) isActive(flow uint32) bool { return s.links[flow].next != sched.None }
 
 // initPortLocked builds a port's level stack on its first active flow.
 func (s *shard) initPortLocked(ps *portSched) {
@@ -603,11 +708,10 @@ func (s *shard) initLevelAuditLocked(ps *portSched) {
 }
 
 func (s *shard) setActive(flow uint32) {
-	fs := &s.flows[flow]
-	if fs.next != sched.None {
+	if s.isActive(flow) {
 		return
 	}
-	p := int(fs.port)
+	p := int(s.flows[flow].port)
 	ps := &s.ps[p]
 	if !ps.st.Ready() {
 		s.initPortLocked(ps)
@@ -623,11 +727,10 @@ func (s *shard) setActive(flow uint32) {
 }
 
 func (s *shard) clearActive(flow uint32) {
-	fs := &s.flows[flow]
-	if fs.next == sched.None {
+	if !s.isActive(flow) {
 		return
 	}
-	ps := &s.ps[fs.port]
+	ps := &s.ps[s.flows[flow].port]
 	var pb [numTiers]int32
 	ps.st.Deactivate(int32(flow), s.pathOf(flow, pb[:0]))
 	ps.activeFlows--

@@ -193,13 +193,15 @@ type shard struct {
 	// Egress state: one scheduling unit (a sched.Stack over the
 	// configured tenant/class levels plus the per-unit flow lists) per
 	// output port, plus the shard-wide discipline parameters (see
-	// egress.go). flows and ports alias engine-wide slices: flowState
+	// egress.go). flows, links and ports alias engine-wide slices: flow
 	// entries are only touched inside the owning shard's critical
 	// section, ports is immutable after New.
 	ps          []portSched
+	shared      int    // drains left that issue prefetch hints (see lockContended)
 	activeFlows int    // total active flows across all ports
 	portCursor  uint32 // rotating port for anyPort picks
 	flows       []flowState
+	links       []flowLinks
 	ports       []*port
 	eg          egressState
 
@@ -237,11 +239,13 @@ type Engine struct {
 	// Transmit side: one port object per output port, one pacer slot per
 	// shard (the goroutine starts lazily on the first ServeViews homed
 	// there), a stop channel closed exactly once on Close to halt the
-	// pacers, and their WaitGroup. flows is the engine-wide dense
-	// scheduler state, one entry per flow, owned by the flow's shard.
+	// pacers, and their WaitGroup. flows and links are the engine-wide
+	// dense scheduler state, one entry each per flow, owned by the flow's
+	// shard.
 	ports     []*port
 	pacers    []*pacer
 	flows     []flowState
+	links     []flowLinks
 	tierUnits [numTiers]int32 // fixed unit counts per tier (tenant, class); 1 = flat
 	portStop  chan struct{}
 	portWG    sync.WaitGroup
@@ -336,13 +340,13 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		ports:     make([]*port, cfg.NumPorts),
 		pacers:    make([]*pacer, cfg.Shards),
 		flows:     make([]flowState, cfg.NumFlows),
+		links:     make([]flowLinks, cfg.NumFlows),
 		tierUnits: tierUnits,
 		portStop:  make(chan struct{}),
 	}
 	owned := make([]int, cfg.Shards)
-	for f := range e.flows {
-		e.flows[f].next = sched.None
-		e.flows[f].prev = sched.None
+	for f := range e.links {
+		e.links[f] = flowLinks{sched.None, sched.None}
 		owned[e.ShardOf(uint32(f))]++
 	}
 	for i := range e.pacers {
@@ -377,6 +381,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 			allocBuf: allocBuf,
 			ps:       make([]portSched, cfg.NumPorts),
 			flows:    e.flows,
+			links:    e.links,
 			ports:    e.ports,
 			flowOf:   make([]uint32, 0, owned[i]),
 		}

@@ -29,6 +29,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -180,6 +181,12 @@ func runEngine(t *testing.T, cfg Config, started bool, in []byte) *harness {
 			s.ring, s.cmds = r, make([]command, drainBatch)
 		}
 		e.state.Store(stateStarted)
+	}
+	// One goroutine never contends for a shard, so mark every shard shared
+	// for good: every drain runs the prefetch pipeline, and the model holds
+	// the packets it delivers to the same account as any other.
+	for _, s := range e.shards {
+		e.run(s, func() { s.markShared(math.MaxInt) })
 	}
 	h.resetAudit()
 	cmds := script(in)

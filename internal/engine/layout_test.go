@@ -34,12 +34,17 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
-// TestFlowStateLayout: the dense flow table is the engine's per-flow
-// footprint (one entry per flow of the space); a flow's row in its shard's
-// queue table must fit in the four bytes that aligning deficit leaves free.
+// TestFlowStateLayout: the dense flow tables are the engine's per-flow
+// footprint (one entry each per flow of the space). A flow's configuration
+// is 32 bytes, so two share a cache line and none straddles one, and its
+// active-list links, split off so that the lines the serving core reads
+// are not the lines the activating core writes, are 8.
 func TestFlowStateLayout(t *testing.T) {
-	if got := unsafe.Sizeof(flowState{}); got != 40 {
-		t.Fatalf("layout: flowState is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(flowState{}); got != 32 {
+		t.Fatalf("layout: flowState is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(flowLinks{}); got != 8 {
+		t.Fatalf("layout: flowLinks is %d bytes, want 8", got)
 	}
 }
 

@@ -49,7 +49,9 @@ type cmdRing = ring.Ring[command]
 // entry cost the 64-byte round trip 10% (EXPERIMENTS.md, "One way into a
 // shard").
 func (e *Engine) lock(s *shard) {
-	s.mu.Lock()
+	if !s.mu.TryLock() {
+		s.lockContended()
+	}
 	if s.ring != nil {
 		e.drain(s)
 	}
@@ -58,7 +60,9 @@ func (e *Engine) lock(s *shard) {
 // enter is lock for the datapath calls, which a closed engine refuses:
 // false means the engine is closed and s is not held.
 func (e *Engine) enter(s *shard) bool {
-	s.mu.Lock()
+	if !s.mu.TryLock() {
+		s.lockContended()
+	}
 	if e.closed() {
 		s.mu.Unlock()
 		return false
@@ -67,6 +71,16 @@ func (e *Engine) enter(s *shard) bool {
 		e.drain(s)
 	}
 	return true
+}
+
+// lockContended takes s.mu after a TryLock failed, and marks the shard
+// shared (see markShared): another goroutine held it a moment ago, so the
+// lines this section reads were likely last written on another core. lock
+// and enter try first, so an uncontended entry is an inlined TryLock, a
+// load and a CAS, with nothing called.
+func (s *shard) lockContended() {
+	s.mu.Lock()
+	s.markShared(sharedDrains)
 }
 
 // drain executes the commands that were in s's ring when it was called —

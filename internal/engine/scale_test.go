@@ -52,11 +52,12 @@ func TestScaleThreeLevelHierarchySmoke(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	tableBytes := int64(flows) * int64(unsafe.Sizeof(flowState{}))
-	t.Logf("dense flow table: %d flows × %d B = %.1f MiB; construction heap growth ≈ %.1f MiB",
-		flows, unsafe.Sizeof(flowState{}), float64(tableBytes)/(1<<20), float64(growth)/(1<<20))
+	perFlow := unsafe.Sizeof(flowState{}) + unsafe.Sizeof(flowLinks{})
+	tableBytes := int64(flows) * int64(perFlow)
+	t.Logf("dense flow tables: %d flows × %d B = %.1f MiB; construction heap growth ≈ %.1f MiB",
+		flows, perFlow, float64(tableBytes)/(1<<20), float64(growth)/(1<<20))
 	// Per-flow state must stay dense and fixed-size: the scheduler's
-	// flow table plus one queue-table row per flow — each shard's table
+	// flow tables plus one queue-table row per flow — each shard's table
 	// holds only the flows it owns, so the rows sum to the flow space
 	// once, not once per shard — with the segment pool and 4k port shells
 	// riding along. ~81 MiB today; the bound catches any change that makes

@@ -260,13 +260,3 @@ func TransitMbps(engine CopyEngine, clockMHz float64) float64 {
 	pps := clockMHz * 1e6 / float64(pair)
 	return pps * PacketBits / 1e6
 }
-
-// CPUHeadroom returns the fraction of CPU time left for packet processing
-// beyond queue management at the given transit load in Mbps.
-func CPUHeadroom(engine CopyEngine, clockMHz, loadMbps float64) float64 {
-	max := TransitMbps(engine, clockMHz)
-	if loadMbps >= max {
-		return 0
-	}
-	return 1 - loadMbps/max
-}

@@ -34,7 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
+	"npqm/internal/prefetch"
 	"npqm/internal/segstore"
 )
 
@@ -408,6 +410,29 @@ func (m *Manager) headOf(q QueueID) (int32, error) {
 		return h, nil
 	}
 	return nilSeg, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
+}
+
+// Hint starts loading, without waiting for them, the lines a dequeuer will
+// wait on two and one packets from now (see package prefetch): row's five
+// queue-table words, and the head segment of queue head — its word, link,
+// state and first payload line. It reads qhead[head], which an earlier
+// Hint with head as its row has started loading; an empty head queue gets
+// its table words hinted only. Both rows must be in range.
+func (m *Manager) Hint(row, head QueueID) {
+	lines := [9]unsafe.Pointer{
+		unsafe.Pointer(&m.qhead[row]), unsafe.Pointer(&m.qtail[row]), unsafe.Pointer(&m.qsegs[row]),
+		unsafe.Pointer(&m.qbytes[row]), unsafe.Pointer(&m.qpkts[row]),
+	}
+	n := 5
+	if h := m.qhead[head]; h != nilSeg {
+		lines[5], lines[6], lines[7] = unsafe.Pointer(&m.seg[h]), unsafe.Pointer(&m.next[h]), unsafe.Pointer(&m.state[h])
+		n = 8
+		if m.data != nil {
+			lines[8] = unsafe.Pointer(&m.data[int(h)*SegmentBytes])
+			n = 9
+		}
+	}
+	prefetch.Hint(lines[:n])
 }
 
 // dropHead unlinks the head segment of the non-empty queue q and returns it

@@ -168,15 +168,7 @@ func (ne *nodeEntity) SetDeficit(id int32, d int64) {
 // served (Charge), never with this estimate.
 func (ne *nodeEntity) HeadBytes(id int32) (int64, bool) {
 	st := ne.st
-	l := &st.nodes[ne.lvl][id].child
-	for k := int(ne.lvl) + 1; k < len(st.nodes); k++ {
-		nid, ok := l.Peek(st.params[k], &st.ents[k])
-		if !ok {
-			return 0, false
-		}
-		l = &st.nodes[k][nid].child
-	}
-	leaf, ok := l.Peek(st.leafP, st.leaf)
+	leaf, ok := st.peekFrom(&st.nodes[ne.lvl][id].child, int(ne.lvl)+1)
 	if !ok {
 		return 0, false
 	}
@@ -210,6 +202,26 @@ func (st *Stack) Pick() (int32, int64, bool) {
 		}
 	}
 	return st.nodes[n-1][id].child.Pick(st.leafP, st.leaf)
+}
+
+// Peek returns the leaf the next Pick would serve, found by Level.Peek at
+// every depth, without advancing any rotation state. It is exact while
+// every level runs RR, Prio or WRR; under DRR it is the member of the
+// open visit, which Pick may move past if its deficit does not cover the
+// head packet (see Level.Peek). ok is false when the stack is empty.
+func (st *Stack) Peek() (int32, bool) { return st.peekFrom(&st.root, 0) }
+
+// peekFrom peeks down from l, the rotation over level k's nodes (over the
+// leaves when k is the depth), to the leaf it would serve.
+func (st *Stack) peekFrom(l *Level, k int) (int32, bool) {
+	for ; k < len(st.nodes); k++ {
+		id, ok := l.Peek(st.params[k], &st.ents[k])
+		if !ok {
+			return None, false
+		}
+		l = &st.nodes[k][id].child
+	}
+	return l.Peek(st.leafP, st.leaf)
 }
 
 // Activate links leaf into the hierarchy along path (path[k] is the

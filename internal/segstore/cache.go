@@ -3,6 +3,9 @@ package segstore
 import (
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
+
+	"npqm/internal/prefetch"
 )
 
 // cachePad separates the owner-hot magazine words from the cross-thread
@@ -41,6 +44,8 @@ type Cache struct {
 	// critical section, beside the free-count mirror and for the same reason.
 	lent int32
 	mask uint64 // bit g set iff bins[g] holds chains
+
+	hints bool // AllocN hints the next segment's lines (SetHints)
 
 	// bins[g] holds whole g-segment chains back to back, one list through
 	// View.Next, for 2 ≤ g ≤ MaxGrain; bins[0] and bins[1] stay empty.
@@ -172,7 +177,30 @@ func (c *Cache) AllocN(dst []int32) int {
 		m.n -= take
 		got += take
 	}
+	if m := &c.mag[0]; c.hints && m.n > 0 {
+		c.hint(m.head)
+	}
 	return int(got)
+}
+
+// SetHints turns AllocN's prefetch hint on or off (off in a new cache). It
+// pays off when the segments were freed on another core, and costs a
+// little on one goroutine, where they are in its own cache.
+func (c *Cache) SetHints(on bool) { c.hints = on }
+
+// hint starts loading the lines of segment s, the next one AllocN hands
+// out (see package prefetch): its link, word and state, and its first
+// payload line. The previous owner of those lines is usually the core that
+// freed s.
+func (c *Cache) hint(s int32) {
+	v := &c.st.view
+	lines := [4]unsafe.Pointer{unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s]), unsafe.Pointer(&v.State[s])}
+	n := 3
+	if v.Data != nil {
+		lines[3] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
+		n = 4
+	}
+	prefetch.Hint(lines[:n])
 }
 
 // AllocChain takes the first whole n-segment chain off bin n, refilling the

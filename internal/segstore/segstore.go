@@ -174,9 +174,10 @@ func newView(cfg Config) View {
 // Store is the shared slab plus the lock-free depot. All methods are safe
 // for concurrent use; per-owner allocation goes through Cache.
 type Store struct {
-	view    View
-	nseg    int
-	magSize int32
+	view     View
+	nseg     int
+	segBytes int // payload bytes per segment (0 without a payload slab)
+	magSize  int32
 	// magSegs[g] is the segment count of a magazine of grain g: magSize for
 	// general magazines (g = 0), else as many whole g-segment chains as fit
 	// in magSize, at least one.
@@ -238,6 +239,9 @@ func New(cfg Config) (*Store, error) {
 		magSize: int32(mag),
 		dnext:   make([]int32, cfg.NumSegments),
 		dcount:  make([]int32, cfg.NumSegments),
+	}
+	if cfg.StoreData {
+		st.segBytes = cfg.SegmentBytes
 	}
 	st.magSegs[0] = int32(mag)
 	for g := int32(2); g <= MaxGrain; g++ {

@@ -427,3 +427,37 @@ func BenchmarkCacheAllocFree(b *testing.B) {
 		c.FreeN(run[0], run[0], 1)
 	}
 }
+
+// TestAllocNHintsSlabEnd: with hints on, AllocN hints the allocation side's
+// new head — here the slab's last segment, whose payload line is the slab's
+// last — and hints nothing once the magazine is empty, with or without
+// payload memory. The allocations themselves are as without hints.
+func TestAllocNHintsSlabEnd(t *testing.T) {
+	for _, data := range []bool{true, false} {
+		st, err := New(Config{NumSegments: 32, SegmentBytes: 64, StoreData: data, MagazineSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := st.NewCache()
+		c.SetHints(true)
+		dst := make([]int32, 1)
+		for want := int32(0); want < 32; want++ {
+			if c.AllocN(dst) != 1 || dst[0] != want {
+				t.Fatalf("data=%v: AllocN gave %d, want %d", data, dst[0], want)
+			}
+			if want == 30 && (c.mag[0].head != 31 || c.mag[0].n != 1) {
+				t.Fatalf("data=%v: allocation side holds %d from %d, want 1 from the slab's last segment", data, c.mag[0].n, c.mag[0].head)
+			}
+		}
+		if c.AllocN(dst) != 0 {
+			t.Fatalf("data=%v: AllocN on an empty pool delivered", data)
+		}
+		for s := int32(0); s < 32; s++ {
+			c.FreeN(s, s, 1)
+		}
+		c.Publish()
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
