@@ -83,8 +83,10 @@ type flowState struct {
 }
 
 // flowLinks is one flow's place on its innermost active list, indexed like
-// flowState. next == sched.None means the flow is not active (no backlog).
-type flowLinks struct{ next, prev int32 }
+// flowState. Next == sched.None means the flow is not active (no backlog).
+// The shard's table is every port's stack's leaf table (Stack.ShareLeaves),
+// so the Levels read and write it directly.
+type flowLinks = sched.Link
 
 // portSched is one (shard, port) scheduling unit: a sched.Stack over
 // the shard's configured levels, built on the port's first active flow
@@ -151,13 +153,8 @@ type egressState struct {
 // --- sched.Entity / sched.Hierarchy implementations ---
 
 // The shard itself is the flow-level Entity: member ids are flow IDs
-// indexing the dense flowState and flowLinks tables. Pointer-shaped, so
-// the interface conversion in the pick paths does not allocate.
-
-func (s *shard) Next(id int32) int32    { return s.links[id].next }
-func (s *shard) SetNext(id, next int32) { s.links[id].next = next }
-func (s *shard) Prev(id int32) int32    { return s.links[id].prev }
-func (s *shard) SetPrev(id, prev int32) { s.links[id].prev = prev }
+// indexing the dense flowState table. Pointer-shaped, so the interface
+// conversion in the pick paths does not allocate.
 
 func (s *shard) Weight(id int32) int64 {
 	if w := s.flows[id].weight; w > 0 {
@@ -615,13 +612,13 @@ func (s *shard) hintAhead(la *lookahead, flow uint32) {
 	default:
 		next, _ := s.ps[port].st.Peek() // flow is still active: never empty
 		if next == cur {
-			next = s.links[cur].next
+			next = s.links[cur].Next
 		}
 		la.port, la.f[0], la.n = port, next, 1
 	}
 	la.cur = cur
 	for la.n < len(la.f) {
-		next := s.links[la.f[la.n-1]].next
+		next := s.links[la.f[la.n-1]].Next
 		if next == sched.None {
 			break
 		}
@@ -681,7 +678,7 @@ func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
 
 // --- active-list maintenance (caller holds the shard's critical section) ---
 
-func (s *shard) isActive(flow uint32) bool { return s.links[flow].next != sched.None }
+func (s *shard) isActive(flow uint32) bool { return s.links[flow].Next != sched.None }
 
 // initPortLocked builds a port's level stack on its first active flow.
 func (s *shard) initPortLocked(ps *portSched) {
@@ -691,6 +688,7 @@ func (s *shard) initPortLocked(ps *portSched) {
 		c = append(c, s.eg.levels[k].count)
 	}
 	ps.st.Init(ps, c)
+	ps.st.ShareLeaves(s.links)
 	if s.eg.auditLevels {
 		s.initLevelAuditLocked(ps)
 	}

@@ -346,7 +346,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	}
 	owned := make([]int, cfg.Shards)
 	for f := range e.links {
-		e.links[f] = flowLinks{sched.None, sched.None}
+		e.links[f] = flowLinks{Next: sched.None, Prev: sched.None}
 		owned[e.ShardOf(uint32(f))]++
 	}
 	for i := range e.pacers {

@@ -368,12 +368,7 @@ func (e *Engine) checkStackLocked(s *shard, shardIdx, p int, ps *portSched) (int
 		if cnt == 0 {
 			return 0, nil
 		}
-		var ent sched.Entity
-		if level < n {
-			ent = ps.st.Ent(level)
-		} else {
-			ent = s
-		}
+		links := ps.st.Links(level)
 		total := 0
 		id := l.Cursor()
 		for i := 0; i < cnt; i++ {
@@ -406,8 +401,8 @@ func (e *Engine) checkStackLocked(s *shard, shardIdx, p int, ps *portSched) (int
 				}
 				total++
 			}
-			next := ent.Next(id)
-			if next == sched.None || ent.Prev(next) != id {
+			next := links[id].Next
+			if next == sched.None || links[next].Prev != id {
 				return 0, fmt.Errorf("engine: shard %d port %d level %d ring broken at %d", shardIdx, p, level, id)
 			}
 			id = next

@@ -6,17 +6,20 @@
 //
 // A (shard, port, class, flow) hierarchy with a million flows cannot poll
 // a backlog callback over a dense queue index, so Level is index-based:
-// members live on an intrusive circular doubly-linked list whose link
-// words the caller stores wherever its dense state lives (a flow table, a
-// class array), so activating, deactivating and picking are O(1) with no
-// per-member allocation and no maps. One implementation serves every
-// level and all four disciplines (round-robin, strict priority, weighted
-// round-robin, and deficit round-robin for variable-length packets) — the
-// levels cannot drift apart.
+// members live on an intrusive circular doubly-linked list kept in a dense
+// []Link indexed by member id, which the Level reads and writes directly,
+// as the paper's MMS does its pointer memory, so activating, deactivating
+// and picking are O(1) with no per-member allocation, no maps and no call
+// per link. One implementation serves every level and all four
+// disciplines (round-robin, strict priority, weighted round-robin, and
+// deficit round-robin for variable-length packets) — the levels cannot
+// drift apart.
 //
 // A Level is pure rotation state (cursor, visit credit, priority-min
-// cache); everything per-member — links, weight, DRR deficit, the head
-// packet length, and the test-only audit hook — is reached through the
+// cache). The links belong to the Stack (a table per intermediate level,
+// one for the leaves, which the engine shares among its stacks); the rest
+// of a member's state — weight, DRR deficit, the head packet length and
+// the test-only audit hook — is reached through the five methods of the
 // Entity interface. Discipline parameters travel in Params per call
 // rather than per Level, so thousands of Levels share one copy.
 //
@@ -36,24 +39,23 @@ package sched
 
 import "npqm/internal/policy"
 
-// None is the nil member index: a member whose next link is None is not
+// None is the nil member index: a member whose Next link is None is not
 // on any Level's list. Callers initialize their link storage to None.
 const None int32 = -1
+
+// Link is one member's place on a Level's ring, indexed by member id.
+type Link struct{ Next, Prev int32 }
 
 // minUnknown marks the priority-min cache invalid (the cached minimum
 // was deactivated); the next priority pick rescans the list.
 const minUnknown int32 = -2
 
-// Entity is the dense per-member state a Level schedules over. Members
-// are small non-negative integers indexing the caller's storage; the
-// Level never allocates per member. Implementations are expected to be
-// pointer-shaped structs so interface conversion does not allocate.
+// Entity is the dense per-member state a Level schedules over, apart
+// from the links. Members are small non-negative integers indexing the
+// caller's storage; the Level never allocates per member.
+// Implementations are expected to be pointer-shaped structs so interface
+// conversion does not allocate.
 type Entity interface {
-	// Next/Prev and their setters are the intrusive list links.
-	Next(id int32) int32
-	SetNext(id, next int32)
-	Prev(id int32) int32
-	SetPrev(id, prev int32)
 	// Weight is the member's scheduling weight (≥ 1): packets per visit
 	// for WRR, quantum multiplier for DRR.
 	Weight(id int32) int64
@@ -112,20 +114,18 @@ func (l *Level) Credit() int64 { return l.credit }
 // tail of the current cycle, so a newly backlogged member waits one
 // full rotation like any other. The caller guarantees id is not
 // currently a member.
-func (l *Level) Activate(e Entity, id int32) {
+func (l *Level) Activate(ln []Link, id int32) {
 	if l.count == 0 {
-		e.SetNext(id, id)
-		e.SetPrev(id, id)
+		ln[id] = Link{id, id}
 		l.cursor = id
 		l.min = id
 		l.count = 1
 		return
 	}
-	tail := e.Prev(l.cursor)
-	e.SetNext(id, l.cursor)
-	e.SetPrev(id, tail)
-	e.SetNext(tail, id)
-	e.SetPrev(l.cursor, id)
+	cur := &ln[l.cursor]
+	ln[id] = Link{Next: l.cursor, Prev: cur.Prev}
+	ln[cur.Prev].Next = id
+	cur.Prev = id
 	if id < l.min {
 		// A minUnknown (-2) cache stays unknown: the compare fails.
 		l.min = id
@@ -138,7 +138,7 @@ func (l *Level) Activate(e Entity, id int32) {
 // and forfeits any banked positive deficit — but keeps its debt: a
 // member cannot shed what it owes by going briefly idle. The caller
 // guarantees id is currently a member; its links are reset to None.
-func (l *Level) Deactivate(p Params, e Entity, id int32) {
+func (l *Level) Deactivate(p Params, ln []Link, e Entity, id int32) {
 	if l.visiting && l.cursor == id {
 		// The member emptied mid-visit: end the visit now. Leaving it
 		// open would let a member that drained and refilled before the
@@ -161,19 +161,18 @@ func (l *Level) Deactivate(p Params, e Entity, id int32) {
 	if l.count == 1 {
 		l.count = 0
 	} else {
-		next, prev := e.Next(id), e.Prev(id)
-		e.SetNext(prev, next)
-		e.SetPrev(next, prev)
+		x := ln[id]
+		ln[x.Prev].Next = x.Next
+		ln[x.Next].Prev = x.Prev
 		if l.cursor == id {
-			l.cursor = next
+			l.cursor = x.Next
 		}
 		if l.min == id {
 			l.min = minUnknown
 		}
 		l.count--
 	}
-	e.SetNext(id, None)
-	e.SetPrev(id, None)
+	ln[id] = Link{None, None}
 }
 
 // ResetRotation ends any open visit without refunds; used when the
@@ -190,21 +189,21 @@ func (l *Level) ResetRotation() {
 // packet-granular disciplines). ok is false when the level is empty.
 // The level is work-conserving: whenever a member is active, one is
 // returned.
-func (l *Level) Pick(p Params, e Entity) (int32, int64, bool) {
+func (l *Level) Pick(p Params, ln []Link, e Entity) (int32, int64, bool) {
 	if l.count == 0 {
 		return None, 0, false
 	}
 	switch p.Kind {
 	case policy.EgressPrio:
-		return l.pickPrio(e), 0, true
+		return l.pickPrio(ln), 0, true
 	case policy.EgressWRR:
-		return l.pickWRR(p, e), 0, true
+		return l.pickWRR(p, ln, e), 0, true
 	case policy.EgressDRR:
-		id, debit := l.pickDRR(p, e)
+		id, debit := l.pickDRR(p, ln, e)
 		return id, debit, true
 	default:
 		id := l.cursor
-		l.cursor = e.Next(id)
+		l.cursor = ln[id].Next
 		return id, 0, true
 	}
 }
@@ -214,13 +213,13 @@ func (l *Level) Pick(p Params, e Entity) (int32, int64, bool) {
 // visit candidate — a best-effort answer, since the deficit banking loop
 // may advance past it (callers using Peek to price a pick must charge
 // actual served bytes, which keeps accounting exact regardless).
-func (l *Level) Peek(p Params, e Entity) (int32, bool) {
+func (l *Level) Peek(p Params, ln []Link) (int32, bool) {
 	if l.count == 0 {
 		return None, false
 	}
 	if p.Kind == policy.EgressPrio {
 		// pickPrio only refills the min cache — semantically const.
-		return l.pickPrio(e), true
+		return l.pickPrio(ln), true
 	}
 	return l.cursor, true
 }
@@ -229,10 +228,10 @@ func (l *Level) Peek(p Params, e Entity) (int32, bool) {
 // maintained O(1) by Activate; deactivating the minimum invalidates the
 // cache and the next pick rescans — O(count) once per drained minimum,
 // O(1) while the highest-priority member stays busy (the common case).
-func (l *Level) pickPrio(e Entity) int32 {
+func (l *Level) pickPrio(ln []Link) int32 {
 	if l.min == minUnknown {
 		m := l.cursor
-		for id := e.Next(l.cursor); id != l.cursor; id = e.Next(id) {
+		for id := ln[l.cursor].Next; id != l.cursor; id = ln[id].Next {
 			if id < m {
 				m = id
 			}
@@ -243,13 +242,13 @@ func (l *Level) pickPrio(e Entity) int32 {
 }
 
 // pickWRR serves the cursor Weight packets per visit.
-func (l *Level) pickWRR(p Params, e Entity) int32 {
+func (l *Level) pickWRR(p Params, ln []Link, e Entity) int32 {
 	if l.visiting {
 		id := l.cursor
 		l.credit--
 		if l.credit == 0 {
 			l.visiting = false
-			l.cursor = e.Next(id)
+			l.cursor = ln[id].Next
 		}
 		return id
 	}
@@ -259,7 +258,7 @@ func (l *Level) pickWRR(p Params, e Entity) int32 {
 		e.Audit(id, w)
 	}
 	if w <= 1 {
-		l.cursor = e.Next(id)
+		l.cursor = ln[id].Next
 		return id
 	}
 	l.visiting = true
@@ -288,13 +287,14 @@ func (l *Level) startVisit(p Params, e Entity, id int32) {
 // within maxPacket/quantum rotations; if a pathological quantum/packet
 // ratio exhausts the bound, the candidate is served anyway (work
 // conservation) — but still charged, driving its deficit negative
-// instead of transmitting for free.
-func (l *Level) pickDRR(p Params, e Entity) (int32, int64) {
+// instead of transmitting for free. The bound is counted in 64 bits: a
+// level of 2^20 members would overflow a 32-bit int and skip the loop.
+func (l *Level) pickDRR(p Params, ln []Link, e Entity) (int32, int64) {
 	if !l.visiting {
 		l.startVisit(p, e, l.cursor)
 	}
-	maxIter := int(l.count)*2048 + 8
-	for iter := 0; iter < maxIter; iter++ {
+	maxIter := int64(l.count)*2048 + 8
+	for iter := int64(0); iter < maxIter; iter++ {
 		id := l.cursor
 		bytes, ok := e.HeadBytes(id)
 		if !ok {
@@ -306,7 +306,7 @@ func (l *Level) pickDRR(p Params, e Entity) (int32, int64) {
 			return id, bytes
 		}
 		// Not enough deficit: bank it and move the visit on.
-		l.startVisit(p, e, e.Next(id))
+		l.startVisit(p, e, ln[id].Next)
 	}
 	id := l.cursor
 	bytes, ok := e.HeadBytes(id)

@@ -6,37 +6,32 @@ import (
 	"npqm/internal/policy"
 )
 
-// slot-backed Entity: the minimal dense storage a Level schedules over.
+// slot-backed Entity: the minimal dense storage a Level schedules over,
+// with the members' link table beside it.
 type testEnt struct {
-	next, prev []int32
-	weight     []int64
-	deficit    []int64
-	head       []int64 // head-packet bytes; -1 = no complete packet
-	audit      []int64
+	ln      []Link
+	weight  []int64
+	deficit []int64
+	head    []int64 // head-packet bytes; -1 = no complete packet
+	audit   []int64
 }
 
 func newEnt(n int) *testEnt {
 	e := &testEnt{
-		next:    make([]int32, n),
-		prev:    make([]int32, n),
+		ln:      make([]Link, n),
 		weight:  make([]int64, n),
 		deficit: make([]int64, n),
 		head:    make([]int64, n),
 		audit:   make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
-		e.next[i] = None
-		e.prev[i] = None
+		e.ln[i] = Link{None, None}
 		e.weight[i] = 1
 		e.head[i] = 100
 	}
 	return e
 }
 
-func (e *testEnt) Next(id int32) int32          { return e.next[id] }
-func (e *testEnt) SetNext(id, next int32)       { e.next[id] = next }
-func (e *testEnt) Prev(id int32) int32          { return e.prev[id] }
-func (e *testEnt) SetPrev(id, prev int32)       { e.prev[id] = prev }
 func (e *testEnt) Weight(id int32) int64        { return e.weight[id] }
 func (e *testEnt) Deficit(id int32) int64       { return e.deficit[id] }
 func (e *testEnt) SetDeficit(id int32, d int64) { e.deficit[id] = d }
@@ -59,7 +54,7 @@ func TestLevelRRRotation(t *testing.T) {
 	e := newEnt(8)
 	var l Level
 	for _, id := range []int32{3, 1, 5} {
-		l.Activate(e, id)
+		l.Activate(e.ln, id)
 	}
 	if l.Count() != 3 {
 		t.Fatalf("count %d, want 3", l.Count())
@@ -68,16 +63,16 @@ func TestLevelRRRotation(t *testing.T) {
 	// tail of the cycle.
 	want := []int32{3, 1, 5, 3, 1, 5}
 	for i, w := range want {
-		id, debit, ok := l.Pick(rrParams(), e)
+		id, debit, ok := l.Pick(rrParams(), e.ln, e)
 		if !ok || id != w || debit != 0 {
 			t.Fatalf("pick %d = (%d, %d, %v), want (%d, 0, true)", i, id, debit, ok, w)
 		}
 	}
 	// A member activated mid-cycle waits a full rotation like any other.
-	l.Activate(e, 7)
+	l.Activate(e.ln, 7)
 	got := []int32{}
 	for i := 0; i < 4; i++ {
-		id, _, _ := l.Pick(rrParams(), e)
+		id, _, _ := l.Pick(rrParams(), e.ln, e)
 		got = append(got, id)
 	}
 	if got[3] != 7 {
@@ -89,15 +84,15 @@ func TestLevelDeactivateResetsLinks(t *testing.T) {
 	e := newEnt(4)
 	var l Level
 	for id := int32(0); id < 4; id++ {
-		l.Activate(e, id)
+		l.Activate(e.ln, id)
 	}
-	l.Deactivate(rrParams(), e, 2)
-	if e.next[2] != None || e.prev[2] != None {
-		t.Fatalf("deactivated member keeps links (%d, %d)", e.next[2], e.prev[2])
+	l.Deactivate(rrParams(), e.ln, e, 2)
+	if e.ln[2] != (Link{None, None}) {
+		t.Fatalf("deactivated member keeps links %+v", e.ln[2])
 	}
 	seen := map[int32]bool{}
 	for i := 0; i < 3; i++ {
-		id, _, _ := l.Pick(rrParams(), e)
+		id, _, _ := l.Pick(rrParams(), e.ln, e)
 		seen[id] = true
 	}
 	if seen[2] || len(seen) != 3 {
@@ -105,13 +100,13 @@ func TestLevelDeactivateResetsLinks(t *testing.T) {
 	}
 	for id := int32(0); id < 4; id++ {
 		if id != 2 {
-			l.Deactivate(rrParams(), e, id)
+			l.Deactivate(rrParams(), e.ln, e, id)
 		}
 	}
 	if l.Count() != 0 {
 		t.Fatalf("count %d after deactivating all, want 0", l.Count())
 	}
-	if _, _, ok := l.Pick(rrParams(), e); ok {
+	if _, _, ok := l.Pick(rrParams(), e.ln, e); ok {
 		t.Fatal("pick succeeded on an empty level")
 	}
 }
@@ -120,20 +115,20 @@ func TestLevelPrioServesMinimum(t *testing.T) {
 	e := newEnt(16)
 	var l Level
 	for _, id := range []int32{9, 4, 12} {
-		l.Activate(e, id)
+		l.Activate(e.ln, id)
 	}
-	if id, _, _ := l.Pick(prioParams(), e); id != 4 {
+	if id, _, _ := l.Pick(prioParams(), e.ln, e); id != 4 {
 		t.Fatalf("prio pick %d, want 4", id)
 	}
 	// Activating a lower id retargets the cached minimum O(1).
-	l.Activate(e, 2)
-	if id, _, _ := l.Pick(prioParams(), e); id != 2 {
+	l.Activate(e.ln, 2)
+	if id, _, _ := l.Pick(prioParams(), e.ln, e); id != 2 {
 		t.Fatalf("prio pick %d after activating 2, want 2", id)
 	}
 	// Deactivating the minimum invalidates the cache; the rescan must
 	// find the next-lowest.
-	l.Deactivate(prioParams(), e, 2)
-	if id, _, _ := l.Pick(prioParams(), e); id != 4 {
+	l.Deactivate(prioParams(), e.ln, e, 2)
+	if id, _, _ := l.Pick(prioParams(), e.ln, e); id != 4 {
 		t.Fatalf("prio pick %d after draining the minimum, want 4", id)
 	}
 }
@@ -143,11 +138,11 @@ func TestLevelWRRWeights(t *testing.T) {
 	e.weight[1] = 3
 	p := Params{Kind: policy.EgressWRR, Audit: true}
 	var l Level
-	l.Activate(e, 1)
-	l.Activate(e, 2)
+	l.Activate(e.ln, 1)
+	l.Activate(e.ln, 2)
 	counts := map[int32]int{}
 	for i := 0; i < 8; i++ { // two full cycles of 3+1
-		id, _, _ := l.Pick(p, e)
+		id, _, _ := l.Pick(p, e.ln, e)
 		counts[id]++
 	}
 	if counts[1] != 6 || counts[2] != 2 {
@@ -164,21 +159,21 @@ func TestLevelWRRMidVisitDeactivateRefundsCredit(t *testing.T) {
 	e.weight[1] = 4
 	p := Params{Kind: policy.EgressWRR, Audit: true}
 	var l Level
-	l.Activate(e, 1)
-	l.Activate(e, 2)
-	if id, _, _ := l.Pick(p, e); id != 1 {
+	l.Activate(e.ln, 1)
+	l.Activate(e.ln, 2)
+	if id, _, _ := l.Pick(p, e.ln, e); id != 1 {
 		t.Fatal("first pick should open member 1's visit")
 	}
 	// Member 1 drains after one of its four packets: the three unused
 	// credits must be refunded from the audit and the next pick moves on.
-	l.Deactivate(p, e, 1)
+	l.Deactivate(p, e.ln, e, 1)
 	if e.audit[1] != 1 {
 		t.Fatalf("audit %d after mid-visit drain, want 1 (refund)", e.audit[1])
 	}
 	if l.Visiting() {
 		t.Fatal("visit survived its member's deactivation")
 	}
-	if id, _, _ := l.Pick(p, e); id != 2 {
+	if id, _, _ := l.Pick(p, e.ln, e); id != 2 {
 		t.Fatal("rotation did not move on after mid-visit drain")
 	}
 }
@@ -190,11 +185,11 @@ func TestLevelDRRByteFairness(t *testing.T) {
 	e.head[2] = 300
 	p := Params{Kind: policy.EgressDRR, Quantum: 100, Audit: true}
 	var l Level
-	l.Activate(e, 1)
-	l.Activate(e, 2)
+	l.Activate(e.ln, 1)
+	l.Activate(e.ln, 2)
 	served := map[int32]int64{}
 	for i := 0; i < 90; i++ {
-		id, debit, ok := l.Pick(p, e)
+		id, debit, ok := l.Pick(p, e.ln, e)
 		if !ok {
 			t.Fatal("pick failed with members active")
 		}
@@ -221,8 +216,8 @@ func TestLevelDRRFallbackBound(t *testing.T) {
 	e := newEnt(2)
 	e.head[0] = 1 << 40 // unreachable by any sane quantum banking
 	var l Level
-	l.Activate(e, 0)
-	id, debit, ok := l.Pick(drrParams(1), e)
+	l.Activate(e.ln, 0)
+	id, debit, ok := l.Pick(drrParams(1), e.ln, e)
 	if !ok || id != 0 {
 		t.Fatalf("work conservation violated: pick = (%d, %v)", id, ok)
 	}
@@ -236,15 +231,39 @@ func TestLevelDRRFallbackBound(t *testing.T) {
 func TestLevelPeekDoesNotAdvance(t *testing.T) {
 	e := newEnt(4)
 	var l Level
-	l.Activate(e, 1)
-	l.Activate(e, 2)
+	l.Activate(e.ln, 1)
+	l.Activate(e.ln, 2)
 	for i := 0; i < 3; i++ {
-		p, ok := l.Peek(rrParams(), e)
+		p, ok := l.Peek(rrParams(), e.ln)
 		if !ok || p != 1 {
 			t.Fatalf("peek %d = (%d, %v), want (1, true)", i, p, ok)
 		}
 	}
-	if id, _, _ := l.Pick(rrParams(), e); id != 1 {
+	if id, _, _ := l.Pick(rrParams(), e.ln, e); id != 1 {
 		t.Fatal("pick after peek should serve the peeked member")
+	}
+}
+
+// TestLevelDRRBankingBoundIn64Bits: the banking loop's bound is
+// count×2048, which passes 2^31 at 2^20 members. Counted in a 32-bit int it
+// wrapped negative, the loop never ran, and the first member was served on
+// its first quantum (64 B of deficit for a 1500 B packet). Counted in 64
+// bits, banking runs its 24 rotations and the first packet is covered.
+func TestLevelDRRBankingBoundIn64Bits(t *testing.T) {
+	const n = 1 << 20
+	e := newEnt(n)
+	for i := range e.head {
+		e.head[i] = 1500
+	}
+	var l Level
+	for id := int32(0); id < n; id++ {
+		l.Activate(e.ln, id)
+	}
+	id, debit, ok := l.Pick(drrParams(64), e.ln, e)
+	if !ok || id != 0 || debit != 1500 {
+		t.Fatalf("pick = (%d, %d, %v), want (0, 1500, true)", id, debit, ok)
+	}
+	if d := e.deficit[0]; d < debit {
+		t.Fatalf("member 0 served a %d B packet on %d B of deficit: the banking loop did not run", debit, d)
 	}
 }

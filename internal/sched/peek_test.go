@@ -26,6 +26,7 @@ func peekStack(kind policy.EgressKind, depth int, seed int64) (*Stack, *counting
 	}
 	st := &Stack{}
 	st.Init(h, counts)
+	st.ShareLeaves(h.leaf.ln)
 	return st, h, rng
 }
 
@@ -35,11 +36,11 @@ func peekStack(kind policy.EgressKind, depth int, seed int64) (*Stack, *counting
 // pick's result (ok false when the operation was not a pick).
 func peekStep(st *Stack, h *countingHier, depth int, rng *rand.Rand) (int32, bool) {
 	var pb [2]int32
-	f := int32(rng.Intn(len(h.leaf.next)))
+	f := int32(rng.Intn(len(h.leaf.ln)))
 	switch op := rng.Intn(4); {
-	case op == 0 && h.leaf.next[f] == None:
+	case op == 0 && h.leaf.ln[f].Next == None:
 		st.Activate(f, pathOf(depth, f, pb[:0]))
-	case op == 1 && h.leaf.next[f] != None:
+	case op == 1 && h.leaf.ln[f].Next != None:
 		st.Deactivate(f, pathOf(depth, f, pb[:0]))
 	case op >= 2:
 		got, debit, ok := st.Pick()
@@ -69,10 +70,10 @@ func TestStackPeekIsNextPick(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				want, wantOK := st.Peek()
 				var pb [2]int32
-				f := int32(rng.Intn(len(h.leaf.next)))
+				f := int32(rng.Intn(len(h.leaf.ln)))
 				if rng.Intn(3) == 0 {
 					// Membership changes: the next Peek must see them.
-					if h.leaf.next[f] == None {
+					if h.leaf.ln[f].Next == None {
 						st.Activate(f, pathOf(depth, f, pb[:0]))
 					} else {
 						st.Deactivate(f, pathOf(depth, f, pb[:0]))

@@ -20,7 +20,7 @@ func newQueues(p Params, depths []int) *queues {
 	qs := &queues{e: newEnt(len(depths)), p: p, depth: depths}
 	for q, d := range depths {
 		if d > 0 {
-			qs.l.Activate(qs.e, int32(q))
+			qs.l.Activate(qs.e.ln, int32(q))
 		}
 	}
 	return qs
@@ -30,7 +30,7 @@ func newQueues(p Params, depths []int) *queues {
 // false when every queue is empty.
 func (qs *queues) serve(t *testing.T) (int, bool) {
 	t.Helper()
-	id, debit, ok := qs.l.Pick(qs.p, qs.e)
+	id, debit, ok := qs.l.Pick(qs.p, qs.e.ln, qs.e)
 	if !ok {
 		return 0, false
 	}
@@ -39,7 +39,7 @@ func (qs *queues) serve(t *testing.T) (int, bool) {
 	}
 	qs.e.SetDeficit(id, qs.e.Deficit(id)-debit)
 	if qs.depth[id]--; qs.depth[id] == 0 {
-		qs.l.Deactivate(qs.p, qs.e, id)
+		qs.l.Deactivate(qs.p, qs.e.ln, qs.e, id)
 	}
 	return int(id), true
 }

@@ -13,8 +13,12 @@ package sched
 // Node addressing is dense and positional: a node at level k is a
 // composite index parent*width(k) + unit, so the node spaces are plain
 // slices (8 tenants × 8 classes = 8 level-0 nodes and 64 level-1 nodes)
-// and a node's links live intrusively in its own slot — the same
-// no-allocation discipline Level imposes on its members. A node is on
+// and a node's links sit at its index in its level's []Link — the same
+// no-allocation discipline Level imposes on its members. The leaves'
+// links are one more table, indexed by leaf id: handed in with
+// ShareLeaves (the engine hands every stack it builds its one flow-indexed
+// table, so a flow moving between ports keeps its entry), or grown by
+// Activate when nothing was handed in. A node is on
 // its parent's rotation iff it has backlogged descendants; activation
 // and deactivation cascade outward only while a list transitions
 // between empty and non-empty, so the common case stays O(1).
@@ -41,8 +45,8 @@ type Hierarchy interface {
 	Weight(level int, id int32) int64
 	// LeafParams returns the leaf (flow) level's discipline.
 	LeafParams() Params
-	// Leaf returns the Entity managing the leaf population's links,
-	// weights and deficits.
+	// Leaf returns the Entity managing the leaf population's weights and
+	// deficits.
 	Leaf() Entity
 	// AuditNode mirrors Entity.Audit for intermediate nodes: it
 	// accumulates granted/forfeited service entitlement at level k for
@@ -51,14 +55,13 @@ type Hierarchy interface {
 	AuditNode(level int, id int32, delta int64)
 }
 
-// node is one intermediate node's dense state: its intrusive links on
-// the parent's rotation, its own DRR deficit, its weight as last read
-// from the Hierarchy, and the child Level arbitrating the tier below it.
+// node is one intermediate node's dense state apart from its links: its
+// own DRR deficit, its weight as last read from the Hierarchy, and the
+// child Level arbitrating the tier below it.
 type node struct {
-	next, prev int32
-	deficit    int64
-	weight     int64
-	child      Level
+	deficit int64
+	weight  int64
+	child   Level
 }
 
 // nodeEntity adapts one intermediate level's node slice to the Entity
@@ -70,14 +73,16 @@ type nodeEntity struct {
 }
 
 // Stack is one scheduling unit's hierarchy state: the root Level, the
-// per-level node slices, the Hierarchy it was initialized against and
-// the configuration last read from it. The zero value is not ready
-// (Init builds it); a depth-0 Stack is ready and flat. Not safe for
-// concurrent use — the caller provides the critical section.
+// per-level node and link slices, the leaves' links, the Hierarchy it was
+// initialized against and the configuration last read from it. The zero
+// value is not ready (Init builds it); a depth-0 Stack is ready and flat.
+// Not safe for concurrent use — the caller provides the critical section.
 type Stack struct {
 	h      Hierarchy
 	root   Level
 	nodes  [][]node
+	links  [][]Link // per intermediate level, beside nodes
+	leaves []Link   // indexed by leaf id; see ShareLeaves
 	ents   []nodeEntity
 	params []Params // per intermediate level, as of the last Refresh
 	leafP  Params
@@ -91,17 +96,30 @@ type Stack struct {
 func (st *Stack) Init(h Hierarchy, counts []int32) {
 	st.h = h
 	st.nodes = make([][]node, len(counts))
+	st.links = make([][]Link, len(counts))
 	st.ents = make([]nodeEntity, len(counts))
 	st.params = make([]Params, len(counts))
 	for k, n := range counts {
 		st.nodes[k] = make([]node, n)
-		for i := range st.nodes[k] {
-			st.nodes[k][i].next = None
-			st.nodes[k][i].prev = None
-		}
+		st.links[k] = unlinked(make([]Link, n))
 		st.ents[k] = nodeEntity{st: st, lvl: int32(k)}
 	}
 	st.Refresh()
+}
+
+// ShareLeaves makes links the leaves' link table: leaf id's links are
+// links[id]. The caller sizes it to the whole leaf population and sets
+// every entry to {None, None}; Stacks may share one table as long as a
+// leaf is active on at most one of them. Call it before the first
+// Activate. A Stack never handed a table grows its own.
+func (st *Stack) ShareLeaves(links []Link) { st.leaves = links }
+
+// unlinked sets every link in ln to None and returns it.
+func unlinked(ln []Link) []Link {
+	for i := range ln {
+		ln[i] = Link{None, None}
+	}
+	return ln
 }
 
 // Refresh re-reads the configuration from the Hierarchy: every level's
@@ -137,20 +155,24 @@ func (st *Stack) Child(level int, id int32) *Level { return &st.nodes[level][id]
 
 // NodeLinked reports whether node id at level k is on its parent's
 // rotation.
-func (st *Stack) NodeLinked(level int, id int32) bool { return st.nodes[level][id].next != None }
+func (st *Stack) NodeLinked(level int, id int32) bool { return st.links[level][id].Next != None }
 
 // NodeDeficit returns node id's banked DRR byte credit at level k.
 func (st *Stack) NodeDeficit(level int, id int32) int64 { return st.nodes[level][id].deficit }
 
-// Ent returns the Entity over level k's nodes, for invariant walks.
+// Ent returns the Entity over level k's nodes.
 func (st *Stack) Ent(level int) Entity { return &st.ents[level] }
 
-// --- Entity over one intermediate level's nodes ---
+// Links returns the link table of level k's nodes, or the leaves' table
+// when k is the depth, for invariant walks.
+func (st *Stack) Links(level int) []Link {
+	if level == len(st.links) {
+		return st.leaves
+	}
+	return st.links[level]
+}
 
-func (ne *nodeEntity) Next(id int32) int32    { return ne.st.nodes[ne.lvl][id].next }
-func (ne *nodeEntity) SetNext(id, next int32) { ne.st.nodes[ne.lvl][id].next = next }
-func (ne *nodeEntity) Prev(id int32) int32    { return ne.st.nodes[ne.lvl][id].prev }
-func (ne *nodeEntity) SetPrev(id, prev int32) { ne.st.nodes[ne.lvl][id].prev = prev }
+// --- Entity over one intermediate level's nodes ---
 
 func (ne *nodeEntity) Weight(id int32) int64 { return ne.st.nodes[ne.lvl][id].weight }
 
@@ -189,19 +211,19 @@ func (ne *nodeEntity) Audit(id int32, delta int64) { ne.st.h.AuditNode(int(ne.lv
 func (st *Stack) Pick() (int32, int64, bool) {
 	n := len(st.nodes)
 	if n == 0 {
-		return st.root.Pick(st.leafP, st.leaf)
+		return st.root.Pick(st.leafP, st.leaves, st.leaf)
 	}
-	id, _, ok := st.root.Pick(st.params[0], &st.ents[0])
+	id, _, ok := st.root.Pick(st.params[0], st.links[0], &st.ents[0])
 	if !ok {
 		return None, 0, false
 	}
 	for k := 1; k < n; k++ {
-		id, _, ok = st.nodes[k-1][id].child.Pick(st.params[k], &st.ents[k])
+		id, _, ok = st.nodes[k-1][id].child.Pick(st.params[k], st.links[k], &st.ents[k])
 		if !ok {
 			return None, 0, false // unreachable: a linked node has descendants
 		}
 	}
-	return st.nodes[n-1][id].child.Pick(st.leafP, st.leaf)
+	return st.nodes[n-1][id].child.Pick(st.leafP, st.leaves, st.leaf)
 }
 
 // Peek returns the leaf the next Pick would serve, found by Level.Peek at
@@ -215,13 +237,13 @@ func (st *Stack) Peek() (int32, bool) { return st.peekFrom(&st.root, 0) }
 // leaves when k is the depth), to the leaf it would serve.
 func (st *Stack) peekFrom(l *Level, k int) (int32, bool) {
 	for ; k < len(st.nodes); k++ {
-		id, ok := l.Peek(st.params[k], &st.ents[k])
+		id, ok := l.Peek(st.params[k], st.links[k])
 		if !ok {
 			return None, false
 		}
 		l = &st.nodes[k][id].child
 	}
-	return l.Peek(st.leafP, st.leaf)
+	return l.Peek(st.leafP, st.leaves)
 }
 
 // Activate links leaf into the hierarchy along path (path[k] is the
@@ -229,24 +251,30 @@ func (st *Stack) peekFrom(l *Level, k int) (int32, bool) {
 // at the first list that was already non-empty — the node above it is
 // already linked.
 func (st *Stack) Activate(leaf int32, path []int32) {
+	if int(leaf) >= len(st.leaves) {
+		// A table of the Stack's own: grow it, at least doubling.
+		grown := unlinked(make([]Link, max(int(leaf)+1, 2*len(st.leaves))))
+		copy(grown, st.leaves)
+		st.leaves = grown
+	}
 	n := len(st.nodes)
 	if n == 0 {
-		st.root.Activate(st.leaf, leaf)
+		st.root.Activate(st.leaves, leaf)
 		return
 	}
 	l := &st.nodes[n-1][path[n-1]].child
-	l.Activate(st.leaf, leaf)
+	l.Activate(st.leaves, leaf)
 	if l.Count() > 1 {
 		return
 	}
 	for k := n - 1; k > 0; k-- {
 		l = &st.nodes[k-1][path[k-1]].child
-		l.Activate(&st.ents[k], path[k])
+		l.Activate(st.links[k], path[k])
 		if l.Count() > 1 {
 			return
 		}
 	}
-	st.root.Activate(&st.ents[0], path[0])
+	st.root.Activate(st.links[0], path[0])
 }
 
 // Deactivate unlinks leaf from the hierarchy along path. Each list a
@@ -257,22 +285,22 @@ func (st *Stack) Activate(leaf int32, path []int32) {
 func (st *Stack) Deactivate(leaf int32, path []int32) {
 	n := len(st.nodes)
 	if n == 0 {
-		st.root.Deactivate(st.leafP, st.leaf, leaf)
+		st.root.Deactivate(st.leafP, st.leaves, st.leaf, leaf)
 		return
 	}
 	l := &st.nodes[n-1][path[n-1]].child
-	l.Deactivate(st.leafP, st.leaf, leaf)
+	l.Deactivate(st.leafP, st.leaves, st.leaf, leaf)
 	if l.Count() > 0 {
 		return
 	}
 	for k := n - 1; k > 0; k-- {
 		l = &st.nodes[k-1][path[k-1]].child
-		l.Deactivate(st.params[k], &st.ents[k], path[k])
+		l.Deactivate(st.params[k], st.links[k], &st.ents[k], path[k])
 		if l.Count() > 0 {
 			return
 		}
 	}
-	st.root.Deactivate(st.params[0], &st.ents[0], path[0])
+	st.root.Deactivate(st.params[0], st.links[0], &st.ents[0], path[0])
 }
 
 // Charge debits bytes actually served under path against every

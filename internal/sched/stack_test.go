@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"npqm/internal/policy"
@@ -173,4 +175,207 @@ func audited(h *countingHier) bool {
 		}
 	}
 	return false
+}
+
+// ringLeaves walks st from its root through Links at every level, failing
+// the test on a ring that breaks (a Next whose Prev does not point back) or
+// does not close in Count steps, and returns the leaves linked under it.
+func ringLeaves(t *testing.T, st *Stack) []int32 {
+	t.Helper()
+	var leaves []int32
+	var walk func(k int, l *Level)
+	walk = func(k int, l *Level) {
+		ln, id := st.Links(k), l.Cursor()
+		for range l.Count() {
+			if k < st.Depth() {
+				walk(k+1, st.Child(k, id))
+			} else {
+				leaves = append(leaves, id)
+			}
+			next := ln[id].Next
+			if next == None || ln[next].Prev != id {
+				t.Fatalf("level %d ring broken at %d", k, id)
+			}
+			id = next
+		}
+		if l.Count() > 0 && id != l.Cursor() {
+			t.Fatalf("level %d ring does not close in %d steps", k, l.Count())
+		}
+	}
+	walk(0, st.Root())
+	return leaves
+}
+
+// TestStackSharedLeaves: two stacks of different depths share one leaf
+// table and one leaf Entity, as the engine's port stacks share the shard's
+// flow tables. Leaves are activated on either, picked and drained, and
+// moved from one to the other (SetFlowPort's move: deactivated on the old
+// stack, activated on the new). After every operation both stacks' rings
+// close and hold exactly their own leaves, an idle leaf's links are None,
+// and the shared table is the one handed in: never reallocated.
+func TestStackSharedLeaves(t *testing.T) {
+	h2, c2 := newCountingHier(2)
+	h1, c1 := newCountingHier(1)
+	h1.leaf = h2.leaf
+	table := h2.leaf.ln
+	stacks := []*Stack{{}, {}}
+	depths := []int{2, 1}
+	stacks[0].Init(h2, c2)
+	stacks[1].Init(h1, c1)
+	for _, st := range stacks {
+		st.ShareLeaves(table)
+	}
+	on := make([]int, len(table)) // the stack a leaf is active on, or -1
+	for f := range on {
+		on[f] = -1
+	}
+	rng := rand.New(rand.NewSource(44))
+	var pb [2]int32
+	moves, picks := 0, 0
+	for step := 0; step < 5000; step++ {
+		f, s := int32(rng.Intn(len(table))), rng.Intn(2)
+		switch op := rng.Intn(4); {
+		case op == 0 && on[f] < 0:
+			stacks[s].Activate(f, pathOf(depths[s], f, pb[:0]))
+			on[f] = s
+		case op == 1 && on[f] >= 0:
+			from, to := on[f], 1-on[f]
+			stacks[from].Deactivate(f, pathOf(depths[from], f, pb[:0]))
+			stacks[to].Activate(f, pathOf(depths[to], f, pb[:0]))
+			on[f] = to
+			moves++
+		case op >= 2:
+			got, debit, ok := stacks[s].Pick()
+			if !ok {
+				if slices.Contains(on, s) {
+					t.Fatalf("step %d: stack %d found empty with leaves active on it", step, s)
+				}
+				break
+			}
+			if on[got] != s {
+				t.Fatalf("step %d: stack %d served leaf %d, which is active on %d", step, s, got, on[got])
+			}
+			picks++
+			h2.leaf.deficit[got] -= debit
+			stacks[s].Charge(pathOf(depths[s], got, pb[:0]), debit)
+			if rng.Intn(3) == 0 {
+				stacks[s].Deactivate(got, pathOf(depths[s], got, pb[:0]))
+				on[got] = -1
+			}
+		}
+		for s, st := range stacks {
+			if ln := st.Links(st.Depth()); len(ln) != len(table) || &ln[0] != &table[0] {
+				t.Fatalf("step %d: stack %d's leaf table is not the shared one", step, s)
+			}
+			leaves := ringLeaves(t, st)
+			for _, f := range leaves {
+				if on[f] != s {
+					t.Fatalf("step %d: leaf %d is linked on stack %d, active on %d", step, f, s, on[f])
+				}
+			}
+			want := 0
+			for _, o := range on {
+				if o == s {
+					want++
+				}
+			}
+			if len(leaves) != want {
+				t.Fatalf("step %d: stack %d links %d leaves, %d are active on it", step, s, len(leaves), want)
+			}
+		}
+		for f, o := range on {
+			if o < 0 && table[f] != (Link{None, None}) {
+				t.Fatalf("step %d: idle leaf %d keeps links %+v", step, f, table[f])
+			}
+		}
+	}
+	if moves < 200 || picks < 1000 {
+		t.Fatalf("only %d moves and %d picks", moves, picks)
+	}
+}
+
+// TestStackOwnLeaves: a Stack handed no table (bench/replay.go's) grows
+// its own on Activate, past leaf ids of 32767 and more, and schedules
+// exactly as a Stack sharing a table does: the same script gives the same
+// picks and debits, and every link agrees, at every level.
+func TestStackOwnLeaves(t *testing.T) {
+	const space = 1 << 17
+	ids := []int32{0, 1, 6, 32766, 32767, 32768, 40001, 65535, 65536, 99999, space - 1}
+	build := func() (*Stack, *countingHier) {
+		h, counts := newCountingHier(2)
+		h.leaf = newEnt(space)
+		st := &Stack{}
+		st.Init(h, counts)
+		return st, h
+	}
+	own, ho := build()
+	shared, hs := build()
+	shared.ShareLeaves(hs.leaf.ln)
+	both := []*Stack{own, shared}
+	active := make([]bool, len(ids))
+	rng := rand.New(rand.NewSource(45))
+	var pb [2]int32
+	picks := 0
+	for step := 0; step < 5000; step++ {
+		i := rng.Intn(len(ids))
+		f := ids[i]
+		switch op := rng.Intn(4); {
+		case op == 0 && !active[i]:
+			for _, st := range both {
+				st.Activate(f, pathOf(2, f, pb[:0]))
+			}
+			active[i] = true
+		case op == 1 && active[i]:
+			for _, st := range both {
+				st.Deactivate(f, pathOf(2, f, pb[:0]))
+			}
+			active[i] = false
+		case op >= 2:
+			fo, do, oko := own.Pick()
+			fs, ds, oks := shared.Pick()
+			if fo != fs || do != ds || oko != oks {
+				t.Fatalf("step %d: own table picked (%d, %d, %v), shared (%d, %d, %v)", step, fo, do, oko, fs, ds, oks)
+			}
+			if !oko {
+				break
+			}
+			picks++
+			head := 1 + rng.Int63n(300)
+			for _, h := range []*countingHier{ho, hs} {
+				h.leaf.deficit[fo] -= do
+				h.leaf.head[fo] = head
+			}
+			drain := rng.Intn(3) == 0
+			for _, st := range both {
+				st.Charge(pathOf(2, fo, pb[:0]), do)
+				if drain {
+					st.Deactivate(fo, pathOf(2, fo, pb[:0]))
+				}
+			}
+			if drain {
+				active[slices.Index(ids, fo)] = false
+			}
+		}
+		for k := range 2 {
+			if !slices.Equal(own.Links(k), shared.Links(k)) {
+				t.Fatalf("step %d: level %d links differ", step, k)
+			}
+		}
+		ln := own.Links(2)
+		for _, f := range ids {
+			got := Link{None, None}
+			if int(f) < len(ln) {
+				got = ln[f]
+			}
+			if got != hs.leaf.ln[f] {
+				t.Fatalf("step %d: leaf %d's links are %+v in the own table, %+v in the shared one", step, f, got, hs.leaf.ln[f])
+			}
+		}
+	}
+	if len(own.Links(2)) <= 32767 || picks < 1000 {
+		t.Fatalf("own table of %d entries after %d picks", len(own.Links(2)), picks)
+	}
+	if a, b := ringLeaves(t, own), ringLeaves(t, shared); !slices.Equal(a, b) {
+		t.Fatalf("own table links %v, shared %v", a, b)
+	}
 }
