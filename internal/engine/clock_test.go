@@ -58,8 +58,6 @@ func (s stepped) tick(n int) {
 	}
 }
 
-func (s stepped) nowTick() int { return int(s.clk.now() / pacerTick) }
-
 // TestWallClockOnlyBehindClock: outside clock.go, no non-test file of this
 // package reads the wall clock, sleeps on it, or holds a time.Time. A
 // second time base is how the shaped path became untestable without

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,41 +23,36 @@ func newTest(t *testing.T, shards, flows, segments int) *Engine {
 	return e
 }
 
+// TestConfigValidation: New refuses a malformed Config with an error naming
+// the field at fault, and normalizes the rest.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Shards: -1, NumSegments: 16}); err == nil {
-		t.Error("negative Shards accepted")
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Shards: -1, NumSegments: 16}, "Shards"},
+		{Config{NumFlows: -3, NumSegments: 16}, "NumFlows"},
+		{Config{NumSegments: 64, NumPorts: -1}, "NumPorts"},
+		{Config{Shards: 8}, "NumSegments"},
+		{Config{NumSegments: 64, NumPorts: MaxPorts + 1}, "NumPorts"},
+		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{RateBytesPerSec: -5}}, "rate"},
+		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{BurstBytes: 100}}, "burst"},
+	} {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New(%+v) = %v, want an error naming %s", c.cfg, err, c.field)
+		}
 	}
-	if _, err := New(Config{Shards: 8}); err == nil {
-		t.Error("zero NumSegments accepted")
-	}
-	if _, err := New(Config{NumFlows: -3, NumSegments: 16}); err == nil {
-		t.Error("negative NumFlows accepted")
-	}
-	// The pool is shared: fewer segments than shards is legal now.
-	if _, err := New(Config{Shards: 8, NumSegments: 4}); err != nil {
-		t.Errorf("NumSegments < Shards rejected on a shared pool: %v", err)
-	}
-	// Non-power-of-two shard counts round up.
-	e, err := New(Config{Shards: 5, NumFlows: 16, NumSegments: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Config().Shards; got != 8 {
-		t.Errorf("Config().Shards = %d, want 8", got)
-	}
-	// Defaults.
-	e, err = New(Config{NumSegments: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Config is the normalized configuration: every zero default filled.
-	want := Config{
-		Shards: DefaultShards, NumFlows: queue.DefaultNumQueues, NumSegments: 1024,
-		NumPorts: 1, RingCapacity: DefaultRingCapacity,
-		Egress: policy.EgressConfig{DefaultWeight: 1, QuantumBytes: 512},
-	}
-	if got := e.Config(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Config() = %+v, want %+v", got, want)
+	// Config is the normalized configuration: every zero default filled, a
+	// shard count rounded up to a power of two, and the pool shared, so
+	// fewer segments than shards is legal.
+	eg := policy.EgressConfig{DefaultWeight: 1, QuantumBytes: 512}
+	for _, c := range [][2]Config{
+		{{NumSegments: 1024}, {Shards: DefaultShards, NumFlows: queue.DefaultNumQueues, NumSegments: 1024, NumPorts: 1, RingCapacity: DefaultRingCapacity, Egress: eg}},
+		{{Shards: 5, NumFlows: 16, NumSegments: 4}, {Shards: 8, NumFlows: 16, NumSegments: 4, NumPorts: 1, RingCapacity: DefaultRingCapacity, Egress: eg}},
+	} {
+		if e, err := New(c[0]); err != nil || !reflect.DeepEqual(e.Config(), c[1]) {
+			t.Errorf("New(%+v) = %v; want Config() %+v", c[0], err, c[1])
+		}
 	}
 }
 

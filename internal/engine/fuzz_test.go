@@ -14,21 +14,30 @@ package engine
 // whose entries the model cannot name (the picked pulls, batches, the
 // pacers, reconfiguration), the harness drains them.
 //
-// Every command is held to the model's return value and sentinel; a
-// delivered packet to the model's pick, which is also the oldest
+// Every command is held to the model's return value and error, word for
+// word; a delivered packet to the model's pick, which is also the oldest
 // undelivered packet of its flow, payload byte for byte; a pull finds a
 // packet exactly when the model holds one. Whenever no post is pending the
-// Stats, PortStats and TierStats books must read as the model's,
+// Stats, PortStats (shapers, parks and pauses too) and TierStats books must
+// read as the model's,
 // CheckInvariants must pass, and the egress audit must balance: served ≡
 // granted − outstanding per flow and per node at every level. At the end
 // every segment is back in the pool.
 //
+// Time moves only by cClock, a pacer tick at a time: every port whose
+// kick, notify or wheel slot is due is served at each tick, as the model
+// serves it.
+//
 // The fuzzer's first seven bytes configure the engine (see fuzzConfig);
 // each command is an opcode byte (an index into fzOps) and its arguments.
+// An engine of more than 255 flows takes its flow and size arguments two
+// bytes wide, low byte first: a flow past NumFlows is math.MaxUint32, a
+// size is the packet's bytes.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -37,6 +46,7 @@ import (
 	"npqm/internal/queue"
 	"npqm/internal/ring"
 	"npqm/internal/sched"
+	"npqm/internal/segstore"
 )
 
 // fzMaxPend is how many posts may wait in one ring.
@@ -44,7 +54,8 @@ const fzMaxPend = 64
 
 // The commands, by opcode. A flow argument of NumFlows (mod NumFlows+1)
 // names a flow outside the flow space; a size argument b is a packet of
-// 1+9b bytes, 255 an empty one.
+// 1+9b bytes, 255 an empty one. A port argument of NumPorts (mod
+// NumPorts+1) is out of range.
 const (
 	cEnqueue      = iota // flow, size
 	cPost                // flow, size: EnqueueAsync
@@ -65,6 +76,10 @@ const (
 	cDrain               // Drain
 	cSetEgress           // a, b: SetEgress, same hierarchy
 	cRead                // flow: Flow and Len
+	cClock               // n: n+1 pacer ticks, the pacers settling at each
+	cRate                // port, rate, burst: SetPortRate (see rateArg)
+	cPause               // port<<1 | resume: Pause or Resume
+	cWeigh               // which, flow or unit, w: SetWeight or SetTierWeight with any weight (see opWeigh)
 )
 
 // script is a command stream; past its end every read is 0. The scenario
@@ -131,6 +146,13 @@ type fzRes struct {
 	mServed
 }
 
+// departure is a packet a port's sink took, and the pacer tick it left on.
+type departure struct {
+	tick int64
+	port int
+	mServed
+}
+
 type harness struct {
 	t       *testing.T
 	e       stepped
@@ -146,7 +168,7 @@ type harness struct {
 	delivered   map[int][]Dequeued // this settle's sink calls, per port
 	retainEvery int                // the sink retains every nth view it is handed
 	sinkCalls   int
-	transmitted []uint64 // per port
+	departed    []departure // every packet a sink took, in order
 
 	// Picked service, for the egress audit, in bytes and packets: per flow
 	// at {-1, -1, -1, flow}, per node at {shard, port, level, node}.
@@ -170,8 +192,7 @@ func runEngine(t *testing.T, cfg Config, started bool, in []byte) *harness {
 	e := newStepped(t, cfg)
 	t.Cleanup(func() { e.Close() })
 	cfg = e.Config()
-	h := &harness{t: t, e: e, m: newModel(cfg, e.ShardOf), started: started,
-		delivered: map[int][]Dequeued{}, transmitted: make([]uint64, cfg.NumPorts)}
+	h := &harness{t: t, e: e, m: newModel(cfg, e.ShardOf), started: started, delivered: map[int][]Dequeued{}}
 	if started {
 		for _, s := range e.shards {
 			r, err := ring.New[command](cfg.RingCapacity)
@@ -182,22 +203,45 @@ func runEngine(t *testing.T, cfg Config, started bool, in []byte) *harness {
 		}
 		e.state.Store(stateStarted)
 	}
-	// One goroutine never contends for a shard, so mark every shard shared
-	// for good: every drain runs the prefetch pipeline, and the model holds
-	// the packets it delivers to the same account as any other.
 	for _, s := range e.shards {
-		e.run(s, func() { s.markShared(math.MaxInt) })
+		e.run(s, func() {
+			// One goroutine never contends for a shard, so mark every shard
+			// shared for good: every drain runs the prefetch pipeline, and the
+			// model holds the packets it delivers to the same account as any
+			// other.
+			s.markShared(math.MaxInt)
+			if s.adm != nil && cfg.Admission.Kind == policy.KindRED {
+				s.adm = reachLog{s.adm, s.cache, &h.m.reach}
+			}
+		})
 	}
 	h.resetAudit()
 	cmds := script(in)
 	for step := 0; len(cmds) > 0; step++ {
 		fzOps[cmds.next()%len(fzOps)](h, &cmds)
+		if len(h.m.reach) > 0 {
+			t.Fatalf("step %d: RED was asked %d times more than the model asks it", step, len(h.m.reach))
+		}
 		if len(h.pend) == 0 {
 			h.check(step)
 		}
 	}
 	h.finish()
 	return h
+}
+
+// reachLog records, each time RED is asked, how many segments the asking
+// shard can reach: the one thing about a RED arrival the model does not
+// work out itself.
+type reachLog struct {
+	policy.Admission
+	c   *segstore.Cache
+	log *[]int
+}
+
+func (r reachLog) Admit(flow uint32, need int, q policy.QueueState, pool policy.PoolState) policy.Verdict {
+	*r.log = append(*r.log, r.c.Avail())
+	return r.Admission.Admit(flow, need, q, pool)
 }
 
 // do appends one command; rep appends it n times.
@@ -212,6 +256,15 @@ func (s script) do(op int, args ...int) script {
 func (s script) rep(n, op int, args ...int) script {
 	for range n {
 		s = s.do(op, args...)
+	}
+	return s
+}
+
+// w appends two-byte arguments: the flows and sizes of an engine of more
+// than 255 flows.
+func (s script) w(args ...int) script {
+	for _, a := range args {
+		s = append(s, byte(a), byte(a>>8))
 	}
 	return s
 }
@@ -243,7 +296,7 @@ func (h *harness) settlePosts() {
 	}
 	avail := h.e.shards[h.pendOn].cache.Avail()
 	for _, p := range h.pend {
-		h.m.arrive(p.flow, p.pkt, &avail, false, false)
+		h.m.arrive(p.flow, p.pkt, &avail, false)
 	}
 	h.pend = h.pend[:0]
 }
@@ -255,13 +308,19 @@ func (h *harness) drain() {
 	}
 }
 
-// newPkt is the next packet of n bytes; size is an argument byte.
-func (h *harness) newPkt(size int) (mPkt, []byte) {
+// wide reports whether flow and size arguments are two bytes wide.
+func (h *harness) wide() bool { return len(h.m.flows) > 255 }
+
+// newPkt is the next packet, its size read from in.
+func (h *harness) newPkt(in *script) (mPkt, []byte) {
 	h.serial++
-	p := mPkt{h.serial, 1 + size*9}
-	if size == 255 {
-		p.bytes = 0 // an empty packet: the caller's error
-	}
+	p := mPkt{serial: h.serial}
+	switch b := in.next(); {
+	case h.wide():
+		p.bytes = b | in.next()<<8
+	case b < 255:
+		p.bytes = 1 + 9*b
+	} // else an empty packet: the caller's error
 	return p, payloadOf(p)
 }
 
@@ -269,23 +328,31 @@ func (h *harness) newPkt(size int) (mPkt, []byte) {
 // for a flow outside the flow space, which is refused before any.
 func (h *harness) flowArg(in *script) (flow uint32, home int) {
 	n := len(h.m.flows)
-	if flow = uint32(in.next() % (n + 1)); int(flow) == n {
+	if h.wide() {
+		if flow = uint32(in.next() | in.next()<<8); int(flow) > n {
+			flow = math.MaxUint32
+		}
+	} else {
+		flow = uint32(in.next() % (n + 1))
+	}
+	if int64(flow) >= int64(n) {
 		return flow, -1
 	}
 	return flow, h.e.ShardOf(flow)
 }
 
-// want checks a call's error against the model's sentinel (nil: none).
+// want checks a call's error against the model's (nil: none): worded the
+// same, around the same sentinel when the model's wraps one.
 func (h *harness) want(what string, want, err error) {
 	h.t.Helper()
-	if !errors.Is(err, want) {
+	ok := err == want
+	if err != nil && want != nil {
+		sentinel := errors.Unwrap(want)
+		ok = err.Error() == want.Error() && (sentinel == nil || errors.Is(err, sentinel))
+	}
+	if !ok {
 		h.t.Fatalf("%s: %v, the model says %v", what, err, want)
 	}
-}
-
-// redDrop reports RED's verdict on a refused arrival.
-func (h *harness) redDrop(err error) bool {
-	return h.m.adm.Kind == policy.KindRED && errors.Is(err, ErrAdmissionDrop)
 }
 
 // got checks a delivered packet against the model's and settles what the
@@ -343,33 +410,29 @@ var fzOps = [...]func(h *harness, in *script){
 	cDequeue: opDequeue, cDequeueBatch: opDequeueBatch, cNext: opNext, cNextBatch: opNextBatch,
 	cRelease: opRelease, cMove: opMove, cDelete: opDelete, cLimit: opLimit, cWeight: opWeight,
 	cRehome: opRehome, cServe: opServe, cDrain: opDrain, cSetEgress: opSetEgress, cRead: opRead,
+	cClock: opClock, cRate: opRate, cPause: opPause, cWeigh: opWeigh,
 }
 
 func opEnqueue(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
-	pkt, data := h.newPkt(in.next())
+	pkt, data := h.newPkt(in)
 	h.enter(h.e.ShardOf(flow))
 	n, err := h.e.EnqueuePacket(flow, data)
-	h.want("EnqueuePacket", h.m.arrive(flow, pkt, nil, h.redDrop(err), false), err)
+	h.want("EnqueuePacket", h.m.arrive(flow, pkt, nil, false), err)
 	if err == nil && n != pkt.segs() {
 		h.t.Fatalf("EnqueuePacket linked %d segments of a %d-segment packet", n, pkt.segs())
 	}
 }
 
 // opPost is EnqueueAsync: posted once the rings exist, on the spot before.
-// Nobody is told a post's fate; under RED the harness reads it off the
-// counters, draining at once.
+// Nobody is told a post's fate. Under RED a post runs at once, so that the
+// model meets RED's questions in the order the engine asks them.
 func opPost(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
-	pkt, data := h.newPkt(in.next())
+	pkt, data := h.newPkt(in)
 	sh := h.e.ShardOf(flow)
-	red := h.m.adm.Kind == policy.KindRED
 	if len(h.pend) > 0 && (h.pendOn != sh || len(h.pend) == fzMaxPend) {
 		h.drain()
-	}
-	var drops uint64
-	if !h.started || red {
-		drops = h.e.Stats().DroppedPackets
 	}
 	avail := h.e.shards[sh].cache.Avail()
 	if err := h.e.EnqueueAsync(flow, data); err != nil {
@@ -377,10 +440,10 @@ func opPost(h *harness, in *script) {
 	}
 	switch {
 	case !h.started:
-		h.m.arrive(flow, pkt, nil, h.e.Stats().DroppedPackets > drops, false)
-	case red:
+		h.m.arrive(flow, pkt, nil, false)
+	case h.m.adm.Kind == policy.KindRED:
 		h.drain()
-		h.m.arrive(flow, pkt, &avail, h.e.Stats().DroppedPackets > drops, false)
+		h.m.arrive(flow, pkt, &avail, false)
 	default:
 		h.pend, h.pendOn = append(h.pend, mServed{flow, pkt}), sh
 	}
@@ -404,7 +467,7 @@ func opBatch(h *harness, in *script) {
 	pkts := make([]mPkt, len(reqs))
 	for i := range reqs {
 		reqs[i].Flow, _ = h.flowArg(in)
-		pkts[i], reqs[i].Data = h.newPkt(in.next())
+		pkts[i], reqs[i].Data = h.newPkt(in)
 	}
 	segs, errs := h.e.EnqueueBatch(reqs)
 	want := 0
@@ -413,7 +476,7 @@ func opBatch(h *harness, in *script) {
 		if errs != nil {
 			err = errs[i]
 		}
-		h.want("EnqueueBatch", h.m.arrive(reqs[i].Flow, pkts[i], nil, h.redDrop(err), false), err)
+		h.want("EnqueueBatch", h.m.arrive(reqs[i].Flow, pkts[i], nil, false), err)
 		if err == nil {
 			want += pkts[i].segs()
 		}
@@ -425,10 +488,10 @@ func opBatch(h *harness, in *script) {
 
 func opReserve(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
-	pkt, data := h.newPkt(in.next())
+	pkt, data := h.newPkt(in)
 	h.enter(h.e.ShardOf(flow))
 	r, err := h.e.ReservePacket(flow, pkt.bytes)
-	h.want("ReservePacket", h.m.arrive(flow, pkt, nil, h.redDrop(err), true), err)
+	h.want("ReservePacket", h.m.arrive(flow, pkt, nil, true), err)
 	if err != nil {
 		return
 	}
@@ -472,10 +535,10 @@ func opSettleReservation(h *harness, in *script) {
 // flowTake is the model's side of a dequeue that names its flow.
 func (h *harness) flowTake(flow uint32) (mServed, error) {
 	switch {
-	case int(flow) >= len(h.m.flows):
-		return mServed{}, queue.ErrBadQueue
+	case int64(flow) >= int64(len(h.m.flows)):
+		return mServed{}, h.m.errFlow(flow)
 	case len(h.m.flows[flow].q) == 0:
-		return mServed{}, queue.ErrQueueEmpty
+		return mServed{}, errEmpty(flow)
 	}
 	return mServed{flow, h.m.take(flow, unpicked)}, nil
 }
@@ -578,8 +641,9 @@ func opMove(h *harness, in *script) {
 	if home >= 0 && len(h.m.flows[from].q) > 0 {
 		segs = h.m.flows[from].q[0].segs()
 	}
-	if want := h.m.move(from, to); !errors.Is(err, want) || err == nil && n != segs {
-		h.t.Fatalf("MovePacket(%d, %d) = (%d, %v), the model says (%d, %v)", from, to, n, err, segs, want)
+	h.want(fmt.Sprintf("MovePacket(%d, %d)", from, to), h.m.move(from, to), err)
+	if err == nil && n != segs {
+		h.t.Fatalf("MovePacket(%d, %d) moved %d segments of a %d-segment packet", from, to, n, segs)
 	}
 }
 
@@ -590,8 +654,8 @@ func opDelete(h *harness, in *script) {
 	}
 	n, err := h.e.DeletePacket(flow)
 	want, werr := h.flowTake(flow)
-	if !errors.Is(err, werr) || err == nil && n != want.pkt.segs() {
-		h.t.Fatalf("DeletePacket(%d) = (%d, %v), the model says (%d, %v)", flow, n, err, want.pkt.segs(), werr)
+	if h.want("DeletePacket", werr, err); err == nil && n != want.pkt.segs() {
+		h.t.Fatalf("DeletePacket(%d) deleted %d segments of a %d-segment packet", flow, n, want.pkt.segs())
 	}
 }
 
@@ -603,7 +667,7 @@ func (h *harness) control(what string, flow uint32, home int, call func() error)
 	if home >= 0 {
 		h.enter(home)
 	}
-	if err := call(); home < 0 && !errors.Is(err, ErrUnknownFlow) || home >= 0 && err != nil {
+	if err := call(); home < 0 && err != ErrUnknownFlow || home >= 0 && err != nil {
 		h.t.Fatalf("%s(%d): %v", what, flow, err)
 	}
 	return home >= 0
@@ -619,19 +683,23 @@ func opLimit(h *harness, in *script) {
 
 // opWeight sets a flow's weight or, with the top bit, a tier unit's.
 func opWeight(h *harness, in *script) {
-	flow, home := h.flowArg(in)
+	flow, _ := h.flowArg(in)
 	a := in.next()
-	w := 1 + a%4
-	if a&128 != 0 {
-		tier := policy.Tier(a >> 2 % 2)
-		unit := a >> 3 % len(h.m.tierW[tier])
-		h.drain()
-		if err := h.e.SetTierWeight(tier, unit, w); err != nil {
-			h.t.Fatal(err)
-		}
-		h.m.tierW[tier][unit] = int64(w)
-	} else if h.control("SetWeight", flow, home, func() error { return h.e.SetWeight(flow, w) }) {
-		h.m.flows[flow].weight = int64(w)
+	tier := a >> 2 % 2
+	if a&128 == 0 {
+		tier = -1
+	}
+	h.weigh(tier, flow, a>>3%len(h.m.tierW[max(tier, 0)]), 1+a%4)
+}
+
+// weigh is SetWeight on flow (tier -1) or SetTierWeight on a tier's unit.
+func (h *harness) weigh(tier int, flow uint32, unit, w int) {
+	h.drain()
+	if tier < 0 {
+		h.want("SetWeight", h.m.setWeight(flow, w), h.e.SetWeight(flow, w))
+	} else {
+		t := policy.Tier(tier)
+		h.want("SetTierWeight", h.m.setTierWeight(t, unit, w), h.e.SetTierWeight(t, unit, w))
 	}
 }
 
@@ -679,22 +747,87 @@ func opServe(h *harness, in *script) {
 		}
 		p.serving, p.wake = true, true
 	}
+	h.settle()
+}
+
+// settle steps the pacers at the current instant and holds each sink's
+// deliveries to the model's.
+func (h *harness) settle() {
 	h.e.settle()
 	want := h.m.settle()
 	for p := range h.m.ports {
 		got := h.delivered[p]
 		if len(got) != len(want[p]) {
-			h.t.Fatalf("port %d: the sink got %d packets, the model serves %d", p, len(got), len(want[p]))
+			h.t.Fatalf("tick %d: port %d's sink got %d packets, the model serves %d", h.m.now/mTick, p, len(got), len(want[p]))
 		}
 		for i, d := range got {
-			h.transmitted[p]++
 			h.m.c.CopiedBytes -= uint64(len(d.Data)) // the sink's own copy
 			h.got("ServeViews", d.Flow, d.Data, d.View, d.View.Valid(), want[p][i])
 			h.picked(want[p][i])
+			h.departed = append(h.departed, departure{h.m.now / mTick, p, want[p][i]})
 		}
 		delete(h.delivered, p)
 	}
 }
+
+// opClock moves engine time on n+1 pacer ticks, settling at each.
+func opClock(h *harness, in *script) {
+	n := in.next()
+	h.drain()
+	for range n + 1 {
+		h.e.clk.ns.Add(mTick)
+		h.m.now += mTick
+		h.settle()
+	}
+}
+
+// portArg reads a port argument: NumPorts (mod NumPorts+1) is out of range.
+func (h *harness) portArg(a int) int { return a % (len(h.m.ports) + 1) }
+
+// rateArg is SetPortRate's configuration from a rate code r — r%64 KiB/s
+// times 16^(r/64), 0 unshaped, a tick's credit never a whole byte count;
+// 254 past the maximum, 255 negative — and a burst code b: 64b bytes, 0
+// the default, 255 negative.
+func rateArg(r, b int) policy.ShaperConfig {
+	cfg := policy.ShaperConfig{RateBytesPerSec: int64(r%64) << (10 + r/64*4), BurstBytes: int64(b) * 64}
+	if r >= 254 {
+		cfg.RateBytesPerSec = [2]int64{policy.MaxShaperRate + 1, -1}[r-254]
+	}
+	if b == 255 {
+		cfg.BurstBytes = -1
+	}
+	return cfg
+}
+
+func opRate(h *harness, in *script) {
+	port, cfg := h.portArg(in.next()), rateArg(in.next(), in.next())
+	h.want("SetPortRate", h.m.setPortRate(port, cfg), h.e.SetPortRate(port, cfg))
+}
+
+func opPause(h *harness, in *script) {
+	a := in.next()
+	port, call := h.portArg(a>>1), h.e.Pause
+	if a&1 != 0 {
+		call = h.e.Resume
+	}
+	h.want("Pause/Resume", h.m.pause(port, a&1 == 0), call(port))
+}
+
+// opWeigh is SetWeight (which%4 = 0) or SetTierWeight on the tenant tier,
+// the class tier or a tier past them, with a weight the setters must
+// refuse or keep; a unit argument of the tier's unit count is out of range.
+func opWeigh(h *harness, in *script) {
+	tier, flow, unit := in.next()%4-1, uint32(0), 0
+	if tier < 0 {
+		flow, _ = h.flowArg(in)
+	} else {
+		unit = in.next() % (len(h.m.tierW[min(tier, int(numTiers)-1)]) + 1)
+	}
+	h.weigh(tier, flow, unit, [...]int{0, -2, 1, 3, policy.MaxWeight, int(pastMaxWeight), math.MinInt, math.MaxInt}[in.next()%8])
+}
+
+// pastMaxWeight is a variable: int may be 32 bits.
+var pastMaxWeight = int64(policy.MaxWeight) + 1
 
 func opDrain(h *harness, _ *script) { h.drain() }
 
@@ -719,9 +852,8 @@ func opRead(h *harness, in *script) {
 	flow, home := h.flowArg(in)
 	var fi FlowInfo
 	if !h.control("Flow", flow, home, func() (err error) { fi, err = h.e.Flow(flow); return err }) {
-		if _, err := h.e.Len(flow); !errors.Is(err, queue.ErrBadQueue) {
-			h.t.Fatalf("Len(%d): %v, want ErrBadQueue", flow, err)
-		}
+		_, err := h.e.Len(flow)
+		h.want("Len", h.m.errFlow(flow), err)
 		return
 	}
 	f, bytes := &h.m.flows[flow], 0
@@ -765,9 +897,14 @@ func (h *harness) check(step int) {
 			m.c, m.queued, m.lent, m.free(), active)
 	}
 	for p, ps := range h.e.PortStats() {
-		if ps.ActiveFlows != ports[p] || ps.TransmittedPackets != h.transmitted[p] {
-			h.t.Fatalf("step %d: port %d has %d active flows and transmitted %d; the model %d and %d",
-				step, p, ps.ActiveFlows, ps.TransmittedPackets, ports[p], h.transmitted[p])
+		mp := &m.ports[p]
+		mp.refill(m.now)
+		want := PortStat{Port: p, TransmittedPackets: mp.txPackets, TransmittedBytes: mp.txBytes,
+			Throttled: mp.throttled, Paused: mp.paused, Serving: mp.serving, ActiveFlows: ports[p],
+			RateBytesPerSec: mp.rate, BurstBytes: mp.burst, ShaperTokens: mp.tokens}
+		ps.GapSamples, ps.MeanGapNs, ps.P99GapNs = 0, 0, 0 // jitter is not modelled
+		if ps != want {
+			h.t.Fatalf("step %d: port %d reads %+v; the model %+v", step, p, ps, want)
 		}
 	}
 	for t := range units {

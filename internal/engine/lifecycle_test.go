@@ -401,24 +401,13 @@ func TestResidenceSampling(t *testing.T) {
 	}
 }
 
+// TestRingDequeueNextSmallBudgetFindsBacklog: a single resident packet on
+// whatever shard is found by a DequeueNextBatch whose budget is smaller
+// than the shard count, for every rotation offset of the fan-out.
 func TestRingDequeueNextSmallBudgetFindsBacklog(t *testing.T) {
-	e := newRingEngine(t, Config{Shards: 8, NumFlows: 256, NumSegments: 2048})
-	defer e.Close()
-	// A single resident packet on whatever shard: DequeueNextBatch with a
-	// budget smaller than the shard count must still find it, for every
-	// possible rotation offset of the fan-out.
-	for trial := 0; trial < 16; trial++ {
-		f := uint32(trial * 37 % 256)
-		if _, err := e.EnqueuePacket(f, []byte("lonely")); err != nil {
-			t.Fatal(err)
-		}
-		out := e.DequeueNextBatch(2) // 2 < 8 shards: most shards get budget 0
-		if len(out) != 1 {
-			t.Fatalf("trial %d: DequeueNextBatch(2) found %d packets, want 1", trial, len(out))
-		}
-		if out[0].Flow != f {
-			t.Fatalf("trial %d: served flow %d, want %d", trial, out[0].Flow, f)
-		}
-		e.ReleaseBuffer(out[0].Data)
+	s := script{}
+	for trial := range 16 {
+		s = s.do(cEnqueue, trial*37%256, 0).do(cNextBatch, 2<<1)
 	}
+	runEngine(t, Config{Shards: 8, NumFlows: 255, NumSegments: 2048}, true, s)
 }

@@ -6,21 +6,30 @@ package engine
 // queue's head packet pushed out when the buffer is full — plus the egress
 // disciplines as sched.Level states them: a rotation per scheduling unit
 // and node, RR/Prio/WRR/DRR at every level, and the pull and pacer entry
-// points' shard and port cursors. The harness (runEngine, fuzz_test.go)
-// runs each command on the engine and on the model and holds the engine to
-// the model's answer.
+// points' shard and port cursors. It keeps time as the transmit interface
+// does: each port's token bucket (refilled up to its burst, a tick's
+// budget per service, one charge per drained batch), the tick it is parked
+// on the pacer's wheel until (never more than the horizon ahead, parked
+// again when that slot comes up short), Pause, and RED's EWMA, drop curve
+// and seeded draw per shard. The harness (runEngine, fuzz_test.go) runs
+// each command on the engine and on the model and holds the engine to the
+// model's answer, error text included.
 //
 // The model takes two things from the engine as given: ShardOf, the
-// partition of the flow space, and — for a posted arrival only, which
-// cannot leave its shard to fetch segments other shards' caches strand —
-// how many segments the arriving shard can reach (segstore.Cache.Avail).
-// RED's random verdicts it does not predict: the harness reports them.
+// partition of the flow space, and how many segments the arriving shard
+// can reach (segstore.Cache.Avail) — read when a post settles, since a
+// posted arrival cannot leave its shard to fetch segments other shards'
+// caches strand, and recorded each time RED is asked, since an arrival RED
+// admits but its shard cannot reach flushes another shard's cache and asks
+// RED again. Every RED verdict is the model's own.
 
 import (
+	"fmt"
 	"slices"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
+	"npqm/internal/xrand"
 )
 
 // mPkt is one modelled packet: its serial, which fixes its payload (see
@@ -76,12 +85,62 @@ type mLevel struct {
 	mod, count int32
 }
 
-// mPort is a port's push-service state as its pacer keeps it.
+// The pacer's time, as the model states it: a 1 ms tick, and a wheel that
+// parks a port at most 255 ticks ahead.
+const (
+	mTick    = second / 1000
+	mHorizon = 255
+)
+
+// mPort is a port's transmit state as its pacer and shaper keep it.
 type mPort struct {
 	serving bool   // ServeViews registered a sink
-	idle    bool   // parked after a scan found nothing; an activation wakes it
+	paused  bool   // Pause, until Resume
+	idle    bool   // a scan found nothing: an activation wakes it
 	wake    bool   // kicked or notified: the next settle serves it
+	due     int64  // the tick it is parked on the wheel until; 0 = none
 	cursor  uint32 // the pacer's rotating start shard
+	bucket
+	throttled, txPackets, txBytes uint64
+}
+
+// bucket is a port's token bucket: rate bytes a second (0: unshaped) up to
+// burst, tokens of credit (negative: in debt) as of engine time last.
+type bucket struct{ rate, burst, tokens, last int64 }
+
+// set is a (re)configuration at now: the bucket starts full.
+func (b *bucket) set(cfg policy.ShaperConfig, now int64) {
+	cfg = cfg.WithDefaults()
+	*b = bucket{cfg.RateBytesPerSec, cfg.BurstBytes, cfg.BurstBytes, now}
+}
+
+// earned is the credit el ns earn, rounded down — exactly where the
+// product fits, through float64 past a second or 2^33 B/s.
+func (b *bucket) earned(el int64) int64 {
+	if el <= second && b.rate < 1<<33 {
+		return el * b.rate / second
+	}
+	return int64(float64(el) / float64(second) * float64(b.rate))
+}
+
+// refill brings a shaped bucket up to now, capped at the burst.
+func (b *bucket) refill(now int64) {
+	if b.rate > 0 && now > b.last {
+		b.tokens, b.last = min(b.tokens+b.earned(now-b.last), b.burst), now
+	}
+}
+
+// budget is what a service at now may send: the credit plus the coming
+// tick's earnings; when that is not positive, wait is the ns until it is.
+func (b *bucket) budget(now int64) (bytes, wait int64) {
+	if b.rate == 0 {
+		return unshapedBudget, 0
+	}
+	b.refill(now)
+	if bytes = b.tokens + b.earned(mTick); bytes > 0 {
+		return bytes, 0
+	}
+	return bytes, max((1-bytes)*second/b.rate, 1)
 }
 
 // mServed is a packet of a flow: one a pick delivers, a post waiting in a
@@ -93,6 +152,7 @@ type mServed struct {
 
 type model struct {
 	pool, shards int
+	now          int64 // engine time
 	shardOf      func(uint32) int
 	adm          policy.Config
 	flows        []mFlow
@@ -107,8 +167,18 @@ type model struct {
 	levels        []mLevel
 	tierW         [numTiers][]int64
 
+	red   []mRED // per shard, under RED
+	reach []int  // the arriving shard's reach, recorded as RED is asked
+
 	queued, lent int
 	c            Counters
+}
+
+// mRED is one shard's RED state.
+type mRED struct {
+	avg   float64 // EWMA of the pool's occupied fraction
+	count int     // arrivals since the last drop; -1 below MinTh
+	rng   *xrand.Source
 }
 
 func newModel(cfg Config, shardOf func(uint32) int) *model {
@@ -136,6 +206,16 @@ func newModel(cfg Config, shardOf func(uint32) int) *model {
 		}
 	}
 	m.setEgress(cfg.Egress)
+	for p := range m.ports {
+		m.ports[p].set(cfg.PortRate, 0)
+	}
+	if m.adm.Kind == policy.KindRED {
+		// Seeded per shard as SetAdmission seeds it.
+		seed := max(m.adm.Seed, 1)
+		for s := range cfg.Shards {
+			m.red = append(m.red, mRED{count: -1, rng: xrand.New(seed + uint64(s)*0x9e3779b97f4a7c15)})
+		}
+	}
 	return m
 }
 
@@ -143,20 +223,20 @@ func (m *model) free() int { return m.pool - m.queued - m.lent }
 
 // --- arrivals ---
 
-// arrive settles an arrival of pkt on flow and returns the sentinel of its
-// fate: nil (admitted), ErrAdmissionDrop, queue.ErrQueueLimit or
+// arrive settles an arrival of pkt on flow and returns its fate: nil
+// (admitted), ErrAdmissionDrop, queue.ErrQueueLimit or
 // queue.ErrNoFreeSegments (rejected for want of room), or the caller's
 // error — a flow outside the flow space, an empty packet — which no counter
 // books. avail is the arriving shard's reach for a posted arrival (nil for
 // a blocking one), which the arrival's own evictions refill and its
-// enqueue spends. redDrop is RED's verdict. An admitted packet is queued
-// unless reserve is set (it then waits for commit, lent).
-func (m *model) arrive(flow uint32, pkt mPkt, avail *int, redDrop, reserve bool) error {
+// enqueue spends. An admitted packet is queued unless reserve is set (it
+// then waits for commit, lent).
+func (m *model) arrive(flow uint32, pkt mPkt, avail *int, reserve bool) error {
 	switch {
-	case int(flow) >= len(m.flows):
-		return queue.ErrBadQueue
+	case int64(flow) >= int64(len(m.flows)):
+		return m.errFlow(flow)
 	case pkt.bytes == 0:
-		return queue.ErrBadLength
+		return fmt.Errorf("%w: empty packet", queue.ErrBadLength)
 	}
 	f, need := &m.flows[flow], pkt.segs()
 	capped := f.limit > 0 && f.segs+need > f.limit
@@ -170,13 +250,22 @@ func (m *model) arrive(flow uint32, pkt mPkt, avail *int, redDrop, reserve bool)
 			return m.drop(need)
 		}
 	case policy.KindRED:
-		if !capped && (redDrop || need > m.free()) {
-			return m.drop(need)
+		// Asked once a round: an admitted arrival its shard cannot reach
+		// flushes another shard's cache and asks again; a posted one stays
+		// and is refused below.
+		for !capped {
+			reach := m.nextReach()
+			if m.redDrops(m.shardOf(flow), need) {
+				return m.drop(need)
+			}
+			if avail != nil || reach >= need {
+				break
+			}
 		}
 	}
 	if capped {
 		m.c.Rejected++
-		return queue.ErrQueueLimit
+		return errCap(flow, need)
 	}
 	lqd := m.adm.Kind == policy.KindLQD
 	if avail == nil {
@@ -215,6 +304,57 @@ func (m *model) arrive(flow uint32, pkt mPkt, avail *int, redDrop, reserve bool)
 		return queue.ErrNoFreeSegments
 	}
 	return nil
+}
+
+// nextReach is the reach recorded when RED was asked next.
+func (m *model) nextReach() int {
+	if len(m.reach) == 0 {
+		panic("RED was asked fewer times than the model asks it")
+	}
+	r := m.reach[0]
+	m.reach = m.reach[1:]
+	return r
+}
+
+// redDrops is RED's verdict on shard sh for an arrival of need segments:
+// the EWMA of the pool's occupancy moves on every arrival; above MaxTh
+// every arrival drops, between the thresholds one with a probability
+// rising linearly to MaxP, spread by the count since the last drop.
+func (m *model) redDrops(sh, need int) bool {
+	r, a := &m.red[sh], m.adm
+	occ := float64(m.pool-m.free()) / float64(m.pool)
+	r.avg = (1-a.Weight)*r.avg + a.Weight*occ
+	switch {
+	case need > m.free():
+		return true
+	case r.avg < a.MinTh:
+		r.count = -1
+		return false
+	case r.avg >= a.MaxTh:
+		r.count = 0
+		return true
+	}
+	r.count++
+	pb, pa := a.MaxP*(r.avg-a.MinTh)/(a.MaxTh-a.MinTh), 1.0
+	if d := 1 - float64(r.count)*pb; d > 0 {
+		pa = pb / d
+	}
+	if r.rng.Float64() < pa {
+		r.count = 0
+		return true
+	}
+	return false
+}
+
+// The errors as the engine words them, about the caller's flow.
+func (m *model) errFlow(flow uint32) error {
+	return fmt.Errorf("%w: %d (have %d)", queue.ErrBadQueue, flow, len(m.flows))
+}
+
+func errEmpty(flow uint32) error { return fmt.Errorf("%w: queue %d", queue.ErrQueueEmpty, flow) }
+
+func errCap(flow uint32, need int) error {
+	return fmt.Errorf("%w: queue %d cannot accept %d segments", queue.ErrQueueLimit, flow, need)
 }
 
 func (m *model) drop(need int) error {
@@ -299,10 +439,12 @@ func (m *model) take(flow uint32, debit int64) mPkt {
 // move is MovePacket: the error it must return (nil on success).
 func (m *model) move(from, to uint32) error {
 	switch {
-	case int(from) >= len(m.flows) || int(to) >= len(m.flows):
-		return queue.ErrBadQueue
+	case int64(from) >= int64(len(m.flows)):
+		return m.errFlow(from)
+	case int64(to) >= int64(len(m.flows)):
+		return m.errFlow(to)
 	case len(m.flows[from].q) == 0:
-		return queue.ErrQueueEmpty
+		return errEmpty(from)
 	}
 	f, t, need := &m.flows[from], &m.flows[to], m.flows[from].q[0].segs()
 	if from == to {
@@ -316,7 +458,7 @@ func (m *model) move(from, to uint32) error {
 	case m.adm.Kind == policy.KindTailDrop && m.adm.Limit > 0 && t.segs+need > m.adm.Limit:
 		err = ErrAdmissionDrop
 	case t.limit > 0 && t.segs+need > t.limit:
-		err = queue.ErrQueueLimit
+		err = errCap(to, need)
 	}
 	if err != nil && m.shardOf(from) != m.shardOf(to) && len(f.q) == 1 {
 		// The packet left its shard and was linked back at the head: the
@@ -528,16 +670,19 @@ func (m *model) pickShard(sh, port int) (uint32, int64, bool) {
 	}
 }
 
-// drainShard serves up to max picked packets from shard sh on port.
-func (m *model) drainShard(sh, port, max int, out []mServed) []mServed {
-	for len(out) < max {
+// drainShard serves picked packets from shard sh on port until out holds
+// max, the packet that uses up room bytes has left, or the shard has none;
+// it returns the room left.
+func (m *model) drainShard(sh, port, max int, room int64, out []mServed) ([]mServed, int64) {
+	for len(out) < max && room > 0 {
 		f, debit, ok := m.pickShard(sh, port)
 		if !ok {
 			break
 		}
 		out = append(out, mServed{f, m.take(f, debit)})
+		room -= int64(out[len(out)-1].pkt.bytes)
 	}
-	return out
+	return out, room
 }
 
 // next is DequeueNextBatch(max) (DequeueNext is max 1): the shards in turn
@@ -550,37 +695,81 @@ func (m *model) next(max int) []mServed {
 	start := int(m.egCur & uint32(m.shards-1))
 	m.egCur++
 	for i := 0; i < m.shards; i++ {
-		out = m.drainShard((start+i)%m.shards, anyPort, max, out)
+		out, _ = m.drainShard((start+i)%m.shards, anyPort, max, unshapedBudget, out)
 	}
 	return out
 }
 
-// settle is what the stepped pacers deliver: every serving port that was
-// kicked or notified is served in rounds of unshapedBatch packets, each
-// pass from the next start shard, until a pass comes back short and the
-// scan after it finds nothing and parks the port.
+// settle is what the pacers deliver at the model's now: every serving port
+// that was kicked or notified, or whose tick on the wheel has come, is
+// served until it parks — on the wheel, short of credit, or idle.
 func (m *model) settle() map[int][]mServed {
 	out := map[int][]mServed{}
 	for pi := range m.ports {
 		p := &m.ports[pi]
-		wake := p.wake
-		if p.wake = false; !wake || !p.serving {
-			continue
+		run := p.wake || p.due > 0 && p.due <= m.now/mTick
+		if p.wake = false; run {
+			p.due = 0
 		}
-		for {
-			p.cursor++
-			start, n := int(p.cursor&uint32(m.shards-1)), len(out[pi])
-			for i := range m.shards {
-				out[pi] = m.drainShard((start+i)%m.shards, pi, n+unshapedBatch, out[pi])
-			}
-			if len(out[pi])-n < unshapedBatch {
-				p.cursor++ // the scan that finds nothing and parks the port
-				break
-			}
+		for run {
+			run = m.serve(pi, out)
 		}
-		p.idle = true
 	}
 	return out
+}
+
+// serve is one service round of port pi: a tick's budget, in passes from
+// the next start shard each, of at most unshapedBatch packets in all. A
+// pass short of both limits has left every shard empty, so the scan after
+// it finds nothing and the port goes idle. It reports whether the port
+// stays runnable: not when it parked on the wheel.
+func (m *model) serve(pi int, out map[int][]mServed) bool {
+	p := &m.ports[pi]
+	if !p.serving || p.paused {
+		return false
+	}
+	budget, wait := p.budget(m.now)
+	if budget <= 0 {
+		m.park(p, wait)
+		return false
+	}
+	sent, pkts := int64(0), 0
+	for scanned := false; pkts < unshapedBatch && sent < budget; scanned = true {
+		n, max := len(out[pi]), len(out[pi])+unshapedBatch-pkts
+		p.cursor++
+		start, room := int(p.cursor&uint32(m.shards-1)), budget-sent
+		for i := 0; i < m.shards && len(out[pi]) < max && room > 0; i++ {
+			out[pi], room = m.drainShard((start+i)%m.shards, pi, max, room, out[pi])
+		}
+		batch := out[pi][n:]
+		if scanned {
+			if p.idle = len(batch) == 0; p.idle {
+				return false
+			}
+		}
+		accepted := budget - sent - room
+		p.txPackets += uint64(len(batch))
+		p.txBytes += uint64(accepted)
+		if p.rate > 0 {
+			p.tokens -= accepted // charged per batch
+		}
+		pkts, sent = pkts+len(batch), sent+accepted
+	}
+	if p.rate > 0 {
+		if _, wait := p.budget(m.now); wait > 0 {
+			m.park(p, wait)
+			return false
+		}
+	}
+	return true
+}
+
+// park counts a shaper wait and parks p on the wheel until the tick its
+// bucket recovers by, or the horizon.
+func (m *model) park(p *mPort, wait int64) {
+	p.throttled++
+	tick := m.now / mTick
+	p.due = min(max((m.now+wait+mTick-1)/mTick, tick+1), tick+mHorizon)
 }
 
 // setEgress is SetEgress: new disciplines (the unit counts are fixed),
@@ -630,4 +819,61 @@ func (m *model) rehome(flow uint32, home *int32, unit int32) {
 	if active {
 		m.activate(flow)
 	}
+}
+
+// --- control ---
+
+func (m *model) portAt(port int) (*mPort, error) {
+	if port >= len(m.ports) {
+		return nil, fmt.Errorf("engine: port %d out of range [0, %d)", port, len(m.ports))
+	}
+	return &m.ports[port], nil
+}
+
+// setPortRate is SetPortRate: a configuration policy.ShaperConfig refuses
+// is refused as it words it; any other fills the bucket at now and kicks
+// the port.
+func (m *model) setPortRate(port int, cfg policy.ShaperConfig) error {
+	p, err := m.portAt(port)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err == nil {
+		p.set(cfg, m.now)
+		p.wake = true
+	}
+	return err
+}
+
+// pause is Pause (paused) or Resume; either kicks the port.
+func (m *model) pause(port int, paused bool) error {
+	p, err := m.portAt(port)
+	if err == nil {
+		p.paused, p.wake = paused, true
+	}
+	return err
+}
+
+func (m *model) setWeight(flow uint32, w int) error {
+	switch {
+	case w <= 0 || w > policy.MaxWeight:
+		return fmt.Errorf("engine: weight %d for flow %d out of range [1, %d]", w, flow, policy.MaxWeight)
+	case int64(flow) >= int64(len(m.flows)):
+		return ErrUnknownFlow
+	}
+	m.flows[flow].weight = int64(w)
+	return nil
+}
+
+func (m *model) setTierWeight(tier policy.Tier, unit, w int) error {
+	switch {
+	case tier >= numTiers:
+		return fmt.Errorf("engine: unknown egress tier %d", uint8(tier))
+	case w <= 0 || w > policy.MaxWeight:
+		return fmt.Errorf("engine: weight %d for %s %d out of range [1, %d]", w, tier, unit, policy.MaxWeight)
+	case unit >= len(m.tierW[tier]):
+		return fmt.Errorf("engine: %s %d out of range [0, %d)", tier, unit, len(m.tierW[tier]))
+	}
+	m.tierW[tier][unit] = int64(w)
+	return nil
 }

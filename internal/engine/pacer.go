@@ -1,22 +1,20 @@
 package engine
 
-// The per-shard timing-wheel pacer. Served ports used to burn one
-// sleeping goroutine each, which caps the port space at "as many
-// timers as the runtime tolerates"; instead, every port now homes to
-// exactly one pacer (port index mod shard count) and a single goroutine
-// per shard services all of its ports: runnable ports are served
-// round-robin, shaped ports park on a timing wheel until their token
-// bucket recovers, and idle ports cost nothing until the enqueue path's
-// notify re-queues them. 10k shaped ports cost one timer, not 10k
-// goroutines.
+// The per-shard timing-wheel pacer. Every port homes to exactly one
+// pacer (port index mod shard count) and a single goroutine per shard
+// services all of its ports: runnable ports are served round-robin,
+// shaped ports park on a timing wheel until their token bucket recovers,
+// and idle ports cost nothing until the enqueue path's notify re-queues
+// them. The port space is not bounded by how many timers the runtime
+// tolerates: 10k shaped ports cost one timer, not 10k goroutines.
 //
 // A port's entire service — every shard's scheduling unit — runs on its
-// home pacer, so a sink's SendView is never concurrent with itself (the
-// contract the per-port workers provided). The pacer enters shards the
-// way the pull API does, through drainShard, always asking for views and,
-// for a shaped port, for no more bytes than its tick's budget: push
-// delivery has one form, and a sink that wants a contiguous buffer copies
-// it out of the view itself, outside every shard lock.
+// home pacer, so a sink's SendView is never concurrent with itself. The
+// pacer enters shards the way the pull API does, through drainShard,
+// always asking for views and, for a shaped port, for no more bytes than
+// its tick's budget: push delivery has one form, and a sink that wants a
+// contiguous buffer copies it out of the view itself, outside every shard
+// lock. The pacing contract is FuzzEngineCommands' model (model_test.go).
 //
 // Wheel geometry: one slot per tick (1ms) for the next 256ms. Shaper waits
 // are a few ticks at every rate the tests, bench/ and qmsim use; a deadline
@@ -136,8 +134,8 @@ func (pc *pacer) start() {
 // the next deadline or wake.
 func (e *Engine) pacerLoop(pc *pacer) {
 	defer func() {
-		// Parity with the per-port workers' exit: ports homed here stop
-		// reading as served once the engine shuts their pacer down.
+		// Ports homed here stop reading as served once the engine shuts
+		// their pacer down.
 		for _, p := range e.ports {
 			if p.pc == pc {
 				p.serving.Store(false)

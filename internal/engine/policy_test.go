@@ -62,46 +62,21 @@ func TestLQDOversizedArrivalDropped(t *testing.T) {
 	}
 }
 
+// TestREDEngineDropsUnderPressure: RED sheds arrivals as a flood takes the
+// pool past its thresholds, and keeps shedding while each admitted packet is
+// served at once; the model draws every verdict.
 func TestREDEngineDropsUnderPressure(t *testing.T) {
-	e := newPolicyEngine(t, 128,
-		policy.Config{Kind: policy.KindRED, MinTh: 0.1, MaxTh: 0.5, MaxP: 0.8, Weight: 0.5, Seed: 3},
-		policy.EgressConfig{})
-	// Push occupancy toward ~75%; with Weight 0.5 the average tracks fast,
-	// so RED may already shed arrivals while filling.
-	drops := 0
-	for i, accepted := 0, 0; accepted < 96 && i < 2000; i++ {
-		_, err := e.EnqueuePacket(uint32(i%8), seg(1))
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrAdmissionDrop):
-			drops++
-		default:
-			t.Fatalf("warmup enqueue %d: %v", i, err)
-		}
+	s := script{}
+	for i := range 200 {
+		s = s.do(cEnqueue, i%8, segsArg(1))
 	}
-	for i := 0; i < 200; i++ {
-		_, err := e.EnqueuePacket(uint32(i%8), seg(1))
-		switch {
-		case err == nil:
-			if _, err := e.DequeuePacket(uint32(i % 8)); err != nil {
-				t.Fatal(err)
-			}
-		case errors.Is(err, ErrAdmissionDrop):
-			drops++
-		default:
-			t.Fatal(err)
-		}
+	for i := range 200 {
+		s = s.do(cEnqueue, i%8, segsArg(1)).do(cDequeue, i%8, 0)
 	}
-	if drops == 0 {
-		t.Fatal("RED never dropped at 75% occupancy above MaxTh")
-	}
-	st := e.Stats()
-	if st.DroppedPackets != uint64(drops) {
-		t.Fatalf("stats say %d drops, observed %d", st.DroppedPackets, drops)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 128,
+		Admission: policy.Config{Kind: policy.KindRED, MinTh: 0.1, MaxTh: 0.5, MaxP: 0.8, Weight: 0.5, Seed: 3}}, false, s)
+	if h.m.c.DroppedPackets == 0 {
+		t.Fatal("RED never dropped above MaxTh")
 	}
 }
 
@@ -416,61 +391,26 @@ func TestDRRDeficitForfeitedOnDirectDrain(t *testing.T) {
 		Egress: policy.EgressConfig{Kind: policy.EgressDRR, QuantumBytes: 64}}, false, s.rep(8, cNext, 0))
 }
 
+// TestSetWeightValidation: the weight setters refuse a weight they cannot
+// keep — not positive, or past MaxWeight, where 32 bits would truncate it
+// to 0, the default — and a flow, tier or unit that does not exist, and
+// keep every weight in range.
 func TestSetWeightValidation(t *testing.T) {
-	e := newPolicyEngine(t, 64, policy.Config{}, policy.EgressConfig{Kind: policy.EgressWRR})
-	if err := e.SetWeight(1, 0); err == nil {
-		t.Error("zero weight accepted")
+	// cWeigh's weights: 0, -2, 1, 3, MaxWeight, MaxWeight+1, MinInt, MaxInt.
+	s := script{}.do(cWeigh, 0, 1, 0).do(cWeigh, 0, 1, 1).do(cWeigh, 0, 64, 3).do(cWeigh, 0, 3, 3)
+	for _, w := range []int{5, 6, 7} {
+		s = s.do(cWeigh, 0, 3, w).do(cWeigh, 1, 1, w).do(cWeigh, 2, 1, w)
 	}
-	if err := e.SetWeight(1, -2); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if err := e.SetWeight(1<<20, 3); err == nil {
-		t.Error("out-of-range flow accepted")
-	}
-	if err := e.SetWeight(3, 4); err != nil {
-		t.Errorf("valid weight rejected: %v", err)
-	}
-	// Weights live in 32 bits: 1<<32 used to truncate to 0, the default
-	// weight, and 1<<33 likewise. Every setter refuses what it cannot keep.
-	h := newPolicyEngine(t, 64, policy.Config{}, policy.EgressConfig{
+	s = s.do(cWeigh, 1, 1, 4).do(cWeigh, 2, 1, 4).do(cWeigh, 2, 2, 2).do(cWeigh, 3, 0, 2).do(cRead, 3)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 64, Egress: policy.EgressConfig{
 		Kind: policy.EgressWRR,
 		Levels: []policy.LevelSpec{
 			{Tier: policy.TierTenant, Kind: policy.EgressWRR, Units: 2},
 			{Tier: policy.TierClass, Kind: policy.EgressWRR, Units: 2},
 		},
-	})
-	for _, shift := range []uint{31, 32, 33} {
-		big := int(int64(1) << shift) // not a constant: int may be 32 bits
-		if err := h.SetWeight(3, big); err == nil {
-			t.Errorf("SetWeight(%d) accepted", big)
-		}
-		if err := h.SetTierWeight(policy.TierClass, 1, big); err == nil {
-			t.Errorf("SetTierWeight(class, %d) accepted", big)
-		}
-		if err := h.SetTierWeight(policy.TierTenant, 1, big); err == nil {
-			t.Errorf("SetTierWeight(tenant, %d) accepted", big)
-		}
-		eg := policy.EgressConfig{Levels: []policy.LevelSpec{{Tier: policy.TierClass, Weights: []int{1, big}}}}
-		if err := eg.Validate(); err == nil {
-			t.Errorf("LevelSpec weight %d accepted", big)
-		}
-	}
-	if fi, _ := h.Flow(3); fi.Weight != 1 {
-		t.Errorf("refused weights changed flow 3's weight to %d", fi.Weight)
-	}
-	for tier := range policy.NumTiers {
-		if err := h.SetTierWeight(tier, 1, policy.MaxWeight); err != nil {
-			t.Errorf("weight MaxWeight rejected: %v", err)
-		}
-	}
-	if err := h.SetTierWeight(policy.NumTiers, 0, 1); err == nil {
-		t.Error("SetTierWeight accepted a tier that does not exist")
-	}
-	if ts := h.TierStats(policy.NumTiers); ts != nil {
+	}}, false, s)
+	if ts := h.e.TierStats(policy.NumTiers); ts != nil {
 		t.Errorf("TierStats of a tier that does not exist = %v, want none", ts)
-	}
-	if cs, ts := h.TierStats(policy.TierClass), h.TierStats(policy.TierTenant); cs[1].Weight != policy.MaxWeight || ts[1].Weight != policy.MaxWeight {
-		t.Errorf("class/tenant 1 weights %d/%d, want MaxWeight", cs[1].Weight, ts[1].Weight)
 	}
 }
 

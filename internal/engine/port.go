@@ -10,8 +10,8 @@ package engine
 // its home shard's pacer goroutine (see pacer.go): it picks via the
 // configured tenant, class and flow disciplines, paces against the port's
 // token-bucket shaper (see shaper.go), and pushes packet views into the
-// registered sink — push-mode delivery with backpressure, where the
-// DequeueNextBatch pull loop survives as the unported path.
+// registered sink — push-mode delivery with backpressure, beside the
+// DequeueNextBatch pull loop, which serves every port's flows.
 //
 // Pause/Resume model link-level flow control (a paused port holds its
 // backlog and transmits nothing); SetPortRate reshapes at runtime. An

@@ -7,6 +7,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,64 +55,18 @@ func (c *countingSink) count() int {
 	return c.n
 }
 
-func TestPortConfigValidation(t *testing.T) {
-	base := Config{NumSegments: 64}
-	bad := []Config{
-		{NumSegments: 64, NumPorts: -1},
-		{NumSegments: 64, NumPorts: MaxPorts + 1},
-		{NumSegments: 64, PortRate: policy.ShaperConfig{RateBytesPerSec: -5}},
-		{NumSegments: 64, PortRate: policy.ShaperConfig{BurstBytes: 100}}, // burst without rate
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
-	}
-	e, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := e.Config().NumPorts; n != 1 {
-		t.Fatalf("default NumPorts = %d, want 1", n)
-	}
-}
-
+// TestServeDeliversBacklogAndLiveTraffic: a served port delivers the
+// backlog it found, parks, and wakes for live traffic.
 func TestServeDeliversBacklogAndLiveTraffic(t *testing.T) {
-	e, err := New(Config{Shards: 4, NumFlows: 64, NumSegments: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := make([]byte, 3*queue.SegmentBytes)
-	// Backlog before the worker exists.
-	for f := uint32(0); f < 16; f++ {
-		if _, err := e.EnqueuePacket(f, pkt); err != nil {
-			t.Fatal(err)
+	s := script{}
+	for f := range 32 {
+		if s = s.do(cEnqueue, f, segsArg(3)); f == 15 {
+			s = s.do(cServe, 0)
 		}
 	}
-	sink := newCountingSink(e)
-	if err := e.ServeViews(0, sink); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, 5*time.Second, "backlog delivery", func() bool { return sink.count() == 16 })
-	// Live traffic must wake the parked worker.
-	for f := uint32(16); f < 32; f++ {
-		if _, err := e.EnqueuePacket(f, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, 5*time.Second, "live delivery", func() bool { return sink.count() == 32 })
-	st := e.Stats()
-	if st.TransmittedPackets != 32 || st.TransmittedPackets != st.DequeuedPackets {
-		t.Fatalf("transmitted %d / dequeued %d, want 32/32", st.TransmittedPackets, st.DequeuedPackets)
-	}
-	if st.TransmittedBytes != 32*uint64(len(pkt)) {
-		t.Fatalf("transmitted %d bytes, want %d", st.TransmittedBytes, 32*len(pkt))
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 4, NumFlows: 64, NumSegments: 2048}, false, s.do(cServe, 0))
+	if n := h.m.ports[0].txPackets; n != 32 {
+		t.Fatalf("transmitted %d packets, want 32", n)
 	}
 }
 
@@ -135,8 +90,8 @@ func TestMultiPortPartition(t *testing.T) {
 	for _, datapath := range []string{"sync", "ring"} {
 		t.Run(datapath, func(t *testing.T) {
 			h := runEngine(t, Config{Shards: 4, NumFlows: flows, NumSegments: 4096, NumPorts: ports}, datapath == "ring", s)
-			for p, n := range h.transmitted {
-				if n != flows/ports*8 {
+			for p, mp := range h.m.ports {
+				if n := mp.txPackets; n != flows/ports*8 {
 					t.Errorf("port %d transmitted %d packets, want %d", p, n, flows/ports*8)
 				}
 			}
@@ -144,73 +99,34 @@ func TestMultiPortPartition(t *testing.T) {
 	}
 }
 
-// shapedCredit is the bytes a port shaped to rate B/s with a burst-byte
-// bucket has been granted by the time the pacer has served engine tick k:
-// the initial bucket plus the rate's earnings through the end of the tick
-// being served (the pacer transmits a tick's worth per wake). A backlogged
-// port has sent at least this much and less than a packet more — the
-// charge-after-send overdraw — at every tick. The bucket refills in whole
-// bytes, so up to a byte per elapsed tick may be missing.
-func shapedCredit(rate, burst int64, k int) (lo, hi int64) {
-	hi = burst + rate*int64(k+1)*pacerTick/second
-	return hi - int64(k), hi
-}
-
 // TestShapedPortPacesDelivery steps a shaped port through its whole
-// schedule: every tick's departures are the shaper's, to the byte.
+// schedule, the model holding every tick's departures to the byte: the
+// 60th packet leaves on the first tick whose credit exceeds the 59 before
+// it, 1024 + 1048·(k+1) > 59·1024 ⇔ k = 56, after a park per tick served.
 func TestShapedPortPacesDelivery(t *testing.T) {
-	const rate, burst = 1 << 20, 1024 // 1 MiB/s, 1 KiB burst
-	const pktBytes, packets = 1024, 60
-	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096,
-		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
-	})
-	pkt := make([]byte, pktBytes)
-	for i := 0; i < packets; i++ {
-		if _, err := e.EnqueuePacket(uint32(i%4), pkt); err != nil {
-			t.Fatal(err)
-		}
+	const packets, lastTick = 60, 56
+	s := script{}
+	for i := range packets {
+		s = s.do(cEnqueue).w(i%4, 1024)
 	}
-	sink := newCountingSink(e.Engine)
-	if err := e.ServeViews(0, sink); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 1, NumFlows: 256, NumSegments: 4096,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: 1 << 20, BurstBytes: 1024}}, false,
+		s.do(cServe, 0).rep(lastTick, cClock, 0))
+	if n, last := len(h.departed), h.departed[len(h.departed)-1].tick; n != packets || last != lastTick {
+		t.Fatalf("%d of %d packets left, the last on tick %d; want all by tick %d", n, packets, last, lastTick)
 	}
-	// The 60th packet leaves on the first tick whose credit exceeds the 59
-	// before it: 1024 + 1048·(k+1) > 59·1024 ⇔ k = 56.
-	const lastTick = 56
-	for e.settle(); sink.count() < packets; e.tick(1) {
-		if e.nowTick() > lastTick {
-			t.Fatalf("%d of %d packets sent by tick %d, schedule ends at tick %d", sink.count(), packets, e.nowTick(), lastTick)
-		}
-		lo, hi := shapedCredit(rate, burst, e.nowTick())
-		if sent := int64(sink.count()) * pktBytes; sent < lo || sent >= hi+pktBytes {
-			t.Fatalf("tick %d: %d bytes sent, want within [%d, %d)", e.nowTick(), sent, lo, hi+pktBytes)
-		}
+	if n := h.m.ports[0].throttled; n != lastTick+1 {
+		t.Fatalf("throttled %d times, want %d", n, lastTick+1)
 	}
-	if e.nowTick() != lastTick {
-		t.Fatalf("backlog drained at tick %d, want %d", e.nowTick(), lastTick)
-	}
-	pst := e.PortStats()[0]
-	if pst.RateBytesPerSec != rate || pst.BurstBytes != burst {
-		t.Fatalf("shaper config in PortStats = %d/%d", pst.RateBytesPerSec, pst.BurstBytes)
-	}
-	if pst.ShaperTokens > pst.BurstBytes {
-		t.Fatalf("shaper tokens %d above burst %d", pst.ShaperTokens, pst.BurstBytes)
-	}
-	// One park per tick served, and one gap per departure after the first:
-	// the mean gap is the drain time over those, and the longest gap is one
-	// tick, which the p99 may overstate by a sub-bucket.
-	if pst.Throttled != lastTick+1 {
-		t.Fatalf("throttled %d times, want %d", pst.Throttled, lastTick+1)
-	}
+	// One gap per departure after the first: the mean gap is the drain time
+	// over those, and the longest gap is one tick, which the p99 may
+	// overstate by a sub-bucket.
+	pst := h.e.PortStats()[0]
 	if pst.GapSamples != packets-1 || pst.MeanGapNs != lastTick*uint64(pacerTick)/(packets-1) {
 		t.Fatalf("%d gaps of mean %dns, want %d of %dns", pst.GapSamples, pst.MeanGapNs, packets-1, lastTick*uint64(pacerTick)/(packets-1))
 	}
 	if pst.P99GapNs < uint64(pacerTick) || pst.P99GapNs >= uint64(pacerTick)*5/4 {
 		t.Fatalf("p99 inter-departure gap %dns, want one tick (+25%%)", pst.P99GapNs)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -219,89 +135,70 @@ func TestShapedPortPacesDelivery(t *testing.T) {
 // apart — six parks each — and still on the exact tick, through more than
 // ten seconds of engine time.
 func TestPacerHorizonRepark(t *testing.T) {
-	const pktBytes, packets = 1500, 9
-	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 8, NumSegments: 4096,
-		PortRate: policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: pktBytes},
-	})
-	pkt := make([]byte, pktBytes)
-	for i := 0; i < packets; i++ {
-		if _, err := e.EnqueuePacket(0, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var departed []int // tick of each departure
-	if err := e.ServeViews(0, SinkVFunc(func(_ int, d Dequeued) error {
-		departed = append(departed, e.nowTick())
-		return nil
-	})); err != nil {
-		t.Fatal(err)
+	const packets = 9
+	s := script{}
+	for range packets {
+		s = s.do(cEnqueue).w(0, 1500)
 	}
 	// The full bucket and the first tick's byte let two packets out at once;
 	// each later one waits for the 1500 bytes its predecessor overdrew.
-	want := []int{0, 0}
-	for k := 1; len(want) < packets; k++ {
+	want := []int64{0, 0}
+	for k := int64(1); len(want) < packets; k++ {
 		want = append(want, 1500*k)
 	}
-	e.settle()
-	e.tick(want[packets-1])
-	if len(departed) != packets {
-		t.Fatalf("%d of %d packets departed in %d ticks", len(departed), packets, e.nowTick())
+	end := want[packets-1]
+	h := runEngine(t, Config{Shards: 1, NumFlows: 256, NumSegments: 4096,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: 1500}}, false,
+		s.do(cServe, 0).rep(int(end/256), cClock, 255).do(cClock, int(end%256)-1))
+	var got []int64
+	for _, d := range h.departed {
+		got = append(got, d.tick)
 	}
-	for i := range want {
-		if departed[i] != want[i] {
-			t.Fatalf("departure ticks %v, want %v", departed, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("departure ticks %v, want %v", got, want)
 	}
 	// Parks: one per 255-tick horizon inside each 1500-tick wait (five), plus
 	// the one that lands on the due tick, per packet after the burst; then
 	// the park after the last departure.
-	if got, want := e.PortStats()[0].Throttled, uint64(6*(packets-2)+1); got != want {
+	if got, want := h.m.ports[0].throttled, uint64(6*(packets-2)+1); got != want {
 		t.Fatalf("throttled %d times, want %d", got, want)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestPacerSixteenShapedPorts is the benchmark's ports16-shaped-push on one
 // pacer, stepped: 16 ports at 2 MB/s of 64-byte packets each hold their own
-// schedule to within a packet at every tick, whatever their neighbours do.
+// schedule at every tick, whatever their neighbours do. A backlogged port
+// has sent what its bucket granted by the end of the tick served — the
+// burst plus the rate's earnings, less up to a byte per tick the refill
+// rounds away — and less than a packet more.
 func TestPacerSixteenShapedPorts(t *testing.T) {
-	const ports, rate, burst, pktBytes, ticks = 16, 2_000_000, 4096, 64, 50
-	e := newStepped(t, Config{
-		Shards: 1, NumFlows: 64, NumSegments: 1 << 16, NumPorts: ports,
-		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst},
-	})
-	sent := make([]int64, ports)
-	pkt := make([]byte, pktBytes)
-	for p := 0; p < ports; p++ {
-		if err := e.SetFlowPort(uint32(p), p); err != nil {
-			t.Fatal(err)
-		}
-		_, hi := shapedCredit(rate, burst, ticks)
-		for n := int64(0); n <= hi; n += pktBytes { // backlog past the last tick's credit
-			if _, err := e.EnqueuePacket(uint32(p), pkt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.ServeViews(p, SinkVFunc(func(_ int, d Dequeued) error {
-			sent[p] += int64(d.Bytes)
-			return nil
-		})); err != nil {
-			t.Fatal(err)
-		}
+	const ports, rate, burst, ticks = 16, 2_000_000, 4096, 50
+	credit := func(k int64) int64 { return burst + rate*(k+1)*pacerTick/second }
+	// Each port starts with its first tick's credit queued and gets 32
+	// packets more before every tick, a packet more than it may send. They
+	// are posted: the books are checked when the clock moves.
+	s := script{}
+	for p := range ports {
+		s = s.do(cRehome, p, p<<2).rep(96, cPost, p, segsArg(1)).do(cServe, p)
 	}
-	for e.settle(); e.nowTick() <= ticks; e.tick(1) {
-		lo, hi := shapedCredit(rate, burst, e.nowTick())
+	for range ticks {
+		for p := range ports {
+			s = s.rep(32, cPost, p, segsArg(1))
+		}
+		s = s.do(cClock, 0)
+	}
+	h := runEngine(t, Config{Shards: 1, NumFlows: 64, NumSegments: 4096, NumPorts: ports,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: burst}}, true, s)
+	var sent [ports]int64
+	for i, d := range h.departed {
+		if sent[d.port] += int64(d.pkt.bytes); i+1 < len(h.departed) && h.departed[i+1].tick == d.tick {
+			continue
+		}
 		for p, n := range sent {
-			if n < lo || n >= hi+pktBytes {
-				t.Fatalf("tick %d: port %d sent %d bytes, want within [%d, %d)", e.nowTick(), p, n, lo, hi+pktBytes)
+			if hi := credit(d.tick); n < hi-d.tick || n >= hi+64 {
+				t.Fatalf("tick %d: port %d sent %d bytes, want within [%d, %d)", d.tick, p, n, hi-d.tick, hi+64)
 			}
 		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -402,66 +299,24 @@ func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
 // TestUnshapedPortRecordsNoJitter: the jitter meter prices shaper
 // pacing; an unshaped port's burst-mode departures must not feed it.
 func TestUnshapedPortRecordsNoJitter(t *testing.T) {
-	e, err := New(Config{Shards: 1, NumFlows: 8, NumSegments: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newCountingSink(e)
-	if err := e.ServeViews(0, sink); err != nil {
-		t.Fatal(err)
-	}
-	pkt := make([]byte, 256)
-	const packets = 32
-	for i := 0; i < packets; i++ {
-		if _, err := e.EnqueuePacket(uint32(i%4), pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, 10*time.Second, "unshaped drain", func() bool { return sink.count() == packets })
-	if pst := e.PortStats()[0]; pst.GapSamples != 0 || pst.MeanGapNs != 0 || pst.P99GapNs != 0 {
+	h := runEngine(t, Config{Shards: 1, NumFlows: 8, NumSegments: 512}, false,
+		script{}.do(cServe, 0).rep(32, cEnqueue, 1, bytesArg(256)).do(cClock, 3))
+	if pst := h.e.PortStats()[0]; pst.TransmittedPackets != 32 || pst.GapSamples != 0 || pst.MeanGapNs != 0 || pst.P99GapNs != 0 {
 		t.Fatalf("unshaped port recorded jitter %+v, want none", pst)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// TestPauseHoldsBacklogResumeReleases: a paused port holds its backlog
+// through 30 ticks and transmits all of it on the instant it resumes.
 func TestPauseHoldsBacklogResumeReleases(t *testing.T) {
-	e := newStepped(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512})
-	sink := newCountingSink(e.Engine)
-	if err := e.ServeViews(0, sink); err != nil {
-		t.Fatal(err)
+	s := script{}.do(cServe, 0).do(cPause, 0)
+	for f := range 8 {
+		s = s.do(cEnqueue, f, segsArg(1))
 	}
-	if err := e.Pause(0); err != nil {
-		t.Fatal(err)
-	}
-	if !e.PortStats()[0].Paused {
-		t.Fatal("port not reported paused")
-	}
-	pkt := make([]byte, queue.SegmentBytes)
-	for f := uint32(0); f < 8; f++ {
-		if _, err := e.EnqueuePacket(f, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.tick(30)
-	if n := sink.count(); n != 0 {
-		t.Fatalf("paused port transmitted %d packets", n)
-	}
-	if st := e.Stats(); st.QueuedSegments != 8 {
-		t.Fatalf("paused backlog = %d segments, want 8", st.QueuedSegments)
-	}
-	if err := e.Resume(0); err != nil {
-		t.Fatal(err)
-	}
-	if e.settle(); sink.count() != 8 {
-		t.Fatalf("resumed port transmitted %d of 8 packets", sink.count())
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	h := runEngine(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512}, false,
+		s.do(cClock, 29).do(cPause, 1).do(cServe, 0))
+	if len(h.departed) != 8 || h.departed[0].tick != 30 {
+		t.Fatalf("departures %v, want all 8 on tick 30", h.departed)
 	}
 }
 
@@ -471,8 +326,8 @@ func TestSetFlowPortMovesBacklog(t *testing.T) {
 	h := runEngine(t, Config{Shards: 2, NumFlows: 16, NumSegments: 512, NumPorts: 2}, false,
 		script{}.rep(4, cEnqueue, 5, segsArg(1)).do(cRead, 5).do(cServe, 1).do(cRead, 5).
 			do(cRehome, 5, 1<<2).do(cServe, 1).do(cRead, 5))
-	if h.transmitted[1] != 4 {
-		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", h.transmitted[1])
+	if n := h.m.ports[1].txPackets; n != 4 {
+		t.Fatalf("port 1 transmitted %d of the 4 re-homed packets", n)
 	}
 }
 

@@ -5,11 +5,9 @@ package engine
 // and what a caller reads back — errors above all — still speaks of flows.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"testing"
 
 	"npqm/internal/queue"
@@ -72,138 +70,46 @@ func TestQueueTableRowsFollowFlowOrder(t *testing.T) {
 
 // TestErrorsNameTheFlow: every entry point that hands a flow to a queue
 // manager reports the manager's sentinel for errors.Is and a message about
-// the caller's flow. Inside the space a manager error names "queue <flow>",
-// never the shard-local row; past it the flow is refused before anything
-// indexes the flow table (ErrBadQueue, or ErrUnknownFlow on the calls that
-// always said so), no counter moves and EnqueueAsync, before and after
-// Start, says nothing.
+// the caller's flow, as the model words it. Inside the space a manager error
+// names "queue <flow>", never the shard-local row; past it the flow is
+// refused before anything indexes the flow table (ErrBadQueue, or
+// ErrUnknownFlow on the calls that always said so), no counter moves and
+// EnqueueAsync, before and after Start, says nothing.
 func TestErrorsNameTheFlow(t *testing.T) {
-	const flows, pool = 1000, 256
+	const flows, pkt = 1000, queue.SegmentBytes
+	e := newTest(t, 8, flows, 256)
 	for _, flow := range []uint32{0, flows - 1, flows, math.MaxUint32} {
-		t.Run(fmt.Sprint(flow), func(t *testing.T) {
-			e, err := New(Config{Shards: 8, NumFlows: flows, NumSegments: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			pkt := make([]byte, queue.SegmentBytes)
-			expect := func(what string, err, sentinel error, suffix string) {
-				t.Helper()
-				if !errors.Is(err, sentinel) {
-					t.Fatalf("%s: %v, want %v", what, err, sentinel)
-				}
-				if !strings.HasSuffix(err.Error(), suffix) {
-					t.Fatalf("%s: %q does not end in %q", what, err, suffix)
-				}
-			}
-			if flow >= flows {
-				bad := fmt.Sprintf(": %d (have %d)", flow, flows)
-				if _, err := e.EnqueuePacket(0, pkt); err != nil { // a packet a refused move must leave alone
-					t.Fatal(err)
-				}
-				_, err := e.EnqueuePacket(flow, pkt)
-				expect("EnqueuePacket", err, queue.ErrBadQueue, bad)
-				_, errs := e.EnqueueBatch([]EnqueueReq{{flow, pkt}})
-				expect("EnqueueBatch", errs[0], queue.ErrBadQueue, bad)
-				_, err = e.ReservePacket(flow, len(pkt))
-				expect("ReservePacket", err, queue.ErrBadQueue, bad)
-				_, err = e.DequeuePacket(flow)
-				expect("DequeuePacket", err, queue.ErrBadQueue, bad)
-				_, err = e.DequeuePacketView(flow)
-				expect("DequeuePacketView", err, queue.ErrBadQueue, bad)
-				_, errs = e.DequeueViewBatch([]uint32{flow})
-				expect("DequeueViewBatch", errs[0], queue.ErrBadQueue, bad)
-				_, err = e.DeletePacket(flow)
-				expect("DeletePacket", err, queue.ErrBadQueue, bad)
-				_, err = e.MovePacket(0, flow)
-				expect("MovePacket to", err, queue.ErrBadQueue, bad)
-				_, err = e.MovePacket(flow, 0)
-				expect("MovePacket from", err, queue.ErrBadQueue, bad)
-				_, err = e.Len(flow)
-				expect("Len", err, queue.ErrBadQueue, bad)
-				expect("SetFlowLimit", e.SetFlowLimit(flow, 1), ErrUnknownFlow, ErrUnknownFlow.Error())
-				_, err = e.Flow(flow)
-				expect("Flow", err, ErrUnknownFlow, ErrUnknownFlow.Error())
-				for _, started := range []bool{false, true} {
-					if started {
-						if err := e.Start(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := e.EnqueueAsync(flow, pkt); err != nil {
-						t.Fatalf("EnqueueAsync (started %v): %v, want nil", started, err)
-					}
-				}
-				if err := e.Drain(); err != nil {
-					t.Fatal(err)
-				}
-				if n, err := e.Len(0); err != nil || n != 1 {
-					t.Fatalf("flow 0 holds %d segments (%v) after the refused moves, want 1", n, err)
-				}
-				if st := e.Stats(); st.EnqueuedPackets != 1 || st.DroppedPackets != 0 || st.Rejected != 0 {
-					t.Fatalf("refused flows were counted: enqueued %d, dropped %d, rejected %d",
-						st.EnqueuedPackets, st.DroppedPackets, st.Rejected)
-				}
-				if err := e.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-
-			empty := fmt.Sprintf(": queue %d", flow)
-			full := fmt.Sprintf(": queue %d cannot accept 1 segments", flow)
-			_, err = e.DequeuePacket(flow)
-			expect("DequeuePacket", err, queue.ErrQueueEmpty, empty)
-			_, err = e.DequeuePacketView(flow)
-			expect("DequeuePacketView", err, queue.ErrQueueEmpty, empty)
-			_, errs := e.DequeueBatch([]uint32{flow})
-			expect("DequeueBatch", errs[0], queue.ErrQueueEmpty, empty)
-			_, err = e.DeletePacket(flow)
-			expect("DeletePacket", err, queue.ErrQueueEmpty, empty)
+		f := int(min(flow, 0xFFFF)) // the wide flow argument past NumFlows is math.MaxUint32
+		s := script{}
+		if flow >= flows {
+			// A packet a refused move must leave alone, then every entry
+			// point; the view byte follows a dequeue's flow.
+			s = s.do(cEnqueue).w(0, pkt).do(cEnqueue).w(f, pkt).do(cBatch, 0).w(f, pkt).do(cReserve).w(f, pkt).
+				do(cDequeue).w(f).do(0).do(cDequeue).w(f).do(1).do(cDequeueBatch, 0).w(f).do(1).do(cDelete).w(f).
+				do(cMove).w(0, f).do(cMove).w(f, 0).do(cRead).w(f).do(cLimit).w(f).do(1).do(cPost).w(f, pkt).do(cRead).w(0)
+		} else {
 			// A partner on the flow's own shard and one on another, so both
 			// move bodies are asked.
-			var near, far uint32
-			for f := uint32(0); f < flows; f++ {
-				switch {
-				case f == flow:
-				case e.ShardOf(f) == e.ShardOf(flow) && near == 0:
-					near = f
-				case e.ShardOf(f) != e.ShardOf(flow) && far == 0:
-					far = f
+			var near, far int
+			for g := 1; near == 0 || far == 0; g++ {
+				switch same := e.ShardOf(uint32((f+g)%flows)) == e.ShardOf(flow); {
+				case same && near == 0:
+					near = (f + g) % flows
+				case !same && far == 0:
+					far = (f + g) % flows
 				}
 			}
-			for _, other := range []uint32{near, far} {
-				_, err = e.MovePacket(flow, other)
-				expect(fmt.Sprintf("MovePacket(%d, %d)", flow, other), err, queue.ErrQueueEmpty, empty)
+			s = s.do(cDequeue).w(f).do(0).do(cDequeue).w(f).do(1).do(cDequeueBatch, 0).w(f).do(0).do(cDelete).w(f).
+				do(cMove).w(f, near).do(cMove).w(f, far).do(cLimit).w(f).do(1).do(cRead).w(f).
+				do(cEnqueue).w(f, pkt).do(cPost).w(f, pkt).do(cEnqueue).w(f, pkt).do(cReserve).w(f, pkt)
+			for _, other := range []int{near, far} {
+				s = s.do(cEnqueue).w(other, pkt).do(cMove).w(other, f)
 			}
-			if err := e.SetFlowLimit(flow, 1); err != nil {
-				t.Fatal(err)
-			}
-			if fi, err := e.Flow(flow); err != nil || fi.Limit != 1 {
-				t.Fatalf("Flow = (%+v, %v), want limit 1", fi, err)
-			}
-			if _, err := e.EnqueuePacket(flow, pkt); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.EnqueueAsync(flow, pkt); err != nil {
-				t.Fatal(err)
-			}
-			_, err = e.EnqueuePacket(flow, pkt)
-			expect("EnqueuePacket over the cap", err, queue.ErrQueueLimit, full)
-			_, err = e.ReservePacket(flow, len(pkt))
-			expect("ReservePacket over the cap", err, queue.ErrQueueLimit, full)
-			for _, other := range []uint32{near, far} {
-				if _, err := e.EnqueuePacket(other, pkt); err != nil {
-					t.Fatal(err)
-				}
-				_, err = e.MovePacket(other, flow)
-				expect(fmt.Sprintf("MovePacket(%d, %d) over the cap", other, flow), err, queue.ErrQueueLimit, full)
-			}
-			if n, err := e.Len(flow); err != nil || n != 1 {
-				t.Fatalf("Len = (%d, %v), want (1, nil)", n, err)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			s = s.do(cRead).w(f)
+		}
+		t.Run(fmt.Sprint(flow), func(t *testing.T) {
+			for _, started := range []bool{false, true} {
+				runEngine(t, Config{Shards: 8, NumFlows: flows, NumSegments: 256}, started, s)
 			}
 		})
 	}

@@ -1,8 +1,10 @@
 package engine
 
-// Unit tests of the token bucket, driven with explicit engine times.
+// Tests of the token bucket: its arithmetic at explicit engine times, and
+// through a shaped port on the reference model.
 
 import (
+	"slices"
 	"testing"
 
 	"npqm/internal/policy"
@@ -27,47 +29,21 @@ func TestShaperHighRateRefillNoOverflow(t *testing.T) {
 	}
 }
 
+// TestShaperPacingArithmetic: a 100-byte bucket at 1000 B/s sends a
+// 700-byte packet at once (its credit and the first tick's byte), and the
+// next on tick 600, the first whose budget — the 600 bytes of debt paid,
+// plus a tick's earnings — is positive, after parking at the horizon twice
+// on the way. Unshaped at tick 768, the third leaves on the next tick.
 func TestShaperPacingArithmetic(t *testing.T) {
-	sh := newShaper(policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: 100}, 0)
-	// budget with no horizon reads the bucket itself: positive credit may
-	// transmit, anything else waits for the first byte of credit.
-	wait := func(now int64) int64 {
-		_, w := sh.budget(now, 0)
-		return w
+	h := runEngine(t, Config{Shards: 1, NumFlows: 256, NumSegments: 64,
+		PortRate: policy.ShaperConfig{RateBytesPerSec: 1000, BurstBytes: 100}}, false,
+		script{}.do(cEnqueue).w(0, 700).do(cEnqueue).w(0, 700).do(cEnqueue).w(0, 700).
+			do(cServe, 0).rep(3, cClock, 255).do(cRate, 0, 0, 0).do(cClock, 0))
+	var got []int64
+	for _, d := range h.departed {
+		got = append(got, d.tick)
 	}
-	// Fresh bucket is full: ready immediately.
-	if b, w := sh.budget(0, 0); b != 100 || w != 0 {
-		t.Fatalf("fresh bucket: budget %d wait %d, want 100, 0", b, w)
-	}
-	// 600 bytes of debt beyond the 100-byte burst → 500 bytes short, one
-	// more to be positive → 501ms at 1000 B/s.
-	sh.charge(600)
-	if w := wait(0); w != 501*ms {
-		t.Fatalf("wait = %dns, want 501ms", w)
-	}
-	// Half the wait elapses: half the debt remains.
-	if w := wait(250 * ms); w != 251*ms {
-		t.Fatalf("wait after 250ms = %dns, want 251ms", w)
-	}
-	// Debt repaid exactly: an empty bucket still waits for its first byte.
-	if w := wait(500 * ms); w != 1*ms {
-		t.Fatalf("wait after 500ms = %dns, want 1ms", w)
-	}
-	if w := wait(501 * ms); w != 0 {
-		t.Fatalf("wait after 501ms = %dns, want 0", w)
-	}
-	// The horizon's credit counts: 100 bytes short is ready 100ms ahead.
-	sh.charge(101)
-	if b, w := sh.budget(501*ms, 100*ms); b != 0 || w != 1*ms {
-		t.Fatalf("budget over a 100ms horizon = %d, wait %d, want 0, 1ms", b, w)
-	}
-	if b, _ := sh.budget(501*ms, 200*ms); b != 100 {
-		t.Fatalf("budget over a 200ms horizon = %d, want 100", b)
-	}
-	// An unshaped reconfiguration is always ready and never charges.
-	sh.configure(policy.ShaperConfig{}, 501*ms)
-	sh.charge(1 << 30)
-	if b, w := sh.budget(501*ms, 0); b <= 0 || w != 0 {
-		t.Fatalf("unshaped bucket not ready: budget %d wait %d", b, w)
+	if !slices.Equal(got, []int64{0, 600, 769}) || h.m.ports[0].throttled != 4 {
+		t.Fatalf("departures on ticks %v after %d parks, want [0 600 769] after 4", got, h.m.ports[0].throttled)
 	}
 }

@@ -215,3 +215,13 @@ func TestShaperConfigValidation(t *testing.T) {
 		t.Error("shaped config reports disabled")
 	}
 }
+
+// TestLevelWeightsFitInt32: a LevelSpec weight past MaxWeight is refused,
+// not truncated to 0 — the default weight — where it is kept in 32 bits.
+func TestLevelWeightsFitInt32(t *testing.T) {
+	big := int64(MaxWeight) + 1 // a variable: int may be 32 bits
+	eg := EgressConfig{Levels: []LevelSpec{{Tier: TierClass, Weights: []int{1, int(big)}}}}
+	if err := eg.Validate(); err == nil {
+		t.Errorf("LevelSpec weight %d accepted", int(big))
+	}
+}

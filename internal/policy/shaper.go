@@ -6,7 +6,7 @@ package policy
 // a packet is transmitted only when the bucket is non-negative (the send
 // itself may overdraw by less than one packet, the classic byte-accurate
 // formulation). This file holds only the configuration vocabulary; the
-// bucket lives next to the port workers in internal/engine.
+// bucket lives with the ports in internal/engine (shaper.go).
 
 import "fmt"
 

@@ -160,9 +160,6 @@ func (st *Stack) NodeLinked(level int, id int32) bool { return st.links[level][i
 // NodeDeficit returns node id's banked DRR byte credit at level k.
 func (st *Stack) NodeDeficit(level int, id int32) int64 { return st.nodes[level][id].deficit }
 
-// Ent returns the Entity over level k's nodes.
-func (st *Stack) Ent(level int) Entity { return &st.ents[level] }
-
 // Links returns the link table of level k's nodes, or the leaves' table
 // when k is the depth, for invariant walks.
 func (st *Stack) Links(level int) []Link {

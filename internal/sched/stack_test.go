@@ -140,7 +140,7 @@ func TestStackReadsConfigurationOnce(t *testing.T) {
 		}
 		serve()
 		for k := range counts {
-			if w := st.Ent(k).Weight(0); w != 1 {
+			if w := st.ents[k].Weight(0); w != 1 {
 				t.Fatalf("depth %d: level %d node 0 weight %d before Refresh, want the old 1", depth, k, w)
 			}
 		}
@@ -150,7 +150,7 @@ func TestStackReadsConfigurationOnce(t *testing.T) {
 		st.Refresh()
 		serve()
 		for k := range counts {
-			if w := st.Ent(k).Weight(0); w != 3 {
+			if w := st.ents[k].Weight(0); w != 3 {
 				t.Fatalf("depth %d: level %d node 0 weight %d after Refresh, want 3", depth, k, w)
 			}
 		}
