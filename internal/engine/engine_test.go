@@ -32,11 +32,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{Config{Shards: -1, NumSegments: 16}, "Shards"},
 		{Config{NumFlows: -3, NumSegments: 16}, "NumFlows"},
-		{Config{NumSegments: 64, NumPorts: -1}, "NumPorts"},
 		{Config{Shards: 8}, "NumSegments"},
-		{Config{NumSegments: 64, NumPorts: MaxPorts + 1}, "NumPorts"},
-		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{RateBytesPerSec: -5}}, "rate"},
-		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{BurstBytes: 100}}, "burst"},
 	} {
 		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("New(%+v) = %v, want an error naming %s", c.cfg, err, c.field)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,6 +54,32 @@ func (c *countingSink) count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
+}
+
+// TestPortConfigValidation: New refuses a port count out of range and a
+// malformed port rate with an error naming what is wrong, and defaults to
+// one port.
+func TestPortConfigValidation(t *testing.T) {
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{NumSegments: 64, NumPorts: -1}, "NumPorts"},
+		{Config{NumSegments: 64, NumPorts: MaxPorts + 1}, "NumPorts"},
+		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{RateBytesPerSec: -5}}, "rate"},
+		{Config{NumSegments: 64, PortRate: policy.ShaperConfig{BurstBytes: 100}}, "burst"}, // burst without rate
+	} {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New(%+v) = %v, want an error naming %s", c.cfg, err, c.field)
+		}
+	}
+	e, err := New(Config{NumSegments: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Config().NumPorts; n != 1 {
+		t.Fatalf("default NumPorts = %d, want 1", n)
+	}
 }
 
 // TestServeDeliversBacklogAndLiveTraffic: a served port delivers the
