@@ -898,10 +898,9 @@ func (h *harness) check(step int) {
 	}
 	for p, ps := range h.e.PortStats() {
 		mp := &m.ports[p]
-		mp.refill(m.now)
 		want := PortStat{Port: p, TransmittedPackets: mp.txPackets, TransmittedBytes: mp.txBytes,
 			Throttled: mp.throttled, Paused: mp.paused, Serving: mp.serving, ActiveFlows: ports[p],
-			RateBytesPerSec: mp.rate, BurstBytes: mp.burst, ShaperTokens: mp.tokens}
+			RateBytesPerSec: mp.rate, BurstBytes: mp.burst, ShaperTokens: mp.peek(m.now)}
 		ps.GapSamples, ps.MeanGapNs, ps.P99GapNs = 0, 0, 0 // jitter is not modelled
 		if ps != want {
 			h.t.Fatalf("step %d: port %d reads %+v; the model %+v", step, p, ps, want)

@@ -130,6 +130,15 @@ func (b *bucket) refill(now int64) {
 	}
 }
 
+// peek is the credit a refill at now would leave, the bucket unchanged:
+// what PortStats reads.
+func (b *bucket) peek(now int64) int64 {
+	if b.rate > 0 && now > b.last {
+		return min(b.tokens+b.earned(now-b.last), b.burst)
+	}
+	return b.tokens
+}
+
 // budget is what a service at now may send: the credit plus the coming
 // tick's earnings; when that is not positive, wait is the ns until it is.
 func (b *bucket) budget(now int64) (bytes, wait int64) {

@@ -339,7 +339,9 @@ func (pc *pacer) servePortOnce(pi int32) {
 	// the bucket by at most the packet that crossed the budget (the
 	// charge-after-send debt that keeps the long-run rate exact).
 	sent, pkts := int64(0), 0
-	for scanned := false; pkts < unshapedBatch && sent < budget; scanned = true {
+	var err error
+	parked := false
+	for scanned := false; err == nil && pkts < unshapedBatch && sent < budget; scanned = true {
 		if scanned {
 			// The last pass came back short of both limits: it visited every
 			// shard and left nothing servable. Declare intent to park, then
@@ -353,15 +355,12 @@ func (pc *pacer) servePortOnce(pi int32) {
 		pc.out = e.dequeuePort(p, pc.out[:0], unshapedBatch-pkts, budget-sent)
 		if scanned {
 			if len(pc.out) == 0 {
-				// Idle spells are not pacing jitter: the next departure
-				// starts a fresh gap sequence.
-				p.txLastNs.Store(noDeparture)
-				return // parked; notify will bring the port back
+				parked = true
+				break // notify will bring the port back
 			}
 			p.idle.Store(false)
 		}
 		accepted := int64(0)
-		var err error
 		for i := range pc.out {
 			d := pc.out[i]
 			pc.out[i] = Dequeued{}
@@ -377,17 +376,10 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// transmitted, like frames lost on a failing link, and is not
 			// charged to the bucket.
 			rel.Add(d.View)
-			if err != nil {
-				continue
+			if err == nil { // counted here, settled after the burst
+				accepted += int64(d.Bytes)
+				pkts++
 			}
-			p.txPackets.Add(1)
-			p.txBytes.Add(uint64(d.Bytes))
-			if shaped {
-				now = e.clk.now()
-				p.noteDeparture(now)
-			}
-			accepted += int64(d.Bytes)
-			pkts++
 		}
 		if shaped {
 			// Charged per batch, and before the budget is read again below:
@@ -395,11 +387,29 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// has spent.
 			p.sh.charge(accepted)
 		}
-		if err != nil {
-			p.serving.Store(false) // ServeViews re-arms the port
-			return
-		}
 		sent += accepted
+	}
+	// The burst settles once: one add per transmit counter, and for a shaped
+	// port one clock read, after the last SendView, that stamps every
+	// departure of the burst. The counters are settled before Serving reads
+	// false, so a caller that saw the port stop sees what it sent.
+	if pkts > 0 {
+		p.txPackets.Add(uint64(pkts))
+		p.txBytes.Add(uint64(sent))
+		if shaped {
+			now = e.clk.now()
+			p.noteDepartures(now, pkts)
+		}
+	}
+	switch {
+	case err != nil:
+		p.serving.Store(false) // ServeViews re-arms the port
+		return
+	case parked:
+		// Idle spells are not pacing jitter: the next departure starts a
+		// fresh gap sequence.
+		p.txLastNs.Store(noDeparture)
+		return
 	}
 	if shaped {
 		if _, wait := p.sh.budget(now, pacerTick); wait > 0 {

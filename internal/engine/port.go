@@ -52,7 +52,8 @@ type port struct {
 	idle    atomic.Bool           // dropped from the pacer awaiting traffic
 	sink    atomic.Pointer[SinkV] // current sink; replaced by each ServeViews
 
-	// Transmit counters: written per packet by the home pacer, read by
+	// Transmit counters: settled once per burst by the home pacer (one add
+	// each for the packets and bytes the sink accepted), read by
 	// PortStats/Stats. Separated from the producer-CASed control words
 	// above and from the next heap neighbour below.
 	_          [hotPad]byte
@@ -62,11 +63,12 @@ type port struct {
 	sinkPanics atomic.Uint64
 
 	// Inter-departure jitter, tracked for shaped ports only: the pacer
-	// stamps every transmit and the gap to the previous one lands in gaps,
-	// so PortStats can report how tightly the wheel tracks the configured
-	// rate. txLastNs == noDeparture means no previous departure — set by
-	// New, on idle park and on ServeViews, so idle spells don't count as pacing
-	// jitter.
+	// stamps every burst once, after its last transmit, and the gap to the
+	// previous stamp lands in gaps, with a gap of 0 for each further packet
+	// of the burst, so PortStats can report how tightly the wheel tracks
+	// the configured rate. txLastNs == noDeparture means no previous
+	// departure — set by New, on idle park and on ServeViews, so idle
+	// spells don't count as pacing jitter.
 	txLastNs atomic.Int64
 	gaps     stats.Histogram
 	_        [hotPad]byte
@@ -75,13 +77,15 @@ type port struct {
 // noDeparture is a stamp no clock produces: engine time starts at 0.
 const noDeparture = math.MinInt64
 
-// noteDeparture records one shaped transmit at engine time now. Called
-// only from the port's home pacer; the fields are atomics because ServeViews
-// and PortStats touch them cross-goroutine.
-func (p *port) noteDeparture(now int64) {
+// noteDepartures records a burst of k > 0 shaped transmits, all stamped
+// at engine time now: the gap from the previous departure, then k−1 gaps of
+// 0. Called only from the port's home pacer; the fields are atomics
+// because ServeViews and PortStats touch them cross-goroutine.
+func (p *port) noteDepartures(now int64, k int) {
 	if last := p.txLastNs.Swap(now); last != noDeparture {
 		p.gaps.Add(now - last)
 	}
+	p.gaps.AddN(0, uint64(k-1))
 }
 
 // notify re-queues the port on its home pacer if (and only if) it went
@@ -191,7 +195,10 @@ func (e *Engine) dequeuePort(p *port, out []Dequeued, max int, room int64) []Deq
 
 // PortStat is one port's slice of the transmit-side statistics.
 type PortStat struct {
-	Port               int
+	Port int
+	// What the sink accepted. The pacer settles both once per burst (at
+	// most 64 packets), after the burst's last SendView — a failed or
+	// panicking one included — so a burst in flight is not counted yet.
 	TransmittedPackets uint64
 	TransmittedBytes   uint64
 	Throttled          uint64 // shaper waits (wheel parks awaiting tokens)
@@ -201,11 +208,14 @@ type PortStat struct {
 	ActiveFlows        int    // flows with backlog mapped to this port
 	RateBytesPerSec    int64  // 0 = unshaped
 	BurstBytes         int64
-	ShaperTokens       int64 // current bucket credit; negative = in debt
+	ShaperTokens       int64 // credit as of now, read without a refill; negative = in debt
 
 	// Inter-departure jitter, measured for shaped ports only (idle
 	// spells excluded): how tightly the timing wheel tracks the
-	// configured rate. The mean is exact; P99 is a bucket upper bound of
+	// configured rate. A burst is stamped once, after its last SendView:
+	// its first packet's gap runs from the previous burst's stamp and
+	// each further packet counts a gap of 0. The mean is exact (the gaps
+	// add up to the span between stamps); P99 is a bucket upper bound of
 	// a stats.Histogram, at most 25% above the exact order statistic.
 	GapSamples uint64
 	MeanGapNs  uint64

@@ -276,10 +276,13 @@ func TestSinkPanicStopsOnlyItsPort(t *testing.T) {
 				}
 				e.settle()
 				pst := e.PortStats()
-				if pst[0].SinkPanics != 1 || pst[0].Serving || pst[0].TransmittedPackets != 2 {
-					t.Fatalf("panicked port: %+v, want 1 panic, stopped after 2 transmissions", pst[0])
+				// The transmit counters settle once per burst, after its last
+				// SendView: the partial burst counts what the sink accepted.
+				if pst[0].SinkPanics != 1 || pst[0].Serving || pst[0].TransmittedPackets != 2 || pst[0].TransmittedBytes != 2*pktBytes {
+					t.Fatalf("panicked port: %+v, want 1 panic, stopped after 2 transmissions of %d bytes", pst[0], 2*pktBytes)
 				}
-				if pst[1].SinkPanics != 0 || !pst[1].Serving || got[1] != backlog {
+				if pst[1].SinkPanics != 0 || !pst[1].Serving || got[1] != backlog ||
+					pst[1].TransmittedPackets != uint64(backlog) || pst[1].TransmittedBytes != uint64(backlog*pktBytes) {
 					t.Fatalf("sibling port delivered %d of %d: %+v", got[1], backlog, pst[1])
 				}
 				// The bucket paid for the two packets the sink accepted, not
@@ -378,25 +381,30 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 	if err := e.SetPortRate(0, policy.ShaperConfig{RateBytesPerSec: -1}); err == nil {
 		t.Error("invalid shaper config accepted")
 	}
-	// A sink error stops the worker mid-burst: the erroring packet
-	// belongs to the sink, the rest of the picked batch is released (not
-	// transmitted), and the port can be served again to finish the job.
+	// A sink error stops the worker mid-burst: the packets the sink took
+	// before it failed are transmitted, the erroring packet belongs to the
+	// sink, the rest of the picked batch is released (not transmitted), and
+	// the port can be served again to finish the job.
 	for i := 0; i < 10; i++ {
 		if _, err := e.EnqueuePacket(uint32(1+i%4), make([]byte, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var stopped atomic.Bool
+	var taken atomic.Int32
 	failing := SinkVFunc(func(_ int, d Dequeued) error {
-		stopped.Store(true)
+		if taken.Add(1) <= 3 {
+			return nil
+		}
 		return errors.New("link down")
 	})
 	if err := e.ServeViews(0, failing); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "sink error stop", func() bool { return stopped.Load() && !e.ports[0].serving.Load() })
-	if tx := e.PortStats()[0].TransmittedPackets; tx != 0 {
-		t.Fatalf("failing sink still counted %d transmissions", tx)
+	waitUntil(t, 5*time.Second, "sink error stop", func() bool { return taken.Load() > 3 && !e.ports[0].serving.Load() })
+	// The burst's counters settle before Serving reads false, and count the
+	// partial burst: exactly the three packets the sink accepted.
+	if pst := e.PortStats()[0]; pst.TransmittedPackets != 3 || pst.TransmittedBytes != 3*8 {
+		t.Fatalf("failing sink counted %d transmissions of %d bytes, want the 3 of 24 it accepted", pst.TransmittedPackets, pst.TransmittedBytes)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after mid-burst sink failure: %v", err)

@@ -11,10 +11,10 @@ package engine
 // to the configured one for any packet mix.
 //
 // The bucket is shared between its port's pacer (the hot reader) and
-// the control plane (SetPortRate, PortStats), so it carries its own
-// mutex; the pacer takes it per service round (budget before the burst and
-// after it) and per drained batch (one charge), far off the per-packet
-// paths.
+// the control plane (SetPortRate, PortStats, which only reads it), so
+// it carries its own mutex; the pacer takes it per service round (budget
+// before the burst and after it) and per drained batch (one charge), far
+// off the per-packet paths.
 
 import (
 	"sync"
@@ -116,12 +116,16 @@ func (sh *shaper) charge(n int64) {
 	sh.mu.Unlock()
 }
 
-// occupancy snapshots the bucket for PortStats, refreshed to now.
+// occupancy snapshots the bucket for PortStats as a refill at now would
+// leave it, without refilling: every refill rounds its earnings down to
+// whole bytes, so a read that wrote the bucket would cost a port credit
+// each time its stats were read.
 func (sh *shaper) occupancy(now int64) (rate, burst, tokens int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	tokens = sh.tokens
 	if sh.rate > 0 {
-		sh.refillLocked(now)
+		tokens = min(tokens+tokensFor(now-sh.last, sh.rate), sh.burst)
 	}
-	return sh.rate, sh.burst, sh.tokens
+	return sh.rate, sh.burst, tokens
 }

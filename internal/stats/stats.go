@@ -131,11 +131,21 @@ func histUpper(i int) uint64 {
 }
 
 // Add incorporates v (negative values count as 0).
-func (h *Histogram) Add(v int64) {
+func (h *Histogram) Add(v int64) { h.AddN(v, 1) }
+
+// AddN incorporates n samples of v, as n calls of Add(v) would: one atomic
+// add on v's bucket, and for a positive v one on the sum and a raise of
+// the maximum.
+func (h *Histogram) AddN(v int64, n uint64) {
+	if n == 0 {
+		return
+	}
 	u := uint64(max(v, 0))
-	h.counts[histBucket(u)].Add(1)
-	h.sum.Add(u)
-	h.raiseMax(u)
+	h.counts[histBucket(u)].Add(n)
+	if u != 0 {
+		h.sum.Add(u * n)
+		h.raiseMax(u)
+	}
 }
 
 func (h *Histogram) raiseMax(u uint64) {

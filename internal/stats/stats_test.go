@@ -281,3 +281,30 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatalf("merged max/mean %v/%v, want %v/%v", a.Max(), a.Mean(), all.Max(), all.Mean())
 	}
 }
+
+// TestHistogramAddN: AddN(v, n) leaves a histogram as n calls of Add(v)
+// would, for none, one and many samples, on top of samples already there.
+func TestHistogramAddN(t *testing.T) {
+	for _, v := range []int64{0, -3, 7, 1000, 1 << 45} {
+		for _, n := range []uint64{0, 1, 100_000} {
+			var got, want Histogram
+			for i := range int64(10) {
+				got.Add(i * 37)
+				want.Add(i * 37)
+			}
+			got.AddN(v, n)
+			for range n {
+				want.Add(v)
+			}
+			if got.N() != want.N() || got.Mean() != want.Mean() || got.Max() != want.Max() {
+				t.Fatalf("AddN(%d, %d): N %d mean %v max %v, want %d, %v, %v",
+					v, n, got.N(), got.Mean(), got.Max(), want.N(), want.Mean(), want.Max())
+			}
+			for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+				if g, w := got.Quantile(q), want.Quantile(q); g != w {
+					t.Fatalf("AddN(%d, %d): q%v = %v, want %v", v, n, q, g, w)
+				}
+			}
+		}
+	}
+}
