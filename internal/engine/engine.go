@@ -885,11 +885,11 @@ const unpicked int64 = -1
 
 // take removes flow's head packet into *d (left zero on error), inside s's
 // critical section. It is the one place delivery chooses its form — view
-// checks the segment chain out of the pool in the lent state (d.View,
-// nothing copied), otherwise the payload is reassembled into a pooled
-// buffer sized to the packet (d.Data; no buffer is taken when there is no
-// packet) — and where a served packet is charged to the discipline that
-// picked it before left settles the books. It fills the caller's record in
+// lends the segment chain out of the pool (d.View, nothing copied),
+// otherwise the payload is reassembled into a pooled buffer sized to the
+// packet (d.Data; no buffer is taken when there is no packet) — and where
+// a served packet is charged to the discipline that picked it before left
+// settles the books. It fills the caller's record in
 // place: the
 // record is 64 bytes, and returning it through take, dequeuePicked and the
 // drain loop cost the 64-byte batch workload about 5%.

@@ -60,7 +60,7 @@ func TestScaleThreeLevelHierarchySmoke(t *testing.T) {
 	// flow tables plus one queue-table row per flow — each shard's table
 	// holds only the flows it owns, so the rows sum to the flow space
 	// once, not once per shard — with the segment pool and 4k port shells
-	// riding along. ~84 MiB today; the bound catches any change that makes
+	// riding along. ~83.9 MiB today; the bound catches any change that makes
 	// per-flow or per-port state super-linear, or scales it with the shard
 	// count.
 	if growth > 120<<20 {

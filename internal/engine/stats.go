@@ -250,24 +250,28 @@ func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 
 // CheckInvariants validates every shard's queue discipline, the
 // N-level active lists, the shared store's free structures, and the engine-wide
-// conservation laws: free + queued + lent equals the configured
-// pool (lent counts segments checked out in packet views and open
-// write-in-place reservations), and every enqueued segment was either
-// dequeued, pushed out by the admission policy, or is still resident
-// (enqueued = dequeued + pushed-out + resident; a view's segments count as
-// dequeued from the moment the view is produced, and a reservation's count
-// as enqueued only at Commit). Shards are checked one critical section at
-// a time, so it is only a consistent global check when the engine is
-// quiescent (no EnqueueAsync in flight — entering a shard drains only what
-// was posted by then; views released on other goroutines included — their
-// release must happen-before the check).
+// conservation laws. Every segment is free, queued or lent (checked out in
+// a packet view or an open write-in-place reservation), and no segment
+// says which: each shard's queue walk and the store's free walk mark the
+// segments they meet in one array (queue.Manager.CheckMarking,
+// segstore.Store.CheckMarking), a segment met twice is an error, and the
+// segments left unmarked must be exactly the lent books (CheckLent). And
+// every enqueued segment was either dequeued, pushed out by the admission
+// policy, or is still resident (enqueued = dequeued + pushed-out +
+// resident; a view's segments count as dequeued from the moment the view
+// is produced, and a reservation's count as enqueued only at Commit). Shards are checked
+// one critical section at a time, so it is only a consistent global check
+// when the engine is quiescent (no EnqueueAsync in flight — entering a
+// shard drains only what was posted by then; views released on other
+// goroutines included — their release must happen-before the check).
 func (e *Engine) CheckInvariants() error {
 	var c Counters
 	queued := 0
+	seen := make([]bool, e.cfg.NumSegments)
 	for i, s := range e.shards {
 		var err error
 		e.run(s, func() {
-			if err = s.m.CheckInvariants(); err == nil {
+			if err = s.m.CheckMarking(seen); err == nil {
 				err = e.checkActiveLocked(s, i)
 			}
 			row := s.read(i)
@@ -278,13 +282,11 @@ func (e *Engine) CheckInvariants() error {
 			return err
 		}
 	}
-	if err := e.store.CheckInvariants(); err != nil {
+	if err := e.store.CheckMarking(seen); err != nil {
 		return err
 	}
-	lent := e.store.Lent()
-	if free := e.store.Free(); free+queued+lent != e.cfg.NumSegments {
-		return fmt.Errorf("engine: conservation violated: %d free + %d queued + %d lent != %d",
-			free, queued, lent, e.cfg.NumSegments)
+	if err := e.store.CheckLent(seen); err != nil {
+		return err
 	}
 	if c.EnqueuedSegments != c.DequeuedSegments+c.PushedOutSegments+uint64(queued) {
 		return fmt.Errorf("engine: segment conservation violated: enqueued %d != dequeued %d + pushed-out %d + resident %d",

@@ -32,8 +32,8 @@ package engine
 // are safe from any goroutine; double release panics (see
 // queue.PacketView.Release).
 //
-// Accounting: segments checked out in views or open reservations are in
-// the lent state, counted by Stats.LentSegments and by the conservation
+// Accounting: segments checked out in views or open reservations are lent,
+// counted by Stats.LentSegments and by the conservation
 // law CheckInvariants enforces (free + queued + lent == pool).
 // A view's segments count as dequeued when the view is produced — inside
 // the shard's critical section, so the traffic counters never depend on
@@ -241,8 +241,8 @@ func (r *Reservation) Commit() error {
 	return err
 }
 
-// Abort scrubs the reserved run and returns it to the pool without ever
-// touching the queue — safe from any goroutine, including after Close. The
+// Abort returns the reserved run to the pool without ever touching the
+// queue — safe from any goroutine, including after Close. The
 // reservation becomes terminal. Nothing is counted: the packet never
 // entered the books.
 func (r *Reservation) Abort() error {

@@ -4,10 +4,9 @@ package queue
 // segstore.Store alias the same slab, so a packet can move between two
 // managers (the engine's shards) by pure pointer relinking — the MMS "Move
 // a packet to a new queue" command generalized across shards — instead of
-// the reassemble-and-copy the split-pool engine needed. The segments stay
-// in the queued state while in transit: they are owned by the moving caller
-// between the unlink and the link, and are never visible to either manager
-// in a half-moved state.
+// the reassemble-and-copy the split-pool engine needed. In transit the
+// segments are owned by the moving caller between the unlink and the link,
+// and are never visible to either manager in a half-moved state.
 
 import "fmt"
 

@@ -720,7 +720,18 @@ func (h *harness) check() {
 		c.Publish() // as each owner does when it leaves its critical section
 	}
 	if h.st != nil {
-		if err := h.st.CheckInvariants(); err != nil {
+		// As the engine checks: every manager's queue walk and the store's
+		// free walk mark one array, and what none of them meets is lent.
+		seen := make([]bool, h.st.NumSegments())
+		for k, m := range h.ms {
+			if err := m.CheckMarking(seen); err != nil {
+				h.t.Fatalf("%s: manager %d: %v", h.what, k, err)
+			}
+		}
+		if err := h.st.CheckMarking(seen); err != nil {
+			h.t.Fatalf("%s: %v", h.what, err)
+		}
+		if err := h.st.CheckLent(seen); err != nil {
 			h.t.Fatalf("%s: %v", h.what, err)
 		}
 	}

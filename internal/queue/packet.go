@@ -28,7 +28,7 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	if !m.admissible(q, needed) {
 		return 0, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, needed)
 	}
-	ch, runs, whole, err := m.allocChain(len(data), needed, stateQueued, data)
+	ch, runs, whole, err := m.allocChain(len(data), needed, data)
 	if err != nil {
 		return 0, err
 	}
@@ -40,20 +40,20 @@ func (m *Manager) EnqueuePacket(q QueueID, data []byte) (int, error) {
 	return needed, nil
 }
 
-// allocChain gives an n-byte packet of segs segments its chain, in state st
-// and with payload copied in when given, and reports how many runs the chain
+// allocChain gives an n-byte packet of segs segments its chain, with
+// payload copied in when given, and reports how many runs the chain
 // holds and whether it was reused whole. A packet of more than one segment
 // first asks the cache for a whole chain of its size
 // (segstore.Cache.AllocChain) and reuses it as it stands (reuseChain);
 // otherwise, or on a miss, the segments come from one AllocN and buildChain
 // links and codes them. One-segment packets skip the ask: their bin never
 // exists. On ErrNoFreeSegments the pool is as it was.
-func (m *Manager) allocChain(n, segs int, st uint8, payload []byte) (ch PacketChain, runs int, whole bool, err error) {
+func (m *Manager) allocChain(n, segs int, payload []byte) (ch PacketChain, runs int, whole bool, err error) {
 	ch.Segs, ch.Bytes = segs, n
 	if segs > 1 {
 		if head, tail, ok := m.src.AllocChain(int32(segs)); ok {
 			ch.Head, ch.Tail = Seg(head), Seg(tail)
-			return ch, m.reuseChain(head, tail, n, st, payload), true, nil
+			return ch, m.reuseChain(head, tail, n, payload), true, nil
 		}
 	}
 	// Check what this manager can actually allocate (its cache plus the
@@ -73,24 +73,23 @@ func (m *Manager) allocChain(n, segs int, st uint8, payload []byte) (ch PacketCh
 		return ch, 0, false, ErrNoFreeSegments
 	}
 	ch.Head, ch.Tail = Seg(run[0]), Seg(run[segs-1])
-	return ch, m.buildChain(run, n, st, payload), false, nil
+	return ch, m.buildChain(run, n, payload), false, nil
 }
 
 // reuseChain makes the whole chain [head..tail], popped as it stands, the
-// chain of an n-byte packet in state st and returns how many runs it holds.
-// Its links and run marks stay; one pass over its runs sets each run's
-// state, copies each run's payload (when given, and when payloads are stored
-// at all), and gives the last segment of every run but the tail a full word
-// — a segment command may have left it short. The tail gets the packet's
-// last length and EOP, a nil link and, with a payload, cleared slack.
-func (m *Manager) reuseChain(head, tail int32, n int, st uint8, payload []byte) (runs int) {
+// chain of an n-byte packet and returns how many runs it holds. Its links
+// and run marks stay; one pass over its runs copies each run's payload
+// (when given, and when payloads are stored at all) and gives the last
+// segment of every run but the tail a full word — a segment command may
+// have left it short. The tail gets the packet's last length and EOP, a nil
+// link and, with a payload, cleared slack.
+func (m *Manager) reuseChain(head, tail int32, n int, payload []byte) (runs int) {
 	if m.data == nil {
 		payload = nil // pointer traffic only
 	}
 	off := 0 // payload offset of the run at s
 	for s := head; ; {
 		last, w, next := m.hop(s)
-		m.setState(s, last, st)
 		end := off + int(last-s+1)*SegmentBytes
 		if payload != nil {
 			copy(m.data[int(s)*SegmentBytes:], payload[off:min(n, end)])
@@ -113,15 +112,15 @@ func (m *Manager) reuseChain(head, tail int32, n int, st uint8, payload []byte) 
 }
 
 // buildChain turns the freshly allocated segments in run into the chain of
-// an n-byte packet in state st and returns how many address-contiguous runs
-// it recorded. AllocN carves ascending magazines, so neighbours in run are
+// an n-byte packet and returns how many address-contiguous runs it
+// recorded. AllocN carves ascending magazines, so neighbours in run are
 // usually neighbours in the slab: each maximal stretch (capped at
-// segstore.MaxRun) becomes one run. Everything a segment needs — word,
-// state, link — is written in this one pass; the segment that closes a
-// stretch also marks the stretch's first word and copies the stretch's
-// payload (when given, and when payloads are stored at all) in one piece
-// rather than segment by segment.
-func (m *Manager) buildChain(run []int32, n int, st uint8, payload []byte) (runs int) {
+// segstore.MaxRun) becomes one run. Everything a segment needs — word and
+// link — is written in this one pass; the segment that closes a stretch
+// also marks the stretch's first word and copies the stretch's payload
+// (when given, and when payloads are stored at all) in one piece rather
+// than segment by segment.
+func (m *Manager) buildChain(run []int32, n int, payload []byte) (runs int) {
 	if m.data == nil {
 		payload = nil // pointer traffic only
 	}
@@ -134,7 +133,6 @@ func (m *Manager) buildChain(run []int32, n int, st uint8, payload []byte) (runs
 		} else {
 			w = uint16(n-i*SegmentBytes) | segstore.WordEOP
 		}
-		m.state[s] = st
 		m.next[s] = next
 		if next == s+1 && i-start < segstore.MaxRun-1 {
 			m.seg[s] = fullWord
@@ -175,13 +173,13 @@ func (m *Manager) runBuf(n int) []int32 {
 // FreeN. AllocN left the segments free with stale words, and a run of
 // 2…MaxGrain segments lands in a bin, where the store finds a chain's end by
 // its words and the next packet of that size reuses them as they stand — so
-// the run is built first, in the free state, as a well-formed chain:
-// linked, run-coded, EOP on its last segment.
+// the run is built first as a well-formed chain: linked, run-coded, EOP on
+// its last segment.
 func (m *Manager) returnRun(run []int32) {
 	if len(run) == 0 {
 		return
 	}
-	m.buildChain(run, len(run)*SegmentBytes, stateFree, nil)
+	m.buildChain(run, len(run)*SegmentBytes, nil)
 	m.src.FreeN(run[0], run[len(run)-1], int32(len(run)))
 }
 
@@ -221,25 +219,22 @@ func (m *Manager) DequeuePacketInto(q QueueID, alloc func(segs int) []byte) ([]b
 
 // consumeHeadChain is the vectorized inverse of EnqueuePacket: it unlinks
 // the head packet ch (from the caller's findPacketEnd) from q and returns it
-// to the store whole. One pass over the chain's runs copies each run's
-// payload (when copyData and data storage is on) and marks it free with
-// the links still intact; then the queue table and accounting update
-// once and the chain goes back via a single FreeN instead of one Free per
-// segment.
+// to the store whole. Only a copy (copyData, with data storage on) walks the
+// chain, appending one run's payload at a time; then the queue table and
+// accounting update once and the chain goes back via a single FreeN instead
+// of one Free per segment.
 func (m *Manager) consumeHeadChain(q QueueID, ch PacketChain, buf []byte, copyData bool) []byte {
 	head, end := int32(ch.Head), int32(ch.Tail)
-	copyData = copyData && m.data != nil
-	for s := head; ; {
-		last, w, next := m.hop(s)
-		if copyData {
+	if copyData && m.data != nil {
+		for s := head; ; {
+			last, w, next := m.hop(s)
 			base := int(s) * SegmentBytes
 			buf = append(buf, m.data[base:base+int(runBytes(s, last, w))]...)
+			if last == end {
+				break
+			}
+			s = next
 		}
-		m.setState(s, last, stateFree)
-		if last == end {
-			break
-		}
-		s = next
 	}
 	m.unspliceHead(q, ch, 1)
 	m.src.FreeN(head, end, int32(ch.Segs))
@@ -257,26 +252,39 @@ func (m *Manager) PacketLen(q QueueID) (bytes, segments int, err error) {
 }
 
 // CheckInvariants validates the pointer discipline this manager is
-// responsible for:
+// responsible for (CheckMarking, on marks of its own) and, on a pool it
+// owns (New), the free storage and segment conservation: the store's free
+// walk marks the same array (segstore.Store.CheckMarking), so a segment
+// both free and queued is an error, and the segments neither walk meets
+// must be exactly the lent ones (segstore.Store.CheckLent). With a shared
+// store the free storage and conservation span every manager on the slab,
+// so the engine's aggregate CheckInvariants checks them. O(pool size); for
+// tests and debugging.
+func (m *Manager) CheckInvariants() error {
+	seen := make([]bool, m.cfg.NumSegments)
+	if err := m.CheckMarking(seen); err != nil || m.own == nil {
+		return err
+	}
+	m.src.Publish()
+	if err := m.own.CheckMarking(seen); err != nil {
+		return err
+	}
+	return m.own.CheckLent(seen)
+}
+
+// CheckMarking walks every queue, marking each segment it meets in seen
+// (one mark per pool segment, shared with the other walks of one check):
 //
-//   - every queue's list is acyclic, its length matches the queue table,
-//     its tail pointer matches the last element, and every member is in
-//     the queued state;
+//   - a segment already marked — linked twice here, or met by an earlier
+//     walk of another manager or the free storage — is an error;
+//   - every queue's list is acyclic, its length matches the queue table and
+//     its tail pointer matches the last element;
 //   - every run a chain claims is real: the run stays inside the pool, and
 //     every segment before the run's last is full, non-EOP and linked to
 //     its address successor;
 //   - the per-queue byte/packet counters and the manager totals match the
-//     walked lists;
-//   - on a pool it owns (New) it additionally walks the free storage (via
-//     the store) and checks segment conservation: free + queued + lent ==
-//     pool size.
-//
-// With a shared store the free list and conservation span every manager on
-// the slab, so those checks live on segstore.Store.CheckInvariants and the
-// engine's aggregate CheckInvariants. It is O(pool size) and intended for
-// tests and debugging.
-func (m *Manager) CheckInvariants() error {
-	seen := make([]bool, m.cfg.NumSegments)
+//     walked lists, and the longest-queue heap and its mirror are sound.
+func (m *Manager) CheckMarking(seen []bool) error {
 	queued := int32(0)
 	var walkedBytes int64
 	for q := 0; q < m.cfg.NumQueues; q++ {
@@ -290,9 +298,6 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("queue: segment %d linked twice (queue %d)", s, q)
 			}
 			seen[s] = true
-			if m.state[s] != stateQueued {
-				return fmt.Errorf("queue: queued segment %d has state %d", s, m.state[s])
-			}
 			w := m.seg[s]
 			if left == 0 {
 				left = int32(w >> segstore.WordRun)
@@ -339,20 +344,6 @@ func (m *Manager) CheckInvariants() error {
 	if queued != m.queuedSegs {
 		return fmt.Errorf("queue: %d segments queued, counter says %d", queued, m.queuedSegs)
 	}
-	if m.own != nil {
-		// Exclusive pool: the whole slab is ours, so validate the free list
-		// and check conservation.
-		m.src.Publish()
-		if err := m.own.CheckInvariants(); err != nil {
-			return err
-		}
-		lent := int32(m.src.Lent())
-		if int32(m.src.FreeSegments())+queued+lent != int32(m.cfg.NumSegments) {
-			return fmt.Errorf("queue: conservation violated: %d free + %d queued + %d lent != %d",
-				m.src.FreeSegments(), queued, lent, m.cfg.NumSegments)
-		}
-	}
-
 	// Longest-queue heap discipline (when tracking is enabled): the heap
 	// holds exactly the non-empty queues, positions match, every parent
 	// sorts no later than its children, and the published mirror equals the

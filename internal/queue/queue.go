@@ -77,15 +77,6 @@ var (
 	ErrWriterDone     = errors.New("queue: packet writer already committed or aborted")
 )
 
-// Segment lifecycle states are tracked per segment in the store's State
-// array (see segstore): they turn pointer-corruption bugs in callers into
-// errors instead of silent cross-linked queues.
-const (
-	stateFree   = segstore.StateFree
-	stateQueued = segstore.StateQueued
-	stateLent   = segstore.StateLent // checked out as a zero-copy view or reservation
-)
-
 // Config sizes a Manager.
 type Config struct {
 	// NumQueues is the number of flow queues (0 means DefaultNumQueues).
@@ -111,13 +102,15 @@ type Manager struct {
 	src *segstore.Cache
 	own *segstore.Store
 
-	// Per-segment pointer memory (the ZBT SRAM contents). With a shared
-	// store these arrays are shared with every other manager on the slab;
-	// each manager touches only segments it currently owns.
-	next  []int32
-	seg   []uint16 // segment words: length, EOP, run length (segstore.WordLen)
-	state []uint8
-	refs  []int32 // per-chain-head view refcounts (atomic access only)
+	// Per-segment pointer memory (the ZBT SRAM contents): a link and a word
+	// per segment, as in the paper's MMS, and no lifecycle state —
+	// CheckInvariants derives it from where a segment is (see
+	// segstore.View). With a shared store these arrays are shared with
+	// every other manager on the slab; each manager touches only segments
+	// it currently owns.
+	next []int32
+	seg  []uint16 // segment words: length, EOP, run length (segstore.WordLen)
+	refs []int32  // per-chain-head view refcounts (atomic access only)
 
 	// Queue table.
 	qhead []int32
@@ -214,7 +207,6 @@ func NewWithStore(cfg Config, src *segstore.Cache) (*Manager, error) {
 		src:    src,
 		next:   view.Next,
 		seg:    view.Seg,
-		state:  view.State,
 		refs:   view.Refs,
 		data:   view.Data,
 		qhead:  make([]int32, cfg.NumQueues),
@@ -298,13 +290,6 @@ func runBytes(s, last int32, w uint16) int32 {
 	return (last-s)*SegmentBytes + int32(w&segstore.WordLen)
 }
 
-// setState moves the run [s..last] to state st.
-func (m *Manager) setState(s, last int32, st uint8) {
-	for ; s <= last; s++ {
-		m.state[s] = st
-	}
-}
-
 // splitHead makes h a run of one before it is unlinked or rewritten; the
 // rest of its run starts at h+1 and inherits the remaining length. The one
 // way a run changes after buildChain recorded it.
@@ -373,8 +358,8 @@ func (m *Manager) AppendHead(q QueueID, payload []byte, eop bool) (Seg, error) {
 }
 
 // enqueueSegment is Enqueue and AppendHead on the packet primitives: a
-// one-segment AllocN, the segment written as queued, and a splice at the
-// tail or (atHead) the head. Queue, length and cap are all checked before
+// one-segment AllocN, the segment written, and a splice at the tail or
+// (atHead) the head. Queue, length and cap are all checked before
 // anything is allocated, so a refused command leaves the pool as it was.
 func (m *Manager) enqueueSegment(q QueueID, payload []byte, eop, atHead bool) (Seg, error) {
 	if err := m.checkQueue(q); err != nil {
@@ -393,7 +378,6 @@ func (m *Manager) enqueueSegment(q QueueID, payload []byte, eop, atHead bool) (S
 	s := run[0]
 	m.seg[s] = segstore.LoneWord
 	m.setPayload(s, payload, eop)
-	m.state[s] = stateQueued
 	m.next[s] = nilSeg
 	ch, pkts := segChain(s, m.seg[s])
 	m.splice(q, ch, pkts, atHead)
@@ -414,22 +398,22 @@ func (m *Manager) headOf(q QueueID) (int32, error) {
 
 // Hint starts loading, without waiting for them, the lines a dequeuer will
 // wait on two and one packets from now (see package prefetch): row's five
-// queue-table words, and the head segment of queue head — its word, link,
-// state and first payload line. It reads qhead[head], which an earlier
+// queue-table words, and the head segment of queue head — its word, link
+// and first payload line. It reads qhead[head], which an earlier
 // Hint with head as its row has started loading; an empty head queue gets
 // its table words hinted only. Both rows must be in range.
 func (m *Manager) Hint(row, head QueueID) {
-	lines := [9]unsafe.Pointer{
+	lines := [8]unsafe.Pointer{
 		unsafe.Pointer(&m.qhead[row]), unsafe.Pointer(&m.qtail[row]), unsafe.Pointer(&m.qsegs[row]),
 		unsafe.Pointer(&m.qbytes[row]), unsafe.Pointer(&m.qpkts[row]),
 	}
 	n := 5
 	if h := m.qhead[head]; h != nilSeg {
-		lines[5], lines[6], lines[7] = unsafe.Pointer(&m.seg[h]), unsafe.Pointer(&m.next[h]), unsafe.Pointer(&m.state[h])
-		n = 8
+		lines[5], lines[6] = unsafe.Pointer(&m.seg[h]), unsafe.Pointer(&m.next[h])
+		n = 7
 		if m.data != nil {
-			lines[8] = unsafe.Pointer(&m.data[int(h)*SegmentBytes])
-			n = 9
+			lines[7] = unsafe.Pointer(&m.data[int(h)*SegmentBytes])
+			n = 8
 		}
 	}
 	prefetch.Hint(lines[:n])
@@ -442,7 +426,6 @@ func (m *Manager) dropHead(q QueueID) {
 	m.splitHead(h)
 	ch, pkts := segChain(h, m.seg[h])
 	m.unspliceHead(q, ch, pkts)
-	m.state[h] = stateFree
 	m.src.FreeN(h, h, 1)
 }
 

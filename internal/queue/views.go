@@ -6,20 +6,21 @@ package queue
 // that datapath in software, in both directions:
 //
 //   - DequeuePacketView unlinks the head packet exactly like
-//     consumeHeadChain but defers the scrub and the FreeN: the chain leaves
-//     the queue table and is handed to the consumer as a PacketView whose
-//     iterator yields slices aliasing the slab, one per address-contiguous
-//     run of the chain. Releasing the view scrubs and returns the chain in
-//     one FreeN-equivalent operation.
+//     consumeHeadChain but defers the FreeN: the chain leaves the queue
+//     table and is handed to the consumer as a PacketView whose iterator
+//     yields slices aliasing the slab, one per address-contiguous run of
+//     the chain. Releasing the view returns the chain in one
+//     FreeN-equivalent operation, without walking it.
 //   - ReservePacket is the write-in-place inverse: the segment run is
 //     allocated and pre-linked up front (or a whole chain reused), the
 //     producer fills the slices a PacketWriter exposes (a readv target),
 //     then Commit splices the chain onto the queue tail in O(1) — or Abort
 //     hands the untouched run back.
 //
-// While checked out, segments are in the lent state and counted by the
-// store's lent population, so pool stats and CheckInvariants stay exact:
-// free + queued + lent == pool size at every quiescent point.
+// While checked out, segments are lent: on no queue and in no free storage,
+// and counted by the store's lent population, so pool stats and
+// CheckInvariants stay exact: free + queued + lent == pool size at every
+// quiescent point.
 //
 // Ownership and thread-safety: DequeuePacketView, ReservePacket, and
 // Commit are owner-context operations like every other Manager method (the
@@ -34,8 +35,6 @@ package queue
 import (
 	"fmt"
 	"sync/atomic"
-
-	"npqm/internal/segstore"
 )
 
 // PacketView is a dequeued packet still living in the slab: a lent chain of
@@ -95,21 +94,6 @@ func (m *Manager) rangeChain(head int32, fn func(seg []byte) bool) {
 	}
 }
 
-// setChainState moves the checked-out chain [head..end] to state st, run by
-// run, links intact. To stateFree it is the scrub before a bulk return: only
-// the state marks a segment free; its word, like its link, is rewritten on
-// reuse.
-func (m *Manager) setChainState(head, end int32, st uint8) {
-	for s := head; ; {
-		last, _, next := m.hop(s)
-		m.setState(s, last, st)
-		if last == end {
-			return
-		}
-		s = next
-	}
-}
-
 // AppendTo appends the packet's payload to buf — the copy fallback for
 // consumers that need a contiguous packet after all.
 func (v PacketView) AppendTo(buf []byte) []byte {
@@ -127,9 +111,9 @@ func (v PacketView) Retain() {
 	atomic.AddInt32(&v.m.refs[v.head], 1)
 }
 
-// Release drops a reference; the final one scrubs the chain and returns it
-// to the store in one bulk operation — one whole chain, which a shared
-// store keeps whole for the next packet of its size. It is a ViewReleaser
+// Release drops a reference; the final one returns the chain to the store
+// in one bulk operation — one whole chain, which a shared store keeps whole
+// for the next packet of its size. It is a ViewReleaser
 // of one view, so it is safe from any goroutine, the zero view's Release
 // does nothing, and releasing more times than Retain+1 panics — a double
 // release means some consumer may still be reading segments that are back
@@ -147,11 +131,11 @@ func (v PacketView) Release() {
 // store in one bulk transaction per manager instead of one per packet. A
 // consumer that drains views in batches (the engine's DequeueNextViewBatch
 // loop) releases each packet into the accumulator and flushes once: the
-// scrub still happens per packet, but the depot push — the one CAS the
-// cross-goroutine return path costs — and the lent-counter update are paid
-// once per batch. A batch of same-size chains goes back with that size as
-// its grain, so a shared store hands them out whole again; a mixed batch
-// has none. The zero value is ready to use. Like a single Release, an
+// depot push — the one CAS the cross-goroutine return path costs — and the
+// lent-counter update are paid once per batch, and no chain is walked: a
+// released chain is linked to the batch at its head and its end. A batch
+// of same-size chains goes back with that size as its grain, so a shared
+// store hands them out whole again; a mixed batch has none. The zero value is ready to use. Like a single Release, an
 // accumulator is one goroutine's tool; the flush itself is safe from any
 // goroutine under the same shared-store condition as Release.
 type ViewReleaser struct {
@@ -177,7 +161,6 @@ func (r *ViewReleaser) Add(v PacketView) {
 	if c < 0 {
 		panic("queue: PacketView released more times than retained")
 	}
-	m.setChainState(v.head, v.end, stateFree)
 	if r.m != m {
 		r.Flush()
 		r.m = m
@@ -205,46 +188,23 @@ func (r *ViewReleaser) Flush() {
 
 // DequeuePacketView unlinks the packet at the head of q and returns it as
 // a zero-copy view instead of reassembling it. The queue table and
-// accounting update exactly as DequeuePacket's would; the segments move to
-// the lent state and stay in the slab until the view's final Release. One
-// pass over the chain's runs does the EOP walk, the byte accumulation, and
-// the lent marking together — one chain traversal where the copy path needs
-// two.
+// accounting update exactly as DequeuePacket's would; the segments go on
+// the lent books and stay in the slab until the view's final Release. The
+// one walk is findPacketEnd's hop over the chain's runs.
 func (m *Manager) DequeuePacketView(q QueueID) (PacketView, error) {
 	if err := m.checkQueue(q); err != nil {
 		return PacketView{}, err
 	}
-	head := m.qhead[q]
-	if head == nilSeg {
-		return PacketView{}, fmt.Errorf("%w: queue %d", ErrQueueEmpty, q)
+	ch, err := m.findPacketEnd(q)
+	if err != nil {
+		return PacketView{}, err
 	}
-	var n, chainBytes int32
-	end := nilSeg
-	for s := head; s != nilSeg; {
-		last, w, next := m.hop(s)
-		m.setState(s, last, stateLent)
-		n += last - s + 1
-		chainBytes += runBytes(s, last, w)
-		if w&segstore.WordEOP != 0 {
-			end = last
-			break
-		}
-		s = next
-	}
-	if end == nilSeg {
-		// No complete packet: restore the marked states (the whole queue is
-		// stateQueued again) and leave the queue untouched. Rare path — only
-		// partially assembled ingress can hit it.
-		for s := head; s != nilSeg; s = m.next[s] {
-			m.state[s] = stateQueued
-		}
-		return PacketView{}, fmt.Errorf("%w: queue %d", ErrNoPacket, q)
-	}
-	m.unspliceHead(q, PacketChain{Head: Seg(head), Tail: Seg(end), Segs: int(n), Bytes: int(chainBytes)}, 1)
+	head, end := int32(ch.Head), int32(ch.Tail)
+	m.unspliceHead(q, ch, 1)
 	m.next[end] = nilSeg
-	m.src.Lend(n)
+	m.src.Lend(int32(ch.Segs))
 	atomic.StoreInt32(&m.refs[head], 1)
-	return PacketView{m: m, head: head, end: end, segs: n, bytes: chainBytes}, nil
+	return PacketView{m: m, head: head, end: end, segs: int32(ch.Segs), bytes: int32(ch.Bytes)}, nil
 }
 
 // PacketWriter is an in-flight write-in-place enqueue: a pre-linked,
@@ -304,7 +264,7 @@ func (m *Manager) ReservePacket(q QueueID, n int) (PacketWriter, error) {
 	if !m.admissible(q, needed) {
 		return PacketWriter{}, fmt.Errorf("%w: queue %d cannot accept %d segments", ErrQueueLimit, q, needed)
 	}
-	ch, runs, whole, err := m.allocChain(n, needed, stateLent, nil)
+	ch, runs, whole, err := m.allocChain(n, needed, nil)
 	if err != nil {
 		return PacketWriter{}, err
 	}
@@ -322,7 +282,6 @@ func (w *PacketWriter) Commit() error {
 	if m == nil {
 		return ErrWriterDone
 	}
-	m.setChainState(w.head, w.tail, stateQueued)
 	m.fillRuns += uint64(w.runs)
 	if w.whole {
 		m.fillWhole++
@@ -335,8 +294,8 @@ func (w *PacketWriter) Commit() error {
 	return nil
 }
 
-// Abort scrubs the reserved run and hands it back to the store in one bulk
-// return, whole, without ever touching the queue. Safe from any goroutine,
+// Abort hands the reserved run back to the store in one bulk return,
+// whole, without walking it or ever touching the queue. Safe from any goroutine,
 // like a view release — a producer that reserved, failed its read, and
 // aborts does not need the owner context. The writer becomes terminal.
 func (w *PacketWriter) Abort() error {
@@ -344,7 +303,6 @@ func (w *PacketWriter) Abort() error {
 	if m == nil {
 		return ErrWriterDone
 	}
-	m.setChainState(w.head, w.tail, stateFree)
 	m.src.ReturnLent(w.head, w.tail, w.segs)
 	*w = PacketWriter{}
 	return nil

@@ -136,10 +136,9 @@ func (c *Cache) Cached() int { return int(c.count.Load()) }
 func (c *Cache) Lend(n int32) { c.lent += n }
 
 // ReturnLent hands a lent chain of n segments (head→…→tail through
-// View.Next; Next[tail] is overwritten), scrubbed to StateFree by the
-// caller, straight to the depot and debits the lent population — safe from
-// any goroutine, because views are released wherever the consumer
-// finishes. It bypasses this single-owner cache entirely, so on a one-cache
+// View.Next; Next[tail] is overwritten) straight to the depot and debits
+// the lent population — safe from any goroutine, because views are
+// released wherever the consumer finishes. It bypasses this single-owner cache entirely, so on a one-cache
 // store a lent chain rejoins the free list through the depot, after the
 // free side: FIFO reuse holds for FreeN's frees only. It is
 // Store.ReturnLentChains of one chain, whose grain is its length.
@@ -189,16 +188,16 @@ func (c *Cache) AllocN(dst []int32) int {
 func (c *Cache) SetHints(on bool) { c.hints = on }
 
 // hint starts loading the lines of segment s, the next one AllocN hands
-// out (see package prefetch): its link, word and state, and its first
-// payload line. The previous owner of those lines is usually the core that
+// out (see package prefetch): its link and word, and its first payload
+// line. The previous owner of those lines is usually the core that
 // freed s.
 func (c *Cache) hint(s int32) {
 	v := &c.st.view
-	lines := [4]unsafe.Pointer{unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s]), unsafe.Pointer(&v.State[s])}
-	n := 3
+	lines := [3]unsafe.Pointer{unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s])}
+	n := 2
 	if v.Data != nil {
-		lines[3] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
-		n = 4
+		lines[2] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
+		n = 3
 	}
 	prefetch.Hint(lines[:n])
 }
@@ -383,9 +382,7 @@ func (c *Cache) Flush() {
 }
 
 // CheckInvariants validates this cache's magazines and bins (chain lengths,
-// grains, states, counter mirror). The global walk lives on
-// Store.CheckInvariants.
+// grains, counter mirror). The global walk lives on Store.CheckInvariants.
 func (c *Cache) CheckInvariants() error {
-	_, err := c.st.newChecker().cache(0, c)
-	return err
+	return (&checker{st: c.st, seen: make([]bool, c.st.nseg)}).cache(0, c)
 }

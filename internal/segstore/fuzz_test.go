@@ -4,9 +4,11 @@ import "testing"
 
 // FuzzCacheChains replays a byte-coded stream of operations on two or three
 // caches over one store and checks the books after every step: the global
-// walk (Store.CheckInvariants — every bin and depot magazine holds whole
-// chains of its grain), Free() + held + lent == pool, and Store.Lent() ==
-// lent. On one goroutine an AllocN must never come up short while Avail()
+// walk (Store.CheckMarking — every bin and depot magazine holds whole
+// chains of its grain) marks exactly the segments the harness holds free,
+// Free() + held + lent == pool, and Store.Lent() == lent. The store keeps
+// no per-segment state, so the harness keeps its own: each segment is free,
+// held or lent, and only a free one may be handed out. On one goroutine an AllocN must never come up short while Avail()
 // covers it, whatever bins and grain stacks the segments sit in. Every step
 // ends with each cache's Publish, as a critical section would.
 //
@@ -59,9 +61,15 @@ func replayCacheChains(t *testing.T, data []byte) {
 		}
 		var held []chain
 		heldSegs, lentSegs := 0, 0
+		const (
+			free uint8 = iota
+			queued
+			lent
+		)
+		state := make([]uint8, pool) // every segment starts free
 		setState := func(segs []int32, s uint8) {
 			for _, x := range segs {
-				v.State[x] = s
+				state[x] = s
 			}
 		}
 		// pick returns the index of the k-th chain (mod their count) whose
@@ -96,14 +104,14 @@ func replayCacheChains(t *testing.T, data []byte) {
 				t.Fatalf("allocating %d = %d with Avail %d", n, got, avail)
 			}
 			for _, s := range dst[:got] {
-				if v.State[s] != StateFree {
-					t.Fatalf("allocated segment %d in state %d", s, v.State[s])
+				if state[s] != free {
+					t.Fatalf("allocated segment %d in state %d", s, state[s])
 				}
 			}
 			if got == 0 {
 				return
 			}
-			setState(dst[:got], StateQueued)
+			setState(dst[:got], queued)
 			held = append(held, chain{segs: dst[:got]})
 			heldSegs += got
 		}
@@ -117,7 +125,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 				if k := pick(a, false); k >= 0 {
 					segs := held[k].segs
 					drop(k)
-					setState(segs, StateFree)
+					setState(segs, free)
 					head, tail := chainUp(v, segs)
 					caches[int(b)%len(caches)].FreeN(head, tail, int32(len(segs)))
 				}
@@ -125,7 +133,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 				if k := pick(a, false); k >= 0 {
 					ch := &held[k]
 					caches[int(b)%len(caches)].Lend(int32(len(ch.segs)))
-					setState(ch.segs, StateLent)
+					setState(ch.segs, lent)
 					ch.lent = true
 					heldSegs -= len(ch.segs)
 					lentSegs += len(ch.segs)
@@ -134,7 +142,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 				if k := pick(a, true); k >= 0 {
 					segs := held[k].segs
 					drop(k)
-					setState(segs, StateFree)
+					setState(segs, free)
 					head, tail := chainUp(v, segs)
 					caches[int(b)%len(caches)].ReturnLent(head, tail, int32(len(segs)))
 				}
@@ -148,7 +156,7 @@ func replayCacheChains(t *testing.T, data []byte) {
 					}
 					segs := held[k].segs
 					drop(k)
-					setState(segs, StateFree)
+					setState(segs, free)
 					chainUp(v, segs)
 					if grain != -1 && grain != int32(len(segs)) {
 						grain = 0
@@ -179,23 +187,29 @@ func replayCacheChains(t *testing.T, data []byte) {
 				}
 				segs := make([]int32, 0, n)
 				for s := head; len(segs) < int(n); s = v.Next[s] {
-					if v.State[s] != StateFree {
-						t.Fatalf("step %d: AllocChain(%d) handed out segment %d in state %d", i/3, n, s, v.State[s])
+					if state[s] != free {
+						t.Fatalf("step %d: AllocChain(%d) handed out segment %d in state %d", i/3, n, s, state[s])
 					}
 					segs = append(segs, s)
 				}
 				if segs[n-1] != tail {
 					t.Fatalf("step %d: AllocChain(%d) tail %d, its links end at %d", i/3, n, tail, segs[n-1])
 				}
-				setState(segs, StateQueued)
+				setState(segs, queued)
 				held = append(held, chain{segs: segs})
 				heldSegs += int(n)
 			}
 			for _, c := range caches {
 				c.Publish()
 			}
-			if err := st.CheckInvariants(); err != nil {
+			seen := make([]bool, pool)
+			if err := st.CheckMarking(seen); err != nil {
 				t.Fatalf("step %d (op %d): %v", i/3, op, err)
+			}
+			for s, met := range seen {
+				if met != (state[s] == free) {
+					t.Fatalf("step %d (op %d): the free walk marked segment %d %v, its state is %d", i/3, op, s, met, state[s])
+				}
 			}
 			if free := st.Free(); free+heldSegs+lentSegs != pool {
 				t.Fatalf("step %d (op %d): %d free + %d held + %d lent != %d", i/3, op, free, heldSegs, lentSegs, pool)

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -70,4 +71,28 @@ func TestStoreLayout(t *testing.T) {
 	}
 	t.Logf("Store: depotFree at %d, depot[0] at %d, depot[%d] at %d, size %d",
 		offCount, offDepot, MaxGrain, offDepot+uintptr(MaxGrain)*unsafe.Sizeof(st.depot[0]), unsafe.Sizeof(st))
+}
+
+// TestViewLayout pins the per-segment metadata: a link (Next, 4 B), a word
+// (Seg, 2 B) and a view refcount (Refs, 4 B), with the payload slab (Data)
+// apart. Like the paper's pointer memory, a segment carries no lifecycle
+// state; CheckInvariants derives it. Every array here is a line the
+// datapath may touch per segment, and the cores of an enqueue and its
+// dequeue trade, so a new one is a sizing decision, not a convenience.
+func TestViewLayout(t *testing.T) {
+	want := map[string]uintptr{"Next": 4, "Seg": 2, "Refs": 4}
+	vt := reflect.TypeOf(View{})
+	got := map[string]uintptr{}
+	for i := 0; i < vt.NumField(); i++ {
+		f := vt.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Fatalf("View.%s is a %s, want a per-segment slice", f.Name, f.Type)
+		}
+		if f.Name != "Data" {
+			got[f.Name] = f.Type.Elem().Size()
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("View's per-segment arrays are %v (bytes per segment), want %v", got, want)
+	}
 }

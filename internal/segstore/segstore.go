@@ -10,7 +10,7 @@
 // gives the sharded software engine that same single buffer without a
 // global lock:
 //
-//   - Store: the slab (link, segment-word and state arrays plus the payload
+//   - Store: the slab (link and segment-word arrays plus the payload
 //     memory) and the depot, one Treiber stack of segment magazines per
 //     grain: general magazines, and for each chain size g from 2 to MaxGrain
 //     magazines of whole g-segment chains. Each stack head packs a 32-bit
@@ -47,16 +47,6 @@ import (
 	"sync/atomic"
 )
 
-// Segment lifecycle states, stored per segment in View.State. The hardware
-// does not need these (its pointer discipline is fixed by the RTL); the
-// library keeps them so pointer-corruption bugs in callers become errors
-// instead of silently cross-linked queues.
-const (
-	StateFree   uint8 = iota // on a free list or in a magazine
-	StateQueued              // linked into a flow queue (or in transit between two)
-	StateLent                // checked out to a consumer as a zero-copy view
-)
-
 // MagazineSegments is the default magazine size: the number of segments
 // that move between a Cache and the depot per CAS.
 const MagazineSegments = 64
@@ -67,16 +57,22 @@ const nilSeg = int32(-1)
 // View exposes the slab's per-segment arrays. Every Manager sharing a Store
 // operates on these same slices; owners touch only the segments they hold,
 // so the arrays need no locking of their own.
+//
+// Like the paper's pointer memory, a segment carries its link and its word
+// and no lifecycle state: whether it is free, queued or lent is where it
+// is, not what it says. CheckInvariants derives it: the free walk
+// (Store.CheckMarking) and every queue walk mark the segments they meet in
+// one array, a segment met twice is an error, and the segments no walk
+// meets must be exactly the lent books (Store.CheckLent).
 type View struct {
 	Next []int32 // link words (queue chains, free chains)
 	// Seg holds one word per segment (see WordLen for the layout). A loose
 	// free segment's word, like its link, is unspecified: whoever allocates
 	// it writes it. A chain kept whole in a bin or on a grain stack is well
 	// formed by its words, and Cache.AllocChain hands it out as it stands.
-	Seg   []uint16
-	State []uint8 // lifecycle state per segment
-	Refs  []int32 // view refcount per lent chain head (atomic access only)
-	Data  []byte  // payload slab (nil when storage is disabled)
+	Seg  []uint16
+	Refs []int32 // view refcount per lent chain head (atomic access only)
+	Data []byte  // payload slab (nil when storage is disabled)
 }
 
 // Segment word layout (View.Seg). Every chain is a list of
@@ -160,10 +156,9 @@ func (c Config) validate() error {
 
 func newView(cfg Config) View {
 	v := View{
-		Next:  make([]int32, cfg.NumSegments),
-		Seg:   make([]uint16, cfg.NumSegments),
-		State: make([]uint8, cfg.NumSegments),
-		Refs:  make([]int32, cfg.NumSegments),
+		Next: make([]int32, cfg.NumSegments),
+		Seg:  make([]uint16, cfg.NumSegments),
+		Refs: make([]int32, cfg.NumSegments),
 	}
 	if cfg.StoreData {
 		v.Data = make([]byte, cfg.NumSegments*cfg.SegmentBytes)
@@ -315,7 +310,7 @@ func (st *Store) Lent() int { return int(st.lentSegs.Load()) }
 // a mixed batch has grain 0 — sends the batch to the general stack. Safe
 // from any goroutine: the single publishing CAS in pushMagazine is the
 // depot's normal concurrency discipline, and the caller owns the chain
-// exclusively until that CAS, so its scrub writes happen-before any later
+// exclusively until that CAS, so its link writes happen-before any later
 // allocation. The batch may be any length — pops handle non-nominal counts.
 func (st *Store) ReturnLentChains(head, tail, n, grain int32) {
 	if n <= 0 {
@@ -396,16 +391,22 @@ func (st *Store) clearGrain(grain int32) {
 }
 
 // CheckInvariants walks the depot and every registered cache, verifying
-// that free storage is acyclic, correctly counted, holds only segments in
-// StateFree, that no segment appears twice, and that every depot magazine
-// and every bin holds whole chains of its grain, each well formed by its
-// words (see WordLen): runs that add up to the grain, linked s -> s+1
-// inside, and EOP on the chain's last segment only. It also cross-checks the
-// state array: the number of StateFree segments must equal the free
-// population. Only meaningful when no owner is allocating (tests and
-// debugging).
-func (st *Store) CheckInvariants() error {
-	k := st.newChecker()
+// that free storage is acyclic, correctly counted, that no segment appears
+// twice, and that every depot magazine and every bin holds whole chains of
+// its grain, each well formed by its words (see WordLen): runs that add up
+// to the grain, linked s -> s+1 inside, and EOP on the chain's last segment
+// only. It is CheckMarking on marks of its own; a check that also knows the
+// queues passes its marks on to find segments both free and queued, or
+// neither free, queued nor lent. Only meaningful when no owner is
+// allocating (tests and debugging).
+func (st *Store) CheckInvariants() error { return st.CheckMarking(make([]bool, st.nseg)) }
+
+// CheckMarking is CheckInvariants over the caller's marks, one per segment:
+// it marks every free segment it walks, and a segment already marked — by
+// an earlier walk of some queue, or twice in free storage — is an error.
+// Once every queue is walked too, CheckLent checks what is left unmarked.
+func (st *Store) CheckMarking(seen []bool) error {
+	k := &checker{st: st, seen: seen}
 	var depotTotal int64
 	mags := 0
 	grains := st.grains.Load()
@@ -427,28 +428,27 @@ func (st *Store) CheckInvariants() error {
 	if got := int64(st.depotCount()); got != depotTotal {
 		return fmt.Errorf("segstore: depot holds %d segments, counter says %d", depotTotal, got)
 	}
-	free := depotTotal
 	for i, c := range *st.caches.Load() {
-		held, err := k.cache(i, c)
-		if err != nil {
+		if err := k.cache(i, c); err != nil {
 			return err
 		}
-		free += int64(held)
 	}
-	stateFree, stateLent := int64(0), int64(0)
-	for _, s := range st.view.State {
-		switch s {
-		case StateFree:
-			stateFree++
-		case StateLent:
-			stateLent++
+	return nil
+}
+
+// CheckLent ends a check whose queue walks and free walk (CheckMarking)
+// have all marked seen: a segment no walk met is neither free nor queued,
+// so the unmarked ones must be exactly the lent books. More is a leak;
+// fewer, a lend that never happened.
+func (st *Store) CheckLent(seen []bool) error {
+	unmarked := 0
+	for _, met := range seen {
+		if !met {
+			unmarked++
 		}
 	}
-	if stateFree != free {
-		return fmt.Errorf("segstore: %d segments in StateFree, free storage holds %d", stateFree, free)
-	}
-	if got := st.lentSegs.Load(); got != stateLent {
-		return fmt.Errorf("segstore: %d segments in StateLent, lent counter says %d", stateLent, got)
+	if lent := st.Lent(); unmarked != lent {
+		return fmt.Errorf("segstore: conservation violated: %d segments neither free nor queued, %d lent", unmarked, lent)
 	}
 	return nil
 }
@@ -459,8 +459,6 @@ type checker struct {
 	st   *Store
 	seen []bool
 }
-
-func (st *Store) newChecker() *checker { return &checker{st: st, seen: make([]bool, st.nseg)} }
 
 // chain walks the count-segment chain from head, the i-th of where, made of
 // whole grain-segment chains (grain 0: any), each well formed by its words.
@@ -479,9 +477,6 @@ func (k *checker) chain(where string, i int, head, count, grain int32) error {
 			return errDup(where, s)
 		}
 		k.seen[s] = true
-		if v.State[s] != StateFree {
-			return errState(where, s, v.State[s])
-		}
 		if grain != 0 {
 			w, rest := v.Seg[s], grain-n%grain // rest: segments of this chain from s on
 			if left == 0 {
@@ -506,27 +501,27 @@ func (k *checker) chain(where string, i int, head, count, grain int32) error {
 	return nil
 }
 
-// cache walks cache i's magazines and bins, checks its bin mask, bin total
-// and count mirror, and returns the segments it holds.
-func (k *checker) cache(i int, c *Cache) (int32, error) {
+// cache walks cache i's magazines and bins and checks its bin mask, bin
+// total and count mirror.
+func (k *checker) cache(i int, c *Cache) error {
 	for m := range c.mag {
 		if err := k.chain("cache magazine", m, c.mag[m].head, c.mag[m].n, 0); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	binned := int32(0)
 	for g := range c.bins {
 		b := c.bins[g]
 		if (b.n > 0) != (c.mask&(1<<g) != 0) || (b.n > 0 && g < 2) {
-			return 0, fmt.Errorf("segstore: cache %d bin %d holds %d segments, mask %#x", i, g, b.n, c.mask)
+			return fmt.Errorf("segstore: cache %d bin %d holds %d segments, mask %#x", i, g, b.n, c.mask)
 		}
 		if err := k.chain("cache bin", g, b.head, b.n, int32(g)); err != nil {
-			return 0, err
+			return err
 		}
 		binned += b.n
 	}
 	if binned != c.binned {
-		return 0, errCount("cache bins", int(binned), int(c.binned))
+		return errCount("cache bins", int(binned), int(c.binned))
 	}
 	if f := c.mag[1]; f.n > 0 {
 		last := f.head
@@ -534,14 +529,14 @@ func (k *checker) cache(i int, c *Cache) (int32, error) {
 			last = k.st.view.Next[last]
 		}
 		if last != c.tail {
-			return 0, fmt.Errorf("segstore: cache %d free side ends at %d, tail says %d", i, last, c.tail)
+			return fmt.Errorf("segstore: cache %d free side ends at %d, tail says %d", i, last, c.tail)
 		}
 	}
 	held := c.mag[0].n + c.mag[1].n + binned
 	if got := c.count.Load(); got != held {
-		return 0, fmt.Errorf("segstore: cache %d holds %d segments, counter says %d", i, held, got)
+		return fmt.Errorf("segstore: cache %d holds %d segments, counter says %d", i, held, got)
 	}
-	return held, nil
+	return nil
 }
 
 func errChain(where string, i int, s int32) error {
@@ -550,10 +545,6 @@ func errChain(where string, i int, s int32) error {
 
 func errDup(where string, s int32) error {
 	return fmt.Errorf("segstore: segment %d appears twice in %s", s, where)
-}
-
-func errState(where string, s int32, state uint8) error {
-	return fmt.Errorf("segstore: %s holds segment %d in state %d", where, s, state)
 }
 
 func errCount(where string, walked, counter int) error {
