@@ -556,7 +556,7 @@ func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max i
 const sharedDrains = 1024
 
 // markShared turns the shard's prefetch hints on for the next drains
-// drains, the producer's with them.
+// drains, the producer's two (AllocN's and HintNext's) with them.
 func (s *shard) markShared(drains int) {
 	s.shared = drains
 	s.cache.SetHints(true)
@@ -564,7 +564,7 @@ func (s *shard) markShared(drains int) {
 
 // hinting reports whether this drain issues prefetch hints, and counts it
 // against the shard's shared mark; the drain that uses the mark up turns
-// the producer's hint (segstore.Cache.SetHints) off with it. A hint pays
+// the producer's hints (segstore.Cache.SetHints) off with it. A hint pays
 // off only when its line is far away, last written on another core. On one
 // goroutine the lines are in its own cache and the hints are pure cost:
 // ungated, they made a single-goroutine enqueue/dequeue loop of 64-byte

@@ -7,7 +7,8 @@ package queue
 // Occupancy, Len, PacketLen, ReadHead, SegmentLimit, QueuedSegments,
 // TotalBuffered, LongestQueue and the LongestLen mirror, FreeSegments,
 // AvailSegments, LentSegments, FillWhole, and CheckInvariants of every
-// manager and of the store.
+// manager and of the store. A view's or a writer's Range must also yield
+// one slice per run its chain's words record (runSlices).
 //
 // It has two arms. The private arm is one manager on its own pool (New):
 // the seed's FIFO free list, whose segment handles the model predicts. The
@@ -309,6 +310,7 @@ func (h *harness) do(op int, args ...int) *harness {
 		h.eq("view segments", v.Segments(), len(segs))
 		h.eq("view bytes", v.Len(), bytesOf(segs))
 		h.payload(v.AppendTo(nil), segs)
+		h.runSlices(m, v.head, v.Range)
 		if h.mo.store != nil {
 			h.eq("view head", v.Head(), Seg(segs[0].h))
 			h.eq("view end", v.End(), Seg(segs[len(segs)-1].h))
@@ -344,6 +346,7 @@ func (h *harness) do(op int, args ...int) *harness {
 		off := 0
 		w.Range(func(s []byte) bool { off += copy(s, p[off:]); return true })
 		h.eq("bytes the writer exposed", off, x)
+		h.runSlices(m, w.head, w.Range)
 		segs[len(segs)-1].known = segs[len(segs)-1].len
 		h.mo.lent += len(segs)
 		r := hRes{w, h.k, segs, h.mo.take(segs, true)}
@@ -555,6 +558,23 @@ func (h *harness) payload(got []byte, segs []mSeg) {
 		got = got[s.len:]
 	}
 	h.eq("bytes past the packet", len(got), 0)
+}
+
+// runSlices checks that rng, a view's or a writer's Range over the
+// nil-terminated chain at head, yields one slice per run the chain's words
+// record (a run's first word carries its length, every other word none).
+// The model knows nothing of runs, so this holds Range, which hops them,
+// to the words the chain was built with.
+func (h *harness) runSlices(m *Manager, head int32, rng func(func([]byte) bool)) {
+	h.t.Helper()
+	yielded, starts := 0, 0
+	rng(func([]byte) bool { yielded++; return true })
+	for s := head; s != nilSeg; s = m.next[s] {
+		if m.seg[s]>>segstore.WordRun != 0 {
+			starts++
+		}
+	}
+	h.eq("slices Range yields, against the runs the words record", yielded, starts)
 }
 
 // room is the error a command owes that takes n new segments for q: a bad

@@ -45,7 +45,7 @@ type Cache struct {
 	lent int32
 	mask uint64 // bit g set iff bins[g] holds chains
 
-	hints bool // AllocN hints the next segment's lines (SetHints)
+	hints bool // AllocN and HintNext issue prefetch hints (SetHints)
 
 	// bins[g] holds whole g-segment chains back to back, one list through
 	// View.Next, for 2 ≤ g ≤ MaxGrain; bins[0] and bins[1] stay empty.
@@ -182,15 +182,17 @@ func (c *Cache) AllocN(dst []int32) int {
 	return int(got)
 }
 
-// SetHints turns AllocN's prefetch hint on or off (off in a new cache). It
-// pays off when the segments were freed on another core, and costs a
-// little on one goroutine, where they are in its own cache.
+// SetHints turns the cache's two prefetch hints on or off (off in a new
+// cache): AllocN's hint of the next loose segment (hint) and HintNext's of
+// the next whole chain. They pay off when the segments were freed on
+// another core, and cost a little on one goroutine, where the lines are in
+// its own cache.
 func (c *Cache) SetHints(on bool) { c.hints = on }
 
 // hint starts loading the lines of segment s, the next one AllocN hands
 // out (see package prefetch): its link and word, and its first payload
 // line. The previous owner of those lines is usually the core that
-// freed s.
+// freed s. HintNext is its counterpart for AllocChain.
 func (c *Cache) hint(s int32) {
 	v := &c.st.view
 	lines := [3]unsafe.Pointer{unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s])}
@@ -200,6 +202,39 @@ func (c *Cache) hint(s int32) {
 		n = 3
 	}
 	prefetch.Hint(lines[:n])
+}
+
+// HintNext starts loading the lines of the chain the next AllocChain(n)
+// hands out, the head of bin n, when hints are on (SetHints): the link and
+// word of its head and of its tail, which AllocChain and the packet built
+// on the chain read and rewrite, and the first payload line of each of its
+// n segments. It guesses that the chain is one run, as a chain carved
+// ascending and freed whole usually is, and ends that guess at the slab's
+// last segment. A wrong guess costs wasted hints, never a wrong access.
+// The caller is a producer that has just committed a chain of n segments,
+// so the lines, last written by the core that freed the chain, load while
+// it readies its next packet; hinted when that packet's chain is
+// allocated, they would queue behind its payload stores instead.
+func (c *Cache) HintNext(n int32) {
+	g := grainOf(n) // bins[0] stays empty: no chain to hint
+	if !c.hints || c.bins[g].n == 0 {
+		return
+	}
+	v := &c.st.view
+	h := c.bins[g].head
+	last := h + min(g, int32(c.st.nseg)-h) - 1
+	lines := [4 + MaxGrain]unsafe.Pointer{
+		unsafe.Pointer(&v.Next[h]), unsafe.Pointer(&v.Seg[h]),
+		unsafe.Pointer(&v.Next[last]), unsafe.Pointer(&v.Seg[last]),
+	}
+	k := 4
+	if v.Data != nil {
+		for s := h; s <= last; s++ {
+			lines[k] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
+			k++
+		}
+	}
+	prefetch.Hint(lines[:k])
 }
 
 // AllocChain takes the first whole n-segment chain off bin n, refilling the

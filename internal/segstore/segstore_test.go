@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -458,6 +459,71 @@ func TestAllocNHintsSlabEnd(t *testing.T) {
 		c.Publish()
 		if err := st.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestHintNextSlabEnd: HintNext guesses that the next chain of a bin is one
+// run from its head. Here the guess goes wrong twice: a chain headed at the
+// slab's last segment, whose guessed run passes the slab's end, and a chain
+// of four runs. With hints on, neither may panic, with or without payload
+// memory, and every allocation — each bin's chains, then the loose rest —
+// is what the same cache hands out with hints off.
+func TestHintNextSlabEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		chains [][]int32 // freed into their bins in this order; the last freed is a bin's head
+	}{
+		{"past the slab's end", [][]int32{{24, 25, 26, 27, 28}, {31, 0, 1, 2, 3}}},
+		{"several runs", [][]int32{{12, 13, 14, 15, 16, 17, 18}, {4, 5, 9, 10, 11, 20, 6}}},
+	} {
+		for _, data := range []bool{true, false} {
+			allocs := func(hints bool) []int32 {
+				st, err := New(Config{NumSegments: 32, SegmentBytes: 64, StoreData: data, MagazineSize: 32})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := st.NewCache()
+				c.SetHints(hints)
+				all := make([]int32, 32)
+				if c.AllocN(all) != 32 {
+					t.Fatalf("%s: a fresh cache could not take the whole pool", tc.name)
+				}
+				inChains := map[int32]bool{}
+				for _, ch := range tc.chains {
+					head, tail := chainUp(c.View(), ch)
+					c.FreeN(head, tail, int32(len(ch)))
+					for _, s := range ch {
+						inChains[s] = true
+					}
+				}
+				for _, s := range all {
+					if !inChains[s] {
+						free1(c, s)
+					}
+				}
+				var got []int32
+				for n := int32(0); n <= MaxGrain+1; n++ {
+					c.HintNext(n) // empty bins, and sizes that have none
+				}
+				for range tc.chains {
+					n := int32(len(tc.chains[0]))
+					c.HintNext(n)
+					head, tail, ok := c.AllocChain(n)
+					if !ok {
+						t.Fatalf("%s: AllocChain(%d) found no chain", tc.name, n)
+					}
+					got = append(got, head, tail)
+				}
+				rest := make([]int32, 32-len(got)/2*len(tc.chains[0]))
+				if c.AllocN(rest) != len(rest) {
+					t.Fatalf("%s: AllocN delivered short", tc.name)
+				}
+				return append(got, rest...)
+			}
+			if on, off := allocs(true), allocs(false); !slices.Equal(on, off) {
+				t.Fatalf("%s, data=%v: allocations with hints %v, without %v", tc.name, data, on, off)
+			}
 		}
 	}
 }
