@@ -234,10 +234,7 @@ func (r *Reservation) Commit() error {
 	segs := r.w.Segments()
 	err := r.w.Commit()
 	if err == nil {
-		// The producer's stage of the pipelined drain (DESIGN.md): warm the
-		// chain the next reservation of this size takes. The bins are shard
-		// state, so the hint goes before the unlock.
-		s.cache.HintNext(int32(segs))
+		s.cache.HintNext(int32(segs)) // the producer's stage (DESIGN.md), under the lock
 		s.joined(r.flow, segs, arrived)
 		*r = Reservation{}
 	}

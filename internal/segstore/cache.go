@@ -42,8 +42,9 @@ type Cache struct {
 	// lent is what this owner has lent (or, negative, taken back) since its
 	// last Publish: a plain word settled into Store.lentSegs once per
 	// critical section, beside the free-count mirror and for the same reason.
-	lent int32
-	mask uint64 // bit g set iff bins[g] holds chains
+	lent   int32
+	hinted int32  // the segment count of the last HintNext call
+	mask   uint64 // bit g set iff bins[g] holds chains
 
 	hints bool // AllocN and HintNext issue prefetch hints (SetHints)
 
@@ -182,11 +183,9 @@ func (c *Cache) AllocN(dst []int32) int {
 	return int(got)
 }
 
-// SetHints turns the cache's two prefetch hints on or off (off in a new
-// cache): AllocN's hint of the next loose segment (hint) and HintNext's of
-// the next whole chain. They pay off when the segments were freed on
-// another core, and cost a little on one goroutine, where the lines are in
-// its own cache.
+// SetHints turns AllocN's and HintNext's prefetch hints on or off (off in a
+// new cache). They pay off when the segments were freed on another core,
+// and cost a little on one goroutine, where they are in its own cache.
 func (c *Cache) SetHints(on bool) { c.hints = on }
 
 // hint starts loading the lines of segment s, the next one AllocN hands
@@ -204,20 +203,25 @@ func (c *Cache) hint(s int32) {
 	prefetch.Hint(lines[:n])
 }
 
-// HintNext starts loading the lines of the chain the next AllocChain(n)
-// hands out, the head of bin n, when hints are on (SetHints): the link and
-// word of its head and of its tail, which AllocChain and the packet built
-// on the chain read and rewrite, and the first payload line of each of its
-// n segments. It guesses that the chain is one run, as a chain carved
-// ascending and freed whole usually is, and ends that guess at the slab's
-// last segment. A wrong guess costs wasted hints, never a wrong access.
-// The caller is a producer that has just committed a chain of n segments,
-// so the lines, last written by the core that freed the chain, load while
-// it readies its next packet; hinted when that packet's chain is
-// allocated, they would queue behind its payload stores instead.
+// HintNext hints the chain the next AllocChain(n) takes, bin n's head, when
+// hints are on (SetHints) and n repeats the previous call's: only a stream
+// of one size bears out the guess that the next reservation is this size.
+// It inlines, so a commit that hints nothing pays no call.
 func (c *Cache) HintNext(n int32) {
-	g := grainOf(n) // bins[0] stays empty: no chain to hint
-	if !c.hints || c.bins[g].n == 0 {
+	prev := c.hinted
+	c.hinted = n
+	if c.hints && n == prev {
+		c.hintChain(n)
+	}
+}
+
+// hintChain hints the head's and tail's link and word of bin n's head
+// chain, which AllocChain and its packet rewrite, and each segment's first
+// payload line, guessing the chain is one run (as one carved ascending and
+// freed whole usually is) cut at the slab's end: a wrong guess wastes hints.
+func (c *Cache) hintChain(n int32) {
+	g := grainOf(n)
+	if c.bins[g].n == 0 { // bins[0] stays empty
 		return
 	}
 	v := &c.st.view

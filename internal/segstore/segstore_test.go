@@ -464,11 +464,12 @@ func TestAllocNHintsSlabEnd(t *testing.T) {
 }
 
 // TestHintNextSlabEnd: HintNext guesses that the next chain of a bin is one
-// run from its head. Here the guess goes wrong twice: a chain headed at the
-// slab's last segment, whose guessed run passes the slab's end, and a chain
-// of four runs. With hints on, neither may panic, with or without payload
-// memory, and every allocation — each bin's chains, then the loose rest —
-// is what the same cache hands out with hints off.
+// run from its head, once a size repeats. Here the guess goes wrong twice:
+// a chain headed at the slab's last segment, whose guessed run passes the
+// slab's end, and a chain of four runs. With hints on, neither may panic,
+// with or without payload memory, and every allocation — each bin's
+// chains, then the loose rest — is what the same cache hands out with
+// hints off.
 func TestHintNextSlabEnd(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -509,6 +510,7 @@ func TestHintNextSlabEnd(t *testing.T) {
 				for range tc.chains {
 					n := int32(len(tc.chains[0]))
 					c.HintNext(n)
+					c.HintNext(n) // the size repeats: this one hints
 					head, tail, ok := c.AllocChain(n)
 					if !ok {
 						t.Fatalf("%s: AllocChain(%d) found no chain", tc.name, n)
