@@ -196,7 +196,7 @@ func BenchmarkTable5MMSLoad(b *testing.B) {
 // BenchmarkFig1NPUPath walks a packet through the Figure 1 software path:
 // free-list pop, segment link, copy — the full enqueue+dequeue transit.
 func BenchmarkFig1NPUPath(b *testing.B) {
-	qm, err := queue.New(queue.Config{NumQueues: 1024, NumSegments: 8192, StoreData: true})
+	qm, err := queue.New(queue.Config{NumQueues: 1024, NumSegments: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func BenchmarkFig1NPUPath(b *testing.B) {
 // BenchmarkFig2MMSPipeline drives packets through all five Figure 2 blocks:
 // segmentation, scheduler-ordered enqueues, DQM, DMC accounting, reassembly.
 func BenchmarkFig2MMSPipeline(b *testing.B) {
-	m, err := core.New(core.Config{NumQueues: 1024, NumSegments: 16384, StoreData: true})
+	m, err := core.New(core.Config{NumQueues: 1024, NumSegments: 16384})
 	if err != nil {
 		b.Fatal(err)
 	}

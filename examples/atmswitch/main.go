@@ -25,7 +25,7 @@ const (
 )
 
 func main() {
-	qm, err := queue.New(queue.Config{NumQueues: numVCs, NumSegments: 1 << 15, StoreData: true})
+	qm, err := queue.New(queue.Config{NumQueues: numVCs, NumSegments: 1 << 15})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,9 +38,6 @@ type Config struct {
 	// NumSegments is the data-memory capacity in 64-byte segments
 	// (0 means 64K segments = 4 MB of data memory).
 	NumSegments int
-	// StoreData enables payload storage (functional mode). Timed load
-	// simulations disable it.
-	StoreData bool
 	// Ports is the number of command interfaces (0 means 4: two ingress,
 	// two egress, matching the paper's reference configuration).
 	Ports int
@@ -90,11 +87,7 @@ type MMS struct {
 // New builds an MMS.
 func New(cfg Config) (*MMS, error) {
 	cfg = cfg.withDefaults()
-	qm, err := queue.New(queue.Config{
-		NumQueues:   cfg.NumQueues,
-		NumSegments: cfg.NumSegments,
-		StoreData:   cfg.StoreData,
-	})
+	qm, err := queue.New(queue.Config{NumQueues: cfg.NumQueues, NumSegments: cfg.NumSegments})
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 
 func newTestMMS(t *testing.T) *MMS {
 	t.Helper()
-	m, err := New(Config{NumQueues: 16, NumSegments: 64, StoreData: true})
+	m, err := New(Config{NumQueues: 16, NumSegments: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,9 @@ type Config struct {
 	// allocate from this one pool through per-shard magazine caches, so a
 	// single hot flow can consume (nearly) all of it.
 	NumSegments int
-	// Deprecated: payloads are always stored and StoreData is ignored. The
-	// field stays until the benchmark module (bench/replay.go) stops
-	// setting it.
+	// StoreData is ignored: payloads are always stored.
+	//
+	// Deprecated: bench shim.
 	StoreData bool
 	// Admission selects the shared-buffer admission policy. The zero value
 	// (policy.KindNone) admits everything the pool can hold. Each shard
@@ -317,12 +317,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 			mag = 1
 		}
 	}
-	store, err := segstore.New(segstore.Config{
-		NumSegments:  cfg.NumSegments,
-		SegmentBytes: queue.SegmentBytes,
-		StoreData:    true,
-		MagazineSize: mag,
-	})
+	store, err := segstore.New(segstore.Config{NumSegments: cfg.NumSegments, MagazineSize: mag})
 	if err != nil {
 		return nil, err
 	}

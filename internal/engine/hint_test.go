@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"npqm/internal/policy"
-	"npqm/internal/queue"
 )
 
 // TestPipelinedDrainOneFlow: with one active flow the look-ahead wraps to
@@ -45,33 +44,6 @@ func TestPipelinedDrainSlabEnd(t *testing.T) {
 	}
 	sc = sc.rep(4, cNextBatch, 8<<1).rep(32, cEnqueue, 5, segsArg(1)).rep(4, cNextBatch, 8<<1|1).do(cRelease, 1)
 	runEngine(t, Config{Shards: 1, NumFlows: 8, NumSegments: 32}, false, sc)
-}
-
-// TestPipelinedDrainNoPayload: a manager over a store without payload
-// memory, as the timed models build it, hints rows and head segments, empty
-// queues included, without touching payload that is not there.
-func TestPipelinedDrainNoPayload(t *testing.T) {
-	m, err := queue.New(queue.Config{NumQueues: 4, NumSegments: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range queue.QueueID(3) {
-		if _, err := m.EnqueuePacket(q, make([]byte, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for row := range queue.QueueID(4) {
-		for head := range queue.QueueID(4) {
-			m.Hint(row, head)
-		}
-	}
-	if _, _, err := m.DequeuePacket(0); err != nil {
-		t.Fatal(err)
-	}
-	m.Hint(0, 0)
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPipelinedDrainStalePrediction: MovePacket and DeletePacket between

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
@@ -130,9 +131,9 @@ type ShardStat struct {
 	// shard's posted traffic — only the share nobody else got to first.
 	WorkerBusyNs int64
 	WorkerIdleNs int64
-	// StealBatches is always zero: work stealing is gone. The field stays
-	// only because bench/replay.go, which a non-benchmark PR may not edit,
-	// reads it; it goes with ROADMAP item 3's benchmark-only PR.
+	// StealBatches is always zero: work stealing is gone.
+	//
+	// Deprecated: bench shim.
 	StealBatches uint64
 }
 
@@ -211,10 +212,11 @@ type TierStat struct {
 // classes): how many backlogged flows the unit holds right now (summed
 // across shards and ports; consistent per shard, not a global cut) and its
 // configured weight. A tier other than the two there are has no units.
-// Each shard walks its own flows: a flow is backlogged while it is linked
-// into a rotation, and counts toward its unit in the tier (unit 0 when the
-// tier is flat). The cost grows with the flows a shard owns, up to its
-// last backlogged one.
+// Each shard reads its port stacks: a backlogged flow is a member of its
+// innermost node's rotation, and that node's composite index names the
+// flow's unit (a flat tier's one unit holds every backlogged flow). The
+// cost grows with the nodes of the stacks that hold backlog, not with the
+// flows a shard owns.
 func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 	if tier >= numTiers {
 		return nil
@@ -228,24 +230,52 @@ func (e *Engine) TierStats(tier policy.Tier) []TierStat {
 					out[u] = TierStat{Unit: u, Weight: max(1, int(s.eg.tierWeights[tier][u]))}
 				}
 			}
-			// The walk stops at the last backlogged flow, so an idle
-			// shard costs nothing.
-			left := s.activeFlows
-			for _, f := range s.flowOf {
-				if left == 0 {
-					break
-				}
-				if s.isActive(f) {
-					counts[s.flows[f].unit[tier]]++
-					left--
-				}
-			}
+			s.countTierFlows(tier, counts)
 		})
 	}
 	for u := range out {
 		out[u].ActiveFlows = counts[u]
 	}
 	return out
+}
+
+// countTierFlows adds the shard's backlogged flows to counts, by their
+// unit in tier. It walks each port stack's rotations down to the innermost
+// nodes on them, whose child rotations count their flows. A node at level k
+// sits in the composite index of every innermost node under it as
+// idx / below % mod, below being the unit counts of the levels inside k
+// multiplied.
+func (s *shard) countTierFlows(tier policy.Tier, counts []int) {
+	k := slices.IndexFunc(s.eg.levels, func(lv levelCfg) bool { return lv.tier == tier })
+	if k < 0 {
+		counts[0] += s.activeFlows
+		return
+	}
+	inner, mod, below := len(s.eg.levels)-1, s.eg.levels[k].mod, int32(1)
+	for _, lv := range s.eg.levels[k+1:] {
+		below *= lv.mod
+	}
+	var walk func(st *sched.Stack, l *sched.Level, level int)
+	walk = func(st *sched.Stack, l *sched.Level, level int) {
+		ln := st.Links(level)
+		for id, i := l.Cursor(), 0; i < l.Count(); id, i = ln[id].Next, i+1 {
+			if level == inner {
+				counts[id/below%mod] += st.Child(level, id).Count()
+			} else {
+				walk(st, st.Child(level, id), level+1)
+			}
+		}
+	}
+	left := s.activeFlows
+	for p := range s.ps {
+		if left == 0 {
+			break
+		}
+		if ps := &s.ps[p]; ps.activeFlows > 0 {
+			walk(&ps.st, ps.st.Root(), 0)
+			left -= ps.activeFlows
+		}
+	}
 }
 
 // CheckInvariants validates every shard's queue discipline, the

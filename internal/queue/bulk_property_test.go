@@ -57,7 +57,7 @@ func TestBulkPathConservesAgainstModel(t *testing.T) {
 // the full pool again.
 func TestBulkPathConcurrentExhaustion(t *testing.T) {
 	const workers, nq, pool = 4, 4, 160
-	st, err := segstore.New(segstore.Config{NumSegments: pool, SegmentBytes: SegmentBytes, StoreData: true, MagazineSize: 8})
+	st, err := segstore.New(segstore.Config{NumSegments: pool, MagazineSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

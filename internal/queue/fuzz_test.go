@@ -98,7 +98,7 @@ type hRes struct {
 // newPrivate is the private arm: one manager of nq queues on its own pool.
 func newPrivate(t *testing.T, nq, pool int) *harness {
 	t.Helper()
-	m, err := New(Config{NumQueues: nq, NumSegments: pool, StoreData: true})
+	m, err := New(Config{NumQueues: nq, NumSegments: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func newPrivate(t *testing.T, nq, pool int) *harness {
 // cache of one store with magazines of mag segments.
 func newShared(t *testing.T, nq, pool, mag, n int) *harness {
 	t.Helper()
-	st, err := segstore.New(segstore.Config{NumSegments: pool, SegmentBytes: SegmentBytes, StoreData: true, MagazineSize: mag})
+	st, err := segstore.New(segstore.Config{NumSegments: pool, MagazineSize: mag})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,11 @@ func (m *Manager) allocChain(n, segs int, payload []byte) (ch PacketChain, runs 
 // reuseChain makes the whole chain [head..tail], popped as it stands, the
 // chain of an n-byte packet and returns how many runs it holds. Its links
 // and run marks stay; one pass over its runs copies each run's payload
-// (when given, and when payloads are stored at all) and gives the last
-// segment of every run but the tail a full word — a segment command may
-// have left it short. The tail gets the packet's last length and EOP, a nil
-// link and, with a payload, cleared slack.
+// (when given) and gives the last segment of every run but the tail a full
+// word — a segment command may have left it short. The tail gets the
+// packet's last length and EOP, a nil link and, with a payload, cleared
+// slack.
 func (m *Manager) reuseChain(head, tail int32, n int, payload []byte) (runs int) {
-	if m.data == nil {
-		payload = nil // pointer traffic only
-	}
 	off := 0 // payload offset of the run at s
 	for s := head; ; {
 		last, w, next := m.hop(s)
@@ -118,12 +115,8 @@ func (m *Manager) reuseChain(head, tail int32, n int, payload []byte) (runs int)
 // segstore.MaxRun) becomes one run. Everything a segment needs — word and
 // link — is written in this one pass; the segment that closes a stretch
 // also marks the stretch's first word and copies the stretch's payload
-// (when given, and when payloads are stored at all) in one piece rather
-// than segment by segment.
+// (when given) in one piece rather than segment by segment.
 func (m *Manager) buildChain(run []int32, n int, payload []byte) (runs int) {
-	if m.data == nil {
-		payload = nil // pointer traffic only
-	}
 	end := len(run) - 1
 	start := 0 // index in run of the open stretch's first segment
 	for i, s := range run {
@@ -183,9 +176,8 @@ func (m *Manager) returnRun(run []int32) {
 	m.src.FreeN(run[0], run[len(run)-1], int32(len(run)))
 }
 
-// DequeuePacket dequeues and reassembles the packet at the head of q.
-// It requires data storage (Config.StoreData); otherwise it returns only
-// the segment count with a nil payload.
+// DequeuePacket dequeues and reassembles the packet at the head of q and
+// returns it with its segment count.
 func (m *Manager) DequeuePacket(q QueueID) ([]byte, int, error) {
 	return m.DequeuePacketAppend(q, nil)
 }
@@ -219,13 +211,13 @@ func (m *Manager) DequeuePacketInto(q QueueID, alloc func(segs int) []byte) ([]b
 
 // consumeHeadChain is the vectorized inverse of EnqueuePacket: it unlinks
 // the head packet ch (from the caller's findPacketEnd) from q and returns it
-// to the store whole. Only a copy (copyData, with data storage on) walks the
-// chain, appending one run's payload at a time; then the queue table and
-// accounting update once and the chain goes back via a single FreeN instead
-// of one Free per segment.
+// to the store whole. Only a copy (copyData) walks the chain, appending one
+// run's payload at a time; then the queue table and accounting update once
+// and the chain goes back via a single FreeN instead of one Free per
+// segment.
 func (m *Manager) consumeHeadChain(q QueueID, ch PacketChain, buf []byte, copyData bool) []byte {
 	head, end := int32(ch.Head), int32(ch.Tail)
-	if copyData && m.data != nil {
+	if copyData {
 		for s := head; ; {
 			last, w, next := m.hop(s)
 			base := int(s) * SegmentBytes

@@ -40,8 +40,9 @@ import (
 	"npqm/internal/segstore"
 )
 
-// SegmentBytes is the fixed segment size used throughout the paper.
-const SegmentBytes = 64
+// SegmentBytes is the fixed segment size used throughout the paper; the
+// store decides it.
+const SegmentBytes = segstore.SegmentBytes
 
 // DefaultNumQueues is the MMS flow count ("per flow queuing for up to 32K
 // flows").
@@ -83,8 +84,9 @@ type Config struct {
 	NumQueues int
 	// NumSegments is the segment pool size (required, > 0).
 	NumSegments int
-	// StoreData controls whether segment payloads are actually stored.
-	// The timed models disable it: they only exercise pointer traffic.
+	// StoreData is ignored: every manager stores its segments' payload.
+	//
+	// Deprecated: bench shim.
 	StoreData bool
 }
 
@@ -143,7 +145,7 @@ type Manager struct {
 	fillRuns  uint64
 	fillWhole uint64
 
-	// Data memory (aliases the store's payload slab; nil when disabled).
+	// Data memory (aliases the store's payload slab).
 	data []byte
 
 	_ [mirrorPad]byte // owner-hot words above; cross-thread mirror below
@@ -173,12 +175,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.NumSegments <= 0 {
 		return nil, fmt.Errorf("queue: NumSegments must be positive, got %d", cfg.NumSegments)
 	}
-	st, err := segstore.New(segstore.Config{
-		NumSegments:  cfg.NumSegments,
-		SegmentBytes: SegmentBytes,
-		StoreData:    cfg.StoreData,
-		MagazineSize: cfg.NumSegments,
-	})
+	st, err := segstore.New(segstore.Config{NumSegments: cfg.NumSegments, MagazineSize: cfg.NumSegments})
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +188,7 @@ func New(cfg Config) (*Manager, error) {
 
 // NewWithStore returns a Manager drawing segments from src, one cache of a
 // segstore.Store, so several managers (the engine's shards) allocate from a
-// single pool. cfg.NumSegments and cfg.StoreData are taken from the store.
+// single pool. cfg.NumSegments is taken from the store.
 func NewWithStore(cfg Config, src *segstore.Cache) (*Manager, error) {
 	if cfg.NumQueues == 0 {
 		cfg.NumQueues = DefaultNumQueues
@@ -201,7 +198,6 @@ func NewWithStore(cfg Config, src *segstore.Cache) (*Manager, error) {
 	}
 	cfg.NumSegments = src.NumSegments()
 	view := src.View()
-	cfg.StoreData = view.Data != nil
 	m := &Manager{
 		cfg:    cfg,
 		src:    src,
@@ -316,11 +312,9 @@ func (m *Manager) setPayload(s int32, payload []byte, eop bool) {
 		w |= segstore.WordEOP
 	}
 	m.seg[s] = w
-	if m.data != nil {
-		base := int(s) * SegmentBytes
-		copied := copy(m.data[base:base+SegmentBytes], payload)
-		clear(m.data[base+copied : base+SegmentBytes])
-	}
+	base := int(s) * SegmentBytes
+	copied := copy(m.data[base:base+SegmentBytes], payload)
+	clear(m.data[base+copied : base+SegmentBytes])
 }
 
 // segChain describes the lone segment s, whose word is w, as the chain
@@ -331,12 +325,8 @@ func segChain(s int32, w uint16) (ch PacketChain, pkts int32) {
 	return ch, int32(w&segstore.WordEOP) / segstore.WordEOP
 }
 
-// payload returns the stored bytes of segment s (nil if data storage is
-// disabled).
+// payload returns the stored bytes of segment s.
 func (m *Manager) payload(s Seg) []byte {
-	if m.data == nil {
-		return nil
-	}
 	base := int(s) * SegmentBytes
 	out := make([]byte, m.seg[s]&segstore.WordLen)
 	copy(out, m.data[base:])
@@ -410,11 +400,8 @@ func (m *Manager) Hint(row, head QueueID) {
 	n := 5
 	if h := m.qhead[head]; h != nilSeg {
 		lines[5], lines[6] = unsafe.Pointer(&m.seg[h]), unsafe.Pointer(&m.next[h])
-		n = 7
-		if m.data != nil {
-			lines[7] = unsafe.Pointer(&m.data[int(h)*SegmentBytes])
-			n = 8
-		}
+		lines[7] = unsafe.Pointer(&m.data[int(h)*SegmentBytes])
+		n = 8
 	}
 	prefetch.Hint(lines[:n])
 }
@@ -581,8 +568,7 @@ func (m *Manager) OverwriteLengthAndMove(from, to QueueID, n int) (int, error) {
 	return m.MovePacket(from, to)
 }
 
-// Payload returns a copy of the stored payload of segment s (nil when data
-// storage is disabled).
+// Payload returns a copy of the stored payload of segment s.
 func (m *Manager) Payload(s Seg) ([]byte, error) {
 	if err := m.checkSeg(s); err != nil {
 		return nil, err

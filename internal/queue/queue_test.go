@@ -173,21 +173,3 @@ func TestPayloadAccessor(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestNoDataMode(t *testing.T) {
-	m, err := New(Config{NumQueues: 2, NumSegments: 8, StoreData: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Enqueue(0, []byte{1, 2, 3}, true)
-	info, data, err := m.Dequeue(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data != nil {
-		t.Fatal("no-data mode returned payload")
-	}
-	if info.Len != 3 {
-		t.Fatalf("metadata lost: %+v", info)
-	}
-}

@@ -70,8 +70,7 @@ func (v PacketView) End() Seg { return Seg(v.end) }
 // contiguous run of the chain — at most one per segment, and a single slice
 // for a packet whose segments are neighbours in the slab — stopping early if
 // fn returns false. The slices alias the slab: they are valid only until the
-// view's final Release and must not be retained past it. With data storage
-// disabled the view has no payload and Range returns immediately.
+// view's final Release and must not be retained past it.
 func (v PacketView) Range(fn func(seg []byte) bool) {
 	if v.m != nil {
 		v.m.rangeChain(v.head, fn)
@@ -81,9 +80,6 @@ func (v PacketView) Range(fn func(seg []byte) bool) {
 // rangeChain yields the payload of the nil-terminated chain at head, one
 // slice per run.
 func (m *Manager) rangeChain(head int32, fn func(seg []byte) bool) {
-	if m.data == nil {
-		return
-	}
 	for s := head; s != nilSeg; {
 		last, w, next := m.hop(s)
 		base := int(s) * SegmentBytes
@@ -238,8 +234,7 @@ func (w *PacketWriter) Queue() QueueID { return w.q }
 // Range calls fn with the reserved payload memory in packet order, one
 // writable slice per contiguous run of the reservation — at most one per
 // segment, together exactly Len bytes — stopping early if fn returns false.
-// These are the iovecs a socket reader hands to readv. With data storage
-// disabled the writer has no payload memory and Range returns immediately.
+// These are the iovecs a socket reader hands to readv.
 func (w *PacketWriter) Range(fn func(seg []byte) bool) {
 	if w.m != nil {
 		w.m.rangeChain(w.head, fn)

@@ -194,13 +194,10 @@ func (c *Cache) SetHints(on bool) { c.hints = on }
 // freed s. HintNext is its counterpart for AllocChain.
 func (c *Cache) hint(s int32) {
 	v := &c.st.view
-	lines := [3]unsafe.Pointer{unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s])}
-	n := 2
-	if v.Data != nil {
-		lines[2] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
-		n = 3
+	lines := [3]unsafe.Pointer{
+		unsafe.Pointer(&v.Next[s]), unsafe.Pointer(&v.Seg[s]), unsafe.Pointer(&v.Data[int(s)*SegmentBytes]),
 	}
-	prefetch.Hint(lines[:n])
+	prefetch.Hint(lines[:])
 }
 
 // HintNext hints the chain the next AllocChain(n) takes, bin n's head, when
@@ -232,11 +229,9 @@ func (c *Cache) hintChain(n int32) {
 		unsafe.Pointer(&v.Next[last]), unsafe.Pointer(&v.Seg[last]),
 	}
 	k := 4
-	if v.Data != nil {
-		for s := h; s <= last; s++ {
-			lines[k] = unsafe.Pointer(&v.Data[int(s)*c.st.segBytes])
-			k++
-		}
+	for s := h; s <= last; s++ {
+		lines[k] = unsafe.Pointer(&v.Data[int(s)*SegmentBytes])
+		k++
 	}
 	prefetch.Hint(lines[:k])
 }

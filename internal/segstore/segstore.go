@@ -11,7 +11,8 @@
 // global lock:
 //
 //   - Store: the slab (link and segment-word arrays plus the payload
-//     memory) and the depot, one Treiber stack of segment magazines per
+//     memory, SegmentBytes per segment, in every store: the timed models'
+//     too) and the depot, one Treiber stack of segment magazines per
 //     grain: general magazines, and for each chain size g from 2 to MaxGrain
 //     magazines of whole g-segment chains. Each stack head packs a 32-bit
 //     version tag beside the top-magazine index so a compare-and-swap cannot
@@ -47,6 +48,14 @@ import (
 	"sync/atomic"
 )
 
+// SegmentBytes is the payload size of every segment: the paper's 64-byte
+// data-memory unit. Every store's slab (View.Data) holds SegmentBytes per
+// segment, and the modules above it cut packets at this size.
+const SegmentBytes = 64
+
+// A segment word's length field must count a full segment.
+const _ uint = WordLen - SegmentBytes
+
 // MagazineSegments is the default magazine size: the number of segments
 // that move between a Cache and the depot per CAS.
 const MagazineSegments = 64
@@ -72,7 +81,7 @@ type View struct {
 	// formed by its words, and Cache.AllocChain hands it out as it stands.
 	Seg  []uint16
 	Refs []int32 // view refcount per lent chain head (atomic access only)
-	Data []byte  // payload slab (nil when storage is disabled)
+	Data []byte  // payload slab, SegmentBytes per segment
 }
 
 // Segment word layout (View.Seg). Every chain is a list of
@@ -127,11 +136,14 @@ func chainEnd(v *View, s, n int32) (tail, after int32) {
 type Config struct {
 	// NumSegments is the pool size (required, > 0).
 	NumSegments int
-	// SegmentBytes is the payload size per segment (required when
-	// StoreData).
+	// SegmentBytes is ignored: every segment holds the package's
+	// SegmentBytes.
+	//
+	// Deprecated: bench shim.
 	SegmentBytes int
-	// StoreData controls whether the payload slab is allocated. The timed
-	// models disable it: they exercise only pointer traffic.
+	// StoreData is ignored: every store allocates its payload slab.
+	//
+	// Deprecated: bench shim.
 	StoreData bool
 	// MagazineSize overrides the segments per magazine (0 means
 	// MagazineSegments). Small pools shared by many caches want smaller
@@ -145,9 +157,6 @@ func (c Config) validate() error {
 	if c.NumSegments <= 0 {
 		return fmt.Errorf("segstore: NumSegments must be positive, got %d", c.NumSegments)
 	}
-	if c.StoreData && c.SegmentBytes <= 0 {
-		return fmt.Errorf("segstore: SegmentBytes must be positive with StoreData, got %d", c.SegmentBytes)
-	}
 	if c.MagazineSize < 0 {
 		return fmt.Errorf("segstore: negative MagazineSize %d", c.MagazineSize)
 	}
@@ -155,24 +164,20 @@ func (c Config) validate() error {
 }
 
 func newView(cfg Config) View {
-	v := View{
+	return View{
 		Next: make([]int32, cfg.NumSegments),
 		Seg:  make([]uint16, cfg.NumSegments),
 		Refs: make([]int32, cfg.NumSegments),
+		Data: make([]byte, cfg.NumSegments*SegmentBytes),
 	}
-	if cfg.StoreData {
-		v.Data = make([]byte, cfg.NumSegments*cfg.SegmentBytes)
-	}
-	return v
 }
 
 // Store is the shared slab plus the lock-free depot. All methods are safe
 // for concurrent use; per-owner allocation goes through Cache.
 type Store struct {
-	view     View
-	nseg     int
-	segBytes int // payload bytes per segment (0 without a payload slab)
-	magSize  int32
+	view    View
+	nseg    int
+	magSize int32
 	// magSegs[g] is the segment count of a magazine of grain g: magSize for
 	// general magazines (g = 0), else as many whole g-segment chains as fit
 	// in magSize, at least one.
@@ -234,9 +239,6 @@ func New(cfg Config) (*Store, error) {
 		magSize: int32(mag),
 		dnext:   make([]int32, cfg.NumSegments),
 		dcount:  make([]int32, cfg.NumSegments),
-	}
-	if cfg.StoreData {
-		st.segBytes = cfg.SegmentBytes
 	}
 	st.magSegs[0] = int32(mag)
 	for g := int32(2); g <= MaxGrain; g++ {

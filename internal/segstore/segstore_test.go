@@ -178,16 +178,15 @@ func TestFlushMakesSegmentsReachable(t *testing.T) {
 	}
 }
 
+// TestStoreDataSlab: every store has its payload slab, SegmentBytes per
+// segment, whatever the ignored Config.StoreData and Config.SegmentBytes say.
 func TestStoreDataSlab(t *testing.T) {
-	st, err := New(Config{NumSegments: 4, SegmentBytes: 64, StoreData: true})
+	st, err := New(Config{NumSegments: 4, StoreData: false, SegmentBytes: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st.View().Data) != 4*64 {
 		t.Fatalf("data slab = %d bytes, want 256", len(st.View().Data))
-	}
-	if _, err := New(Config{NumSegments: 4, StoreData: true}); err == nil {
-		t.Fatal("StoreData without SegmentBytes accepted")
 	}
 	if _, err := New(Config{NumSegments: 0}); err == nil {
 		t.Fatal("zero NumSegments accepted")
@@ -431,35 +430,33 @@ func BenchmarkCacheAllocFree(b *testing.B) {
 
 // TestAllocNHintsSlabEnd: with hints on, AllocN hints the allocation side's
 // new head — here the slab's last segment, whose payload line is the slab's
-// last — and hints nothing once the magazine is empty, with or without
-// payload memory. The allocations themselves are as without hints.
+// last — and hints nothing once the magazine is empty. The allocations
+// themselves are as without hints.
 func TestAllocNHintsSlabEnd(t *testing.T) {
-	for _, data := range []bool{true, false} {
-		st, err := New(Config{NumSegments: 32, SegmentBytes: 64, StoreData: data, MagazineSize: 32})
-		if err != nil {
-			t.Fatal(err)
+	st, err := New(Config{NumSegments: 32, MagazineSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := st.NewCache()
+	c.SetHints(true)
+	dst := make([]int32, 1)
+	for want := int32(0); want < 32; want++ {
+		if c.AllocN(dst) != 1 || dst[0] != want {
+			t.Fatalf("AllocN gave %d, want %d", dst[0], want)
 		}
-		c := st.NewCache()
-		c.SetHints(true)
-		dst := make([]int32, 1)
-		for want := int32(0); want < 32; want++ {
-			if c.AllocN(dst) != 1 || dst[0] != want {
-				t.Fatalf("data=%v: AllocN gave %d, want %d", data, dst[0], want)
-			}
-			if want == 30 && (c.mag[0].head != 31 || c.mag[0].n != 1) {
-				t.Fatalf("data=%v: allocation side holds %d from %d, want 1 from the slab's last segment", data, c.mag[0].n, c.mag[0].head)
-			}
+		if want == 30 && (c.mag[0].head != 31 || c.mag[0].n != 1) {
+			t.Fatalf("allocation side holds %d from %d, want 1 from the slab's last segment", c.mag[0].n, c.mag[0].head)
 		}
-		if c.AllocN(dst) != 0 {
-			t.Fatalf("data=%v: AllocN on an empty pool delivered", data)
-		}
-		for s := int32(0); s < 32; s++ {
-			c.FreeN(s, s, 1)
-		}
-		c.Publish()
-		if err := st.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if c.AllocN(dst) != 0 {
+		t.Fatal("AllocN on an empty pool delivered")
+	}
+	for s := int32(0); s < 32; s++ {
+		c.FreeN(s, s, 1)
+	}
+	c.Publish()
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -467,9 +464,8 @@ func TestAllocNHintsSlabEnd(t *testing.T) {
 // run from its head, once a size repeats. Here the guess goes wrong twice:
 // a chain headed at the slab's last segment, whose guessed run passes the
 // slab's end, and a chain of four runs. With hints on, neither may panic,
-// with or without payload memory, and every allocation — each bin's
-// chains, then the loose rest — is what the same cache hands out with
-// hints off.
+// and every allocation — each bin's chains, then the loose rest — is what
+// the same cache hands out with hints off.
 func TestHintNextSlabEnd(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -478,54 +474,52 @@ func TestHintNextSlabEnd(t *testing.T) {
 		{"past the slab's end", [][]int32{{24, 25, 26, 27, 28}, {31, 0, 1, 2, 3}}},
 		{"several runs", [][]int32{{12, 13, 14, 15, 16, 17, 18}, {4, 5, 9, 10, 11, 20, 6}}},
 	} {
-		for _, data := range []bool{true, false} {
-			allocs := func(hints bool) []int32 {
-				st, err := New(Config{NumSegments: 32, SegmentBytes: 64, StoreData: data, MagazineSize: 32})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := st.NewCache()
-				c.SetHints(hints)
-				all := make([]int32, 32)
-				if c.AllocN(all) != 32 {
-					t.Fatalf("%s: a fresh cache could not take the whole pool", tc.name)
-				}
-				inChains := map[int32]bool{}
-				for _, ch := range tc.chains {
-					head, tail := chainUp(c.View(), ch)
-					c.FreeN(head, tail, int32(len(ch)))
-					for _, s := range ch {
-						inChains[s] = true
-					}
-				}
-				for _, s := range all {
-					if !inChains[s] {
-						free1(c, s)
-					}
-				}
-				var got []int32
-				for n := int32(0); n <= MaxGrain+1; n++ {
-					c.HintNext(n) // empty bins, and sizes that have none
-				}
-				for range tc.chains {
-					n := int32(len(tc.chains[0]))
-					c.HintNext(n)
-					c.HintNext(n) // the size repeats: this one hints
-					head, tail, ok := c.AllocChain(n)
-					if !ok {
-						t.Fatalf("%s: AllocChain(%d) found no chain", tc.name, n)
-					}
-					got = append(got, head, tail)
-				}
-				rest := make([]int32, 32-len(got)/2*len(tc.chains[0]))
-				if c.AllocN(rest) != len(rest) {
-					t.Fatalf("%s: AllocN delivered short", tc.name)
-				}
-				return append(got, rest...)
+		allocs := func(hints bool) []int32 {
+			st, err := New(Config{NumSegments: 32, MagazineSize: 32})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if on, off := allocs(true), allocs(false); !slices.Equal(on, off) {
-				t.Fatalf("%s, data=%v: allocations with hints %v, without %v", tc.name, data, on, off)
+			c := st.NewCache()
+			c.SetHints(hints)
+			all := make([]int32, 32)
+			if c.AllocN(all) != 32 {
+				t.Fatalf("%s: a fresh cache could not take the whole pool", tc.name)
 			}
+			inChains := map[int32]bool{}
+			for _, ch := range tc.chains {
+				head, tail := chainUp(c.View(), ch)
+				c.FreeN(head, tail, int32(len(ch)))
+				for _, s := range ch {
+					inChains[s] = true
+				}
+			}
+			for _, s := range all {
+				if !inChains[s] {
+					free1(c, s)
+				}
+			}
+			var got []int32
+			for n := int32(0); n <= MaxGrain+1; n++ {
+				c.HintNext(n) // empty bins, and sizes that have none
+			}
+			for range tc.chains {
+				n := int32(len(tc.chains[0]))
+				c.HintNext(n)
+				c.HintNext(n) // the size repeats: this one hints
+				head, tail, ok := c.AllocChain(n)
+				if !ok {
+					t.Fatalf("%s: AllocChain(%d) found no chain", tc.name, n)
+				}
+				got = append(got, head, tail)
+			}
+			rest := make([]int32, 32-len(got)/2*len(tc.chains[0]))
+			if c.AllocN(rest) != len(rest) {
+				t.Fatalf("%s: AllocN delivered short", tc.name)
+			}
+			return append(got, rest...)
+		}
+		if on, off := allocs(true), allocs(false); !slices.Equal(on, off) {
+			t.Fatalf("%s: allocations with hints %v, without %v", tc.name, on, off)
 		}
 	}
 }

@@ -73,7 +73,7 @@ type QueueManager struct {
 // NewQueueManager allocates a queue manager with the given flow count
 // (0 means 32K) and segment pool size.
 func NewQueueManager(flows, segments int) (*QueueManager, error) {
-	m, err := queue.New(queue.Config{NumQueues: flows, NumSegments: segments, StoreData: true})
+	m, err := queue.New(queue.Config{NumQueues: flows, NumSegments: segments})
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ type MMS struct {
 // NewMMS builds an MMS with the paper's reference configuration (32K flows,
 // 4 ports, 8 DDR banks) and the given segment pool size (0 means 64K).
 func NewMMS(segments int) (*MMS, error) {
-	m, err := core.New(core.Config{NumSegments: segments, StoreData: true})
+	m, err := core.New(core.Config{NumSegments: segments})
 	if err != nil {
 		return nil, err
 	}
