@@ -10,10 +10,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"npqm/internal/segstore"
 )
 
-// SegmentBytes mirrors the queue engine's fixed segment size.
-const SegmentBytes = 64
+// SegmentBytes is the queue engine's fixed segment size, which the segment
+// store decides.
+const SegmentBytes = segstore.SegmentBytes
 
 // Ethernet constants.
 const (
