@@ -306,7 +306,7 @@ func BenchmarkEngineShardedBatch(b *testing.B) {
 	const burst = 64
 	for _, mode := range []string{"batch", "loop"} {
 		b.Run(mode, func(b *testing.B) {
-			cm, err := NewConcurrentQueueManager(DefaultFlows, 1<<17, benchShards)
+			cm, err := NewConcurrentEngine(ConcurrentConfig{Flows: DefaultFlows, Segments: 1 << 17, Shards: benchShards})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,9 +38,12 @@ import "npqm/internal/engine"
 // weight, segment cap and occupancy together; Config() returns the engine's
 // shape (shards, flows, segments, ports, tier units); Stats and its
 // per-shard, -port, -class and -tenant slices return everything that moves
-// (Stats().ActiveFlows, PortStats()[p].Paused, ...). The pull entry points
-// come in copy and view forms because each wins its own benchmark cell; see
-// DESIGN.md, "Entry points".
+// (Stats().ActiveFlows, PortStats()[p].Paused, ...). NewConcurrentEngine is
+// the one constructor. The picked pull entry points come in copy and view
+// forms because each wins its own benchmark cell; the per-flow batch
+// (DequeueBatch) is copy only, and a view consumer naming its flows calls
+// DequeuePacketView per flow. See DESIGN.md, "The engine's surface: one of
+// each".
 //
 // The method set is the embedded engine's, documented there;
 // testdata/api.golden pins it.
@@ -60,19 +63,3 @@ type PacketEnqueue = engine.EnqueueReq
 
 // EngineStats is the aggregate cross-shard statistics snapshot.
 type EngineStats = engine.Stats
-
-// NewConcurrentQueueManager allocates a sharded queue manager with the
-// given flow count (0 means 32K), shared segment pool, and shard count
-// (0 means 8; rounded up to a power of two). All shards allocate from the
-// one pool.
-func NewConcurrentQueueManager(flows, segments, shards int) (*ConcurrentQueueManager, error) {
-	e, err := engine.New(engine.Config{
-		Shards:      shards,
-		NumFlows:    flows,
-		NumSegments: segments,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ConcurrentQueueManager{e}, nil
-}

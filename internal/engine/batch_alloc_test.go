@@ -7,10 +7,10 @@ import (
 )
 
 // The batch enqueue path must not allocate per call when every packet is
-// accepted: bucket slices and the error scratch are pooled, a nil errs is
-// returned instead of a fresh all-nil slice, and the queue layer builds
-// chains from a reusable run buffer. Pinned here so a stray make() on the
-// burst path shows up as a test failure instead of a benchmark regression.
+// accepted: bucket slices are pooled, the error slice is made only at the
+// first refusal, and the queue layer builds chains from a reusable run
+// buffer. Pinned here so a stray make() on the burst path shows up as a
+// test failure instead of a benchmark regression.
 func TestEnqueueBatchNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; alloc pin is meaningless")
@@ -24,7 +24,7 @@ func TestEnqueueBatchNoAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = EnqueueReq{Flow: uint32(i % 16), Data: pkt}
 	}
-	// Warm the pools (buckets, error scratch, per-manager run buffers)
+	// Warm the pools (buckets, per-manager run buffers)
 	// before measuring.
 	if _, errs := e.EnqueueBatch(batch); errs != nil {
 		t.Fatalf("warmup enqueue failed: %v", errs)
@@ -62,9 +62,9 @@ func TestEnqueueBatchNoAllocs(t *testing.T) {
 }
 
 // A batch that fails keeps the aligned-errs contract: the returned slice
-// matches the batch and only the refused slots are non-nil. The scratch
-// that recorded the failure must not be recycled — a later clean batch
-// would otherwise report stale errors.
+// matches the batch and only the refused slots are non-nil. The slice
+// that recorded the failure is the caller's: a later clean batch must not
+// scrub or reuse it.
 func TestEnqueueBatchErrAliasing(t *testing.T) {
 	e := newTest(t, 2, 64, 64)
 	big := make([]byte, 65*queue.SegmentBytes) // more than the whole pool

@@ -21,7 +21,7 @@ func flowPerShard(t *testing.T, e *Engine) []uint32 {
 	have := make([]bool, len(e.shards))
 	found := 0
 	for f := 0; f < e.cfg.NumFlows && found < len(flows); f++ {
-		if s := e.ShardOf(uint32(f)); !have[s] {
+		if s := e.shardIndex(uint32(f)); !have[s] {
 			flows[s], have[s] = uint32(f), true
 			found++
 		}
@@ -54,7 +54,7 @@ func TestShapedBurstHoldsBudgetIMIX(t *testing.T) {
 			h := runEngine(t, cfg, true, s.do(cServe, 0).rep(ticks, cClock, 0))
 			var onShard [4]bool
 			for f := range flows {
-				onShard[h.e.ShardOf(uint32(f))] = true
+				onShard[h.e.shardIndex(uint32(f))] = true
 			}
 			if onShard != [4]bool{true, true, true, true} {
 				t.Fatalf("backlog covers shards %v, want all four", onShard)
@@ -89,7 +89,7 @@ func TestShapedPortSharesAcrossShards(t *testing.T) {
 		s.do(cServe, 0).rep(ticks, cClock, 0))
 	var served [ticks + 1][]int // the shards each tick's departures came from
 	for _, d := range h.departed {
-		if sh := h.e.ShardOf(d.flow); !slices.Contains(served[d.tick], sh) {
+		if sh := h.e.shardIndex(d.flow); !slices.Contains(served[d.tick], sh) {
 			served[d.tick] = append(served[d.tick], sh)
 		}
 	}

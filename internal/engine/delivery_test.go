@@ -96,7 +96,7 @@ type eqEntry int
 
 const (
 	entryPacket    eqEntry = iota // DequeuePacket / DequeuePacketView
-	entryBatch                    // DequeueBatch / DequeueViewBatch
+	entryBatch                    // DequeueBatch / DequeuePacketView in its order
 	entryNext                     // DequeueNext / DequeueNextView
 	entryNextBatch                // DequeueNextBatch / DequeueNextViewBatch
 	entryServe                    // ServeViews, the sink copying out or holding the view

@@ -469,26 +469,10 @@ func (e *Engine) Flow(flow uint32) (FlowInfo, error) {
 // whichever port it belongs to. ok is false when the engine holds no
 // packets. Release the data when done. It allocates nothing beyond the
 // pooled payload buffer, so per-packet drain loops stay allocation-free.
-func (e *Engine) DequeueNext() (Dequeued, bool) { return e.dequeueNext(false) }
-
-// dequeueNext is DequeueNext and DequeueNextView: the shards are tried in
-// turn from a rotating start, each for one picked packet.
-func (e *Engine) dequeueNext(view bool) (Dequeued, bool) {
-	n := len(e.shards)
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	for i := 0; i < n; i++ {
-		s := e.shards[(start+i)%n]
-		if !e.enter(s) {
-			break
-		}
-		var d Dequeued
-		ok := s.dequeuePicked(&d, anyPort, view)
-		s.unlock()
-		if ok {
-			return d, true
-		}
-	}
-	return Dequeued{}, false
+func (e *Engine) DequeueNext() (Dequeued, bool) {
+	var one [1]Dequeued // a batch of one, held in this frame
+	ok := len(e.pull(e.egCursor.Add(1)-1, anyPort, false, one[:0], 1, unshapedBudget)) == 1
+	return one[0], ok
 }
 
 // DequeueNextBatch serves up to max packets, choosing flows by the
@@ -505,13 +489,22 @@ func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 	if max <= 0 {
 		return nil
 	}
-	n := len(e.shards)
-	// n is a power of two; mask before the int conversion so the uint32
-	// cursor wrapping past 2^31 cannot go negative on 32-bit platforms.
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	var out []Dequeued
-	for i := 0; i < n && len(out) < max; i++ {
-		out, _ = e.drainShard(e.shards[(start+i)%n], anyPort, view, out, max, unshapedBudget)
+	return e.pull(e.egCursor.Add(1)-1, anyPort, view, nil, max, unshapedBudget)
+}
+
+// pull is the one shard walk of every picked dequeue: it drains the shards
+// in turn from start (see drainShard) on port (anyPort = all) until out
+// reaches max or room is used up. A result short of both limits means
+// every shard was visited and left with nothing servable. The pull API
+// rotates start with egCursor, a port's pacer with its own shardCursor
+// (dequeuePort).
+func (e *Engine) pull(start uint32, port int, view bool, out []Dequeued, max int, room int64) []Dequeued {
+	// The shard count is a power of two; mask before the int conversion so
+	// the uint32 cursor wrapping past 2^31 cannot go negative on 32-bit
+	// platforms.
+	mask := uint32(len(e.shards) - 1)
+	for i := uint32(0); i <= mask && len(out) < max && room > 0; i++ {
+		out, room = e.drainShard(e.shards[int((start+i)&mask)], port, view, out, max, room)
 	}
 	return out
 }
@@ -520,9 +513,9 @@ func (e *Engine) dequeueNextBatch(max int, view bool) []Dequeued {
 // (anyPort = all) until out reaches max, the packet that uses up room bytes
 // has been served (so room is overdrawn by less than one packet — the
 // shaper's charge-after-send rule) or the shard has nothing servable; a
-// closed engine serves nothing. It returns the room left. Shared by the
-// pull API (dequeueNextBatch, which sets no byte limit) and the pacers
-// (dequeuePort).
+// closed engine serves nothing. It returns the room left. pull is its one
+// caller. A drain of max 1 issues no lookahead hints, but it does count
+// against the shard's shared mark (hinting).
 func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max int, room int64) ([]Dequeued, int64) {
 	if !e.enter(s) {
 		return out, room
@@ -663,17 +656,6 @@ func (s *shard) chargeLevels(flow uint32, bytes int) {
 	fs := &s.flows[flow]
 	var pb [numTiers]int32
 	s.ps[fs.port].st.Charge(s.pathOf(flow, pb[:0]), int64(bytes))
-}
-
-// dequeuePicked serves one packet picked by the level-stack discipline
-// from shard s into *d, inside s's critical section.
-// port selects the scheduling unit (anyPort rotates over all of them). It
-// reports false when the shard has nothing servable on that port. A picked
-// flow is active, so it holds a whole packet: the engine links only whole
-// packets.
-func (s *shard) dequeuePicked(d *Dequeued, port int, view bool) bool {
-	flow, debit, ok := s.pickLocked(port)
-	return ok && s.take(d, flow, view, debit) == nil
 }
 
 // --- active-list maintenance (caller holds the shard's critical section) ---

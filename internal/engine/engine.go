@@ -342,7 +342,7 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 	owned := make([]int, cfg.Shards)
 	for f := range e.links {
 		e.links[f] = flowLinks{Next: sched.None, Prev: sched.None}
-		owned[e.ShardOf(uint32(f))]++
+		owned[e.shardIndex(uint32(f))]++
 	}
 	for i := range e.pacers {
 		e.pacers[i] = newPacer(e, i)
@@ -486,15 +486,15 @@ func (e *Engine) Config() Config {
 	return cfg
 }
 
-// ShardOf returns the shard index owning flow — Fibonacci hashing on the
+// shardIndex returns the shard index owning flow — Fibonacci hashing on the
 // flow ID, taking the top bits of the product, which mixes well even for
 // the sequential flow IDs traffic generators tend to produce.
-func (e *Engine) ShardOf(flow uint32) int {
+func (e *Engine) shardIndex(flow uint32) int {
 	return int((flow * 0x9E3779B1) >> e.shift)
 }
 
 func (e *Engine) shardOf(flow uint32) *shard {
-	return e.shards[e.ShardOf(flow)]
+	return e.shards[e.shardIndex(flow)]
 }
 
 // inSpace reports whether flow lies inside the configured flow space. Every
@@ -884,9 +884,8 @@ const unpicked int64 = -1
 // otherwise the payload is reassembled into a pooled buffer sized to the
 // packet (d.Data; no buffer is taken when there is no packet) — and where
 // a served packet is charged to the discipline that picked it before left
-// settles the books. It fills the caller's record in
-// place: the
-// record is 64 bytes, and returning it through take, dequeuePicked and the
+// settles the books. It fills the caller's record in place: the record is
+// 64 bytes, and returning it through take, the single-packet pick and the
 // drain loop cost the 64-byte batch workload about 5%.
 //
 // debit is pickLocked's flow-level DRR charge (0 for the packet-granular
@@ -979,7 +978,7 @@ func (e *Engine) MovePacket(from, to uint32) (int, error) {
 	case !e.inSpace(to):
 		return 0, e.badFlow(to)
 	}
-	si, di := e.ShardOf(from), e.ShardOf(to)
+	si, di := e.shardIndex(from), e.shardIndex(to)
 	if si == di {
 		s := e.shards[si]
 		var n int

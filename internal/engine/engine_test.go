@@ -55,12 +55,12 @@ func TestConfigValidation(t *testing.T) {
 func TestShardOfStable(t *testing.T) {
 	e := newTest(t, 16, 1024, 4096)
 	for flow := uint32(0); flow < 1024; flow++ {
-		a, b := e.ShardOf(flow), e.ShardOf(flow)
+		a, b := e.shardIndex(flow), e.shardIndex(flow)
 		if a != b {
-			t.Fatalf("ShardOf(%d) unstable: %d vs %d", flow, a, b)
+			t.Fatalf("shardIndex(%d) unstable: %d vs %d", flow, a, b)
 		}
 		if a < 0 || a >= len(e.shards) {
-			t.Fatalf("ShardOf(%d) = %d out of range", flow, a)
+			t.Fatalf("shardIndex(%d) = %d out of range", flow, a)
 		}
 	}
 }
@@ -71,7 +71,7 @@ func TestShardBalance(t *testing.T) {
 	e := newTest(t, 16, 32768, 65536)
 	counts := make([]int, len(e.shards))
 	for flow := uint32(0); flow < 32768; flow++ {
-		counts[e.ShardOf(flow)]++
+		counts[e.shardIndex(flow)]++
 	}
 	want := 32768 / len(e.shards)
 	for i, c := range counts {

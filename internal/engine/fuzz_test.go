@@ -192,7 +192,7 @@ func runEngine(t *testing.T, cfg Config, started bool, in []byte) *harness {
 	e := newStepped(t, cfg)
 	t.Cleanup(func() { e.Close() })
 	cfg = e.Config()
-	h := &harness{t: t, e: e, m: newModel(cfg, e.ShardOf), started: started, delivered: map[int][]Dequeued{}}
+	h := &harness{t: t, e: e, m: newModel(cfg, e.shardIndex), started: started, delivered: map[int][]Dequeued{}}
 	if started {
 		for _, s := range e.shards {
 			r, err := ring.New[command](cfg.RingCapacity)
@@ -338,7 +338,7 @@ func (h *harness) flowArg(in *script) (flow uint32, home int) {
 	if int64(flow) >= int64(n) {
 		return flow, -1
 	}
-	return flow, h.e.ShardOf(flow)
+	return flow, h.e.shardIndex(flow)
 }
 
 // want checks a call's error against the model's (nil: none): worded the
@@ -384,7 +384,7 @@ func (h *harness) picked(d mServed) {
 	tally := func(k [4]int) { h.served[k] = [2]int64{h.served[k][0] + int64(d.pkt.bytes), h.served[k][1] + 1} }
 	tally([4]int{-1, -1, -1, int(d.flow)})
 	for k, id := range h.m.path(d.flow) {
-		tally([4]int{h.e.ShardOf(d.flow), int(h.m.flows[d.flow].port), k, int(id)})
+		tally([4]int{h.e.shardIndex(d.flow), int(h.m.flows[d.flow].port), k, int(id)})
 	}
 }
 
@@ -416,7 +416,7 @@ var fzOps = [...]func(h *harness, in *script){
 func opEnqueue(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
 	pkt, data := h.newPkt(in)
-	h.enter(h.e.ShardOf(flow))
+	h.enter(h.e.shardIndex(flow))
 	n, err := h.e.EnqueuePacket(flow, data)
 	h.want("EnqueuePacket", h.m.arrive(flow, pkt, nil, false), err)
 	if err == nil && n != pkt.segs() {
@@ -430,7 +430,7 @@ func opEnqueue(h *harness, in *script) {
 func opPost(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
 	pkt, data := h.newPkt(in)
-	sh := h.e.ShardOf(flow)
+	sh := h.e.shardIndex(flow)
 	if len(h.pend) > 0 && (h.pendOn != sh || len(h.pend) == fzMaxPend) {
 		h.drain()
 	}
@@ -456,7 +456,7 @@ func (h *harness) byShard(n int, flow func(i int) uint32) []int {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return h.e.ShardOf(flow(a)) - h.e.ShardOf(flow(b)) })
+	slices.SortStableFunc(order, func(a, b int) int { return h.e.shardIndex(flow(a)) - h.e.shardIndex(flow(b)) })
 	return order
 }
 
@@ -489,7 +489,7 @@ func opBatch(h *harness, in *script) {
 func opReserve(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
 	pkt, data := h.newPkt(in)
-	h.enter(h.e.ShardOf(flow))
+	h.enter(h.e.shardIndex(flow))
 	r, err := h.e.ReservePacket(flow, pkt.bytes)
 	h.want("ReservePacket", h.m.arrive(flow, pkt, nil, true), err)
 	if err != nil {
@@ -521,7 +521,7 @@ func opSettleReservation(h *harness, in *script) {
 	if a&128 != 0 {
 		settle, what = r.r.Abort, "Abort"
 	} else {
-		h.enter(h.e.ShardOf(r.flow))
+		h.enter(h.e.shardIndex(r.flow))
 		h.m.commit(r.flow, r.pkt)
 	}
 	if err := settle(); err != nil || r.r.Valid() {
@@ -546,7 +546,7 @@ func (h *harness) flowTake(flow uint32) (mServed, error) {
 func opDequeue(h *harness, in *script) {
 	flow, _ := h.flowArg(in)
 	view := in.next()&1 != 0
-	h.enter(h.e.ShardOf(flow))
+	h.enter(h.e.shardIndex(flow))
 	var data []byte
 	var v PacketView
 	var err error
@@ -561,7 +561,8 @@ func opDequeue(h *harness, in *script) {
 	}
 }
 
-// opDequeueBatch is DequeueBatch or DequeueViewBatch, in byShard order.
+// opDequeueBatch is DequeueBatch, or with the view flag DequeuePacketView
+// flow by flow, either one checked in byShard order.
 func opDequeueBatch(h *harness, in *script) {
 	h.drain()
 	flows := make([]uint32, 1+in.next()%8)
@@ -570,19 +571,22 @@ func opDequeueBatch(h *harness, in *script) {
 	}
 	view := in.next()&1 != 0
 	var pkts [][]byte
-	var views []PacketView
 	var errs []error
-	if view {
-		views, errs = h.e.DequeueViewBatch(flows)
-		pkts = make([][]byte, len(flows))
-	} else {
+	if !view {
 		pkts, errs = h.e.DequeueBatch(flows)
-		views = make([]PacketView, len(flows))
 	}
 	for _, i := range h.byShard(len(flows), func(i int) uint32 { return flows[i] }) {
+		var data []byte
+		var v PacketView
+		var err error
+		if view {
+			v, err = h.e.DequeuePacketView(flows[i])
+		} else {
+			data, err = pkts[i], errs[i]
+		}
 		want, werr := h.flowTake(flows[i])
-		if h.want("DequeueBatch", werr, errs[i]); werr == nil {
-			h.got("DequeueBatch", flows[i], pkts[i], views[i], view, want)
+		if h.want("DequeueBatch", werr, err); werr == nil {
+			h.got("DequeueBatch", flows[i], data, v, view, want)
 		}
 	}
 }
@@ -962,7 +966,7 @@ func (h *harness) checkAudit(step int) {
 	}
 	for si, s := range h.e.shards {
 		for f := range s.flows {
-			if h.e.ShardOf(uint32(f)) != si {
+			if h.e.shardIndex(uint32(f)) != si {
 				continue
 			}
 			ps := &s.ps[s.flows[f].port]

@@ -67,7 +67,7 @@ func TestCheckInvariantsCatchesCrossLinks(t *testing.T) {
 func flowOnShard(t *testing.T, e *Engine, i int) uint32 {
 	t.Helper()
 	for f := uint32(0); f < uint32(e.cfg.NumFlows); f++ {
-		if e.ShardOf(f) == i {
+		if e.shardIndex(f) == i {
 			return f
 		}
 	}

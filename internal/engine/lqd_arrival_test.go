@@ -156,7 +156,7 @@ func TestLQDOverloadNoAllocs(t *testing.T) {
 				}
 				e.Close()
 			})
-			for remote = 1; e.ShardOf(remote) == e.ShardOf(hog); remote++ {
+			for remote = 1; e.shardIndex(remote) == e.shardIndex(hog); remote++ {
 			}
 			// The hog fills the whole pool from its shard: depot and every
 			// cache are empty from here on.

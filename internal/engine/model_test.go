@@ -15,7 +15,7 @@ package engine
 // each command on the engine and on the model and holds the engine to the
 // model's answer, error text included.
 //
-// The model takes two things from the engine as given: ShardOf, the
+// The model takes two things from the engine as given: shardIndex, the
 // partition of the flow space, and how many segments the arriving shard
 // can reach (segstore.Cache.Avail) — read when a post settles, since a
 // posted arrival cannot leave its shard to fetch segments other shards'

@@ -175,22 +175,12 @@ func (e *Engine) Resume(port int) error {
 const unshapedBatch = 64
 
 // dequeuePort serves up to max packets and about room bytes (see
-// drainShard) from p's scheduling units as views, rotating the starting
-// shard per call, appending to out. It is dequeueNextBatch with the pick
-// restricted to one port and a byte allowance, sharing the same per-shard
-// drain: a result short of both limits means every shard was visited and
-// left with nothing for p. Only p's home pacer calls it (shardCursor is
-// pacer-local).
+// drainShard) from p's scheduling units as views, appending to out: the
+// pull walk (pull) restricted to one port, its start shard rotated by p's
+// own cursor. Only p's home pacer calls it (shardCursor is pacer-local).
 func (e *Engine) dequeuePort(p *port, out []Dequeued, max int, room int64) []Dequeued {
-	n := len(e.shards)
 	p.shardCursor++
-	// n is a power of two; mask before the int conversion, as
-	// dequeueNextBatch does.
-	start := int(p.shardCursor & uint32(n-1))
-	for i := 0; i < n && len(out) < max && room > 0; i++ {
-		out, room = e.drainShard(e.shards[(start+i)%n], p.idx, true, out, max, room)
-	}
-	return out
+	return e.pull(p.shardCursor, p.idx, true, out, max, room)
 }
 
 // PortStat is one port's slice of the transmit-side statistics.

@@ -15,7 +15,7 @@ import (
 
 // TestQueueTableRowsFollowFlowOrder: every shard's rows are 0…n−1 over the
 // flows it owns in increasing flow-ID order (the order that keeps LQD's
-// in-shard tie-break), flowOf inverts flowState.row, ShardOf is the
+// in-shard tie-break), flowOf inverts flowState.row, shardIndex is the
 // Fibonacci hash it always was, and the tables — each at least one row,
 // since NumQueues 0 asks for the default — cover the flow space exactly
 // once. (3, 8) leaves shards that own no flow.
@@ -32,8 +32,8 @@ func TestQueueTableRowsFollowFlowOrder(t *testing.T) {
 			defer e.Close()
 			shift := 32 - bits.TrailingZeros(uint(c.shards))
 			for f := 0; f < c.flows; f++ {
-				if got, want := e.ShardOf(uint32(f)), int((uint32(f)*0x9E3779B1)>>shift); got != want {
-					t.Fatalf("ShardOf(%d) = %d, want %d", f, got, want)
+				if got, want := e.shardIndex(uint32(f)), int((uint32(f)*0x9E3779B1)>>shift); got != want {
+					t.Fatalf("shardIndex(%d) = %d, want %d", f, got, want)
 				}
 			}
 			owned, empty := 0, 0
@@ -46,8 +46,8 @@ func TestQueueTableRowsFollowFlowOrder(t *testing.T) {
 					if r > 0 && f <= s.flowOf[r-1] {
 						t.Fatalf("shard %d: row %d holds flow %d after flow %d", i, r, f, s.flowOf[r-1])
 					}
-					if e.ShardOf(f) != i {
-						t.Fatalf("shard %d: row %d holds flow %d, which hashes to shard %d", i, r, f, e.ShardOf(f))
+					if e.shardIndex(f) != i {
+						t.Fatalf("shard %d: row %d holds flow %d, which hashes to shard %d", i, r, f, e.shardIndex(f))
 					}
 					if got := e.flows[f].row; got != uint32(r) {
 						t.Fatalf("shard %d: flowOf[%d] = %d but that flow's row is %d", i, r, f, got)
@@ -92,7 +92,7 @@ func TestErrorsNameTheFlow(t *testing.T) {
 			// move bodies are asked.
 			var near, far int
 			for g := 1; near == 0 || far == 0; g++ {
-				switch same := e.ShardOf(uint32((f+g)%flows)) == e.ShardOf(flow); {
+				switch same := e.shardIndex(uint32((f+g)%flows)) == e.shardIndex(flow); {
 				case same && near == 0:
 					near = (f + g) % flows
 				case !same && far == 0:

@@ -5,14 +5,15 @@ package engine
 // segment chain, and reception writes segments into data memory as they
 // arrive. This file is the engine-level rendering of both directions:
 //
-//   - Delivery: DequeuePacketView / DequeueNextView[Batch] /
-//     DequeueViewBatch / ServeViews hand consumers queue.PacketView values
-//     — the packet's segment chain checked out of the pool in the lent
-//     state, its payload read in place through the view's iterator.
-//     Releasing the view returns the whole chain to the store in one bulk
-//     operation. No reassembly buffer, no copy, no allocation. These are
-//     entry points only: each runs the engine's one delivery path with
-//     view set, and shard.take is where the flag is acted on.
+//   - Delivery: DequeuePacketView / DequeueNextView[Batch] / ServeViews
+//     hand consumers queue.PacketView values — the packet's segment chain
+//     checked out of the pool in the lent state, its payload read in place
+//     through the view's iterator. Releasing the view returns the whole
+//     chain to the store in one bulk operation. No reassembly buffer, no
+//     copy, no allocation. These are entry points only: the per-flow one
+//     runs the engine's per-flow dequeue and the picked ones its one shard
+//     walk (pull), each with view set, and shard.take is where the flag is
+//     acted on.
 //   - Ingest: ReservePacket opens a write-in-place Reservation — the
 //     segment run is allocated and linked up front, the producer fills the
 //     slices Range yields (one per contiguous run, at most one per
@@ -22,7 +23,7 @@ package engine
 //
 // Reference discipline: every view starts with one reference owned by
 // whoever the engine handed it to. Pull-API callers (DequeuePacketView,
-// DequeueNextView, the batch paths) own their views and must Release each
+// DequeueNextView[Batch]) own their views and must Release each
 // exactly once. Push-mode sinks (ServeViews) do NOT own the view — the
 // engine drops its reference as soon as SendView returns — so a sink that
 // completes transmission asynchronously (a NIC-style descriptor ring)
@@ -88,7 +89,11 @@ func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
 // engine holds no packets. The caller owns the view — Release it when
 // done. The call allocates nothing at all: the view is a value and there
 // is no reassembly buffer.
-func (e *Engine) DequeueNextView() (DequeuedView, bool) { return e.dequeueNext(true) }
+func (e *Engine) DequeueNextView() (DequeuedView, bool) {
+	var one [1]Dequeued // a batch of one, held in this frame
+	ok := len(e.pull(e.egCursor.Add(1)-1, anyPort, true, one[:0], 1, unshapedBudget)) == 1
+	return one[0], ok
+}
 
 // DequeueNextViewBatch serves up to max packets as zero-copy views,
 // choosing flows by the configured egress discipline across all ports —
@@ -109,20 +114,6 @@ func (e *Engine) ReleaseViews(ds []DequeuedView) {
 		ds[i].View = queue.PacketView{}
 	}
 	r.Flush()
-}
-
-// DequeueViewBatch dequeues the head packet of every listed flow as a
-// zero-copy view, bucketing by shard — DequeueBatch without the
-// reassembly copies. Results are aligned with flows: views[i] is valid
-// exactly when errs[i] is nil, and the caller must Release each valid
-// view exactly once. A flow listed twice yields its first two packets in
-// order.
-func (e *Engine) DequeueViewBatch(flows []uint32) (views []PacketView, errs []error) {
-	if len(flows) == 0 {
-		return nil, nil
-	}
-	views = make([]PacketView, len(flows))
-	return views, e.dequeueBatch(flows, nil, views)
 }
 
 // ServeViews registers sink as port's transmitter and hands the port to its

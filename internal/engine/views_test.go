@@ -71,8 +71,9 @@ func TestReserveAdmission(t *testing.T) {
 	}
 }
 
-// TestDequeueViewBatchAndNextViewBatch: the per-flow view batch and the
-// picked view batch, on either datapath.
+// TestDequeueViewBatchAndNextViewBatch: per-flow view dequeues in a batch
+// command's order (cDequeueBatch with its view flag takes each flow through
+// DequeuePacketView) and the picked view batch, on either datapath.
 func TestDequeueViewBatchAndNextViewBatch(t *testing.T) {
 	s := script{}
 	for f := range 16 {

@@ -140,7 +140,7 @@ func TestReport(t *testing.T) {
 }
 
 func TestConcurrentQueueManager(t *testing.T) {
-	cm, err := NewConcurrentQueueManager(1024, 8192, 4)
+	cm, err := NewConcurrentEngine(ConcurrentConfig{Flows: 1024, Segments: 8192, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,8 +238,9 @@ type ConcurrentConfig struct {
 }
 
 // NewConcurrentEngine allocates a sharded queue manager with admission and
-// egress policies threaded through the datapath. It generalizes
-// NewConcurrentQueueManager, which remains the policy-free shorthand.
+// egress policies threaded through the datapath. It is the one way to
+// build the engine: a config that sets only Flows, Segments and Shards
+// builds a policy-free one.
 func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) {
 	e, err := engine.New(engine.Config{
 		Shards:          cfg.Shards,
