@@ -21,7 +21,7 @@
 //
 // -ports and -rate select the push-mode transmit path: flows are spread
 // across N output ports (flow % N), each port is served push-mode
-// (engine.ServeViews, paced by the per-shard timing-wheel pacer) and — with
+// (engine.ServeViews, paced by the engine's one timing-wheel pacer) and — with
 // -rate — a token-bucket shaper of that many bytes per second (-burst
 // overrides the bucket depth), modeling shaped uplinks instead of an
 // unbounded consumer loop. The CSV then grows a per-port block:
@@ -136,7 +136,7 @@ func run(args []string, w io.Writer) error {
 		delivery  = fs.String("delivery", "copy", "engine: delivery mode (copy = reassembled pooled buffers, view = zero-copy segment views with write-in-place ingest)")
 		ringCap   = fs.Int("ringcap", 0, "engine: per-shard command-ring capacity (0 = default 1024)")
 		residence = fs.Int("residence", 0, "engine: sample every Nth packet's enqueue→dequeue residence time (0 = off)")
-		ports     = fs.Int("ports", 1, "engine: output ports (flows spread flow %% N; >1 or -rate switches egress to push-mode port workers)")
+		ports     = fs.Int("ports", 1, "engine: output ports (flows spread flow %% N; >1 or -rate switches egress to push delivery, every port served by the one pacer)")
 		rate      = fs.Int64("rate", 0, "engine: per-port shaper rate in bytes/sec (0 = unshaped)")
 		burstB    = fs.Int64("burst-bytes", 0, "engine: per-port shaper bucket depth in bytes (0 = 10ms of rate)")
 		classes   = fs.Int("classes", 0, "engine: scheduling classes layered over the flow level (0/1 = flat; flows spread flow %% N)")
@@ -359,8 +359,8 @@ func runEngine(w io.Writer, a engineArgs) error {
 	if a.ports < 1 {
 		return fmt.Errorf("ports must be >= 1, got %d", a.ports)
 	}
-	// Push-mode transmit: dedicated port workers instead of pull-loop
-	// consumers, engaged by a multi-port layout or a shaper rate.
+	// Push-mode transmit: the engine's pacer serves the ports instead of
+	// pull-loop consumers, engaged by a multi-port layout or a shaper rate.
 	pushMode := a.ports > 1 || a.rate > 0
 	kind, err := policy.ParseKind(a.policy)
 	if err != nil {
@@ -580,7 +580,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 		return len(batch)
 	}
 	if pushMode {
-		// Push-mode egress: the port workers hand the sink a view per
+		// Push-mode egress: the pacer hands the sink a view per
 		// packet and the engine releases it when SendView returns. A sink
 		// that wants contiguous bytes (-delivery copy) copies the payload
 		// out of the view, outside every shard lock, into a buffer of its
@@ -680,7 +680,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 		return firstErr
 	}
 	if pushMode {
-		// Let the port workers transmit the cutoff backlog at their shaped
+		// Let the pacer transmit the cutoff backlog at the ports' shaped
 		// rate; the deadline only guards against rates so low the drain
 		// would outlive anyone's patience.
 		deadline := time.Now().Add(2 * time.Minute)
@@ -700,7 +700,7 @@ func runEngine(w io.Writer, a engineArgs) error {
 			tierWeights[t] = append(tierWeights[t], ts.Weight)
 		}
 	}
-	// Close first: it waits for the pacers, which may still be returning
+	// Close first: it waits for the pacer, which may still be returning
 	// their last burst's views, and CheckInvariants needs quiescence.
 	if err := e.Close(); err != nil {
 		return err

@@ -18,7 +18,7 @@ type stepClock struct{ ns atomic.Int64 }
 
 func (c *stepClock) now() int64 { return c.ns.Load() }
 
-// stepped is an engine on a stepClock whose test is its pacers: no pacer
+// stepped is an engine on a stepClock whose test is its pacer: no pacer
 // goroutine runs, and ports are served exactly when the test says what
 // time it is. Everything happens on the test's goroutine, so what a sink
 // saw after tick returns is what it will ever see for that instant.
@@ -34,19 +34,15 @@ func newStepped(t *testing.T, cfg Config) stepped {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range e.pacers {
-		pc.started = true // Serve finds the pacer running: this test is it
-		pc.init(0)
-	}
+	e.pacer.started = true // Serve finds the pacer running: this test is it
+	e.pacer.init(0)
 	return stepped{e, clk}
 }
 
 // settle serves every port that has something to do at the current
 // instant, kicked or due, until only time or traffic can bring more.
 func (s stepped) settle() {
-	for _, pc := range s.pacers {
-		for pc.step(s.clk.now()) == 0 {
-		}
+	for s.pacer.step(s.clk.now()) == 0 {
 	}
 }
 

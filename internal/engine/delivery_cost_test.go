@@ -132,6 +132,15 @@ func TestBufferPoolCrossRelease(t *testing.T) {
 	const flows, total = 64, 20000
 	e := newTest(t, 4, flows, 1<<14)
 	var wg sync.WaitGroup
+	quit := make(chan struct{})
+	quitting := func() bool {
+		select {
+		case <-quit:
+			return true
+		default:
+			return false
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -141,7 +150,7 @@ func TestBufferPoolCrossRelease(t *testing.T) {
 			for j := 0; j < size; j += 4 {
 				binary.LittleEndian.PutUint32(pkt[j:], uint32(i))
 			}
-			for {
+			for !quitting() {
 				if _, err := e.EnqueuePacket(uint32(i%flows), pkt[:size]); err == nil {
 					break
 				}
@@ -156,7 +165,7 @@ func TestBufferPoolCrossRelease(t *testing.T) {
 		go func(c int) {
 			defer cwg.Done()
 			defer close(hand[1-c])
-			for delivered.Load() < total {
+			for delivered.Load() < total && !quitting() {
 				for _, d := range e.DequeueNextBatch(64) {
 					delivered.Add(1)
 					tag := binary.LittleEndian.Uint32(d.Data)
@@ -185,6 +194,11 @@ func TestBufferPoolCrossRelease(t *testing.T) {
 			}
 		}(c)
 	}
+	waitServed(t, e, fmt.Sprintf("the consumers to take %d packets", total), func() {
+		close(quit)
+		wg.Wait()
+		cwg.Wait()
+	}, func() bool { return delivered.Load() >= total })
 	wg.Wait()
 	cwg.Wait()
 	for c := range hand {
@@ -351,6 +365,7 @@ func TestFreeSegmentsBoundedUnderConcurrency(t *testing.T) {
 			}
 			close(stop)
 		}()
+		quit := make(chan struct{})
 		go func() { // consumer
 			defer wg.Done()
 			for {
@@ -360,10 +375,8 @@ func TestFreeSegmentsBoundedUnderConcurrency(t *testing.T) {
 				}
 				consumed.Add(int64(len(out)))
 				select {
-				case <-stop:
-					if len(out) == 0 && consumed.Load() == accepted.Load() {
-						return
-					}
+				case <-quit:
+					return
 				default:
 				}
 			}
@@ -382,7 +395,13 @@ func TestFreeSegmentsBoundedUnderConcurrency(t *testing.T) {
 				}
 			}
 		}()
-		wg.Wait()
+		<-stop
+		finish := func() {
+			close(quit)
+			wg.Wait()
+		}
+		waitServed(t, e, name+": the consumer to take every accepted packet", finish, func() bool { return consumed.Load() == accepted.Load() })
+		finish()
 		if st := e.Stats(); st.FreeSegments != pool || st.QueuedSegments != 0 {
 			t.Fatalf("%s: after a full drain %d segments free, %d queued, pool %d", name, st.FreeSegments, st.QueuedSegments, pool)
 		}

@@ -236,14 +236,13 @@ type Engine struct {
 	shards []*shard
 	clk    clock // the one time base; see clock.go
 
-	// Transmit side: one port object per output port, one pacer slot per
-	// shard (the goroutine starts lazily on the first ServeViews homed
-	// there), a stop channel closed exactly once on Close to halt the
-	// pacers, and their WaitGroup. flows and links are the engine-wide
-	// dense scheduler state, one entry each per flow, owned by the flow's
-	// shard.
+	// Transmit side: one port object per output port, the one pacer that
+	// serves them all (its goroutine starts lazily on the first
+	// ServeViews), a stop channel closed exactly once on Close to halt it,
+	// and its WaitGroup. flows and links are the engine-wide dense
+	// scheduler state, one entry each per flow, owned by the flow's shard.
 	ports     []*port
-	pacers    []*pacer
+	pacer     *pacer
 	flows     []flowState
 	links     []flowLinks
 	tierUnits [numTiers]int32 // fixed unit counts per tier (tenant, class); 1 = flat
@@ -333,7 +332,6 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		shards:    make([]*shard, cfg.Shards),
 		clk:       clk,
 		ports:     make([]*port, cfg.NumPorts),
-		pacers:    make([]*pacer, cfg.Shards),
 		flows:     make([]flowState, cfg.NumFlows),
 		links:     make([]flowLinks, cfg.NumFlows),
 		tierUnits: tierUnits,
@@ -344,17 +342,15 @@ func newWithClock(cfg Config, clk clock) (*Engine, error) {
 		e.links[f] = flowLinks{Next: sched.None, Prev: sched.None}
 		owned[e.shardIndex(uint32(f))]++
 	}
-	for i := range e.pacers {
-		e.pacers[i] = newPacer(e, i)
-	}
+	e.pacer = &pacer{e: e, wake: make(chan struct{}, 1)}
 	for i := range e.ports {
 		e.ports[i] = &port{
 			idx: i,
 			sh:  newShaper(cfg.PortRate, clk.now()),
-			// A port homes to one pacer: all its service — every shard's
-			// scheduling unit — runs on that pacer's goroutine, so a
-			// sink's SendView is never concurrent with itself.
-			pc: e.pacers[i&(cfg.Shards-1)],
+			// All of a port's service — every shard's scheduling unit — runs
+			// on the engine's one pacer goroutine, so no two SendView calls
+			// overlap, on one port or across ports.
+			pc: e.pacer,
 		}
 		e.ports[i].txLastNs.Store(noDeparture)
 	}

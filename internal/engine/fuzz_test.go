@@ -6,13 +6,13 @@ package engine
 // in Go with script.
 //
 // The engine is a stepped one (clock_test.go): no pacer goroutine, the
-// harness serves ports by stepping the pacers. When the stream starts the
+// harness serves ports by stepping the pacer. When the stream starts the
 // engine, the harness installs the command rings itself and launches no
 // workers, so a posted enqueue runs exactly at its shard's next entry —
 // the command after it on that shard, or a Drain. Posts pile up on one
 // shard at a time: before a command that enters another shard first, or
 // whose entries the model cannot name (the picked pulls, batches, the
-// pacers, reconfiguration), the harness drains them.
+// pacer, reconfiguration), the harness drains them.
 //
 // Every command is held to the model's return value and error, word for
 // word; a delivered packet to the model's pick, which is also the oldest
@@ -72,11 +72,11 @@ const (
 	cLimit               // flow, limit: SetFlowLimit
 	cWeight              // flow, a: SetWeight, or SetTierWeight when a ≥ 128
 	cRehome              // flow, a: SetFlowPort/Tenant/Class
-	cServe               // port | retain<<4: ServeViews, then the pacers settle
+	cServe               // port | retain<<4: ServeViews, then the pacer settles
 	cDrain               // Drain
 	cSetEgress           // a, b: SetEgress, same hierarchy
 	cRead                // flow: Flow and Len
-	cClock               // n: n+1 pacer ticks, the pacers settling at each
+	cClock               // n: n+1 pacer ticks, the pacer settling at each
 	cRate                // port, rate, burst: SetPortRate (see rateArg)
 	cPause               // port<<1 | resume: Pause or Resume
 	cWeigh               // which, flow or unit, w: SetWeight or SetTierWeight with any weight (see opWeigh)
@@ -728,8 +728,8 @@ func opRehome(h *harness, in *script) {
 	}
 }
 
-// opServe registers a sink on a port (once) and steps the pacers until
-// they are quiet; the sink retains every nth view it is handed, which the
+// opServe registers a sink on a port (once) and steps the pacer until
+// it is quiet; the sink retains every nth view it is handed, which the
 // harness then holds.
 func opServe(h *harness, in *script) {
 	a := in.next()
@@ -754,7 +754,7 @@ func opServe(h *harness, in *script) {
 	h.settle()
 }
 
-// settle steps the pacers at the current instant and holds each sink's
+// settle steps the pacer at the current instant and holds each sink's
 // deliveries to the model's.
 func (h *harness) settle() {
 	h.e.settle()

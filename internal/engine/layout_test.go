@@ -75,7 +75,7 @@ func TestPortLayout(t *testing.T) {
 // first word) belongs to the pacer goroutine alone.
 func TestPacerLayout(t *testing.T) {
 	var pc pacer
-	offHdr := unsafe.Offsetof(pc.home)
+	offHdr := unsafe.Offsetof(pc.e)
 	offMu := unsafe.Offsetof(pc.mu)
 	offWheel := unsafe.Offsetof(pc.state)
 

@@ -25,6 +25,7 @@ package engine
 
 import (
 	"fmt"
+	"math/big"
 	"slices"
 
 	"npqm/internal/policy"
@@ -105,28 +106,36 @@ type mPort struct {
 }
 
 // bucket is a port's token bucket: rate bytes a second (0: unshaped) up to
-// burst, tokens of credit (negative: in debt) as of engine time last.
-type bucket struct{ rate, burst, tokens, last int64 }
+// burst, tokens of credit (negative: in debt) and frac byte·ns below a
+// byte, as of engine time last.
+type bucket struct{ rate, burst, tokens, frac, last int64 }
 
 // set is a (re)configuration at now: the bucket starts full.
 func (b *bucket) set(cfg policy.ShaperConfig, now int64) {
 	cfg = cfg.WithDefaults()
-	*b = bucket{cfg.RateBytesPerSec, cfg.BurstBytes, cfg.BurstBytes, now}
+	*b = bucket{cfg.RateBytesPerSec, cfg.BurstBytes, cfg.BurstBytes, 0, now}
 }
 
-// earned is the credit el ns earn, rounded down — exactly where the
-// product fits, through float64 past a second or 2^33 B/s.
-func (b *bucket) earned(el int64) int64 {
-	if el <= second && b.rate < 1<<33 {
-		return el * b.rate / second
+// after is the credit el ns after last, as whole bytes and the byte·ns
+// below a byte, capped at the burst if asked: the credit is counted in
+// byte·ns, in a big.Int, so nothing is rounded away or overflows.
+func (b *bucket) after(el int64, capped bool) (tokens, frac int64) {
+	ns := big.NewInt(second)
+	c := new(big.Int).Mul(big.NewInt(b.tokens), ns)
+	c.Add(c, big.NewInt(b.frac))
+	c.Add(c, new(big.Int).Mul(big.NewInt(el), big.NewInt(b.rate)))
+	if full := new(big.Int).Mul(big.NewInt(b.burst), ns); capped && c.Cmp(full) > 0 {
+		c = full
 	}
-	return int64(float64(el) / float64(second) * float64(b.rate))
+	q, r := c.DivMod(c, ns, new(big.Int))
+	return q.Int64(), r.Int64()
 }
 
 // refill brings a shaped bucket up to now, capped at the burst.
 func (b *bucket) refill(now int64) {
 	if b.rate > 0 && now > b.last {
-		b.tokens, b.last = min(b.tokens+b.earned(now-b.last), b.burst), now
+		b.tokens, b.frac = b.after(now-b.last, true)
+		b.last = now
 	}
 }
 
@@ -134,7 +143,8 @@ func (b *bucket) refill(now int64) {
 // what PortStats reads.
 func (b *bucket) peek(now int64) int64 {
 	if b.rate > 0 && now > b.last {
-		return min(b.tokens+b.earned(now-b.last), b.burst)
+		tokens, _ := b.after(now-b.last, true)
+		return tokens
 	}
 	return b.tokens
 }
@@ -146,7 +156,7 @@ func (b *bucket) budget(now int64) (bytes, wait int64) {
 		return unshapedBudget, 0
 	}
 	b.refill(now)
-	if bytes = b.tokens + b.earned(mTick); bytes > 0 {
+	if bytes, _ = b.after(mTick, false); bytes > 0 {
 		return bytes, 0
 	}
 	return bytes, max((1-bytes)*second/b.rate, 1)
@@ -709,7 +719,7 @@ func (m *model) next(max int) []mServed {
 	return out
 }
 
-// settle is what the pacers deliver at the model's now: every serving port
+// settle is what the pacer delivers at the model's now: every serving port
 // that was kicked or notified, or whose tick on the wheel has come, is
 // served until it parks — on the wheel, short of credit, or idle.
 func (m *model) settle() map[int][]mServed {

@@ -1,20 +1,24 @@
 package engine
 
-// The per-shard timing-wheel pacer. Every port homes to exactly one
-// pacer (port index mod shard count) and a single goroutine per shard
-// services all of its ports: runnable ports are served round-robin,
-// shaped ports park on a timing wheel until their token bucket recovers,
-// and idle ports cost nothing until the enqueue path's notify re-queues
-// them. The port space is not bounded by how many timers the runtime
-// tolerates: 10k shaped ports cost one timer, not 10k goroutines.
+// The engine's timing-wheel pacer. One goroutine serves every port, as
+// the paper's memory manager feeds all its output ports through one
+// transmission interface: runnable ports are served round-robin, shaped
+// ports park on a timing wheel until their token bucket recovers, and
+// idle ports cost nothing until the enqueue path's notify re-queues them.
+// The port space is not bounded by how many timers the runtime tolerates:
+// 10k shaped ports cost one timer, not 10k goroutines. The shard count
+// adds no pacers either: one per shard entered the same shards from
+// different cores on the same tick and cost more CPU per packet than it
+// saved (EXPERIMENTS.md, "One pacer serves every port").
 //
-// A port's entire service — every shard's scheduling unit — runs on its
-// home pacer, so a sink's SendView is never concurrent with itself. The
-// pacer enters shards the way the pull API does, through drainShard,
-// always asking for views and, for a shaped port, for no more bytes than
-// its tick's budget: push delivery has one form, and a sink that wants a
-// contiguous buffer copies it out of the view itself, outside every shard
-// lock. The pacing contract is FuzzEngineCommands' model (model_test.go).
+// Every port's entire service — every shard's scheduling unit — runs on
+// this one goroutine, so no two SendView calls ever overlap, and a sink
+// that blocks stalls every served port. The pacer enters shards the way
+// the pull API does, through drainShard, always asking for views and, for
+// a shaped port, for no more bytes than its tick's budget: push delivery
+// has one form, and a sink that wants a contiguous buffer copies it out of
+// the view itself, outside every shard lock. The pacing contract is
+// FuzzEngineCommands' model (model_test.go).
 //
 // Wheel geometry: one slot per tick (1ms) for the next 256ms. Shaper waits
 // are a few ticks at every rate the tests, bench/ and qmsim use; a deadline
@@ -55,13 +59,11 @@ const (
 	psWaiting               // parked on the wheel until deadline[pi]
 )
 
-// pacer is one shard's port-service goroutine plus its mailbox. The
-// struct exists for every shard from New (so notify and kicks always
-// have a target); the goroutine and its wheel state start lazily on the
-// first ServeViews of a port homed here.
+// pacer is the engine's port-service goroutine plus its mailbox. The
+// struct exists from New (so notify and kicks always have a target); the
+// goroutine and its wheel state start lazily on the first ServeViews.
 type pacer struct {
-	e    *Engine
-	home int
+	e *Engine
 
 	// Cross-thread mailbox, padded away from the read-only header above
 	// and the goroutine-local wheel state below: every enqueue-path notify
@@ -98,10 +100,6 @@ type pacer struct {
 	out      []Dequeued
 }
 
-func newPacer(e *Engine, home int) *pacer {
-	return &pacer{e: e, home: home, wake: make(chan struct{}, 1)}
-}
-
 // enqueue queues a port for the pacer's attention and wakes it. Called
 // from any goroutine; this is the only cross-thread entry point.
 func (pc *pacer) enqueue(pi int32) {
@@ -130,16 +128,14 @@ func (pc *pacer) start() {
 	go pc.e.pacerLoop(pc)
 }
 
-// pacerLoop is the per-shard service goroutine: step, then sleep until
-// the next deadline or wake.
+// pacerLoop is the service goroutine: step, then sleep until the next
+// deadline or wake.
 func (e *Engine) pacerLoop(pc *pacer) {
 	defer func() {
-		// Ports homed here stop reading as served once the engine shuts
-		// their pacer down.
+		// Every port stops reading as served once the engine shuts the
+		// pacer down.
 		for _, p := range e.ports {
-			if p.pc == pc {
-				p.serving.Store(false)
-			}
+			p.serving.Store(false)
 		}
 		e.portWG.Done()
 	}()

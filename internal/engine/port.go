@@ -7,7 +7,7 @@ package engine
 // one port (Config.NumPorts, SetFlowPort; all flows start on port 0),
 // each (shard, port) pair owns an N-level scheduling unit (see
 // egress.go), and a port served through ServeViews (views.go) is driven by
-// its home shard's pacer goroutine (see pacer.go): it picks via the
+// the engine's one pacer goroutine (see pacer.go): it picks via the
 // configured tenant, class and flow disciplines, paces against the port's
 // token-bucket shaper (see shaper.go), and pushes packet views into the
 // registered sink — push-mode delivery with backpressure, beside the
@@ -15,7 +15,7 @@ package engine
 //
 // Pause/Resume model link-level flow control (a paused port holds its
 // backlog and transmits nothing); SetPortRate reshapes at runtime. An
-// idle port drops out of its pacer's structures entirely: the enqueue
+// idle port drops out of the pacer's structures entirely: the enqueue
 // path's setActive re-queues it with one atomic flag check, so an idle
 // port costs nothing per packet elsewhere and nothing while idle.
 
@@ -35,13 +35,13 @@ const MaxPorts = 4096
 
 // port is one output port: shaper, pacer handoff state, and transmit
 // counters. The scheduling state lives in the shards (one portSched per
-// (shard, port) pair); the service loop lives in the port's home pacer.
+// (shard, port) pair); the service loop lives in the engine's pacer.
 type port struct {
 	idx int
 	sh  *shaper
-	pc  *pacer // home pacer; all service for this port runs there
+	pc  *pacer // the engine's pacer; all service for this port runs there
 
-	shardCursor uint32 // rotating start shard; only the home pacer touches it
+	shardCursor uint32 // rotating start shard; only the pacer touches it
 
 	// Control words, padded off the read-only header: idle is CASed by
 	// every enqueue-path notify, so it must not share a line with fields
@@ -52,7 +52,7 @@ type port struct {
 	idle    atomic.Bool           // dropped from the pacer awaiting traffic
 	sink    atomic.Pointer[SinkV] // current sink; replaced by each ServeViews
 
-	// Transmit counters: settled once per burst by the home pacer (one add
+	// Transmit counters: settled once per burst by the pacer (one add
 	// each for the packets and bytes the sink accepted), read by
 	// PortStats/Stats. Separated from the producer-CASed control words
 	// above and from the next heap neighbour below.
@@ -79,7 +79,7 @@ const noDeparture = math.MinInt64
 
 // noteDepartures records a burst of k > 0 shaped transmits, all stamped
 // at engine time now: the gap from the previous departure, then k−1 gaps of
-// 0. Called only from the port's home pacer; the fields are atomics
+// 0. Called only from the pacer goroutine; the fields are atomics
 // because ServeViews and PortStats touch them cross-goroutine.
 func (p *port) noteDepartures(now int64, k int) {
 	if last := p.txLastNs.Swap(now); last != noDeparture {
@@ -88,7 +88,7 @@ func (p *port) noteDepartures(now int64, k int) {
 	p.gaps.AddN(0, uint64(k-1))
 }
 
-// notify re-queues the port on its home pacer if (and only if) it went
+// notify re-queues the port on the pacer if (and only if) it went
 // idle. Called from setActive inside shard critical sections, so the
 // not-serving and port-busy cases must stay one atomic load.
 func (p *port) notify() {
@@ -144,7 +144,7 @@ func (e *Engine) SetPortRate(port int, cfg policy.ShaperConfig) error {
 	return nil
 }
 
-// Pause stops port's transmission: it drops out of its pacer's rotation,
+// Pause stops port's transmission: it drops out of the pacer's rotation,
 // its backlog holds. Packets keep accumulating on the port's flows
 // (admission still applies). Idempotent.
 func (e *Engine) Pause(port int) error {
@@ -177,7 +177,7 @@ const unshapedBatch = 64
 // dequeuePort serves up to max packets and about room bytes (see
 // drainShard) from p's scheduling units as views, appending to out: the
 // pull walk (pull) restricted to one port, its start shard rotated by p's
-// own cursor. Only p's home pacer calls it (shardCursor is pacer-local).
+// own cursor. Only the pacer calls it (shardCursor is pacer-local).
 func (e *Engine) dequeuePort(p *port, out []Dequeued, max int, room int64) []Dequeued {
 	p.shardCursor++
 	return e.pull(p.shardCursor, p.idx, true, out, max, room)

@@ -7,6 +7,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -18,15 +19,46 @@ import (
 	"npqm/internal/queue"
 )
 
-// waitUntil polls cond until it holds or the deadline passes.
-func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
+// stallLimit is how long waitServed lets an engine go without dequeuing a
+// packet or freeing a segment before it calls the wait a hang.
+const stallLimit = 5 * time.Second
+
+// waitServed waits until done holds. It has no deadline of its own: it
+// fails once e has gone stallLimit without dequeuing a packet or freeing a
+// segment, naming what it waited for and the backlog left. Before it fails
+// it calls stop (if not nil), which must end the test's own goroutines and
+// return once they have, and then closes e, which ends the engine's, so a
+// failing test leaves nothing spinning into the tests after it.
+// It spins for the first millisecond and polls every millisecond after, so
+// a wait that is over in microseconds costs microseconds.
+func waitServed(t *testing.T, e *Engine, what string, stop func(), done func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+	progress := func() [2]uint64 {
+		st := e.Stats()
+		return [2]uint64{st.DequeuedPackets, uint64(st.FreeSegments)}
+	}
+	var last [2]uint64
+	start := time.Now()
+	moved := start
+	for !done() {
+		if time.Since(start) < time.Millisecond {
+			runtime.Gosched()
+			continue
 		}
 		time.Sleep(time.Millisecond)
+		p := progress()
+		if p[0] != last[0] || p[1] > last[1] {
+			moved = time.Now()
+		}
+		if last = p; time.Since(moved) > stallLimit {
+			if stop != nil {
+				stop()
+			}
+			st := e.Stats()
+			e.Close()
+			t.Fatalf("waiting for %s: nothing dequeued and no segment freed for %v; %d segments still queued, %d lent, %d free",
+				what, stallLimit, st.QueuedSegments, st.LentSegments, st.FreeSegments)
+		}
 	}
 }
 
@@ -400,7 +432,7 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 	if err := e.ServeViews(0, failing); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "sink error stop", func() bool { return taken.Load() > 3 && !e.ports[0].serving.Load() })
+	waitServed(t, e, "the sink error to stop the port", nil, func() bool { return taken.Load() > 3 && !e.ports[0].serving.Load() })
 	// The burst's counters settle before Serving reads false, and count the
 	// partial burst: exactly the three packets the sink accepted.
 	if pst := e.PortStats()[0]; pst.TransmittedPackets != 3 || pst.TransmittedBytes != 3*8 {
@@ -413,7 +445,7 @@ func TestServeErrorsAndSinkStop(t *testing.T) {
 	if err := e.ServeViews(0, sink2); err != nil {
 		t.Fatalf("re-Serve after sink stop: %v", err)
 	}
-	waitUntil(t, 5*time.Second, "remaining backlog", func() bool {
+	waitServed(t, e, "the remaining backlog", nil, func() bool {
 		return e.Stats().QueuedSegments == 0
 	})
 	if err := e.ServeViews(0, SinkVFunc(func(int, Dequeued) error { return nil })); err == nil {
@@ -522,9 +554,8 @@ func TestPortsConcurrentChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitUntil(t, 30*time.Second, "ports to drain the backlog", func() bool {
-				st := e.Stats()
-				return st.QueuedSegments == 0
+			waitServed(t, e, "the ports to drain the backlog", nil, func() bool {
+				return e.Stats().QueuedSegments == 0
 			})
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
@@ -544,6 +575,65 @@ func TestPortsConcurrentChurn(t *testing.T) {
 			}
 			if err := e.CheckInvariants(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPacerSerializesEverySink: one pacer serves every port, whatever the
+// shard count, so no two SendView calls ever overlap — on one port or
+// across ports, shaped or not. Sixteen ports over eight shards share one
+// sink that holds each packet briefly; with a pacer per shard, ports on
+// different pacers would be in it at once.
+func TestPacerSerializesEverySink(t *testing.T) {
+	for _, rate := range []int64{0, 8 << 10} {
+		t.Run(fmt.Sprintf("rate=%d", rate), func(t *testing.T) {
+			const shards, ports, flows, perPort = 8, 16, 64, 16
+			cfg := Config{Shards: shards, NumFlows: flows, NumSegments: 4096, NumPorts: ports}
+			if rate > 0 {
+				// A one-packet bucket earning 8 bytes a tick: a port's first
+				// round sends two packets into 128 bytes of debt and parks for
+				// about 16 ticks, however slow the sink.
+				cfg.PortRate = policy.ShaperConfig{RateBytesPerSec: rate, BurstBytes: 128}
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for f := uint32(0); f < flows; f++ {
+				if err := e.SetFlowPort(f, int(f%ports)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var inSink, peak atomic.Int32
+			var sent atomic.Int64
+			sink := SinkVFunc(func(int, Dequeued) error {
+				n := inSink.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(20 * time.Microsecond)
+				inSink.Add(-1)
+				sent.Add(1)
+				return nil
+			})
+			for p := 0; p < ports; p++ {
+				if err := e.ServeViews(p, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pkt := make([]byte, 128)
+			for i := uint32(0); i < ports*perPort; i++ {
+				if _, err := e.EnqueuePacket(i%flows, pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitServed(t, e, "every packet to reach the sink", nil, func() bool { return sent.Load() == ports*perPort })
+			if p := peak.Load(); p != 1 {
+				t.Fatalf("%d SendView calls were in the sink at once, want 1: more than one goroutine serves ports", p)
+			}
+			if rate > 0 && e.Stats().Throttled == 0 {
+				t.Fatal("no port parked on the wheel: the shaped arm never paced")
 			}
 		})
 	}

@@ -164,7 +164,7 @@ func (e *Engine) Drain() error {
 // sealed, so a post racing the flip is either refused or accepted — and an
 // accepted post is executed: the workers drain up to the sealed tails
 // through the unconditional lock and exit, no packet or counter lost. The
-// pacers started by ServeViews are unparked and waited out last (a sink
+// pacer, if ServeViews started it, is unparked and waited out last (a sink
 // blocked forever therefore blocks Close). Close is idempotent and safe to
 // call concurrently. After Close the observation surface (Stats and its
 // per-shard, -port and -tier slices, CheckInvariants, Len, Flow,

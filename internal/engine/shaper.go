@@ -8,15 +8,19 @@ package engine
 // bucket by up to one packet — the byte-accurate formulation that needs
 // no packet-size foreknowledge: the debt delays the next send by exactly
 // the overdrawn bytes' serialization time, so the long-run rate converges
-// to the configured one for any packet mix.
+// to the configured one for any packet mix. Credit is exact: what a refill
+// earns below a whole byte is carried to the next one in byte·ns, so
+// however often the pacer refills, a port earns exactly rate bytes a
+// second.
 //
-// The bucket is shared between its port's pacer (the hot reader) and
+// The bucket is shared between the pacer (the hot reader) and
 // the control plane (SetPortRate, PortStats, which only reads it), so
 // it carries its own mutex; the pacer takes it per service round (budget
 // before the burst and after it) and per drained batch (one charge), far
 // off the per-packet paths.
 
 import (
+	"math/bits"
 	"sync"
 
 	"npqm/internal/policy"
@@ -31,6 +35,7 @@ type shaper struct {
 	rate   int64 // bytes per second; 0 = unshaped
 	burst  int64 // bucket depth in bytes
 	tokens int64 // current credit; negative = in debt from the last send
+	frac   int64 // credit below a byte, in byte·ns: [0, second)
 	last   int64 // when tokens was last brought up to date
 }
 
@@ -49,37 +54,46 @@ func (sh *shaper) configure(cfg policy.ShaperConfig, now int64) {
 	sh.rate = cfg.RateBytesPerSec
 	sh.burst = cfg.BurstBytes
 	sh.tokens = cfg.BurstBytes
+	sh.frac = 0
 	sh.last = now
 	sh.mu.Unlock()
 }
 
-// tokensFor converts an elapsed interval (ns) to earned bytes. Exact integer
-// arithmetic is used whenever ns × rate provably fits int64 (sub-second
-// window × rate below 2^33 ≈ 8.6 GB/s: the product stays under
-// 10^9 × 2^33 < 2^63); beyond that — long idle stretches or >8 GB/s
-// line rates, where a byte of float rounding is invisible against the
-// magnitudes involved — the conversion goes through float64 instead of
-// wrapping negative.
-func tokensFor(el, rate int64) int64 {
+// earn converts el ns at rate, on top of frac byte·ns already earned, to
+// whole bytes and the byte·ns left below a byte. The product is taken in
+// 128 bits, so the conversion is exact at every rate and interval and
+// nothing is rounded away: earning a then b leaves what earning a+b does.
+// A quotient of 2^63 or more (hi ≥ second/2) saturates; no bucket is that
+// deep.
+func earn(el, rate, frac int64) (bytes, rem int64) {
 	if el <= 0 {
-		return 0
+		return 0, frac
 	}
-	if el <= second && rate < 1<<33 {
-		return el * rate / second
+	hi, lo := bits.Mul64(uint64(el), uint64(rate))
+	lo, carry := bits.Add64(lo, uint64(frac), 0)
+	if hi += carry; hi >= uint64(second)/2 {
+		return 1<<63 - 1, 0
 	}
-	return int64(float64(el) / float64(second) * float64(rate))
+	q, r := bits.Div64(hi, lo, uint64(second))
+	return int64(q), int64(r)
+}
+
+// credit is the bucket el ns after it was last brought up to date, capped
+// at the burst. A full bucket holds no fraction: credit past the burst,
+// whole bytes and the rest alike, is forfeit.
+func (sh *shaper) credit(el int64) (tokens, frac int64) {
+	b, frac := earn(el, sh.rate, sh.frac)
+	if b >= sh.burst-sh.tokens {
+		return sh.burst, 0
+	}
+	return sh.tokens + b, frac
 }
 
 // refillLocked advances the bucket to now; caller holds sh.mu.
 func (sh *shaper) refillLocked(now int64) {
-	el := now - sh.last
-	if el <= 0 {
-		return
-	}
-	sh.last = now
-	sh.tokens += tokensFor(el, sh.rate)
-	if sh.tokens > sh.burst {
-		sh.tokens = sh.burst
+	if el := now - sh.last; el > 0 {
+		sh.last = now
+		sh.tokens, sh.frac = sh.credit(el)
 	}
 }
 
@@ -96,7 +110,8 @@ func (sh *shaper) budget(now, horizon int64) (bytes, wait int64) {
 		return unshapedBudget, 0
 	}
 	sh.refillLocked(now)
-	b := sh.tokens + tokensFor(horizon, sh.rate)
+	ahead, _ := earn(horizon, sh.rate, sh.frac)
+	b := sh.tokens + ahead
 	if b > 0 {
 		return b, 0
 	}
@@ -117,15 +132,13 @@ func (sh *shaper) charge(n int64) {
 }
 
 // occupancy snapshots the bucket for PortStats as a refill at now would
-// leave it, without refilling: every refill rounds its earnings down to
-// whole bytes, so a read that wrote the bucket would cost a port credit
-// each time its stats were read.
+// leave it, without writing it: reading a port's stats is free of effect.
 func (sh *shaper) occupancy(now int64) (rate, burst, tokens int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	tokens = sh.tokens
 	if sh.rate > 0 {
-		tokens = min(tokens+tokensFor(now-sh.last, sh.rate), sh.burst)
+		tokens, _ = sh.credit(now - sh.last)
 	}
 	return sh.rate, sh.burst, tokens
 }

@@ -4,6 +4,7 @@ package engine
 // through a shaped port on the reference model.
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -45,5 +46,54 @@ func TestShaperPacingArithmetic(t *testing.T) {
 	}
 	if !slices.Equal(got, []int64{0, 600, 769}) || h.m.ports[0].throttled != 4 {
 		t.Fatalf("departures on ticks %v after %d parks, want [0 600 769] after 4", got, h.m.ports[0].throttled)
+	}
+}
+
+// TestShaperCreditExactOverSplits: credit is exact, so refilling at a and
+// then at a+b leaves the bucket — whole bytes and the fraction carried —
+// where one refill at a+b does, whatever the rate, depth, debt and split,
+// and the engine's bucket agrees with the model's at every step, down to
+// the budget the coming tick adds to it.
+func TestShaperCreditExactOverSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	span := func() int64 { // ns to hours, spread over the magnitudes
+		return rng.Int63n(int64(1) << rng.Intn(44))
+	}
+	for i := 0; i < 20000; i++ {
+		cfg := policy.ShaperConfig{
+			RateBytesPerSec: 1 + rng.Int63n(int64(1)<<rng.Intn(41)),
+			BurstBytes:      1 + rng.Int63n(int64(1)<<rng.Intn(40)),
+		}
+		start, a, b := span(), span(), span()
+		debt := rng.Int63n(cfg.BurstBytes + 9000)
+		split, whole := newShaper(cfg, start), newShaper(cfg, start)
+		var ms, mw bucket
+		ms.set(cfg, start)
+		ms.tokens -= debt
+		mw = ms
+		split.charge(debt)
+		whole.charge(debt)
+		split.refillLocked(start + a)
+		ms.refill(start + a)
+		if split.tokens != ms.tokens || split.frac != ms.frac {
+			t.Fatalf("%+v, debt %d, refill after %d ns: engine bucket %d B + %d B·ns, model %d + %d",
+				cfg, debt, a, split.tokens, split.frac, ms.tokens, ms.frac)
+		}
+		split.refillLocked(start + a + b)
+		whole.refillLocked(start + a + b)
+		ms.refill(start + a + b)
+		mw.refill(start + a + b)
+		if split.tokens != whole.tokens || split.frac != whole.frac ||
+			ms != mw || split.tokens != ms.tokens || split.frac != ms.frac {
+			t.Fatalf("%+v, debt %d, refills after %d then %d ns: engine %d B + %d B·ns split, %d + %d whole; model %d + %d split, %d + %d whole",
+				cfg, debt, a, b, split.tokens, split.frac, whole.tokens, whole.frac, ms.tokens, ms.frac, mw.tokens, mw.frac)
+		}
+		// The coming tick's credit counts the carried fraction too.
+		now := start + a + b
+		got, gotWait := split.budget(now, pacerTick)
+		if want, wantWait := ms.budget(now); got != want || gotWait != wantWait {
+			t.Fatalf("%+v, debt %d, at %d ns: engine budget %d B (wait %d ns), model %d B (wait %d ns)",
+				cfg, debt, now, got, gotWait, want, wantWait)
+		}
 	}
 }

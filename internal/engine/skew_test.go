@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,13 +182,7 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for txA.Load() < nA || txB.Load() < nB {
-		if time.Now().After(deadline) {
-			t.Fatalf("stranded port: transmitted A=%d/%d B=%d/%d", txA.Load(), nA, txB.Load(), nB)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitServed(t, e, "both ports' packets", nil, func() bool { return txA.Load() >= nA && txB.Load() >= nB })
 	if got := e.Stats().CoalescedWakes; got == 0 {
 		t.Error("kick storm produced no coalesced wakes — the burst never overflowed the wake channel")
 	}
@@ -221,21 +214,15 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))
-			deadline := time.Now().Add(20 * time.Second)
-			for sent, spins := uint64(0), 0; sent < chain; {
+			for sent := uint64(0); sent < chain; sent++ {
 				if tx.Load() < sent { // packet sent-1 has not left yet
-					if spins++; spins%4096 == 0 && time.Now().After(deadline) {
-						t.Fatalf("stranded: packet %d of %d never left", sent, chain)
-					}
-					runtime.Gosched()
-					continue
+					waitServed(t, e, fmt.Sprintf("packet %d of %d", sent, chain), nil, func() bool { return tx.Load() >= sent })
 				}
 				if _, err := e.EnqueuePacket(uint32(rng.Intn(flows)), []byte("solo")); err != nil {
 					t.Fatal(err)
 				}
-				sent++
 			}
-			waitUntil(t, 20*time.Second, "the last packet of the chain", func() bool { return tx.Load() == chain })
+			waitServed(t, e, "the last packet of the chain", nil, func() bool { return tx.Load() == chain })
 		})
 	}
 }

@@ -82,8 +82,8 @@ type Stats struct {
 	// Counters are summed over the shards.
 	Counters
 
-	// Transmit side (ports served through ServeViews). Packets delivered by
-	// port workers are also counted in DequeuedPackets/Segments — the
+	// Transmit side (ports served through ServeViews). Packets the pacer
+	// delivers are also counted in DequeuedPackets/Segments — the
 	// transmit counters slice that total by delivery path and add the
 	// pacing signal. See PortStats for the per-port breakdown.
 	TransmittedPackets uint64
@@ -177,9 +177,7 @@ func (e *Engine) Stats() Stats {
 		st.TransmittedBytes += p.txBytes.Load()
 		st.Throttled += p.throttled.Load()
 	}
-	for _, pc := range e.pacers {
-		st.CoalescedWakes += pc.coalesced.Load()
-	}
+	st.CoalescedWakes = e.pacer.coalesced.Load()
 	if e.cfg.ResidenceSample > 0 {
 		st.ResidenceSamples = res.N()
 		st.ResidenceP50Ns = res.Quantile(0.50)

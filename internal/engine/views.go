@@ -55,9 +55,10 @@ type PacketView = queue.PacketView
 // SinkV consumes the packets a served port transmits, as views — push
 // delivery has this one form. SendView may block: that is the backpressure
 // path, the pacer will not pick another packet for this port until it
-// returns (and a SendView that blocks indefinitely also stalls the other
-// ports homed to the same pacer). It always runs on the port's home pacer
-// goroutine, never concurrently with itself, and outside every shard lock.
+// returns (and a SendView that blocks indefinitely stalls every served
+// port: one pacer serves them all). It always runs on the engine's pacer
+// goroutine, never concurrently with any SendView of any port, and outside
+// every shard lock.
 // Returning a non-nil error stops the port's service (the port can be
 // served again), and so does a panic, which the pacer recovers and counts
 // in PortStat.SinkPanics. The engine releases its reference to d.View when
@@ -116,17 +117,17 @@ func (e *Engine) ReleaseViews(ds []DequeuedView) {
 	r.Flush()
 }
 
-// ServeViews registers sink as port's transmitter and hands the port to its
-// home shard's pacer (starting that pacer's goroutine on first use): the
-// pacer picks packets via the configured disciplines, paces them against
-// the port's shaper on its timing wheel, and pushes them into sink as views
-// until the engine closes or sink returns an error or panics. Either way,
+// ServeViews registers sink as port's transmitter and hands the port to the
+// engine's pacer (starting its goroutine on first use): the pacer picks
+// packets via the configured disciplines, paces them against the port's
+// shaper on its timing wheel, and pushes them into sink as views until the
+// engine closes or sink returns an error or panics. Either way,
 // packets already picked for the current burst are released — counted as
 // dequeued but not transmitted, like frames lost on a failing link. The
 // engine drops its reference to each view as SendView returns; asynchronous
 // sinks Retain first. One service per port; a second ServeViews on a live
-// port fails. Serving any number of ports costs one goroutine per shard,
-// not one per port.
+// port fails. Serving any number of ports costs one goroutine in all, not
+// one per port or per shard.
 func (e *Engine) ServeViews(port int, sink SinkV) error {
 	p, err := e.portAt(port)
 	if err != nil {

@@ -204,19 +204,14 @@ func TestViewPipelineConcurrent(t *testing.T) {
 			// Producers finish first; once the consumers have drained the
 			// backlog, signal them to stop and wait out the releasers.
 			prodWG.Wait()
-			deadline := time.After(30 * time.Second)
-			for e.Stats().QueuedSegments > 0 {
-				select {
-				case <-deadline:
-					t.Fatalf("pipeline stalled: produced=%d consumed=%d queued=%d",
-						produced.Load(), consumed.Load(), e.Stats().QueuedSegments)
-				default:
-					time.Sleep(time.Millisecond)
-				}
+			finish := func() {
+				close(stop)
+				consWG.Wait()
+				releasers.Wait()
 			}
-			close(stop)
-			consWG.Wait()
-			releasers.Wait()
+			waitServed(t, e, fmt.Sprintf("the consumers to drain %d produced packets", produced.Load()),
+				finish, func() bool { return e.Stats().QueuedSegments == 0 })
+			finish()
 			st := e.Stats()
 			if st.EnqueuedPackets != produced.Load() || st.DequeuedPackets != consumed.Load() {
 				t.Fatalf("books: enq=%d produced=%d deq=%d consumed=%d",

@@ -11,9 +11,9 @@ package policy
 import "fmt"
 
 // MaxShaperRate bounds RateBytesPerSec to a sane ceiling (one TB/s, far
-// beyond any modeled line rate). The token arithmetic itself switches
-// from exact integer math to float64 well below this bound, so no rate
-// the validator admits can overflow a refill computation.
+// beyond any modeled line rate). The token arithmetic takes its products
+// in 128 bits, so no rate the validator admits can overflow a refill
+// computation.
 const MaxShaperRate = int64(1) << 40
 
 // ShaperConfig parameterizes one port's token-bucket shaper. The zero
