@@ -529,7 +529,7 @@ func (e *Engine) drainShard(s *shard, port int, view bool, out []Dequeued, max i
 			break
 		}
 		if hint && len(out)+1 < max {
-			s.hintAhead(&la, flow)
+			s.hintAhead(&la, flow, port)
 		}
 		if s.take(&d, flow, view, debit) != nil {
 			break
@@ -583,27 +583,36 @@ type lookahead struct {
 	f    [3]int32
 }
 
-// hintAhead advances the drain's pipeline to flow, just picked, and issues
-// the hints for the flows ahead of it, inside the shard's critical
-// section: the links and configuration of the flow three ahead, the queue
-// row of the one two ahead and the head segment of the next — each stage
-// reading only what the stage behind it hinted a packet earlier. A pick of
-// the flow being served (a WRR or DRR visit going on) changes nothing and
-// hints nothing. A pick of the nearest prediction shifts the registers and
-// extends them by the one link the last packet hinted. Any other pick
-// restarts them from Stack.Peek — past flow itself, when its visit is
-// still open — and walks two links. A wrong prediction costs a few wasted
-// hints and never a wrong packet: nothing here writes engine state.
-func (s *shard) hintAhead(la *lookahead, flow uint32) {
+// hintAhead advances the drain's pipeline to flow, just picked for target
+// (the drain's port, or anyPort), and issues the hints for the flows ahead
+// of it, inside the shard's critical section: the links and configuration
+// of the flow three ahead, the queue row of the one two ahead and the head
+// segment of the next — each stage reading only what the stage behind it
+// hinted a packet earlier. A pick of the flow being served (a WRR or DRR
+// visit going on) changes nothing and hints nothing. On a flat stack a
+// pick of the nearest prediction shifts the registers and extends them by
+// the one link the last packet hinted. Any other pick restarts them from
+// Stack.Peek — past flow itself, when its visit is still open — and walks
+// two links; so does every new pick on a stack with levels, whose next
+// pick is seldom the next flow of one leaf list. An anyPort pull while
+// another port has active flows hints nothing: pickLocked has moved
+// portCursor past flow's port, so the next pick is on another port. A
+// wrong prediction costs a few wasted hints and never a wrong packet:
+// nothing here writes engine state.
+func (s *shard) hintAhead(la *lookahead, flow uint32, target int) {
 	port, cur := s.flows[flow].port, int32(flow)
+	ps := &s.ps[port]
 	switch {
+	case target == anyPort && s.activeFlows > ps.activeFlows:
+		la.n = 0
+		return
 	case la.n > 0 && la.port == port && cur == la.cur:
 		return
-	case la.n > 0 && la.port == port && cur == la.f[0]:
+	case la.n > 0 && la.port == port && cur == la.f[0] && ps.st.Depth() == 0:
 		la.f[0], la.f[1] = la.f[1], la.f[2]
 		la.n--
 	default:
-		next, _ := s.ps[port].st.Peek() // flow is still active: never empty
+		next, _ := ps.st.Peek() // flow is still active: never empty
 		if next == cur {
 			next = s.links[cur].Next
 		}
